@@ -2,10 +2,15 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke kernel-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke kernel-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The size number every CHANGES.md entry reports (ROADMAP: net negative
+# line counts are a success metric): total lines of src/**/*.py.
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 # Full figure regeneration (pytest-benchmark over benchmarks/).
 figures:

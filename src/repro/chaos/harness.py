@@ -34,8 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.monkey import ChaosMonkey
 from repro.chaos.plan import ChaosPlan
+from repro.flow.pool import WorkStealingDispatcher
 from repro.flow.runner import ExperimentRunner, stable_repr
-from repro.serve.dispatch import WorkStealingDispatcher
 from repro.store.cas import ResultStore
 
 

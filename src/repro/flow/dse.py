@@ -130,7 +130,7 @@ def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     """Non-dominated points, sorted by latency.
 
     Comparison is by *value*, never identity: points restored from the
-    result store, a cache pickle, or another process are equal to (but
+    result store or another process are equal to (but
     not the same object as) their originals, and value-equal duplicates
     collapse to one frontier entry instead of distorting it.
     """

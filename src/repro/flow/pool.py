@@ -1,13 +1,14 @@
-"""Work-stealing dispatch of sweep points over long-lived workers.
+"""The process pool: supervised long-lived workers with work stealing.
 
-:meth:`ExperimentRunner.map` spawns one short-lived process per point
--- maximal isolation, but every point pays a process startup, and a
-static partition of a sweep would leave early-finishing workers idle
-while a straggler grinds through its share.  This dispatcher is the
-farm tier of the DSE service (docs/SERVICE.md):
+This is *the* pool.  :meth:`ExperimentRunner.map` with ``jobs > 1``
+runs on it (``jobs=N`` is ``workers=N`` at the supervision defaults
+below), and :class:`repro.serve.WorkStealingDispatcher` -- the farm
+tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
 
 * ``workers`` **long-lived processes**, each fed over its own duplex
-  pipe, amortize interpreter/import startup across many points;
+  pipe, amortize interpreter/import startup across many points.
+  Module-level state therefore persists across the points one worker
+  runs, exactly as it does inline;
 * points are **sharded** round-robin into one deque per worker, so a
   healthy sweep keeps cache-friendly locality and a deterministic
   assignment;
@@ -16,13 +17,19 @@ farm tier of the DSE service (docs/SERVICE.md):
   its victim would reach *last*, so stragglers shed load instead of
   gating the sweep.  Every steal is counted and emitted as a ``steal``
   event on the ``repro.telemetry.events`` plane;
-* everything around the scheduling -- cache/store probing, streamed
-  journal and manifest updates, bounded retries with seeded-jitter
-  exponential backoff, per-point wall-clock timeouts (the worker is
-  terminated and respawned; only the point it held is re-attempted),
-  crash isolation, the deferred first-failure re-raise -- is the
-  *runner's own* machinery, reused through
-  :class:`~repro.flow.runner.MapSession`.
+* everything around the scheduling -- store probing, streamed journal
+  and manifest updates, bounded retries with seeded-jitter exponential
+  backoff, per-point wall-clock timeouts (the worker is SIGKILLed and
+  respawned; only the point it held is re-attempted), crash isolation,
+  the deferred first-failure re-raise -- is
+  :class:`~repro.flow.runner.MapSession`'s bookkeeping; this module only
+  schedules.
+
+Tasks cross the pipe pickled, so ``fn`` and every point must pickle.
+An unpicklable ``fn`` (a lambda, a closure) is refused with a
+:class:`ValueError` before any worker is spawned; an unpicklable point
+is charged to that point alone as an ``"error"`` failure and its
+siblings finish.
 
 Supervision (docs/RESILIENCE.md, "Supervision & chaos testing"): on
 top of the scheduling, the dispatcher is its workers' supervisor.
@@ -31,8 +38,8 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   background thread that sends ``("hb",)`` ticks over its duplex pipe
   while a point is executing.  A worker silent for longer than
   ``liveness`` seconds is *wedged, not dead* -- a SIGSTOP, a pathological
-  native call -- and before this layer it was invisible until the
-  per-point ``timeout`` (or forever, with no timeout configured).  The
+  native call -- and would otherwise be invisible until the per-point
+  ``timeout`` (or forever, with no timeout configured).  The
   supervisor kills it, emits a ``worker_stall`` event, charges the
   attempt as kind ``"stall"`` and re-attempts only the point it held.
 * **Restart budgets with seeded-jitter backoff.**  A killed worker's
@@ -49,24 +56,28 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   as a ``poisoned`` event, and skipped instead of burning the rest of
   the farm's restart budget.
 
-Digest discipline: a dispatched sweep must produce results
-bit-identical to a serial ``runner.map`` / ``explore_design_space``
-run; the suite, ``make serve-smoke`` and ``make chaos-smoke`` all
-enforce it.  Fault injection for the chaos harness enters exclusively
-through the ``chaos`` hook object (see :mod:`repro.chaos`); with
-``chaos=None`` (production) no fault path exists.
+Digest discipline: a pooled sweep must produce results bit-identical
+to an inline ``jobs=1`` run; the suite, ``make serve-smoke`` and
+``make chaos-smoke`` all enforce it.  Fault injection for the chaos
+harness enters exclusively through the ``chaos`` hook object (see
+:mod:`repro.chaos`); with ``chaos=None`` (production) no fault path
+exists.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from multiprocessing.connection import wait as _connection_wait
+from multiprocessing.reduction import ForkingPickler
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
-from repro.flow.runner import ExperimentRunner, MapSession
+if TYPE_CHECKING:  # runner.py imports this module; only names are needed here
+    from repro.flow.runner import ExperimentRunner, MapSession
 
 #: Default seconds between worker heartbeat ticks.
 DEFAULT_HEARTBEAT = 0.25
@@ -77,22 +88,26 @@ DEFAULT_LIVENESS = 10.0
 DEFAULT_POISON_THRESHOLD = 3
 
 
-def _worker_main(conn, heartbeat: float = DEFAULT_HEARTBEAT) -> None:
+def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
     """Long-lived worker loop: run points until told to stop.
 
     Messages in: ``("run", i, fn, point)`` or ``("stop",)``.  Messages
-    out mirror the runner's one-shot worker protocol: ``("ok", i,
-    seconds, result, events)`` on success, ``("error", i, seconds, exc,
-    summary, traceback_text, events)`` on an exception (with ``exc``
-    downgraded to None when it does not pickle).  Telemetry events the
-    point emits are collected and shipped back with the result, exactly
-    like :func:`repro.flow.runner._pipe_worker`.
+    out: ``("ok", i, seconds, result, events)`` on success, ``("error",
+    i, seconds, exc, summary, traceback_text, events)`` on an exception
+    (with ``exc`` downgraded to None when it does not pickle).
+    ``events`` is the list of structured telemetry records
+    (``repro.telemetry.events``) the point emitted -- campaign
+    checkpoints, lane batches -- which the parent merges into its own
+    ``events.jsonl``.  If the process dies before reporting (segfault,
+    SIGKILL) the parent sees EOF and classifies the point as a crash.
 
     While a point is executing, a daemon thread additionally sends
     ``("hb",)`` every ``heartbeat`` seconds -- the liveness signal the
     parent's supervisor watches.  A stopped or wedged process stops
     beating (SIGSTOP freezes every thread), which is exactly what makes
-    the stall detectable.
+    the stall detectable.  The same thread exits the process once the
+    supervisor is gone (SIGKILLed sweep): forked siblings hold copies of
+    this pipe's far end, so EOF alone would never arrive.
     """
     from repro.telemetry import events as _events
 
@@ -102,6 +117,8 @@ def _worker_main(conn, heartbeat: float = DEFAULT_HEARTBEAT) -> None:
 
     def _beat() -> None:
         while not shutdown.wait(heartbeat):
+            if os.getppid() != supervisor_pid:
+                os._exit(1)
             if not working.is_set():
                 continue
             try:
@@ -165,7 +182,8 @@ class _Worker:
         self.slot = slot
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_worker_main, args=(child, heartbeat), daemon=True
+            target=_worker_main, args=(child, heartbeat, os.getpid()),
+            daemon=True,
         )
         self.proc.start()
         child.close()
@@ -182,11 +200,12 @@ class _Worker:
         """Most recent proof of life for the current task."""
         return max(self.started, self.last_beat)
 
-    def assign(self, fn: Callable, point: Any, i: int, attempt: int) -> None:
+    def assign(self, payload: bytes, i: int, attempt: int) -> None:
+        """Hand over one pre-pickled ``("run", i, fn, point)`` task."""
         self.task = (i, attempt)
         self.started = time.monotonic()
         self.last_beat = self.started
-        self.conn.send(("run", i, fn, point))
+        self.conn.send_bytes(payload)
 
     def stop(self) -> None:
         try:
@@ -317,25 +336,31 @@ class WorkStealingDispatcher:
         on_failure: Optional[str] = None,
         resume: Optional[bool] = None,
     ) -> List[Any]:
-        """``runner.map`` semantics under work-stealing scheduling."""
+        """``runner.map`` semantics under work-stealing scheduling.
+        An ``fn`` that does not pickle raises :class:`ValueError` before
+        any worker is spawned or any event is emitted."""
+        from repro.flow.runner import MapSession  # runner imports this module
+
         session = MapSession(
             self.runner, fn, points, label,
             timeout=timeout, retries=retries,
             on_failure=on_failure, resume=resume,
         )
-        session.start()
-        try:
-            if session.pending:
-                self._run_stealing(session)
-            session.emit_run_end()
-        finally:
-            session.close()
-        return session.finalize()
+        if session.pending:
+            try:
+                ForkingPickler.dumps(fn)
+            except Exception as exc:
+                name = getattr(fn, "__qualname__", None) or repr(fn)
+                raise ValueError(
+                    f"cannot run {name!r} on worker processes: it does not "
+                    f"pickle ({type(exc).__name__}: {exc}).  Use a named "
+                    "module-level function (or functools.partial over one), "
+                    "or jobs=1."
+                ) from exc
+        return session.execute(self._run_stealing, jobs=self.workers)
 
     # -- scheduling -------------------------------------------------------
     def _run_stealing(self, session: MapSession) -> None:
-        from multiprocessing.connection import wait as _connection_wait
-
         from repro.telemetry import events as _events
 
         n_workers = min(self.workers, len(session.pending)) or 1
@@ -389,28 +414,6 @@ class WorkStealingDispatcher:
             delay = min(5.0, session.backoff_delay(slot, nth, kind="respawn"))
             respawn_at[slot] = time.monotonic() + delay
 
-        def feed(worker: _Worker) -> None:
-            task = next_task(worker.slot)
-            if task is None:
-                return
-            i, attempt = task
-            try:
-                worker.assign(session.fn, session.points[i], i, attempt)
-            except (OSError, ValueError):
-                # The worker died while idle: retire the slot and put
-                # the task back where it came from.
-                worker.kill()
-                schedule_respawn(worker.slot)
-                shards[worker.slot].appendleft((i, attempt))
-                return
-            self.dispatched += 1
-            _events.emit(
-                "point_start", label=f"{session.label}[{i}]",
-                key=session.keys[i], attempt=attempt,
-            )
-            if self.chaos is not None:
-                self.chaos.on_dispatch(worker, i, attempt, self.dispatched)
-
         def attempt_failed(i: int, attempt: int, seconds: float, kind: str,
                            message: str, exc, tb: str) -> None:
             nonlocal outstanding
@@ -420,6 +423,43 @@ class WorkStealingDispatcher:
                 delayed.append((not_before, i, attempt + 1))
             else:
                 outstanding -= 1
+
+        def feed(worker: _Worker) -> None:
+            while True:
+                task = next_task(worker.slot)
+                if task is None:
+                    return
+                i, attempt = task
+                try:
+                    payload = ForkingPickler.dumps(
+                        ("run", i, session.fn, session.points[i])
+                    )
+                except Exception as exc:
+                    # The point does not pickle: charge it alone and
+                    # offer this worker the next task.
+                    attempt_failed(
+                        i, attempt, 0.0, "error",
+                        f"point does not pickle: {type(exc).__name__}: {exc}",
+                        exc, traceback.format_exc(),
+                    )
+                    continue
+                try:
+                    worker.assign(payload, i, attempt)
+                except (OSError, ValueError):
+                    # The worker died while idle: retire the slot and
+                    # put the task back where it came from.
+                    worker.kill()
+                    schedule_respawn(worker.slot)
+                    shards[worker.slot].appendleft((i, attempt))
+                    return
+                self.dispatched += 1
+                _events.emit(
+                    "point_start", label=f"{session.label}[{i}]",
+                    key=session.keys[i], attempt=attempt,
+                )
+                if self.chaos is not None:
+                    self.chaos.on_dispatch(worker, i, attempt, self.dispatched)
+                return
 
         def worker_killed(worker: _Worker, i: int, attempt: int,
                           seconds: float, kind: str, message: str) -> None:

@@ -4,19 +4,30 @@ Every sweep in the benchmarks decomposes into independent "build a NoC,
 run it, summarise" points.  :class:`ExperimentRunner` executes a batch
 of such points
 
-* **in parallel** across worker processes when ``jobs > 1`` -- one
-  short-lived process per point, so a worker that dies (segfault, OOM
-  kill, unhandled exception) takes down only its own point,
-* **memoized on disk** when a ``cache_dir`` is configured: each point's
-  result is pickled under a sha256 key derived from the *identity* of
-  the work (function qualname + arguments + salt), so re-generating
-  figures after an unrelated edit costs nothing,
+* **in parallel** when ``jobs > 1``, on the supervised pool of
+  :mod:`repro.flow.pool`: ``jobs`` long-lived worker processes fed over
+  pipes, with work stealing, heartbeats, a restart budget and
+  poison-point quarantine.  A worker that dies (segfault, OOM kill,
+  unhandled exception) takes down only the point it held and is
+  respawned.  There is one pool: ``ExperimentRunner(jobs=N).map`` *is*
+  ``WorkStealingDispatcher(runner, workers=N).map``.  Workers are
+  long-lived, so module-level state persists across the points one
+  worker runs (as it does inline), and ``fn`` and the points must
+  pickle;
+* **memoized on disk** when a ``cache_dir`` (or a shared ``store``) is
+  configured.  There is one format: ``cache_dir=D`` opens a
+  :class:`repro.store.ResultStore` at ``D``, so each point's result is
+  a sha256-verified record under a key derived from the *identity* of
+  the work (function qualname + arguments + salt), and re-generating
+  figures after an unrelated edit costs nothing.  ``D`` also hosts the
+  ``runs.jsonl`` journal and the ``events.jsonl`` stream.  ``*.pkl``
+  files written by older versions are ignored (delete them);
 * **resiliently**: per-point wall-clock ``timeout``, bounded ``retries``
-  with exponential backoff, and a ``runs.jsonl`` journal in the cache
-  directory recording every completion and failure.  Results stream
-  into the cache and journal *as points finish*, so killing a sweep
-  mid-flight loses none of the completed points -- re-running with the
-  same cache directory (or ``resume=True``) picks up where it stopped.
+  with exponential backoff, and a ``runs.jsonl`` journal recording
+  every completion and failure.  Results stream into the store and
+  journal *as points finish*, so killing a sweep mid-flight loses none
+  of the completed points -- re-running with the same cache directory
+  (or ``resume=True``) picks up where it stopped.
   See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
 
 The cache key is built by :func:`stable_repr`, which canonicalises
@@ -41,18 +52,16 @@ import enum
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
-import pickle
 import random
-import tempfile
 import time
 import traceback
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.flow.pool import WorkStealingDispatcher
+from repro.store import ResultStore
 
 #: Bumped when the library changes in ways that invalidate cached
 #: results wholesale (e.g. measurement-semantics fixes).  v2: sweep
@@ -63,9 +72,9 @@ CACHE_VERSION = 2
 #: Kinds a :class:`PointFailure` can carry: the worker function raised,
 #: exceeded the wall-clock ``timeout``, the worker process died without
 #: reporting (segfault / OOM kill / SIGKILL), went silent past the
-#: dispatcher's liveness deadline (``stall``: wedged, not dead), or was
+#: pool's liveness deadline (``stall``: wedged, not dead), or was
 #: quarantined after killing too many consecutive workers
-#: (``poisoned``; see :class:`repro.serve.WorkStealingDispatcher`).
+#: (``poisoned``; see :mod:`repro.flow.pool`).
 FAILURE_KINDS = ("error", "timeout", "crash", "stall", "poisoned")
 
 
@@ -114,48 +123,6 @@ def stable_repr(obj: Any) -> str:
     # Last resort: type identity only.  Good enough for singletons,
     # wrong for value-carrying objects -- hence cache_token().
     return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
-
-
-def _pipe_worker(conn, fn: Callable[[Any], Any], point: Any) -> None:
-    """Worker-process entry: run one point, report through the pipe.
-
-    Sends ``("ok", seconds, result, events)`` on success.  On any
-    exception sends ``("error", seconds, exc, summary, traceback_text,
-    events)``, falling back to ``exc=None`` when the exception itself
-    does not pickle.  ``events`` is the list of structured telemetry
-    records (``repro.telemetry.events``) the point emitted -- campaign
-    checkpoints, lane batches -- which the parent merges into its own
-    ``events.jsonl``.  If the process dies before sending anything
-    (segfault, SIGKILL) the parent sees EOF and classifies the point as
-    a crash.
-    """
-    from repro.telemetry import events as _events
-
-    # Shadow any sink inherited across fork (the parent's open
-    # events.jsonl writer): this worker's records travel over the pipe.
-    collector = _events.install_sink(_events.EventCollector())
-    t0 = time.perf_counter()
-    try:
-        result = fn(point)
-        conn.send(("ok", time.perf_counter() - t0, result, collector.records))
-    except BaseException as exc:  # noqa: BLE001 -- report, parent decides
-        seconds = time.perf_counter() - t0
-        summary = f"{type(exc).__name__}: {exc}"
-        tb = traceback.format_exc()
-        try:
-            conn.send(("error", seconds, exc, summary, tb, collector.records))
-        except Exception:
-            # The exception (or its payload) does not pickle; downgrade
-            # to text so the parent still learns what happened.
-            try:
-                conn.send(("error", seconds, None, summary, tb, collector.records))
-            except Exception:
-                pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
 
 
 @dataclass
@@ -209,7 +176,7 @@ class RunManifest:
 
     Answers "where did this number come from?" long after the sweep: the
     cache key identifies the exact work, ``cached`` says whether this
-    process computed it or served a pickle, ``seconds`` is the compute
+    process computed it or served a stored record, ``seconds`` is the compute
     cost (0 for cache hits), and the version pair pins the library state
     the result was produced under.  :meth:`ExperimentRunner.map` stores
     one per point, in input order, in ``last_manifests``;
@@ -256,26 +223,28 @@ class ExperimentRunner:
     jobs:
         Worker process count; ``1`` (default) runs inline in this
         process, which keeps everything debuggable and imposes no
-        picklability requirement.  With ``jobs > 1`` each point runs in
-        its own short-lived process, so a dying worker is isolated.
+        picklability requirement.  With ``jobs > 1`` the points run on
+        ``jobs`` long-lived supervised worker processes
+        (:mod:`repro.flow.pool`), so a dying worker is isolated.
     cache_dir:
-        Directory for pickled results; ``None`` (default) disables
-        memoization.  Created on first use.  Also hosts the
-        ``runs.jsonl`` journal.
+        Directory for memoized results; ``None`` (default) disables
+        memoization.  Opened as a :class:`repro.store.ResultStore`
+        (which becomes ``store``) unless a ``store`` is given too.
+        Also hosts the ``runs.jsonl`` journal and ``events.jsonl``.
     store:
-        Optional :class:`repro.store.ResultStore`: the shared,
-        sha256-verified content-addressed tier (docs/SERVICE.md).  When
-        set it is consulted before the private ``cache_dir`` pickles
-        and every computed result is published to it, so many runners
-        -- possibly on many hosts -- pool their work.  With a store
-        and no ``cache_dir``, the journal and event stream live in the
-        store's root directory.
+        Optional :class:`repro.store.ResultStore`: the sha256-verified
+        content-addressed result tier (docs/SERVICE.md), consulted
+        before computing and published to as points finish, so many
+        runners -- possibly on many hosts -- pool their work.  With
+        both ``store`` and ``cache_dir``, results live only in
+        ``store`` and ``cache_dir`` holds only the journal and event
+        stream; with a store alone, those live in the store's root.
     salt:
         Extra string mixed into every cache key -- a manual
         invalidation lever for callers.
     timeout:
         Per-point wall-clock limit in seconds.  Enforced only when
-        ``jobs > 1`` (a timed-out worker is terminated); inline
+        ``jobs > 1`` (a timed-out worker is SIGKILLed); inline
         execution cannot be preempted and ignores it.
     retries:
         How many times a failed point is re-attempted (so a point runs
@@ -299,7 +268,7 @@ class ExperimentRunner:
         ``failures``.
     resume:
         Consult the ``runs.jsonl`` journal before running: points whose
-        key is journaled ``ok`` (and whose cached pickle is readable)
+        key is journaled ``ok`` (and whose stored record verifies)
         are served without recomputation and counted in
         ``resumed_points``.
     metrics:
@@ -362,6 +331,8 @@ class ExperimentRunner:
             raise ValueError(
                 f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
             )
+        if self.store is None and self.cache_dir is not None:
+            self.store = ResultStore(self.cache_dir)
 
     @classmethod
     def from_env(cls) -> "ExperimentRunner":
@@ -465,62 +436,26 @@ class ExperimentRunner:
         )
         return hashlib.sha256(ident.encode()).hexdigest()
 
-    def _cache_path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.pkl")
-
     def _cache_load(self, key: str) -> "tuple[bool, Any]":
-        if self.store is not None:
-            hit, value = self.store.get(key)
-            if hit:
-                return True, value
-        if self.cache_dir is None:
+        store = self.store
+        if store is None:
             return False, None
-        path = self._cache_path(key)
-        try:
-            with open(path, "rb") as f:
-                return True, pickle.load(f)
-        except FileNotFoundError:
-            return False, None
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError):
-            # The entry exists but cannot be served: quarantine it so
-            # the evidence survives for debugging and the recomputed
-            # result can be published cleanly at the original path.
+        corrupt_before = store.corrupt_records
+        found = store.get(key)
+        if store.corrupt_records > corrupt_before:
+            # The store quarantined the record as *.corrupt and reports
+            # a miss, so the recomputed result republishes cleanly.
             self._count("corrupt_cache_entries", "corrupt_cache_entries")
-            try:
-                os.replace(path, f"{path[:-len('.pkl')]}.corrupt")
-            except OSError:
-                pass
             if not self._warned_corrupt:
                 self._warned_corrupt = True
                 warnings.warn(
-                    f"experiment cache entry {key[:12]}... in {self.cache_dir} "
+                    f"experiment cache entry {key[:12]}... in {store.root} "
                     "is unreadable; quarantined as *.corrupt and recomputing "
                     "(further corrupt entries this run are counted silently)",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return False, None
-
-    def _cache_store(self, key: str, result: Any) -> None:
-        if self.store is not None:
-            self.store.put(key, result)
-        if self.cache_dir is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        # Atomic publish: concurrent runners may race on the same key.
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(result, f)
-            os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        return found
 
     # -- journal ----------------------------------------------------------
     @property
@@ -600,26 +535,22 @@ class ExperimentRunner:
         finished.
 
         The bookkeeping (cache probing, journaling, manifests, event
-        stream, retry accounting) lives in :class:`MapSession`, which
-        the work-stealing dispatcher
-        (:class:`repro.serve.WorkStealingDispatcher`) shares -- only
-        the scheduling differs between the two.
+        stream, retry accounting) lives in :class:`MapSession`; only
+        the scheduling differs between inline execution and the pool
+        (:class:`repro.flow.pool.WorkStealingDispatcher`, at its
+        supervision defaults, when ``jobs > 1``).
         """
-        session = MapSession(
-            self, fn, points, label,
+        overrides = dict(
             timeout=timeout, retries=retries,
             on_failure=on_failure, resume=resume,
         )
-        session.start()
-        try:
-            if session.pending and self.jobs > 1:
-                self._run_pool(session)
-            else:
-                self._run_inline(session)
-            session.emit_run_end()
-        finally:
-            session.close()
-        return session.finalize()
+        if self.jobs > 1:
+            return WorkStealingDispatcher(self, workers=self.jobs).map(
+                fn, points, label, **overrides
+            )
+        return MapSession(self, fn, points, label, **overrides).execute(
+            self._run_inline, jobs=1
+        )
 
     def map_replicated(
         self,
@@ -678,123 +609,6 @@ class ExperimentRunner:
                 session.finish_ok(i, attempts, seconds, result)
                 break
 
-    def _run_pool(self, session: "MapSession") -> None:
-        """One process per point with timeout/crash isolation.
-
-        A hand-rolled pool instead of :class:`ProcessPoolExecutor`
-        because the executor cannot survive a dying worker: one SIGKILL
-        poisons the whole pool (``BrokenProcessPool``) and aborts the
-        sweep.  Here each point owns a process and a pipe; a death or
-        deadline affects only that point.
-        """
-        from repro.telemetry import events as _events
-
-        fn, points, keys = session.fn, session.points, session.keys
-        label = session.label
-        eff_timeout = session.timeout
-
-        ctx = multiprocessing.get_context()
-        ready_queue = deque((i, 1) for i in session.pending)  # (index, attempt_no)
-        delayed: List["tuple[float, int, int]"] = []  # (not_before, index, attempt)
-        running: Dict[Any, "tuple[int, int, Any, float]"] = {}  # conn -> (i, attempt, proc, started)
-
-        def handle_failure(i: int, attempt: int, seconds: float, kind: str,
-                           message: str, exc: Optional[BaseException], tb: str) -> None:
-            if session.attempt_failed(i, attempt, seconds, kind, message, exc, tb):
-                not_before = time.monotonic() + session.backoff_delay(i, attempt)
-                delayed.append((not_before, i, attempt + 1))
-
-        finish_ok = session.finish_ok
-
-        try:
-            while ready_queue or delayed or running:
-                now = time.monotonic()
-                if delayed:
-                    due = [d for d in delayed if d[0] <= now]
-                    delayed = [d for d in delayed if d[0] > now]
-                    for _, i, attempt in sorted(due, key=lambda d: d[1]):
-                        ready_queue.append((i, attempt))
-                while ready_queue and len(running) < self.jobs:
-                    i, attempt = ready_queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_pipe_worker, args=(child_conn, fn, points[i]),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    running[parent_conn] = (i, attempt, proc, time.monotonic())
-                    _events.emit(
-                        "point_start", label=f"{label}[{i}]", key=keys[i],
-                        attempt=attempt,
-                    )
-                if not running:
-                    if delayed:
-                        time.sleep(max(0.0, min(d[0] for d in delayed) - time.monotonic()))
-                    continue
-
-                # Bound the wait by the nearest deadline / backoff expiry.
-                wait_for = 0.2
-                now = time.monotonic()
-                if eff_timeout is not None:
-                    nearest = min(started + eff_timeout for _, _, _, started in running.values())
-                    wait_for = min(wait_for, max(0.0, nearest - now))
-                if delayed:
-                    wait_for = min(wait_for, max(0.0, min(d[0] for d in delayed) - now))
-                ready = _connection_wait(list(running), timeout=wait_for)
-
-                for conn in ready:
-                    i, attempt, proc, started = running.pop(conn)
-                    seconds = time.monotonic() - started
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    conn.close()
-                    proc.join()
-                    if msg is None:
-                        code = proc.exitcode
-                        handle_failure(
-                            i, attempt, seconds, "crash",
-                            f"worker died without reporting (exitcode {code})",
-                            None, "",
-                        )
-                    elif msg[0] == "ok":
-                        _, fn_seconds, result, wevents = msg
-                        _events.forward(wevents)
-                        finish_ok(i, attempt, fn_seconds, result)
-                    else:
-                        _, fn_seconds, exc, summary, tb, wevents = msg
-                        _events.forward(wevents)
-                        handle_failure(i, attempt, fn_seconds, "error", summary, exc, tb)
-
-                if eff_timeout is None:
-                    continue
-                now = time.monotonic()
-                for conn, (i, attempt, proc, started) in list(running.items()):
-                    if now - started < eff_timeout:
-                        continue
-                    running.pop(conn)
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-                    conn.close()
-                    handle_failure(
-                        i, attempt, now - started, "timeout",
-                        f"exceeded {eff_timeout:g}s wall-clock limit", None, "",
-                    )
-        finally:
-            # Never leak workers, whatever interrupted the loop.
-            for _, (_, _, proc, _) in list(running.items()):
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-
     # -- reporting --------------------------------------------------------
     def render_report(self, title: str = "experiment runner") -> str:
         """Per-point wall-clock table plus hit/miss and failure totals."""
@@ -828,22 +642,19 @@ class ExperimentRunner:
 class MapSession:
     """Bookkeeping for one batch of points, shared across schedulers.
 
-    :meth:`ExperimentRunner.map` and the work-stealing dispatcher
-    (:class:`repro.serve.WorkStealingDispatcher`) schedule work very
-    differently -- one process per point vs. long-lived workers pulling
-    from shards -- but everything *around* the scheduling is identical
-    and lives here: effective retry/timeout configuration, cache keys
-    and cache probing, the streamed cache/journal/manifest updates as
-    points finish, retry accounting, the telemetry event stream, and
-    the deferred first-failure re-raise.
+    Inline execution (``jobs=1``) and the pool
+    (:class:`repro.flow.pool.WorkStealingDispatcher`) schedule work
+    very differently -- a loop in this process vs. long-lived workers
+    pulling from shards -- but everything *around* the scheduling is
+    identical and lives here: effective retry/timeout configuration,
+    cache keys and cache probing, the streamed store/journal/manifest
+    updates as points finish, retry accounting, the telemetry event
+    stream, and the deferred first-failure re-raise.
 
     Lifecycle: construct (probes the cache, classifying every point as
-    a hit or ``pending``), :meth:`start` (opens the event stream and
-    emits ``run_start`` plus the cache-hit ``point_end`` records), then
-    the scheduler calls :meth:`finish_ok` / :meth:`attempt_failed` as
-    attempts resolve, :meth:`emit_run_end`, :meth:`close` and
-    :meth:`finalize` (publishes manifests, re-raises under
-    ``on_failure="raise"``, returns results in input order).
+    a hit or ``pending``), then :meth:`execute` with a scheduler, which
+    calls :meth:`finish_ok` / :meth:`attempt_failed` as attempts
+    resolve.
     """
 
     def __init__(
@@ -873,7 +684,7 @@ class MapSession:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
 
-        if runner.cache_dir is not None or runner.store is not None:
+        if runner.store is not None:  # cache_dir= opened one too
             runner._check_keyable_fn(fn)
         self.keys = [runner._key(fn, p) for p in points]
         # Deterministic jitter seed: a function of *what* is being run,
@@ -891,7 +702,6 @@ class MapSession:
         self.first_exc: Optional[BaseException] = None
         self.hits: List[int] = []
         self.pending: List[int] = []
-        self._writer: Optional[Any] = None
 
         journal = runner.journal_entries() if self.resume else {}
         for i, key in enumerate(self.keys):
@@ -941,39 +751,45 @@ class MapSession:
             return os.path.join(runner.store.root, "events.jsonl")
         return None
 
-    def start(self) -> None:
+    # -- lifecycle -------------------------------------------------------
+    def execute(
+        self, schedule: Callable[["MapSession"], None], jobs: int
+    ) -> List[Any]:
+        """The one map lifecycle: open the event stream, emit
+        ``run_start`` (``jobs`` is the pool width actually used) plus
+        the cache-hit ``point_end`` records, let ``schedule(self)`` run
+        the pending points, emit ``run_end``, close the stream, publish
+        the manifests, re-raise the first failure under
+        ``on_failure="raise"`` and return results in input order."""
         from repro.telemetry import events as _events
 
         path = self.events_path()
-        if path:
-            self._writer = _events.install_sink(_events.EventWriter(path))
-        _events.emit(
-            "run_start", label=self.label, points=len(self.points),
-            pending=len(self.pending), cached=len(self.hits),
-            jobs=self.runner.jobs,
-        )
-        for i in self.hits:
+        writer = _events.install_sink(_events.EventWriter(path)) if path else None
+        try:
             _events.emit(
-                "point_end", label=f"{self.label}[{i}]", key=self.keys[i],
-                status="ok", seconds=0.0, attempts=0, cached=True,
+                "run_start", label=self.label, points=len(self.points),
+                pending=len(self.pending), cached=len(self.hits), jobs=jobs,
             )
-
-    def emit_run_end(self) -> None:
-        from repro.telemetry import events as _events
-
-        _events.emit(
-            "run_end", label=self.label, ok=self.tally["ok"],
-            failed=self.tally["failed"], cached=len(self.hits),
-            retries=self.tally["retries"],
-        )
-
-    def close(self) -> None:
-        from repro.telemetry import events as _events
-
-        if self._writer is not None:
-            _events.remove_sink(self._writer)
-            self._writer.close()
-            self._writer = None
+            for i in self.hits:
+                _events.emit(
+                    "point_end", label=f"{self.label}[{i}]", key=self.keys[i],
+                    status="ok", seconds=0.0, attempts=0, cached=True,
+                )
+            if self.pending:
+                schedule(self)
+            _events.emit(
+                "run_end", label=self.label, ok=self.tally["ok"],
+                failed=self.tally["failed"], cached=len(self.hits),
+                retries=self.tally["retries"],
+            )
+        finally:
+            if writer is not None:
+                _events.remove_sink(writer)
+                writer.close()
+        self.runner.last_manifests = [m for m in self.manifests if m is not None]
+        if self.first_exc is not None:
+            raise self.first_exc
+        return self.results
 
     # -- attempt outcomes -------------------------------------------------
     def finish_ok(self, i: int, attempts: int, seconds: float, result: Any) -> None:
@@ -987,7 +803,8 @@ class MapSession:
         runner.reports.append(
             PointReport(f"{self.label}[{i}]", self.keys[i], seconds, cached=False)
         )
-        runner._cache_store(self.keys[i], result)
+        if runner.store is not None:
+            runner.store.put(self.keys[i], result)
         runner._journal_append(
             {
                 "status": "ok",
@@ -1075,10 +892,3 @@ class MapSession:
             return True
         self.finish_failed(i, attempt, seconds, kind, message, exc, tb)
         return False
-
-    # -- wrap-up ----------------------------------------------------------
-    def finalize(self) -> List[Any]:
-        self.runner.last_manifests = [m for m in self.manifests if m is not None]
-        if self.first_exc is not None:
-            raise self.first_exc
-        return self.results

@@ -3,11 +3,10 @@
 ROADMAP item 3: promote the sweep farm into a queryable shared system.
 Three pieces, layered on the result store (:mod:`repro.store`):
 
-* :class:`WorkStealingDispatcher` (:mod:`repro.serve.dispatch`) --
-  long-lived worker processes pulling sweep points from per-worker
-  shards and stealing from stragglers, reusing the
-  :class:`~repro.flow.runner.ExperimentRunner` retry/timeout/journal
-  machinery through :class:`~repro.flow.runner.MapSession`;
+* :class:`WorkStealingDispatcher` -- re-exported from
+  :mod:`repro.flow.pool`, where it is :class:`ExperimentRunner`'s own
+  ``jobs > 1`` pool: long-lived supervised worker processes pulling
+  sweep points from per-worker shards and stealing from stragglers;
 * :class:`QueryEngine` (:mod:`repro.serve.service`) -- design-space
   queries ("cheapest 5x5 config >= 800 MHz under this traffic")
   answered from the store when every point is present, admission-
@@ -18,7 +17,7 @@ Three pieces, layered on the result store (:mod:`repro.store`):
   ``GET /metrics``.
 """
 
-from repro.serve.dispatch import WorkStealingDispatcher
+from repro.flow.pool import WorkStealingDispatcher
 from repro.serve.service import (
     CircuitBreaker,
     FarmUnavailable,

@@ -368,9 +368,9 @@ class QueryEngine:
     point is read (and sha256-verified) straight out of the
     :class:`~repro.store.ResultStore`.  Queries with missing points go
     through an :class:`~repro.flow.runner.ExperimentRunner` bound to
-    the store -- under a :class:`~repro.serve.WorkStealingDispatcher`
-    when ``workers > 1`` -- so the misses are computed once, published,
-    and journaled like any sweep.
+    the store with ``jobs=workers`` -- the supervised pool when
+    ``workers > 1`` -- so the misses are computed once, published, and
+    journaled like any sweep.
 
     The farm path is guarded by a :class:`CircuitBreaker` (one is
     constructed per engine unless injected): consecutive dispatch
@@ -405,8 +405,11 @@ class QueryEngine:
         if self.metrics is not None and by:
             self.metrics.counter(f"serve.{name}").inc(by)
 
-    def make_runner(self, events_path: Optional[str] = None) -> ExperimentRunner:
+    def make_runner(
+        self, events_path: Optional[str] = None, jobs: int = 1
+    ) -> ExperimentRunner:
         return ExperimentRunner(
+            jobs=jobs,
             store=self.store,
             salt=self.salt,
             timeout=self.timeout,
@@ -555,15 +558,12 @@ class QueryEngine:
                 served_from = "farm"
                 self.farm_queries += 1
                 self._count("farm_queries")
-                runner = self.make_runner(events_path=events_path)
-                mapper: Any = runner
-                if self.workers > 1:
-                    from repro.serve.dispatch import WorkStealingDispatcher
-
-                    mapper = WorkStealingDispatcher(runner, workers=self.workers)
+                runner = self.make_runner(
+                    events_path=events_path, jobs=self.workers
+                )
                 combos = self.combos(spec)
                 try:
-                    computed = mapper.map(
+                    computed = runner.map(
                         _evaluate_design_point,
                         [combos[i] for i in missing],
                         label="query",

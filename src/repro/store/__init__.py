@@ -1,14 +1,14 @@
-"""Content-addressed result store: the DSE service's shared memory.
+"""Content-addressed result store: the one place results are memoized.
 
-The :class:`ExperimentRunner` cache (PR 1/5) memoizes per-point results
-as bare pickles in a private directory.  That is enough for one host
-re-generating its own figures, but the design-space service
-(``python -m repro serve``, docs/SERVICE.md) needs a *shared* tier:
-many dispatchers and one HTTP front end reading and writing the same
-directory, possibly over a network filesystem, with no way to tell a
-half-written file from a result and no inventory of what is in there.
+:class:`ExperimentRunner` publishes every computed point here --
+``cache_dir=D`` opens a store at ``D``, ``store=`` shares one -- and
+the design-space service (``python -m repro serve``, docs/SERVICE.md)
+serves queries out of it: many runners and one HTTP front end reading
+and writing the same directory, possibly over a network filesystem,
+able to tell a half-written file from a result and to inventory what
+is in there.
 
-:class:`ResultStore` is that tier -- see :mod:`repro.store.cas` for the
+See :mod:`repro.store.cas` for the
 on-disk format (sha256-verified records, atomic publishes, an
 append-only manifest index, garbage collection and compaction).
 """

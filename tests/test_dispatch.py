@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -10,7 +11,12 @@ import pytest
 from repro.flow.runner import ExperimentRunner, PointFailure
 from repro.serve import WorkStealingDispatcher
 from repro.store import ResultStore
-from repro.telemetry.events import EventCollector, install_sink, remove_sink
+from repro.telemetry.events import (
+    EventCollector,
+    install_sink,
+    read_events,
+    remove_sink,
+)
 
 
 def _square(x):
@@ -130,6 +136,39 @@ class TestFailureMachinery:
         assert disp.worker_restarts >= 1 and runner.crash_count == 2
         assert "exitcode 17" in runner.failures[0].message
         assert disp.poisoned == 0  # streak 2 < default threshold 3
+
+    def test_unpicklable_point_is_charged_to_that_point_only(self, tmp_path):
+        runner = ExperimentRunner(
+            on_failure="record", events_path=str(tmp_path / "events.jsonl")
+        )
+        disp = WorkStealingDispatcher(runner, workers=2)
+        assert disp.map(_square, [1, threading.Lock(), 3]) == [1, None, 9]
+        [failure] = runner.failures
+        assert failure.kind == "error" and failure.label == "point[1]"
+        assert "does not pickle" in failure.message
+        assert disp.worker_restarts == 0
+        ends = [e for e in read_events(str(tmp_path / "events.jsonl"))
+                if e["event"] == "point_end"]
+        assert sorted(e["status"] for e in ends) == ["failed", "ok", "ok"]
+
+    def test_unpicklable_point_is_journaled_and_raised_last(self, tmp_path):
+        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        with pytest.raises(TypeError, match="pickle"):
+            runner.map(_square, [1, threading.Lock(), 3])
+        statuses = sorted(
+            e["status"] for e in runner.journal_entries().values()
+        )
+        assert statuses == ["failed", "ok", "ok"]
+
+    def test_unpicklable_fn_is_refused_before_any_spawn(self):
+        disp = WorkStealingDispatcher(ExperimentRunner(), workers=2)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="<lambda>"):
+            disp.map(lambda x: x, [1, 2])
+        assert disp.dispatched == 0
+        assert set(multiprocessing.active_children()) == before
+        with pytest.raises(ValueError, match="does not pickle"):
+            ExperimentRunner(jobs=2).map(lambda x: x, [1, 2])
 
     def test_crash_does_not_poison_other_points(self):
         runner = ExperimentRunner(on_failure="record")

@@ -82,6 +82,9 @@ class TestPerformanceDoc:
             "wake_inputs", "is_quiescent", "request_wakeup",
             "verify_fast_path", "fast_path=False", "set_fast_path",
             "cache_token", "CACHE_VERSION", "--jobs", "--cache",
+            # one pool, one store: what jobs=N and cache_dir= mean
+            "long-lived", "repro.flow.pool", "ResultStore",
+            "events.jsonl", "delete the `*.pkl` files",
             # the compiled kernel
             'kernel="compiled"', "set_kernel", "sim.compile()",
             "CompileError", "compile_fallback", "stride=",
@@ -190,6 +193,8 @@ class TestResilienceDoc:
             "corrupt_record", "tear_manifest", "truncate_events",
             "exactly once", "orphan", "python -m repro chaos",
             "chaos-smoke",
+            # the pool is ExperimentRunner's: the behaviour deltas
+            "repro.flow.pool", "long-lived", "SIGKILLed", "must pickle",
         ):
             assert term in text, term
 
@@ -223,6 +228,9 @@ class TestCheckpointDoc:
             # hardened runner
             "runs.jsonl", "timeout", "retries", "PointFailure",
             "on_failure", "corrupt", "journal_entries",
+            # ... on the one supervised pool: the behaviour deltas
+            "repro.flow.pool", "long-lived", "restart budget",
+            "poisoned", "SIGKILLed", "must pickle",
             # campaign + CLI + CI
             "checkpoint_every", "--checkpoint-every", "--resume",
             "REPRO_CHECKPOINT_EVERY", "checkpoint-smoke", "timeout_guard",
@@ -316,7 +324,9 @@ class TestServiceDoc:
             "stable_repr", "os.replace", "last-write-wins",
             "conflicts", "compact()", "gc(", "StoreError",
             "functools.partial",
-            # the dispatcher
+            # the dispatcher: ExperimentRunner's own pool, one format
+            "(`repro.flow.pool`)", "**is** `ExperimentRunner`'s pool",
+            "results then live **only** in `store`",
             "WorkStealingDispatcher", "MapSession", "round-robin",
             "steals", "worker_restarts", "digest-identical",
             "`steal` event", "thief", "victim",
@@ -341,6 +351,8 @@ class TestServiceDoc:
             "serve-smoke", "bench-smoke", "chaos-smoke",
         ):
             assert term in text, term
+        for gone in ("repro.serve.dispatch", "writes publish to both"):
+            assert gone not in text, gone
 
     def test_has_the_store_layout_and_endpoint_table(self):
         with open(self.PATH, encoding="utf-8") as f:

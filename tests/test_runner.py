@@ -85,8 +85,9 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
         runner.map(_square, [3])
-        for p in tmp_path.glob("*.pkl"):
-            p.write_bytes(b"not a pickle")
+        record = runner.store.record_path(runner._key(_square, 3))
+        with open(record, "wb") as f:
+            f.write(b"not a record")
         again = ExperimentRunner(cache_dir=str(tmp_path))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert again.map(_square, [3]) == [9]

@@ -15,7 +15,10 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -31,6 +34,8 @@ from repro.faults.injector import FaultWindow
 from repro.flow.runner import ExperimentRunner, PointFailure, stable_repr
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
+from repro.store import ResultStore
+from repro.telemetry.registry import MetricsRegistry
 
 
 def _behave(point):
@@ -43,6 +48,10 @@ def _behave(point):
     if kind == "hang":
         time.sleep(float(payload))
     return payload * 2
+
+
+def _pid(_point):
+    return os.getpid()
 
 
 def _flaky(point):
@@ -115,6 +124,38 @@ class TestFailureIsolation:
         record = failure.as_record()
         json.dumps(record)  # journal-serialisable
         assert record["status"] == "failed"
+
+
+class TestOnePool:
+    """``jobs=N`` runs on the supervised long-lived pool -- there is no
+    second, process-per-point pool behind ``ExperimentRunner``."""
+
+    def test_workers_are_long_lived(self):
+        pids = ExperimentRunner(jobs=2).map(_pid, range(12))
+        assert len(set(pids)) <= 2
+        assert os.getpid() not in pids
+
+    @pytest.mark.timeout_guard(60)
+    def test_poison_point_is_quarantined_not_retried_forever(self):
+        runner = ExperimentRunner(
+            jobs=2, retries=3, backoff=0.01, on_failure="record"
+        )
+        results = runner.map(
+            _behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt"
+        )
+        assert results == [2, None, 6]
+        [failure] = runner.failures
+        assert failure.kind == "poisoned"
+        assert "quarantined" in failure.message
+
+    def test_flow_never_imports_serve(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import sys; import repro.flow.runner, repro.flow.dse; "
+            "sys.exit('repro.serve' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestRetries:
@@ -245,17 +286,22 @@ class TestCorruptCacheQuarantine:
         runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
         runner.map(_behave, [("ok", 5)], label="pt")
         key = runner._key(_behave, ("ok", 5))
-        with open(runner._cache_path(key), "wb") as f:
-            f.write(b"this is not a pickle")
-        fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        record = runner.store.record_path(key)
+        with open(record, "wb") as f:
+            f.write(b"this is not a record")
+        metrics = MetricsRegistry()
+        fresh = ExperimentRunner(
+            jobs=1, cache_dir=str(tmp_path), metrics=metrics
+        )
         with pytest.warns(RuntimeWarning, match="quarantined"):
             results = fresh.map(_behave, [("ok", 5)], label="pt")
         assert results == [10]
         assert fresh.corrupt_cache_entries == 1
-        assert os.path.exists(os.path.join(str(tmp_path), f"{key}.corrupt"))
+        assert fresh.store.corrupt_records == 1
+        assert metrics.counter("runner.corrupt_cache_entries").value == 1
+        assert os.path.exists(record[: -len(".rec")] + ".corrupt")
         # The recomputed result was re-published under the original key.
-        with open(runner._cache_path(key), "rb") as f:
-            assert pickle.load(f) == 10
+        assert ResultStore(str(tmp_path)).get(key) == (True, 10)
         assert "corrupt_cache_entries=1" in fresh.render_report()
 
     def test_warning_fires_once_per_runner(self, tmp_path):
@@ -263,13 +309,27 @@ class TestCorruptCacheQuarantine:
         points = [("ok", 5), ("ok", 6)]
         runner.map(_behave, points, label="pt")
         for p in points:
-            with open(runner._cache_path(runner._key(_behave, p)), "wb") as f:
+            record = runner.store.record_path(runner._key(_behave, p))
+            with open(record, "wb") as f:
                 f.write(b"garbage")
         fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
         with pytest.warns(RuntimeWarning) as record:
             fresh.map(_behave, points, label="pt")
         assert len([w for w in record if w.category is RuntimeWarning]) == 1
         assert fresh.corrupt_cache_entries == 2
+
+
+class TestLegacyPickleCacheIsIgnored:
+    def test_stale_pkl_is_a_miss_kept_and_silent(self, tmp_path):
+        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        stale = tmp_path / f"{runner._key(_behave, ('ok', 5))}.pkl"
+        stale.write_bytes(pickle.dumps("from an older version"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert runner.map(_behave, [("ok", 5)], label="pt") == [10]
+        assert runner.cache_misses == 1 and runner.cache_hits == 0
+        assert runner.corrupt_cache_entries == 0
+        assert stale.read_bytes() == pickle.dumps("from an older version")
 
 
 class TestFromEnvValidation:

@@ -171,11 +171,14 @@ class TestQueryEngine:
 
 
 @pytest.fixture()
-def live_server(tmp_path):
-    """The real asyncio server on a private loop thread, port 0."""
+def live_server(tmp_path, request):
+    """The real asyncio server on a private loop thread, port 0.
+    ``@pytest.mark.parametrize("live_server", [N], indirect=True)``
+    sets the farm width (default 1: misses computed inline)."""
     metrics = MetricsRegistry()
     store = ResultStore(tmp_path / "store", metrics=metrics)
-    engine = QueryEngine(store, workers=1, metrics=metrics)
+    workers = getattr(request, "param", 1)
+    engine = QueryEngine(store, workers=workers, metrics=metrics)
     server = QueryServer(engine, port=0, max_inflight=1)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -265,8 +268,8 @@ class TestHttp:
         assert doc["store_misses"] == 0
         assert len(server.engine.store) == 1
 
-    def test_async_job_streams_events(self, live_server):
-        server, base = live_server
+    def _job_events(self, base):
+        """Run one background miss to completion; its event trail."""
         q = dict(FAST, topologies=["mesh-2x2"], flit_widths=[16],
                  buffer_depths=[4], seed=5)
         status, doc = _post(base + "/query", q)
@@ -284,12 +287,24 @@ class TestHttp:
         assert jd["status"] == "done"
         assert jd["result"]["served_from"] == "farm"
         status, ev = _get(base + f"/jobs/{job}/events?since=0")
+        return job, ev
+
+    def test_async_job_streams_events(self, live_server):
+        _, base = live_server
+        job, ev = self._job_events(base)
         kinds = [e["event"] for e in ev["events"]]
         assert kinds[0] == "run_start" and kinds[-1] == "run_end"
         assert "point_end" in kinds
         # Incremental tailing.
         status, tail = _get(base + f"/jobs/{job}/events?since={ev['next']}")
         assert tail["events"] == []
+
+    @pytest.mark.parametrize("live_server", [1, 2], indirect=True)
+    def test_run_start_reports_the_pool_width_used(self, live_server):
+        server, base = live_server
+        _, ev = self._job_events(base)
+        assert ev["events"][0]["event"] == "run_start"
+        assert ev["events"][0]["jobs"] == server.engine.workers
 
     def test_unknown_job_404(self, live_server):
         _, base = live_server

@@ -8,6 +8,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -239,16 +240,18 @@ class TestRunnerIntegration:
         assert second.cache_hits == 2 and second.cache_misses == 0
 
     def test_store_and_cache_dir_both_publish(self, tmp_path):
+        """Both configured: the result lives only in ``store``;
+        ``cache_dir`` hosts the journal and the event stream."""
         store = ResultStore(tmp_path / "store")
         runner = ExperimentRunner(
             store=store, cache_dir=str(tmp_path / "cache")
         )
         runner.map(_square, [5])
-        assert len(store) == 1
-        # Local pickles exist alongside the shared records.
-        assert any(
-            name.endswith(".pkl") for name in os.listdir(tmp_path / "cache")
-        )
+        assert runner.store is store and len(store) == 1
+        assert sorted(os.listdir(tmp_path / "cache")) == [
+            "events.jsonl", "runs.jsonl",
+        ]
+        assert not os.path.exists(tmp_path / "store" / "runs.jsonl")
 
     def test_report_names_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -330,6 +333,12 @@ class TestConcurrency:
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(30)
+        # The killed sweep's workers inherited its stdout: EOF arrives
+        # only once every one of them has noticed and exited.
+        drain = threading.Thread(target=proc.stdout.read, daemon=True)
+        drain.start()
+        drain.join(15)
+        assert not drain.is_alive(), "orphaned workers outlived the sweep"
 
         survivors = len(ResultStore(root))
         runner = ExperimentRunner(store=ResultStore(root), jobs=2)
