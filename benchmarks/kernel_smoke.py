@@ -1,13 +1,13 @@
 """Compiled-kernel pulse-check: codegen a real mesh, prove equivalence.
 
 ``make kernel-smoke`` executes this script.  It builds the standard 4x4
-mesh twice with identical traffic, runs one instance on the classical
-interpreted loop and the other on the compiled codegen kernel, and
-requires byte-identical statistics digests -- the whole compiled-kernel
-contract in one quick run.  The compiled instance is elaborated
-eagerly (so a component that silently fell out of codegen would fail
-here, loudly) and driven through ``run_until`` with a stride, so the
-smoke also exercises the predicate fast lane.  See
+mesh once per kernel mode with identical traffic -- the hand-written
+interpreted loop, and the generated loop without (``"fast"``) and with
+(``"compiled"``) specialized lanes -- and requires byte-identical
+statistics digests: the whole kernel contract in one quick run.  The
+compiled instance is driven through ``run_until`` with a stride, so the
+smoke also exercises the predicate fast lane, and must put every
+switch on a specialized lane.  See
 ``docs/PERFORMANCE.md`` for the kernel's design and
 ``tests/test_codegen_golden.py`` for the generated-source golden file.
 
@@ -49,10 +49,12 @@ def main() -> int:
 
     interp = build("interpreted")
     interp.run(CYCLES)
+    fast = build("fast")
+    fast.run(CYCLES)
 
     compiled = build("compiled")
-    program = compiled.sim.compile()  # eager: no silent fallback allowed
-    assert program is not None and compiled.sim.compile_fallback is None
+    program = compiled.sim.compile()
+    assert program.lanes.get("switch") == 16, program
     # Drive through the strided predicate lane up to the same boundary.
     compiled.sim.run_until(
         lambda: compiled.sim.cycle >= CYCLES, max_cycles=CYCLES, stride=250
@@ -60,16 +62,14 @@ def main() -> int:
     assert compiled.sim.cycle == CYCLES
 
     want = interp.stats_digest()
-    got = compiled.stats_digest()
-    if got != want:
-        print(f"FAIL: digest divergence interpreted={want[:16]}... "
-              f"compiled={got[:16]}...")
-        return 1
+    for kernel, noc in (("fast", fast), ("compiled", compiled)):
+        got = noc.stats_digest()
+        if got != want:
+            print(f"FAIL: digest divergence interpreted={want[:16]}... "
+                  f"{kernel}={got[:16]}...")
+            return 1
 
-    lanes = {}
-    for lane in program.lane_of.values():
-        lanes[lane] = lanes.get(lane, 0) + 1
-    census = " ".join(f"{k}:{v}" for k, v in sorted(lanes.items()))
+    census = " ".join(f"{k}:{v}" for k, v in sorted(program.lanes.items()))
     elapsed = time.perf_counter() - t0
     print(f"  kernel smoke: {CYCLES} cycles, digests match ({want[:12]})")
     print(f"  completed {compiled.total_completed()} transactions, "

@@ -127,7 +127,7 @@ def smoke_deep_pipeline():
 
 
 def smoke_fast_path():
-    """s1: fast-path vs full-tick digest equivalence."""
+    """s1: compiled vs fast vs full-tick digest equivalence."""
     digest = verify_fast_path(
         TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2),
         cycles=400, rate=0.05,

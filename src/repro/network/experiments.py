@@ -32,7 +32,7 @@ from repro.network.noc import Noc, NocBuildConfig
 from repro.network.topology import attach_round_robin
 from repro.network.traffic import UniformRandomTraffic
 from repro.sim.batch import SEED_STRIDE, mean_ci95
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import KERNEL_MODES, SimulationError
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def verify_fast_path(
     max_outstanding: int = 4,
     seed: int = 0,
     attach: Optional[Callable[["Noc"], None]] = None,
-    kernels: Sequence[str] = ("fast", "interpreted"),
+    kernels: Sequence[str] = KERNEL_MODES,
     max_transactions: Optional[int] = None,
 ) -> str:
     """Cross-check the simulator's scheduler modes against each other.
@@ -339,12 +339,10 @@ def verify_fast_path(
     its kernel, and compares their
     :meth:`~repro.network.noc.Noc.stats_digest`.  Raises
     :class:`~repro.sim.kernel.SimulationError` on any divergence and
-    returns the (common) digest otherwise.  The default pair preserves
-    the historical fast-vs-interpreted check; pass
-    ``kernels=("compiled", "fast", "interpreted")`` for the full
-    three-way equivalence proof (the compiled instance is elaborated
-    eagerly, so non-compilable components fail loudly instead of
-    silently falling back).
+    returns the (common) digest otherwise.  The default is the full
+    three-way proof over :data:`~repro.sim.kernel.KERNEL_MODES`: the
+    generated loop with and without specialized lanes against the
+    hand-written reference loop.
 
     ``attach``, when given, is called on each freshly built NoC before
     traffic is populated -- the hook fault campaigns use to arm a
@@ -371,8 +369,6 @@ def verify_fast_path(
             max_outstanding=max_outstanding,
             max_transactions=max_transactions,
         )
-        if kern == "compiled":
-            noc.sim.compile()  # eager: fail loudly, after attach/populate
         noc.run(cycles)
         digests[kern] = noc.stats_digest()
     want = digests[kernels[0]]
@@ -393,8 +389,7 @@ def verify_checkpoint(
     max_outstanding: int = 4,
     seed: int = 0,
     attach: Optional[Callable[["Noc"], None]] = None,
-    fast_path: bool = True,
-    kernel: Optional[str] = None,
+    kernel: str = "compiled",
     restore_kernel: Optional[str] = None,
 ) -> str:
     """Cross-check snapshot/restore against an uninterrupted run.
@@ -407,12 +402,11 @@ def verify_checkpoint(
     restored run's :meth:`~repro.network.noc.Noc.stats_digest` diverges
     from the reference; returns the (common) digest otherwise.
 
-    ``kernel`` names the scheduler mode (overriding the legacy
-    ``fast_path`` flag); ``restore_kernel``, when given, runs the
-    *restored* instance under a different mode than the one that took
-    the snapshot -- the cross-kernel restore proof (snapshots are
-    kernel-agnostic; see ``docs/CHECKPOINT.md``).  The reference still
-    runs entirely under ``kernel``: mode equivalence is
+    ``kernel`` names the scheduler mode; ``restore_kernel``, when
+    given, runs the *restored* instance under a different mode than the
+    one that took the snapshot -- the cross-kernel restore proof
+    (snapshots are kernel-agnostic; see ``docs/CHECKPOINT.md``).  The
+    reference still runs entirely under ``kernel``: mode equivalence is
     :func:`verify_fast_path`'s job, so a divergence seen here indicts
     checkpointing specifically.
 
@@ -426,8 +420,6 @@ def verify_checkpoint(
         raise ValueError(
             f"need 0 < snapshot_at < cycles, got {snapshot_at} / {cycles}"
         )
-    if kernel is None:
-        kernel = "fast" if fast_path else "interpreted"
 
     def build(kern=kernel):
         noc = build_noc()

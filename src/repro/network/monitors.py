@@ -16,9 +16,9 @@ defeats the fast-path scheduler's point), the monitor registers kernel
 switch.  A probe fires only on cycles the switch actually executed;
 queue depths cannot change on skipped cycles, so the monitor weights the
 last observed depths by the number of cycles they persisted.  The
-resulting statistics are cycle-exact -- identical under ``fast_path``
-True and False, which ``tests/test_monitors.py`` checks differentially
--- while costing nothing on quiescent cycles.
+resulting statistics are cycle-exact -- identical under every kernel
+mode, which ``tests/test_monitors.py`` checks differentially -- while
+costing nothing on quiescent cycles.
 """
 
 from __future__ import annotations

@@ -86,16 +86,13 @@ class NocBuildConfig:
     link_overrides: "Dict[frozenset, LinkConfig]" = field(default_factory=dict)
     routing_policy: Optional[str] = None  # None = topology default
     seed: int = 1
-    #: Activity-tracked scheduling (see ``docs/PERFORMANCE.md``).  Set
-    #: False to force the classical tick-everything kernel loop; results
-    #: are cycle-identical either way (checked by
+    #: Scheduler mode (see ``docs/PERFORMANCE.md``): "compiled", the
+    #: generated activity-tracked loop, elaborated lazily on the first
+    #: run; "fast", the same loop without specialized lanes; or
+    #: "interpreted", the classical tick-everything reference loop.
+    #: Results are cycle-identical in every mode (checked by
     #: :func:`repro.network.experiments.verify_fast_path`).
-    fast_path: bool = True
-    #: Explicit scheduler mode ("interpreted", "fast" or "compiled");
-    #: overrides ``fast_path`` when set.  "compiled" elaborates lazily
-    #: on the first run -- call ``noc.sim.compile()`` to elaborate
-    #: eagerly and fail fast on non-compilable components.
-    kernel: Optional[str] = None
+    kernel: str = "compiled"
 
     def link_for(self, a: str, b: str) -> LinkConfig:
         """The link configuration between two elements."""
@@ -114,9 +111,7 @@ class Noc:
         topology.validate()
         self.topology = topology
         self.config = config or NocBuildConfig()
-        self.sim = Simulator(tracer, fast_path=self.config.fast_path)
-        if self.config.kernel is not None:
-            self.sim.set_kernel(self.config.kernel)
+        self.sim = Simulator(tracer, kernel=self.config.kernel)
         params = self.config.params
 
         all_nis = topology.initiators + topology.targets
@@ -518,7 +513,7 @@ class Noc:
         """sha256 over every observable statistic, for equivalence checks.
 
         Two runs of identically-built NoCs must produce the same digest
-        regardless of scheduling mode (``fast_path`` True/False) -- this
+        regardless of scheduler mode (``NocBuildConfig.kernel``) -- this
         is what the differential tests and
         :func:`repro.network.experiments.verify_fast_path` assert.
         Transaction ids are deliberately excluded: they come from a

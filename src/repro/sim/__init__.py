@@ -7,10 +7,11 @@ This double-buffered discipline makes component evaluation order
 irrelevant and maps one-to-one onto the pipelined, fully registered
 design style the paper advocates for synthesizability.
 
-The same discipline enables the kernel's activity-tracked *fast path*
-(on by default): components that declare their read wires and a
-quiescence predicate are only ticked on cycles where they can actually
-do work.  See :mod:`repro.sim.kernel` and ``docs/PERFORMANCE.md``.
+The same discipline enables the kernel's activity-tracked scheduling
+(the default ``"compiled"`` mode): components that declare their read
+wires and a quiescence predicate are only ticked on cycles where they
+can actually do work.  See :mod:`repro.sim.kernel` and
+``docs/PERFORMANCE.md``.
 
 Public surface:
 
@@ -28,7 +29,7 @@ Public surface:
 
 from repro.sim.channel import AckSignal, FlitChannel, Wire
 from repro.sim.component import Component
-from repro.sim.compiled import CompileError, CompiledProgram, compiled_source
+from repro.sim.compiled import CompiledProgram, compiled_source
 from repro.sim.kernel import KERNEL_MODES, SimulationError, Simulator
 from repro.sim.snapshot import SNAPSHOT_VERSION, SimSnapshot, SnapshotError
 from repro.sim.stats import Counter, LatencySampler, ThroughputMeter
@@ -36,7 +37,6 @@ from repro.sim.trace import NullTracer, TextTracer, Tracer
 
 __all__ = [
     "AckSignal",
-    "CompileError",
     "CompiledProgram",
     "Component",
     "Counter",

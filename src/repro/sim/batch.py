@@ -13,9 +13,9 @@ the replica dimension on top of the compiled kernel
   network once and reuses the object graph and the generated program
   for every lane.  Component ``reset`` methods mutate their
   codegen-bound containers in place (lists, deques, samplers), so
-  ``Simulator.reset(invalidate_program=False)`` re-arms a lane without
-  invalidating the program -- ``tests/test_batch.py`` proves
-  reset-and-rerun digests equal a fresh build's.
+  ``Simulator.reset()`` re-arms a lane without invalidating the
+  program -- ``tests/test_batch.py`` proves reset-and-rerun digests
+  equal a fresh build's.
 * **Structure-of-arrays where it is sound.**  Per-lane seeds and every
   collected metric live in numpy arrays with a leading ``n_replicas``
   axis (:class:`BatchResult`), reduced to mean +/- 95% confidence
@@ -175,7 +175,6 @@ class BatchSimulator:
         *,
         seed_stride: int = SEED_STRIDE,
         lane_windows: Optional[Callable[[int], Sequence]] = None,
-        strict: bool = True,
         assume_lane: int = 0,
     ) -> None:
         if replicas < 1:
@@ -190,12 +189,9 @@ class BatchSimulator:
         self.seed_stride = int(seed_stride)
         self.lane_windows = lane_windows
         sim: Simulator = noc.sim
-        if sim.kernel != "compiled":
-            sim.set_kernel("compiled")
-        #: The shared program; ``None`` only under ``strict=False`` with
-        #: a recorded ``sim.compile_fallback`` (lanes then run on the
-        #: fast path -- still amortizing elaboration, never skipping).
-        self.program = sim.compile(strict=strict)
+        #: The shared generated program (the batch switches the
+        #: simulator to the ``"compiled"`` mode).
+        self.program = sim.compile()
         self.lane = -1
         #: ``(n_replicas,)`` int64 seed offsets -- the SoA seed axis.
         self.seeds = (
@@ -219,17 +215,15 @@ class BatchSimulator:
         # provably event-free: every always-lane component must be a
         # fault injector (whose event catch-up is exact) with no probe
         # attached.  Watchers and live tracers are re-checked per run.
-        self._always: List[Any] = []
-        self._skippable = self.program is not None
-        if self.program is not None:
-            from repro.faults.injector import FaultInjector
+        from repro.faults.injector import FaultInjector
 
-            names = sim._component_names
-            for name in self.program.meta["always"]:
-                comp = names[name]
-                self._always.append(comp)
-                if not isinstance(comp, FaultInjector) or comp in sim._probes:
-                    self._skippable = False
+        self._always: List[Any] = [
+            sim._component_names[name] for name in self.program.meta["always"]
+        ]
+        self._skippable = all(
+            isinstance(comp, FaultInjector) and comp not in sim._probes
+            for comp in self._always
+        )
 
     # -- lane control ------------------------------------------------------
 
@@ -246,7 +240,7 @@ class BatchSimulator:
             link._seed = seed0 + off
         # Component resets rebuild RNGs from the (re)assigned seeds and
         # clear codegen-bound containers in place.
-        self.noc.sim.reset(invalidate_program=self.program is None)
+        self.noc.sim.reset()
         if self.lane_windows is not None:
             for inj in getattr(self.noc, "fault_injectors", ()):
                 inj.set_windows(self.lane_windows(k))
@@ -260,17 +254,15 @@ class BatchSimulator:
         the remaining span arithmetically: cycle and tick counters
         advance as the real loop would have, and fault injectors catch
         up their event schedules.  Falls back to the ordinary kernel
-        dispatch whenever skipping would be observable (fallback
-        program, watchers, a live tracer, or a non-injector always-lane
-        component).
+        dispatch whenever skipping would be observable (watchers, a
+        live tracer, or a non-injector always-lane component).
         """
         sim: Simulator = self.noc.sim
         if cycles < 0:
             raise SimulationError("cannot run a negative number of cycles")
         prog = self.program
         if (
-            prog is None
-            or not self._skippable
+            not self._skippable
             or sim._watchers
             or type(sim.tracer) is not NullTracer
         ):

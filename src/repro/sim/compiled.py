@@ -9,11 +9,16 @@ statically, generate one specialized flat tick function per network --
 instead of paying Python object-walking and dynamic dispatch on every
 cycle.
 
+It is the simulator's **only activity-scheduled loop**: every kernel
+mode except ``"interpreted"`` (the hand-written tick-everything oracle,
+``Simulator._step_full``) runs the program generated here.
 ``compile_simulator`` walks the simulator once and emits Python source
-(one ``_build`` function assembled per-component) which is ``exec``'d
-and bound to the live objects.  The generated run loop keeps the fast
-path's activity tracking (awake set, hot-wire latching) but replaces the
-per-component ``tick`` dispatch with *lanes*:
+(``_sw_NxM`` switch builders plus one ``_build`` function assembled
+per-component) which is ``exec``'d and bound to the live objects; the
+static lane factories it calls are an ordinary module,
+:mod:`repro.sim.lanes`, imported by the generated text.  The run loop
+tracks activity (awake set, hot-wire latching) and dispatches each
+woken component through its *lane*:
 
 ``switch``
     Two-stage go-back-N switches: output stage, single-active-input cut
@@ -36,23 +41,28 @@ per-component ``tick`` dispatch with *lanes*:
     The RNG stream stays draw-for-draw identical (see
     ``UniformRandomTraffic._next_transaction_predrawn``).
 ``generic``
-    Everything else: the component's bound ``tick`` plus its
-    ``is_quiescent`` re-arm.  Probed components always take this lane so
-    probes observe exactly the ticks ``step()`` would have run.
+    Everything else: the component's late-bound ``tick`` plus its
+    ``is_quiescent`` re-arm.  Probed components, components carrying an
+    instance-level ``tick``, and every component under a live tracer
+    take this lane, so observers see exactly the ticks the component's
+    own code performs.
 ``always``
     Components with no quiescence contract (fault injectors, progress
     watchdogs) run every cycle, linear-merged with the woken set in
-    scheduling order -- mirroring ``step()``'s ``_always_active`` list.
+    scheduling order.
 
-The compiled kernel is cycle-identical to both interpreted modes --
-digest-for-digest under ``verify_fast_path`` / ``verify_checkpoint``,
-including open fault windows and cross-kernel snapshot restore.  A
-component that opts out of the codegen contract (no quiescence contract,
-an instance-level ``tick`` override) raises :class:`CompileError` naming
-it; ``Simulator.compile(strict=False)`` records the reason and runs on
-the fast path instead.  Structural mutations (``add``/``wire``/
-``add_probe``/``reset``/``restore``) invalidate the program; it is
-re-elaborated on the next run.
+Kernel mode ``"compiled"`` picks specialized lanes wherever a component
+qualifies; mode ``"fast"`` is the same loop with every component on the
+``generic``/``always`` lane -- a diagnostic that separates a
+scheduler/quiescence bug (both modes diverge from ``"interpreted"``)
+from a lane-transliteration bug (only ``"compiled"`` does).  Both are
+cycle-identical to the reference loop -- digest-for-digest under
+``verify_fast_path`` / ``verify_checkpoint``, including open fault
+windows and cross-kernel snapshot restore.  Structural mutations
+(``add``/``wire``/``add_probe``/``restore``, a tracer swap, a kernel
+mode change) invalidate the program; it is re-elaborated on the next
+run.  ``reset`` does not: every stock component resets its
+codegen-bound containers in place.
 
 A numpy structure-of-arrays lane was considered and rejected: wires
 carry arbitrary Python objects (flits, ACK signals, OCP transactions),
@@ -67,15 +77,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.trace import NullTracer
 
-__all__ = ["CompileError", "CompiledProgram", "compile_simulator", "compiled_source"]
-
-
-class CompileError(SimulationError):
-    """A component disqualified the network from codegen (the message
-    names it and says why); the guarded fallback is the fast path."""
+__all__ = ["CompiledProgram", "compile_simulator", "compiled_source"]
 
 
 class CompiledProgram:
@@ -87,14 +92,14 @@ class CompiledProgram:
         The generated Python source (deterministic for a given network
         structure; golden-filed by ``tests/test_codegen_golden.py``).
     run:
-        ``run(cycles)`` -- the specialized loop, cycle-identical to
-        :meth:`Simulator.step` iterated.
+        ``run(cycles)`` -- the generated loop, cycle-identical to the
+        reference loop (``Simulator._step_full``) iterated.
     rev:
         The simulator structure revision this program was elaborated
         against; any structural mutation makes it stale.
     lane_of:
         Component name -> lane name ("switch", "ni-initiator",
-        "ni-target", "link", "master", "generic").
+        "ni-target", "link", "master", "generic", "always").
     lanes:
         Lane name -> component count (a compile summary for tests and
         benchmarks).
@@ -109,9 +114,9 @@ class CompiledProgram:
         digesting.  The batch runner (:mod:`repro.sim.batch`) is the
         intended caller.
     rearm:
-        ``rearm()`` -- restore the interpreted kernels' run-boundary
-        invariant (every unfinished drawer-lane master awake), exactly
-        what ``run`` does in its epilogue.
+        ``rearm()`` -- restore the run-boundary invariant (every
+        unfinished drawer-lane master awake, as the ``generic`` lane
+        would have left it), exactly what ``run`` does in its epilogue.
     meta:
         Static facts the batch runner needs to reason about skipped
         spans: ``n_components``, ``n_always``, plus the ``always`` and
@@ -141,550 +146,12 @@ class CompiledProgram:
         return f"CompiledProgram(rev={self.rev}, {summary or 'empty'})"
 
 
-# ---------------------------------------------------------------------------
-# The static part of every generated module: the lane factories.  Each
-# factory binds one live component's state into locals once and returns
-# a ``thunk(cyc, nxt)`` that performs the component's cycle and re-arms
-# it in ``nxt`` exactly where ``Simulator.step`` would have.
-# ---------------------------------------------------------------------------
-
-_PRELUDE = '''\
-from repro.core.flit import FlitType, _clone as _FCLONE
-from repro.sim.channel import AckKind, AckSignal
-from repro.sim.kernel import _SCHED_KEY as _SK
-from repro.sim.trace import NullTracer as _NT
-
-_ACK = AckKind.ACK
-_NACK = AckKind.NACK
-_AS = AckSignal
-_H = FlitType.HEAD
-_TL = FlitType.TAIL
-_HT = FlitType.HEAD_TAIL
-_set = object.__setattr__
-
-# Optional profiler hook.  compile_simulator() points this at the
-# attached KernelProfiler's installer before invoking _build; the
-# default None keeps unprofiled kernels entirely wrapper-free (the
-# test is one build-time branch, never per cycle).
-_PROF = None
-
-
-def _drive(w, v):
-    # Wire.drive for kernel-owned wires (hot list always attached).
-    w._nxt = v
-    w._driven = True
-    if not w._queued:
-        w._queued = True
-        w._hot.append(w)
-
-
-def _sender_cycle(s):
-    # GoBackNSender.on_cycle, transliterated with the wire drive inlined
-    # (the channel's wires are kernel-owned, so the hot-list enqueue is
-    # plain bookkeeping).
-    bw = s.channel.backward
-    fw = s.channel.forward
-    def cycle():
-        b = s._buffer
-        ack = bw._cur
-        if ack is not None:
-            s._quiet_cycles = 0
-            if ack.kind is _ACK:
-                s.acks_seen += 1
-                if b and b[0].seqno == ack.seqno:
-                    del b[0]
-                    sp = s._send_ptr - 1
-                    s._send_ptr = sp if sp > 0 else 0
-            else:
-                s.nacks_seen += 1
-                if s._send_ptr > 0 and ack.seqno <= s._last_sent_seqno:
-                    s.rewinds += 1
-                    s._send_ptr = 0
-                    s._last_sent_seqno = b[0].seqno - 1
-                else:
-                    s.nacks_ignored += 1
-        elif s.resync_timeout is not None and b and s._send_ptr >= len(b):
-            s._quiet_cycles += 1
-            if s._quiet_cycles >= s.resync_timeout:
-                s._quiet_cycles = 0
-                s.resyncs += 1
-                s._send_ptr = 0
-                s._last_sent_seqno = b[0].seqno - 1
-        sp = s._send_ptr
-        if sp < len(b):
-            flit = b[sp]
-            fw._nxt = flit
-            fw._driven = True
-            if not fw._queued:
-                fw._queued = True
-                fw._hot.append(fw)
-            s._send_ptr = sp + 1
-            s.sent_flits += 1
-            s._quiet_cycles = 0
-            s._last_sent_seqno = flit.seqno
-            if flit.seqno <= s._max_seqno_sent:
-                s.retransmissions += 1
-            else:
-                s._max_seqno_sent = flit.seqno
-    return cycle
-
-
-def _port_pump(p):
-    # One switch output port's whole cycle -- queue head into the
-    # retransmission buffer (abstract-mode seqno stamp is a direct flit
-    # clone), then the sender FSM -- fused into a single closure so the
-    # output-stage scan pays one call per active port.
-    s = p.sender
-    qi = p.queue._items
-    sb = s._buffer
-    fastq = s.codec is None
-    bw = s.channel.backward
-    fw = s.channel.forward
-    win = s.window
-    def pump(p=p, s=s):
-        if qi and len(sb) < win:
-            f = qi.popleft()
-            if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
-                s._next_seqno += 1
-            else:
-                s.enqueue(f)
-            p.flits_out += 1
-        # GoBackNSender.on_cycle, transliterated as in _sender_cycle.
-        ack = bw._cur
-        if ack is not None:
-            s._quiet_cycles = 0
-            if ack.kind is _ACK:
-                s.acks_seen += 1
-                if sb and sb[0].seqno == ack.seqno:
-                    del sb[0]
-                    sp = s._send_ptr - 1
-                    s._send_ptr = sp if sp > 0 else 0
-            else:
-                s.nacks_seen += 1
-                if s._send_ptr > 0 and ack.seqno <= s._last_sent_seqno:
-                    s.rewinds += 1
-                    s._send_ptr = 0
-                    s._last_sent_seqno = sb[0].seqno - 1
-                else:
-                    s.nacks_ignored += 1
-        elif s.resync_timeout is not None and sb and s._send_ptr >= len(sb):
-            s._quiet_cycles += 1
-            if s._quiet_cycles >= s.resync_timeout:
-                s._quiet_cycles = 0
-                s.resyncs += 1
-                s._send_ptr = 0
-                s._last_sent_seqno = sb[0].seqno - 1
-        sp = s._send_ptr
-        if sp < len(sb):
-            flit = sb[sp]
-            fw._nxt = flit
-            fw._driven = True
-            if not fw._queued:
-                fw._queued = True
-                fw._hot.append(fw)
-            s._send_ptr = sp + 1
-            s.sent_flits += 1
-            s._quiet_cycles = 0
-            s._last_sent_seqno = flit.seqno
-            if flit.seqno <= s._max_seqno_sent:
-                s.retransmissions += 1
-            else:
-                s._max_seqno_sent = flit.seqno
-    return pump
-
-
-def _generic_lane(c):
-    tick = c.tick
-    isq = c.is_quiescent
-    def t(cyc, nxt, c=c):
-        tick(cyc)
-        if not isq():
-            nxt[c] = None
-    return t
-
-
-def _always_lane(c):
-    # No quiescence contract: the component runs every cycle and never
-    # enters the awake set (Simulator.wake ignores non-sleepy
-    # components), so there is nothing to re-arm.
-    tick = c.tick
-    def t(cyc, nxt):
-        tick(cyc)
-    return t
-
-
-def _master_awake_lane(m):
-    # An *awake* lane master runs its full tick; re-arming only while a
-    # request is pending (re-drive each cycle until accepted).  Sleeping
-    # masters are handled by the unrolled gate-draw block in the run
-    # loop -- see the master lane in the generated run_cycles below.
-    tick = m.tick
-    def t(cyc, nxt, m=m):
-        tick(cyc)
-        if m._pending is not None:
-            nxt[m] = None
-    return t
-
-
-def _switch_lane(c):
-    recvs = c.receivers
-    n_in = len(recvs)
-    arbs = c._arbiters
-    req_of = c._requested_output
-    in_stage = c._input_stage
-    dst = c._input_dest
-    onehot = tuple(tuple(i == j for j in range(n_in)) for i in range(n_in))
-    # Per-receiver: the forward/backward wires and (bit-accurate mode
-    # only) the CRC check; abstract mode reads the corrupted flag inline.
-    rins = tuple(
-        (r, r.channel.forward, r.channel.backward,
-         r._detected_corrupt if r.codec is not None else None)
-        for r in recvs
-    )
-    fwires = tuple(r.channel.forward for r in recvs)
-    # Per-output bindings, split by use site so the hot scans unpack only
-    # what they touch: OUT drives the output stage, ARM the re-arm scan,
-    # ACC the allocator commit.  ``_port_pump`` closes over the rest.
-    OUT = tuple(
-        (p.queue._items, p.sender._buffer, p.sender.channel.backward,
-         _port_pump(p))
-        for p in c.outputs
-    )
-    ARM = tuple(
-        (p.queue._items, p.sender._buffer, p.sender,
-         p.sender.resync_timeout is not None)
-        for p in c.outputs
-    )
-    ACC = tuple((p, p.queue._items, p.queue.depth) for p in c.outputs)
-    NOUT = len(ACC)
-    def t(cyc, nxt, c=c):
-        # Output stage (two-stage switch: no delay pipes).  The guard is
-        # deliberately looser than the port's precise activity test: a
-        # window-full sender with no resync timer gets a no-op pump()
-        # call, which is exactly what the real output stage does too.
-        for (qi, sb, bw, pump) in OUT:
-            if qi or sb or bw._cur is not None:
-                pump()
-        # Input stage: the common cases are "all inputs idle" and
-        # "exactly one input active"; multi-input contention delegates
-        # to the full allocator.
-        act = -1
-        i = 0
-        for w in fwires:
-            if w._cur is not None:
-                if act >= 0:
-                    act = -2
-                    break
-                act = i
-            i += 1
-        if act == -2:
-            in_stage(cyc)
-        elif act >= 0:
-            # GoBackNReceiver.poll unrolled around the allocator cut.
-            r, fw, rbw, det = rins[act]
-            f = fw._cur
-            seq = f.seqno
-            if f.corrupted if det is None else det(f):
-                r.corrupted_flits += 1
-                _drive(rbw, _AS(_NACK, seq))
-            elif seq != r._expected:
-                r.out_of_order_flits += 1
-                _drive(rbw, _AS(_NACK, seq))
-            else:
-                ft = f.ftype
-                if ft is _H or ft is _HT:
-                    rt = f.route
-                    ro = f.route_offset
-                    if rt is None or ro >= len(rt):
-                        out_idx = req_of(act, f)  # raises: bad route
-                    else:
-                        out_idx = rt[ro]
-                        if out_idx >= NOUT:
-                            out_idx = req_of(act, f)  # raises: bad hop
-                else:
-                    out_idx = dst[act]
-                    if out_idx is None:
-                        out_idx = req_of(act, f)  # raises: idle input
-                p, qi, depth = ACC[out_idx]
-                li = p.locked_input
-                if li is None:
-                    # The arbiter stays live: a one-hot grant advances
-                    # round-robin state exactly as the full stage does.
-                    granted = arbs[out_idx].grant(onehot[act]) == act
-                else:
-                    granted = li == act
-                    if not granted:
-                        c.allocation_conflicts += 1
-                if granted and len(qi) < depth:
-                    r.accepted_flits += 1
-                    r._expected = seq + 1
-                    rbw._nxt = _AS(_ACK, seq)
-                    rbw._driven = True
-                    if not rbw._queued:
-                        rbw._queued = True
-                        rbw._hot.append(rbw)
-                    if ft is _H or ft is _HT:
-                        nf = _FCLONE(f)
-                        _set(nf, "route_offset", f.route_offset + 1)
-                        f = nf
-                        if ft is _H:
-                            p.locked_input = act
-                            dst[act] = out_idx
-                    elif ft is _TL:
-                        p.locked_input = None
-                        dst[act] = None
-                    qi.append(f)
-                    c.flits_routed += 1
-                else:
-                    r.rejected_flits += 1
-                    _drive(rbw, _AS(_NACK, seq))
-        # Re-arm: not quiescent while any queue holds flits or any
-        # sender still has (re)transmit work.
-        for (qi, sb, s, rs) in ARM:
-            if qi or (sb and (rs or s._send_ptr < len(sb))):
-                nxt[c] = None
-                break
-    return t
-
-
-def _initiator_lane(c):
-    # InitiatorNI.tick transliterated under the lane's eligibility gates
-    # (no credit mode, no transaction timeout, no thread-order
-    # resequencing, no lifecycle tracing): phase order and every state
-    # read/write match the real tick; packetization and response
-    # matching stay real calls -- they run once per packet, not per
-    # cycle.
-    req_w = c.ocp.request
-    respacc_w = c.ocp.response_accept
-    resp_w = c.ocp.response
-    side_w = c.ocp.sideband
-    rx = c.rx
-    rxf = rx.channel.forward
-    rxb = rx.channel.backward
-    rxdet = rx._detected_corrupt if rx.codec is not None else None
-    tx = c.tx
-    fl = tx._flits
-    s = tx.sender
-    scyc = _sender_cycle(s)
-    sb = s._buffer
-    fastq = s.codec is None
-    win = s.window
-    rs = s.resync_timeout is not None
-    rq = c._resp_queue
-    sq = c._sideband_queue
-    ro = c._reorder
-    feed = c.depacketizer.feed
-    lat = c.packet_latency.samples
-    handle = c._handle_response_packet
-    try_acc = c._try_accept_request
-    MAXO = c.config.max_outstanding
-    def t(cyc, nxt, c=c):
-        full = not (req_w._cur is None and rxf._cur is None
-                    and not rq and not sq)
-        if full:
-            # Front end: new OCP request?  The early-return gate of
-            # _try_accept_request is inlined; the packetizing path
-            # stays the real method.
-            txn = req_w._cur
-            if (txn is not None and txn.txn_id != c._last_txn_id
-                    and tx._queued_packets < tx.capacity
-                    and c._outstanding_count < MAXO):
-                try_acc(cyc)
-        # Back end transmit (_BackEndTx.on_cycle).
-        if fl and len(sb) < win:
-            f = fl.popleft()
-            ft = f.ftype
-            if ft is _TL or ft is _HT:
-                tx._queued_packets -= 1
-            if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
-                s._next_seqno += 1
-            else:
-                s.enqueue(f)
-        scyc()
-        if full:
-            # Back end receive: GoBackNReceiver.poll unrolled around
-            # the response-queue space check.
-            f = rxf._cur
-            if f is not None:
-                seq = f.seqno
-                if f.corrupted if rxdet is None else rxdet(f):
-                    rx.corrupted_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-                elif seq != rx._expected:
-                    rx.out_of_order_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-                elif len(rq) < MAXO:
-                    rx.accepted_flits += 1
-                    rx._expected = seq + 1
-                    _drive(rxb, _AS(_ACK, seq))
-                    pkt = feed(f)
-                    if pkt is not None:
-                        if pkt.birth_cycle >= 0:
-                            lat.append(cyc - pkt.birth_cycle)
-                        handle(pkt, cyc)
-                else:
-                    rx.rejected_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-            # Front end: present the oldest completed response until
-            # the master accepts it.
-            if rq:
-                r0 = rq[0]
-                aid = respacc_w._cur
-                if aid is not None and aid == r0.txn_id:
-                    rq.popleft()
-                    c.responses_delivered += 1
-                    r0 = rq[0] if rq else None
-                if r0 is not None:
-                    _drive(resp_w, r0)
-            # Sideband interrupts are single-cycle pulses to the core.
-            if sq:
-                _drive(side_w, sq.popleft())
-                c.interrupts_delivered += 1
-        if fl or (sb and (rs or s._send_ptr < len(sb))) or rq or sq or ro:
-            nxt[c] = None
-    return t
-
-
-def _target_lane(c):
-    # TargetNI.tick transliterated under the lane's eligibility gates
-    # (no credit mode, no lifecycle tracing).  Phase order matches the
-    # real tick: receive, issue-to-slave, collect-response, sideband,
-    # transmit last.
-    req_w = c.ocp.request
-    reqacc_w = c.ocp.request_accept
-    resp_w = c.ocp.response
-    respacc_w = c.ocp.response_accept
-    side_w = c.ocp.sideband
-    rx = c.rx
-    rxf = rx.channel.forward
-    rxb = rx.channel.backward
-    rxdet = rx._detected_corrupt if rx.codec is not None else None
-    tx = c.tx
-    fl = tx._flits
-    s = tx.sender
-    scyc = _sender_cycle(s)
-    sb = s._buffer
-    fastq = s.codec is None
-    win = s.window
-    rs = s.resync_timeout is not None
-    rq = c._req_queue
-    iss = c._issued
-    feed = c.depacketizer.feed
-    lat = c.packet_latency.samples
-    handle = c._handle_request_packet
-    respond = c._respond
-    MAXO = c.config.max_outstanding
-    def t(cyc, nxt, c=c):
-        if not (rxf._cur is None and c._current is None and not rq
-                and resp_w._cur is None and side_w._cur is None):
-            # Receive path: GoBackNReceiver.poll unrolled around the
-            # request-queue space check.
-            f = rxf._cur
-            if f is not None:
-                seq = f.seqno
-                if f.corrupted if rxdet is None else rxdet(f):
-                    rx.corrupted_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-                elif seq != rx._expected:
-                    rx.out_of_order_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-                elif len(rq) < MAXO:
-                    rx.accepted_flits += 1
-                    rx._expected = seq + 1
-                    _drive(rxb, _AS(_ACK, seq))
-                    pkt = feed(f)
-                    if pkt is not None:
-                        if pkt.birth_cycle >= 0:
-                            lat.append(cyc - pkt.birth_cycle)
-                        handle(pkt, cyc)
-                else:
-                    rx.rejected_flits += 1
-                    _drive(rxb, _AS(_NACK, seq))
-            # Issue the oldest reassembled request to the slave core.
-            cur = c._current
-            if cur is None and rq:
-                txn, header = rq.popleft()
-                c._current = cur = txn
-                iss[txn.txn_id] = header
-            if cur is not None:
-                if reqacc_w._cur == cur.txn_id:
-                    c._current = None
-                else:
-                    _drive(req_w, cur)
-            # Collect the slave's response (deduplicated by txn id).
-            resp = resp_w._cur
-            if resp is not None and resp.txn_id != c._last_resp_txn:
-                if resp.txn_id in iss and tx._queued_packets < tx.capacity:
-                    c._last_resp_txn = resp.txn_id
-                    _drive(respacc_w, resp.txn_id)
-                    respond(resp, cyc)
-            # Sideband from the slave becomes an INTERRUPT packet.
-            ev = side_w._cur
-            if ev is not None and tx._queued_packets < tx.capacity:
-                c._send_interrupt(ev, cyc)
-        # Back end transmit (_BackEndTx.on_cycle) -- last, as in tick.
-        if fl and len(sb) < win:
-            f = fl.popleft()
-            ft = f.ftype
-            if ft is _TL or ft is _HT:
-                tx._queued_packets -= 1
-            if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
-                s._next_seqno += 1
-            else:
-                s.enqueue(f)
-        scyc()
-        if (fl or (sb and (rs or s._send_ptr < len(sb)))
-                or c._current is not None or rq):
-            nxt[c] = None
-    return t
-
-
-def _link_lane(c):
-    # Zero-latency fault-free link: two wire moves.  A runtime fault
-    # override (FaultInjector windows) delegates to the real tick so
-    # drop/corrupt RNG draws stay stream-identical.  Depth-0 links are
-    # always quiescent -- they wake purely from their wires.
-    tick = c.tick
-    upf = c.up.forward
-    upb = c.up.backward
-    dnf = c.down.forward
-    dnb = c.down.backward
-    def t(cyc, nxt, c=c):
-        if c._fault_drop or c._fault_rate is not None:
-            tick(cyc)
-            return
-        f = upf._cur
-        if f is not None:
-            c.flits_carried += 1
-            dnf._nxt = f
-            dnf._driven = True
-            if not dnf._queued:
-                dnf._queued = True
-                dnf._hot.append(dnf)
-        a = dnb._cur
-        if a is not None:
-            upb._nxt = a
-            upb._driven = True
-            if not upb._queued:
-                upb._queued = True
-                upb._hot.append(upb)
-    return t
-'''
-
+#: Lane name -> factory in :mod:`repro.sim.lanes` (``switch`` lanes bind a
+#: shape-specialized ``_sw_NxM`` builder emitted by :func:`_emit_switch`).
 _FACTORY_OF = {
     "always": "_always_lane",
     "generic": "_generic_lane",
     "master": "_master_awake_lane",
-    "switch": "_switch_lane",
     "ni-initiator": "_initiator_lane",
     "ni-target": "_target_lane",
     "link": "_link_lane",
@@ -694,11 +161,10 @@ _FACTORY_OF = {
 def _emit_switch(n_in: int, n_out: int) -> str:
     """Emit an unrolled switch-lane builder for one port shape.
 
-    ``_switch_lane`` (in the prelude) is the reference transliteration;
-    this emits the same logic with the three per-port scans -- output
-    stage, input activity detection, re-arm -- unrolled into straight
-    line guards over pre-bound per-port names.  One builder is shared by
-    every switch of the same (inputs x outputs) shape.
+    The three per-port scans -- output stage, input activity detection,
+    re-arm -- are unrolled into straight-line guards over pre-bound
+    per-port names.  One builder is shared by every switch of the same
+    (inputs x outputs) shape.
     """
     name = f"_sw_{n_in}x{n_out}"
     lines = [
@@ -733,8 +199,10 @@ def _emit_switch(n_in: int, n_out: int) -> str:
             f"    rs{k} = s{k}.resync_timeout is not None",
         ]
     lines.append("    def t(cyc, nxt, c=c):")
-    # Output stage: the same deliberately-loose guard as _switch_lane,
-    # one line per port.
+    # Output stage, one line per port.  The guard is deliberately looser
+    # than the port's precise activity test: a window-full sender with no
+    # resync timer gets a no-op pump() call, which is exactly what the
+    # real output stage does too.
     for k in range(n_out):
         lines += [
             f"        if q{k} or b{k} or w{k}._cur is not None:",
@@ -823,11 +291,21 @@ def _emit_switch(n_in: int, n_out: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _classify(sim: Simulator, c) -> str:
-    """Pick the codegen lane for one (already validated) component."""
+def _classify(sim: Simulator, c, specialize: bool) -> str:
+    """Pick the codegen lane for one contract-implementing component.
+
+    ``specialize=False`` (kernel mode ``"fast"``) keeps every component
+    on the ``generic`` lane.
+    """
     # Specialized lanes elide trace callouts and whole ticks; both are
-    # only invisible under the no-op tracer and without probes.
-    if type(sim.tracer) is not NullTracer or c in sim._probes:
+    # only invisible under the no-op tracer, without probes, and when
+    # the class's own ``tick`` is the one that would have run.
+    if (
+        not specialize
+        or type(sim.tracer) is not NullTracer
+        or c in sim._probes
+        or "tick" in c.__dict__
+    ):
         return "generic"
     from repro.core.flow_control import GoBackNReceiver, GoBackNSender
     from repro.core.link import Link
@@ -872,24 +350,6 @@ def _classify(sim: Simulator, c) -> str:
     return "generic"
 
 
-def _validate(sim: Simulator) -> None:
-    """Raise :class:`CompileError` if any component opts out of codegen.
-
-    Components *without* a quiescence contract do not opt out: they take
-    the ``always`` lane and run every cycle, exactly as ``step()`` runs
-    its ``_always_active`` list (fault injectors and watchdogs live
-    there).  Only dynamic behavior the static elaboration cannot see
-    disqualifies a network.
-    """
-    for c in sim._components:
-        if "tick" in c.__dict__:
-            raise CompileError(
-                f"cannot compile: component {c.name!r} carries an "
-                f"instance-level tick override -- dynamic behavior the "
-                f"static elaboration cannot see; run kernel=\"fast\" instead"
-            )
-
-
 def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     """Generate the per-network module source; returns (source, lanes).
 
@@ -897,7 +357,6 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     the tracer type), never on runtime state or ids -- the golden-file
     test relies on this.
     """
-    _validate(sim)
     lane_of: List[Tuple[str, str]] = []
     bind: List[str] = []
     masters: List[str] = []  # variable names of drawer-lane masters
@@ -909,8 +368,9 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
 
     always_vars: List[str] = []  # no quiescence contract: run every cycle
     switch_shapes: set = set()
+    specialize = sim.kernel != "fast"
     for i, c in enumerate(sim._components):
-        lane = "always" if not c._sleepy else _classify(sim, c)
+        lane = "always" if not c._sleepy else _classify(sim, c, specialize)
         lane_of.append((c.name, lane))
         if lane == "always":
             always_vars.append(f"c{i}")
@@ -918,8 +378,8 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         bind.append(f"    {var} = N[{c.name!r}]  # {type(c).__name__}: {lane}")
         if lane == "switch":
             # Switches get shape-specialized unrolled builders emitted
-            # into this module (see _emit_switch) instead of the generic
-            # prelude factory.
+            # into the generated text (see _emit_switch) instead of a
+            # repro.sim.lanes factory.
             shape = (len(c.receivers), len(c.outputs))
             switch_shapes.add(shape)
             bind.append(f"    TH[{var}] = _sw_{shape[0]}x{shape[1]}({var})")
@@ -981,9 +441,9 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
 
     # Always-active components (fault injectors, watchdogs, anything
     # without a quiescence contract) run every cycle, interleaved with
-    # the woken set in scheduling-index order -- step()'s linear merge,
-    # reproduced here so run order (and thus RNG/arbitration state) is
-    # identical.  Networks without them keep the plain sorted-awake text.
+    # the woken set in scheduling-index order (a linear merge), so run
+    # order -- and thus RNG/arbitration state -- matches the reference
+    # loop's.  Networks without them keep the plain sorted-awake text.
     always_bind = ""
     if always_vars:
         always_bind = f"""\
@@ -1184,7 +644,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     # The fast loop: nothing user-visible executes inside the loop (no
     # watchers, no probes, NullTracer), so counter publication moves to a
     # ``finally`` and the per-cycle probe/watcher plumbing disappears.
-    # Exception states stay step()-identical: ``cyc``/``exe``/``skp`` are
+    # Exception states match the observed loop's: ``cyc``/``exe``/``skp`` are
     # advanced at the same program points, so the deferred write-back
     # lands the same values a per-cycle publication would have.
     if masters:
@@ -1301,16 +761,16 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     )
     if switch_defs:
         switch_defs += "\n\n"
-    source = header + "\n" + _PRELUDE + "\n\n" + switch_defs + build
+    source = header + "\nfrom repro.sim.lanes import *\n\n\n" + switch_defs + build
     return source, lane_of
 
 
 def compiled_source(sim: Simulator) -> str:
     """The generated kernel source for ``sim``'s current structure.
 
-    Raises :class:`CompileError` when a component opts out.  The text is
-    a pure function of network structure -- byte-stable across processes
-    for the same construction code (see ``tests/test_codegen_golden.py``).
+    The text is a pure function of network structure, tracer type and
+    kernel mode -- byte-stable across processes for the same
+    construction code (see ``tests/test_codegen_golden.py``).
     """
     source, _ = _generate(sim)
     return source
@@ -1320,15 +780,19 @@ def compile_simulator(sim: Simulator) -> CompiledProgram:
     """Elaborate ``sim`` into a :class:`CompiledProgram`.
 
     Normally reached through :meth:`Simulator.compile` or lazily on the
-    first :meth:`Simulator.run` with ``kernel="compiled"``.
+    first :meth:`Simulator.run` under any mode but ``"interpreted"``.
     """
     source, lane_of = _generate(sim)
-    g: Dict[str, object] = {}
-    exec(compile(source, "<repro.sim.compiled>", "exec"), g)
-    profiler = getattr(sim, "profiler", None)
+    # The generated _build wraps its lane thunks through the global
+    # _PROF when a KernelProfiler is attached; None keeps unprofiled
+    # kernels entirely wrapper-free (one build-time branch, never per
+    # cycle).
+    g: Dict[str, object] = {"_PROF": None}
+    profiler = sim.profiler
     if profiler is not None:
         lane_map = dict(lane_of)
         g["_PROF"] = lambda S, TH: profiler._install(S, TH, lane_map)
+    exec(compile(source, "<repro.sim.compiled>", "exec"), g)
     run, run_to_event, rearm = g["_build"](sim)
     meta = {
         "n_components": len(sim._components),

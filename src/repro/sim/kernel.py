@@ -2,7 +2,7 @@
 
 A :class:`Simulator` owns a set of :class:`~repro.sim.component.Component`
 objects and the :class:`~repro.sim.channel.Wire` registers that connect
-them.  Each call to :meth:`Simulator.step` performs one clock cycle:
+them.  Each clock cycle:
 
 1. every *active* component's ``tick`` runs (order-independent, because
    wires are double-buffered), then
@@ -10,44 +10,48 @@ them.  Each call to :meth:`Simulator.step` performs one clock cycle:
    wires left holding a non-default value wake their readers for the
    next cycle.
 
-By default the kernel runs this **activity-tracked fast path**: a
-component that implements the quiescence contract
-(:meth:`~repro.sim.component.Component.wake_inputs` +
-:meth:`~repro.sim.component.Component.is_quiescent`) is only ticked on
-cycles where it received new input on a watched wire, reported pending
-internal work after its last tick, or explicitly requested a wakeup.
-Components that do not implement the contract are ticked every cycle.
-Pass ``fast_path=False`` (or call :meth:`Simulator.set_fast_path`) to
-fall back to the classical tick-everything loop -- both produce
-cycle-identical results, which ``tests/test_fastpath.py`` and
-:func:`repro.network.experiments.verify_fast_path` check digest-for-digest.
+There are **two tick loops** behind three mode names
+(:data:`KERNEL_MODES`):
 
-A third scheduler mode, the **compiled kernel**
-(:meth:`Simulator.compile` / ``kernel="compiled"``), elaborates the
-already-built simulator once into a code-generated flat run loop
-(``repro.sim.compiled``) and is likewise cycle-identical to both
-interpreted modes; components that do not satisfy the codegen contract
-make :meth:`compile` fall back to the fast path (``strict=False``) or
-raise :class:`~repro.sim.compiled.CompileError` naming them.
+* ``"interpreted"`` -- :meth:`Simulator._step_full`, the hand-written
+  reference: tick every component, latch every wire, every cycle.  It
+  is the oracle the other modes are checked against and the only loop
+  in this module.
+* ``"compiled"`` (the default) and ``"fast"`` -- the **activity-tracked**
+  loop, generated once per network structure by
+  :mod:`repro.sim.compiled`.  A component that implements the
+  quiescence contract
+  (:meth:`~repro.sim.component.Component.wake_inputs` +
+  :meth:`~repro.sim.component.Component.is_quiescent`) is only ticked on
+  cycles where it received new input on a watched wire, reported pending
+  internal work after its last tick, or explicitly requested a wakeup;
+  components that do not implement the contract are ticked every cycle.
+  ``"compiled"`` additionally replaces the ``tick`` of stock components
+  with specialized inlined *lanes*; ``"fast"`` runs the same generated
+  loop with every component on the generic ``c.tick(cyc)`` lane -- a
+  diagnostic mode that tells a scheduler/quiescence bug from a
+  lane-transliteration bug.
+
+All modes produce cycle-identical results, which ``tests/test_fastpath.py``,
+``tests/test_compiled_kernel.py`` and
+:func:`repro.network.experiments.verify_fast_path` check
+digest-for-digest.
 
 This mirrors a single-clock synchronous RTL design, which is exactly the
 discipline xpipes Lite imposes on its SystemC library so that synthesis
-and simulation views stay equivalent; the fast path merely skips ticks
-that the registered-wire discipline proves are no-ops, and the compiled
-kernel merely removes interpreter dispatch from the ticks that remain.
+and simulation views stay equivalent; the scheduled loop merely skips
+ticks that the registered-wire discipline proves are no-ops and removes
+interpreter dispatch from the ticks that remain.
 See ``docs/PERFORMANCE.md`` for the contracts and measured speedups.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.channel import FlitChannel, Wire
 from repro.sim.component import Component
 from repro.sim.trace import NullTracer, Tracer
-
-_SCHED_KEY = operator.attrgetter("_sched_index")
 
 
 class SimulationError(RuntimeError):
@@ -65,68 +69,53 @@ class Simulator:
     ----------
     tracer:
         Optional event tracer; defaults to a no-op tracer.
-    fast_path:
-        Enable the activity-tracked scheduler (default).  ``False``
-        ticks every component and latches every wire each cycle -- the
-        correctness escape hatch; results are identical either way.
     kernel:
-        Optional scheduler mode name (one of :data:`KERNEL_MODES`);
-        overrides ``fast_path`` when given.  ``"compiled"`` arms the
-        code-generated kernel lazily: elaboration happens on the first
-        :meth:`run` (or eagerly via :meth:`compile`).
+        Scheduler mode name (one of :data:`KERNEL_MODES`).  The default
+        ``"compiled"`` elaborates the code-generated loop lazily on the
+        first :meth:`run` (or eagerly via :meth:`compile`);
+        ``"interpreted"`` is the tick-everything reference loop -- the
+        correctness escape hatch; results are identical either way.
     """
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
-        fast_path: bool = True,
-        kernel: Optional[str] = None,
+        kernel: str = "compiled",
     ) -> None:
         self.cycle = 0
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self._tracer: Tracer = tracer if tracer is not None else NullTracer()
         self._components: List[Component] = []
         self._component_names: Dict[str, Component] = {}
         self._wires: List[Wire] = []
         self._wire_names: Dict[str, Wire] = {}
         self._watchers: List[Callable[[int], None]] = []
         self._probes: Dict[Component, List[Callable[[int], None]]] = {}
-        # Fast-path scheduler state.
-        self.fast_path = bool(fast_path)
-        self._always_active: List[Component] = []  # no quiescence contract
+        # Activity-scheduler state, maintained by the generated loop.
         self._sleepy: List[Component] = []  # contract implementors
         self._awake: Dict[Component, None] = {}  # sleepy components due a tick
         self._hot_wires: List[Wire] = []  # wires needing latch attention
-        # Merged run-list cache: when the awake set repeats cycle over
-        # cycle (steady state), the merge result is reused verbatim.
-        self._run_cache_key: Optional[frozenset] = None
-        self._run_cache: List[Component] = []
-        # Compiled-kernel state.  ``_structure_rev`` counts structural
-        # mutations (registration, reset, restore, probe attachment);
-        # a compiled program is only valid for the revision it was
+        # ``_structure_rev`` counts structural mutations (registration,
+        # restore, probe attachment, tracer swap, mode change); the
+        # generated program is only valid for the revision it was
         # elaborated against and is rebuilt on the next run otherwise.
-        self._compiled_mode = False
         self._structure_rev = 0
         self._program = None
         self._program_rev = -1
-        self._fallback_rev = -1
-        #: Why the last compile attempt fell back to the fast path
-        #: (``None`` when the compiled program is live or never tried).
-        self.compile_fallback: Optional[str] = None
         #: Optional :class:`repro.telemetry.profile.KernelProfiler`
-        #: wrapped into the next compiled program (see set_profiler).
+        #: wrapped into the next generated program (see set_profiler).
         self.profiler = None
-        # Instrumentation: how much work the fast path actually skipped.
+        # Instrumentation: how much work the scheduler actually skipped.
         self.ticks_executed = 0
         self.ticks_skipped = 0
-        if kernel is not None:
-            self.set_kernel(kernel)
+        self._kernel = "interpreted"  # nothing to re-arm yet; see set_kernel
+        self.set_kernel(kernel)
 
     # -- construction ----------------------------------------------------
     def add(self, component: Component) -> Component:
         """Register a component; returns it for chaining."""
         if component.name in self._component_names:
             raise SimulationError(f"duplicate component name: {component.name!r}")
-        self._invalidate_program()
+        self._structure_changed()
         component.bind(self)
         component._sched_index = len(self._components)
         self._components.append(component)
@@ -142,14 +131,13 @@ class Simulator:
                 w.readers.append(component)
         else:
             component._sleepy = False
-            self._always_active.append(component)
         return component
 
     def wire(self, name: str, default: Any = None) -> Wire:
         """Create and register a double-buffered wire."""
         if name in self._wire_names:
             raise SimulationError(f"duplicate wire name: {name!r}")
-        self._invalidate_program()
+        self._structure_changed()
         w = Wire(name, default)
         w._hot = self._hot_wires
         self._wires.append(w)
@@ -194,9 +182,9 @@ class Simulator:
         """Invoke ``fn(cycle)`` right after ``component`` ticks.
 
         Unlike a watcher -- which fires every cycle -- a probe fires only
-        on cycles where its component actually executed, in both
-        scheduling modes.  This is what makes sampling monitors
-        activity-aware under the fast path: state owned by a component
+        on cycles where its component actually executed, in every
+        scheduling mode.  This is what makes sampling monitors
+        activity-aware under the scheduled loop: state owned by a component
         cannot change on cycles the component was skipped, so the probe
         sees every state transition while paying nothing for quiescent
         stretches (the monitor accounts skipped cycles by weighting the
@@ -210,141 +198,115 @@ class Simulator:
         # Probed components are ineligible for specialized codegen lanes
         # (a lane would elide ticks the probe must observe), so a new
         # probe invalidates any compiled program.
-        self._invalidate_program()
+        self._structure_changed()
         self._probes.setdefault(component, []).append(fn)
 
-    # -- fast-path control -----------------------------------------------
+    # -- scheduler control -------------------------------------------------
+    @property
+    def tracer(self) -> Tracer:
+        """The event tracer.  Assigning one is a structural event: lane
+        choice depends on it (specialized lanes elide trace callouts,
+        which is only invisible under :class:`NullTracer`), so the next
+        run re-elaborates the generated program."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer) -> None:
+        self._tracer = tracer
+        self._structure_changed()
+
     def wake(self, component: Component) -> None:
         """Schedule a contract-implementing component for the next tick."""
         if component._sleepy:
             self._awake[component] = None
 
-    def set_fast_path(self, enabled: bool) -> None:
-        """Switch scheduling modes at a cycle boundary.
-
-        Turning the fast path on conservatively re-arms everything: all
-        sleepy components wake, and every wire currently holding (or
-        driving) a non-default value re-enters the hot list.
-        """
-        enabled = bool(enabled)
-        if not enabled:
-            self._compiled_mode = False  # compiled runs on top of the fast path
-        if enabled == self.fast_path:
-            return
-        self.fast_path = enabled
-        self._run_cache_key = None
-        if enabled:
-            self._awake = dict.fromkeys(self._sleepy)
-            hot = self._hot_wires
-            for w in hot:
-                w._queued = False
-            del hot[:]
-            for w in self._wires:
-                if w._driven or w._cur is not w.default:
-                    w._queued = True
-                    hot.append(w)
-
-    # -- compiled kernel ---------------------------------------------------
     @property
     def kernel(self) -> str:
         """The active scheduler mode name (see :data:`KERNEL_MODES`)."""
-        if self._compiled_mode:
-            return "compiled"
-        return "fast" if self.fast_path else "interpreted"
+        return self._kernel
 
     def set_kernel(self, mode: str) -> None:
         """Select the scheduler mode at a cycle boundary.
 
-        ``"interpreted"`` is the classical tick-everything loop,
-        ``"fast"`` the activity-tracked scheduler, ``"compiled"`` the
-        code-generated kernel (elaborated lazily on the next
-        :meth:`run`).  All three are cycle-identical; switching is
-        always safe at a cycle boundary.
+        ``"interpreted"`` is the hand-written tick-everything loop;
+        ``"compiled"`` and ``"fast"`` are the generated activity-tracked
+        loop with and without specialized lanes (elaborated lazily on
+        the next :meth:`run`).  All three are cycle-identical; switching
+        is always safe at a cycle boundary.
         """
         if mode not in KERNEL_MODES:
             raise SimulationError(
                 f"set_kernel needs one of {KERNEL_MODES}, got {mode!r}"
             )
-        if mode == "interpreted":
-            self.set_fast_path(False)
-        else:
-            self.set_fast_path(True)
-            self._compiled_mode = mode == "compiled"
+        if mode == self._kernel:
+            return
+        if self._kernel == "interpreted":
+            self._arm_scheduler()
+        self._kernel = mode
+        self._structure_changed()  # lane choice differs per mode
 
-    def compile(self, strict: bool = True):
-        """Switch to the compiled kernel, elaborating eagerly.
+    def _arm_scheduler(self) -> None:
+        """Conservatively arm the activity tracker after the reference
+        loop, which maintains neither set: every sleepy component wakes,
+        and every wire currently holding (or driving) a non-default
+        value enters the hot list."""
+        self._awake = dict.fromkeys(self._sleepy)
+        hot = self._hot_wires
+        for w in hot:
+            w._queued = False
+        del hot[:]
+        for w in self._wires:
+            if w._driven or w._cur is not w.default:
+                w._queued = True
+                hot.append(w)
+
+    def compile(self):
+        """Switch to the ``"compiled"`` mode, elaborating eagerly.
 
         Returns the live :class:`~repro.sim.compiled.CompiledProgram`.
-        When a component disqualifies itself from codegen (no quiescence
-        contract, an instance-level ``tick`` override), ``strict=True``
-        raises :class:`~repro.sim.compiled.CompileError` naming it;
-        ``strict=False`` records the reason in ``compile_fallback`` and
-        runs on the fast path instead (returning ``None``).
+        Every component compiles: one without a quiescence contract
+        takes the ``always`` lane, one carrying an instance-level
+        ``tick`` the ``generic`` lane.
         """
         self.set_kernel("compiled")
-        return self._ensure_program(strict=strict)
+        return self._ensure_program()
 
-    def _invalidate_program(self) -> None:
-        """Structural mutation: any compiled program is now stale."""
+    def _structure_changed(self) -> None:
+        """Structural mutation: any generated program is now stale."""
         self._structure_rev += 1
-        self._run_cache_key = None
 
     def set_profiler(self, profiler) -> None:
         """Attach (or with ``None`` detach) a
         :class:`repro.telemetry.profile.KernelProfiler`.
 
-        The profiler wraps the compiled program's lane thunks at build
-        time, so attaching invalidates any live program; the next
-        compiled run re-elaborates with counting/sampling wrappers
-        installed.  Detached (the default), the generated code carries
-        no wrappers at all -- the cost is one branch per *compile*,
-        never per cycle.
+        The profiler wraps the generated program's lane thunks at build
+        time, so attaching invalidates any live program; the next run
+        re-elaborates with counting/sampling wrappers installed.
+        Detached (the default), the generated code carries no wrappers
+        at all -- the cost is one branch per *compile*, never per cycle.
         """
         self.profiler = profiler
-        self._invalidate_program()
+        self._structure_changed()
 
-    def _ensure_program(self, strict: bool = False):
-        """The compiled program for the current structure revision, or
-        ``None`` after a recorded (non-strict) fallback."""
-        rev = self._structure_rev
-        if self._program is not None and self._program_rev == rev:
-            return self._program
-        if self._fallback_rev == rev and not strict:
-            return None
-        from repro.sim.compiled import CompileError, compile_simulator
+    def _ensure_program(self):
+        """The generated program for the current structure revision."""
+        if self._program_rev != self._structure_rev:
+            from repro.sim.compiled import compile_simulator
 
-        try:
-            program = compile_simulator(self)
-        except CompileError as exc:
-            self._program = None
-            self._fallback_rev = rev
-            self.compile_fallback = str(exc)
-            if strict:
-                raise
-            return None
-        self._program = program
-        self._program_rev = rev
-        self._fallback_rev = -1
-        self.compile_fallback = None
-        return program
+            self._program = compile_simulator(self)
+            self._program_rev = self._structure_rev
+        return self._program
 
     # -- execution -------------------------------------------------------
-    def reset(self, invalidate_program: bool = True) -> None:
+    def reset(self) -> None:
         """Reset time, all wires and all components.
 
-        ``invalidate_program=False`` keeps a compiled program's bindings
-        alive across the reset.  That is only sound because every stock
-        component's ``reset`` mutates its codegen-bound containers in
-        place; the batch runner (:mod:`repro.sim.batch`) relies on it to
-        reuse one elaboration across replica lanes, and
-        ``tests/test_batch.py`` proves reset-and-rerun digests match a
-        fresh build.
+        A generated program's bindings stay alive across the reset:
+        every stock component's ``reset`` mutates its codegen-bound
+        containers in place (``tests/test_batch.py`` proves
+        reset-and-rerun digests match a fresh build), and a custom
+        component must do the same.
         """
-        # Component resets historically replaced sub-objects (RNGs,
-        # queues, senders), so the default conservatively invalidates
-        # any compiled program.
-        if invalidate_program:
-            self._invalidate_program()
         self.cycle = 0
         for w in self._hot_wires:
             w._queued = False
@@ -359,83 +321,7 @@ class Simulator:
 
     def step(self) -> None:
         """Advance exactly one clock cycle."""
-        if not self.fast_path:
-            self._step_full()
-            return
-        cyc = self.cycle
-        # Steal the awake set; request_wakeup calls during the ticks
-        # land in the fresh dict and carry over to the next cycle.
-        awake, self._awake = self._awake, {}
-        if not awake:
-            run = self._always_active  # already in registration order
-        elif self._run_cache_key == awake.keys():
-            # Steady state: the same components woke as last cycle, so
-            # the merged (and ordered) run list is reused verbatim.
-            run = self._run_cache
-        else:
-            # ``_always_active`` is registration-ordered by construction;
-            # the woken set is not (insertion order follows wake order),
-            # so sort only the small woken side, then linear-merge.
-            woken = sorted(awake, key=_SCHED_KEY)
-            always = self._always_active
-            if always:
-                run = []
-                i = j = 0
-                ni, nj = len(always), len(woken)
-                while i < ni and j < nj:
-                    # A component is sleepy xor always-active, so the
-                    # two index sequences never collide.
-                    if always[i]._sched_index < woken[j]._sched_index:
-                        run.append(always[i])
-                        i += 1
-                    else:
-                        run.append(woken[j])
-                        j += 1
-                if i < ni:
-                    run.extend(always[i:])
-                elif j < nj:
-                    run.extend(woken[j:])
-            else:
-                run = woken
-            self._run_cache_key = frozenset(awake)
-            self._run_cache = run
-        for c in run:
-            c.tick(cyc)
-        if self._probes:
-            for c in run:
-                fns = self._probes.get(c)
-                if fns is not None:
-                    for fn in fns:
-                        fn(cyc)
-        self.ticks_executed += len(run)
-        self.ticks_skipped += len(self._components) - len(run)
-        nxt = self._awake
-        for c in awake:
-            if not c.is_quiescent():
-                nxt[c] = None
-        # Latch phase: only wires that were driven this cycle or still
-        # held a non-default value can change.  A wire left non-default
-        # stays hot (it must decay next cycle) and wakes its readers.
-        hot = self._hot_wires
-        if hot:
-            keep = []
-            for w in hot:
-                if w._driven:
-                    w._cur = w._nxt
-                    w._driven = False
-                else:
-                    w._cur = w.default
-                w._nxt = w.default
-                if w._cur is not w.default:
-                    keep.append(w)
-                    for r in w.readers:
-                        nxt[r] = None
-                else:
-                    w._queued = False
-            hot[:] = keep
-        for fn in self._watchers:
-            fn(cyc)
-        self.cycle = cyc + 1
+        self.run(1)
 
     def _step_full(self) -> None:
         """The classical loop: tick everything, latch everything."""
@@ -470,20 +356,11 @@ class Simulator:
             raise SimulationError(
                 f"run() needs a non-negative cycle count, got {cycles}"
             )
-        if self._compiled_mode and cycles and type(self.tracer) is NullTracer:
-            # A live tracer bypasses the program entirely: its
-            # specialized lanes elide trace callouts (legal only under
-            # the no-op tracer), and tracer swaps deliberately don't
-            # invalidate -- so the check is per-run, like the
-            # watcher/probe dispatch inside the generated loop.
-            program = self._ensure_program()
-            if program is not None:
-                program.run(cycles)
-                return
-            # Guarded fallback: the kernel stays nominally "compiled"
-            # (compile_fallback says why) and runs on the fast path.
-        for _ in range(cycles):
-            self.step()
+        if self._kernel == "interpreted":
+            for _ in range(cycles):
+                self._step_full()
+        elif cycles:
+            self._ensure_program().run(cycles)
 
     # -- checkpoint/restore ------------------------------------------------
     def snapshot(self, extras: Optional[dict] = None):
@@ -491,7 +368,7 @@ class Simulator:
 
         Returns a :class:`~repro.sim.snapshot.SimSnapshot` capturing the
         cycle counter, all wire registers, all component state, the
-        fast-path scheduler's wake set and hot-wire list, and the
+        activity scheduler's wake set and hot-wire list, and the
         process-global id counters.  ``extras`` is caller bookkeeping
         stored alongside (returned by :meth:`restore`).  See
         ``docs/CHECKPOINT.md``.

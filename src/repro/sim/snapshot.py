@@ -261,7 +261,7 @@ def snapshot_simulator(
             wires[w.name] = w.snapshot()
     state = {
         "cycle": sim.cycle,
-        "fast_path": sim.fast_path,
+        "fast_path": sim.kernel != "interpreted",
         "kernel": sim.kernel,
         "ticks_executed": sim.ticks_executed,
         "ticks_skipped": sim.ticks_skipped,
@@ -285,7 +285,7 @@ def snapshot_simulator(
         version=SNAPSHOT_VERSION,
         repro_version=repro.__version__,
         cycle=sim.cycle,
-        fast_path=sim.fast_path,
+        fast_path=sim.kernel != "interpreted",
         structure=_structure_of(sim),
         payload=stream.getvalue(),
         kernel=sim.kernel,
@@ -304,13 +304,14 @@ def restore_simulator(sim: Simulator, snap: SimSnapshot) -> Dict[str, Any]:
     Restore is *kernel-agnostic*: ``sim`` keeps its own scheduler mode
     (interpreted, fast, or compiled) regardless of which mode took the
     capture, and continuing under any mode is cycle-identical.  The
-    captured wake set and hot-wire list are exact for a fast-path or
+    captured wake set and hot-wire list are exact for a fast or
     compiled capture; the interpreted loop maintains neither, so a
-    snapshot taken under it re-arms a fast-path target conservatively
+    snapshot taken under it arms a scheduled target conservatively
     (every sleepy component wakes, every driven or non-default wire
-    re-enters the hot list -- the same re-arm
-    :meth:`~repro.sim.kernel.Simulator.set_fast_path` performs when
-    toggled on).
+    enters the hot list -- the same arming
+    :meth:`~repro.sim.kernel.Simulator.set_kernel` performs when
+    leaving ``"interpreted"``).  Component ``restore`` rebinds
+    containers, so any generated program is invalidated.
     """
     if snap.version not in _READABLE_VERSIONS:
         raise SnapshotError(
@@ -324,6 +325,7 @@ def restore_simulator(sim: Simulator, snap: SimSnapshot) -> Dict[str, Any]:
 
     # Clean slate first: restore is wholesale, not incremental.
     sim.reset()
+    sim._structure_changed()
     for name, wire_state in state["wires"].items():
         sim._wire_names[name].restore(wire_state)
     for name, comp_state in state["components"].items():
@@ -334,19 +336,14 @@ def restore_simulator(sim: Simulator, snap: SimSnapshot) -> Dict[str, Any]:
     src_kernel = state.get(
         "kernel", "fast" if state["fast_path"] else "interpreted"
     )
-    hot = sim._hot_wires
-    del hot[:]
-    if src_kernel == "interpreted" and sim.fast_path:
+    if src_kernel == "interpreted":
         # The interpreted loop keeps no scheduler state, so its captured
-        # awake/hot sets say nothing; arm the activity tracker the same
-        # conservative way set_fast_path(True) does.
-        sim._awake = dict.fromkeys(sim._sleepy)
-        for w in sim._wires:
-            if w._driven or w._cur is not w.default:
-                w._queued = True
-                hot.append(w)
+        # awake/hot sets say nothing.
+        sim._arm_scheduler()
     else:
         sim._awake = {sim._component_names[n]: None for n in state["awake"]}
+        hot = sim._hot_wires
+        del hot[:]
         for name in state["hot"]:
             w = sim._wire_names[name]
             w._queued = True

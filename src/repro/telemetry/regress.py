@@ -15,7 +15,7 @@ trajectory file ``BENCH_TRAJECTORY.json`` at the repo root:
   threshold (default 20%);
 * ``python -m repro bench-diff`` is the CLI (wired into ``make
   bench-smoke``); ``--update`` appends the current values as a new
-  trajectory entry.
+  trajectory entry unless they equal the last entry's.
 
 The trajectory file is versioned (``repro.telemetry.regress/v1``) and
 append-only: entries are kept in order, so the committed file is a
@@ -314,7 +314,11 @@ def bench_diff(
         for r in regressions:
             print(f"  {r.describe()}")
         return 1
-    if update:
+    if update and current == baseline:
+        # Re-running over unchanged BENCH files is not a new data point;
+        # a trajectory of identical entries is no trajectory at all.
+        print("bench-diff: OK -- metrics unchanged, nothing appended")
+    elif update:
         append_entry(doc, current, note=note)
         save_trajectory(trajectory_path, doc)
         print(

@@ -4,7 +4,10 @@ The three kernels (interpreted, fast, compiled) and the checkpoint
 layer promise the same thing from different angles: one cycle-accurate
 machine, many execution strategies.  On any small mesh, under any
 uniform random workload -- light or contended, with or without link
-errors -- all three kernels must produce byte-identical statistics, and
+errors, bare or watched by a probe monitor, a watchdog or a live
+lifecycle tracer (each of which moves components onto different lanes
+of the generated loop) -- all three kernels must produce byte-identical
+statistics and show the observer the same thing, and
 snapshotting mid-run under one kernel then restoring into a simulator
 running *another* kernel must land on the very same digest.  Contended
 rates are load-bearing here: arbitration, NACK recovery and wormhole
@@ -15,11 +18,15 @@ bug once survived every light-load test in the suite.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LinkConfig
+from repro.faults import ProgressWatchdog
+from repro.network.monitors import NetworkMonitor
 from repro.network.noc import Noc, NocBuildConfig
 from repro.network.topology import attach_round_robin, mesh
 from repro.network.traffic import UniformRandomTraffic
+from repro.telemetry.lifecycle import LifecycleCollector, enable_lifecycle
 
 KERNELS = ("interpreted", "fast", "compiled")
+OBSERVERS = ("none", "monitor", "watchdog", "tracer")
 
 
 @st.composite
@@ -35,12 +42,15 @@ def scenario(draw):
     snap_at = draw(st.integers(min_value=50, max_value=cycles - 50))
     src = draw(st.sampled_from(KERNELS))
     dst = draw(st.sampled_from(KERNELS))
+    observer = draw(st.sampled_from(OBSERVERS))
     return (rows, cols, n_cpus, n_mems, rate, error_rate, seed, cycles,
-            snap_at, src, dst)
+            snap_at, src, dst, observer)
 
 
 def _build(params, kernel):
-    rows, cols, n_cpus, n_mems, rate, error_rate, seed, *_ = params
+    """The scenario's NoC under ``kernel``, with ``noc.observed()``
+    returning what the drawn observer saw (kernel-independent)."""
+    rows, cols, n_cpus, n_mems, rate, error_rate, seed, *_, observer = params
     topo = mesh(rows, cols)
     cpus, mems = attach_round_robin(topo, n_cpus, n_mems)
     noc = Noc(topo, NocBuildConfig(
@@ -52,6 +62,28 @@ def _build(params, kernel):
             for i, c in enumerate(cpus)
         }
     )
+    noc.observed = lambda: None
+    if observer == "monitor":
+        monitor = NetworkMonitor(noc)
+
+        def observed():
+            monitor.flush()
+            return sorted(
+                (name, q.samples, q.total, q.peak)
+                for name, q in monitor.queue_stats.items()
+            )
+
+        noc.observed = observed
+    elif observer == "watchdog":
+        watchdog = ProgressWatchdog(noc, horizon=400)  # checks, never trips
+        noc.observed = lambda: (watchdog.checks, watchdog.trips)
+    elif observer == "tracer":
+        collector = LifecycleCollector()
+        noc.sim.tracer = collector
+        enable_lifecycle(noc)
+        # Field values carry process-global packet ids; the event
+        # skeleton is the kernel-independent part.
+        noc.observed = lambda: [e[:3] for e in collector.events]
     return noc
 
 
@@ -61,11 +93,14 @@ def test_kernels_and_checkpoints_agree(params):
     cycles, snap_at, src, dst = params[7], params[8], params[9], params[10]
 
     digests = {}
+    seen = {}
     for kernel in KERNELS:
         noc = _build(params, kernel)
         noc.run(cycles)
         digests[kernel] = noc.stats_digest()
+        seen[kernel] = noc.observed()
     assert len(set(digests.values())) == 1, digests
+    assert seen["fast"] == seen["compiled"] == seen["interpreted"]
 
     # Mid-run snapshot under ``src``, restored into a ``dst``-kernel
     # simulator, must converge on the same digest.

@@ -113,6 +113,45 @@ class TestCompiledKernelGolden:
 
         assert compiled_source(_golden_kernel_noc().sim) == source
 
+    def test_lanes_module_is_the_whole_import_contract(self, source):
+        # The generated text is per-network code only: every global it
+        # uses beyond builtins and its own definitions comes from the
+        # single star-import, and ``repro.sim.lanes.__all__`` names
+        # exactly what generated text may use.  (``_PROF`` is injected
+        # by compile_simulator, not imported.)
+        import ast
+        import builtins
+
+        from repro.sim import lanes
+
+        tree = ast.parse(source)
+        imports = [
+            n for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+        ]
+        assert [(n.module, n.names[0].name) for n in imports] == [
+            ("repro.sim.lanes", "*")
+        ]
+        defined = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+                defined.update(a.arg for a in n.args.args)
+            if isinstance(n, ast.FunctionDef):
+                defined.add(n.name)
+        used = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        free = used - defined - set(dir(builtins)) - {"_PROF"}
+        assert free and free <= set(lanes.__all__), free - set(lanes.__all__)
+        assert all(hasattr(lanes, name) for name in lanes.__all__)
+        # The never-called reference transliteration is gone for good.
+        assert not hasattr(lanes, "_switch_lane")
+        assert "_switch_lane" not in source
+
     def test_snapshot_still_compiles_and_runs(self):
         # The golden text is not just stable -- it is the program the
         # simulator actually executes.

@@ -7,10 +7,10 @@ blocking -- produces statistics byte-identical to the interpreted loop
 and the fast path.  The differential tests prove it on real NoCs (the
 contended-rate case is load-bearing: a sticky arbitration bug once
 survived every light-load test in the suite); the unit tests pin the
-compile-time contract -- who gets a specialized lane, what raises
-:class:`~repro.sim.compiled.CompileError`, when programs go stale, and
-that observers (probes, watchers, tracers) see exactly the cycles
-``step()`` would have shown them.
+compile-time contract -- who gets a specialized lane, who is absorbed
+by the ``generic``/``always`` lanes instead of failing, when programs go
+stale, and that observers (probes, watchers, tracers) see exactly the
+cycles the reference loop would have shown them.
 """
 
 import pytest
@@ -24,10 +24,10 @@ from repro.network.experiments import (
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh, ring
 from repro.network.traffic import UniformRandomTraffic
-from repro.sim.compiled import CompileError, compiled_source
+from repro.sim.compiled import compiled_source
 from repro.sim.component import Component
 from repro.sim.kernel import KERNEL_MODES, SimulationError, Simulator
-from repro.sim.trace import TextTracer
+from repro.sim.trace import NullTracer, TextTracer
 
 THREE_WAY = ("compiled", "fast", "interpreted")
 
@@ -146,7 +146,7 @@ def _tiny_sim(kernel="compiled"):
 
 def test_no_contract_component_takes_the_always_lane():
     # No quiescence contract is not an opt-out: the component runs every
-    # cycle under codegen, exactly as step()'s _always_active list does.
+    # cycle under codegen, exactly as the reference loop runs it.
     sim, w, c = _tiny_sim()
     free = sim.add(_NoContract("free"))
     program = sim.compile()
@@ -157,23 +157,35 @@ def test_no_contract_component_takes_the_always_lane():
     assert c.pulses == 1  # sleepy neighbor still wakes and sleeps
 
 
-def test_strict_compile_names_the_offender():
-    sim, _, c = _tiny_sim()
-    c.tick = lambda cycle: None  # instance-level: invisible to codegen
-    with pytest.raises(CompileError, match="'c'"):
-        sim.compile()
+def test_dynamic_components_are_absorbed_by_lane_choice():
+    # What the hand-written scheduler used to catch by being a second
+    # loop: an instance-level ``tick`` (invisible to static lane
+    # specialization) takes the late-binding generic lane, a component
+    # watching a wire the kernel cannot see takes the always lane.
+    from repro.sim.channel import Wire
+    from repro.sim.compiled import compile_simulator
 
+    def run(kernel):
+        sim, w, c = _tiny_sim(kernel)
+        w2 = sim.wire("w2")
+        rogue = sim.add(_Pulse("rogue", w2))
+        seen = []
+        # Instance-level, installed before the first run.
+        rogue.tick = lambda cyc: w2.value is not None and seen.append(cyc)
+        foreign = sim.add(_Pulse("foreign", Wire("off-kernel")))
+        w.drive(5)
+        w2.drive(6)
+        sim.run(10)
+        return sim, (c.pulses, seen, rogue.ticks, foreign.ticks)
 
-def test_non_strict_compile_falls_back_and_stays_correct():
-    sim, w, c = _tiny_sim()
-    rogue = sim.add(_Pulse("rogue", sim.wire("w2")))
-    rogue.tick = rogue.tick  # freeze the bound method: instance-level
-    assert sim.compile(strict=False) is None
-    assert "rogue" in sim.compile_fallback
-    assert sim.kernel == "compiled"  # nominally; runs on the fast path
-    w.drive(5)
-    sim.run(10)
-    assert c.pulses == 1
+    _, want = run("interpreted")
+    assert want == (1, [1], 0, 10)
+    for kernel in ("fast", "compiled"):
+        sim, got = run(kernel)
+        assert got == want
+        lane_of = compile_simulator(sim).lane_of
+        assert lane_of["rogue"] == "generic"
+        assert lane_of["foreign"] == "always"
 
 
 def test_structural_mutation_recompiles():
@@ -248,19 +260,17 @@ def test_watchers_are_cycle_exact():
 
 
 def test_tracer_swap_mid_run_is_honored():
-    # A tracer swap doesn't invalidate the program (it's not structure);
-    # the run dispatcher must notice it anyway: observed runs take the
-    # slow generated loop, which traces cycle-exactly.  Note the swap
-    # also changes lane assignment territory -- the program was compiled
-    # under NullTracer with specialized lanes -- so this doubles as the
-    # proof that the dispatcher, not recompilation, carries correctness.
+    # The program elaborated under NullTracer has specialized lanes that
+    # elide trace callouts, so a swap must re-elaborate: all-generic
+    # lanes under a live tracer (tracing cycle-exactly, like the
+    # reference loop), specialized lanes again once it is swapped back.
     from repro.sim.snapshot import _global_id_state, _set_global_id_state
 
     ids = _global_id_state()
 
-    def events(kernel):
+    def observed(kernel):
         # Flit reprs in trace fields carry process-global packet ids;
-        # rewind the allocators so both runs see identical streams.
+        # rewind the allocators so every run sees identical streams.
         _set_global_id_state(ids)
         noc = TopologyNocBuilder(mesh, (2, 2))()
         noc.sim.set_kernel(kernel)
@@ -274,11 +284,18 @@ def test_tracer_swap_mid_run_is_honored():
         tracer = TextTracer()
         noc.sim.tracer = tracer
         noc.run(200)
-        return tracer.events
+        if kernel == "compiled":
+            assert "switch" not in noc.sim.compile().lanes
+        noc.sim.tracer = NullTracer()
+        noc.run(100)
+        if kernel == "compiled":
+            assert noc.sim.compile().lanes["switch"] == 4
+        return tracer.events, noc.stats_digest()
 
-    want = events("interpreted")
-    assert want, "the workload must actually produce trace events"
-    assert events("compiled") == want
+    want = observed("interpreted")
+    assert want[0], "the workload must actually produce trace events"
+    assert observed("fast") == want
+    assert observed("compiled") == want
 
 
 def test_run_until_stride_under_compiled_kernel():

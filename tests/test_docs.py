@@ -80,15 +80,16 @@ class TestPerformanceDoc:
             text = f.read()
         for term in (
             "wake_inputs", "is_quiescent", "request_wakeup",
-            "verify_fast_path", "fast_path=False", "set_fast_path",
+            "verify_fast_path", 'kernel="interpreted"', "_step_full",
             "cache_token", "CACHE_VERSION", "--jobs", "--cache",
             # one pool, one store: what jobs=N and cache_dir= mean
             "long-lived", "repro.flow.pool", "ResultStore",
             "events.jsonl", "delete the `*.pkl` files",
             # the compiled kernel
             'kernel="compiled"', "set_kernel", "sim.compile()",
-            "CompileError", "compile_fallback", "stride=",
-            "kernel-smoke", "BENCH_s1.json",
+            "three modes over two loops", 'kernel="fast"', "8–15% slower",
+            "repro/sim/lanes.py", "instance-level", "stride=",
+            "kernel-smoke", "BENCH_s1.json", "baseline.json",
             # the kernel decision table + the batched mode it indexes
             "## Choosing a kernel", "batched", "BatchSimulator",
             "BATCHING.md",
@@ -131,7 +132,7 @@ class TestObservabilityDoc:
             "heatmap_csv", "add_probe", "python -m repro report",
             "report-smoke", "bench_s2_telemetry_overhead",
             # the three-kernel model and the CI-bearing artifacts
-            "all three kernels", "compile_fallback",
+            "all three kernels", "structural event", "generic lane",
             "ci95", "replicas", "BENCH_s3.json", "BENCH_a8.json",
             "--replicas", "BATCHING.md",
             # fleet telemetry: run events, profiler, dashboard, regress
@@ -236,6 +237,7 @@ class TestCheckpointDoc:
             "REPRO_CHECKPOINT_EVERY", "checkpoint-smoke", "timeout_guard",
             # kernel-agnostic restores
             "kernel-agnostic", "snap.kernel", "restore_kernel",
+            '`kernel != "interpreted"`',
             # the v2 batch container and its kill-and-resume smoke
             "snap.batch", "assume_lane", "batch-smoke", "BATCHING.md",
         ):
@@ -270,9 +272,9 @@ class TestBatchingDoc:
         for term in (
             # lanes and the bit-identity contract
             "BatchSimulator", "begin_lane", "run_lanes", "SEED_STRIDE",
-            "seed_stride", "invalidate_program=False", "stats_digest",
+            "seed_stride", "never invalidates", "stats_digest",
             # idle-span skipping
-            "run_to_event", "catch_up", "compile_fallback",
+            "run_to_event", "catch_up", "ordinary dispatch path",
             # per-lane fault schedules
             "lane_windows", "set_windows", "probe_links",
             # CI math

@@ -1,9 +1,10 @@
-"""The fast-path scheduler: differential equivalence + kernel behaviour.
+"""The activity scheduler: differential equivalence + kernel behaviour.
 
-The kernel's activity-tracked fast path (see ``docs/PERFORMANCE.md``)
+The kernel's activity-tracked scheduling (see ``docs/PERFORMANCE.md``)
 must be invisible: any network, any seed, any cycle count produces
 byte-identical statistics whether components are scheduled by activity
-or ticked unconditionally.  The differential tests here prove it with
+(the generated loop, with or without specialized lanes) or ticked
+unconditionally.  The differential tests here prove it with
 the strongest observer available -- self-checking scoreboard traffic
 over real NoCs -- and the unit tests pin the kernel-level contract
 (wake on wire activity, wake on request, skip accounting, the
@@ -26,7 +27,7 @@ from repro.sim.kernel import SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: fast path vs full tick on real networks.
+# Differential tests: scheduled loop vs full tick on real networks.
 # ---------------------------------------------------------------------------
 
 TOPOLOGIES = [
@@ -35,11 +36,11 @@ TOPOLOGIES = [
 ]
 
 
-def _run_checked(factory, args, seed, fast_path, cycles=1000):
+def _run_checked(factory, args, seed, kernel, cycles=1000):
     """A scoreboard-checked run; returns (stats digest, scoreboard digest,
     completed count)."""
     noc = TopologyNocBuilder(
-        factory, args, config=NocBuildConfig(fast_path=fast_path)
+        factory, args, config=NocBuildConfig(kernel=kernel)
     )()
     initiators = noc.topology.initiators
     patterns = private_stripe_patterns(
@@ -57,11 +58,12 @@ def _run_checked(factory, args, seed, fast_path, cycles=1000):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_differential_digests(topo, seed):
     factory, args = topo
-    fast = _run_checked(factory, args, seed, fast_path=True)
-    full = _run_checked(factory, args, seed, fast_path=False)
-    assert fast[2] > 0, "the workload must actually complete transactions"
-    assert fast[0] == full[0], "stats digests must be byte-identical"
-    assert fast[1] == full[1], "scoreboard digests must be byte-identical"
+    full = _run_checked(factory, args, seed, "interpreted")
+    assert full[2] > 0, "the workload must actually complete transactions"
+    for kernel in ("fast", "compiled"):
+        got = _run_checked(factory, args, seed, kernel)
+        assert got[0] == full[0], f"{kernel}: stats digests must be byte-identical"
+        assert got[1] == full[1], f"{kernel}: scoreboard digests must be byte-identical"
 
 
 def test_verify_fast_path_smoke():
@@ -151,7 +153,7 @@ def test_request_wakeup_keeps_component_running():
 
 
 def test_full_tick_mode_ticks_everything():
-    sim = Simulator(fast_path=False)
+    sim = Simulator(kernel="interpreted")
     c = sim.add(_Counter("c", sim.wire("w")))
     sim.run(25)
     assert c.ticks == 25
@@ -166,13 +168,16 @@ def test_set_fast_path_mid_run_stays_correct():
 
     sim, w, c = build()
     sim.run(5)
-    sim.set_fast_path(False)
+    sim.set_kernel("interpreted")
     w.drive(1)
     sim.run(2)
-    sim.set_fast_path(True)
+    sim.set_kernel("fast")
     w.drive(2)
     sim.run(2)
-    assert c.pulses == 2  # no pulse lost across mode switches
+    sim.set_kernel("compiled")
+    w.drive(3)
+    sim.run(2)
+    assert c.pulses == 3  # no pulse lost across mode switches
 
 
 def test_foreign_wire_keeps_component_always_active():

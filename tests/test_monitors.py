@@ -77,12 +77,12 @@ class TestNetworkMonitor:
 
 class TestFastPathEquivalence:
     """Occupancy sampling is activity-aware: identical statistics under
-    the fast-path scheduler and the classical tick-everything loop."""
+    the activity scheduler and the classical tick-everything loop."""
 
-    def build(self, fast_path, rate=0.12, cycles=1500):
+    def build(self, kernel, rate=0.12, cycles=1500):
         topo = mesh(2, 2)
         cpus, mems = attach_round_robin(topo, 2, 2)
-        noc = Noc(topo, NocBuildConfig(fast_path=fast_path))
+        noc = Noc(topo, NocBuildConfig(kernel=kernel))
         monitor = NetworkMonitor(noc)
         noc.populate(
             {c: UniformRandomTraffic(mems, rate, seed=i) for i, c in enumerate(cpus)},
@@ -93,18 +93,19 @@ class TestFastPathEquivalence:
         return noc, monitor
 
     def test_occupancy_identical_across_scheduling_modes(self):
-        noc_fast, mon_fast = self.build(True)
-        noc_full, mon_full = self.build(False)
-        # Same workload first: anything else invalidates the comparison.
-        assert noc_fast.stats_digest() == noc_full.stats_digest()
-        assert set(mon_fast.queue_stats) == set(mon_full.queue_stats)
-        for name in mon_fast.queue_stats:
-            a, b = mon_fast.queue_stats[name], mon_full.queue_stats[name]
-            assert (a.samples, a.total, a.peak) == (b.samples, b.total, b.peak), name
+        noc_full, mon_full = self.build("interpreted")
+        for kernel in ("fast", "compiled"):
+            noc_fast, mon_fast = self.build(kernel)
+            # Same workload first: anything else invalidates the comparison.
+            assert noc_fast.stats_digest() == noc_full.stats_digest()
+            assert set(mon_fast.queue_stats) == set(mon_full.queue_stats)
+            for name in mon_fast.queue_stats:
+                a, b = mon_fast.queue_stats[name], mon_full.queue_stats[name]
+                assert (a.samples, a.total, a.peak) == (b.samples, b.total, b.peak), name
 
     def test_every_cycle_accounted_under_fast_path(self):
-        noc, monitor = self.build(True)
-        assert noc.sim.ticks_skipped > 0, "the fast path must actually skip"
+        noc, monitor = self.build("compiled")
+        assert noc.sim.ticks_skipped > 0, "the scheduler must actually skip"
         for q in monitor.queue_stats.values():
             assert q.samples == monitor.cycles_observed
 

@@ -136,7 +136,7 @@ class TestBenchDiff:
         """A copy of the committed results with bench_s1's standard
         compiled-over-fast speedup scaled by ``factor``."""
         results = tmp_path / "results"
-        results.mkdir()
+        results.mkdir(exist_ok=True)
         for name in ("BENCH_s1.json", "BENCH_s4.json"):
             shutil.copy(os.path.join(RESULTS, name), results / name)
         s1 = results / "BENCH_s1.json"
@@ -169,8 +169,12 @@ class TestBenchDiff:
         doc = load_trajectory(path)
         assert len(doc["entries"]) == 1
         assert doc["entries"][0]["note"] == "seed"
-        # A clean re-run with --update appends a second entry.
+        # A re-run over unchanged results is not a new data point...
         assert bench_diff(RESULTS, path, update=True) == 0
+        assert len(load_trajectory(path)["entries"]) == 1
+        # ...a clean run with new values appends a second entry.
+        improved = self.regressed_results(tmp_path, factor=1.1)
+        assert bench_diff(improved, path, update=True) == 0
         assert len(load_trajectory(path)["entries"]) == 2
         # A regressed run does NOT pollute the trajectory.
         results = self.regressed_results(tmp_path)

@@ -3,7 +3,7 @@
 import io
 
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import KERNEL_MODES, Simulator
 from repro.sim.trace import NullTracer, TextTracer
 
 
@@ -89,21 +89,25 @@ class TestGoldenFormat:
 
 
 class TestMidRunAttach:
+    # A swap is a structural event for the generated loop (lanes are
+    # chosen per tracer type), so each case runs under every mode.
     def test_tracer_attached_mid_run_sees_only_later_events(self):
-        sim = Simulator()  # starts with the NullTracer
-        sim.add(Chatty("c"))
-        sim.run(3)
-        tracer = TextTracer()
-        sim.tracer = tracer
-        sim.run(2)
-        assert [e[0] for e in tracer.events] == [3, 4]
-        assert tracer.events[0][3] == {"value": 6}
+        for kernel in KERNEL_MODES:
+            sim = Simulator(kernel=kernel)  # starts with the NullTracer
+            sim.add(Chatty("c"))
+            sim.run(3)
+            tracer = TextTracer()
+            sim.tracer = tracer
+            sim.run(2)
+            assert [e[0] for e in tracer.events] == [3, 4], kernel
+            assert tracer.events[0][3] == {"value": 6}
 
     def test_tracer_swap_back_to_null(self):
-        tracer = TextTracer()
-        sim = Simulator(tracer)
-        sim.add(Chatty("c"))
-        sim.run(2)
-        sim.tracer = NullTracer()
-        sim.run(5)
-        assert len(tracer.events) == 2
+        for kernel in KERNEL_MODES:
+            tracer = TextTracer()
+            sim = Simulator(tracer, kernel=kernel)
+            sim.add(Chatty("c"))
+            sim.run(2)
+            sim.tracer = NullTracer()
+            sim.run(5)
+            assert len(tracer.events) == 2, kernel

@@ -31,9 +31,9 @@ BUILDER = TopologyNocBuilder(factory=mesh, args=(2, 2))
 SPANNING_FAULT = FaultWindow("link.*", start=50, duration=600, error_rate=0.2)
 
 
-def build_noc(fast_path: bool = True, windows=(SPANNING_FAULT,)):
+def build_noc(kernel: str = "compiled", windows=(SPANNING_FAULT,)):
     noc = BUILDER()
-    noc.sim.set_fast_path(fast_path)
+    noc.sim.set_kernel(kernel)
     injector = FaultInjector(noc, list(windows)) if windows else None
     targets = list(noc.topology.targets)
     noc.populate(
@@ -46,17 +46,20 @@ def build_noc(fast_path: bool = True, windows=(SPANNING_FAULT,)):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "full"])
-    def test_restore_then_run_is_digest_identical(self, fast_path):
-        reference, _ = build_noc(fast_path)
+    @pytest.mark.parametrize(
+        "kernel", ["fast", "interpreted", "compiled"],
+        ids=["fast", "full", "compiled"],
+    )
+    def test_restore_then_run_is_digest_identical(self, kernel):
+        reference, _ = build_noc(kernel)
         reference.run(400)
         want = reference.stats_digest()
 
-        donor, _ = build_noc(fast_path)
+        donor, _ = build_noc(kernel)
         donor.run(150)
         snap = donor.sim.snapshot()
 
-        restored, _ = build_noc(fast_path)
+        restored, _ = build_noc(kernel)
         assert restored.sim.restore(snap) == {}
         assert restored.sim.cycle == 150
         restored.run(250)
@@ -155,15 +158,17 @@ class TestKernelAgnostic:
         noc.run(100)
         snap = noc.sim.snapshot()
         assert snap.kernel == "compiled"
-        assert snap.fast_path is True  # legacy field stays coherent
+        assert snap.fast_path is True  # legacy field, derived from kernel
         path = os.path.join(tmp_path, "k.ckpt")
         snap.save(path)
         assert SimSnapshot.load(path).kernel == "compiled"
+        noc.sim.set_kernel("interpreted")
+        assert noc.sim.snapshot().fast_path is False
 
     def test_restore_keeps_target_kernel(self):
         noc, _ = build_noc()
         noc.run(120)
-        snap = noc.sim.snapshot()  # captured under the fast path
+        snap = noc.sim.snapshot()  # captured under the default kernel
         target, _ = build_noc()
         target.sim.set_kernel("compiled")
         target.sim.restore(snap)
@@ -262,7 +267,7 @@ from tests.test_snapshot import build_noc
 from repro.sim.snapshot import SimSnapshot
 
 snap = SimSnapshot.load(sys.argv[1])
-noc, _ = build_noc(fast_path=snap.fast_path)
+noc, _ = build_noc(kernel=snap.kernel)
 noc.sim.restore(snap)
 noc.run(int(sys.argv[2]))
 print(noc.stats_digest())
