@@ -40,7 +40,7 @@ from repro.faults import (
     CampaignSpec,
     FaultInjector,
     FaultWindow,
-    run_campaign_replicated,
+    run_campaign,
 )
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
@@ -131,7 +131,7 @@ def check_lane_digests() -> bool:
 
 
 def run_replicated(checkpoint_dir, resume):
-    return run_campaign_replicated(
+    return run_campaign(
         campaign_spec(),
         REPLICAS,
         checkpoint_every=CHECKPOINT_EVERY,
@@ -207,10 +207,22 @@ def main():
         print("batch-smoke: reference replicated campaign (uninterrupted) ...")
         ref_col = _events.install_sink(_events.EventCollector())
         try:
-            reference = run_campaign_replicated(campaign_spec(), REPLICAS)
+            reference = run_campaign(campaign_spec(), REPLICAS)
         finally:
             _events.remove_sink(ref_col)
         reference_digests = _events.replay_summary(ref_col.records)["digests"]
+
+        # Scalar is the one-lane case: a plain run_campaign of the same
+        # spec is lane 0 of the replicated one, metric for metric.
+        plain = run_campaign(campaign_spec())
+        for name, lanes in reference.lane_metrics.items():
+            if lanes[0] != float(getattr(plain, name)):
+                print(
+                    f"batch-smoke: FAIL -- lane 0 {name} {lanes[0]} != "
+                    f"plain run_campaign {getattr(plain, name)}"
+                )
+                return 1
+        print("batch-smoke: lane 0 == plain run_campaign")
 
         events_path = os.path.join(scratch, "events.jsonl")
         print("batch-smoke: starting victim, will SIGKILL mid-batch ...")

@@ -35,7 +35,7 @@ import time
 
 from _common import emit
 
-from repro.faults import CampaignSpec, FaultWindow, run_campaign_replicated
+from repro.faults import CampaignSpec, FaultWindow, run_campaign
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
@@ -201,12 +201,12 @@ def test_s2_batch_event_streaming_overhead(benchmark):
     # for the <5% self-consistency proxy (no hook-free build exists to
     # diff against; see the module docstring).
     benchmark.pedantic(
-        lambda: run_campaign_replicated(STREAM_SPEC, STREAM_REPLICAS),
+        lambda: run_campaign(STREAM_SPEC, STREAM_REPLICAS),
         rounds=3, iterations=1,
     )
     off_s = benchmark.stats.stats.min
     t0 = time.perf_counter()
-    off_ref = run_campaign_replicated(STREAM_SPEC, STREAM_REPLICAS)
+    off_ref = run_campaign(STREAM_SPEC, STREAM_REPLICAS)
     off_again = time.perf_counter() - t0
 
     on_s = float("inf")
@@ -215,7 +215,7 @@ def test_s2_batch_event_streaming_overhead(benchmark):
     try:
         for _ in range(3):
             t0 = time.perf_counter()
-            on_ref = run_campaign_replicated(STREAM_SPEC, STREAM_REPLICAS)
+            on_ref = run_campaign(STREAM_SPEC, STREAM_REPLICAS)
             on_s = min(on_s, time.perf_counter() - t0)
     finally:
         _events.remove_sink(col)

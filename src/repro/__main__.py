@@ -268,7 +268,7 @@ def _faults(
         "checkpoint_every": checkpoint_every,
         "checkpoint_dir": checkpoint_dir,
         "resume": resume,
-        "replicas": replicas,
+        "replicas": 1 if replicas is None else replicas,
     }
 
     plain = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)

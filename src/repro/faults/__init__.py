@@ -11,8 +11,9 @@ is the guide):
   livelock/deadlock/starvation detection with an occupancy snapshot
   for diagnosis;
 * :class:`CampaignSpec` / :func:`run_campaign` / :class:`FaultCampaign`
-  -- the measurement harness, ExperimentRunner-cacheable and exposed
-  as ``python -m repro faults``.
+  -- the measurement harness (N seed-varied replica lanes over one
+  build, N defaulting to 1), ExperimentRunner-cacheable and exposed as
+  ``python -m repro faults``.
 
 End-to-end transaction timeouts live with the NI itself
 (``NiConfig.txn_timeout`` / ``txn_retries``) and sender resync with the
@@ -23,7 +24,6 @@ what exercises them.
 from repro.faults.campaign import (
     CampaignResult,
     CampaignSpec,
-    CheckpointedCampaign,
     FaultCampaign,
     ReplicatedCampaign,
     campaign_checkpoint_path,
@@ -31,7 +31,6 @@ from repro.faults.campaign import (
     render_campaign,
     replicas_from_env,
     run_campaign,
-    run_campaign_replicated,
 )
 from repro.faults.injector import (
     FAULT_MODES,
@@ -45,7 +44,6 @@ __all__ = [
     "FAULT_MODES",
     "CampaignResult",
     "CampaignSpec",
-    "CheckpointedCampaign",
     "FaultCampaign",
     "FaultInjector",
     "FaultWindow",
@@ -58,5 +56,4 @@ __all__ = [
     "render_campaign",
     "replicas_from_env",
     "run_campaign",
-    "run_campaign_replicated",
 ]

@@ -7,6 +7,13 @@ whether the network ever stopped making progress (caught by the
 :class:`~repro.faults.watchdog.ProgressWatchdog` rather than hanging
 the simulation).
 
+There is one measurement body, :func:`run_campaign`: N seed-varied
+replica lanes over one build (a
+:class:`~repro.sim.batch.BatchSimulator`), N defaulting to 1.  The
+plain single-seed campaign is the one-lane case -- same loop, same
+watchdog, same checkpoint format -- and more lanes reduce to means with
+95% confidence intervals (see docs/BATCHING.md).
+
 Specs are frozen dataclasses and :func:`run_campaign` is a module-level
 function, so campaigns plug into
 :class:`repro.flow.runner.ExperimentRunner` for process-parallel,
@@ -16,7 +23,6 @@ is the convenience wrapper, and ``python -m repro faults`` the CLI.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -25,8 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
 from repro.flow.runner import ExperimentRunner, RunManifest, stable_repr
-from repro.network.experiments import TopologyNocBuilder
-from repro.network.traffic import UniformRandomTraffic
+from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
 from repro.sim.snapshot import SimSnapshot, SnapshotError
 from repro.telemetry import events as _events
@@ -99,14 +104,20 @@ def _latency_stats(samples: Sequence[int]) -> Tuple[float, float]:
     return mean, float(p95)
 
 
-def campaign_checkpoint_path(spec: CampaignSpec, checkpoint_dir: str) -> str:
+def campaign_checkpoint_path(
+    spec: CampaignSpec, checkpoint_dir: str, replicas: int = 1
+) -> str:
     """Where a campaign's mid-run checkpoint lives.
 
     Keyed by the sha256 of ``stable_repr(spec)``, so the same spec
-    always finds its own checkpoint and different specs never collide.
+    always finds its own checkpoint and different specs never collide;
+    ``replicas > 1`` appends ``-r<N>``, because runs over different
+    lane counts compute different things and must never adopt each
+    other's state.
     """
     digest = hashlib.sha256(stable_repr(spec).encode()).hexdigest()
-    return os.path.join(checkpoint_dir, f"campaign-{digest[:16]}.ckpt")
+    suffix = f"-r{replicas}" if replicas > 1 else ""
+    return os.path.join(checkpoint_dir, f"campaign-{digest[:16]}{suffix}.ckpt")
 
 
 def _build_campaign_noc(spec: CampaignSpec):
@@ -117,262 +128,137 @@ def _build_campaign_noc(spec: CampaignSpec):
     identical simulator (see docs/CHECKPOINT.md)."""
     noc = spec.builder()
     injector = FaultInjector(noc, spec.windows)
-    targets = list(noc.topology.targets)
-    patterns = {
-        ni: UniformRandomTraffic(targets, spec.rate, seed=spec.seed + 17 * i)
-        for i, ni in enumerate(noc.topology.initiators)
-    }
-    noc.populate(patterns, max_outstanding=spec.max_outstanding)
+    attach_uniform_traffic(
+        noc, spec.rate, seed=spec.seed, max_outstanding=spec.max_outstanding
+    )
     return noc, injector
+
+
+#: Integer-valued metrics of a lane (a reduced result rounds their mean).
+_COUNT_METRICS = (
+    "cycles_run", "issued", "completed", "failed", "retried",
+    "errors_injected", "flits_dropped", "retransmissions", "windows_opened",
+)
+#: The headline three: a reduced result carries their mean and 95% CI.
+_CI_METRICS = ("accepted_rate", "mean_latency", "p95_latency")
+#: Numeric metrics published per lane (``lane_metrics``, ``lane_batch``).
+_LANE_METRICS = _COUNT_METRICS + _CI_METRICS + ("no_progress",)
+#: Warm-up accounting at the start of a lane (checkpoint extras).
+_COLD = {"warm_completed": 0, "warm_samples": 0, "warm_captured": False}
+
+
+def _reduce(spec: CampaignSpec, rows: Sequence[dict]) -> CampaignResult:
+    """Reduce the lanes' rows to one result: means, with 95% CIs and the
+    raw columns attached when there is more than one lane (the mean of
+    one lane is that lane, exactly)."""
+
+    def col(name: str) -> Tuple[float, ...]:
+        return tuple(float(r[name]) for r in rows)
+
+    ci = {name: mean_ci95(col(name)) for name in _CI_METRICS}
+    first_trip = next((r for r in rows if r["no_progress"]), None)
+    replicated = len(rows) > 1
+    return CampaignResult(
+        label=spec.label or f"rate={spec.rate}",
+        offered_rate=spec.rate,
+        **{
+            name: int(round(sum(col(name)) / len(rows)))
+            for name in _COUNT_METRICS
+        },
+        **{name: mean for name, (mean, _) in ci.items()},
+        no_progress=first_trip is not None,
+        no_progress_cycle=(
+            int(first_trip["no_progress_cycle"]) if first_trip else -1
+        ),
+        diagnosis=first_trip["diagnosis"] if first_trip else "",
+        replicas=len(rows),
+        ci95=(
+            {name: half for name, (_, half) in ci.items()} if replicated else None
+        ),
+        lane_metrics=(
+            {name: col(name) for name in _LANE_METRICS} if replicated else None
+        ),
+    )
 
 
 def run_campaign(
     spec: CampaignSpec,
+    replicas: int = 1,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
 ) -> CampaignResult:
-    """Build, fault, run and measure one campaign (module-level so
-    ExperimentRunner worker processes can pickle it).
+    """Build, fault, run and measure one campaign over ``replicas``
+    seed-varied lanes (module-level so ExperimentRunner worker
+    processes can pickle it).
 
-    With ``checkpoint_every`` and ``checkpoint_dir`` set, the run is
-    sliced at checkpoint boundaries and a deterministic simulator
-    snapshot (plus warm-up accounting in its extras) is written after
-    each slice -- slicing ``run`` is cycle-identical to one long run.
-    With ``resume=True`` an existing checkpoint for this spec is
-    restored and only the remaining cycles are simulated; an unreadable
-    or structurally stale checkpoint falls back to a fresh run.
+    The NoC is built and compiled **once** (a
+    :class:`~repro.sim.batch.BatchSimulator`); lane ``k`` reruns the
+    identical fault schedule with every traffic and link seed offset by
+    ``k * SEED_STRIDE``, and lane 0 uses the spec's own seeds.  One
+    lane -- the default -- is the plain single-seed campaign: its
+    result is that lane's raw measurements (``ci95`` and
+    ``lane_metrics`` are ``None``).  More lanes reduce to a single
+    :class:`CampaignResult` of means carrying per-metric 95% confidence
+    half-widths in ``ci95`` and the raw per-lane columns in
+    ``lane_metrics``; a lane whose watchdog trips still contributes its
+    truncated measurements, and the first trip's cycle/diagnosis
+    surface on the reduced result.
+
+    With ``checkpoint_every`` and ``checkpoint_dir`` set, every lane is
+    sliced at checkpoint boundaries -- slicing is cycle-identical to
+    one long run -- and after each slice the in-flight lane's simulator
+    state is written with the warm-up accounting in its extras and the
+    batch container (lane index, finished lanes' rows) beside it.
+    ``resume=True`` re-enters that lane mid-flight and skips every
+    finished one; an unreadable, structurally stale, container-less or
+    different-geometry checkpoint falls back to a fresh run.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1 cycles, got {checkpoint_every}")
     ckpt_path: Optional[str] = None
     if checkpoint_every is not None:
         if checkpoint_dir is None:
             raise ValueError("checkpoint_every needs a checkpoint_dir")
-        ckpt_path = campaign_checkpoint_path(spec, checkpoint_dir)
-
-    noc, injector = _build_campaign_noc(spec)
-    total_cycles = spec.warmup_cycles + spec.measure_cycles
-
-    warm_completed = 0
-    warm_samples = 0
-    warm_captured = False
-    if resume and ckpt_path is not None and os.path.exists(ckpt_path):
-        try:
-            snap = SimSnapshot.load(ckpt_path)
-            extras = noc.sim.restore(snap)
-            warm_completed = extras.get("warm_completed", 0)
-            warm_samples = extras.get("warm_samples", 0)
-            warm_captured = extras.get("warm_captured", False)
-        except SnapshotError:
-            # Stale or torn checkpoint: a partial restore may have
-            # touched state, so rebuild and start from cycle 0.
-            noc, injector = _build_campaign_noc(spec)
-            warm_completed = warm_samples = 0
-            warm_captured = False
-
-    # The watchdog hooks the *live* simulator, so (re-)arm it only
-    # after any restore; it re-baselines on its first check.
-    watchdog = (
-        ProgressWatchdog(noc, horizon=spec.watchdog_horizon)
-        if spec.watchdog_horizon is not None
-        else None
-    )
+        ckpt_path = campaign_checkpoint_path(spec, checkpoint_dir, replicas)
 
     # Run in slices so warm-up stats are captured punctually and
     # checkpoints land on exact multiples of checkpoint_every.
-    boundaries = {spec.warmup_cycles, total_cycles}
-    if ckpt_path is not None:
-        boundaries.update(range(checkpoint_every, total_cycles, checkpoint_every))
-
-    no_progress = False
-    no_progress_cycle = -1
-    diagnosis = ""
-    try:
-        for boundary in sorted(boundaries):
-            if boundary <= noc.sim.cycle:
-                continue
-            noc.run(boundary - noc.sim.cycle)
-            if noc.sim.cycle == spec.warmup_cycles and not warm_captured:
-                warm_completed = noc.total_completed()
-                warm_samples = len(noc.aggregate_latency().samples)
-                warm_captured = True
-            if (
-                ckpt_path is not None
-                and boundary % checkpoint_every == 0
-                and boundary < total_cycles
-            ):
-                snap = noc.sim.snapshot(
-                    extras={
-                        "warm_completed": warm_completed,
-                        "warm_samples": warm_samples,
-                        "warm_captured": warm_captured,
-                    }
-                )
-                snap.save(ckpt_path)
-                _events.emit("checkpoint", cycle=boundary, lane=None)
-    except NoProgressError as exc:
-        no_progress = True
-        no_progress_cycle = exc.cycle
-        diagnosis = exc.describe()
-    finally:
-        if watchdog is not None:
-            watchdog.detach()
-
-    if ckpt_path is not None and not no_progress:
-        # Finished cleanly: the checkpoint has served its purpose.
-        try:
-            os.unlink(ckpt_path)
-        except OSError:
-            pass
-
-    cycles_run = noc.sim.cycle
-    measured = max(cycles_run - spec.warmup_cycles, 1)
-    completed = noc.total_completed()
-    samples = noc.aggregate_latency().samples[warm_samples:]
-    mean, p95 = _latency_stats(samples)
-    return CampaignResult(
-        label=spec.label or f"rate={spec.rate}",
-        offered_rate=spec.rate,
-        cycles_run=cycles_run,
-        issued=noc.total_issued(),
-        completed=completed,
-        failed=noc.total_transactions_failed(),
-        retried=noc.total_transactions_retried(),
-        accepted_rate=(completed - warm_completed) / measured,
-        mean_latency=mean,
-        p95_latency=p95,
-        errors_injected=noc.total_errors_injected(),
-        flits_dropped=noc.total_flits_dropped(),
-        retransmissions=noc.total_retransmissions(),
-        windows_opened=injector.windows_opened,
-        no_progress=no_progress,
-        no_progress_cycle=no_progress_cycle,
-        diagnosis=diagnosis,
-    )
-
-
-#: Numeric metrics collected from every replica lane; the reduction
-#: means each column and attaches 95% CIs to the headline three.
-_LANE_METRICS = (
-    "cycles_run", "issued", "completed", "failed", "retried",
-    "accepted_rate", "mean_latency", "p95_latency", "errors_injected",
-    "flits_dropped", "retransmissions", "windows_opened", "no_progress",
-)
-
-
-def _imean(values: Sequence[float]) -> int:
-    return int(round(sum(values) / len(values)))
-
-
-def run_campaign_replicated(
-    spec: CampaignSpec,
-    replicas: int,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    seed_stride: int = SEED_STRIDE,
-) -> CampaignResult:
-    """Run one campaign spec under ``replicas`` seed-varied lanes.
-
-    The NoC is built and compiled **once** (a
-    :class:`~repro.sim.batch.BatchSimulator`); lane ``k`` reruns the
-    identical fault schedule with every traffic and link seed offset by
-    ``k * seed_stride``.  Lane 0 uses the spec's own seeds, so a
-    1-replica call reproduces :func:`run_campaign` exactly.  The lanes
-    reduce to a single :class:`CampaignResult` of means carrying
-    per-metric 95% confidence half-widths in ``ci95`` and the raw
-    per-lane columns in ``lane_metrics``; a lane whose watchdog trips
-    still contributes its truncated measurements, and the first trip's
-    cycle/diagnosis surface on the reduced result.
-
-    Checkpoints (``checkpoint_every`` + ``checkpoint_dir``) capture the
-    in-flight lane's simulator state *plus* a format-v2 batch container
-    (lane index, finished lanes' rows), so ``resume=True`` re-enters
-    mid-lane and skips every finished lane.  A checkpoint from a
-    different replica count or stride is treated as stale (fresh run).
-    """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(
-            f"checkpoint_every must be >= 1 cycles, got {checkpoint_every}"
-        )
-    ckpt_path: Optional[str] = None
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every needs a checkpoint_dir")
-        # Distinct from the scalar campaign's file: the two runs compute
-        # different things, so they must never adopt each other's state.
-        base = campaign_checkpoint_path(spec, checkpoint_dir)
-        ckpt_path = base[: -len(".ckpt")] + f"-r{replicas}.ckpt"
-
-    noc, injector = _build_campaign_noc(spec)
     total_cycles = spec.warmup_cycles + spec.measure_cycles
     boundaries = {spec.warmup_cycles, total_cycles}
     if ckpt_path is not None:
         boundaries.update(range(checkpoint_every, total_cycles, checkpoint_every))
     boundaries = sorted(boundaries)
 
+    noc, injector = _build_campaign_noc(spec)
     batch: Optional[BatchSimulator] = None
     rows: List[dict] = []
-    start_lane = 0
-    mid_lane = False
-    warm = {"warm_completed": 0, "warm_samples": 0, "warm_captured": False}
-
+    warm = dict(_COLD)
     if resume and ckpt_path is not None and os.path.exists(ckpt_path):
         try:
             snap = SimSnapshot.load(ckpt_path)
-            state = snap.batch
-            if state is None:
-                raise SnapshotError(
-                    "checkpoint carries no batch container (scalar capture?)"
-                )
-            if (
-                state["replicas"] != replicas
-                or state["seed_stride"] != seed_stride
-            ):
-                raise SnapshotError(
-                    f"batch checkpoint was taken with replicas="
-                    f"{state['replicas']} stride={state['seed_stride']}; "
-                    f"this run wants {replicas}/{seed_stride}"
-                )
-            extras = noc.sim.restore(snap)
-            # Restore swaps the traffic patterns in by value, so the
-            # batch must be built *after* it -- with the lane-k seeds
-            # the checkpoint carries discounted back to the lane-0 base
-            # (``assume_lane``).
-            lane = int(state["lane"])
-            batch = BatchSimulator(
-                noc, replicas, seed_stride=seed_stride, assume_lane=lane
-            )
-            batch.lane = lane
-            rows = [dict(r) for r in state["lane_results"]]
-            start_lane = lane
-            mid_lane = True
-            warm = {
-                "warm_completed": extras.get("warm_completed", 0),
-                "warm_samples": extras.get("warm_samples", 0),
-                "warm_captured": extras.get("warm_captured", False),
-            }
+            batch, extras = BatchSimulator.resume_lane(noc, snap, replicas)
+            rows = list(snap.batch["lane_results"])
+            warm = {**_COLD, **extras}
         except SnapshotError:
             # Stale or torn checkpoint: a partial restore may have
             # touched state, so rebuild and start from lane 0.
             noc, injector = _build_campaign_noc(spec)
             batch = None
-            rows = []
-            start_lane = 0
-            mid_lane = False
-            warm = {"warm_completed": 0, "warm_samples": 0, "warm_captured": False}
     if batch is None:
-        batch = BatchSimulator(noc, replicas, seed_stride=seed_stride)
+        batch = BatchSimulator(noc, replicas)
 
-    for k in range(start_lane, replicas):
-        if not (mid_lane and k == start_lane):
+    # A resumed batch sits mid-flight in its checkpointed lane; a fresh
+    # one (``lane == -1``) begins with lane 0.
+    for k in range(max(batch.lane, 0), replicas):
+        if k != batch.lane:
             batch.begin_lane(k)
-            warm = {"warm_completed": 0, "warm_samples": 0, "warm_captured": False}
-        # Per lane, armed after any restore -- it re-baselines on its
-        # first check, and a tripped lane must not poison the next.
+            warm = dict(_COLD)
+        # Per lane, armed after any restore -- the watchdog hooks the
+        # *live* simulator and re-baselines on its first check, and a
+        # tripped lane must not poison the next.
         watchdog = (
             ProgressWatchdog(noc, horizon=spec.watchdog_horizon)
             if spec.watchdog_horizon is not None
@@ -386,23 +272,19 @@ def run_campaign_replicated(
                 if boundary <= noc.sim.cycle:
                     continue
                 batch.run_exact(boundary - noc.sim.cycle)
-                if (
-                    noc.sim.cycle == spec.warmup_cycles
-                    and not warm["warm_captured"]
-                ):
-                    warm["warm_completed"] = noc.total_completed()
-                    warm["warm_samples"] = len(noc.aggregate_latency().samples)
-                    warm["warm_captured"] = True
+                if noc.sim.cycle == spec.warmup_cycles and not warm["warm_captured"]:
+                    warm = {
+                        "warm_completed": noc.total_completed(),
+                        "warm_samples": len(noc.aggregate_latency().samples),
+                        "warm_captured": True,
+                    }
                 if (
                     ckpt_path is not None
                     and boundary % checkpoint_every == 0
                     and boundary < total_cycles
                 ):
                     snap = noc.sim.snapshot(extras=dict(warm))
-                    snap.batch = {
-                        **batch.batch_state(),
-                        "lane_results": [dict(r) for r in rows],
-                    }
+                    snap.batch = {**batch.batch_state(), "lane_results": rows}
                     snap.save(ckpt_path)
                     _events.emit("checkpoint", cycle=boundary, lane=k)
         except NoProgressError as exc:
@@ -414,7 +296,6 @@ def run_campaign_replicated(
                 watchdog.detach()
 
         cycles_run = noc.sim.cycle
-        measured = max(cycles_run - spec.warmup_cycles, 1)
         completed = noc.total_completed()
         samples = noc.aggregate_latency().samples[warm["warm_samples"]:]
         mean, p95 = _latency_stats(samples)
@@ -425,7 +306,8 @@ def run_campaign_replicated(
                 "completed": float(completed),
                 "failed": float(noc.total_transactions_failed()),
                 "retried": float(noc.total_transactions_retried()),
-                "accepted_rate": (completed - warm["warm_completed"]) / measured,
+                "accepted_rate": (completed - warm["warm_completed"])
+                / max(cycles_run - spec.warmup_cycles, 1),
                 "mean_latency": mean,
                 "p95_latency": p95,
                 "errors_injected": float(noc.total_errors_injected()),
@@ -447,66 +329,39 @@ def run_campaign_replicated(
                 digest=noc.stats_digest(),
             )
 
-    any_trip = any(r["no_progress"] for r in rows)
-    if ckpt_path is not None and not any_trip:
+    result = _reduce(spec, rows)
+    if ckpt_path is not None and not result.no_progress:
+        # Finished cleanly: the checkpoint has served its purpose.
         try:
             os.unlink(ckpt_path)
         except OSError:
             pass
-
-    def col(name: str) -> Tuple[float, ...]:
-        return tuple(float(r[name]) for r in rows)
-
-    acc_mean, acc_half = mean_ci95(col("accepted_rate"))
-    lat_mean, lat_half = mean_ci95(col("mean_latency"))
-    p95_mean, p95_half = mean_ci95(col("p95_latency"))
-    first_trip = next((r for r in rows if r["no_progress"]), None)
-    return CampaignResult(
-        label=spec.label or f"rate={spec.rate}",
-        offered_rate=spec.rate,
-        cycles_run=_imean(col("cycles_run")),
-        issued=_imean(col("issued")),
-        completed=_imean(col("completed")),
-        failed=_imean(col("failed")),
-        retried=_imean(col("retried")),
-        accepted_rate=acc_mean,
-        mean_latency=lat_mean,
-        p95_latency=p95_mean,
-        errors_injected=_imean(col("errors_injected")),
-        flits_dropped=_imean(col("flits_dropped")),
-        retransmissions=_imean(col("retransmissions")),
-        windows_opened=_imean(col("windows_opened")),
-        no_progress=any_trip,
-        no_progress_cycle=(
-            int(first_trip["no_progress_cycle"]) if first_trip else -1
-        ),
-        diagnosis=first_trip["diagnosis"] if first_trip else "",
-        replicas=replicas,
-        ci95={
-            "accepted_rate": acc_half,
-            "mean_latency": lat_half,
-            "p95_latency": p95_half,
-        },
-        lane_metrics={name: col(name) for name in _LANE_METRICS},
-    )
+    return result
 
 
-class CheckpointedCampaign:
-    """A picklable ``run_campaign`` with checkpoint/resume bound in.
+class ReplicatedCampaign:
+    """The picklable :func:`run_campaign` with its knobs bound in --
+    what :class:`FaultCampaign` hands to an ``ExperimentRunner``.
 
-    Deliberately *not* a dataclass, and ``cache_token`` mirrors plain
-    ``run_campaign``'s :func:`stable_repr`: checkpointing changes how a
-    result is computed, never what it is, so runner cache keys must be
-    identical with and without the flags -- a resumed sweep then hits
-    the cache entries its killed predecessor already published.
+    Deliberately *not* a dataclass: the cache token encodes only what
+    changes the *result*.  Checkpoint flags change how a result is
+    computed, never what it is, so they stay out -- a resumed sweep
+    then hits the entries its killed predecessor already published.
+    The replica count does change it (means + CIs), so a 3-lane sweep
+    and an 8-lane sweep never share entries; one lane keys as the bare
+    ``run_campaign`` function.  The multi-lane token text is frozen
+    (it names the PR 7 function and the stride) so stores written by
+    earlier versions stay valid.
     """
 
     def __init__(
         self,
-        checkpoint_every: int,
-        checkpoint_dir: str,
+        replicas: int = 1,
+        checkpoint_every: Optional[int] = None,
+        checkpoint_dir: Optional[str] = None,
         resume: bool = False,
     ) -> None:
+        self.replicas = replicas
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
@@ -514,68 +369,29 @@ class CheckpointedCampaign:
     def __call__(self, spec: CampaignSpec) -> CampaignResult:
         return run_campaign(
             spec,
+            self.replicas,
             checkpoint_every=self.checkpoint_every,
             checkpoint_dir=self.checkpoint_dir,
             resume=self.resume,
         )
 
     def cache_token(self):
-        # The token is the wrapped function itself, so stable_repr sees
-        # exactly what it sees for a plain run_campaign sweep.
-        return run_campaign
-
-
-class ReplicatedCampaign:
-    """A picklable ``run_campaign_replicated`` with its knobs bound in.
-
-    Unlike :class:`CheckpointedCampaign`, the cache token **must**
-    encode the replica count and stride: replication changes the
-    *result* (means + CIs), not just how it is computed, so an
-    8-replica sweep and a 32-replica sweep may never share runner cache
-    entries.  Checkpoint flags stay out of the token for the same
-    reason they do in the scalar wrapper.
-    """
-
-    def __init__(
-        self,
-        replicas: int,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        seed_stride: int = SEED_STRIDE,
-    ) -> None:
-        self.replicas = replicas
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.seed_stride = seed_stride
-
-    def __call__(self, spec: CampaignSpec) -> CampaignResult:
-        return run_campaign_replicated(
-            spec,
-            self.replicas,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=self.checkpoint_dir,
-            resume=self.resume,
-            seed_stride=self.seed_stride,
-        )
-
-    def cache_token(self) -> str:
+        if self.replicas == 1:
+            return run_campaign
         return (
             f"run_campaign_replicated(replicas={self.replicas}, "
-            f"seed_stride={self.seed_stride})"
+            f"seed_stride={SEED_STRIDE})"
         )
 
 
 class FaultCampaign:
     """A batch of campaign specs, optionally runner-accelerated.
 
-    ``checkpoint_every`` / ``checkpoint_dir`` / ``resume`` thread the
-    per-spec checkpointing of :func:`run_campaign` through the batch
-    (and through the runner's worker processes).  ``replicas > 1``
-    switches every spec to :func:`run_campaign_replicated`: each point
-    becomes a seed-varied Monte-Carlo batch whose result carries 95%
-    confidence intervals."""
+    ``replicas`` / ``checkpoint_every`` / ``checkpoint_dir`` /
+    ``resume`` are :func:`run_campaign`'s, threaded through the batch
+    (and through the runner's worker processes): with ``replicas > 1``
+    each point is a seed-varied Monte-Carlo batch whose result carries
+    95% confidence intervals."""
 
     def __init__(
         self,
@@ -584,12 +400,11 @@ class FaultCampaign:
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        replicas: Optional[int] = None,
-        seed_stride: int = SEED_STRIDE,
+        replicas: int = 1,
     ) -> None:
         if checkpoint_every is not None and checkpoint_dir is None:
             raise ValueError("checkpoint_every needs a checkpoint_dir")
-        if replicas is not None and replicas < 1:
+        if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.specs = list(specs)
         self.runner = runner
@@ -597,37 +412,18 @@ class FaultCampaign:
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self.replicas = replicas
-        self.seed_stride = seed_stride
 
-    def _fn(self):
-        if self.replicas is not None and self.replicas > 1:
-            return ReplicatedCampaign(
-                self.replicas,
-                checkpoint_every=self.checkpoint_every,
-                checkpoint_dir=self.checkpoint_dir,
-                resume=self.resume,
-                seed_stride=self.seed_stride,
-            )
-        if self.checkpoint_every is None:
-            return run_campaign
-        return CheckpointedCampaign(
-            self.checkpoint_every, self.checkpoint_dir, self.resume
+    def run(self) -> List[Optional[CampaignResult]]:
+        fn = ReplicatedCampaign(
+            self.replicas, self.checkpoint_every, self.checkpoint_dir, self.resume
         )
-
-    def run(self) -> List[CampaignResult]:
-        fn = self._fn()
-        if self.runner is not None:
-            results = self.runner.map(fn, self.specs, label="campaign")
-            # Same provenance surfacing as load_sweep: one manifest per
-            # point, in input order (cache key, hit/miss, wall time).
-            # Failed points (on_failure="record") carry no manifest.
-            if len(self.runner.last_manifests) == len(results):
-                return [
-                    dataclasses.replace(r, manifest=m)
-                    for r, m in zip(results, self.runner.last_manifests)
-                ]
-            return results
-        return [fn(s) for s in self.specs]
+        if self.runner is None:
+            return [fn(s) for s in self.specs]
+        # Same provenance surfacing as load_sweep: every surviving point
+        # carries its own manifest (cache key, hit/miss, wall time); a
+        # point that failed under on_failure="record" stays None.
+        results = self.runner.map(fn, self.specs, label="campaign")
+        return self.runner.attach_manifests(fn, self.specs, results)
 
 
 def checkpoint_options_from_env() -> dict:

@@ -95,6 +95,29 @@ def _evaluate_design_point(point: tuple) -> DesignPoint:
     )
 
 
+def design_combos(
+    core_graph: CoreGraph,
+    candidates: Sequence,
+    flit_widths: Iterable[int] = (16, 32, 64),
+    buffer_depths: Iterable[int] = (4, 6),
+    target_freq_mhz: float = 1000.0,
+    max_radix: int = 8,
+    seed: int = 0,
+    anneal_iterations: int = 600,
+) -> List[tuple]:
+    """The cross product as :func:`_evaluate_design_point` argument
+    tuples, candidate-major then width then depth.  The one definition
+    of combo order and content: :func:`explore_design_space` and the
+    query service (``repro.serve.service``) both key the store by these
+    tuples, so they share it rather than re-deriving it."""
+    return [
+        (core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations)
+        for fabric in candidates
+        for width in flit_widths
+        for depth in buffer_depths
+    ]
+
+
 def explore_design_space(
     core_graph: CoreGraph,
     candidates: Sequence[Topology],
@@ -115,12 +138,10 @@ def explore_design_space(
     """
     if not candidates:
         raise ValueError("need at least one candidate topology")
-    combos = [
-        (core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations)
-        for fabric in candidates
-        for width in flit_widths
-        for depth in buffer_depths
-    ]
+    combos = design_combos(
+        core_graph, candidates, flit_widths, buffer_depths,
+        target_freq_mhz, max_radix, seed, anneal_iterations,
+    )
     if runner is None:
         return [_evaluate_design_point(p) for p in combos]
     return runner.map(_evaluate_design_point, combos, label="dse")

@@ -316,6 +316,9 @@ class WorkStealingDispatcher:
     def last_manifests(self):
         return self.runner.last_manifests
 
+    def attach_manifests(self, fn, points, results):
+        return self.runner.attach_manifests(fn, points, results)
+
     def render_report(self, title: str = "work-stealing dispatcher") -> str:
         lines = [
             self.runner.render_report(title),

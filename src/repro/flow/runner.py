@@ -552,6 +552,25 @@ class ExperimentRunner:
             self._run_inline, jobs=1
         )
 
+    def attach_manifests(
+        self, fn: Callable, points: Sequence[Any], results: Sequence[Any]
+    ) -> List[Any]:
+        """The results of the :meth:`map` call just made, each survivor
+        carrying its *own* :class:`RunManifest` in ``.manifest``.
+
+        Matched by cache key, not position: ``last_manifests`` is
+        compacted past failed points (``None`` results under
+        ``on_failure="record"``, which stay ``None`` here), so zipping
+        it against the results would hand survivors a neighbour's
+        provenance.
+        """
+        by_key = {m.key: m for m in self.last_manifests}
+        return [
+            None if r is None
+            else dataclasses.replace(r, manifest=by_key[self._key(fn, p)])
+            for p, r in zip(points, results)
+        ]
+
     def map_replicated(
         self,
         fn: Callable[[Any], Any],

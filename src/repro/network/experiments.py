@@ -6,10 +6,13 @@ window, measure over a steady window, and watch latency diverge at the
 saturation point.  This module packages that methodology so benches and
 studies don't each reinvent (and mis-measure) it.
 
-Sweeps decompose into independent per-rate measurements
-(:func:`measure_load_point`), so :func:`load_sweep` accepts an optional
-:class:`repro.flow.runner.ExperimentRunner` that fans the points out
-over worker processes and memoizes each on disk.  Everything passed to
+Sweeps decompose into independent measurements, and :func:`load_sweep`
+has one body for them: every rate fans into ``replicas`` seed-varied
+lanes (:func:`measure_load_point_lane`), the lanes are mapped, and each
+rate's lanes reduce to one point -- the single-seed sweep is the
+one-lane case, not a separate arm.  An optional
+:class:`repro.flow.runner.ExperimentRunner` fans the lanes out over
+worker processes and memoizes each on disk.  Everything passed to
 the runner must be picklable and hashable; :class:`TopologyNocBuilder`
 is the ready-made builder that satisfies both.  :func:`verify_fast_path`
 is the cross-check mode for the kernel's schedulers: it runs the same
@@ -87,6 +90,26 @@ class TopologyNocBuilder:
         return Noc(topo, config=self.config)
 
 
+def attach_uniform_traffic(
+    noc: Noc, rate: float, seed: int = 0, **populate_kwargs
+) -> None:
+    """Populate a core-less NoC with the standard workload: initiator
+    ``i`` draws :class:`UniformRandomTraffic` at ``rate`` from its own
+    seed (``seed`` plus a stride of 17 per initiator), every target gets
+    a memory.  Every measurement and cross-check in the library attaches
+    traffic through here, so their seeds agree (``populate_kwargs`` go
+    to :meth:`Noc.populate`).
+    """
+    targets = noc.topology.targets
+    noc.populate(
+        {
+            c: UniformRandomTraffic(targets, rate, seed=seed + 17 * i)
+            for i, c in enumerate(noc.topology.initiators)
+        },
+        **populate_kwargs,
+    )
+
+
 def measure_load_point(
     build_noc: Callable[[], "Noc"],
     rate: float,
@@ -104,17 +127,10 @@ def measure_load_point(
     if warmup_cycles < 0 or measure_cycles <= 0:
         raise ValueError("invalid warmup/measurement window")
     noc = build_noc()
-    targets = noc.topology.targets
     initiators = noc.topology.initiators
-    if not initiators or not targets:
+    if not initiators or not noc.topology.targets:
         raise ValueError("the built NoC must have initiators and targets")
-    noc.populate(
-        {
-            c: UniformRandomTraffic(targets, rate, seed=seed + 17 * i)
-            for i, c in enumerate(initiators)
-        },
-        max_outstanding=max_outstanding,
-    )
+    attach_uniform_traffic(noc, rate, seed, max_outstanding=max_outstanding)
     noc.run(warmup_cycles)
     # Snapshot, measure, diff: only steady-state samples count.
     warm_counts = {c: len(noc.masters[c].latency.samples) for c in initiators}
@@ -150,10 +166,10 @@ def measure_load_point_lane(
 ) -> LoadPoint:
     """One replica lane of a load point: ``(rate, lane_seed)`` in.
 
-    The replicated sweep varies only the seed between lanes, and an
-    :class:`~repro.flow.runner.ExperimentRunner` caches per *point*, so
-    the seed must live inside the point -- this module-level unpacking
-    wrapper is what gets fanned out and hashed.
+    :func:`load_sweep` varies only the seed between a rate's lanes, and
+    an :class:`~repro.flow.runner.ExperimentRunner` caches per *point*,
+    so the seed must live inside the point -- this module-level
+    unpacking wrapper is what gets fanned out and hashed.
     """
     rate, lane_seed = rate_and_seed
     return measure_load_point(
@@ -167,12 +183,16 @@ def measure_load_point_lane(
 
 
 def _reduce_lanes(rate: float, lanes: Sequence[LoadPoint]) -> LoadPoint:
-    """Reduce one rate's replica lanes to a mean point with 95% CIs.
+    """Reduce one rate's replica lanes to a mean point with 95% CIs,
+    carrying lane 0's manifest (the other lanes' provenance lives in
+    the runner's journal).  A single lane is the point itself, raw.
 
     Lanes that completed no transactions report infinite latency; they
     are excluded from the latency mean/CI (an all-empty rate stays
     ``inf``, matching the single-seed convention).
     """
+    if len(lanes) == 1:
+        return lanes[0]
     acc_mean, acc_half = mean_ci95([p.accepted_rate for p in lanes])
     finite_mean = [p.mean_latency for p in lanes if math.isfinite(p.mean_latency)]
     finite_p95 = [p.p95_latency for p in lanes if math.isfinite(p.p95_latency)]
@@ -184,6 +204,7 @@ def _reduce_lanes(rate: float, lanes: Sequence[LoadPoint]) -> LoadPoint:
         mean_latency=lat_mean,
         p95_latency=p95_mean,
         completed=int(round(sum(p.completed for p in lanes) / len(lanes))),
+        manifest=lanes[0].manifest,
         replicas=len(lanes),
         ci95={
             "accepted_rate": acc_half,
@@ -191,6 +212,14 @@ def _reduce_lanes(rate: float, lanes: Sequence[LoadPoint]) -> LoadPoint:
             "p95_latency": p95_half,
         },
     )
+
+
+def _timed(fn: Callable, point) -> LoadPoint:
+    """``fn(point)`` carrying a keyless, timed local manifest."""
+    t0 = time.perf_counter()
+    result = fn(point)
+    manifest = RunManifest.local(key="", cached=False, seconds=time.perf_counter() - t0)
+    return dataclasses.replace(result, manifest=manifest)
 
 
 def load_sweep(
@@ -202,8 +231,7 @@ def load_sweep(
     seed: int = 0,
     runner=None,
     replicas: int = 1,
-    seed_stride: int = SEED_STRIDE,
-) -> List[LoadPoint]:
+) -> List[Optional[LoadPoint]]:
     """Latency/throughput at each offered load.
 
     ``build_noc`` must return a fresh, *core-less* NoC (topology wired,
@@ -211,79 +239,33 @@ def load_sweep(
     traffic at each rate, warms up, then measures only transactions
     issued inside the measurement window.
 
+    One body: every rate fans into ``replicas`` lanes ``(rate, seed +
+    k * SEED_STRIDE)``, the lanes are measured
+    (:func:`measure_load_point_lane`), and each rate's lanes reduce to
+    one point.  With one lane -- the default -- that point is the raw
+    single-seed measurement; with more it is their mean, carrying
+    per-metric 95% confidence half-widths in ``point.ci95`` (see
+    ``docs/BATCHING.md``).
+
     With a ``runner`` (an :class:`repro.flow.runner.ExperimentRunner`),
-    the per-rate measurements run through it -- possibly in parallel,
-    possibly from cache -- in which case ``build_noc`` must be picklable
-    (use :class:`TopologyNocBuilder`, not a lambda).
+    the lanes run through it -- possibly in parallel, possibly from
+    cache -- in which case ``build_noc`` must be picklable (use
+    :class:`TopologyNocBuilder`, not a lambda).  Lanes cache
+    independently, so growing ``replicas`` reuses the lanes already on
+    disk, lane 0 of a multi-lane sweep being the one-lane sweep's point.
+    A rate with a lane that failed under ``on_failure="record"`` comes
+    back as ``None``, as ``runner.map`` reports it.
 
     Every returned point carries a
     :class:`~repro.flow.runner.RunManifest` in ``point.manifest``
-    recording where the number came from: with a runner, the cache key
-    plus hit/miss and compute seconds; inline, a keyless timed record.
-
-    ``replicas > 1`` measures every rate under that many seeds (lane
-    ``k`` uses ``seed + k * seed_stride``) and reduces each rate's lanes
-    to one mean point carrying per-metric 95% confidence half-widths in
-    ``point.ci95`` (see ``docs/BATCHING.md``).  With a runner the lanes
-    fan out and cache independently, so growing ``replicas`` reuses the
-    lanes already on disk.
+    recording where the number came from: with a runner, lane 0's own
+    cache key plus hit/miss and compute seconds; inline, a keyless
+    timed record.
     """
     if warmup_cycles < 0 or measure_cycles <= 0:
         raise ValueError("invalid warmup/measurement window")
     if replicas < 1:
         raise ValueError("load_sweep needs replicas >= 1")
-    if replicas > 1:
-        return _load_sweep_replicated(
-            build_noc,
-            rates,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-            max_outstanding=max_outstanding,
-            seed=seed,
-            runner=runner,
-            replicas=replicas,
-            seed_stride=seed_stride,
-        )
-    fn = functools.partial(
-        measure_load_point,
-        build_noc,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        max_outstanding=max_outstanding,
-        seed=seed,
-    )
-    if runner is None:
-        points = []
-        for rate in rates:
-            t0 = time.perf_counter()
-            point = fn(rate)
-            manifest = RunManifest.local(
-                key="", cached=False, seconds=time.perf_counter() - t0
-            )
-            points.append(dataclasses.replace(point, manifest=manifest))
-        return points
-    points = runner.map(fn, rates, label="load_sweep")
-    return [
-        dataclasses.replace(point, manifest=manifest)
-        for point, manifest in zip(points, runner.last_manifests)
-    ]
-
-
-def _load_sweep_replicated(
-    build_noc: Callable[[], "Noc"],
-    rates: Sequence[float],
-    *,
-    warmup_cycles: int,
-    measure_cycles: int,
-    max_outstanding: int,
-    seed: int,
-    runner,
-    replicas: int,
-    seed_stride: int,
-) -> List[LoadPoint]:
-    """The ``replicas > 1`` arm of :func:`load_sweep`: fan, measure,
-    reduce.  Each reduced point's manifest is its first lane's (the
-    remaining lanes' provenance lives in the runner's journal)."""
     rates = list(rates)
     fn = functools.partial(
         measure_load_point_lane,
@@ -292,33 +274,19 @@ def _load_sweep_replicated(
         measure_cycles=measure_cycles,
         max_outstanding=max_outstanding,
     )
+    fanned = [
+        (rate, seed + k * SEED_STRIDE) for rate in rates for k in range(replicas)
+    ]
     if runner is None:
-        out = []
-        for rate in rates:
-            t0 = time.perf_counter()
-            lanes = [
-                fn((rate, seed + k * seed_stride)) for k in range(replicas)
-            ]
-            manifest = RunManifest.local(
-                key="", cached=False, seconds=time.perf_counter() - t0
-            )
-            out.append(
-                dataclasses.replace(_reduce_lanes(rate, lanes), manifest=manifest)
-            )
-        return out
-    groups = runner.map_replicated(
-        fn,
-        rates,
-        replicas,
-        fan=lambda rate, k: (rate, seed + k * seed_stride),
-        label="load_sweep",
-    )
-    return [
-        dataclasses.replace(
-            _reduce_lanes(rate, lanes),
-            manifest=runner.last_manifests[i * replicas],
+        lanes = [_timed(fn, point) for point in fanned]
+    else:
+        lanes = runner.attach_manifests(
+            fn, fanned, runner.map(fn, fanned, label="load_sweep")
         )
-        for i, (rate, lanes) in enumerate(zip(rates, groups))
+    groups = [lanes[i * replicas:(i + 1) * replicas] for i in range(len(rates))]
+    return [
+        None if any(p is None for p in group) else _reduce_lanes(rate, group)
+        for rate, group in zip(rates, groups)
     ]
 
 
@@ -359,14 +327,8 @@ def verify_fast_path(
         noc.sim.set_kernel(kern)
         if attach is not None:
             attach(noc)
-        targets = noc.topology.targets
-        initiators = noc.topology.initiators
-        noc.populate(
-            {
-                c: UniformRandomTraffic(targets, rate, seed=seed + 17 * i)
-                for i, c in enumerate(initiators)
-            },
-            max_outstanding=max_outstanding,
+        attach_uniform_traffic(
+            noc, rate, seed, max_outstanding=max_outstanding,
             max_transactions=max_transactions,
         )
         noc.run(cycles)
@@ -426,15 +388,7 @@ def verify_checkpoint(
         noc.sim.set_kernel(kern)
         if attach is not None:
             attach(noc)
-        targets = noc.topology.targets
-        initiators = noc.topology.initiators
-        noc.populate(
-            {
-                c: UniformRandomTraffic(targets, rate, seed=seed + 17 * i)
-                for i, c in enumerate(initiators)
-            },
-            max_outstanding=max_outstanding,
-        )
+        attach_uniform_traffic(noc, rate, seed, max_outstanding=max_outstanding)
         return noc
 
     reference = build()

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.flow.dse import (
     DesignPoint,
     _evaluate_design_point,
+    design_combos,
     pareto_frontier,
     render_space,
 )
@@ -420,18 +421,15 @@ class QueryEngine:
 
     # -- key discipline ---------------------------------------------------
     def combos(self, spec: QuerySpec) -> List[tuple]:
-        """The exact combo tuples ``explore_design_space`` would build
-        for this slice -- combo order and content must match, or the
-        keys diverge and the store stops being shared."""
-        core_graph = core_graph_from_name(spec.core_graph)
-        fabrics = [topology_from_name(name) for name in spec.topologies]
-        return [
-            (core_graph, fabric, width, depth, spec.target_freq_mhz,
-             spec.max_radix, spec.seed, spec.anneal_iterations)
-            for fabric in fabrics
-            for width in spec.flit_widths
-            for depth in spec.buffer_depths
-        ]
+        """The combo tuples ``explore_design_space`` builds for this
+        slice (same :func:`~repro.flow.dse.design_combos`, so the store
+        keys are shared by construction)."""
+        return design_combos(
+            core_graph_from_name(spec.core_graph),
+            [topology_from_name(name) for name in spec.topologies],
+            spec.flit_widths, spec.buffer_depths, spec.target_freq_mhz,
+            spec.max_radix, spec.seed, spec.anneal_iterations,
+        )
 
     def keys(self, spec: QuerySpec) -> List[str]:
         keyer = self.make_runner()
@@ -455,12 +453,13 @@ class QueryEngine:
     # -- degraded answers -------------------------------------------------
     def _grid(self, spec: QuerySpec) -> List["tuple[str, int, int]"]:
         """The human-readable ``(topology, width, depth)`` triple for
-        every combo index, in :meth:`combos` order."""
+        every combo index: the same cross product over the topology
+        *names*, so it is in :meth:`combos` order by construction."""
         return [
-            (name, width, depth)
-            for name in spec.topologies
-            for width in spec.flit_widths
-            for depth in spec.buffer_depths
+            combo[1:4]
+            for combo in design_combos(
+                None, spec.topologies, spec.flit_widths, spec.buffer_depths
+            )
         ]
 
     def neighbor_hints(

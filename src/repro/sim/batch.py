@@ -40,6 +40,11 @@ the replica dimension on top of the compiled kernel
   bit-for-bit (``verify_fast_path`` cross-checks it in
   ``bench_s4_batch``).
 
+Scalar is the one-lane case: ``repro.faults.run_campaign`` always runs
+through a :class:`BatchSimulator` (``replicas`` defaulting to 1), and
+:meth:`BatchSimulator.resume_lane` is the single resume path and
+geometry check for its checkpoints.
+
 See ``docs/BATCHING.md`` for the full contract and
 ``benchmarks/bench_s4_batch.py`` for the measured speedup.
 """
@@ -53,6 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.snapshot import SnapshotError
 from repro.sim.trace import NullTracer
 
 __all__ = [
@@ -164,8 +170,8 @@ class BatchSimulator:
 
     Mid-lane state can be checkpointed with the ordinary
     ``sim.snapshot()`` plus :meth:`batch_state`, and a whole batch
-    resumed from lane ``k`` -- see ``repro.sim.snapshot`` and the
-    campaign runner's kill-and-resume path.
+    resumed from lane ``k`` with :meth:`resume_lane` -- see
+    ``repro.sim.snapshot`` and the campaign's kill-and-resume path.
     """
 
     def __init__(
@@ -360,22 +366,36 @@ class BatchSimulator:
             "seed_stride": self.seed_stride,
         }
 
-    def resume_lane(self, state: Dict[str, Any]) -> int:
-        """Validate ``state`` (from :meth:`batch_state`) against this
-        batch and re-enter its lane, ready for ``sim.restore``."""
-        if (
-            state["replicas"] != self.replicas
-            or state["seed_stride"] != self.seed_stride
-        ):
-            raise SimulationError(
+    @classmethod
+    def resume_lane(
+        cls, noc, snap, replicas: int, *, seed_stride: int = SEED_STRIDE
+    ) -> Tuple["BatchSimulator", Dict[str, Any]]:
+        """Re-enter the lane a batch checkpoint froze mid-flight.
+
+        The one geometry check: ``snap`` must carry a batch container
+        (:meth:`batch_state`) taken with this ``replicas`` and
+        ``seed_stride``, else :class:`~repro.sim.snapshot.SnapshotError`.
+        Then ``noc`` -- a fresh, structurally identical build -- is
+        restored from ``snap`` and wrapped in a batch positioned on the
+        checkpointed lane.  Restore swaps the traffic patterns in by
+        value, so the batch is built *after* it, with the lane-k seeds
+        the checkpoint carries discounted back to the lane-0 base
+        (``assume_lane``).  Returns ``(batch, extras)``.
+        """
+        state = snap.batch
+        if state is None:
+            raise SnapshotError("checkpoint carries no batch container")
+        if state["replicas"] != replicas or state["seed_stride"] != seed_stride:
+            raise SnapshotError(
                 f"batch checkpoint was taken with replicas="
-                f"{state['replicas']} stride={state['seed_stride']}; this "
-                f"batch has replicas={self.replicas} "
-                f"stride={self.seed_stride}"
+                f"{state['replicas']} stride={state['seed_stride']}; "
+                f"this run wants {replicas}/{seed_stride}"
             )
+        extras = noc.sim.restore(snap)
         lane = int(state["lane"])
-        self.begin_lane(lane)
-        return lane
+        batch = cls(noc, replicas, seed_stride=seed_stride, assume_lane=lane)
+        batch.lane = lane
+        return batch, extras
 
 
 def run_batch(

@@ -43,9 +43,9 @@ Event vocabulary (the spans of a campaign):
                 ``cached`` (True for cache hits, which skip
                 ``point_start``)
 ``checkpoint``  a campaign checkpoint hit disk: ``cycle``, ``lane``
-``lane_batch``  one replica lane of a replicated campaign finished:
-                ``lane``, ``replicas``, ``metrics`` (the lane's row),
-                ``digest``
+``lane_batch``  one replica lane of a campaign finished (a one-lane
+                campaign emits lane 0): ``lane``, ``replicas``,
+                ``metrics`` (the lane's row), ``digest``
 ``worker_stall``  a dispatcher worker went silent past its liveness
                 deadline (wedged, not dead) and was killed: ``label``,
                 ``key``, ``slot``, ``silent_for`` (seconds)
@@ -180,7 +180,7 @@ def current_sink() -> Optional[EventSink]:
 def install_file_sink(path: str) -> EventWriter:
     """Open ``path`` for append and install it as the current sink.
     Used by processes that stream straight to disk (the batch-smoke
-    victim, ``run_campaign_replicated`` under the CLI)."""
+    victim, ``run_campaign`` under the CLI)."""
     return install_sink(EventWriter(path))  # type: ignore[return-value]
 
 

@@ -10,22 +10,31 @@ format and a killed replicated campaign resumes to exactly the
 uninterrupted result.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from repro.faults import (
+    CampaignResult,
     CampaignSpec,
+    FaultCampaign,
     FaultInjector,
     FaultWindow,
     ReplicatedCampaign,
+    campaign_checkpoint_path,
     replicas_from_env,
     run_campaign,
-    run_campaign_replicated,
 )
+from repro.faults.campaign import _build_campaign_noc
 from repro.flow.runner import ExperimentRunner
-from repro.network.experiments import TopologyNocBuilder, load_sweep
+from repro.network.experiments import (
+    LoadPoint,
+    TopologyNocBuilder,
+    load_sweep,
+    measure_load_point_lane,
+)
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.network.traffic import UniformRandomTraffic
@@ -39,7 +48,7 @@ from repro.sim.batch import (
     t_quantile_95,
 )
 from repro.sim.kernel import SimulationError
-from repro.sim.snapshot import SimSnapshot
+from repro.sim.snapshot import SimSnapshot, SnapshotError
 
 CORNER = "link.sw_0_0.p*"
 WINDOW = FaultWindow(CORNER, start=100, duration=200, error_rate=0.2)
@@ -245,16 +254,21 @@ class TestBatchCheckpoint:
         assert SimSnapshot.load(path).batch is None
 
     def test_resume_lane_validates_geometry(self):
-        batch = BatchSimulator(build(), 4)
-        with pytest.raises(SimulationError):
-            batch.resume_lane({"replicas": 8, "lane": 1,
-                               "seed_stride": SEED_STRIDE})
-        with pytest.raises(SimulationError):
-            batch.resume_lane({"replicas": 4, "lane": 1, "seed_stride": 7})
-        assert batch.resume_lane(
-            {"replicas": 4, "lane": 3, "seed_stride": SEED_STRIDE}
-        ) == 3
-        assert batch.lane == 3
+        donor = BatchSimulator(build(), 4)
+        donor.begin_lane(3)
+        donor.run_exact(100)
+        snap = donor.noc.sim.snapshot()
+        with pytest.raises(SnapshotError, match="no batch container"):
+            BatchSimulator.resume_lane(build(), snap, 4)
+        snap.batch = donor.batch_state()
+        with pytest.raises(SimulationError, match="replicas=4"):
+            BatchSimulator.resume_lane(build(), snap, 8)
+        with pytest.raises(SimulationError, match="stride"):
+            BatchSimulator.resume_lane(build(), snap, 4, seed_stride=7)
+        batch, extras = BatchSimulator.resume_lane(build(), snap, 4)
+        assert batch.lane == 3 and batch.replicas == 4
+        assert extras == {}
+        assert batch.noc.sim.cycle == 100
 
     def test_restored_lane_continues_bit_identically(self):
         # Snapshot lane 1 mid-run, restore into a *fresh* build (the
@@ -273,15 +287,18 @@ class TestBatchCheckpoint:
         snap.batch = donor.batch_state()
 
         fresh = build()
-        fresh.sim.restore(snap)
-        resumed = BatchSimulator(
-            fresh, snap.batch["replicas"],
-            seed_stride=snap.batch["seed_stride"],
-            assume_lane=snap.batch["lane"],
+        resumed, _ = BatchSimulator.resume_lane(
+            fresh, snap, 3, seed_stride=snap.batch["seed_stride"]
         )
-        resumed.lane = snap.batch["lane"]
+        assert resumed.lane == 1
         resumed.run_exact(4000 - 1500)
         assert fresh.stats_digest() == ref
+        # ... and the lanes after it reseed from the lane-0 base.
+        resumed.begin_lane(2)
+        resumed.run_exact(4000)
+        ref_batch.begin_lane(2)
+        ref_batch.run_exact(4000)
+        assert fresh.stats_digest() == ref_batch.noc.stats_digest()
 
 
 def campaign_spec(**kw):
@@ -305,11 +322,50 @@ def campaign_spec(**kw):
     return CampaignSpec(**defaults)
 
 
+#: ``run_campaign(campaign_spec())`` at the commit before the merge.
+PARENT_SCALAR = CampaignResult(
+    label="batch-test", offered_rate=0.08, cycles_run=1350, issued=169,
+    completed=164, failed=0, retried=0, accepted_rate=0.12416666666666666,
+    mean_latency=32.09395973154363, p95_latency=45.0, errors_injected=82,
+    flits_dropped=0, retransmissions=308, windows_opened=16,
+)
+#: ``run_campaign_replicated(campaign_spec(), 3)`` at the same commit.
+PARENT_REPLICATED = CampaignResult(
+    label="batch-test", offered_rate=0.08, cycles_run=1350, issued=177,
+    completed=171, failed=0, retried=0, accepted_rate=0.13055555555555556,
+    mean_latency=31.553949975060778, p95_latency=43.333333333333336,
+    errors_injected=75, flits_dropped=0, retransmissions=265,
+    windows_opened=16, replicas=3,
+    ci95={
+        "accepted_rate": 0.019236175352881097,
+        "mean_latency": 2.212634855613159,
+        "p95_latency": 3.794889297170311,
+    },
+    lane_metrics={
+        "cycles_run": (1350.0, 1350.0, 1350.0),
+        "issued": (169.0, 173.0, 189.0),
+        "completed": (164.0, 168.0, 181.0),
+        "failed": (0.0, 0.0, 0.0),
+        "retried": (0.0, 0.0, 0.0),
+        "accepted_rate": (0.12416666666666666, 0.12833333333333333,
+                          0.13916666666666666),
+        "mean_latency": (32.09395973154363, 30.525974025974026,
+                         32.041916167664674),
+        "p95_latency": (45.0, 43.0, 42.0),
+        "errors_injected": (82.0, 56.0, 86.0),
+        "flits_dropped": (0.0, 0.0, 0.0),
+        "retransmissions": (308.0, 168.0, 320.0),
+        "windows_opened": (16.0, 16.0, 16.0),
+        "no_progress": (0.0, 0.0, 0.0),
+    },
+)
+
+
 class TestReplicatedCampaign:
     def test_one_replica_equals_the_scalar_campaign(self):
         spec = campaign_spec()
         scalar = run_campaign(spec)
-        replicated = run_campaign_replicated(spec, 1)
+        replicated = run_campaign(spec, 1)
         assert replicated.replicas == 1
         # Field-for-field on everything the scalar campaign measures.
         for name in ("label", "offered_rate", "cycles_run", "issued",
@@ -322,7 +378,7 @@ class TestReplicatedCampaign:
     def test_replicas_carry_cis_and_lane_zero_is_the_scalar_run(self):
         spec = campaign_spec()
         scalar = run_campaign(spec)
-        replicated = run_campaign_replicated(spec, 3)
+        replicated = run_campaign(spec, 3)
         assert replicated.replicas == 3
         assert set(replicated.ci95) == {
             "accepted_rate", "mean_latency", "p95_latency",
@@ -338,7 +394,7 @@ class TestReplicatedCampaign:
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path,
                                                    monkeypatch):
         spec = campaign_spec()
-        reference = run_campaign_replicated(spec, 3)
+        reference = run_campaign(spec, 3)
 
         # Crash the campaign right after its second checkpoint lands.
         saves = {"n": 0}
@@ -352,14 +408,14 @@ class TestReplicatedCampaign:
 
         monkeypatch.setattr(SimSnapshot, "save", dying_save)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign_replicated(
+            run_campaign(
                 spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
             )
         monkeypatch.setattr(SimSnapshot, "save", real_save)
         ckpts = list(tmp_path.glob("campaign-*.ckpt"))
         assert len(ckpts) == 1 and ckpts[0].name.endswith("-r3.ckpt")
 
-        resumed = run_campaign_replicated(
+        resumed = run_campaign(
             spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
             resume=True,
         )
@@ -371,7 +427,7 @@ class TestReplicatedCampaign:
 
     def test_incompatible_checkpoint_falls_back_to_fresh(self, tmp_path):
         spec = campaign_spec()
-        reference = run_campaign_replicated(spec, 2)
+        reference = run_campaign(spec, 2)
         # A checkpoint from a *different* geometry at the path the
         # 2-replica campaign will probe: must be ignored, not trusted.
         donor_noc = spec.builder()
@@ -379,11 +435,10 @@ class TestReplicatedCampaign:
         snap = donor_noc.sim.snapshot()
         snap.batch = {"replicas": 5, "lane": 3, "seed_stride": 7,
                       "lane_results": []}
-        from repro.faults.campaign import campaign_checkpoint_path
-        base = campaign_checkpoint_path(spec, str(tmp_path))
-        stale = base[: -len(".ckpt")] + "-r2.ckpt"
+        stale = campaign_checkpoint_path(spec, str(tmp_path), 2)
+        assert stale.endswith("-r2.ckpt")
         snap.save(stale)
-        resumed = run_campaign_replicated(
+        resumed = run_campaign(
             spec, 2, checkpoint_every=300, checkpoint_dir=str(tmp_path),
             resume=True,
         )
@@ -396,6 +451,65 @@ class TestReplicatedCampaign:
         assert ReplicatedCampaign(3).cache_token() != ReplicatedCampaign(
             4
         ).cache_token()
+
+    def test_store_keys_are_the_parent_commits(self):
+        # Literals computed at the commit before the scalar/replicated
+        # bodies were merged (PR 13): stores written then stay valid.
+        runner = ExperimentRunner()
+        spec = campaign_spec()
+        scalar = "2c5bfa4b2805fd8f9ee982f1d2d1f327e3f643d04936b8b7067b8d1b06666fe3"
+        assert runner._key(run_campaign, spec) == scalar
+        assert runner._key(ReplicatedCampaign(), spec) == scalar
+        assert runner._key(
+            ReplicatedCampaign(1, 100, "/ckpt", resume=True), spec
+        ) == scalar
+        assert runner._key(ReplicatedCampaign(3), spec) == (
+            "cff8d7ae9850c5ef68d1b38ad8c6101aa091441d602fc93958bed0ab0fe9d393"
+        )
+
+    def test_one_lane_is_the_parent_commits_scalar_result(self):
+        result = run_campaign(campaign_spec())
+        assert result.replicas == 1
+        assert result.ci95 is None
+        assert result.lane_metrics is None
+        assert result == PARENT_SCALAR
+        assert run_campaign(campaign_spec(), 1) == PARENT_SCALAR
+
+    def test_three_lanes_are_the_parent_commits_replicated_result(self):
+        result = run_campaign(campaign_spec(), 3)
+        assert result == PARENT_REPLICATED
+        assert result.ci95 == PARENT_REPLICATED.ci95
+        assert result.lane_metrics == PARENT_REPLICATED.lane_metrics
+
+    def test_parent_format_scalar_checkpoint_is_stale(self, tmp_path):
+        # Before the merge a one-lane campaign checkpointed a bare
+        # simulator snapshot (no batch container) at the same path:
+        # resume must ignore it and run fresh, not trust or crash on it.
+        spec = campaign_spec()
+        donor, _ = _build_campaign_noc(spec)
+        donor.run(300)
+        snap = donor.sim.snapshot(
+            extras={"warm_completed": 7, "warm_samples": 7,
+                    "warm_captured": True}
+        )
+        assert snap.batch is None
+        path = campaign_checkpoint_path(spec, str(tmp_path))
+        snap.save(path)
+        resumed = run_campaign(
+            spec, checkpoint_every=300, checkpoint_dir=str(tmp_path),
+            resume=True,
+        )
+        assert resumed == PARENT_SCALAR
+        assert not list(tmp_path.glob("campaign-*.ckpt"))
+
+    def test_fault_campaign_replicas_is_a_plain_int(self):
+        assert FaultCampaign([]).replicas == 1
+        with pytest.raises(ValueError):
+            FaultCampaign([], replicas=0)
+        with pytest.raises(TypeError):
+            FaultCampaign([], seed_stride=7)
+        (one,) = FaultCampaign([campaign_spec()]).run()
+        assert one == PARENT_SCALAR and one.ci95 is None
 
     def test_replicas_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_REPLICAS", raising=False)
@@ -429,6 +543,69 @@ class TestReplicatedSweeps:
             rates=(0.02,), seed=3, warmup_cycles=150, measure_cycles=800,
         )
         assert pts[0].replicas == 1 and pts[0].ci95 is None
+
+    def test_replicated_lane_key_is_the_parent_commits(self):
+        # One lane of the 3-replica sweep above, keyed exactly as the
+        # commit before the merge keyed it; the one-lane sweep's point
+        # is now lane 0 of the same family (documented key move).
+        builder = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
+        runner = ExperimentRunner()
+        pts = load_sweep(
+            builder, rates=(0.02,), seed=3, warmup_cycles=150,
+            measure_cycles=800, replicas=2, runner=runner,
+        )
+        lane0, lane1 = (m.key for m in runner.last_manifests)
+        assert lane0 == (
+            "b182f88373f1b4c4fe967f5b8ba7c03ebee97cc77187df10ee31e4a9c6ebd068"
+        )
+        assert lane1 == (
+            "6d2ade6843467e211bf249479c826210b51eda620b2ba4fab59db82c94902987"
+        )
+        assert pts[0].manifest.key == lane0
+        (scalar,) = load_sweep(
+            builder, rates=(0.02,), seed=3, warmup_cycles=150,
+            measure_cycles=800, runner=runner,
+        )
+        assert scalar.manifest.key == lane0
+
+    def test_sweep_values_are_the_parent_commits(self):
+        builder = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
+        kw = dict(rates=(0.02,), seed=3, warmup_cycles=150, measure_cycles=800)
+        (raw,) = load_sweep(builder, **kw)
+        assert raw == LoadPoint(0.02, 0.03625, 28.448275862068964, 32.0, 29)
+        (mean,) = load_sweep(builder, replicas=3, **kw)
+        assert mean == LoadPoint(
+            0.02, 0.04125, 27.978920901391408, 32.333333333333336, 33,
+            replicas=3,
+        )
+        assert mean.ci95 == {
+            "accepted_rate": 0.01423083486438867,
+            "mean_latency": 1.0768075279794298,
+            "p95_latency": 1.4343333333333335,
+        }
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_failed_rate_is_none_and_survivors_keep_their_manifest(
+        self, replicas
+    ):
+        # Regression: zipping results against runner.last_manifests
+        # (compacted past failures) crashed -- TypeError at one lane,
+        # AttributeError at two -- and would have handed the survivor
+        # its failed neighbour's slot.
+        builder = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
+        runner = ExperimentRunner(on_failure="record")
+        bad, good = load_sweep(
+            builder, rates=(-1.0, 0.02), seed=3, warmup_cycles=150,
+            measure_cycles=800, runner=runner, replicas=replicas,
+        )
+        assert bad is None
+        assert len(runner.failures) == replicas
+        assert good.offered_rate == 0.02 and good.replicas == replicas
+        fn = functools.partial(
+            measure_load_point_lane, builder, warmup_cycles=150,
+            measure_cycles=800, max_outstanding=4,
+        )
+        assert good.manifest.key == runner._key(fn, (0.02, 3))
 
     def test_map_replicated_groups_lanes_by_point(self):
         runner = ExperimentRunner(jobs=1)

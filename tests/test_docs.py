@@ -93,6 +93,9 @@ class TestPerformanceDoc:
             # the kernel decision table + the batched mode it indexes
             "## Choosing a kernel", "batched", "BatchSimulator",
             "BATCHING.md",
+            # load_sweep keys lanes: the one key the merge moved
+            "`load_sweep` keys lanes, not rates", "measure_load_point_lane",
+            "never a wrong hit", "Campaign keys (one lane or N) did not move",
         ):
             assert term in text, term
 
@@ -196,6 +199,9 @@ class TestResilienceDoc:
             "chaos-smoke",
             # the pool is ExperimentRunner's: the behaviour deltas
             "repro.flow.pool", "long-lived", "SIGKILLed", "must pickle",
+            # scalar = one lane, and the one cache key that moved
+            "one loop over `replicas`", "Cache-key rules", "**lane 0**",
+            "never a wrong hit", "frozen",
         ):
             assert term in text, term
 
@@ -240,6 +246,11 @@ class TestCheckpointDoc:
             '`kernel != "interpreted"`',
             # the v2 batch container and its kill-and-resume smoke
             "snap.batch", "assume_lane", "batch-smoke", "BATCHING.md",
+            # one checkpoint format, file name kept per replica count
+            "## Checkpointed campaigns: one format",
+            "kept per replica count", "`-r{N}`", "campaign_checkpoint_path",
+            "BatchSimulator.resume_lane", "pre-merge one-lane checkpoint",
+            "ignored, never trusted",
         ):
             assert term in text, term
 
@@ -282,6 +293,13 @@ class TestBatchingDoc:
             # harness integration + CLI
             "run_campaign_replicated", "replicas=", "lane_metrics",
             "map_replicated", "--replicas", "REPRO_REPLICAS",
+            # scalar = one lane: one campaign body, one sweep body
+            "scalar = one lane", "`run_campaign(spec, replicas=N)`",
+            "ci95 is None", "measure_load_point_lane",
+            "attach_manifests", "as `None`", "stride knob",
+            "frozen token", "reused by it",
+            "`BatchSimulator.resume_lane(noc, snap, replicas)`",
+            "one geometry check",
             # checkpoints + CI artifacts
             "snap.batch", "SNAPSHOT_VERSION", "assume_lane",
             "batch-smoke", "BENCH_s4.json",

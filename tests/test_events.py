@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.faults import CampaignSpec, FaultWindow, run_campaign_replicated
+from repro.faults import CampaignSpec, FaultWindow, run_campaign
 from repro.sim.snapshot import SimSnapshot
 from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
@@ -475,7 +475,7 @@ class TestCampaignEvents:
     def test_lane_batches_replay_to_the_campaign_result(self):
         col = install_sink(EventCollector())
         try:
-            result = run_campaign_replicated(small_spec(), 3)
+            result = run_campaign(small_spec(), 3)
         finally:
             remove_sink(col)
         validate_events(col.records)
@@ -492,10 +492,10 @@ class TestCampaignEvents:
 
     @pytest.mark.timeout_guard(240)
     def test_no_sink_means_no_digest_hashing_and_same_result(self):
-        quiet = run_campaign_replicated(small_spec(), 2)
+        quiet = run_campaign(small_spec(), 2)
         col = install_sink(EventCollector())
         try:
-            watched = run_campaign_replicated(small_spec(), 2)
+            watched = run_campaign(small_spec(), 2)
         finally:
             remove_sink(col)
         assert watched.lane_metrics == quiet.lane_metrics
@@ -524,7 +524,7 @@ class TestCampaignEvents:
         writer = install_sink(EventWriter(events_path))
         try:
             with pytest.raises(KeyboardInterrupt):
-                run_campaign_replicated(
+                run_campaign(
                     spec, 3, checkpoint_every=300,
                     checkpoint_dir=str(tmp_path),
                 )
@@ -535,7 +535,7 @@ class TestCampaignEvents:
 
         writer = install_sink(EventWriter(events_path))
         try:
-            resumed = run_campaign_replicated(
+            resumed = run_campaign(
                 spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
                 resume=True,
             )

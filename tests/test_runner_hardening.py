@@ -24,8 +24,8 @@ import pytest
 
 from repro.faults.campaign import (
     CampaignSpec,
-    CheckpointedCampaign,
     FaultCampaign,
+    ReplicatedCampaign,
     campaign_checkpoint_path,
     checkpoint_options_from_env,
     run_campaign,
@@ -34,6 +34,7 @@ from repro.faults.injector import FaultWindow
 from repro.flow.runner import ExperimentRunner, PointFailure, stable_repr
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
+from repro.sim.snapshot import SimSnapshot
 from repro.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
 
@@ -400,26 +401,25 @@ class TestCampaignCheckpointing:
     def test_kill_mid_campaign_then_resume_matches(self, tmp_path, monkeypatch):
         plain = run_campaign(SPEC)
 
-        # Simulate the kill: abort the campaign after a few run slices,
-        # past at least one checkpoint boundary.
-        import repro.network.noc as noc_module
-
+        # Simulate the kill: die right after the third checkpoint
+        # lands (the lane loop never calls Noc.run, so the kill hooks
+        # the one thing every slice does -- same as test_batch.py).
         class Killed(Exception):
             pass
 
-        original_run = noc_module.Noc.run
-        calls = {"n": 0}
+        real_save = SimSnapshot.save
+        saves = {"n": 0}
 
-        def dying_run(self, cycles):
-            calls["n"] += 1
-            if calls["n"] > 3:
+        def dying_save(self, path):
+            real_save(self, path)
+            saves["n"] += 1
+            if saves["n"] >= 3:
                 raise Killed()
-            return original_run(self, cycles)
 
-        monkeypatch.setattr(noc_module.Noc, "run", dying_run)
+        monkeypatch.setattr(SimSnapshot, "save", dying_save)
         with pytest.raises(Killed):
             run_campaign(SPEC, checkpoint_every=100, checkpoint_dir=str(tmp_path))
-        monkeypatch.setattr(noc_module.Noc, "run", original_run)
+        monkeypatch.setattr(SimSnapshot, "save", real_save)
 
         ckpt = campaign_checkpoint_path(SPEC, str(tmp_path))
         assert os.path.exists(ckpt), "no mid-campaign checkpoint was written"
@@ -441,8 +441,13 @@ class TestCampaignCheckpointing:
 
     def test_checkpoint_flags_do_not_change_cache_keys(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
-        wrapped = CheckpointedCampaign(100, str(tmp_path), resume=True)
+        wrapped = ReplicatedCampaign(
+            checkpoint_every=100, checkpoint_dir=str(tmp_path), resume=True
+        )
         assert runner._key(run_campaign, SPEC) == runner._key(wrapped, SPEC)
+        assert runner._key(ReplicatedCampaign(3), SPEC) == runner._key(
+            ReplicatedCampaign(3, 100, str(tmp_path), resume=True), SPEC
+        )
 
     def test_fault_campaign_resumes_through_the_runner(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -660,7 +660,7 @@ class TestLaneMetricsRoundTrip:
 
     @pytest.mark.timeout_guard(240)
     def test_replicated_campaign_metrics_round_trip(self, tmp_path):
-        from repro.faults import CampaignSpec, FaultWindow, run_campaign_replicated
+        from repro.faults import CampaignSpec, FaultWindow, run_campaign
         from repro.network.experiments import TopologyNocBuilder
         from repro.network.topology import mesh as mesh_topo
 
@@ -677,7 +677,7 @@ class TestLaneMetricsRoundTrip:
             rate=0.08, warmup_cycles=100, measure_cycles=800, seed=3,
             label="roundtrip-test",
         )
-        result = run_campaign_replicated(spec, replicas=3)
+        result = run_campaign(spec, replicas=3)
         assert result.ci95 and result.lane_metrics
 
         reg = MetricsRegistry()
