@@ -4,9 +4,8 @@ Exactly what ``python -m repro chaos`` runs, invoked in-process so the
 assertions stay inspectable: a clean work-stealing sweep and a chaotic
 one over the same points, where the seeded :class:`repro.chaos.ChaosPlan`
 SIGKILLs a worker, SIGSTOP-wedges another, transiently freezes a third,
-flips a byte in a just-written store record, tears the manifest tail
-and truncates the event log -- then the three supervision invariants
-are enforced:
+flips a byte in a just-written store record and truncates the event
+log -- then the three supervision invariants are enforced:
 
 1. the chaotic sweep's result digest is identical to the clean run's;
 2. the journal records every point exactly once (quarantined poison

@@ -8,7 +8,8 @@ service to its contract:
 * the sweep dispatched through :class:`WorkStealingDispatcher` must be
   digest-identical to a serial ``explore_design_space`` run;
 * a query covered by the sweep must come back ``served_from: "store"``
-  with zero misses -- answered without re-simulating anything;
+  with zero misses -- answered without re-simulating anything, from
+  one store probe (``repro_store_hits`` moves by the slice size);
 * a miss query (``"wait": true``) must be evaluated through the farm,
   land in the store, and the *same query again* must be a pure store
   hit, with the store's record count unchanged;
@@ -70,6 +71,13 @@ def http(method, url, doc=None, timeout=120):
         return e.code, e.read().decode()
 
 
+def store_hits(base) -> int:
+    """``repro_store_hits`` from ``/metrics`` (0 before the first get)."""
+    _, text = http("GET", base + "/metrics")
+    m = re.search(r"^repro_store_hits (\d+)", text, re.MULTILINE)
+    return int(m.group(1)) if m else 0
+
+
 def main() -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     store_dir = os.path.join(tempfile.mkdtemp(prefix="serve-smoke-"), "store")
@@ -117,17 +125,22 @@ def main() -> int:
                  f"seeded {seeded}", health)
 
         # 3. The cached query: answered from the store, nothing re-run.
+        hits_before = store_hits(base)
         status, body = http("POST", base + "/query", QUERY)
         doc = json.loads(body)
         if status != 200 or doc.get("served_from") != "store":
             fail("covered query was not served from the store", doc)
         if doc["store_misses"] != 0 or doc["store_hits"] != 4:
             fail("covered query should be 4 hits / 0 misses", doc)
+        probes = store_hits(base) - hits_before
+        if probes != doc["store_hits"]:
+            fail(f"covered query cost {probes} store gets for "
+                 f"{doc['store_hits']} points (want one probe per request)")
         if not doc.get("best") or doc["best"]["freq_mhz"] < 800:
             fail("query answer violates its own constraint", doc)
         print(f"store query: best={doc['best']['topology_name']} "
               f"area={doc['best']['area_mm2']:.3f} mm2 "
-              f"({doc['seconds'] * 1e3:.1f} ms)")
+              f"({probes} store gets)")
 
         # 4. A miss, waited on: evaluated through the farm, published.
         miss = dict(QUERY, topologies=["mesh-2x2"], flit_widths=[16],

@@ -16,11 +16,11 @@ Usage::
 ``figures`` accepts ``--jobs N`` (run sweep points on N worker
 processes) and ``--cache DIR`` (memoize sweep results on disk, keyed by
 config hash -- see docs/PERFORMANCE.md).  Both default off, preserving
-the sequential uncached behaviour.  ``--checkpoint-every N``,
-``--checkpoint-dir DIR`` and ``--resume`` make long campaigns
-crash-safe: completed points are journaled and served from the cache,
-and in-flight campaigns restart from their last deterministic
-checkpoint instead of cycle 0 (see docs/CHECKPOINT.md).
+the sequential uncached behaviour.  Completed points are served from
+the ``--cache`` on any re-run; ``--checkpoint-every N``,
+``--checkpoint-dir DIR`` and ``--resume`` add crash safety *inside* a
+point: with ``--resume`` an in-flight campaign restarts from its last
+deterministic checkpoint instead of cycle 0 (see docs/CHECKPOINT.md).
 
 ``report`` runs uniform random traffic on a mesh with the full
 telemetry suite attached (see docs/OBSERVABILITY.md) and writes
@@ -41,11 +41,10 @@ fails (wired into ``make faults-smoke`` / ``make bench-smoke``).
 ``--jobs``/``--cache``/``--checkpoint-every``/``--checkpoint-dir``/
 ``--resume`` apply like they do for ``figures``.
 
-``top`` tails the run directory's ``events.jsonl`` stream (fallback:
-the ``runs.jsonl`` journal) and repaints a per-point dashboard every
-``--interval`` seconds until the run finishes; ``--once`` renders a
-single frame and exits, ``--prom FILE`` also writes a Prometheus text
-exposition.  ``bench-diff`` extracts the tracked perf ratios from
+``top`` tails the run directory's ``events.jsonl`` stream and repaints
+a per-point dashboard every ``--interval`` seconds until the run
+finishes; ``--once`` renders a single frame and exits, ``--prom FILE``
+also writes a Prometheus text exposition.  ``bench-diff`` extracts the tracked perf ratios from
 ``--results`` (default ``benchmarks/results``) and compares them to
 the committed ``BENCH_TRAJECTORY.json``; it exits 1 when any tracked
 metric dropped more than ``--threshold`` (default 20%%), and
@@ -469,9 +468,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="figures/faults: pick up where a killed run stopped -- serve "
-        "journaled results from the cache and restore mid-campaign "
-        "checkpoints instead of recomputing",
+        help="figures/faults: re-enter a killed campaign at its last "
+        "mid-campaign checkpoint instead of cycle 0 (completed points "
+        "are served from --cache with or without this flag)",
     )
     parser.add_argument(
         "--replicas",
@@ -534,7 +533,7 @@ def main(argv=None) -> int:
         dest="run_dir",
         default=".repro-cache",
         metavar="DIR",
-        help="top: run directory holding events.jsonl / runs.jsonl "
+        help="top: run directory holding events.jsonl "
         "(default: .repro-cache)",
     )
     parser.add_argument(

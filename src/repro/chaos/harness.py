@@ -243,8 +243,8 @@ def run_chaos(
         )
 
     # Store: the flipped byte must be caught and quarantined on
-    # re-read, and a resumed sweep must recompute the missing point
-    # back to the clean value.
+    # re-read, and a re-run on the same store must recompute the
+    # missing point back to the clean value.
     verify_store = ResultStore(os.path.join(out_dir, "chaos-store"))
     for key in list(verify_store.keys()):
         verify_store.get(key)
@@ -254,10 +254,10 @@ def run_chaos(
             f"store quarantined {report.corrupt_quarantined} records, "
             f"monkey corrupted {monkey.corruptions}"
         )
-    resumed = ExperimentRunner(
+    rerun = ExperimentRunner(
         store=verify_store, retries=4, backoff=0.05, timeout=60.0
     ).map(chaos_point, sweep, label="chaos")
-    report.recompute_digest = results_digest(resumed)
+    report.recompute_digest = results_digest(rerun)
     if report.recompute_digest != report.clean_digest:
         report.violations.append(
             "post-quarantine recompute does not match the clean digest"

@@ -10,8 +10,8 @@ production (``chaos is None``):
   a worker; the monkey signals the worker's process here;
 * ``tick()`` -- once per scheduler loop; the monkey resumes "slow"
   workers whose suspension expired;
-* ``on_store_put(store, record)`` -- after a record and its manifest
-  line are durably written; the monkey damages them here.
+* ``on_store_put(store, record)`` -- after a record is durably
+  written; the monkey damages it here.
 
 Every fault actually delivered is appended to :attr:`ChaosMonkey.log`
 -- the harness asserts the plan *landed* (a chaos run where no worker
@@ -25,7 +25,7 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.plan import STORE_KINDS, WORKER_KINDS, ChaosPlan
+from repro.chaos.plan import WORKER_KINDS, ChaosPlan
 
 
 class ChaosMonkey:
@@ -39,12 +39,11 @@ class ChaosMonkey:
         self.stalls = 0
         self.slows = 0
         self.corruptions = 0
-        self.manifest_tears = 0
         self.event_truncations = 0
         #: (kind, ordinal, detail) for every fault actually delivered.
         self.log: List[Tuple[str, int, str]] = []
         self._worker_faults = plan.by_kind(*WORKER_KINDS)
-        self._store_faults = plan.by_kind(*STORE_KINDS)
+        self._corruptions = plan.by_kind("corrupt_record")
         # Truncations re-arm until the events file exists and has a
         # tail worth cutting, so a schedule slot is never silently lost
         # to an empty log.
@@ -100,34 +99,22 @@ class ChaosMonkey:
     # -- store hook --------------------------------------------------------
     def on_store_put(self, store: Any, record: Any) -> None:
         self.puts += 1
-        action = self._store_faults.pop(self.puts, None)
-        if action is None:
+        if self._corruptions.pop(self.puts, None) is None:
             return
-        if action.kind == "corrupt_record":
-            path = store.record_path(record.key)
-            try:
-                with open(path, "r+b") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    last = fh.read(1)
-                    fh.seek(-1, os.SEEK_END)
-                    fh.write(bytes([last[0] ^ 0xFF]))
-            except OSError:
-                return
-            self.corruptions += 1
-            self.log.append(
-                ("corrupt_record", self.puts,
-                 f"flipped final payload byte of {record.key[:12]}...")
-            )
-        else:  # tear_manifest: a writer killed mid-append
-            try:
-                with open(store.manifest_path, "a", encoding="utf-8") as fh:
-                    fh.write('{"key": "torn-by-chaos", "half')
-            except OSError:
-                return
-            self.manifest_tears += 1
-            self.log.append(
-                ("tear_manifest", self.puts, "appended newline-less half line")
-            )
+        path = store.record_path(record.key)
+        try:
+            with open(path, "r+b") as fh:
+                fh.seek(-1, os.SEEK_END)
+                last = fh.read(1)
+                fh.seek(-1, os.SEEK_END)
+                fh.write(bytes([last[0] ^ 0xFF]))
+        except OSError:
+            return
+        self.corruptions += 1
+        self.log.append(
+            ("corrupt_record", self.puts,
+             f"flipped final payload byte of {record.key[:12]}...")
+        )
 
     # -- internals ---------------------------------------------------------
     def _truncate_events(self, ordinal: int) -> bool:
@@ -162,7 +149,6 @@ class ChaosMonkey:
             "stalls": self.stalls,
             "slows": self.slows,
             "corruptions": self.corruptions,
-            "manifest_tears": self.manifest_tears,
             "event_truncations": self.event_truncations,
         }
 

@@ -29,8 +29,6 @@ from typing import Dict, List, Tuple
 #:                     the (longer) liveness deadline.
 #: ``corrupt_record``  flip a byte in the just-written store record so the
 #:                     sha256 check quarantines it on next read.
-#: ``tear_manifest``   append a torn, newline-less half line to the store
-#:                     manifest -- a writer killed mid-append.
 #: ``truncate_events`` cut the tail off the sweep's events.jsonl,
 #:                     leaving a torn final record.
 ACTION_KINDS = (
@@ -38,14 +36,11 @@ ACTION_KINDS = (
     "stall",
     "slow",
     "corrupt_record",
-    "tear_manifest",
     "truncate_events",
 )
 
 #: Kinds injected via ``on_dispatch`` (keyed to dispatch ordinals).
 WORKER_KINDS = ("kill", "stall", "slow")
-#: Kinds injected via ``on_store_put`` (keyed to put ordinals).
-STORE_KINDS = ("corrupt_record", "tear_manifest")
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,8 @@ class ChaosPlan:
     dispatches, ``1 .. horizon`` for store puts) faults are drawn from;
     dispatch ordinal 1 is always left clean so the first task proves
     the farm works before the abuse starts.  The worker-fault count
-    (kills + stalls + slows) and the store-fault count (corruptions +
-    manifest tears) must each fit inside the horizon, since each fault
-    lands on a distinct ordinal.
+    (kills + stalls + slows) and the corruption count must each fit
+    inside the horizon, since each fault lands on a distinct ordinal.
     """
 
     def __init__(
@@ -86,15 +80,13 @@ class ChaosPlan:
         stalls: int = 1,
         slows: int = 1,
         corruptions: int = 1,
-        manifest_tears: int = 1,
         event_truncations: int = 1,
         horizon: int = 12,
         slow_duration: float = 0.4,
     ) -> None:
         counts = dict(
             kills=kills, stalls=stalls, slows=slows,
-            corruptions=corruptions, manifest_tears=manifest_tears,
-            event_truncations=event_truncations,
+            corruptions=corruptions, event_truncations=event_truncations,
         )
         for name, n in counts.items():
             if n < 0:
@@ -102,15 +94,14 @@ class ChaosPlan:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         worker_faults = kills + stalls + slows
-        store_faults = corruptions + manifest_tears
         if worker_faults > horizon:
             raise ValueError(
                 f"{worker_faults} worker faults cannot land on distinct "
                 f"ordinals within horizon {horizon}"
             )
-        if store_faults > horizon:
+        if corruptions > horizon:
             raise ValueError(
-                f"{store_faults} store faults cannot land on distinct "
+                f"{corruptions} store faults cannot land on distinct "
                 f"ordinals within horizon {horizon}"
             )
         if event_truncations > horizon:
@@ -132,13 +123,8 @@ class ChaosPlan:
                 duration = slow_duration if kind == "slow" else 0.0
                 actions.append(ChaosAction(kind, at, duration))
             cursor += n
-        put_slots = rng.sample(range(1, 1 + horizon), store_faults)
-        cursor = 0
-        for kind, n in (("corrupt_record", corruptions),
-                        ("tear_manifest", manifest_tears)):
-            for at in put_slots[cursor:cursor + n]:
-                actions.append(ChaosAction(kind, at))
-            cursor += n
+        for at in rng.sample(range(1, 1 + horizon), corruptions):
+            actions.append(ChaosAction("corrupt_record", at))
         for at in rng.sample(range(2, 2 + horizon), event_truncations):
             actions.append(ChaosAction("truncate_events", at))
         self.actions: Tuple[ChaosAction, ...] = tuple(

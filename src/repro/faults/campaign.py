@@ -426,6 +426,18 @@ class FaultCampaign:
         return self.runner.attach_manifests(fn, self.specs, results)
 
 
+def _env_flag(name: str, raw: Optional[str]) -> bool:
+    """Parse a boolean environment variable strictly."""
+    if raw is None or raw == "":
+        return False
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{name} must be a boolean flag (0/1/true/false), got {raw!r}")
+
+
 def checkpoint_options_from_env() -> dict:
     """``REPRO_CHECKPOINT_EVERY`` / ``REPRO_CHECKPOINT_DIR`` /
     ``REPRO_RESUME`` as :class:`FaultCampaign` keyword arguments.
@@ -435,8 +447,6 @@ def checkpoint_options_from_env() -> dict:
     pytest-collected benchmarks (same channel as REPRO_JOBS).  Invalid
     values raise :class:`ValueError` naming the variable.
     """
-    from repro.flow.runner import _env_flag
-
     raw = os.environ.get("REPRO_CHECKPOINT_EVERY") or None
     every: Optional[int] = None
     if raw is not None:

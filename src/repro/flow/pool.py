@@ -337,7 +337,6 @@ class WorkStealingDispatcher:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> List[Any]:
         """``runner.map`` semantics under work-stealing scheduling.
         An ``fn`` that does not pickle raises :class:`ValueError` before
@@ -346,8 +345,7 @@ class WorkStealingDispatcher:
 
         session = MapSession(
             self.runner, fn, points, label,
-            timeout=timeout, retries=retries,
-            on_failure=on_failure, resume=resume,
+            timeout=timeout, retries=retries, on_failure=on_failure,
         )
         if session.pending:
             try:

@@ -27,7 +27,8 @@ of such points
   every completion and failure.  Results stream into the store and
   journal *as points finish*, so killing a sweep mid-flight loses none
   of the completed points -- re-running with the same cache directory
-  (or ``resume=True``) picks up where it stopped.
+  picks up where it stopped (resume *is* run again: a stored point is
+  a hit).
   See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
 
 The cache key is built by :func:`stable_repr`, which canonicalises
@@ -125,6 +126,13 @@ def stable_repr(obj: Any) -> str:
     return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
 
 
+def point_key(fn: Callable, point: Any, salt: str = "") -> str:
+    """The cache key of ``fn(point)``: the sha256 hexdigest a
+    :class:`~repro.store.ResultStore` files the result under."""
+    ident = f"v{CACHE_VERSION}|{salt}|{stable_repr(fn)}|{stable_repr(point)}"
+    return hashlib.sha256(ident.encode()).hexdigest()
+
+
 @dataclass
 class PointReport:
     """Wall-clock accounting for one executed (or cache-served) point."""
@@ -202,18 +210,6 @@ class RunManifest:
         )
 
 
-def _env_flag(name: str, raw: Optional[str]) -> bool:
-    """Parse a boolean environment variable strictly."""
-    if raw is None or raw == "":
-        return False
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag (0/1/true/false), got {raw!r}")
-
-
 @dataclass
 class ExperimentRunner:
     """Fan independent experiment points out; memoize their results.
@@ -266,11 +262,6 @@ class ExperimentRunner:
         first failure's exception.  ``"record"``: never raise; failed
         points yield ``None`` results and a :class:`PointFailure` in
         ``failures``.
-    resume:
-        Consult the ``runs.jsonl`` journal before running: points whose
-        key is journaled ``ok`` (and whose stored record verifies)
-        are served without recomputation and counted in
-        ``resumed_points``.
     metrics:
         Optional :class:`repro.telemetry.registry.MetricsRegistry`;
         when set, ``runner.retries`` / ``runner.timeouts`` /
@@ -296,7 +287,6 @@ class ExperimentRunner:
     backoff: float = 0.5
     backoff_jitter: float = 0.1
     on_failure: str = "raise"
-    resume: bool = False
     metrics: Optional[Any] = None
     events_path: Optional[str] = None
     reports: List[PointReport] = field(default_factory=list)
@@ -309,7 +299,6 @@ class ExperimentRunner:
     stall_count: int = 0
     failure_count: int = 0
     corrupt_cache_entries: int = 0
-    resumed_points: int = 0
     #: Per-point provenance for the most recent :meth:`map` call, in
     #: input order (unlike ``reports``, which accumulates across calls
     #: in completion order).  Failed points carry no manifest.
@@ -342,8 +331,10 @@ class ExperimentRunner:
 
         Recognised: ``REPRO_JOBS`` (positive int), ``REPRO_CACHE``
         (directory), ``REPRO_TIMEOUT`` (seconds), ``REPRO_RETRIES``
-        (non-negative int), ``REPRO_RESUME`` (boolean flag).  Invalid
-        values raise :class:`ValueError` naming the variable.
+        (non-negative int).  Invalid values raise :class:`ValueError`
+        naming the variable.  (``REPRO_RESUME`` is read by
+        :func:`repro.faults.campaign.checkpoint_options_from_env`; a
+        runner resumes by being run again on the same ``REPRO_CACHE``.)
         """
         raw = os.environ.get("REPRO_JOBS", "1") or "1"
         try:
@@ -381,13 +372,11 @@ class ExperimentRunner:
             raise ValueError(
                 f"REPRO_RETRIES must be a non-negative integer, got {retries}"
             )
-        resume = _env_flag("REPRO_RESUME", os.environ.get("REPRO_RESUME"))
         return cls(
             jobs=jobs,
             cache_dir=cache,
             timeout=timeout,
             retries=retries,
-            resume=resume,
         )
 
     # -- telemetry --------------------------------------------------------
@@ -429,12 +418,6 @@ class ExperimentRunner:
                 "collide.  Pass captured values through the point or a "
                 "functools.partial instead."
             )
-
-    def _key(self, fn: Callable, point: Any) -> str:
-        ident = (
-            f"v{CACHE_VERSION}|{self.salt}|{stable_repr(fn)}|{stable_repr(point)}"
-        )
-        return hashlib.sha256(ident.encode()).hexdigest()
 
     def _cache_load(self, key: str) -> "tuple[bool, Any]":
         store = self.store
@@ -513,7 +496,6 @@ class ExperimentRunner:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> List[Any]:
         """``[fn(p) for p in points]`` with caching, parallelism and
         failure isolation.
@@ -540,10 +522,7 @@ class ExperimentRunner:
         (:class:`repro.flow.pool.WorkStealingDispatcher`, at its
         supervision defaults, when ``jobs > 1``).
         """
-        overrides = dict(
-            timeout=timeout, retries=retries,
-            on_failure=on_failure, resume=resume,
-        )
+        overrides = dict(timeout=timeout, retries=retries, on_failure=on_failure)
         if self.jobs > 1:
             return WorkStealingDispatcher(self, workers=self.jobs).map(
                 fn, points, label, **overrides
@@ -567,36 +546,10 @@ class ExperimentRunner:
         by_key = {m.key: m for m in self.last_manifests}
         return [
             None if r is None
-            else dataclasses.replace(r, manifest=by_key[self._key(fn, p)])
+            else dataclasses.replace(
+                r, manifest=by_key[point_key(fn, p, self.salt)]
+            )
             for p, r in zip(points, results)
-        ]
-
-    def map_replicated(
-        self,
-        fn: Callable[[Any], Any],
-        points: Sequence[Any],
-        replicas: int,
-        fan: Callable[[Any, int], Any],
-        label: str = "point",
-        **map_kwargs: Any,
-    ) -> List[List[Any]]:
-        """Map every point under ``replicas`` variants, grouped back.
-
-        ``fan(point, k)`` builds the ``k``-th variant of a point --
-        typically the same measurement under a per-replica seed.  The
-        fanned list runs through :meth:`map` as one flat batch, so each
-        variant caches, journals and retries independently (growing
-        ``replicas`` later re-runs only the new lanes).  Results come
-        back grouped per original point, replicas in fan order;
-        ``last_manifests`` stays flat in the fanned order
-        (``len(points) * replicas`` entries when nothing failed).
-        """
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        fanned = [fan(p, k) for p in points for k in range(replicas)]
-        flat = self.map(fn, fanned, label=label, **map_kwargs)
-        return [
-            flat[i * replicas:(i + 1) * replicas] for i in range(len(points))
         ]
 
     def _run_inline(self, session: "MapSession") -> None:
@@ -639,13 +592,12 @@ class ExperimentRunner:
         ]
         if (self.retry_count or self.timeout_count or self.crash_count
                 or self.stall_count or self.failure_count
-                or self.corrupt_cache_entries or self.resumed_points):
+                or self.corrupt_cache_entries):
             lines.append(
                 f"  resilience: retries={self.retry_count} "
                 f"timeouts={self.timeout_count} crashes={self.crash_count} "
                 f"stalls={self.stall_count} failures={self.failure_count} "
-                f"corrupt_cache_entries={self.corrupt_cache_entries} "
-                f"resumed={self.resumed_points}"
+                f"corrupt_cache_entries={self.corrupt_cache_entries}"
             )
         for r in self.reports:
             status = "cached" if r.cached else f"{r.seconds:8.3f}s"
@@ -686,7 +638,6 @@ class MapSession:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> None:
         self.runner = runner
         self.fn = fn
@@ -695,7 +646,6 @@ class MapSession:
         self.timeout = runner.timeout if timeout is None else timeout
         self.retries = runner.retries if retries is None else retries
         self.on_failure = runner.on_failure if on_failure is None else on_failure
-        self.resume = runner.resume if resume is None else resume
         if self.on_failure not in ("raise", "record"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
@@ -705,9 +655,9 @@ class MapSession:
 
         if runner.store is not None:  # cache_dir= opened one too
             runner._check_keyable_fn(fn)
-        self.keys = [runner._key(fn, p) for p in points]
+        self.keys = [point_key(fn, p, runner.salt) for p in points]
         # Deterministic jitter seed: a function of *what* is being run,
-        # not of wall-clock or pid, so chaos runs and resume replays
+        # not of wall-clock or pid, so chaos runs and re-runs
         # reproduce the exact same backoff delays (docs/RESILIENCE.md).
         self.jitter_seed = int.from_bytes(
             hashlib.sha256(
@@ -722,13 +672,10 @@ class MapSession:
         self.hits: List[int] = []
         self.pending: List[int] = []
 
-        journal = runner.journal_entries() if self.resume else {}
         for i, key in enumerate(self.keys):
             hit, value = runner._cache_load(key)
             if hit:
                 runner.cache_hits += 1
-                if self.resume and journal.get(key, {}).get("status") == "ok":
-                    runner._count("resumed_points", "resumed_points")
                 self.results[i] = value
                 self.manifests[i] = RunManifest.local(key, cached=True, seconds=0.0)
                 runner.reports.append(

@@ -120,12 +120,12 @@ class QueryServer:
             self.engine.metrics.counter(f"serve.{name}").inc()
 
     # -- evaluation -------------------------------------------------------
-    async def _evaluate(self, spec, events_path: Optional[str] = None):
-        """Run a (possibly farm-bound) query off the event loop."""
+    async def _evaluate(self, answer, events_path: Optional[str] = None):
+        """Run a (possibly farm-bound) ``engine.answer`` partial off
+        the event loop."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            None,
-            functools.partial(self.engine.query, spec, events_path=events_path),
+            None, functools.partial(answer, events_path=events_path)
         )
 
     def _admit(self) -> bool:
@@ -135,10 +135,10 @@ class QueryServer:
         self._gauge_inflight(+1)
         return True
 
-    async def _run_job(self, job_id: str, spec) -> None:
+    async def _run_job(self, job_id: str, answer) -> None:
         job = self.jobs[job_id]
         try:
-            result = await self._evaluate(spec, events_path=job["events_path"])
+            result = await self._evaluate(answer, events_path=job["events_path"])
             job["result"] = result.as_dict()
             job["status"] = "done"
             self._count("jobs_done")
@@ -192,6 +192,7 @@ class QueryServer:
         try:
             method, path, body = await _read_request(reader)
         except QueryError as exc:
+            self._count("http_errors")
             return _error_response(
                 400, "bad_request", str(exc), retryable=False
             )
@@ -260,25 +261,23 @@ class QueryServer:
             wait = bool(doc.pop("wait", False))
         try:
             spec = parse_query(doc)
-            loop = asyncio.get_running_loop()
-            _, missing = await loop.run_in_executor(
+            # The one store probe of this request: the admission
+            # decision and the answer both work from it.
+            points, missing = await asyncio.get_running_loop().run_in_executor(
                 None, self.engine.lookup, spec
             )
+            answer = functools.partial(self.engine.answer, spec, points, missing)
             if not missing:
-                # Pure store hit: answer inline, no admission needed.
-                result = await loop.run_in_executor(
-                    None, self.engine.query, spec
-                )
-                return _json_response(200, result.as_dict())
+                # Pure store hit: selection only, no admission needed.
+                return _json_response(200, answer().as_dict())
             breaker = self.engine.breaker
             if breaker is not None and breaker.blocking():
                 # Farm circuit open: a degraded store-only answer (the
                 # engine adds nearest-neighbor hints), not a 5xx -- and
                 # no admission slot burned on a farm that is down.
-                result = await loop.run_in_executor(
-                    None, self.engine.query, spec
+                return _json_response(
+                    200, (await self._evaluate(answer)).as_dict()
                 )
-                return _json_response(200, result.as_dict())
         except QueryError as exc:
             self._count("http_errors")
             return _error_response(
@@ -294,7 +293,7 @@ class QueryServer:
             )
         if wait:
             try:
-                result = await self._evaluate(spec)
+                result = await self._evaluate(answer)
             except Exception as exc:  # noqa: BLE001 -- report, don't die
                 self._count("http_errors")
                 return _error_response(
@@ -315,7 +314,7 @@ class QueryServer:
             "events_path": os.path.join(job_dir, "events.jsonl"),
         }
         self._count("jobs_started")
-        asyncio.get_running_loop().create_task(self._run_job(job_id, spec))
+        asyncio.get_running_loop().create_task(self._run_job(job_id, answer))
         return _json_response(202, {
             "job": job_id,
             "status": "running",
@@ -426,6 +425,8 @@ async def _read_request(
                 length = int(value.strip())
             except ValueError:
                 raise QueryError(f"bad Content-Length {value.strip()!r}")
+    if length < 0:
+        raise QueryError(f"bad Content-Length {length}")
     if length > 8 * 1024 * 1024:
         raise QueryError(f"body of {length} bytes exceeds the 8 MiB limit")
     body = b""

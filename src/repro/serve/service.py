@@ -31,7 +31,7 @@ from repro.flow.dse import (
     pareto_frontier,
     render_space,
 )
-from repro.flow.runner import ExperimentRunner
+from repro.flow.runner import ExperimentRunner, point_key
 from repro.flow.taskgraph import CoreGraph, demo_multimedia_soc, demo_telecom_soc
 from repro.network.topology import (
     Topology,
@@ -214,6 +214,14 @@ def core_graph_from_name(name: str) -> CoreGraph:
         ) from None
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """One design-space question, normalized.
@@ -253,6 +261,28 @@ class QuerySpec:
             topology_from_name(name)  # validates eagerly
         if not self.flit_widths or not self.buffer_depths:
             raise QueryError("query needs flit_widths and buffer_depths")
+        # The evaluators' own bounds (repro.core.config), checked here so
+        # a malformed value is the client's 400 and never a farm failure
+        # that counts against the circuit breaker.
+        for name, floor in (("flit_widths", 4), ("buffer_depths", 2)):
+            for value in getattr(self, name):
+                if not _is_int(value) or value < floor:
+                    raise QueryError(
+                        f"{name} must be integers >= {floor}, got {value!r}"
+                    )
+        for name in ("seed", "anneal_iterations", "max_radix"):
+            if not _is_int(getattr(self, name)):
+                raise QueryError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        for name, optional in (
+            ("target_freq_mhz", False), ("min_freq_mhz", False),
+            ("max_latency_ns", True), ("max_area_mm2", True),
+            ("max_power_mw", True),
+        ):
+            value = getattr(self, name)
+            if not (_is_real(value) or (optional and value is None)):
+                raise QueryError(f"{name} must be a number, got {value!r}")
         if self.objective not in OBJECTIVES:
             raise QueryError(
                 f"objective {self.objective!r}: know {sorted(OBJECTIVES)}"
@@ -313,6 +343,9 @@ class QueryResult:
     the query's own grid (same topology preferred, then closest flit
     width and buffer depth) -- an honest partial answer instead of a
     5xx (docs/SERVICE.md, "Supervision & chaos testing").
+
+    ``seconds`` is the wall time of :meth:`QueryEngine.answer`: the
+    farm evaluation and selection that follow the store probe.
     """
 
     spec: QuerySpec
@@ -376,7 +409,7 @@ class QueryEngine:
     The farm path is guarded by a :class:`CircuitBreaker` (one is
     constructed per engine unless injected): consecutive dispatch
     failures open it, after which misses are answered degraded from the
-    store (see :meth:`query`) until a half-open probe succeeds.
+    store (see :meth:`answer`) until a half-open probe succeeds.
     """
 
     def __init__(
@@ -432,8 +465,10 @@ class QueryEngine:
         )
 
     def keys(self, spec: QuerySpec) -> List[str]:
-        keyer = self.make_runner()
-        return [keyer._key(_evaluate_design_point, c) for c in self.combos(spec)]
+        return [
+            point_key(_evaluate_design_point, c, self.salt)
+            for c in self.combos(spec)
+        ]
 
     # -- answering --------------------------------------------------------
     def lookup(
@@ -507,16 +542,25 @@ class QueryEngine:
             hints.append(hint)
         return hints
 
-    def query(
+    def query(self, spec: QuerySpec, **kwargs: Any) -> QueryResult:
+        """Probe the store, then :meth:`answer` (whose keywords these
+        are)."""
+        return self.answer(spec, *self.lookup(spec), **kwargs)
+
+    def answer(
         self,
         spec: QuerySpec,
+        points: List[Optional[DesignPoint]],
+        missing: List[int],
         evaluate: bool = True,
         events_path: Optional[str] = None,
         degrade: bool = True,
     ) -> QueryResult:
-        """Answer ``spec``.  With ``evaluate=False`` a query with
-        missing points raises :class:`QueryError` instead of computing
-        (the HTTP layer uses this for its admission-control decision).
+        """Answer ``spec`` from one :meth:`lookup`'s ``(points,
+        missing)`` -- the HTTP layer probes once, decides admission on
+        ``missing`` and hands both here.  With ``evaluate=False`` a
+        query with missing points raises :class:`QueryError` instead of
+        computing.
 
         Missing points normally go through the farm, guarded by the
         circuit breaker: a dispatch failure is recorded, and once the
@@ -529,7 +573,7 @@ class QueryEngine:
         t0 = time.perf_counter()
         self.queries += 1
         self._count("queries")
-        points, missing = self.lookup(spec)
+        points = list(points)
         self._count("query_store_hits", len(points) - len(missing))
         self._count("query_store_misses", len(missing))
         served_from = "store"

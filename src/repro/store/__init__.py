@@ -9,12 +9,11 @@ able to tell a half-written file from a result and to inventory what
 is in there.
 
 See :mod:`repro.store.cas` for the
-on-disk format (sha256-verified records, atomic publishes, an
-append-only manifest index, garbage collection and compaction).
+on-disk format (sha256-verified records, atomic publishes, garbage
+collection).
 """
 
 from repro.store.cas import (
-    MANIFEST_BASENAME,
     STORE_SCHEMA,
     ResultStore,
     StoreError,
@@ -22,7 +21,6 @@ from repro.store.cas import (
 )
 
 __all__ = [
-    "MANIFEST_BASENAME",
     "STORE_SCHEMA",
     "ResultStore",
     "StoreError",

@@ -1,14 +1,13 @@
 """The content-addressed store behind the DSE service.
 
 One :class:`ResultStore` is a plain directory -- shareable across
-hosts over any filesystem -- holding one **record file** per cache key
-plus an append-only **manifest** index:
+hosts over any filesystem -- holding one **record file** per cache
+key; the objects directory is the only index:
 
 .. code-block:: text
 
     store/
       STORE.json          # schema stamp ("repro.store/v1")
-      manifest.jsonl      # append-only publish log, last entry per key wins
       objects/ab/abcd....rec  # MAGIC + header JSON line + pickle payload
 
 Keys are the :class:`~repro.flow.runner.ExperimentRunner` cache keys:
@@ -28,11 +27,12 @@ Writes are atomic (``tempfile`` + ``os.replace`` in the objects
 directory), so concurrent publishers racing on one key settle
 last-write-wins with no reader ever seeing a torn record; a racing
 publish that would *change* an existing record's digest is counted in
-``conflicts`` (determinism violations are worth noticing).  The
-manifest is an append-only JSONL ledger in the journal style of
-``runs.jsonl``: torn tails are skipped, :meth:`ResultStore.compact`
-rewrites it from the objects on disk, and :meth:`ResultStore.gc`
-evicts the oldest records to a count/byte budget.
+``conflicts`` (determinism violations are worth noticing).
+:meth:`ResultStore.keys` lists the record files,
+:meth:`ResultStore.record` reads one header, and
+:meth:`ResultStore.gc` evicts the oldest records to a count/byte
+budget.  Any other file in the root (an older store's publish log,
+the runner's ``runs.jsonl``) is ignored.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ STORE_SCHEMA = "repro.store/v1"
 
 MAGIC = b"repro-store/v1\n"
 
-MANIFEST_BASENAME = "manifest.jsonl"
 MARKER_BASENAME = "STORE.json"
 OBJECTS_DIRNAME = "objects"
 RECORD_SUFFIX = ".rec"
@@ -121,7 +120,7 @@ class ResultStore:
         #: Optional fault-injection hook (``repro.chaos.ChaosMonkey``):
         #: called as ``chaos.on_store_put(store, record)`` after every
         #: successful publish, so a seeded plan can corrupt the record
-        #: it just wrote or tear the manifest tail.  None in production.
+        #: it just wrote.  None in production.
         self.chaos: Optional[Any] = None
         self._objects = os.path.join(self.root, OBJECTS_DIRNAME)
         os.makedirs(self._objects, exist_ok=True)
@@ -154,17 +153,13 @@ class ResultStore:
         _check_key(key)
         return os.path.join(self._objects, key[:2], key + RECORD_SUFFIX)
 
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, MANIFEST_BASENAME)
-
     # -- write side -------------------------------------------------------
     def put(self, key: str, value: Any, label: str = "") -> StoreRecord:
         """Publish ``value`` under ``key`` atomically; returns the
         record header.  Re-publishing an identical payload is an
-        idempotent no-op (the existing record is kept and no manifest
-        line is appended); a *different* payload wins the race
-        last-write style and bumps ``conflicts``."""
+        idempotent no-op (the existing record is kept); a *different*
+        payload wins the race last-write style and bumps
+        ``conflicts``."""
         payload = pickle.dumps(value)
         digest = hashlib.sha256(payload).hexdigest()
         existing = self.record(key)
@@ -199,15 +194,9 @@ class ResultStore:
                 pass
             raise
         self._count("puts", "puts")
-        self._manifest_append(record)
         if self.chaos is not None:
             self.chaos.on_store_put(self, record)
         return record
-
-    def _manifest_append(self, record: StoreRecord) -> None:
-        with open(self.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-            fh.flush()
 
     # -- read side --------------------------------------------------------
     def _read_record(
@@ -294,44 +283,6 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
-    # -- manifest ---------------------------------------------------------
-    def manifest_entries(self) -> Dict[str, Dict[str, Any]]:
-        """Latest manifest entry per key; torn/corrupt lines skipped."""
-        entries: Dict[str, Dict[str, Any]] = {}
-        path = self.manifest_path
-        if not os.path.exists(path):
-            return entries
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(rec, dict) and isinstance(rec.get("key"), str):
-                    entries[rec["key"]] = rec
-        return entries
-
-    def compact(self) -> int:
-        """Rewrite the manifest from the objects actually on disk --
-        one line per readable record header, dangling entries dropped,
-        duplicates collapsed.  Returns the number of indexed records.
-        Atomic, so concurrent readers never see a half manifest."""
-        records: List[StoreRecord] = []
-        for key in self.keys():
-            record = self.record(key)
-            if record is not None:
-                records.append(record)
-        records.sort(key=lambda r: (r.created, r.key))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
-        return len(records)
-
     # -- garbage collection -----------------------------------------------
     def gc(
         self,
@@ -345,9 +296,8 @@ class ResultStore:
         *payload* bytes; ``keep`` pins keys that must survive (the
         frontier of an active query, say).  Quarantined ``*.corrupt``
         files are always removed -- their evidence value expires once a
-        clean record has been republished.  Ends with a
-        :meth:`compact`, so the manifest matches the survivors.
-        Returns the evicted keys, oldest first.
+        clean record has been republished.  Returns the evicted
+        keys, oldest first.
         """
         if max_records is not None and max_records < 0:
             raise StoreError(f"max_records must be >= 0, got {max_records}")
@@ -386,7 +336,6 @@ class ResultStore:
                         os.unlink(os.path.join(shard_dir, name))
                     except OSError:
                         pass
-        self.compact()
         return evicted
 
     # -- reporting --------------------------------------------------------

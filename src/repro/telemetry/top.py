@@ -2,8 +2,7 @@
 
 Tails the structured event stream (``events.jsonl``, see
 :mod:`repro.telemetry.events`) that :class:`ExperimentRunner` and the
-replicated campaign harness write next to the run cache, falling back
-to the ``runs.jsonl`` journal for runs that predate the stream.  Each
+replicated campaign harness write next to the run cache.  Each
 frame shows per-point state (running / ok / failed / cached), retry and
 checkpoint totals, the cache-hit rate, an ETA extrapolated from the
 mean finished-point duration, and replica-lane throughput from
@@ -24,33 +23,12 @@ from repro.telemetry.registry import MetricsRegistry
 
 
 def load_summary(run_dir: str) -> Dict[str, Any]:
-    """Replay the run directory's event stream into a summary dict.
-
-    ``events.jsonl`` is authoritative; when it is absent, ``runs.jsonl``
-    journal entries are adapted into synthetic point states so old runs
-    still render.
-    """
+    """Replay the run directory's event stream into a summary dict
+    (the empty summary when there is no stream yet)."""
     events_path = os.path.join(run_dir, _events.EVENTS_BASENAME)
     records = _events.read_events(events_path)
     summary = _events.replay_summary(records)
     summary["source"] = events_path if records else None
-    if not records:
-        journal = os.path.join(run_dir, "runs.jsonl")
-        points: Dict[str, Dict[str, Any]] = {}
-        for rec in _events.read_events(journal):  # same torn-line tolerance
-            if not isinstance(rec, dict) or "status" not in rec:
-                continue
-            label = str(rec.get("label", rec.get("key", "?")))
-            status = "ok" if rec.get("status") == "ok" else "failed"
-            points[label] = {
-                "status": status,
-                "retries": max(int(rec.get("attempts", 1)) - 1, 0),
-                "seconds": rec.get("seconds"),
-            }
-            summary[status] = int(summary.get(status, 0)) + 1
-        summary["points"] = points
-        summary["retries"] = sum(p["retries"] for p in points.values())
-        summary["source"] = journal if points else None
     return summary
 
 

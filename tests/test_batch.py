@@ -28,7 +28,7 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.campaign import _build_campaign_noc
-from repro.flow.runner import ExperimentRunner
+from repro.flow.runner import ExperimentRunner, point_key
 from repro.network.experiments import (
     LoadPoint,
     TopologyNocBuilder,
@@ -455,15 +455,14 @@ class TestReplicatedCampaign:
     def test_store_keys_are_the_parent_commits(self):
         # Literals computed at the commit before the scalar/replicated
         # bodies were merged (PR 13): stores written then stay valid.
-        runner = ExperimentRunner()
         spec = campaign_spec()
         scalar = "2c5bfa4b2805fd8f9ee982f1d2d1f327e3f643d04936b8b7067b8d1b06666fe3"
-        assert runner._key(run_campaign, spec) == scalar
-        assert runner._key(ReplicatedCampaign(), spec) == scalar
-        assert runner._key(
+        assert point_key(run_campaign, spec) == scalar
+        assert point_key(ReplicatedCampaign(), spec) == scalar
+        assert point_key(
             ReplicatedCampaign(1, 100, "/ckpt", resume=True), spec
         ) == scalar
-        assert runner._key(ReplicatedCampaign(3), spec) == (
+        assert point_key(ReplicatedCampaign(3), spec) == (
             "cff8d7ae9850c5ef68d1b38ad8c6101aa091441d602fc93958bed0ab0fe9d393"
         )
 
@@ -605,19 +604,4 @@ class TestReplicatedSweeps:
             measure_load_point_lane, builder, warmup_cycles=150,
             measure_cycles=800, max_outstanding=4,
         )
-        assert good.manifest.key == runner._key(fn, (0.02, 3))
-
-    def test_map_replicated_groups_lanes_by_point(self):
-        runner = ExperimentRunner(jobs=1)
-        groups = runner.map_replicated(
-            _lane_value, [10, 20], 3, fan=lambda p, k: (p, k),
-        )
-        assert groups == [[10, 11, 12], [20, 21, 22]]
-        with pytest.raises(ValueError):
-            runner.map_replicated(_lane_value, [10], 0,
-                                  fan=lambda p, k: (p, k))
-
-
-def _lane_value(point_and_lane):
-    point, lane = point_and_lane
-    return point + lane
+        assert good.manifest.key == point_key(fn, (0.02, 3))

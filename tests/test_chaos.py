@@ -30,7 +30,7 @@ class TestChaosPlan:
 
     def test_counts_match_request(self):
         plan = ChaosPlan(9, kills=2, stalls=1, slows=0, corruptions=3,
-                         manifest_tears=0, event_truncations=1, horizon=12)
+                         event_truncations=1, horizon=12)
         assert plan.count("kill") == 2
         assert plan.count("stall") == 1
         assert plan.count("slow") == 0
@@ -48,7 +48,7 @@ class TestChaosPlan:
         with pytest.raises(ValueError, match="worker faults"):
             ChaosPlan(1, kills=5, stalls=5, slows=5, horizon=4)
         with pytest.raises(ValueError, match="store faults"):
-            ChaosPlan(1, corruptions=9, manifest_tears=9, horizon=4)
+            ChaosPlan(1, corruptions=9, horizon=4)
 
     def test_action_validation(self):
         with pytest.raises(ValueError, match="unknown chaos action"):
@@ -67,7 +67,7 @@ class TestChaosPlan:
 class TestMonkeyStoreFaults:
     def _monkey(self, **counts):
         base = dict(kills=0, stalls=0, slows=0, corruptions=0,
-                    manifest_tears=0, event_truncations=0)
+                    event_truncations=0)
         base.update(counts)
         return ChaosMonkey(ChaosPlan(11, horizon=4, **base))
 
@@ -82,20 +82,6 @@ class TestMonkeyStoreFaults:
         values = [fresh.get(f"{k:064x}") for k in range(4)]
         assert fresh.corrupt_records == 1
         assert sum(1 for hit, _ in values if hit) == 3
-
-    def test_torn_manifest_tail_is_tolerated(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.chaos = self._monkey(manifest_tears=1)
-        for k in range(4):
-            store.put(f"{k:064x}", {"v": k})
-        assert store.chaos.manifest_tears == 1
-        with open(store.manifest_path, encoding="utf-8") as fh:
-            assert "torn-by-chaos" in fh.read()
-        entries = ResultStore(tmp_path / "store").manifest_entries()
-        # The torn half line merged with its successor: both lost from
-        # the index, never crashing it; the rest are intact.
-        assert len(entries) >= 2
-        assert "torn-by-chaos" not in entries
 
     def test_production_stores_have_no_hook(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -122,6 +108,10 @@ class TestHarnessDrills:
         assert report.delivered["kills"] >= 1
         assert report.delivered["stalls"] >= 1
         assert report.delivered["corruptions"] >= 1
+        assert report.delivered["event_truncations"] >= 1
+        assert set(report.delivered) == {
+            "kills", "stalls", "slows", "corruptions", "event_truncations",
+        }
         assert report.journal_points == 10
         assert report.orphans == []
         assert report.corrupt_quarantined >= 1

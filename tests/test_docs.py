@@ -194,7 +194,7 @@ class TestResilienceDoc:
             "heartbeat", "liveness", "worker_stall", "restart_budget",
             "poison_threshold", "poisoned", "CircuitBreaker",
             "circuit_open", "degraded", "ChaosPlan", "ChaosMonkey",
-            "corrupt_record", "tear_manifest", "truncate_events",
+            "corrupt_record", "truncate_events",
             "exactly once", "orphan", "python -m repro chaos",
             "chaos-smoke",
             # the pool is ExperimentRunner's: the behaviour deltas
@@ -292,7 +292,7 @@ class TestBatchingDoc:
             "mean_ci95", "t_quantile_95", "Student-t", "summarize",
             # harness integration + CLI
             "run_campaign_replicated", "replicas=", "lane_metrics",
-            "map_replicated", "--replicas", "REPRO_REPLICAS",
+            "--replicas", "REPRO_REPLICAS",
             # scalar = one lane: one campaign body, one sweep body
             "scalar = one lane", "`run_campaign(spec, replicas=N)`",
             "ci95 is None", "measure_load_point_lane",
@@ -339,10 +339,10 @@ class TestServiceDoc:
             text = f.read()
         for term in (
             # the store: layout, keys, verification, maintenance
-            "repro.store/v1", "STORE.json", "manifest.jsonl",
+            "repro.store/v1", "STORE.json", "objects directory is the index",
             ".rec", "*.corrupt", "sha256", "CACHE_VERSION",
             "stable_repr", "os.replace", "last-write-wins",
-            "conflicts", "compact()", "gc(", "StoreError",
+            "conflicts", "exactly one file publish", "gc(", "StoreError",
             "functools.partial",
             # the dispatcher: ExperimentRunner's own pool, one format
             "(`repro.flow.pool`)", "**is** `ExperimentRunner`'s pool",
@@ -360,6 +360,9 @@ class TestServiceDoc:
             "QuerySpec", "parse_query", "QueryEngine",
             "mesh-5x5", "min_freq_mhz", "objective",
             "served_from", "wait",
+            # one probe per request; malformed values are the client's 400
+            "engine.lookup(spec)", "engine.answer(spec, points,",
+            "integers >= 4", "integers >= 2", "bad_request",
             # supervision + graceful degradation
             "heartbeat", "liveness", "worker_stall", "restart_budget",
             "poison_threshold", "poisoned", "CircuitBreaker",

@@ -632,16 +632,16 @@ class TestDashboard:
         assert s["label"] == "sweep"
         assert s["source"].endswith("events.jsonl")
 
-    def test_load_summary_falls_back_to_the_journal(self, tmp_path):
+    def test_load_summary_reads_the_stream_only(self, tmp_path):
+        """``runs.jsonl`` is the exactly-once ledger, not a dashboard
+        source: with no ``events.jsonl`` the summary is the empty one."""
         with open(tmp_path / "runs.jsonl", "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"status": "ok", "label": "old[0]",
                                  "seconds": 1.0, "attempts": 2}) + "\n")
-            fh.write(json.dumps({"status": "failed", "label": "old[1]",
-                                 "kind": "error", "attempts": 1}) + "\n")
         s = load_summary(str(tmp_path))
-        assert s["source"].endswith("runs.jsonl")
-        assert s["ok"] == 1 and s["failed"] == 1
-        assert s["points"]["old[0]"]["retries"] == 1
+        assert s["source"] is None
+        assert s["ok"] == 0 and s["failed"] == 0 and s["points"] == {}
+        assert "points: 0 total" in render_dashboard(s, str(tmp_path))
 
     def test_summary_registry_and_prometheus_exposition(self, tmp_path):
         s = replay_summary(GOLDEN_RECORDS)

@@ -10,6 +10,7 @@ from repro.flow.runner import (
     CACHE_VERSION,
     ExperimentRunner,
     RunManifest,
+    point_key,
     stable_repr,
 )
 from repro.network.topology import mesh
@@ -85,7 +86,7 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
         runner.map(_square, [3])
-        record = runner.store.record_path(runner._key(_square, 3))
+        record = runner.store.record_path(point_key(_square, 3))
         with open(record, "wb") as f:
             f.write(b"not a record")
         again = ExperimentRunner(cache_dir=str(tmp_path))
@@ -225,8 +226,8 @@ class TestStableRepr:
 
     def test_salt_and_version_feed_the_key(self):
         assert isinstance(CACHE_VERSION, int)
-        k1 = ExperimentRunner()._key(_square, 3)
-        k2 = ExperimentRunner(salt="s")._key(_square, 3)
+        k1 = point_key(_square, 3)
+        k2 = point_key(_square, 3, salt="s")
         assert k1 != k2
 
 
@@ -244,11 +245,10 @@ class TestKeyableGuard:
         """The collision the guard exists for: stable_repr hashes
         callables by qualname, so these two semantically different
         functions would silently share every cache record."""
-        runner = ExperimentRunner()
         add1, add2 = _make_adder(1), _make_adder(1000)
         assert add1(1) != add2(1)
         assert stable_repr(add1) == stable_repr(add2)
-        assert runner._key(add1, 5) == runner._key(add2, 5)
+        assert point_key(add1, 5) == point_key(add2, 5)
 
     def test_lambda_rejected_when_caching(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))

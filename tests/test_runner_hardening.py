@@ -4,8 +4,8 @@ Three worker failure modes must each be isolated to their own point --
 the function raising, exceeding the wall-clock timeout, and the worker
 process dying outright (SIGKILL stands in for segfault/OOM) -- while
 completed siblings stay cached and journaled.  On top of that: bounded
-retries with backoff, the ``runs.jsonl`` journal powering ``resume``,
-corrupt-cache quarantine, strict ``from_env`` validation, and
+retries with backoff, the ``runs.jsonl`` journal, corrupt-cache
+quarantine, strict ``from_env`` validation, and
 kill-and-resume of checkpointed fault campaigns.
 """
 
@@ -31,7 +31,12 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.faults.injector import FaultWindow
-from repro.flow.runner import ExperimentRunner, PointFailure, stable_repr
+from repro.flow.runner import (
+    ExperimentRunner,
+    PointFailure,
+    point_key,
+    stable_repr,
+)
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
 from repro.sim.snapshot import SimSnapshot
@@ -260,13 +265,21 @@ class TestJournalAndResume:
             jobs=2, cache_dir=str(tmp_path), on_failure="record"
         )
         first.map(_behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt")
-        resumed = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), resume=True, on_failure="record"
+        done = [
+            key for key, rec in first.journal_entries().items()
+            if rec["status"] == "ok"
+        ]
+        assert len(done) == 2
+        # Resume is "run again on the same cache_dir": every journaled-ok
+        # key is a hit, with no flag asking for it.
+        rerun = ExperimentRunner(
+            jobs=2, cache_dir=str(tmp_path), on_failure="record"
         )
-        results = resumed.map(_behave, [("ok", 1), ("ok", 3)], label="pt")
+        results = rerun.map(_behave, [("ok", 1), ("ok", 3)], label="pt")
         assert results == [2, 6]
-        assert resumed.cache_misses == 0, "a completed point was recomputed"
-        assert resumed.resumed_points == 2
+        assert sorted(m.key for m in rerun.last_manifests) == sorted(done)
+        assert rerun.cache_misses == 0, "a completed point was recomputed"
+        assert rerun.cache_hits == 2
 
     def test_journal_survives_torn_writes(self, tmp_path):
         runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
@@ -286,7 +299,7 @@ class TestCorruptCacheQuarantine:
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path):
         runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
         runner.map(_behave, [("ok", 5)], label="pt")
-        key = runner._key(_behave, ("ok", 5))
+        key = point_key(_behave, ("ok", 5))
         record = runner.store.record_path(key)
         with open(record, "wb") as f:
             f.write(b"this is not a record")
@@ -310,7 +323,7 @@ class TestCorruptCacheQuarantine:
         points = [("ok", 5), ("ok", 6)]
         runner.map(_behave, points, label="pt")
         for p in points:
-            record = runner.store.record_path(runner._key(_behave, p))
+            record = runner.store.record_path(point_key(_behave, p))
             with open(record, "wb") as f:
                 f.write(b"garbage")
         fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
@@ -323,7 +336,7 @@ class TestCorruptCacheQuarantine:
 class TestLegacyPickleCacheIsIgnored:
     def test_stale_pkl_is_a_miss_kept_and_silent(self, tmp_path):
         runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
-        stale = tmp_path / f"{runner._key(_behave, ('ok', 5))}.pkl"
+        stale = tmp_path / f"{point_key(_behave, ('ok', 5))}.pkl"
         stale.write_bytes(pickle.dumps("from an older version"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -347,11 +360,13 @@ class TestFromEnvValidation:
     def test_timeout_retries_resume_channel(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "3")
+        # REPRO_RESUME is the campaigns' (checkpoint_options_from_env):
+        # a runner resumes by being run again, so it has no such field.
         monkeypatch.setenv("REPRO_RESUME", "true")
         runner = ExperimentRunner.from_env()
         assert runner.timeout == 2.5
         assert runner.retries == 3
-        assert runner.resume is True
+        assert not hasattr(runner, "resume")
 
     @pytest.mark.parametrize(
         "var,value,match",
@@ -360,7 +375,6 @@ class TestFromEnvValidation:
             ("REPRO_TIMEOUT", "-1", "REPRO_TIMEOUT.*positive"),
             ("REPRO_RETRIES", "lots", "REPRO_RETRIES"),
             ("REPRO_RETRIES", "-1", "REPRO_RETRIES"),
-            ("REPRO_RESUME", "maybe", "REPRO_RESUME"),
         ],
     )
     def test_garbage_values_name_the_variable(self, monkeypatch, var, value, match):
@@ -444,8 +458,8 @@ class TestCampaignCheckpointing:
         wrapped = ReplicatedCampaign(
             checkpoint_every=100, checkpoint_dir=str(tmp_path), resume=True
         )
-        assert runner._key(run_campaign, SPEC) == runner._key(wrapped, SPEC)
-        assert runner._key(ReplicatedCampaign(3), SPEC) == runner._key(
+        assert point_key(run_campaign, SPEC) == point_key(wrapped, SPEC)
+        assert point_key(ReplicatedCampaign(3), SPEC) == point_key(
             ReplicatedCampaign(3, 100, str(tmp_path), resume=True), SPEC
         )
 
@@ -461,7 +475,7 @@ class TestCampaignCheckpointing:
         want = first.run()
         second = FaultCampaign(
             [SPEC],
-            runner=ExperimentRunner(jobs=2, cache_dir=cache, resume=True),
+            runner=ExperimentRunner(jobs=2, cache_dir=cache),
             checkpoint_every=200,
             checkpoint_dir=ckpts,
             resume=True,
@@ -490,6 +504,10 @@ class TestCampaignCheckpointing:
         with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY"):
             checkpoint_options_from_env()
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "500")
+        monkeypatch.setenv("REPRO_RESUME", "maybe")
+        with pytest.raises(ValueError, match="REPRO_RESUME"):
+            checkpoint_options_from_env()
+        monkeypatch.setenv("REPRO_RESUME", "1")
         monkeypatch.delenv("REPRO_CHECKPOINT_DIR")
         with pytest.raises(ValueError, match="REPRO_CHECKPOINT_DIR"):
             checkpoint_options_from_env()

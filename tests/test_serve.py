@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -87,6 +89,20 @@ class TestParseQuery:
             {"topologies": []},
             {"topologies": ["blob-2"]},
             {"flit_widths": []},
+            # malformed values: the evaluators' own bounds and types
+            {"flit_widths": [0]},
+            {"flit_widths": ["a"]},
+            {"flit_widths": [True]},
+            {"flit_widths": [[16]]},
+            {"buffer_depths": [-1]},
+            {"buffer_depths": [1]},
+            {"seed": "x"},
+            {"anneal_iterations": 1.5},
+            {"max_radix": None},
+            {"target_freq_mhz": "fast"},
+            {"min_freq_mhz": float("nan")},
+            {"max_area_mm2": "1"},
+            {"max_power_mw": False},
         ],
     )
     def test_invalid_specs_rejected(self, doc):
@@ -324,6 +340,71 @@ class TestHttp:
             assert headers.get("Retry-After") == "1"
         finally:
             server._gauge_inflight(-1)
+
+    def test_malformed_values_are_400_and_never_reach_the_farm(
+        self, live_server
+    ):
+        """More malformed bodies in a row than the breaker tolerates
+        farm failures: each is the client's 400, before any probe."""
+        server, base = live_server
+        engine = server.engine
+        bodies = [
+            {"flit_widths": [0]}, {"flit_widths": ["a"]},
+            {"buffer_depths": [-1]}, {"seed": "x"},
+        ]
+        assert len(bodies) > engine.breaker.failures
+        for body in bodies:
+            status, doc = _post(base + "/query", dict(FAST, **body))
+            assert status == 400 and doc["error"] == "bad_request", body
+            assert doc["retryable"] is False
+        assert engine.breaker.state == "closed"
+        assert engine.breaker.consecutive_failures == 0
+        assert engine.queries == 0 and not server.jobs
+        assert len(engine.store) == 0
+        assert engine.store.hits == engine.store.misses == 0
+        assert engine.metrics.counter("serve.http_errors").value == len(bodies)
+
+    def test_negative_content_length_is_400(self, live_server):
+        server, base = live_server
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        doc = json.loads(body)
+        assert doc["error"] == "bad_request" and set(doc) == ERROR_KEYS
+        assert "Content-Length" in doc["detail"]
+        assert server.engine.metrics.counter("serve.http_errors").value == 1
+
+    def test_one_store_probe_per_request(self, live_server):
+        """A covered POST reads each point of its slice once; a farmed
+        one twice (the handler's probe, then the runner's own)."""
+        server, base = live_server
+
+        def gets():
+            with urllib.request.urlopen(base + "/metrics", timeout=30) as r:
+                text = r.read().decode()
+            found = {
+                name: int(value) for name, value in
+                re.findall(r"^repro_store_(hits|misses) (\d+)$", text, re.M)
+            }
+            return found.get("hits", 0), found.get("misses", 0)
+
+        q = dict(FAST, flit_widths=[16, 32])  # a two-point slice
+        status, doc = _post(base + "/query", dict(q, wait=True))
+        assert status == 200 and doc["served_from"] == "farm"
+        assert gets() == (0, 2 * 2)
+        status, doc = _post(base + "/query", q)
+        assert status == 200 and doc["served_from"] == "store"
+        assert doc["store_hits"] == 2
+        assert gets() == (2, 2 * 2)
+        assert server.engine.metrics.counter("serve.queries").value == 2
 
     def test_metrics_exposition(self, live_server):
         server, base = live_server

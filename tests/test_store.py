@@ -15,7 +15,6 @@ import pytest
 
 from repro.flow.runner import ExperimentRunner
 from repro.store import (
-    MANIFEST_BASENAME,
     STORE_SCHEMA,
     ResultStore,
     StoreError,
@@ -59,10 +58,8 @@ class TestRoundTrip:
         store = ResultStore(tmp_path / "store")
         first = store.put(KEY_A, [1, 2])
         again = store.put(KEY_A, [1, 2])
-        assert again == first  # same header, no second manifest line
+        assert again == first  # same header: the record was kept
         assert store.puts == 1 and store.conflicts == 0
-        manifest = (tmp_path / "store" / MANIFEST_BASENAME).read_text()
-        assert manifest.count(KEY_A) == 1
 
     def test_divergent_republish_wins_and_counts_conflict(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -155,31 +152,37 @@ class TestQuarantine:
 
 
 class TestManifestAndGc:
-    def test_manifest_tracks_latest_entry_per_key(self, tmp_path):
+    def test_put_is_one_file_publish(self, tmp_path):
+        """A publish is one record file -- the objects directory is the
+        only index, nothing else in the root grows per put."""
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, 1)
         store.put(KEY_A, 2)  # conflict rewrite
         store.put(KEY_B, 3)
-        entries = store.manifest_entries()
-        assert set(entries) == {KEY_A, KEY_B}
-        assert entries[KEY_A]["digest"] == store.record(KEY_A).digest
+        assert sorted(os.listdir(store.root)) == ["STORE.json", "objects"]
+        files = [
+            name for _, _, names in os.walk(tmp_path / "store" / "objects")
+            for name in names
+        ]
+        assert sorted(files) == [KEY_A + ".rec", KEY_B + ".rec"]
 
-    def test_manifest_tolerates_torn_tail(self, tmp_path):
+    def test_stale_manifest_from_an_older_store_is_ignored(self, tmp_path):
+        """Stores written before the manifest was dropped still carry a
+        ``manifest.jsonl`` (possibly torn, possibly naming evicted
+        keys): it is neither read nor rewritten."""
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, 1)
-        with open(store.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "torn')
-        assert set(store.manifest_entries()) == {KEY_A}
+        stale = tmp_path / "store" / "manifest.jsonl"
+        junk = json.dumps({"key": KEY_C, "digest": "0" * 64}) + '\n{"key": "torn'
+        stale.write_text(junk)
 
-    def test_compact_rewrites_from_objects(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put(KEY_A, 1)
-        store.put(KEY_A, 2)
-        store.put(KEY_B, 3)
-        os.unlink(store.record_path(KEY_B))  # dangling manifest entry
-        assert store.compact() == 1
-        lines = open(store.manifest_path).read().strip().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["key"] == KEY_A
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.get(KEY_A) == (True, 1)
+        assert list(reopened.keys()) == [KEY_A] and KEY_C not in reopened
+        reopened.put(KEY_B, 2)
+        assert reopened.gc(max_records=1) == [KEY_A]
+        assert list(reopened.keys()) == [KEY_B]
+        assert stale.read_text() == junk
 
     def test_gc_evicts_oldest_first(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -199,7 +202,7 @@ class TestManifestAndGc:
         evicted = store.gc(max_records=1)
         assert evicted == [KEY_A, KEY_B]
         assert list(store.keys()) == [KEY_C]
-        assert set(store.manifest_entries()) == {KEY_C}
+        assert store.get(KEY_C) == (True, 2)
 
     def test_gc_keep_pins_keys(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -252,6 +255,16 @@ class TestRunnerIntegration:
             "events.jsonl", "runs.jsonl",
         ]
         assert not os.path.exists(tmp_path / "store" / "runs.jsonl")
+
+    def test_run_directory_layout(self, tmp_path):
+        """One record file per point, one ledger, one stream -- whether
+        the run directory is a ``cache_dir`` or a bare store root."""
+        layout = {"STORE.json", "objects", "runs.jsonl", "events.jsonl"}
+        ExperimentRunner(cache_dir=str(tmp_path / "cache")).map(_square, [2, 3])
+        assert set(os.listdir(tmp_path / "cache")) == layout
+        store = ResultStore(tmp_path / "store")
+        ExperimentRunner(store=store).map(_square, [2, 3])
+        assert set(os.listdir(store.root)) == layout
 
     def test_report_names_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
