@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke kernel-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -19,12 +19,13 @@ figures:
 bench: figures
 
 # One tiny point of every bench family through the experiment runner,
-# under a wall-clock budget -- the CI pulse-check for the measurement
-# stack (see benchmarks/smoke.py).
-bench-smoke: report-smoke faults-smoke checkpoint-smoke kernel-smoke batch-smoke top-smoke serve-smoke chaos-smoke
+# under a wall-clock budget (see benchmarks/smoke.py), then every
+# ledger workload once at --quick size with its per-run correctness
+# gate -- the CI pulse-check for the measurement stack.  Writes no
+# tracked file.
+bench-smoke: report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke
 	PYTHONPATH=src $(PYTHON) benchmarks/smoke.py
-	PYTHONPATH=src $(PYTHON) -m repro bench-diff --update \
-		--note "make bench-smoke"
+	python3 benchmarks/ledger/selfcheck.py
 
 # Telemetry pulse-check: run the report CLI on a tiny 2x2 mesh and
 # re-validate every artifact (metrics schema, trace-event JSON with
@@ -46,32 +47,26 @@ faults-smoke:
 checkpoint-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/checkpoint_smoke.py
 
-# Compiled-kernel pulse-check: codegen the standard 4x4 mesh, run it
-# against the interpreted loop, require byte-identical digests.  See
-# docs/PERFORMANCE.md and benchmarks/kernel_smoke.py.
-kernel-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/kernel_smoke.py
-
-# Batched Monte-Carlo pulse-check: a small replica batch whose every
-# lane digest must equal a scalar rebuild, then a replicated campaign
-# SIGKILLed at its first batch checkpoint and resumed to the exact
-# per-lane metrics of an uninterrupted run, with its streamed
-# events.jsonl validated and replayed.  See docs/BATCHING.md.
+# Batched Monte-Carlo pulse-check: a replicated campaign SIGKILLed at
+# its first batch checkpoint and resumed to the exact per-lane metrics
+# of an uninterrupted run, with its streamed events.jsonl validated and
+# replayed.  See docs/BATCHING.md.
 batch-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/batch_smoke.py
 
 # Fleet-telemetry pulse-check: a tiny cached sweep through the
-# experiment runner, then the `repro top` dashboard, the event-stream
-# replay and the Prometheus exposition must all agree on it.  See
+# experiment runner, then the `repro top` dashboard and its Prometheus
+# exposition must agree with what the runner reported.  See
 # docs/OBSERVABILITY.md.
 top-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/top_smoke.py
 
-# DSE-service pulse-check: seed a store through the work-stealing farm
-# (digest-identical to serial), boot `python -m repro serve` on a free
-# port, require a covered query to be a pure store hit, a miss to land
-# in the store and hit on repeat, a background job to stream events,
-# and /metrics to expose the store/serve series.  See docs/SERVICE.md.
+# DSE-service pulse-check: seed a store through the pool, boot `python
+# -m repro serve` on a free port, require /healthz to count the seeded
+# records and a background job to stream its events to completion.
+# (Hit / miss / metrics behaviour of the same subprocess is gated by
+# the ledger's query_hit / query_miss workloads, which bench-smoke runs
+# through selfcheck.py.)  See docs/SERVICE.md.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/serve_smoke.py
 
@@ -80,15 +75,19 @@ serve-smoke:
 # stalls, store corruption and event-log truncation; the result digest
 # must match, the journal must show every point exactly once, and no
 # worker process may survive.  Plus a poison-pill quarantine drill.
-# See docs/RESILIENCE.md and `python -m repro chaos`.
+# A plan that did not land (no kill, stall, corruption or truncation
+# delivered) is itself a violation.  See docs/RESILIENCE.md.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/chaos_smoke.py
+	PYTHONPATH=src $(PYTHON) -m repro chaos --seed 1307
 
 # The DSE query service itself (docs/SERVICE.md).
 serve:
 	PYTHONPATH=src $(PYTHON) -m repro serve --store .repro-store
 
-# Perf-regression gate: diff the tracked BENCH ratios against the
-# committed BENCH_TRAJECTORY.json (exit 1 past a 20% relative drop).
+# The perf gate: run the ledger (every workload x 3 repeats, ~5 min,
+# writes benchmarks/ledger/out/ledger.json), then diff its medians
+# against the committed benchmarks/ledger/baseline.json under the
+# per-metric bounds of BENCHMARK.json (exit 1 on a regression).
 bench-diff:
+	python3 benchmarks/ledger/run.py
 	PYTHONPATH=src $(PYTHON) -m repro bench-diff

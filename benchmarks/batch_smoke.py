@@ -1,12 +1,10 @@
 """Pulse check for batched Monte-Carlo simulation (docs/BATCHING.md).
 
-Two guarantees, end to end:
+Two guarantees, end to end, through a real ``SIGKILL`` (lane identity
+-- every lane digest equals a scalar rebuild, lane 0 equals the plain
+campaign -- is tier-1's ``tests/test_batch.py`` and the ledger's
+``batch_campaign`` gate, not repeated here):
 
-* **Lane identity.**  A small replica batch over a faulted, bounded
-  workload must produce, for *every* lane, the byte-identical
-  statistics digest of a scalar compiled run built from scratch with
-  that lane's seeds -- reseed-and-reset reuse of one compiled network
-  may not be observable.
 * **Crash safety.**  A replicated campaign with checkpointing enabled
   is SIGKILLed the moment its first batch checkpoint (format v2, with
   the lane container) hits disk; the resumed run must reproduce the
@@ -36,30 +34,16 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.faults import (
-    CampaignSpec,
-    FaultInjector,
-    FaultWindow,
-    run_campaign,
-)
+from repro.faults import CampaignSpec, FaultWindow, run_campaign
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
-from repro.network.traffic import UniformRandomTraffic
-from repro.sim.batch import SEED_STRIDE, BatchSimulator
 from repro.telemetry import events as _events
 from repro.telemetry.top import load_summary, render_dashboard
 
 REPLICAS = 6
 CHECKPOINT_EVERY = 150
 KILL_DEADLINE = 120.0  # seconds before we give up waiting for a checkpoint
-
-DIGEST_LANES = 4
-DIGEST_HORIZON = 20_000
-DIGEST_RATE = 0.002
-DIGEST_WINDOW = FaultWindow(
-    "link.sw_0_0.p*", start=300, duration=400, error_rate=0.2
-)
 
 
 def campaign_spec() -> CampaignSpec:
@@ -78,56 +62,6 @@ def campaign_spec() -> CampaignSpec:
         seed=3,
         label="batch-smoke",
     )
-
-
-def build_digest_noc(lane: int = 0):
-    """The scalar construction of one replica lane of the bounded
-    digest workload (mirrors what BatchSimulator's reseeding does)."""
-    builder = TopologyNocBuilder(
-        mesh, (2, 2), n_initiators=2, n_targets=2,
-        config=NocBuildConfig(kernel="compiled"),
-    )
-    noc = builder()
-    FaultInjector(noc, (DIGEST_WINDOW,))
-    off = lane * SEED_STRIDE
-    noc.populate(
-        {
-            c: UniformRandomTraffic(
-                noc.topology.targets, DIGEST_RATE, seed=17 * i + off
-            )
-            for i, c in enumerate(noc.topology.initiators)
-        },
-        max_transactions=2,
-    )
-    for link in noc.links:
-        link._seed += off
-    noc.sim.reset()  # links re-draw their RNGs from the offset seeds
-    return noc
-
-
-def check_lane_digests() -> bool:
-    batch_noc = build_digest_noc()
-    batch = BatchSimulator(batch_noc, DIGEST_LANES)
-    result = batch.run_lanes(
-        DIGEST_HORIZON,
-        lambda noc, k: {"completed": float(noc.total_completed())},
-        digest=True,
-    )
-    ok = True
-    for k in range(DIGEST_LANES):
-        scalar = build_digest_noc(lane=k)
-        scalar.sim.compile()
-        scalar.run(DIGEST_HORIZON)
-        if scalar.stats_digest() != result.digests[k]:
-            print(f"batch-smoke: FAIL -- lane {k} digest != scalar rebuild")
-            ok = False
-    sim = batch_noc.sim
-    skipped = sim.ticks_skipped / (sim.ticks_skipped + sim.ticks_executed)
-    print(
-        f"batch-smoke: {DIGEST_LANES} lane digests == scalar rebuilds "
-        f"({skipped:.0%} of ticks skipped on the last lane)"
-    )
-    return ok
 
 
 def run_replicated(checkpoint_dir, resume):
@@ -197,9 +131,6 @@ def main():
         run_replicated(sys.argv[i + 1], resume=False)
         return 0
 
-    if not check_lane_digests():
-        return 1
-
     with tempfile.TemporaryDirectory() as scratch:
         ckpt = os.path.join(scratch, "ckpt")
         os.makedirs(ckpt)
@@ -211,18 +142,6 @@ def main():
         finally:
             _events.remove_sink(ref_col)
         reference_digests = _events.replay_summary(ref_col.records)["digests"]
-
-        # Scalar is the one-lane case: a plain run_campaign of the same
-        # spec is lane 0 of the replicated one, metric for metric.
-        plain = run_campaign(campaign_spec())
-        for name, lanes in reference.lane_metrics.items():
-            if lanes[0] != float(getattr(plain, name)):
-                print(
-                    f"batch-smoke: FAIL -- lane 0 {name} {lanes[0]} != "
-                    f"plain run_campaign {getattr(plain, name)}"
-                )
-                return 1
-        print("batch-smoke: lane 0 == plain run_campaign")
 
         events_path = os.path.join(scratch, "events.jsonl")
         print("batch-smoke: starting victim, will SIGKILL mid-batch ...")

@@ -22,8 +22,10 @@ and dispatch, not the protocol work itself, so the ratio grows as
 activity thins out.  Asserted floors: compiled >= 2x over the fast path
 at the standard point and >= 5x in the sparse-activity regime; the fast
 path itself stays >= 2x over the interpreted loop at the standard
-point.  All three kernels must complete identical work and produce
-byte-identical statistics digests.
+point.  That all three kernels complete identical work with
+byte-identical statistics digests on this mesh is not re-checked here:
+it is the per-run gate of the ledger's ``sim_sparse`` /
+``sim_saturated`` workloads and ``tests/test_fastpath.py``.
 
 Timing is run-only (build and one-off compilation excluded; compile
 wall time is reported separately), best-of-3 to shrug off scheduler
@@ -35,7 +37,7 @@ import time
 
 from _common import emit, emit_json
 
-from repro.network.experiments import TopologyNocBuilder, verify_fast_path
+from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.network.traffic import UniformRandomTraffic
@@ -102,15 +104,6 @@ def test_s1_simulator_speed(benchmark):
             compile_s = max(compile_s, cs)
             row[kernel] = (seconds, noc)
         matrix[label] = row
-
-    # Identical work and identical digests at every operating point.
-    for label, row in matrix.items():
-        digests = {k: noc.stats_digest() for k, (_, noc) in row.items()}
-        assert len(set(digests.values())) == 1, (
-            f"kernel digests diverge at the {label} point: {digests}"
-        )
-        completed = {k: noc.total_completed() for k, (_, noc) in row.items()}
-        assert len(set(completed.values())) == 1, completed
 
     def speedup(label, num, den):
         return matrix[label][den][0] / matrix[label][num][0]
@@ -199,11 +192,4 @@ def test_s1_simulator_speed(benchmark):
         f"compiled kernel must be worth >= 5x over the fast path in the "
         f"sparse-activity regime, got sparse={compiled_sparse:.2f}x "
         f"idle={compiled_idle:.2f}x"
-    )
-    # Cross-check mode: digest-identical results on a fresh triple.
-    verify_fast_path(
-        TopologyNocBuilder(mesh, (4, 4), n_initiators=8, n_targets=8),
-        cycles=500,
-        rate=POINTS[0][1],
-        kernels=KERNELS,
     )

@@ -13,10 +13,11 @@ The workload is the bounded-episode case that skipping targets: a 2x2
 mesh, two masters with sparse uniform traffic capped at a few
 transactions each, a fault window whose phase varies per lane, and a
 long measurement horizon -- so almost all of the scalar run is idle
-loop.  Asserted floors: a ``REPLICAS``-lane batch beats sequential
-scalar compiled runs by >= 10x per replica, and lane 0 is
-digest-identical to a scalar compiled run, which itself is
-digest-identical across all three kernels (``verify_fast_path``).
+loop.  Asserted floor: a ``REPLICAS``-lane batch beats sequential
+scalar compiled runs by >= 10x per replica.  (That a lane is
+digest-identical to a scalar compiled run, itself digest-identical
+across all three kernels, is gated per run by the ledger's
+``batch_campaign`` workload and by ``tests/test_batch.py``.)
 
 Scalar per-run cost is flat in the replica index (each run rebuilds,
 recompiles and re-runs from scratch), so the sequential-1024 total is
@@ -30,7 +31,7 @@ import time
 from _common import emit, emit_json
 
 from repro.faults import FaultInjector, FaultWindow
-from repro.network.experiments import TopologyNocBuilder, verify_fast_path
+from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.network.traffic import UniformRandomTraffic
@@ -47,17 +48,12 @@ CORNER = "link.sw_0_0.p*"  # every link leaving the corner switch
 
 def lane_windows(k: int):
     """Lane ``k``'s fault schedule: the same burst shape at a
-    lane-specific phase.  Lane 0 is the construction schedule, so the
-    scalar-equivalence digest check stays exact."""
+    lane-specific phase.  Lane 0 is the construction schedule."""
     return (
         FaultWindow(
             CORNER, start=500 + 97 * (k % 64), duration=400, error_rate=0.2
         ),
     )
-
-
-def arm(noc) -> None:
-    FaultInjector(noc, lane_windows(0))
 
 
 def build(kernel: str = "compiled", lane: int = 0):
@@ -116,28 +112,18 @@ def test_s4_batch(benchmark):
 
     # The sequential baseline: rebuild + recompile + run per seed.
     t0 = time.perf_counter()
-    scalar_digest0 = None
     for k in range(SCALAR_RUNS_TIMED):
         noc = build(lane=k)
         noc.sim.compile()
         noc.run(HORIZON)
-        if k == 0:
-            scalar_digest0 = noc.stats_digest()
     scalar_seconds = time.perf_counter() - t0
     per_run = scalar_seconds / SCALAR_RUNS_TIMED
     sequential_projected = per_run * REPLICAS
     speedup = per_run / per_lane
 
-    # Lane 0 is bit-identical to the scalar compiled run, which in turn
-    # is digest-identical across all three kernels on this workload.
-    assert result.digests[0] == scalar_digest0, (
-        "batch lane 0 diverged from the scalar compiled run"
-    )
-    three_way = verify_three_way()
-    assert three_way == scalar_digest0, (
-        "verify_fast_path digest differs from the bench's scalar run"
-    )
-
+    # Lane == scalar rebuild == all three kernels is not re-checked
+    # here: it is the per-run gate of the ledger's batch_campaign
+    # workload and tests/test_batch.py on this same rig.
     # Every lane ran the full horizon and completed its bounded episode.
     assert all(
         v == 2 * MAX_TRANSACTIONS for v in result.metrics["completed"]
@@ -198,15 +184,3 @@ def test_s4_batch(benchmark):
     )
     assert skip_frac > 0.5, "the idle tail should dominate this workload"
 
-
-def verify_three_way() -> str:
-    """Digest-identical lane-0 workload under all three kernels."""
-    return verify_fast_path(
-        TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2),
-        cycles=HORIZON,
-        rate=RATE,
-        seed=SEED,
-        attach=arm,
-        kernels=("compiled", "fast", "interpreted"),
-        max_transactions=MAX_TRANSACTIONS,
-    )

@@ -14,7 +14,6 @@ non-zero (with the mismatch printed) on any divergence.
 """
 
 import glob
-import json
 import os
 import signal
 import subprocess
@@ -25,7 +24,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.faults import CampaignSpec, FaultCampaign, FaultWindow
-from repro.flow.runner import ExperimentRunner
+from repro.flow.runner import ExperimentRunner, read_journal
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
 
@@ -63,20 +62,12 @@ def run_sweep(cache_dir, checkpoint_dir, resume):
 
 
 def completed_points(cache_dir):
-    """Labels journaled as ok by a (possibly killed) previous run."""
-    path = os.path.join(cache_dir, "runs.jsonl")
-    if not os.path.exists(path):
-        return set()
-    done = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn trailing line from the kill
-            if record.get("status") == "ok":
-                done.add(record["key"])
-    return done
+    """Keys journaled as ok by a (possibly killed) previous run."""
+    return {
+        record["key"]
+        for record in read_journal(os.path.join(cache_dir, "runs.jsonl"))
+        if record["status"] == "ok"
+    }
 
 
 def main():

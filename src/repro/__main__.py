@@ -10,7 +10,7 @@ Usage::
     python -m repro faults            # fault-injection campaign demo
     python -m repro faults --smoke    # deterministic resilience smoke
     python -m repro top --dir DIR     # live dashboard over a run's events
-    python -m repro bench-diff        # diff BENCH results vs trajectory
+    python -m repro bench-diff        # perf gate: ledger vs baseline.json
     python -m repro serve --store DIR # HTTP design-space query service
 
 ``figures`` accepts ``--jobs N`` (run sweep points on N worker
@@ -44,11 +44,13 @@ fails (wired into ``make faults-smoke`` / ``make bench-smoke``).
 ``top`` tails the run directory's ``events.jsonl`` stream and repaints
 a per-point dashboard every ``--interval`` seconds until the run
 finishes; ``--once`` renders a single frame and exits, ``--prom FILE``
-also writes a Prometheus text exposition.  ``bench-diff`` extracts the tracked perf ratios from
-``--results`` (default ``benchmarks/results``) and compares them to
-the committed ``BENCH_TRAJECTORY.json``; it exits 1 when any tracked
-metric dropped more than ``--threshold`` (default 20%%), and
-``--update`` appends the current values as a new trajectory entry.
+also writes a Prometheus text exposition.  ``bench-diff`` compares the
+ledger ``python3 benchmarks/ledger/run.py`` wrote (``--ledger``,
+default ``benchmarks/ledger/out/ledger.json``) with the committed
+``--baseline`` (default ``benchmarks/ledger/baseline.json``), one row
+per workload and end-to-end metric, under the direction and bound
+``BENCHMARK.json`` gives that metric; it exits 1 on any regression or
+rise in failed operations and 2 when a file is missing or malformed.
 Both are documented in docs/OBSERVABILITY.md.
 
 ``serve`` starts the design-space query service (docs/SERVICE.md): an
@@ -361,18 +363,10 @@ def _top(
     return top_main(run_dir, once=once, interval=interval, prom=prom)
 
 
-def _bench_diff(
-    results: str,
-    trajectory: str,
-    threshold: float,
-    update: bool = False,
-    note: str = "",
-) -> int:
+def _bench_diff(ledger: str, baseline: str) -> int:
     from repro.telemetry.regress import bench_diff
 
-    return bench_diff(
-        results, trajectory, threshold=threshold, update=update, note=note
-    )
+    return bench_diff(ledger, baseline)
 
 
 def _serve(
@@ -556,38 +550,18 @@ def main(argv=None) -> int:
         "summary to FILE each frame",
     )
     parser.add_argument(
-        "--results",
-        default="benchmarks/results",
-        metavar="DIR",
-        help="bench-diff: directory of BENCH_*.json artifacts "
-        "(default: benchmarks/results)",
-    )
-    parser.add_argument(
-        "--trajectory",
-        default="BENCH_TRAJECTORY.json",
+        "--ledger",
+        default="benchmarks/ledger/out/ledger.json",
         metavar="FILE",
-        help="bench-diff: the committed trajectory file to diff against "
-        "(default: BENCH_TRAJECTORY.json)",
+        help="bench-diff: the ledger document to judge "
+        "(default: benchmarks/ledger/out/ledger.json)",
     )
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        metavar="T",
-        help="bench-diff: relative drop that fails the diff "
-        "(default: 0.20 = 20%%)",
-    )
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="bench-diff: append the current values as a new trajectory "
-        "entry when the diff passes",
-    )
-    parser.add_argument(
-        "--note",
-        default="",
-        metavar="TEXT",
-        help="bench-diff: annotation stored with an --update entry",
+        "--baseline",
+        default="benchmarks/ledger/baseline.json",
+        metavar="FILE",
+        help="bench-diff: the ledger document to judge it against "
+        "(default: benchmarks/ledger/baseline.json)",
     )
     parser.add_argument(
         "--store",
@@ -715,13 +689,7 @@ def main(argv=None) -> int:
             prom=args.prom,
         )
     if args.command == "bench-diff":
-        return _bench_diff(
-            results=args.results,
-            trajectory=args.trajectory,
-            threshold=args.threshold,
-            update=args.update,
-            note=args.note,
-        )
+        return _bench_diff(args.ledger, args.baseline)
     if args.command == "report":
         return _report(
             out=args.out,

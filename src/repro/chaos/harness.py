@@ -23,7 +23,6 @@ the truncated event log still parses and validates.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import os
 import shutil
@@ -35,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.monkey import ChaosMonkey
 from repro.chaos.plan import ChaosPlan
 from repro.flow.pool import WorkStealingDispatcher
-from repro.flow.runner import ExperimentRunner, stable_repr
+from repro.flow.runner import ExperimentRunner, read_journal, stable_repr
 from repro.store.cas import ResultStore
 
 
@@ -66,19 +65,8 @@ def results_digest(results: Sequence[Any]) -> str:
 def journal_counts(path: str) -> Dict[str, List[Dict[str, Any]]]:
     """Every complete journal record, grouped by cache key."""
     by_key: Dict[str, List[Dict[str, Any]]] = {}
-    if not os.path.exists(path):
-        return by_key
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict) and isinstance(rec.get("key"), str):
-                by_key.setdefault(rec["key"], []).append(rec)
+    for rec in read_journal(path):
+        by_key.setdefault(rec["key"], []).append(rec)
     return by_key
 
 

@@ -133,6 +133,16 @@ def point_key(fn: Callable, point: Any, salt: str = "") -> str:
     return hashlib.sha256(ident.encode()).hexdigest()
 
 
+def read_journal(path: str) -> List[Dict[str, Any]]:
+    """Every complete ``runs.jsonl`` record at ``path``, in file order
+    (``[]`` when there is no file).  The journal is append-only and
+    every line stands on its own, so a line torn by a kill is skipped,
+    not fatal."""
+    from repro.telemetry.events import read_events
+
+    return [rec for rec in read_events(path) if isinstance(rec.get("key"), str)]
+
+
 @dataclass
 class PointReport:
     """Wall-clock accounting for one executed (or cache-served) point."""
@@ -461,30 +471,6 @@ class ExperimentRunner:
         with open(path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
             f.flush()
-
-    def journal_entries(self) -> Dict[str, Dict[str, Any]]:
-        """Latest journal record per cache key (empty when uncached).
-
-        Torn trailing lines (a run killed mid-write) are skipped, not
-        fatal: the journal is an append-only ledger and every complete
-        line stands on its own.
-        """
-        path = self.journal_path
-        if path is None or not os.path.exists(path):
-            return {}
-        entries: Dict[str, Dict[str, Any]] = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(rec, dict) and "key" in rec:
-                    entries[rec["key"]] = rec
-        return entries
 
     # -- execution --------------------------------------------------------
     def map(

@@ -258,8 +258,12 @@ class QueryServer:
         wait = False
         if isinstance(doc, dict):
             doc = dict(doc)
-            wait = bool(doc.pop("wait", False))
+            wait = doc.pop("wait", False)
         try:
+            if not isinstance(wait, bool):
+                # bool("false") and bool(0.0001) are True: a truthy
+                # non-boolean would block the connection on the farm.
+                raise QueryError(f"wait must be true or false, got {wait!r}")
             spec = parse_query(doc)
             # The one store probe of this request: the admission
             # decision and the answer both work from it.
@@ -340,6 +344,7 @@ class QueryServer:
                     try:
                         since = max(0, int(part[len("since="):]))
                     except ValueError:
+                        self._count("http_errors")
                         return _error_response(
                             400, "bad_request",
                             f"bad since in {query_string!r}",
@@ -353,6 +358,7 @@ class QueryServer:
                 "next": since + len(events),
             })
         if tail:
+            self._count("http_errors")
             return _error_response(
                 404, "not_found", f"no job endpoint {tail!r}", retryable=False
             )

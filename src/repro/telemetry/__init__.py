@@ -8,9 +8,9 @@ them to a NoC in one call (what ``python -m repro report`` does).
 The fleet layer rides on top: :mod:`repro.telemetry.events` (the
 cross-process ``events.jsonl`` stream), :mod:`repro.telemetry.profile`
 (the compiled-kernel sampling profiler),
-:mod:`repro.telemetry.regress` (BENCH trajectory diffing behind
-``python -m repro bench-diff``) and :mod:`repro.telemetry.top` (the
-``python -m repro top`` dashboard).
+:mod:`repro.telemetry.regress` (the ledger diff behind ``python -m
+repro bench-diff``, bounds read from ``BENCHMARK.json``) and
+:mod:`repro.telemetry.top` (the ``python -m repro top`` dashboard).
 """
 
 from repro.telemetry.events import (
@@ -56,26 +56,14 @@ from repro.telemetry.registry import (
     TelemetryError,
     validate_metrics,
 )
-from repro.telemetry.regress import (
-    DEFAULT_THRESHOLD,
-    REGRESS_SCHEMA,
-    TRACKED,
-    Regression,
-    TrackedMetric,
-    bench_diff,
-    collect_metrics,
-    diff_metrics,
-)
+from repro.telemetry.regress import bench_diff, diff_metrics
 
 __all__ = [
     "SCHEMA",
     "EVENTS_SCHEMA",
     "EVENT_TYPES",
     "PROFILE_SCHEMA",
-    "REGRESS_SCHEMA",
-    "DEFAULT_THRESHOLD",
     "LIFECYCLE_EVENTS",
-    "TRACKED",
     "CounterMetric",
     "EventCollector",
     "EventWriter",
@@ -86,13 +74,10 @@ __all__ = [
     "LinkUtilizationSeries",
     "MetricsRegistry",
     "NocTelemetry",
-    "Regression",
     "SeriesMetric",
     "TelemetryError",
-    "TrackedMetric",
     "bench_diff",
     "chrome_trace_events",
-    "collect_metrics",
     "diff_metrics",
     "emit",
     "enable_lifecycle",

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.flow.runner import ExperimentRunner, PointFailure
+from repro.flow.runner import ExperimentRunner, PointFailure, read_journal
 from repro.serve import WorkStealingDispatcher
 from repro.store import ResultStore
 from repro.telemetry.events import (
@@ -156,7 +156,7 @@ class TestFailureMachinery:
         with pytest.raises(TypeError, match="pickle"):
             runner.map(_square, [1, threading.Lock(), 3])
         statuses = sorted(
-            e["status"] for e in runner.journal_entries().values()
+            e["status"] for e in read_journal(runner.journal_path)
         )
         assert statuses == ["failed", "ok", "ok"]
 

@@ -5,6 +5,7 @@ file references in the docs must exist.  Documentation that silently
 rots is worse than none.
 """
 
+import json
 import os
 import re
 
@@ -89,7 +90,7 @@ class TestPerformanceDoc:
             'kernel="compiled"', "set_kernel", "sim.compile()",
             "three modes over two loops", 'kernel="fast"', "8–15% slower",
             "repro/sim/lanes.py", "instance-level", "stride=",
-            "kernel-smoke", "BENCH_s1.json", "baseline.json",
+            "BENCH_s1.json", "baseline.json",
             # the kernel decision table + the batched mode it indexes
             "## Choosing a kernel", "batched", "BatchSimulator",
             "BATCHING.md",
@@ -98,6 +99,36 @@ class TestPerformanceDoc:
             "never a wrong hit", "Campaign keys (one lane or N) did not move",
         ):
             assert term in text, term
+
+    def test_ledger_table_is_the_committed_baseline(self):
+        """The one numbers table in the guide is baseline.json, rendered
+        (workloads x BENCHMARK.json's end-to-end metrics, median +-
+        spread); a rebaseline fails here and prints the new block."""
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+            columns = json.load(f)["end_to_end"]
+        baseline = os.path.join(ROOT, "benchmarks", "ledger", "baseline.json")
+        with open(baseline, encoding="utf-8") as f:
+            workloads = json.load(f)["end_to_end"]
+        lines = [
+            "| workload | "
+            + " | ".join(f"`{c['name']}` ({c['unit']})" for c in columns) + " |",
+            "|---|" + "---:|" * len(columns),
+        ]
+        for name, row in workloads.items():
+            cells = (row["metrics"][c["name"]] for c in columns)
+            lines.append(f"| `{name}` | " + " | ".join(
+                f"{m['median']:.4g} ± {m['spread']:.1%}" for m in cells) + " |")
+        want = "\n".join(lines) + "\n"
+        assert len(lines) == 2 + 7 and len(columns) == 4
+        with open(self.PATH, encoding="utf-8") as f:
+            text = f.read()
+        begin, end = "<!-- ledger-table:begin -->\n", "<!-- ledger-table:end -->\n"
+        assert text.count(begin) == 1 and text.count(end) == 1
+        got = text.split(begin)[1].split(end)[0]
+        assert got == want, (
+            "docs/PERFORMANCE.md ledger table drifted from "
+            f"benchmarks/ledger/baseline.json; expected block:\n{want}"
+        )
 
     def test_every_python_block_runs(self):
         blocks = extract_python_blocks(self.PATH)
@@ -145,7 +176,8 @@ class TestObservabilityDoc:
             "KernelProfiler", "sample_every", "profile.json",
             "python -m repro top", "metrics.prom",
             "MetricsRegistry.merge",
-            "bench-diff", "BENCH_TRAJECTORY.json", "top-smoke",
+            "bench-diff", "baseline.json", "BENCHMARK.json", "unresolved",
+            "not comparable", "benchmark PR", "top-smoke",
         ):
             assert term in text, term
 
@@ -234,7 +266,7 @@ class TestCheckpointDoc:
             "verify_checkpoint", "stats_digest",
             # hardened runner
             "runs.jsonl", "timeout", "retries", "PointFailure",
-            "on_failure", "corrupt", "journal_entries",
+            "on_failure", "corrupt", "read_journal",
             # ... on the one supervised pool: the behaviour deltas
             "repro.flow.pool", "long-lived", "restart budget",
             "poisoned", "SIGKILLed", "must pickle",

@@ -35,6 +35,7 @@ from repro.flow.runner import (
     ExperimentRunner,
     PointFailure,
     point_key,
+    read_journal,
     stable_repr,
 )
 from repro.network.experiments import TopologyNocBuilder
@@ -80,9 +81,9 @@ class TestFailureIsolation:
             runner.map(_behave, points, label="pt")
         # Both healthy siblings finished, were cached, and journaled --
         # the raise happened only after the whole batch settled.
-        entries = runner.journal_entries()
-        ok = [e for e in entries.values() if e["status"] == "ok"]
-        failed = [e for e in entries.values() if e["status"] == "failed"]
+        entries = read_journal(runner.journal_path)
+        ok = [e for e in entries if e["status"] == "ok"]
+        failed = [e for e in entries if e["status"] == "failed"]
         assert len(ok) == 2 and len(failed) == 1
         assert failed[0]["kind"] == "error"
         rerun = ExperimentRunner(jobs=2, cache_dir=str(tmp_path), on_failure="record")
@@ -266,7 +267,7 @@ class TestJournalAndResume:
         )
         first.map(_behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt")
         done = [
-            key for key, rec in first.journal_entries().items()
+            rec["key"] for rec in read_journal(first.journal_path)
             if rec["status"] == "ok"
         ]
         assert len(done) == 2
@@ -286,13 +287,28 @@ class TestJournalAndResume:
         runner.map(_behave, [("ok", 1)], label="pt")
         with open(runner.journal_path, "a") as f:
             f.write('{"key": "half-written')  # no newline, invalid JSON
-        entries = runner.journal_entries()
+        entries = read_journal(runner.journal_path)
         assert len(entries) == 1  # torn tail skipped, good line kept
 
     def test_no_journal_without_a_cache_dir(self):
         runner = ExperimentRunner(jobs=1)
         assert runner.journal_path is None
-        assert runner.journal_entries() == {}
+
+    def test_read_journal_keeps_every_record_in_file_order(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        assert read_journal(str(path)) == []  # no file yet
+        path.write_text(
+            '{"key": "a", "status": "failed"}\n'
+            '\n'
+            '[1, 2]\n'
+            '{"status": "ok"}\n'
+            '{"key": "a", "status": "ok"}\n'
+            '{"key": "b", "status": "ok"}\n'
+            '{"key": "c", "sta'
+        )
+        assert [(r["key"], r["status"]) for r in read_journal(str(path))] == [
+            ("a", "failed"), ("a", "ok"), ("b", "ok"),
+        ]
 
 
 class TestCorruptCacheQuarantine:

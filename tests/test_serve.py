@@ -382,6 +382,46 @@ class TestHttp:
         assert "Content-Length" in doc["detail"]
         assert server.engine.metrics.counter("serve.http_errors").value == 1
 
+    def test_non_boolean_wait_is_400_before_any_probe(self, live_server):
+        """``bool("false")`` is True: a truthy non-boolean ``wait`` used
+        to block the connection and hold an admission slot until the
+        farm finished.  Only JSON booleans are accepted."""
+        server, base = live_server
+        engine = server.engine
+        bad = ["false", "true", 0.0001, 1, 0, None, [True]]
+        for value in bad:
+            status, doc = _post(base + "/query", dict(FAST, wait=value))
+            assert status == 400 and doc["error"] == "bad_request", value
+            assert "wait" in doc["detail"] and doc["retryable"] is False
+        assert engine.store.hits == engine.store.misses == 0
+        assert engine.queries == 0 and len(engine.store) == 0
+        assert server.inflight == 0 and not server.jobs
+        assert engine.metrics.counter("serve.http_errors").value == len(bad)
+        # The boolean spellings still mean what they meant.
+        status, doc = _post(base + "/query", dict(FAST, wait=True))
+        assert status == 200 and doc["served_from"] == "farm"
+        status, doc = _post(base + "/query", dict(FAST, seed=5, wait=False))
+        assert status == 202
+
+    def test_job_subresource_errors_count_as_http_errors(self, live_server):
+        _, base = live_server
+        job, _ = self._job_events(base)
+
+        def http_errors():
+            with urllib.request.urlopen(base + "/metrics", timeout=30) as r:
+                found = re.search(
+                    r"^repro_serve_http_errors (\d+)$", r.read().decode(), re.M
+                )
+            return int(found.group(1)) if found else 0
+
+        before = http_errors()
+        status, doc = _get(base + f"/jobs/{job}/events?since=abc")
+        assert status == 400 and doc["error"] == "bad_request"
+        assert http_errors() == before + 1
+        status, doc = _get(base + f"/jobs/{job}/bogus")
+        assert status == 404 and doc["error"] == "not_found"
+        assert http_errors() == before + 2
+
     def test_one_store_probe_per_request(self, live_server):
         """A covered POST reads each point of its slice once; a farmed
         one twice (the handler's probe, then the runner's own)."""
