@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc golden-kernel bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -11,6 +11,15 @@ test:
 # line counts are a success metric): total lines of src/**/*.py.
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
+
+# Regenerate tests/data/golden_compiled_kernel.py.txt after an intended
+# change to the text repro.sim.compiled emits (tests/test_codegen_golden.py
+# fails until the snapshot matches).
+golden-kernel:
+	PYTHONPATH=src:. $(PYTHON) -c "\
+	from tests.test_codegen_golden import GOLDEN_KERNEL, _golden_kernel_noc; \
+	from repro.sim.compiled import compiled_source; \
+	open(GOLDEN_KERNEL, 'w').write(compiled_source(_golden_kernel_noc().sim))"
 
 # Full figure regeneration (pytest-benchmark over benchmarks/).
 figures:

@@ -29,6 +29,7 @@ from repro.core.credit import CreditProtocolError, CreditReceiver, CreditSender
 from repro.core.flit import Flit
 from repro.sim.channel import FlitChannel
 from repro.sim.component import Component
+from repro.sim.trace import NullTracer
 
 
 class InputBufferedSwitch(Component):
@@ -97,7 +98,7 @@ class InputBufferedSwitch(Component):
     def _requested_output(self, input_index: int, flit: Flit) -> int:
         if flit.is_head:
             hop = flit.next_hop
-            if hop >= self.config.n_outputs:
+            if not 0 <= hop < self.config.n_outputs:
                 raise CreditProtocolError(
                     f"{self.name}: route asks for output {hop}"
                 )
@@ -144,7 +145,9 @@ class InputBufferedSwitch(Component):
                 self._input_dest[winner] = None
             sender.enqueue(flit)
             self.flits_routed += 1
-            self.trace(cycle, "route", flit=repr(flit), inp=winner, out=out_idx)
+            if self.sim is not None and type(self.sim.tracer) is not NullTracer:
+                # repr(flit) is formatted per routed flit: only for a live tracer.
+                self.trace(cycle, "route", flit=repr(flit), inp=winner, out=out_idx)
 
         # 2. Transmit (and absorb this cycle's returned credits).
         for s in self.senders:

@@ -142,29 +142,54 @@ class Flit:
         return self.route[self.route_offset]
 
     def advance_route(self) -> "Flit":
-        """Consume one route hop (what the switch does in hardware)."""
-        c = _clone(self)
-        _set(c, "route_offset", self.route_offset + 1)
+        """Consume one route hop (what the switch does in hardware).
+
+        With :meth:`with_seqno`, one of the two per-hop stamps: clone
+        and stamp fused into a single pass over the slots (see
+        :func:`_clone`); the compiled lanes call both as plain functions.
+        """
+        c = _new(Flit)
+        _s_ftype(c, self.ftype)
+        _s_payload(c, self.payload)
+        _s_width(c, self.width)
+        _s_packet_id(c, self.packet_id)
+        _s_index(c, self.index)
+        _s_route(c, self.route)
+        _s_route_offset(c, self.route_offset + 1)
+        _s_seqno(c, self.seqno)
+        _s_corrupted(c, self.corrupted)
+        _s_crc(c, self.crc)
+        _s_birth_cycle(c, self.birth_cycle)
         return c
 
     def with_seqno(self, seqno: int) -> "Flit":
-        c = _clone(self)
-        _set(c, "seqno", seqno)
+        c = _new(Flit)
+        _s_ftype(c, self.ftype)
+        _s_payload(c, self.payload)
+        _s_width(c, self.width)
+        _s_packet_id(c, self.packet_id)
+        _s_index(c, self.index)
+        _s_route(c, self.route)
+        _s_route_offset(c, self.route_offset)
+        _s_seqno(c, seqno)
+        _s_corrupted(c, self.corrupted)
+        _s_crc(c, self.crc)
+        _s_birth_cycle(c, self.birth_cycle)
         return c
 
     def with_route_offset(self, offset: int) -> "Flit":
         c = _clone(self)
-        _set(c, "route_offset", offset)
+        _s_route_offset(c, offset)
         return c
 
     def corrupt(self) -> "Flit":
         c = _clone(self)
-        _set(c, "corrupted", True)
+        _s_corrupted(c, True)
         return c
 
     def with_crc(self, crc: int) -> "Flit":
         c = _clone(self)
-        _set(c, "crc", crc)
+        _s_crc(c, crc)
         return c
 
     def flip_bits(self, positions) -> "Flit":
@@ -178,7 +203,7 @@ class Flit:
 
     def stamped(self, cycle: int) -> "Flit":
         c = _clone(self)
-        _set(c, "birth_cycle", cycle)
+        _s_birth_cycle(c, cycle)
         return c
 
     def __repr__(self) -> str:
@@ -188,7 +213,13 @@ class Flit:
 
 
 _new = object.__new__
-_set = object.__setattr__
+# ``Flit`` is frozen, so copies are written through the slot descriptors;
+# binding each ``__set__`` once at import makes a field write a single C
+# call (``object.__setattr__`` re-resolves the name on every write).
+(
+    _s_ftype, _s_payload, _s_width, _s_packet_id, _s_index, _s_route,
+    _s_route_offset, _s_seqno, _s_corrupted, _s_crc, _s_birth_cycle,
+) = (Flit.__dict__[name].__set__ for name in Flit.__slots__)
 
 
 def _clone(f: Flit) -> Flit:
@@ -203,17 +234,42 @@ def _clone(f: Flit) -> Flit:
     ``replace`` -- it does change the payload.
     """
     c = _new(Flit)
-    _set(c, "ftype", f.ftype)
-    _set(c, "payload", f.payload)
-    _set(c, "width", f.width)
-    _set(c, "packet_id", f.packet_id)
-    _set(c, "index", f.index)
-    _set(c, "route", f.route)
-    _set(c, "route_offset", f.route_offset)
-    _set(c, "seqno", f.seqno)
-    _set(c, "corrupted", f.corrupted)
-    _set(c, "crc", f.crc)
-    _set(c, "birth_cycle", f.birth_cycle)
+    _s_ftype(c, f.ftype)
+    _s_payload(c, f.payload)
+    _s_width(c, f.width)
+    _s_packet_id(c, f.packet_id)
+    _s_index(c, f.index)
+    _s_route(c, f.route)
+    _s_route_offset(c, f.route_offset)
+    _s_seqno(c, f.seqno)
+    _s_corrupted(c, f.corrupted)
+    _s_crc(c, f.crc)
+    _s_birth_cycle(c, f.birth_cycle)
+    return c
+
+
+def _packet_flit(
+    ftype: FlitType, payload: int, width: int, packet_id: int, index: int,
+    route: Optional[Tuple[int, ...]], birth_cycle: int,
+) -> Flit:
+    """``Flit(...)`` as the packetizer calls it, slots written directly.
+
+    The frozen dataclass ``__init__`` pays ``object.__setattr__`` per
+    field; the payload/width check is the same ``__post_init__``.
+    """
+    c = _new(Flit)
+    _s_ftype(c, ftype)
+    _s_payload(c, payload)
+    _s_width(c, width)
+    _s_packet_id(c, packet_id)
+    _s_index(c, index)
+    _s_route(c, route)
+    _s_route_offset(c, 0)
+    _s_seqno(c, -1)
+    _s_corrupted(c, False)
+    _s_crc(c, -1)
+    _s_birth_cycle(c, birth_cycle)
+    c.__post_init__()
     return c
 
 

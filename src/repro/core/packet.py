@@ -112,6 +112,10 @@ class PacketHeader:
     def pack(self, params: NocParameters) -> int:
         """Encode the header into its wire integer (MSB = route hop 0)."""
         self.validate(params)
+        return self._pack_validated(params)
+
+    def _pack_validated(self, params: NocParameters) -> int:
+        """:meth:`pack` for a header the caller has just validated."""
         value = 0
         # Route field: hop 0 in the most significant hop slot, unused
         # trailing hop slots zero.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.config import NocParameters
-from repro.core.flit import Flit, flit_type_for
+from repro.core.flit import Flit, _packet_flit, flit_type_for
 from repro.core.packet import Packet, PacketHeader
 
 
@@ -60,9 +60,15 @@ class Packetizer:
 
     def packet_bits(self, packet: Packet) -> int:
         """The packet's full bit stream as one integer."""
-        value = packet.header.pack(self.params)
+        packet.header.validate(self.params)
+        return self._stream(packet)
+
+    def _stream(self, packet: Packet) -> int:
+        # packet_bits for a packet whose header has just been validated.
+        value = packet.header._pack_validated(self.params)
+        data_width = self.params.data_width
         for beat in packet.payload:
-            value = (value << self.params.data_width) | beat
+            value = (value << data_width) | beat
         return value
 
     def decompose(self, packet: Packet, birth_cycle: int = -1) -> List[Flit]:
@@ -72,24 +78,22 @@ class Packetizer:
         (in hardware it is the leading bits of the payload; switches
         read it from there).
         """
-        packet.validate(self.params)
-        total_bits = packet.total_bits(self.params)
-        chunks = decompose_bits(self.packet_bits(packet), total_bits, self.params.flit_width)
-        flits = []
-        for i, chunk in enumerate(chunks):
-            ftype = flit_type_for(i, len(chunks))
-            flits.append(
-                Flit(
-                    ftype=ftype,
-                    payload=chunk,
-                    width=self.params.flit_width,
-                    packet_id=packet.packet_id,
-                    index=i,
-                    route=packet.header.route if ftype.is_head else None,
-                    birth_cycle=birth_cycle,
-                )
+        params = self.params
+        packet.validate(params)  # header and beats, once
+        width = params.flit_width
+        chunks = decompose_bits(
+            self._stream(packet),
+            self.header_bits + len(packet.payload) * params.data_width,
+            width,
+        )
+        total = len(chunks)
+        return [
+            _packet_flit(
+                flit_type_for(i, total), chunk, width, packet.packet_id, i,
+                packet.header.route if i == 0 else None, birth_cycle,
             )
-        return flits
+            for i, chunk in enumerate(chunks)
+        ]
 
 
 class Depacketizer:

@@ -36,6 +36,7 @@ from repro.core.flit import Flit
 from repro.core.flow_control import GoBackNReceiver, GoBackNSender, window_for_link
 from repro.sim.channel import FlitChannel
 from repro.sim.component import Component
+from repro.sim.trace import NullTracer
 
 
 class SwitchProtocolError(RuntimeError):
@@ -211,7 +212,7 @@ class Switch(Component):
     def _requested_output(self, input_index: int, flit: Flit) -> int:
         if flit.is_head:
             hop = flit.next_hop
-            if hop >= self.config.n_outputs:
+            if not 0 <= hop < self.config.n_outputs:
                 raise SwitchProtocolError(
                     f"{self.name}: route asks for output {hop} of "
                     f"{self.config.n_outputs} ({flit!r})"
@@ -326,4 +327,6 @@ class Switch(Component):
         else:
             port.queue.push(flit)
         self.flits_routed += 1
-        self.trace(cycle, "route", flit=repr(flit), inp=input_index, out=out_idx)
+        if self.sim is not None and type(self.sim.tracer) is not NullTracer:
+            # repr(flit) is formatted per routed flit: only for a live tracer.
+            self.trace(cycle, "route", flit=repr(flit), inp=input_index, out=out_idx)

@@ -21,15 +21,22 @@ tracks activity (awake set, hot-wire latching) and dispatches each
 woken component through its *lane*:
 
 ``switch``
-    Two-stage go-back-N switches: output stage, single-active-input cut
-    of the allocator (arbiters stay live so round-robin state matches),
-    and the wormhole commit -- all inlined, with the unconditional
-    ``repr(flit)`` trace argument elided (only legal under a
-    ``NullTracer``).
+    Two-stage go-back-N switches, entirely in generated text: the
+    output stage, then the allocator for any number of active inputs --
+    a straight-line cut for exactly one (the sparse regime), the full
+    three-phase allocation (candidates, one winner per requested
+    output, ACK + wormhole commit or nACK) for two or more (the
+    saturated one).  Arbiters stay live so round-robin state matches;
+    the ``repr(flit)`` trace argument is elided (only legal under a
+    ``NullTracer``).  ``Switch._input_stage`` is the reference the
+    other two kernel modes run, never called from this lane.
 ``ni-initiator`` / ``ni-target``
-    Network interfaces on their idle path (no request, no arriving flit,
-    no queued responses) collapse to the back-end transmit pump; any
-    visible input falls back to the component's real ``tick``.
+    Network interfaces: ``InitiatorNI.tick`` / ``TargetNI.tick``
+    transliterated phase for phase under the lane's eligibility gates
+    (:func:`repro.sim.lanes._initiator_lane` / ``_target_lane``), with
+    the receiver poll and the transmit pump inlined and the idle path
+    collapsing to that pump.  Only the per-packet work --
+    packetization, reassembly, response matching -- stays real calls.
 ``link``
     Zero-latency fault-free links become two inlined wire moves; a live
     fault override (``set_fault``) delegates to the real ``tick``.
@@ -75,6 +82,7 @@ measured speedups.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 from repro.sim.kernel import Simulator
@@ -163,8 +171,12 @@ def _emit_switch(n_in: int, n_out: int) -> str:
 
     The three per-port scans -- output stage, input activity detection,
     re-arm -- are unrolled into straight-line guards over pre-bound
-    per-port names.  One builder is shared by every switch of the same
-    (inputs x outputs) shape.
+    per-port names.  The allocator between them comes in two cuts,
+    both state-for-state transliterations of ``Switch._input_stage`` /
+    ``_commit``: straight-line for exactly one active input, three
+    phases looping over the ports for more.  (One body for 1..N inputs
+    measured 4% slower saturated and ~20% slower sparse.)  One builder
+    is shared by every switch of the same (inputs x outputs) shape.
     """
     name = f"_sw_{n_in}x{n_out}"
     lines = [
@@ -173,7 +185,6 @@ def _emit_switch(n_in: int, n_out: int) -> str:
         "    recvs = c.receivers",
         "    arbs = c._arbiters",
         "    req_of = c._requested_output",
-        "    in_stage = c._input_stage",
         "    dst = c._input_dest",
         "    onehot = tuple(",
         f"        tuple(i == j for j in range({n_in})) for i in range({n_in})",
@@ -184,6 +195,8 @@ def _emit_switch(n_in: int, n_out: int) -> str:
         "        for r in recvs",
         "    )",
         "    ACC = tuple((p, p.queue._items, p.queue.depth) for p in c.outputs)",
+        f"    rq = [-1] * {n_in}  # contended-tick scratch: request per input",
+        f"    wn = [-1] * {n_out}  # ... and winner per requested output",
         "    _len = len",
     ]
     for k in range(n_in):
@@ -237,7 +250,7 @@ def _emit_switch(n_in: int, n_out: int) -> str:
         "                        out_idx = req_of(act, f)  # raises: bad route",
         "                    else:",
         "                        out_idx = rt[ro]",
-        f"                        if out_idx >= {n_out}:",
+        f"                        if not 0 <= out_idx < {n_out}:",
         "                            out_idx = req_of(act, f)  # raises: bad hop",
         "                else:",
         "                    out_idx = dst[act]",
@@ -260,9 +273,7 @@ def _emit_switch(n_in: int, n_out: int) -> str:
         "                        rbw._queued = True",
         "                        rbw._hot.append(rbw)",
         "                    if ft is _H or ft is _HT:",
-        "                        nf = _FCLONE(f)",
-        "                        _set(nf, 'route_offset', f.route_offset + 1)",
-        "                        f = nf",
+        "                        f = _FHOP(f)",
         "                        if ft is _H:",
         "                            p.locked_input = act",
         "                            dst[act] = out_idx",
@@ -275,7 +286,90 @@ def _emit_switch(n_in: int, n_out: int) -> str:
         "                    r.rejected_flits += 1",
         "                    _drive(rbw, _AS(_NACK, seq))",
         "        elif act == -2:",
-        "            in_stage(cyc)",
+        "            # Contended: the reference allocator's three phases, state",
+        "            # for state.  Phase 1 -- per input: -1 idle, -2 corrupted, -3",
+        "            # out of sequence, else the output its candidate requests.",
+        "            i = 0",
+        "            for r, fw, rbw, det in rins:",
+        "                f = fw._cur",
+        "                if f is None:",
+        "                    o = -1",
+        "                elif f.corrupted if det is None else det(f):",
+        "                    o = -2",
+        "                elif f.seqno != r._expected:",
+        "                    o = -3",
+        "                else:",
+        "                    ft = f.ftype",
+        "                    if ft is _H or ft is _HT:",
+        "                        rt = f.route",
+        "                        ro = f.route_offset",
+        "                        if rt is None or ro >= _len(rt):",
+        "                            o = req_of(i, f)  # raises: bad route",
+        "                        else:",
+        "                            o = rt[ro]",
+        f"                            if not 0 <= o < {n_out}:",
+        "                                o = req_of(i, f)  # raises: bad hop",
+        "                    else:",
+        "                        o = dst[i]",
+        "                        if o is None:",
+        "                            o = req_of(i, f)  # raises: idle input",
+        "                rq[i] = o",
+        "                i += 1",
+        "            # Phase 2 -- per requested output: the wormhole owner or the",
+        "            # arbiter's grant, losers counted, queue space tested before",
+        "            # anything commits.",
+        "            j = 0",
+        "            for p, qi, depth in ACC:",
+        "                n = rq.count(j)",
+        "                if n:",
+        "                    li = p.locked_input",
+        "                    if li is None:",
+        "                        w = arbs[j].grant(",
+        "                            onehot[rq.index(j)] if n == 1",
+        "                            else [o == j for o in rq]",
+        "                        )",
+        "                        n -= 1",
+        "                    elif rq[li] == j:",
+        "                        w = li",
+        "                        n -= 1",
+        "                    else:",
+        "                        w = -1",
+        "                    c.allocation_conflicts += n",
+        "                    wn[j] = w if _len(qi) < depth else -1",
+        "                j += 1",
+        "            # Phase 3 -- per input: ACK + wormhole commit, or nACK.",
+        "            i = 0",
+        "            for r, fw, rbw, det in rins:",
+        "                o = rq[i]",
+        "                if o != -1:",
+        "                    f = fw._cur",
+        "                    seq = f.seqno",
+        "                    if o == -2:",
+        "                        r.corrupted_flits += 1",
+        "                        _drive(rbw, _AS(_NACK, seq))",
+        "                    elif o == -3:",
+        "                        r.out_of_order_flits += 1",
+        "                        _drive(rbw, _AS(_NACK, seq))",
+        "                    elif wn[o] == i:",
+        "                        r.accepted_flits += 1",
+        "                        r._expected = seq + 1",
+        "                        _drive(rbw, _AS(_ACK, seq))",
+        "                        p, qi, depth = ACC[o]",
+        "                        ft = f.ftype",
+        "                        if ft is _H or ft is _HT:",
+        "                            f = _FHOP(f)",
+        "                            if ft is _H:",
+        "                                p.locked_input = i",
+        "                                dst[i] = o",
+        "                        elif ft is _TL:",
+        "                            p.locked_input = None",
+        "                            dst[i] = None",
+        "                        qi.append(f)",
+        "                        c.flits_routed += 1",
+        "                    else:",
+        "                        r.rejected_flits += 1",
+        "                        _drive(rbw, _AS(_NACK, seq))",
+        "                i += 1",
     ]
     # Re-arm: one short-circuit expression across all output ports.
     arm = [
@@ -776,6 +870,15 @@ def compiled_source(sim: Simulator) -> str:
     return source
 
 
+@functools.lru_cache(maxsize=16)
+def _code_for(source: str):
+    # The text is byte-identical for every rebuild of one topology
+    # (each load-sweep point, batch lane, snapshot restore) and
+    # ``builtins.compile`` is most of an elaboration, so the code object
+    # -- immutable, holding no simulator state -- is shared per source.
+    return compile(source, "<repro.sim.compiled>", "exec")
+
+
 def compile_simulator(sim: Simulator) -> CompiledProgram:
     """Elaborate ``sim`` into a :class:`CompiledProgram`.
 
@@ -792,7 +895,7 @@ def compile_simulator(sim: Simulator) -> CompiledProgram:
     if profiler is not None:
         lane_map = dict(lane_of)
         g["_PROF"] = lambda S, TH: profiler._install(S, TH, lane_map)
-    exec(compile(source, "<repro.sim.compiled>", "exec"), g)
+    exec(_code_for(source), g)
     run, run_to_event, rearm = g["_build"](sim)
     meta = {
         "n_components": len(sim._components),

@@ -13,15 +13,14 @@ checks it).
 
 import operator
 
-from repro.core.flit import FlitType, _clone as _FCLONE
+from repro.core.flit import Flit, FlitType
 from repro.sim.channel import AckKind, AckSignal
 from repro.sim.trace import NullTracer as _NT
 
 __all__ = [
-    "_ACK", "_AS", "_FCLONE", "_H", "_HT", "_NACK", "_NT", "_SK", "_TL",
+    "_ACK", "_AS", "_FHOP", "_H", "_HT", "_NACK", "_NT", "_SK", "_TL",
     "_always_lane", "_drive", "_generic_lane", "_initiator_lane",
-    "_link_lane", "_master_awake_lane", "_port_pump", "_set",
-    "_target_lane",
+    "_link_lane", "_master_awake_lane", "_port_pump", "_target_lane",
 ]
 
 _SK = operator.attrgetter("_sched_index")
@@ -31,7 +30,10 @@ _AS = AckSignal
 _H = FlitType.HEAD
 _TL = FlitType.TAIL
 _HT = FlitType.HEAD_TAIL
-_set = object.__setattr__
+# The two per-hop flit stamps (fused clone + field write), called as
+# plain functions: no bound-method object per flit.
+_FHOP = Flit.advance_route
+_FSEQ = Flit.with_seqno
 
 
 def _drive(w, v):
@@ -110,9 +112,7 @@ def _port_pump(p):
         if qi and len(sb) < win:
             f = qi.popleft()
             if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
+                sb.append(_FSEQ(f, s._next_seqno))
                 s._next_seqno += 1
             else:
                 s.enqueue(f)
@@ -243,9 +243,7 @@ def _initiator_lane(c):
             if ft is _TL or ft is _HT:
                 tx._queued_packets -= 1
             if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
+                sb.append(_FSEQ(f, s._next_seqno))
                 s._next_seqno += 1
             else:
                 s.enqueue(f)
@@ -378,9 +376,7 @@ def _target_lane(c):
             if ft is _TL or ft is _HT:
                 tx._queued_packets -= 1
             if fastq:
-                nf = _FCLONE(f)
-                _set(nf, "seqno", s._next_seqno)
-                sb.append(nf)
+                sb.append(_FSEQ(f, s._next_seqno))
                 s._next_seqno += 1
             else:
                 s.enqueue(f)

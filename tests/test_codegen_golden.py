@@ -17,14 +17,7 @@ Regenerate the SystemC snapshot with::
         open(f"tests/data/golden_systemc/{name}", "w").write(content)
     PY
 
-Regenerate the compiled-kernel snapshot with::
-
-    PYTHONPATH=src python - <<'PY'
-    from tests.test_codegen_golden import _golden_kernel_noc
-    from repro.sim.compiled import compiled_source
-    open("tests/data/golden_compiled_kernel.py.txt", "w").write(
-        compiled_source(_golden_kernel_noc().sim))
-    PY
+Regenerate the compiled-kernel snapshot with ``make golden-kernel``.
 """
 
 import os
@@ -105,7 +98,7 @@ class TestCompiledKernelGolden:
             golden = f.read()
         assert source == golden, (
             "generated kernel source changed; if intentional, regenerate "
-            "the snapshot (see module docstring)"
+            "the snapshot with `make golden-kernel`"
         )
 
     def test_generation_is_deterministic(self, source):

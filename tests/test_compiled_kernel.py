@@ -205,6 +205,54 @@ def test_compiled_source_is_deterministic():
     assert a == b and "def run_cycles" in a
 
 
+def _saturated_rig():
+    """The ledger's ``sim_saturated`` network: 4x4 mesh, 8 + 8 cores."""
+    noc = TopologyNocBuilder(mesh, (4, 4), n_initiators=8, n_targets=8)()
+    noc.populate(
+        {
+            c: UniformRandomTraffic(noc.topology.targets, 0.4, seed=i)
+            for i, c in enumerate(noc.topology.initiators)
+        }
+    )
+    return noc
+
+
+def test_switch_lane_never_leaves_generated_code():
+    # Any number of active inputs is allocated inside ``_sw_NxM``; the
+    # hand-written ``Switch._input_stage`` is not even bound.
+    source = compiled_source(_saturated_rig().sim)
+    assert "def _sw_" in source and "act == -2" in source
+    assert "in_stage" not in source and "_input_stage" not in source
+
+
+def test_identical_networks_share_one_code_object():
+    from repro.sim import compiled
+    from repro.telemetry.profile import KernelProfiler
+
+    compiled._code_for.cache_clear()
+    first, second = _saturated_rig(), _saturated_rig()
+    first.sim.compile()
+    second.sim.compile()
+    info = compiled._code_for.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize is not None  # bounded
+    # Shared text, private state: each program drives its own simulator.
+    first.run(50)
+    assert (first.sim.cycle, second.sim.cycle) == (50, 0)
+    # A profiled compile reuses the code object too, but executes it in
+    # its own namespace: its ``_PROF`` hook wraps only its own thunks.
+    profiled = _saturated_rig()
+    prof = KernelProfiler(sample_every=1)
+    profiled.sim.set_profiler(prof)
+    profiled.sim.compile()
+    assert compiled._code_for.cache_info().hits == 2
+    profiled.run(50)
+    calls = prof.total_calls
+    second.run(50)
+    assert prof.installs == 1 and prof.total_calls == calls > 0
+    assert first.stats_digest() == second.stats_digest() == profiled.stats_digest()
+
+
 def test_set_kernel_validates_mode():
     sim = Simulator()
     with pytest.raises(SimulationError, match="set_kernel"):

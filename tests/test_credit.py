@@ -181,6 +181,14 @@ class TestInputBufferedSwitch:
         # ...and delivery stayed exactly-once, in order.
         assert [f.index for f in got[0]] == list(range(12))
 
+    @pytest.mark.parametrize("hop", [2, -1])
+    def test_route_hop_outside_the_outputs_raises(self, hop):
+        # A negative hop used to match no output and block the input forever.
+        sim, sw, txs, rxs = self.make_rig()
+        streams = {0: packet_flits(2, route=(hop,))}
+        with pytest.raises(CreditProtocolError, match=f"output {hop}"):
+            self.run_stream(sim, txs, rxs, streams, cycles=20)
+
     def test_deep_pipeline_rejected(self):
         sim = Simulator()
         cfg = SwitchConfig(n_inputs=1, n_outputs=1, pipeline_stages=7)

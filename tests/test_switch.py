@@ -6,7 +6,8 @@ from tests.harness import FlitSink, FlitSource, packet_flits
 from repro.core.config import ArbitrationPolicy, LinkConfig, NocParameters, SwitchConfig
 from repro.core.link import Link
 from repro.core.switch import Switch, SwitchProtocolError
-from repro.sim.kernel import Simulator
+from repro.sim.channel import AckKind
+from repro.sim.kernel import KERNEL_MODES, Simulator
 
 
 def make_switch_rig(
@@ -17,10 +18,13 @@ def make_switch_rig(
     arbitration=ArbitrationPolicy.ROUND_ROBIN,
     link_cfg=None,
     window=7,
+    kernel="compiled",
 ):
     """A switch with a FlitSource per input and a FlitSink per output,
-    each connected through a Link (so timing matches real networks)."""
-    sim = Simulator()
+    each connected through a Link (so timing matches real networks).
+    Under ``kernel="compiled"`` the switch runs on its generated
+    ``_sw_NxM`` lane (source and sink have no quiescence contract)."""
+    sim = Simulator(kernel=kernel)
     cfg = SwitchConfig(
         n_inputs=n_in,
         n_outputs=n_out,
@@ -109,8 +113,10 @@ class TestBasicRouting:
 
 
 class TestWormhole:
+    kernel = "compiled"  # re-run under the other kernels below
+
     def test_packets_do_not_interleave_on_contended_output(self):
-        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig()
+        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(kernel=self.kernel)
         tx0.submit(packet_flits(5, route=(0,), packet_id=1))
         tx1.submit(packet_flits(5, route=(0,), packet_id=2))
         sim.run(120)
@@ -125,7 +131,7 @@ class TestWormhole:
         assert all(f.packet_id != first for f in got[switch_point:])
 
     def test_output_lock_releases_after_tail(self):
-        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig()
+        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(kernel=self.kernel)
         tx0.submit(packet_flits(3, route=(0,), packet_id=1))
         sim.run(40)
         assert sw.outputs[0].locked_input is None
@@ -134,15 +140,17 @@ class TestWormhole:
         assert len(rx0.got) == 6
 
     def test_single_flit_packet_never_locks(self):
-        sim, sw, (tx0, _), (rx0, _) = make_switch_rig()
+        sim, sw, (tx0, _), (rx0, _) = make_switch_rig(kernel=self.kernel)
         tx0.submit(packet_flits(1, route=(0,)))
         sim.run(10)
         assert sw.outputs[0].locked_input is None
 
 
 class TestArbitration:
+    kernel = "compiled"  # re-run under the other kernels below
+
     def test_round_robin_alternates_between_packet_streams(self):
-        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig()
+        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(kernel=self.kernel)
         for p in range(4):
             tx0.submit(packet_flits(2, route=(0,), packet_id=10 + p))
             tx1.submit(packet_flits(2, route=(0,), packet_id=20 + p))
@@ -154,7 +162,7 @@ class TestArbitration:
 
     def test_fixed_priority_favours_input_zero(self):
         sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(
-            arbitration=ArbitrationPolicy.FIXED_PRIORITY
+            arbitration=ArbitrationPolicy.FIXED_PRIORITY, kernel=self.kernel
         )
         for p in range(3):
             tx0.submit(packet_flits(2, route=(0,), packet_id=10 + p))
@@ -165,7 +173,7 @@ class TestArbitration:
         assert heads.index(12) < heads.index(22)
 
     def test_conflicts_are_counted(self):
-        sim, sw, (tx0, tx1), _ = make_switch_rig()
+        sim, sw, (tx0, tx1), _ = make_switch_rig(kernel=self.kernel)
         tx0.submit(packet_flits(4, route=(0,), packet_id=1))
         tx1.submit(packet_flits(4, route=(0,), packet_id=2))
         sim.run(100)
@@ -173,9 +181,11 @@ class TestArbitration:
 
 
 class TestBackpressure:
+    kernel = "compiled"  # re-run under the other kernels below
+
     def test_full_output_queue_nacks_upstream(self):
         # Sink gate closed: output queue fills, input flits get NACKed.
-        sim = Simulator()
+        sim = Simulator(kernel=self.kernel)
         cfg = SwitchConfig(n_inputs=1, n_outputs=1, buffer_depth=2)
         lcfg = LinkConfig()
         src_ch = sim.flit_channel("src")
@@ -198,7 +208,9 @@ class TestBackpressure:
         assert [f.index for f in rx.got] == list(range(12))
 
     def test_no_flit_lost_or_duplicated_under_backpressure(self):
-        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(buffer_depth=2)
+        sim, sw, (tx0, tx1), (rx0, _) = make_switch_rig(
+            buffer_depth=2, kernel=self.kernel
+        )
         tx0.submit(packet_flits(8, route=(0,), packet_id=1))
         tx1.submit(packet_flits(8, route=(0,), packet_id=2))
         sim.run(500)
@@ -207,6 +219,73 @@ class TestBackpressure:
             by_pkt[f.packet_id].append(f.index)
         assert by_pkt[1] == list(range(8))
         assert by_pkt[2] == list(range(8))
+
+
+# Every wormhole / arbitration / backpressure scenario above again under
+# the other kernels: contended ticks execute the generated allocator
+# under "compiled" and ``Switch._input_stage`` under the other two.
+for _cls in (TestWormhole, TestArbitration, TestBackpressure):
+    for _kernel in KERNEL_MODES:
+        if _kernel != _cls.kernel:
+            _name = f"{_cls.__name__}_{_kernel}"
+            globals()[_name] = type(_name, (_cls,), {"kernel": _kernel})
+
+
+@pytest.mark.parametrize("kernel", KERNEL_MODES)
+class TestContendedTick:
+    """One allocation tick with every input busy, state for state."""
+
+    def rig(self, kernel, n_in, n_out):
+        sim = Simulator(kernel=kernel)
+        cfg = SwitchConfig(n_inputs=n_in, n_outputs=n_out)
+        ins = [sim.flit_channel(f"in{i}") for i in range(n_in)]
+        outs = [sim.flit_channel(f"out{o}") for o in range(n_out)]
+        sw = sim.add(Switch("sw", cfg, ins, outs, out_windows=7))
+        return sim, sw, ins
+
+    def test_three_heads_one_output_plus_corrupt_and_stale(self, kernel):
+        sim, sw, ins = self.rig(kernel, 5, 2)
+        for i in range(3):
+            head = packet_flits(3, route=(1,), packet_id=10 + i)[0]
+            ins[i].send(head.with_seqno(0))
+        ins[3].send(packet_flits(1, route=(0,), packet_id=13)[0].with_seqno(0).corrupt())
+        ins[4].send(packet_flits(1, route=(0,), packet_id=14)[0].with_seqno(3))
+        sim.run(2)  # latch onto the input wires, then the allocation tick
+        acks = [ch.peek_ack() for ch in ins]
+        assert [a.kind for a in acks] == [AckKind.ACK] + [AckKind.NACK] * 4
+        assert [a.seqno for a in acks] == [0, 0, 0, 0, 3]
+        rx = sw.receivers
+        assert [r.accepted_flits for r in rx] == [1, 0, 0, 0, 0]
+        assert [r.rejected_flits for r in rx] == [0, 1, 1, 0, 0]
+        assert [r.corrupted_flits for r in rx] == [0, 0, 0, 1, 0]
+        assert [r.out_of_order_flits for r in rx] == [0, 0, 0, 0, 1]
+        assert [r._expected for r in rx] == [1, 0, 0, 0, 0]
+        assert sw.allocation_conflicts == 2 and sw.flits_routed == 1
+        assert sw.outputs[1].locked_input == 0 and sw._input_dest[0] == 1
+        assert sw.outputs[0].locked_input is None
+        assert [a._next for a in sw._arbiters] == [0, 1]
+        (queued,) = sw.outputs[1].queue
+        assert (queued.packet_id, queued.route_offset) == (10, 1)
+        # The losers retry: round robin now starts at input 1, but the
+        # wormhole lock holds the port for input 0's packet.
+        ins[1].send(packet_flits(3, route=(1,), packet_id=11)[0].with_seqno(0))
+        ins[0].send(packet_flits(3, route=(1,), packet_id=10)[1].with_seqno(1))
+        sim.run(2)
+        assert ins[0].peek_ack().kind is AckKind.ACK
+        assert ins[1].peek_ack().kind is AckKind.NACK
+        assert sw.allocation_conflicts == 3 and sw.flits_routed == 2
+
+    @pytest.mark.parametrize("contended", [False, True])
+    def test_negative_route_hop_raises(self, kernel, contended):
+        # route=(-1,) once livelocked the reference loop (nACKed forever)
+        # and was delivered to the *last* output by the generated lane.
+        sim, sw, ins = self.rig(kernel, 2, 2)
+        if contended:
+            ins[0].send(packet_flits(1, route=(0,), packet_id=1)[0].with_seqno(0))
+        ins[1].send(packet_flits(1, route=(-1,), packet_id=2)[0].with_seqno(0))
+        with pytest.raises(SwitchProtocolError, match="output -1"):
+            sim.run(3)
+        assert sw.flits_routed == 0
 
 
 class TestDeepPipeline:
