@@ -34,7 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.monkey import ChaosMonkey
 from repro.chaos.plan import ChaosPlan
 from repro.flow.pool import WorkStealingDispatcher
-from repro.flow.runner import ExperimentRunner, read_journal, stable_repr
+from repro.flow.keying import stable_repr
+from repro.flow.runner import ExperimentRunner, read_journal
 from repro.store.cas import ResultStore
 
 

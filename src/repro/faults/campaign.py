@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
-from repro.flow.runner import ExperimentRunner, RunManifest, stable_repr
+from repro.flow.keying import stable_repr
+from repro.flow.runner import ExperimentRunner, RunManifest
 from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
 from repro.sim.snapshot import SimSnapshot, SnapshotError

@@ -27,7 +27,8 @@ from repro.flow.mapping import (
     greedy_mapping,
     mapping_cost,
 )
-from repro.flow.runner import ExperimentRunner, PointReport, stable_repr
+from repro.flow.keying import stable_repr
+from repro.flow.runner import ExperimentRunner, PointReport
 from repro.flow.selection import CandidateResult, select_topology
 from repro.flow.taskgraph import (
     CoreGraph,

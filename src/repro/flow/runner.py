@@ -31,14 +31,12 @@ of such points
   a hit).
   See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
 
-The cache key is built by :func:`stable_repr`, which canonicalises
-dataclasses, enums, dicts/sets (sorted), callables (by qualname) and
-objects exposing a ``cache_token()`` method.  Invalidation is by
-construction: change any argument -- or bump
-:data:`ExperimentRunner.salt` / the library's :data:`CACHE_VERSION` --
-and the key changes.  See ``docs/PERFORMANCE.md`` for the rules and for
-what is deliberately *not* hashed (code bodies: delete the cache
-directory after editing measurement code).
+The cache keys come from :mod:`repro.flow.keying` (re-exported here):
+change any argument -- or bump :data:`ExperimentRunner.salt` / the
+library's :data:`CACHE_VERSION` -- and the key changes.  See
+``docs/PERFORMANCE.md`` for the rules and for what is deliberately
+*not* hashed (code bodies: delete the cache directory after editing
+measurement code).
 
 All knobs default off (``jobs=1``, no cache, no timeout, no retries),
 so existing sequential behaviour is unchanged unless a caller -- or
@@ -49,8 +47,6 @@ so existing sequential behaviour is unchanged unless a caller -- or
 from __future__ import annotations
 
 import dataclasses
-import enum
-import functools
 import hashlib
 import json
 import os
@@ -61,14 +57,15 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.flow.keying import (  # noqa: F401 -- the keying names' old home
+    CACHE_VERSION,
+    check_keyable_fn,
+    point_key,
+    point_keys,
+    stable_repr,
+)
 from repro.flow.pool import WorkStealingDispatcher
 from repro.store import ResultStore
-
-#: Bumped when the library changes in ways that invalidate cached
-#: results wholesale (e.g. measurement-semantics fixes).  v2: sweep
-#: points now carry a :class:`RunManifest`, so pre-manifest pickles must
-#: not be served.
-CACHE_VERSION = 2
 
 #: Kinds a :class:`PointFailure` can carry: the worker function raised,
 #: exceeded the wall-clock ``timeout``, the worker process died without
@@ -77,60 +74,6 @@ CACHE_VERSION = 2
 #: quarantined after killing too many consecutive workers
 #: (``poisoned``; see :mod:`repro.flow.pool`).
 FAILURE_KINDS = ("error", "timeout", "crash", "stall", "poisoned")
-
-
-def stable_repr(obj: Any) -> str:
-    """A deterministic, content-based representation for cache keys.
-
-    Unlike ``repr``, never leaks memory addresses and orders unordered
-    containers.  Objects may opt in with a ``cache_token()`` method
-    returning any stable_repr-able value.  Unknown objects fall back to
-    their class qualname (address masked) -- conservative, but two
-    *different* unknown objects then collide, so sweep inputs should
-    implement ``cache_token()`` (Topology and CoreGraph do).
-    """
-    if obj is None or isinstance(obj, (bool, int, str, bytes)):
-        return repr(obj)
-    if isinstance(obj, float):
-        return repr(obj)  # repr round-trips floats exactly
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__qualname__}.{obj.name}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ", ".join(
-            f"{f.name}={stable_repr(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
-        )
-        return f"{type(obj).__qualname__}({fields})"
-    if isinstance(obj, (list, tuple)):
-        inner = ", ".join(stable_repr(x) for x in obj)
-        return f"[{inner}]" if isinstance(obj, list) else f"({inner})"
-    if isinstance(obj, dict):
-        items = sorted((stable_repr(k), stable_repr(v)) for k, v in obj.items())
-        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-    if isinstance(obj, (set, frozenset)):
-        return "{" + ", ".join(sorted(stable_repr(x) for x in obj)) + "}"
-    if isinstance(obj, functools.partial):
-        return (
-            f"partial({stable_repr(obj.func)}, args={stable_repr(obj.args)}, "
-            f"kwargs={stable_repr(obj.keywords)})"
-        )
-    token = getattr(obj, "cache_token", None)
-    if callable(token):
-        return stable_repr(token())
-    if callable(obj):
-        mod = getattr(obj, "__module__", "?")
-        qual = getattr(obj, "__qualname__", repr(type(obj).__qualname__))
-        return f"callable({mod}.{qual})"
-    # Last resort: type identity only.  Good enough for singletons,
-    # wrong for value-carrying objects -- hence cache_token().
-    return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
-
-
-def point_key(fn: Callable, point: Any, salt: str = "") -> str:
-    """The cache key of ``fn(point)``: the sha256 hexdigest a
-    :class:`~repro.store.ResultStore` files the result under."""
-    ident = f"v{CACHE_VERSION}|{salt}|{stable_repr(fn)}|{stable_repr(point)}"
-    return hashlib.sha256(ident.encode()).hexdigest()
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:
@@ -145,7 +88,13 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
 
 @dataclass
 class PointReport:
-    """Wall-clock accounting for one executed (or cache-served) point."""
+    """Wall-clock accounting for one *executed* point.
+
+    A cache hit leaves no report (``cached`` is always False): it cost
+    nothing, and ``cache_hits``, ``last_manifests`` and the
+    ``point_end cached=true`` event already say it happened -- so a
+    long-lived runner serving hits retains nothing per hit.
+    """
 
     label: str
     key: str
@@ -310,8 +259,9 @@ class ExperimentRunner:
     failure_count: int = 0
     corrupt_cache_entries: int = 0
     #: Per-point provenance for the most recent :meth:`map` call, in
-    #: input order (unlike ``reports``, which accumulates across calls
-    #: in completion order).  Failed points carry no manifest.
+    #: input order, hits included (unlike ``reports``, which accumulates
+    #: the *executed* points across calls in completion order).  Failed
+    #: points carry no manifest.
     last_manifests: List[RunManifest] = field(default_factory=list)
     _warned_corrupt: bool = field(default=False, repr=False)
 
@@ -396,39 +346,6 @@ class ExperimentRunner:
             self.metrics.counter(f"runner.{name}").inc()
 
     # -- cache plumbing ---------------------------------------------------
-    def _check_keyable_fn(self, fn: Callable) -> None:
-        """Refuse functions whose :func:`stable_repr` is ambiguous.
-
-        Callables hash by qualname only, so every lambda is
-        ``<lambda>`` and every instantiation of a closure keeps one
-        qualname while capturing different cells -- semantically
-        different functions would share a cache key, and a shared
-        :class:`~repro.store.ResultStore` would then serve a
-        wrong-function hit to another host.  Enforced only when results
-        are memoized (``cache_dir`` or ``store`` configured): without a
-        cache the keys are reporting labels, nothing is served by them.
-        """
-        probe = fn
-        while isinstance(probe, functools.partial):
-            probe = probe.func
-        qualname = getattr(probe, "__qualname__", "")
-        if getattr(probe, "__name__", None) == "<lambda>":
-            raise ValueError(
-                f"cannot cache results of lambda {qualname!r}: every "
-                "lambda hashes to the same '<lambda>' identity, so "
-                "cached results would be served across different "
-                "functions.  Use a named module-level function (or "
-                "functools.partial over one)."
-            )
-        if getattr(probe, "__closure__", None):
-            raise ValueError(
-                f"cannot cache results of closure {qualname!r}: captured "
-                "cells do not enter the cache key, so two closures with "
-                "the same qualname but different captured values would "
-                "collide.  Pass captured values through the point or a "
-                "functools.partial instead."
-            )
-
     def _cache_load(self, key: str) -> "tuple[bool, Any]":
         store = self.store
         if store is None:
@@ -531,11 +448,8 @@ class ExperimentRunner:
         """
         by_key = {m.key: m for m in self.last_manifests}
         return [
-            None if r is None
-            else dataclasses.replace(
-                r, manifest=by_key[point_key(fn, p, self.salt)]
-            )
-            for p, r in zip(points, results)
+            None if r is None else dataclasses.replace(r, manifest=by_key[key])
+            for key, r in zip(point_keys(fn, points, self.salt), results)
         ]
 
     def _run_inline(self, session: "MapSession") -> None:
@@ -569,7 +483,8 @@ class ExperimentRunner:
 
     # -- reporting --------------------------------------------------------
     def render_report(self, title: str = "experiment runner") -> str:
-        """Per-point wall-clock table plus hit/miss and failure totals."""
+        """Hit/miss and failure totals, then one wall-clock row per
+        executed point and one per failure (hits are only counted)."""
         lines = [
             f"{title}: jobs={self.jobs} "
             f"cache={'off' if self.cache_dir is None else self.cache_dir} "
@@ -586,8 +501,7 @@ class ExperimentRunner:
                 f"corrupt_cache_entries={self.corrupt_cache_entries}"
             )
         for r in self.reports:
-            status = "cached" if r.cached else f"{r.seconds:8.3f}s"
-            lines.append(f"  {r.label:<28} {status:>10}  {r.key[:12]}")
+            lines.append(f"  {r.label:<28} {r.seconds:>9.3f}s  {r.key[:12]}")
         for f in self.failures:
             lines.append(
                 f"  {f.label:<28} {'FAILED':>10}  {f.key[:12]} "
@@ -640,8 +554,8 @@ class MapSession:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
 
         if runner.store is not None:  # cache_dir= opened one too
-            runner._check_keyable_fn(fn)
-        self.keys = [point_key(fn, p, runner.salt) for p in points]
+            check_keyable_fn(fn)
+        self.keys = point_keys(fn, points, runner.salt)
         # Deterministic jitter seed: a function of *what* is being run,
         # not of wall-clock or pid, so chaos runs and re-runs
         # reproduce the exact same backoff delays (docs/RESILIENCE.md).
@@ -664,9 +578,6 @@ class MapSession:
                 runner.cache_hits += 1
                 self.results[i] = value
                 self.manifests[i] = RunManifest.local(key, cached=True, seconds=0.0)
-                runner.reports.append(
-                    PointReport(f"{label}[{i}]", key, 0.0, cached=True)
-                )
                 self.hits.append(i)
             else:
                 runner.cache_misses += 1

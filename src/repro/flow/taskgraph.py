@@ -125,7 +125,7 @@ class CoreGraph:
 
     def cache_token(self) -> tuple:
         """Stable content identity for experiment-cache keys (see
-        :func:`repro.flow.runner.stable_repr`)."""
+        :func:`repro.flow.keying.stable_repr`)."""
         return (
             "CoreGraph",
             self.name,

@@ -47,7 +47,12 @@ import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
-from repro.serve.service import QueryEngine, QueryError, parse_query
+from repro.serve.service import (
+    MAX_BODY_BYTES,
+    QueryEngine,
+    QueryError,
+    parse_query,
+)
 
 #: Request fields that steer the HTTP layer, not the query itself.
 _CONTROL_FIELDS = ("wait",)
@@ -247,6 +252,16 @@ class QueryServer:
             text.encode("utf-8"),
         )
 
+    def _probe(self, doc: Any):
+        """Parse, then the one store probe of this request (the
+        admission decision and the answer both work from it).  Run off
+        the event loop as one hop: validating a topology name not met
+        before builds it -- bounded by the request limits, but
+        milliseconds each for up to thousands of names -- and the loop
+        must keep answering ``/healthz`` and firing deadlines meanwhile."""
+        spec = parse_query(doc)
+        return (spec, *self.engine.lookup(spec))
+
     async def _query(self, body: bytes) -> Tuple[int, Dict[str, str], bytes]:
         try:
             doc = json.loads(body.decode("utf-8") or "null")
@@ -264,11 +279,8 @@ class QueryServer:
                 # bool("false") and bool(0.0001) are True: a truthy
                 # non-boolean would block the connection on the farm.
                 raise QueryError(f"wait must be true or false, got {wait!r}")
-            spec = parse_query(doc)
-            # The one store probe of this request: the admission
-            # decision and the answer both work from it.
-            points, missing = await asyncio.get_running_loop().run_in_executor(
-                None, self.engine.lookup, spec
+            spec, points, missing = await asyncio.get_running_loop().run_in_executor(
+                None, self._probe, doc
             )
             answer = functools.partial(self.engine.answer, spec, points, missing)
             if not missing:
@@ -433,7 +445,7 @@ async def _read_request(
                 raise QueryError(f"bad Content-Length {value.strip()!r}")
     if length < 0:
         raise QueryError(f"bad Content-Length {length}")
-    if length > 8 * 1024 * 1024:
+    if length > MAX_BODY_BYTES:
         raise QueryError(f"body of {length} bytes exceeds the 8 MiB limit")
     body = b""
     if length:

@@ -10,7 +10,7 @@ missing points through the work-stealing farm when not.
 
 The key discipline is what makes this sound: a query expands to the
 *same* ``(core_graph, fabric, width, depth, ...)`` combo tuples --
-and therefore the same :func:`~repro.flow.runner.stable_repr` cache
+and therefore the same :func:`~repro.flow.keying.stable_repr` cache
 keys -- that :func:`repro.flow.dse.explore_design_space` produces, so
 the store populated by any past sweep, on any host, answers queries
 here, and a query evaluated here accelerates everyone's next sweep.
@@ -19,6 +19,7 @@ here, and a query evaluated here accelerates everyone's next sweep.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ from repro.flow.dse import (
     pareto_frontier,
     render_space,
 )
-from repro.flow.runner import ExperimentRunner, point_key
+from repro.flow.keying import Rendered, point_keys, stable_repr
+from repro.flow.runner import ExperimentRunner
 from repro.flow.taskgraph import CoreGraph, demo_multimedia_soc, demo_telecom_soc
 from repro.network.topology import (
     Topology,
@@ -47,8 +49,19 @@ from repro.network.topology import (
 from repro.store import ResultStore
 
 
+#: What one request may ask for (docs/SERVICE.md, "Request limits").
+#: Constants, not settings: a request over any of them is a 400 before
+#: anything is built, probed or farmed.  A body is at most 8 MiB; a
+#: topology name may ask for at most this many switches (``mesh-32x32``
+#: builds in ~10 ms; ``mesh-1000x1000`` took 28 s and rendered a 100 MB
+#: key); a query may expand to at most this many points.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+MAX_TOPOLOGY_SWITCHES = 1024
+MAX_QUERY_POINTS = 4096
+
+
 class QueryError(ValueError):
-    """A malformed or unanswerable design-space query."""
+    """A malformed, oversized or unanswerable design-space query."""
 
 
 class FarmUnavailable(RuntimeError):
@@ -184,6 +197,12 @@ def topology_from_name(name: str) -> Topology:
     Grid families take ``WxH``; the rest take one count.  The factory
     is what keys the cache (Topology.cache_token), so two queries
     naming the same topology hit the same records.
+
+    The size is read off the name and refused above
+    :data:`MAX_TOPOLOGY_SWITCHES` *before* anything is built: ``W*H``
+    for a grid, the count otherwise -- except ``fully_connected-N``,
+    charged its ``N*N/2`` links, because those are what its build time
+    and key text grow with (N=1024: 1.5 s and 10 MB).
     """
     if not isinstance(name, str) or "-" not in name:
         raise QueryError(
@@ -191,18 +210,25 @@ def topology_from_name(name: str) -> Topology:
             f"or 'star-4'"
         )
     family, _, size = name.partition("-")
+    if family in _GRID_FAMILIES:
+        factory, parts = _GRID_FAMILIES[family], size.partition("x")[::2]
+    elif family in _COUNT_FAMILIES:
+        factory, parts = _COUNT_FAMILIES[family], (size,)
+    else:
+        raise QueryError(
+            f"topology {name!r}: unknown family {family!r} (know "
+            f"{sorted(_GRID_FAMILIES | _COUNT_FAMILIES.keys())})"
+        )
     try:
-        if family in _GRID_FAMILIES:
-            w, _, h = size.partition("x")
-            return _GRID_FAMILIES[family](int(w), int(h))
-        if family in _COUNT_FAMILIES:
-            return _COUNT_FAMILIES[family](int(size))
+        dims = [int(part) for part in parts]
+        asked = dims[0] ** 2 // 2 if family == "fully_connected" else math.prod(dims)
+        if asked > MAX_TOPOLOGY_SWITCHES:
+            raise ValueError(
+                f"size {asked} exceeds the {MAX_TOPOLOGY_SWITCHES}-switch limit"
+            )
+        return factory(*dims)
     except (ValueError, TypeError) as exc:
         raise QueryError(f"topology {name!r}: {exc}") from None
-    raise QueryError(
-        f"topology {name!r}: unknown family {family!r} (know "
-        f"{sorted(_GRID_FAMILIES | _COUNT_FAMILIES.keys())})"
-    )
 
 
 def core_graph_from_name(name: str) -> CoreGraph:
@@ -212,6 +238,22 @@ def core_graph_from_name(name: str) -> CoreGraph:
         raise QueryError(
             f"core graph {name!r}: know {sorted(CORE_GRAPHS)}"
         ) from None
+
+
+def _built(kind: str, name: str) -> Any:
+    """A fresh ``"core_graph"`` / ``"topology"`` object from its name."""
+    return (core_graph_from_name if kind == "core_graph" else topology_from_name)(name)
+
+
+@functools.lru_cache(maxsize=128)
+def _rendered(kind: str, name: str) -> Rendered:
+    """The :func:`~repro.flow.keying.stable_repr` text of the core
+    graph / topology called ``name``.  Both are pure functions of their
+    name, so a hit path that has met a name builds nothing: it keys
+    (and validates) through this text.  Bounded, and holds only text:
+    128 names of at most ~85 KB (``mesh-32x32``); the objects the farm
+    path needs are built fresh by :meth:`QueryEngine.combos`."""
+    return Rendered(stable_repr(_built(kind, name)))
 
 
 def _is_int(value: Any) -> bool:
@@ -257,10 +299,21 @@ class QuerySpec:
             )
         if not self.topologies:
             raise QueryError("query needs at least one topology")
-        for name in self.topologies:
-            topology_from_name(name)  # validates eagerly
         if not self.flit_widths or not self.buffer_depths:
             raise QueryError("query needs flit_widths and buffer_depths")
+        points = (
+            len(self.topologies) * len(self.flit_widths) * len(self.buffer_depths)
+        )
+        if points > MAX_QUERY_POINTS:
+            raise QueryError(
+                f"query expands to {points} points, over the "
+                f"{MAX_QUERY_POINTS}-point limit; split it"
+            )
+        for name in self.topologies:
+            # Validates eagerly, building only a name not met before.
+            # (A non-str cannot be a cache key: the builder names what
+            # is wrong with it.)
+            (_rendered if isinstance(name, str) else _built)("topology", name)
         # The evaluators' own bounds (repro.core.config), checked here so
         # a malformed value is the client's 400 and never a farm failure
         # that counts against the circuit breaker.
@@ -329,8 +382,13 @@ def parse_query(doc: Any) -> QuerySpec:
         raise QueryError(str(exc)) from None
 
 
+_POINT_FIELDS = tuple(f.name for f in dataclasses.fields(DesignPoint))
+
+
 def point_as_dict(p: DesignPoint) -> Dict[str, Any]:
-    return dataclasses.asdict(p)
+    """``dataclasses.asdict`` for a :class:`DesignPoint`, whose fields
+    are all scalars (no recursive copy: ~15 of these per answer)."""
+    return {name: getattr(p, name) for name in _POINT_FIELDS}
 
 
 @dataclass
@@ -453,22 +511,28 @@ class QueryEngine:
         )
 
     # -- key discipline ---------------------------------------------------
-    def combos(self, spec: QuerySpec) -> List[tuple]:
-        """The combo tuples ``explore_design_space`` builds for this
-        slice (same :func:`~repro.flow.dse.design_combos`, so the store
-        keys are shared by construction)."""
+    @staticmethod
+    def _combos(spec: QuerySpec, make: Any) -> List[tuple]:
         return design_combos(
-            core_graph_from_name(spec.core_graph),
-            [topology_from_name(name) for name in spec.topologies],
+            make("core_graph", spec.core_graph),
+            [make("topology", name) for name in spec.topologies],
             spec.flit_widths, spec.buffer_depths, spec.target_freq_mhz,
             spec.max_radix, spec.seed, spec.anneal_iterations,
         )
 
+    def combos(self, spec: QuerySpec) -> List[tuple]:
+        """The combo tuples ``explore_design_space`` builds for this
+        slice (same :func:`~repro.flow.dse.design_combos`, so the store
+        keys are shared by construction) -- real objects, for the farm."""
+        return self._combos(spec, _built)
+
     def keys(self, spec: QuerySpec) -> List[str]:
-        return [
-            point_key(_evaluate_design_point, c, self.salt)
-            for c in self.combos(spec)
-        ]
+        """The store keys of :meth:`combos`, without building them: the
+        same tuples over the *rendered text* of the graph and fabrics
+        (:func:`_rendered`), which ``stable_repr`` passes through."""
+        return point_keys(
+            _evaluate_design_point, self._combos(spec, _rendered), self.salt
+        )
 
     # -- answering --------------------------------------------------------
     def lookup(

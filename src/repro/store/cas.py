@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 import tempfile
 import time
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ MARKER_BASENAME = "STORE.json"
 OBJECTS_DIRNAME = "objects"
 RECORD_SUFFIX = ".rec"
 
-_HEX = set("0123456789abcdef")
+#: ``fullmatch`` only: ``$`` would let a trailing newline through.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class StoreError(ValueError):
@@ -85,11 +87,7 @@ class StoreRecord:
 def _check_key(key: str) -> str:
     """Keys are sha256 hexdigests; anything else is refused (a key is
     also a file name, so this doubles as path-traversal armour)."""
-    if (
-        not isinstance(key, str)
-        or len(key) != 64
-        or any(c not in _HEX for c in key)
-    ):
+    if not isinstance(key, str) or _KEY.fullmatch(key) is None:
         raise StoreError(
             f"store keys are 64-char sha256 hexdigests "
             f"(ExperimentRunner cache keys), got {key!r}"

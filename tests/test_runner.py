@@ -57,7 +57,12 @@ class TestCache:
         second = runner.map(_square, [3, 4])
         assert (runner.cache_hits, runner.cache_misses) == (2, 2)
         assert first == second
-        assert [r.cached for r in runner.reports] == [False, False, True, True]
+        # A hit leaves no report: it is counted, manifested and said so
+        # in the header, and a long-lived runner retains nothing for it.
+        assert [r.cached for r in runner.reports] == [False, False]
+        assert runner.cache_hits == 2
+        assert [m.cached for m in runner.last_manifests] == [True, True]
+        assert "hits=2" in runner.render_report()
 
     def test_cache_survives_runner_instances(self, tmp_path):
         ExperimentRunner(cache_dir=str(tmp_path)).map(_square, [9])
@@ -101,6 +106,33 @@ class TestCache:
         sequential = ExperimentRunner(cache_dir=str(tmp_path))
         assert sequential.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert sequential.cache_hits == 3
+
+
+class TestHitsRetainNothing:
+    def test_all_hit_maps_do_not_grow_the_runner(self, tmp_path):
+        import tracemalloc
+
+        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        points = list(range(16))
+        runner.map(_square, points, label="warm")
+        executed = len(runner.reports)
+        assert executed == len(points)
+        for _ in range(5):  # settle allocator / import one-offs
+            runner.map(_square, points, label="warm")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                assert runner.map(_square, points, label="warm") == [
+                    x * x for x in points
+                ]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert runner.cache_hits == 305 * len(points)
+        assert len(runner.reports) == executed
+        # 4800 hits; the parent kept ~300 B for each (1.4 MB here).
+        assert grown < 64 * 1024
 
 
 class TestManifests:

@@ -5,6 +5,7 @@ import json
 import re
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +25,7 @@ from repro.serve import (
     topology_from_name,
 )
 from repro.serve.http import QueryServer
+from repro.serve.service import MAX_QUERY_POINTS, MAX_TOPOLOGY_SWITCHES
 from repro.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
 
@@ -49,6 +51,24 @@ class TestNames:
     def test_bad_topology_names_raise(self, bad):
         with pytest.raises(QueryError):
             topology_from_name(bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mesh-1000x1000", "mesh-32x33", "torus-1x1025", "ring-2000000",
+         "star-1025", "fully_connected-3000", "fully_connected-46",
+         "hypercube-4000", "fat_tree-" + "9" * 400],
+    )
+    def test_oversized_names_are_refused_before_building(self, name):
+        t0 = time.perf_counter()
+        with pytest.raises(QueryError, match="limit"):
+            topology_from_name(name)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_names_at_the_limit_still_build(self):
+        assert MAX_TOPOLOGY_SWITCHES == 1024
+        assert len(topology_from_name("mesh-32x32").switches) == 1024
+        assert len(topology_from_name("ring-1024").switches) == 1024
+        assert len(topology_from_name("fully_connected-45").switches) == 45
 
     def test_core_graphs(self):
         assert core_graph_from_name("multimedia").cores
@@ -108,6 +128,20 @@ class TestParseQuery:
     def test_invalid_specs_rejected(self, doc):
         with pytest.raises(QueryError):
             parse_query(doc)
+
+    def test_points_per_query_limit(self):
+        assert MAX_QUERY_POINTS == 4096
+        at = dict(flit_widths=list(range(4, 68)), buffer_depths=list(range(2, 66)))
+        assert len(parse_query(at).flit_widths) * len(at["buffer_depths"]) == 4096
+        with pytest.raises(QueryError, match="4160 points.*4096-point limit"):
+            parse_query(dict(at, flit_widths=list(range(4, 69))))
+        # Refused on the count alone: none of the names is looked at.
+        with pytest.raises(QueryError, match="point limit"):
+            parse_query({"topologies": ["mesh-1000x1000"] * 4097})
+
+    def test_unhashable_topology_name_is_named(self):
+        with pytest.raises(QueryError, match="expected '<family>-<size>'"):
+            parse_query({"topologies": [["mesh-2x2"]]})
 
     def test_constraint_filter(self):
         spec = parse_query({"min_freq_mhz": 800, "max_area_mm2": 1.0})
@@ -363,6 +397,60 @@ class TestHttp:
         assert len(engine.store) == 0
         assert engine.store.hits == engine.store.misses == 0
         assert engine.metrics.counter("serve.http_errors").value == len(bodies)
+
+    @pytest.mark.timeout_guard(60)
+    def test_oversized_requests_are_fast_400s_and_healthz_stays_live(
+        self, live_server
+    ):
+        """One 60-byte body used to hold the event-loop thread for tens
+        of seconds (``mesh-1000x1000``: 28 s to build, 100 MB of key
+        text), stalling every other client.  Sizes are read off the
+        name and the grid is counted before anything is built."""
+        server, base = live_server
+        engine = server.engine
+        bodies = [
+            {"topologies": ["mesh-1000x1000"]},
+            {"topologies": ["ring-2000000"]},
+            {"topologies": ["fully_connected-3000"]},
+            {"topologies": ["mesh-2x2", "torus-40x40"]},
+            {"flit_widths": list(range(4, 69)), "buffer_depths": list(range(2, 66))},
+        ]
+        assert len(bodies) > engine.breaker.failures
+        _get(base + "/healthz")  # warm the client side
+
+        health = []  # (status, seconds) of every concurrent probe
+        done = threading.Event()
+
+        def probe():
+            while not done.is_set():
+                t0 = time.perf_counter()
+                status, _ = _get(base + "/healthz")
+                health.append((status, time.perf_counter() - t0))
+
+        prober = threading.Thread(target=probe, daemon=True)
+        prober.start()
+        try:
+            for body in bodies:
+                took = []
+                for _ in range(3):  # best of 3: a host stall is not a hang
+                    t0 = time.perf_counter()
+                    status, doc = _post(base + "/query", dict(FAST, **body))
+                    took.append(time.perf_counter() - t0)
+                    assert status == 400 and doc["error"] == "bad_request", body
+                    assert "limit" in doc["detail"] and doc["retryable"] is False
+                assert min(took) < 0.1, (body, took)
+        finally:
+            done.set()
+            prober.join(30)
+        assert not prober.is_alive()
+        assert health and all(status == 200 for status, _ in health)
+        assert max(seconds for _, seconds in health) < 1.0
+        assert engine.breaker.state == "closed"
+        assert engine.breaker.consecutive_failures == 0
+        assert engine.queries == 0 and not server.jobs and server.inflight == 0
+        assert engine.store.hits == engine.store.misses == 0
+        assert engine.metrics.counter("serve.points_computed").value == 0
+        assert engine.metrics.counter("serve.http_errors").value == 3 * len(bodies)
 
     def test_negative_content_length_is_400(self, live_server):
         server, base = live_server

@@ -94,6 +94,26 @@ class TestKeysAndMarkers:
         with pytest.raises(StoreError, match="sha256"):
             store.put(bad, 1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["A" * 64, "a" * 63, "a" * 65, "a" * 64 + "\n", "g" * 64, b"a" * 64,
+         "../" + "a" * 61],
+    )
+    def test_read_side_refuses_what_is_not_a_lowercase_digest(self, tmp_path, bad):
+        store = ResultStore(tmp_path / "store")
+        for call in (store.get, store.record, store.record_path, store.__contains__):
+            with pytest.raises(StoreError, match="sha256"):
+                call(bad)
+        assert store.hits == store.misses == 0
+
+    def test_accepts_a_real_digest(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        key = hashlib.sha256(b"a real digest").hexdigest()
+        assert store.record_path(key).endswith(f"{key[:2]}/{key}.rec")
+        assert store.get(key) == (False, None)
+        store.put(key, 7)
+        assert store.get(key) == (True, 7)
+
     def test_refuses_foreign_directory(self, tmp_path):
         (tmp_path / "store").mkdir()
         (tmp_path / "store" / "STORE.json").write_text('{"schema": "x/v9"}')
