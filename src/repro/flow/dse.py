@@ -9,7 +9,6 @@ not synthesis runs), and keep the Pareto frontier over
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -67,7 +66,8 @@ def _evaluate_design_point(point: tuple) -> DesignPoint:
 
     Module-level so an :class:`repro.flow.runner.ExperimentRunner` can
     pickle it into worker processes and hash it for the result cache.
-    Deep-copies the fabric because mapping attaches NIs to it.
+    The fabric is passed as it is: :func:`evaluate_candidate` makes the
+    one copy that mapping attaches NIs to.
     """
     core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations = point
     cfg = NocBuildConfig(
@@ -76,7 +76,7 @@ def _evaluate_design_point(point: tuple) -> DesignPoint:
     )
     result: CandidateResult = evaluate_candidate(
         core_graph,
-        copy.deepcopy(fabric),
+        fabric,
         config=cfg,
         target_freq_mhz=target_freq_mhz,
         max_radix=max_radix,

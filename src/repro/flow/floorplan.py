@@ -104,13 +104,15 @@ def floorplan_topology(
     order = list(switches)
     rng.shuffle(order)
     assign = {s: i for i, s in enumerate(order)}
+    # Read once: the move loop walks no networkx view and no coordinate
+    # (the slot-to-slot table is slots^2 floats, ~5 MB at 400 switches).
+    edges = list(topology.graph.edges)
+    dist = [[abs(ax - bx) + abs(ay - by) for bx, by in slots] for ax, ay in slots]
 
     def cost() -> float:
         total = 0.0
-        for a, b in topology.graph.edges:
-            ax, ay = slots[assign[a]]
-            bx, by = slots[assign[b]]
-            total += abs(ax - bx) + abs(ay - by)
+        for a, b in edges:
+            total += dist[assign[a]][assign[b]]
         return total
 
     cur = cost()

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 
 from repro.core.config import NocParameters
+from repro.flow.bandwidth import demand_to_flit_rate
 from repro.flow.taskgraph import CoreGraph
 from repro.network.topology import Topology
 
@@ -117,16 +118,17 @@ def bandwidth_penalty(
     concentrating traffic.  Zero when total pressure is comfortably
     below a one-flit-per-cycle-per-hop budget.
     """
-    from repro.flow.bandwidth import demand_to_flit_rate
-
     if hops is None:
         hops = _hop_matrix(fabric)
     pressure = 0.0
     for src, dst, rate in core_graph.demands():
         flits = demand_to_flit_rate(rate, params)
         pressure += flits * (hops[mapping[src]][mapping[dst]] + 1)
-    links = max(2 * fabric.graph.number_of_edges(), 1)
-    utilization = pressure / links
+    return _overload_penalty(pressure, fabric.graph.number_of_edges())
+
+
+def _overload_penalty(pressure: float, fabric_edges: int) -> float:
+    utilization = pressure / max(2 * fabric_edges, 1)
     overload = max(0.0, utilization - 0.5)  # headroom margin
     return overload * overload
 
@@ -154,64 +156,92 @@ def anneal_mapping(
     anneal away from mappings that concentrate more flit traffic than
     the fabric's links can carry (SunMap's bandwidth-constrained mode).
     """
-    rng = random.Random(seed)
-    hops = _hop_matrix(fabric)
     mapping = dict(initial) if initial else greedy_mapping(core_graph, fabric, max_radix)
     capacity = _slot_capacity(fabric, max_radix)
     for sw in mapping.values():
         capacity[sw] -= 1
     if any(v < 0 for v in capacity.values()):
         raise ValueError("initial mapping exceeds switch capacity")
+    cores: List[str] = list(core_graph.cores)
+    if len(cores) < 2:
+        return mapping  # nothing to swap, and a lone core costs the same anywhere
 
-    def objective(m: Dict[str, str]) -> float:
-        total = mapping_cost(core_graph, fabric, m, hops)
-        if bandwidth_params is not None:
-            total += bandwidth_weight * bandwidth_penalty(
-                core_graph, fabric, m, bandwidth_params, hops
-            )
+    # The problem is read once into index-based state; the loop below
+    # touches no graph and no name.  The objective stays the full sum in
+    # demand order (not a delta), so every float -- and with it every
+    # accept decision -- is the one mapping_cost / bandwidth_penalty give.
+    switches = fabric.switches
+    core_ids = list(range(len(cores)))
+    core_index = {c: i for i, c in enumerate(cores)}
+    switch_index = {s: j for j, s in enumerate(switches)}
+    hops = _hop_matrix(fabric)
+    hop1 = [[hops[a][b] + 1 for b in switches] for a in switches]
+    place = [switch_index[mapping[c]] for c in cores]
+    cap = [capacity[s] for s in switches]
+    demands = [
+        (core_index[src], core_index[dst], rate)
+        for src, dst, rate in core_graph.demands()
+    ]
+    fabric_edges = fabric.graph.number_of_edges()
+    flit_demands = []
+    if bandwidth_params is not None:
+        flit_demands = [
+            (s, d, demand_to_flit_rate(rate, bandwidth_params)) for s, d, rate in demands
+        ]
+
+    def objective() -> float:
+        total = 0.0
+        for s, d, rate in demands:
+            total += rate * hop1[place[s]][place[d]]
+        if flit_demands:
+            pressure = 0.0
+            for s, d, flits in flit_demands:
+                pressure += flits * hop1[place[s]][place[d]]
+            total += bandwidth_weight * _overload_penalty(pressure, fabric_edges)
         return total
 
-    cores: List[str] = list(core_graph.cores)
-    switches = fabric.switches
-    cost = objective(mapping)
-    best_mapping, best_cost = dict(mapping), cost
+    rng = random.Random(seed)
+    cost = objective()
+    best_place, best_cost = list(place), cost
     alpha = (t_end / t_start) ** (1.0 / max(iterations - 1, 1))
     temp = t_start
 
     for _ in range(iterations):
         if rng.random() < 0.5:
             # Move one core to a switch with a free slot.
-            core = rng.choice(cores)
-            frees = [s for s in switches if capacity[s] > 0 and s != mapping[core]]
+            core = rng.choice(core_ids)
+            old = place[core]
+            frees = [j for j, free in enumerate(cap) if free > 0 and j != old]
             if not frees:
                 temp *= alpha
                 continue
             dest = rng.choice(frees)
-            old = mapping[core]
-            mapping[core] = dest
-            new_cost = objective(mapping)
+            place[core] = dest
+            new_cost = objective()
             if _accept(new_cost - cost, temp, rng):
-                capacity[old] += 1
-                capacity[dest] -= 1
+                cap[old] += 1
+                cap[dest] -= 1
                 cost = new_cost
             else:
-                mapping[core] = old
+                place[core] = old
         else:
             # Swap two cores.
-            a, b = rng.sample(cores, 2)
-            if mapping[a] == mapping[b]:
+            a, b = rng.sample(core_ids, 2)
+            if place[a] == place[b]:
                 temp *= alpha
                 continue
-            mapping[a], mapping[b] = mapping[b], mapping[a]
-            new_cost = objective(mapping)
+            place[a], place[b] = place[b], place[a]
+            new_cost = objective()
             if _accept(new_cost - cost, temp, rng):
                 cost = new_cost
             else:
-                mapping[a], mapping[b] = mapping[b], mapping[a]
+                place[a], place[b] = place[b], place[a]
         if cost < best_cost:
-            best_mapping, best_cost = dict(mapping), cost
+            best_place, best_cost = list(place), cost
         temp *= alpha
-    return best_mapping
+    for core, j in zip(cores, best_place):
+        mapping[core] = switches[j]  # existing keys: the initial order stays
+    return mapping
 
 
 def _accept(delta: float, temp: float, rng: random.Random) -> bool:

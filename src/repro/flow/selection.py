@@ -1,18 +1,20 @@
 """Topology selection: the "power of abstraction" loop.
 
-For each candidate fabric the flow maps the application, floorplans,
-pipelines the links, runs the analytic synthesis models and estimates
-average transaction latency -- then ranks candidates by a user-weighted
+For each candidate fabric the flow maps the application, checks link
+bandwidth, runs the analytic synthesis models and estimates average
+transaction latency -- then ranks candidates by a user-weighted
 objective.  This is the paper's F7 experiment: different topologies for
 the same application trade clock frequency, area and cycle counts
 (e.g. 925 MHz / 0.51 mm² / +10% performance vs 850 MHz / 0.42 mm² /
--14% area).
+-14% area).  A candidate's floorplan (placement, wire lengths, link
+pipelining) is derived from it on demand: no estimate reads it.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
 import networkx as nx
@@ -37,7 +39,6 @@ class CandidateResult:
 
     topology: Topology
     mapping: Dict[str, str]
-    floorplan: Floorplan
     report: SynthesisReport
     freq_mhz: float
     area_mm2: float
@@ -51,6 +52,11 @@ class CandidateResult:
     @property
     def name(self) -> str:
         return self.topology.name
+
+    @cached_property
+    def floorplan(self) -> Floorplan:
+        """Placement of the mapped topology, annealed on first read."""
+        return floorplan_topology(self.topology)
 
     def row(self) -> str:
         return (
@@ -103,10 +109,11 @@ def evaluate_candidate(
     anneal_iterations: int = 1500,
     seed: int = 0,
 ) -> CandidateResult:
-    """Map, floorplan and estimate one candidate fabric.
+    """Map one candidate fabric and estimate the mapped topology.
 
-    The fabric is deep-copied before cores are attached, so callers can
-    reuse candidate objects across evaluations.
+    This is where the fabric is deep-copied (mapping attaches NIs to
+    it): callers pass candidate objects as they are and may reuse them
+    across evaluations.
     """
     fabric = copy.deepcopy(fabric)
     mapping = anneal_mapping(
@@ -118,7 +125,6 @@ def evaluate_candidate(
         seed=seed,
     )
     topo = apply_mapping(fabric, core_graph, mapping)
-    plan = floorplan_topology(topo)
     report = synthesize_noc(topo, config, target_freq_mhz=target_freq_mhz)
     freq = min(report.min_max_freq_mhz, target_freq_mhz)
     cfg = config
@@ -132,7 +138,6 @@ def evaluate_candidate(
     return CandidateResult(
         topology=topo,
         mapping=mapping,
-        floorplan=plan,
         report=report,
         freq_mhz=freq,
         area_mm2=report.total_area_mm2,

@@ -97,6 +97,26 @@ class TestFrontier:
         assert text.count("*") == len(frontier)
 
 
+class TestPointCostsWhatItsAnswerNeeds:
+    # The ``points`` fixture's grid, so a re-run must equal it.
+    GRID = dict(flit_widths=(16, 64), buffer_depths=(4,), seed=2, anneal_iterations=200)
+
+    def test_no_point_floorplans(self, core_graph, points, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a design point floorplanned")
+
+        monkeypatch.setattr("repro.flow.selection.floorplan_topology", boom)
+        again = explore_design_space(core_graph, [mesh(2, 2), star(3)], **self.GRID)
+        assert again == points
+
+    def test_candidate_fabrics_not_mutated(self, core_graph):
+        fabrics = [mesh(2, 2), star(3)]
+        tokens = [f.cache_token() for f in fabrics]
+        explore_design_space(core_graph, fabrics, **self.GRID)
+        assert [f.nis for f in fabrics] == [[], []]  # evaluate_candidate copied
+        assert [f.cache_token() for f in fabrics] == tokens
+
+
 class TestValueIdentity:
     """The frontier must compare points by value, never ``id()``.
 

@@ -8,7 +8,32 @@ from repro.flow.floorplan import (
     floorplan_topology,
     stages_for_length,
 )
-from repro.network.topology import attach_round_robin, mesh, ring, star
+from repro.network.topology import attach_round_robin, mesh, ring, spidergon, star
+
+PARENT_POSITIONS = {
+    ("ring-6", 0): {
+        "sw_0": (1.0, 1.0), "sw_1": (0.0, 1.0), "sw_2": (0.0, 0.0),
+        "sw_3": (1.0, 0.0), "sw_4": (2.0, 0.0), "sw_5": (2.0, 1.0),
+    },
+    ("ring-6", 7): {
+        "sw_0": (1.0, 1.0), "sw_1": (2.0, 1.0), "sw_2": (2.0, 0.0),
+        "sw_3": (1.0, 0.0), "sw_4": (0.0, 0.0), "sw_5": (0.0, 1.0),
+    },
+    ("star-4", 0): {
+        "hub": (1.0, 1.0), "leaf_0": (2.0, 0.0), "leaf_1": (0.0, 1.0),
+        "leaf_2": (1.0, 0.0), "leaf_3": (2.0, 1.0),
+    },
+    ("star-4", 7): {
+        "hub": (1.0, 0.0), "leaf_0": (0.0, 1.0), "leaf_1": (1.0, 1.0),
+        "leaf_2": (2.0, 0.0), "leaf_3": (0.0, 0.0),
+    },
+    ("spidergon-4", 0): {
+        "sw_0": (1.0, 0.0), "sw_1": (0.0, 1.0), "sw_2": (0.0, 0.0), "sw_3": (1.0, 1.0),
+    },
+    ("spidergon-4", 7): {
+        "sw_0": (0.0, 1.0), "sw_1": (1.0, 0.0), "sw_2": (1.0, 1.0), "sw_3": (0.0, 0.0),
+    },
+}
 
 
 class TestStagesForLength:
@@ -76,6 +101,17 @@ class TestAnnealedPlacement:
         a = floorplan_topology(topo, seed=9)
         b = floorplan_topology(topo, seed=9)
         assert a.positions == b.positions
+
+    @pytest.mark.parametrize("name, make", [
+        ("ring-6", lambda: ring(6)),
+        ("star-4", lambda: star(4)),
+        ("spidergon-4", lambda: spidergon(4)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_positions_are_the_parent_commits(self, name, make, seed):
+        # Recorded at the commit before the move loop stopped walking
+        # the networkx edge view (PR 20).
+        assert floorplan_topology(make(), seed=seed).positions == PARENT_POSITIONS[name, seed]
 
     def test_empty_topology_rejected(self):
         from repro.network.topology import Topology

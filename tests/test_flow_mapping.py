@@ -112,6 +112,86 @@ class TestAnneal:
             assert topo.graph.degree[sw] + n <= 5
 
 
+def fractional_core_graph():
+    """Rates no float sum represents exactly: accumulation order shows."""
+    cg = CoreGraph(
+        "frac",
+        [CoreSpec(f"i{k}", True) for k in range(4)]
+        + [CoreSpec(f"t{k}", False) for k in range(4)],
+    )
+    for a in range(4):
+        for b in range(4):
+            cg.add_demand(f"i{a}", f"t{b}", 0.1 * (a + 1) + 0.37 * (b + 1) + (a * b) / 7.0)
+    return cg
+
+
+def anneal_grid_digest(core_graphs):
+    """One sha256 over a grid of annealed mappings (sorted items), also
+    checking each result keeps its initial mapping's key order."""
+    import hashlib
+
+    from repro.core.config import NocParameters
+    from repro.network.topology import ring, spidergon
+
+    fabrics = (lambda: mesh(2, 2), lambda: ring(6), lambda: spidergon(4), lambda: mesh(3, 3))
+    digest = hashlib.sha256()
+    for cg in core_graphs:
+        for make in fabrics:
+            for seed in (0, 3, 11):
+                for params in (None, NocParameters(flit_width=16)):
+                    for radix in (8, 6):
+                        fabric = make()
+                        initial = greedy_mapping(cg, fabric, radix)
+                        frozen = dict(initial)
+                        mapping = anneal_mapping(
+                            cg, fabric, initial=initial, max_radix=radix,
+                            iterations=600, seed=seed, bandwidth_params=params,
+                        )
+                        assert list(mapping) == list(initial)
+                        assert initial == frozen  # the caller's dict is not the state
+                        digest.update(repr((
+                            cg.name, fabric.name, seed, params is not None, radix,
+                            sorted(mapping.items()),
+                        )).encode())
+    return digest.hexdigest()
+
+
+class TestAnnealIsTheParentCommits:
+    """Literals recorded at the commit before the anneal moved onto flat
+    index state (PR 20).  A mapping decides a design point's stored
+    result under an unchanged key, so it may not move by one accept."""
+
+    def test_demo_graph_grid(self):
+        from repro.flow.taskgraph import demo_telecom_soc
+
+        graphs = [demo_multimedia_soc()[2], demo_telecom_soc()[2]]
+        assert anneal_grid_digest(graphs) == (
+            "faac7de7ca2c194b2e8129aeb605728a83f4e8f6099662da4c06c586ef949112"
+        )
+
+    def test_fractional_rates_grid(self):
+        assert anneal_grid_digest([fractional_core_graph()]) == (
+            "9ea1463b14e402c682b4651108f17f185787e0982769b7a7c24456f5b011e91d"
+        )
+
+
+class TestFewerThanTwoCores:
+    def test_one_core_returns_the_initial_mapping(self):
+        # rng.sample(cores, 2) used to raise "Sample larger than population".
+        cg = CoreGraph("one", [CoreSpec("a", True)])
+        topo = mesh(2, 2)
+        assert anneal_mapping(cg, topo, seed=1) == greedy_mapping(cg, topo)
+        assert anneal_mapping(cg, topo, initial={"a": "sw_1_1"}) == {"a": "sw_1_1"}
+
+    def test_one_core_initial_is_still_validated(self):
+        cg = CoreGraph("one", [CoreSpec("a", True)])
+        with pytest.raises(ValueError, match="capacity"):
+            anneal_mapping(cg, mesh(2, 2), initial={"a": "sw_0_0"}, max_radix=2)
+
+    def test_no_cores(self):
+        assert anneal_mapping(CoreGraph("none", []), mesh(2, 2)) == {}
+
+
 class TestBandwidthAwareAnnealing:
     def heavy_graph(self):
         """Demands big enough that concentration overloads links."""

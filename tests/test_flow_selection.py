@@ -76,6 +76,29 @@ class TestEvaluateCandidate:
         assert "MHz" in row and "mm2" in row and "cyc" in row
 
 
+class TestFloorplanOnDemand:
+    def test_floorplan_is_derived_from_the_candidate_once(self, core_graph, monkeypatch):
+        from repro.flow import selection
+        from repro.flow.floorplan import floorplan_topology
+
+        calls = []
+
+        def counting(topology):
+            calls.append(topology)
+            return floorplan_topology(topology)
+
+        monkeypatch.setattr(selection, "floorplan_topology", counting)
+        res = evaluate_candidate(core_graph, ring(5), seed=1)
+        assert calls == []  # no estimate reads it
+        plan = res.floorplan
+        assert res.floorplan is plan and calls == [res.topology]
+        assert plan == floorplan_topology(res.topology)
+
+    def test_select_topology_results_still_carry_a_floorplan(self, core_graph):
+        best = select_topology(core_graph, [mesh(2, 2), star(4)], seed=1)[0]
+        assert set(best.floorplan.positions) == set(best.topology.switches)
+
+
 class TestSelectTopology:
     def test_results_sorted_by_objective(self, core_graph):
         results = select_topology(
