@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc golden-kernel bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -20,6 +20,15 @@ golden-kernel:
 	from tests.test_codegen_golden import GOLDEN_KERNEL, _golden_kernel_noc; \
 	from repro.sim.compiled import compiled_source; \
 	open(GOLDEN_KERNEL, 'w').write(compiled_source(_golden_kernel_noc().sim))"
+
+# Regenerate tests/data/golden_dse_identity.json after an intended change
+# to what a design point evaluates to (tests/test_rows.py diffs against
+# it; such a change also needs a CACHE_VERSION bump -- stored results
+# under unchanged keys would otherwise go stale).
+golden-dse:
+	PYTHONPATH=src:. $(PYTHON) -c "\
+	import json; from tests.test_rows import GOLDEN_DSE, identity; \
+	json.dump(identity(), open(GOLDEN_DSE, 'w'), indent=2); print(file=open(GOLDEN_DSE, 'a'))"
 
 # Full figure regeneration (pytest-benchmark over benchmarks/).
 figures:

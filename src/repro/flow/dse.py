@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.config import NocParameters
-from repro.flow.selection import CandidateResult, evaluate_candidate
+from repro.flow.selection import MappedFabric, estimate_candidate
 from repro.flow.taskgraph import CoreGraph
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import Topology
@@ -66,25 +66,21 @@ def _evaluate_design_point(point: tuple) -> DesignPoint:
 
     Module-level so an :class:`repro.flow.runner.ExperimentRunner` can
     pickle it into worker processes and hash it for the result cache.
-    The fabric is passed as it is: :func:`evaluate_candidate` makes the
-    one copy that mapping attaches NIs to.
+    Slot 1 is a :class:`MappedFabric` the points of one row share (see
+    :func:`design_rows`), or a bare fabric, mapped on the spot: the key
+    and the result are the same either way.
     """
     core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations = point
+    mapped = fabric if isinstance(fabric, MappedFabric) else MappedFabric(
+        core_graph, fabric, max_radix, anneal_iterations, seed
+    )
     cfg = NocBuildConfig(
         params=NocParameters(flit_width=width),
         buffer_depth=depth,
     )
-    result: CandidateResult = evaluate_candidate(
-        core_graph,
-        fabric,
-        config=cfg,
-        target_freq_mhz=target_freq_mhz,
-        max_radix=max_radix,
-        anneal_iterations=anneal_iterations,
-        seed=seed,
-    )
+    result = estimate_candidate(mapped, cfg, target_freq_mhz)
     return DesignPoint(
-        topology_name=fabric.name,
+        topology_name=mapped.fabric.name,
         flit_width=width,
         buffer_depth=depth,
         latency_ns=result.mean_latency_ns,
@@ -95,7 +91,7 @@ def _evaluate_design_point(point: tuple) -> DesignPoint:
     )
 
 
-def design_combos(
+def design_rows(
     core_graph: CoreGraph,
     candidates: Sequence,
     flit_widths: Iterable[int] = (16, 32, 64),
@@ -104,18 +100,31 @@ def design_combos(
     max_radix: int = 8,
     seed: int = 0,
     anneal_iterations: int = 600,
-) -> List[tuple]:
+) -> List[List[tuple]]:
     """The cross product as :func:`_evaluate_design_point` argument
-    tuples, candidate-major then width then depth.  The one definition
-    of combo order and content: :func:`explore_design_space` and the
-    query service (``repro.serve.service``) both key the store by these
-    tuples, so they share it rather than re-deriving it."""
-    return [
-        (core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations)
-        for fabric in candidates
-        for width in flit_widths
-        for depth in buffer_depths
-    ]
+    tuples: one row per candidate, width then depth within it.  A row's
+    tuples share one :class:`MappedFabric`, so whoever evaluates a row
+    in one process (``runner.map_rows``) maps its fabric once; a
+    candidate that is a stand-in (key text, a name) has nothing to map
+    and stays bare.  The one definition of combo order and content:
+    :func:`explore_design_space` and the query service
+    (``repro.serve.service``) both key the store by these tuples, so
+    they share it rather than re-deriving it."""
+    rows = []
+    for fabric in candidates:
+        if isinstance(fabric, Topology):
+            fabric = MappedFabric(core_graph, fabric, max_radix, anneal_iterations, seed)
+        rows.append([
+            (core_graph, fabric, width, depth, target_freq_mhz, max_radix, seed, anneal_iterations)
+            for width in flit_widths
+            for depth in buffer_depths
+        ])
+    return rows
+
+
+def design_combos(*args, **kwargs) -> List[tuple]:
+    """:func:`design_rows` (whose arguments these are), flattened."""
+    return [point for row in design_rows(*args, **kwargs) for point in row]
 
 
 def explore_design_space(
@@ -131,20 +140,23 @@ def explore_design_space(
 ) -> List[DesignPoint]:
     """Evaluate the full cross product; returns every point.
 
-    Each point is independent, so an optional ``runner``
-    (:class:`repro.flow.runner.ExperimentRunner`) parallelizes and
-    caches the sweep; both Topology and CoreGraph expose the
-    ``cache_token()`` the cache keys need.
+    Each fabric is mapped once and each of its configurations estimated
+    from that mapping.  An optional ``runner``
+    (:class:`repro.flow.runner.ExperimentRunner`) caches the sweep a
+    point at a time and farms it a fabric at a time; both Topology and
+    CoreGraph expose the ``cache_token()`` the cache keys need.
     """
     if not candidates:
         raise ValueError("need at least one candidate topology")
-    combos = design_combos(
+    rows = design_rows(
         core_graph, candidates, flit_widths, buffer_depths,
         target_freq_mhz, max_radix, seed, anneal_iterations,
     )
     if runner is None:
-        return [_evaluate_design_point(p) for p in combos]
-    return runner.map(_evaluate_design_point, combos, label="dse")
+        results = [[_evaluate_design_point(p) for p in row] for row in rows]
+    else:
+        results = runner.map_rows(_evaluate_design_point, rows, label="dse")
+    return [point for row in results for point in row]
 
 
 def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:

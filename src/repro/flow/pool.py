@@ -9,12 +9,21 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   pipe, amortize interpreter/import startup across many points.
   Module-level state therefore persists across the points one worker
   runs, exactly as it does inline;
-* points are **sharded** round-robin into one deque per worker, so a
+* the unit of work is a **row**: a list of points handed over together
+  (:meth:`WorkStealingDispatcher.map_rows`; :meth:`map` is the
+  one-point-row case).  A row's pending points cross the pipe in *one*
+  pickle and run in order in one worker, which answers one reply per
+  point -- so an object the row's points share in the caller (the
+  mapped fabric of a design-space sweep) is one object in the worker
+  too, and whatever it computes on first use is computed once per row.
+  Keys, store records, journal lines, events and failures stay per
+  point;
+* rows are **sharded** round-robin into one deque per worker, so a
   healthy sweep keeps cache-friendly locality and a deterministic
   assignment;
 * a worker that drains its shard **steals from the richest shard's
-  tail** -- the classic Cilk/TBB discipline: the thief takes the work
-  its victim would reach *last*, so stragglers shed load instead of
+  tail** -- the classic Cilk/TBB discipline: the thief takes the (whole)
+  row its victim would reach *last*, so stragglers shed load instead of
   gating the sweep.  Every steal is counted and emitted as a ``steal``
   event on the ``repro.telemetry.events`` plane;
 * everything around the scheduling -- store probing, streamed journal
@@ -25,11 +34,23 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   :class:`~repro.flow.runner.MapSession`'s bookkeeping; this module only
   schedules.
 
+What a fault inside a row costs is **the point in flight, never the
+row**.  The parent knows which point that is because replies arrive in
+row order, and both supervision clocks (``timeout``, ``liveness``)
+restart at every reply, so neither is multiplied by the row's length.
+A worker that dies, stalls or times out is charged the one point it was
+on; the row's unanswered rest goes back to the head of its shard as one
+row, attempts unchanged, for whichever worker is free first.  A point
+that raises fails alone and the worker carries on with the row.  A
+re-attempt re-enters as a one-point row.  The limit: a row runs on one
+worker, so a batch of one row has no parallelism.
+
 Tasks cross the pipe pickled, so ``fn`` and every point must pickle.
 An unpicklable ``fn`` (a lambda, a closure) is refused with a
 :class:`ValueError` before any worker is spawned; an unpicklable point
 is charged to that point alone as an ``"error"`` failure and its
-siblings finish.
+siblings finish (a row that does not pickle is split into one-point
+rows to find it).
 
 Supervision (docs/RESILIENCE.md, "Supervision & chaos testing"): on
 top of the scheduling, the dispatcher is its workers' supervisor.
@@ -89,12 +110,15 @@ DEFAULT_POISON_THRESHOLD = 3
 
 
 def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
-    """Long-lived worker loop: run points until told to stop.
+    """Long-lived worker loop: run rows of points until told to stop.
 
-    Messages in: ``("run", i, fn, point)`` or ``("stop",)``.  Messages
-    out: ``("ok", i, seconds, result, events)`` on success, ``("error",
+    Messages in: ``("run", fn, indices, points)`` -- one row, unpickled
+    as one object so what its points share stays shared -- or
+    ``("stop",)``.  Messages out, one per point, in row order:
+    ``("ok", i, seconds, result, events)`` on success, ``("error",
     i, seconds, exc, summary, traceback_text, events)`` on an exception
-    (with ``exc`` downgraded to None when it does not pickle).
+    (with ``exc`` downgraded to None when it does not pickle); the row
+    continues either way.
     ``events`` is the list of structured telemetry records
     (``repro.telemetry.events``) the point emitted -- campaign
     checkpoints, lane batches -- which the parent merges into its own
@@ -129,20 +153,8 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
 
     threading.Thread(target=_beat, daemon=True).start()
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            shutdown.set()
-            return
-        if not isinstance(msg, tuple) or not msg or msg[0] == "stop":
-            shutdown.set()
-            try:
-                conn.close()
-            except Exception:
-                pass
-            return
-        _, i, fn, point = msg
+    def run_point(fn, i: int, point) -> bool:
+        """Run and report one point; False when the pipe is gone."""
         collector = _events.install_sink(_events.EventCollector())
         working.set()
         t0 = time.perf_counter()
@@ -167,15 +179,34 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
                         conn.send(("error", i, seconds, None, summary, tb,
                                    collector.records))
                 except Exception:
-                    shutdown.set()
-                    return
+                    return False
         finally:
             working.clear()
             _events.remove_sink(collector)
+        return True
+
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            shutdown.set()
+            return
+        if not isinstance(msg, tuple) or not msg or msg[0] == "stop":
+            shutdown.set()
+            try:
+                conn.close()
+            except Exception:
+                pass
+            return
+        _, fn, indices, points = msg
+        for i, point in zip(indices, points):
+            if not run_point(fn, i, point):
+                shutdown.set()
+                return
 
 
 class _Worker:
-    """One long-lived worker process plus its pipe and current task."""
+    """One long-lived worker process plus its pipe and current row."""
 
     def __init__(self, ctx, slot: int,
                  heartbeat: float = DEFAULT_HEARTBEAT) -> None:
@@ -187,27 +218,28 @@ class _Worker:
         )
         self.proc.start()
         child.close()
-        self.task: Optional["tuple[int, int]"] = None  # (index, attempt)
+        #: The unanswered ``(index, attempt)`` tasks of the row it holds;
+        #: the head is the point in flight.
+        self.row: "deque[tuple[int, int]]" = deque()
         self.started = 0.0
         self.last_beat = 0.0
 
     @property
     def busy(self) -> bool:
-        return self.task is not None
+        return bool(self.row)
 
     @property
     def watermark(self) -> float:
-        """Most recent proof of life for the current task."""
+        """Most recent proof of life for the point in flight."""
         return max(self.started, self.last_beat)
 
-    def assign(self, payload: bytes, i: int, attempt: int) -> None:
-        """Hand over one pre-pickled ``("run", i, fn, point)`` task."""
-        self.task = (i, attempt)
-        self.started = time.monotonic()
-        self.last_beat = self.started
+    def assign(self, payload: bytes, row: "List[tuple[int, int]]") -> None:
+        """Hand over one pre-pickled ``("run", fn, indices, points)`` row."""
         self.conn.send_bytes(payload)
+        self.row = deque(row)
 
     def stop(self) -> None:
+        """Tell an idle worker to exit; :meth:`reap` then joins it."""
         try:
             self.conn.send(("stop",))
         except (OSError, ValueError):
@@ -216,6 +248,8 @@ class _Worker:
             self.conn.close()
         except OSError:
             pass
+
+    def reap(self) -> None:
         self.proc.join(1.0)
         if self.proc.is_alive():
             self.proc.terminate()
@@ -243,10 +277,11 @@ class WorkStealingDispatcher:
 
     Drop-in for an :class:`ExperimentRunner` wherever a ``runner`` is
     accepted (``explore_design_space(runner=...)``,
-    ``load_sweep(runner=...)``): it exposes the same :meth:`map`
-    contract -- results in input order, caching, retries, timeouts,
-    journal, ``last_manifests`` -- because the bookkeeping *is* the
-    runner's, via :class:`~repro.flow.runner.MapSession`.
+    ``load_sweep(runner=...)``): it exposes the same :meth:`map` /
+    :meth:`map_rows` contract -- results in input order, caching,
+    retries, timeouts, journal, ``last_manifests`` -- because the
+    bookkeeping *is* the runner's, via
+    :class:`~repro.flow.runner.MapSession`.
 
     Parameters: ``runner`` supplies configuration and owns the
     cache/store/journal; ``workers`` is the pool width (defaults to
@@ -259,8 +294,8 @@ class WorkStealingDispatcher:
     and ``chaos`` (a :class:`repro.chaos.ChaosMonkey` fault-injection
     hook, never set in production).
 
-    Counters: ``steals`` (work taken from another shard),
-    ``dispatched`` (tasks sent to workers), ``worker_restarts``
+    Counters: ``steals`` (rows taken from another shard),
+    ``dispatched`` (points started on workers), ``worker_restarts``
     (workers respawned after a crash, stall or timeout), ``stalls``
     (workers killed by the liveness deadline), ``poisoned`` (points
     quarantined).
@@ -338,13 +373,32 @@ class WorkStealingDispatcher:
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
     ) -> List[Any]:
-        """``runner.map`` semantics under work-stealing scheduling.
+        """``runner.map`` semantics under work-stealing scheduling:
+        :meth:`map_rows` over one-point rows."""
+        return [
+            row[0] for row in self.map_rows(
+                fn, [[p] for p in points], label,
+                timeout=timeout, retries=retries, on_failure=on_failure,
+            )
+        ]
+
+    def map_rows(
+        self,
+        fn: Callable[[Any], Any],
+        rows: Sequence[Sequence[Any]],
+        label: str = "point",
+        *,
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        on_failure: Optional[str] = None,
+    ) -> List[List[Any]]:
+        """``runner.map_rows`` semantics under work-stealing scheduling.
         An ``fn`` that does not pickle raises :class:`ValueError` before
         any worker is spawned or any event is emitted."""
         from repro.flow.runner import MapSession  # runner imports this module
 
-        session = MapSession(
-            self.runner, fn, points, label,
+        session = MapSession.over_rows(
+            self.runner, fn, rows, label,
             timeout=timeout, retries=retries, on_failure=on_failure,
         )
         if session.pending:
@@ -364,16 +418,20 @@ class WorkStealingDispatcher:
     def _run_stealing(self, session: MapSession) -> None:
         from repro.telemetry import events as _events
 
-        n_workers = min(self.workers, len(session.pending)) or 1
+        n_workers = min(self.workers, len(session.pending_rows)) or 1
         ctx = multiprocessing.get_context()
         budget = self.restart_budget
         if budget is None:
             budget = max(8, 4 * n_workers)
 
-        # Round-robin sharding: worker w owns pending[w::n_workers].
+        # Round-robin sharding: worker w owns pending_rows[w::n_workers].
+        # A shard holds rows of (index, attempt) tasks; ``home`` is the
+        # shard a point's row was dealt to.
         shards: List[deque] = [deque() for _ in range(n_workers)]
-        for rank, i in enumerate(session.pending):
-            shards[rank % n_workers].append((i, 1))
+        home: Dict[int, int] = {}
+        for rank, row in enumerate(session.pending_rows):
+            shards[rank % n_workers].append([(i, 1) for i in row])
+            home.update(dict.fromkeys(row, rank % n_workers))
         delayed: List["tuple[float, int, int]"] = []  # (not_before, i, attempt)
         pool: List[Optional[_Worker]] = [
             _Worker(ctx, slot, self.heartbeat) for slot in range(n_workers)
@@ -386,7 +444,7 @@ class WorkStealingDispatcher:
         if self.chaos is not None:
             self.chaos.attach_session(session)
 
-        def next_task(slot: int) -> Optional["tuple[int, int]"]:
+        def next_row(slot: int) -> Optional["List[tuple[int, int]]"]:
             """Own shard first; otherwise steal from the richest."""
             if shards[slot]:
                 return shards[slot].popleft()
@@ -395,13 +453,13 @@ class WorkStealingDispatcher:
             )
             if victim is None or not shards[victim]:
                 return None
-            task = shards[victim].pop()  # tail: the victim's furthest work
+            row = shards[victim].pop()  # tail: the victim's furthest work
             self.steals += 1
             _events.emit(
-                "steal", label=f"{session.label}[{task[0]}]",
-                key=session.keys[task[0]], thief=slot, victim=victim,
+                "steal", label=f"{session.label}[{row[0][0]}]",
+                key=session.keys[row[0][0]], thief=slot, victim=victim,
             )
-            return task
+            return row
 
         def schedule_respawn(slot: int) -> None:
             """Retire a slot; revive it after a jittered backoff if the
@@ -425,50 +483,70 @@ class WorkStealingDispatcher:
             else:
                 outstanding -= 1
 
+        def point_started(worker: _Worker) -> None:
+            """The head of ``worker.row`` is now the point in flight:
+            both supervision clocks are per point, so they restart."""
+            i, attempt = worker.row[0]
+            worker.started = worker.last_beat = time.monotonic()
+            self.dispatched += 1
+            _events.emit(
+                "point_start", label=f"{session.label}[{i}]",
+                key=session.keys[i], attempt=attempt,
+            )
+            if self.chaos is not None:
+                self.chaos.on_dispatch(worker, i, attempt, self.dispatched)
+
         def feed(worker: _Worker) -> None:
             while True:
-                task = next_task(worker.slot)
-                if task is None:
+                row = next_row(worker.slot)
+                if row is None:
                     return
-                i, attempt = task
+                indices = [i for i, _ in row]
                 try:
-                    payload = ForkingPickler.dumps(
-                        ("run", i, session.fn, session.points[i])
-                    )
+                    payload = ForkingPickler.dumps((
+                        "run", session.fn, indices,
+                        [session.points[i] for i in indices],
+                    ))
                 except Exception as exc:
+                    if len(row) > 1:
+                        # Some point of the row does not pickle: split
+                        # it, so the offender is charged alone below.
+                        shards[worker.slot].extendleft(
+                            [task] for task in reversed(row)
+                        )
+                        continue
                     # The point does not pickle: charge it alone and
-                    # offer this worker the next task.
+                    # offer this worker the next row.
                     attempt_failed(
-                        i, attempt, 0.0, "error",
+                        *row[0], 0.0, "error",
                         f"point does not pickle: {type(exc).__name__}: {exc}",
                         exc, traceback.format_exc(),
                     )
                     continue
                 try:
-                    worker.assign(payload, i, attempt)
+                    worker.assign(payload, row)
                 except (OSError, ValueError):
                     # The worker died while idle: retire the slot and
-                    # put the task back where it came from.
+                    # put the row back where it came from.
                     worker.kill()
                     schedule_respawn(worker.slot)
-                    shards[worker.slot].appendleft((i, attempt))
+                    shards[worker.slot].appendleft(row)
                     return
-                self.dispatched += 1
-                _events.emit(
-                    "point_start", label=f"{session.label}[{i}]",
-                    key=session.keys[i], attempt=attempt,
-                )
-                if self.chaos is not None:
-                    self.chaos.on_dispatch(worker, i, attempt, self.dispatched)
+                point_started(worker)
                 return
 
-        def worker_killed(worker: _Worker, i: int, attempt: int,
-                          seconds: float, kind: str, message: str) -> None:
-            """One worker hard-killed while holding point ``i``: retire
-            the slot, then either quarantine the point (it has now
-            felled ``poison_threshold`` workers in a row) or charge the
-            attempt through the normal retry machinery."""
+        def worker_killed(worker: _Worker, seconds: float, kind: str,
+                          message: str) -> None:
+            """One worker hard-killed mid-row: retire the slot and hand
+            the row's unanswered rest back to the head of its shard,
+            attempts unchanged.  The point in flight alone is charged:
+            quarantined (it has now felled ``poison_threshold`` workers
+            in a row) or sent through the normal retry machinery."""
             nonlocal outstanding
+            i, attempt = worker.row.popleft()
+            if worker.row:
+                shards[home[i]].appendleft(list(worker.row))
+                worker.row.clear()
             worker.kill()
             schedule_respawn(worker.slot)
             streak = kill_streak[i] = kill_streak.get(i, 0) + 1
@@ -503,11 +581,10 @@ class WorkStealingDispatcher:
                     due_tasks = [d for d in delayed if d[0] <= now]
                     delayed = [d for d in delayed if d[0] > now]
                     for _, i, attempt in sorted(due_tasks, key=lambda d: d[1]):
-                        # Re-attempts go back to the owning shard's head
-                        # so any idle worker picks them up promptly.
-                        shards[session.pending.index(i) % n_workers].appendleft(
-                            (i, attempt)
-                        )
+                        # Re-attempts go back to the owning shard's head,
+                        # as one-point rows, so any idle worker picks
+                        # them up promptly.
+                        shards[home[i]].appendleft([(i, attempt)])
                 for worker in pool:
                     if worker is not None and not worker.busy:
                         feed(worker)
@@ -524,7 +601,8 @@ class WorkStealingDispatcher:
                     if outstanding > 0 and not any(pool):
                         # Restart budget exhausted with no survivors:
                         # fail every task still queued, explicitly.
-                        queued = [t for shard in shards for t in shard]
+                        queued = [t for shard in shards for row in shard
+                                  for t in row]
                         for shard in shards:
                             shard.clear()
                         for i, attempt in queued:
@@ -560,7 +638,6 @@ class WorkStealingDispatcher:
 
                 for conn in ready:
                     worker = by_conn[conn]
-                    i, attempt = worker.task  # type: ignore[misc]
                     seconds = time.monotonic() - worker.started
                     try:
                         msg = conn.recv()
@@ -568,18 +645,19 @@ class WorkStealingDispatcher:
                         msg = None
                     if msg is not None and msg[0] == "hb":
                         worker.last_beat = time.monotonic()
-                        continue  # still working; task stays assigned
-                    worker.task = None
+                        continue  # still working; the row stays assigned
                     if msg is None:
                         # The worker died mid-point: retire the slot,
                         # charge only the point it held.
                         worker.proc.join(1.0)  # reap, so exitcode is real
                         code = worker.proc.exitcode
                         worker_killed(
-                            worker, i, attempt, seconds, "crash",
+                            worker, seconds, "crash",
                             f"worker died without reporting (exitcode {code})",
                         )
-                    elif msg[0] == "ok":
+                        continue
+                    _, attempt = worker.row.popleft()
+                    if msg[0] == "ok":
                         _, ri, fn_seconds, result, wevents = msg
                         _events.forward(wevents)
                         kill_streak.pop(ri, None)
@@ -594,6 +672,8 @@ class WorkStealingDispatcher:
                         attempt_failed(
                             ri, attempt, fn_seconds, "error", summary, exc, tb
                         )
+                    if worker.row:  # the worker is already on the next
+                        point_started(worker)
 
                 now = time.monotonic()
                 if session.timeout is not None:
@@ -601,10 +681,8 @@ class WorkStealingDispatcher:
                         if (worker is None or not worker.busy
                                 or now - worker.started < session.timeout):
                             continue
-                        i, attempt = worker.task  # type: ignore[misc]
-                        worker.task = None
                         worker_killed(
-                            worker, i, attempt, now - worker.started, "timeout",
+                            worker, now - worker.started, "timeout",
                             f"exceeded {session.timeout:g}s wall-clock limit",
                         )
                 if self.liveness is not None:
@@ -612,9 +690,8 @@ class WorkStealingDispatcher:
                         if (worker is None or not worker.busy
                                 or now - worker.watermark < self.liveness):
                             continue
-                        i, attempt = worker.task  # type: ignore[misc]
+                        i = worker.row[0][0]
                         silent = now - worker.watermark
-                        worker.task = None
                         self.stalls += 1
                         _events.emit(
                             "worker_stall", label=f"{session.label}[{i}]",
@@ -622,14 +699,18 @@ class WorkStealingDispatcher:
                             silent_for=round(silent, 3),
                         )
                         worker_killed(
-                            worker, i, attempt, now - worker.started, "stall",
+                            worker, now - worker.started, "stall",
                             f"no heartbeat for {silent:.1f}s "
                             f"(liveness {self.liveness:g}s)",
                         )
         finally:
             # Whatever interrupted the loop -- the deferred first
             # failure, KeyboardInterrupt, a chaos-harness assertion --
-            # never leak a worker process.
+            # never leak a worker process.  Idle workers are all told to
+            # stop before the first is joined, so they exit in parallel.
+            for worker in pool:
+                if worker is not None and not worker.busy:
+                    worker.stop()
             for worker in pool:
                 if worker is None:
                     continue
@@ -637,7 +718,7 @@ class WorkStealingDispatcher:
                     if worker.busy:
                         worker.kill()
                     else:
-                        worker.stop()
+                        worker.reap()
                 except Exception:
                     try:
                         worker.kill()

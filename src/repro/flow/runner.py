@@ -13,7 +13,10 @@ of such points
   ``WorkStealingDispatcher(runner, workers=N).map``.  Workers are
   long-lived, so module-level state persists across the points one
   worker runs (as it does inline), and ``fn`` and the points must
-  pickle;
+  pickle.  :meth:`ExperimentRunner.map_rows` farms points a **row** at
+  a time -- one pickle, one worker, in order -- so what a row's points
+  share is built once per row; a fault inside a row still costs only
+  the point in flight (:mod:`repro.flow.pool`);
 * **memoized on disk** when a ``cache_dir`` (or a shared ``store``) is
   configured.  There is one format: ``cache_dir=D`` opens a
   :class:`repro.store.ResultStore` at ``D``, so each point's result is
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import random
 import time
@@ -95,6 +97,8 @@ class PointReport:
     ``point_end cached=true`` event already say it happened -- so a
     long-lived runner serving hits retains nothing per hit.
     """
+
+    __slots__ = ("label", "key", "seconds", "cached")
 
     label: str
     key: str
@@ -379,16 +383,6 @@ class ExperimentRunner:
             return os.path.join(self.store.root, "runs.jsonl")
         return None
 
-    def _journal_append(self, record: Dict[str, Any]) -> None:
-        path = self.journal_path
-        if path is None:
-            return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        line = json.dumps(record, sort_keys=True)
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
-            f.flush()
-
     # -- execution --------------------------------------------------------
     def map(
         self,
@@ -425,12 +419,42 @@ class ExperimentRunner:
         (:class:`repro.flow.pool.WorkStealingDispatcher`, at its
         supervision defaults, when ``jobs > 1``).
         """
+        return [
+            row[0] for row in self.map_rows(
+                fn, [[p] for p in points], label,
+                timeout=timeout, retries=retries, on_failure=on_failure,
+            )
+        ]
+
+    def map_rows(
+        self,
+        fn: Callable[[Any], Any],
+        rows: Sequence[Sequence[Any]],
+        label: str = "point",
+        *,
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        on_failure: Optional[str] = None,
+    ) -> List[List[Any]]:
+        """``[[fn(p) for p in row] for row in rows]``: :meth:`map` over
+        the concatenated rows -- same keys, records, events, labels
+        (``label[i]`` counts across rows) and failure handling, all per
+        point -- with the **row** as the unit of farm work.
+
+        A row's pending points cross the pipe in one pickle and run in
+        order in one worker, so objects they share here (a
+        :class:`~repro.flow.selection.MappedFabric`) are shared there,
+        exactly as they are inline.  :meth:`map` is the one-point-row
+        case.  See :mod:`repro.flow.pool` for what a crash, stall,
+        timeout or raise inside a row costs (the point in flight, never
+        the row).
+        """
         overrides = dict(timeout=timeout, retries=retries, on_failure=on_failure)
         if self.jobs > 1:
-            return WorkStealingDispatcher(self, workers=self.jobs).map(
-                fn, points, label, **overrides
+            return WorkStealingDispatcher(self, workers=self.jobs).map_rows(
+                fn, rows, label, **overrides
             )
-        return MapSession(self, fn, points, label, **overrides).execute(
+        return MapSession.over_rows(self, fn, rows, label, **overrides).execute(
             self._run_inline, jobs=1
         )
 
@@ -526,6 +550,11 @@ class MapSession:
     a hit or ``pending``), then :meth:`execute` with a scheduler, which
     calls :meth:`finish_ok` / :meth:`attempt_failed` as attempts
     resolve.
+
+    Everything here is per point and indexed flat.  ``rows`` partitions
+    the indices into the units a scheduler hands out
+    (:meth:`ExperimentRunner.map_rows`; one-point rows by default);
+    ``pending_rows`` is that partition with the hits taken out.
     """
 
     def __init__(
@@ -535,6 +564,7 @@ class MapSession:
         points: Sequence[Any],
         label: str = "point",
         *,
+        rows: Optional[List[List[int]]] = None,
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         on_failure: Optional[str] = None,
@@ -542,6 +572,7 @@ class MapSession:
         self.runner = runner
         self.fn = fn
         self.points = points
+        self.rows = [[i] for i in range(len(points))] if rows is None else rows
         self.label = label
         self.timeout = runner.timeout if timeout is None else timeout
         self.retries = runner.retries if retries is None else retries
@@ -582,6 +613,25 @@ class MapSession:
             else:
                 runner.cache_misses += 1
                 self.pending.append(i)
+        missed = set(self.pending)
+        self.pending_rows = [
+            todo for row in self.rows
+            if (todo := [i for i in row if i in missed])
+        ] if missed else []
+        self._journal: Optional[Any] = None  # runs.jsonl, opened on first use
+
+    @classmethod
+    def over_rows(
+        cls, runner: ExperimentRunner, fn: Callable[[Any], Any],
+        rows: Sequence[Sequence[Any]], label: str = "point", **overrides: Any,
+    ) -> "MapSession":
+        """The session over the concatenation of ``rows``."""
+        points = [p for row in rows for p in row]
+        index = iter(range(len(points)))
+        return cls(
+            runner, fn, points, label,
+            rows=[[next(index) for _ in row] for row in rows], **overrides,
+        )
 
     # -- backoff ----------------------------------------------------------
     def backoff_delay(self, i: int, attempt: int, kind: str = "retry") -> float:
@@ -617,7 +667,7 @@ class MapSession:
     # -- lifecycle -------------------------------------------------------
     def execute(
         self, schedule: Callable[["MapSession"], None], jobs: int
-    ) -> List[Any]:
+    ) -> List[List[Any]]:
         """The one map lifecycle: open the event stream, emit
         ``run_start`` (``jobs`` is the pool width actually used) plus
         the cache-hit ``point_end`` records, let ``schedule(self)`` run
@@ -649,10 +699,26 @@ class MapSession:
             if writer is not None:
                 _events.remove_sink(writer)
                 writer.close()
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
         self.runner.last_manifests = [m for m in self.manifests if m is not None]
         if self.first_exc is not None:
             raise self.first_exc
-        return self.results
+        results = self.results
+        return [[results[i] for i in row] for row in self.rows]
+
+    def _journal_append(self, record: Dict[str, Any]) -> None:
+        """One ``runs.jsonl`` line, written and flushed now (a killed
+        sweep loses nothing); the file is opened once per session."""
+        if self._journal is None:
+            path = self.runner.journal_path
+            if path is None:
+                return
+            from repro.telemetry.events import EventWriter
+
+            self._journal = EventWriter(path)
+        self._journal.write(record)
 
     # -- attempt outcomes -------------------------------------------------
     def finish_ok(self, i: int, attempts: int, seconds: float, result: Any) -> None:
@@ -668,7 +734,7 @@ class MapSession:
         )
         if runner.store is not None:
             runner.store.put(self.keys[i], result)
-        runner._journal_append(
+        self._journal_append(
             {
                 "status": "ok",
                 "label": f"{self.label}[{i}]",
@@ -710,7 +776,7 @@ class MapSession:
         )
         runner.failures.append(failure)
         runner._count("failures", "failure_count")
-        runner._journal_append(failure.as_record())
+        self._journal_append(failure.as_record())
         self.tally["failed"] += 1
         _events.emit(
             "point_end", label=failure.label, key=self.keys[i],

@@ -19,7 +19,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import networkx as nx
 
-from repro.flow.bandwidth import LinkLoad, check_feasibility
+from repro.core.config import NocParameters
+from repro.flow.bandwidth import LinkLoad, check_feasibility, flits_per_transaction
 from repro.flow.floorplan import Floorplan, floorplan_topology
 from repro.flow.mapping import anneal_mapping, apply_mapping, greedy_mapping, mapping_cost
 from repro.flow.taskgraph import CoreGraph
@@ -70,7 +71,7 @@ def estimate_mean_cycles(
     core_graph: CoreGraph,
     topology: Topology,
     mapping: Dict[str, str],
-    params: "NocParameters | None" = None,
+    params: Optional[NocParameters] = None,
     burst_len: int = 4,
 ) -> float:
     """Demand-weighted average one-way transaction latency in cycles.
@@ -81,9 +82,6 @@ def estimate_mean_cycles(
     for their cheap datapaths in latency (the tradeoff the A3 ablation
     measures and the DSE sweeps).
     """
-    from repro.core.config import NocParameters
-    from repro.flow.bandwidth import flits_per_transaction
-
     params = params or NocParameters()
     serialization = flits_per_transaction(params, burst_len) - 1
     hops = dict(nx.all_pairs_shortest_path_length(topology.graph))
@@ -100,39 +98,68 @@ def estimate_mean_cycles(
     return total_cycles / total_rate
 
 
-def evaluate_candidate(
-    core_graph: CoreGraph,
-    fabric: Topology,
+class MappedFabric:
+    """Stage 1 of a candidate's evaluation: the application mapped onto
+    one fabric (the paper's SunMap step, before xpipesCompiler sizes it).
+
+    The mapping reads the core graph, the fabric and the annealer knobs
+    -- never flit width or buffer depth -- so every configuration of
+    one fabric shares one of these: :attr:`placement` copies, maps and
+    anneals on first read and is kept for as long as the object is.
+    This is where the fabric is deep-copied (mapping attaches NIs to
+    it): callers pass candidate objects as they are and may reuse them.
+
+    Deliberately not a dataclass: :meth:`cache_token` makes it render
+    as the bare fabric, so a design-point tuple carrying one has the
+    cache key of the tuple carrying the fabric.
+    """
+
+    def __init__(
+        self,
+        core_graph: CoreGraph,
+        fabric: Topology,
+        max_radix: int = 8,
+        anneal_iterations: int = 1500,
+        seed: int = 0,
+    ) -> None:
+        self.core_graph = core_graph
+        self.fabric = fabric
+        self.max_radix = max_radix
+        self.anneal_iterations = anneal_iterations
+        self.seed = seed
+
+    def cache_token(self) -> Topology:
+        return self.fabric
+
+    @cached_property
+    def placement(self) -> "tuple[Topology, Dict[str, str], float]":
+        """``(mapped topology, core -> switch, mapping cost)``."""
+        fabric = copy.deepcopy(self.fabric)
+        mapping = anneal_mapping(
+            self.core_graph,
+            fabric,
+            initial=greedy_mapping(self.core_graph, fabric, self.max_radix),
+            max_radix=self.max_radix,
+            iterations=self.anneal_iterations,
+            seed=self.seed,
+        )
+        topo = apply_mapping(fabric, self.core_graph, mapping)
+        return topo, mapping, mapping_cost(self.core_graph, topo, mapping)
+
+
+def estimate_candidate(
+    mapped: MappedFabric,
     config: Optional[NocBuildConfig] = None,
     target_freq_mhz: float = 1000.0,
-    max_radix: int = 8,
-    anneal_iterations: int = 1500,
-    seed: int = 0,
 ) -> CandidateResult:
-    """Map one candidate fabric and estimate the mapped topology.
-
-    This is where the fabric is deep-copied (mapping attaches NIs to
-    it): callers pass candidate objects as they are and may reuse them
-    across evaluations.
-    """
-    fabric = copy.deepcopy(fabric)
-    mapping = anneal_mapping(
-        core_graph,
-        fabric,
-        initial=greedy_mapping(core_graph, fabric, max_radix),
-        max_radix=max_radix,
-        iterations=anneal_iterations,
-        seed=seed,
-    )
-    topo = apply_mapping(fabric, core_graph, mapping)
+    """Stage 2: size one mapped fabric under ``config`` and estimate it.
+    Reads the placement, never changes it, so results of one
+    :class:`MappedFabric` share its topology and mapping objects."""
+    core_graph = mapped.core_graph
+    topo, mapping, cost = mapped.placement
     report = synthesize_noc(topo, config, target_freq_mhz=target_freq_mhz)
     freq = min(report.min_max_freq_mhz, target_freq_mhz)
-    cfg = config
-    params = cfg.params if cfg is not None else None
-    if params is None:
-        from repro.core.config import NocParameters
-
-        params = NocParameters()
+    params = (config.params if config is not None else None) or NocParameters()
     cycles = estimate_mean_cycles(core_graph, topo, mapping, params=params)
     feasible, overloaded = check_feasibility(topo, core_graph, params)
     return CandidateResult(
@@ -144,10 +171,25 @@ def evaluate_candidate(
         power_mw=report.total_power_mw,
         mean_cycles=cycles,
         mean_latency_ns=cycles / (freq / 1000.0),
-        mapping_cost=mapping_cost(core_graph, topo, mapping),
+        mapping_cost=cost,
         feasible=feasible,
         overloaded=overloaded,
     )
+
+
+def evaluate_candidate(
+    core_graph: CoreGraph,
+    fabric: Topology,
+    config: Optional[NocBuildConfig] = None,
+    target_freq_mhz: float = 1000.0,
+    max_radix: int = 8,
+    anneal_iterations: int = 1500,
+    seed: int = 0,
+) -> CandidateResult:
+    """Map one candidate fabric and estimate the mapped topology: both
+    stages, for a caller with one configuration per fabric."""
+    mapped = MappedFabric(core_graph, fabric, max_radix, anneal_iterations, seed)
+    return estimate_candidate(mapped, config, target_freq_mhz)
 
 
 def select_topology(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from repro.flow.dse import (
     DesignPoint,
     _evaluate_design_point,
     design_combos,
+    design_rows,
     pareto_frontier,
     render_space,
 )
@@ -512,8 +514,8 @@ class QueryEngine:
 
     # -- key discipline ---------------------------------------------------
     @staticmethod
-    def _combos(spec: QuerySpec, make: Any) -> List[tuple]:
-        return design_combos(
+    def _rows(spec: QuerySpec, make: Any) -> List[List[tuple]]:
+        return design_rows(
             make("core_graph", spec.core_graph),
             [make("topology", name) for name in spec.topologies],
             spec.flit_widths, spec.buffer_depths, spec.target_freq_mhz,
@@ -522,16 +524,18 @@ class QueryEngine:
 
     def combos(self, spec: QuerySpec) -> List[tuple]:
         """The combo tuples ``explore_design_space`` builds for this
-        slice (same :func:`~repro.flow.dse.design_combos`, so the store
+        slice (same :func:`~repro.flow.dse.design_rows`, so the store
         keys are shared by construction) -- real objects, for the farm."""
-        return self._combos(spec, _built)
+        return [combo for row in self._rows(spec, _built) for combo in row]
 
     def keys(self, spec: QuerySpec) -> List[str]:
         """The store keys of :meth:`combos`, without building them: the
         same tuples over the *rendered text* of the graph and fabrics
         (:func:`_rendered`), which ``stable_repr`` passes through."""
         return point_keys(
-            _evaluate_design_point, self._combos(spec, _rendered), self.salt
+            _evaluate_design_point,
+            [combo for row in self._rows(spec, _rendered) for combo in row],
+            self.salt,
         )
 
     # -- answering --------------------------------------------------------
@@ -668,11 +672,14 @@ class QueryEngine:
                 runner = self.make_runner(
                     events_path=events_path, jobs=self.workers
                 )
-                combos = self.combos(spec)
+                # One row per fabric, as in the sweep: the missing
+                # points of a fabric are farmed as one task.
+                wanted, index = set(missing), itertools.count()
                 try:
-                    computed = runner.map(
+                    computed = runner.map_rows(
                         _evaluate_design_point,
-                        [combos[i] for i in missing],
+                        [[combo for combo in row if next(index) in wanted]
+                         for row in self._rows(spec, _built)],
                         label="query",
                     )
                 except Exception:
@@ -681,7 +688,7 @@ class QueryEngine:
                     raise
                 if self.breaker is not None:
                     self.breaker.record_success()
-                for i, p in zip(missing, computed):
+                for i, p in zip(sorted(wanted), itertools.chain.from_iterable(computed)):
                     points[i] = p
                 self._count("points_computed", len(missing))
         final: List[DesignPoint] = [p for p in points if p is not None]
