@@ -35,16 +35,16 @@ REPLICAS = 4  # default lanes per point (REPRO_REPLICAS overrides)
 
 
 def sweep_rows():
-    runner = get_runner()
     replicas = replicas_from_env(default=REPLICAS)
-    mesh_pts = load_sweep(
-        TopologyNocBuilder(mesh, (3, 3)), RATES, seed=3, runner=runner,
-        replicas=replicas,
-    )
-    ring_pts = load_sweep(
-        TopologyNocBuilder(ring, (4,)), RATES, seed=3, runner=runner,
-        replicas=replicas,
-    )
+    with get_runner() as runner:  # two maps, one pool (REPRO_JOBS > 1)
+        mesh_pts = load_sweep(
+            TopologyNocBuilder(mesh, (3, 3)), RATES, seed=3, runner=runner,
+            replicas=replicas,
+        )
+        ring_pts = load_sweep(
+            TopologyNocBuilder(ring, (4,)), RATES, seed=3, runner=runner,
+            replicas=replicas,
+        )
     rows = [render_sweep(mesh_pts, "A8a: 3x3 mesh, 4 CPUs + 4 memories")]
     rows.append("")
     rows.append(render_sweep(ring_pts, "A8b: ring-4, same cores"))

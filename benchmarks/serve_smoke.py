@@ -9,7 +9,9 @@ subprocess:
 * ``GET /healthz`` must report ok and count the seeded records;
 * a miss without ``"wait"`` must be a ``202`` job whose
   ``/jobs/<id>`` and ``/jobs/<id>/events`` endpoints stream a
-  ``repro.telemetry.events/v1`` progress trail to completion.
+  ``repro.telemetry.events/v1`` progress trail to completion;
+* the farm outlives the query: the worker pids are stable across two
+  further misses, and SIGTERM reaps them and exits 0.
 
 What it no longer repeats, because the ledger's ``query_hit`` /
 ``query_miss`` workloads gate it against this same subprocess on every
@@ -69,6 +71,20 @@ def http(method, url, doc=None, timeout=120):
             return r.status, r.read().decode()
     except urllib.error.HTTPError as e:
         return e.code, e.read().decode()
+
+
+def children_of(pid):
+    """Live (not zombie) processes whose parent is ``pid``."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == str(pid) and fields[0] != "Z":
+            found.append(int(entry))
+    return sorted(found)
 
 
 def main() -> int:
@@ -133,11 +149,42 @@ def main() -> int:
         if events[:1] != ["run_start"] or "point_end" not in events:
             fail(f"job event trail incomplete: {events}")
         print(f"job {job}: {len(events)} events, trail {events}")
-    finally:
+
+        # 4. The farm is kept: once both workers exist (the one-row
+        # job needed only one), later misses fork nothing.
+        def miss(seed):
+            status, body = http("POST", base + "/query",
+                                dict(QUERY, seed=seed, wait=True))
+            if status != 200 or json.loads(body)["served_from"] != "farm":
+                fail("waited miss was not farmed", json.loads(body))
+            return children_of(proc.pid)
+
+        workers = miss(22)
+        if len(workers) != 2:
+            fail(f"expected 2 kept workers after a miss, found {workers}")
+        for seed in (23, 24):
+            if miss(seed) != workers:
+                fail(f"worker pids moved: {workers} -> {children_of(proc.pid)}")
+        status, body = http("GET", base + "/healthz")
+        if json.loads(body).get("farm_workers") != 2:
+            fail("healthz does not count the kept workers", json.loads(body))
+        print(f"workers {workers} stable across 2 further misses")
+
+        # 5. SIGTERM: reap the farm, exit 0.
         proc.terminate()
         try:
-            proc.wait(10)
+            code = proc.wait(10)
         except subprocess.TimeoutExpired:
+            fail("server ignored SIGTERM for 10 s")
+        if code != 0:
+            fail(f"server exited {code} on SIGTERM, expected 0")
+        left = children_of(proc.pid) + [
+            pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+        if left:
+            fail(f"workers outlived the server: {left}")
+        print("SIGTERM: exit 0, no worker left")
+    finally:
+        if proc.poll() is None:
             proc.kill()
             proc.wait()
 

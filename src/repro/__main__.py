@@ -68,6 +68,7 @@ events.  ``--port 0`` picks a free port (printed on startup).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 
@@ -344,7 +345,8 @@ def _faults(
             rate=0.05, label="dead 400cyc +recovery",
         ),
     ]
-    results = FaultCampaign(specs, runner=runner, **ckpt).run()
+    with runner or contextlib.nullcontext():  # one pool for the verb
+        results = FaultCampaign(specs, runner=runner, **ckpt).run()
     print(render_campaign(results))
     if runner is not None and runner.failures:
         print(runner.render_report("faults runner"), file=sys.stderr)

@@ -6,9 +6,20 @@ below), and :class:`repro.serve.WorkStealingDispatcher` -- the farm
 tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
 
 * ``workers`` **long-lived processes**, each fed over its own duplex
-  pipe, amortize interpreter/import startup across many points.
-  Module-level state therefore persists across the points one worker
-  runs, exactly as it does inline;
+  pipe, amortize fork, interpreter start-up and cold caches across many
+  points.  *How* long is the owner's decision: the dispatcher is a
+  context manager that owns its idle workers, and they live until the
+  outermost ``with`` block is left.  ``with ExperimentRunner(jobs=N):``
+  holds one dispatcher for all the ``map`` calls of a CLI run;
+  :class:`repro.serve.QueryEngine` keeps a free list of open
+  dispatchers until ``engine.close()``; a ``map`` outside any block is
+  a block of one call and spawns and reaps its own workers.  There is
+  no module-level pool and no idle timer.
+  What a worker may remember is module-level state -- from fork time
+  and from the points it has run, exactly as inline execution does.
+  None of it can reach a result: ``fn`` and the points cross the pipe
+  pickled with every row, keys are computed in the parent, and a
+  worker never touches the store;
 * the unit of work is a **row**: a list of points handed over together
   (:meth:`WorkStealingDispatcher.map_rows`; :meth:`map` is the
   one-point-row case).  A row's pending points cross the pipe in *one*
@@ -68,7 +79,14 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   delay (:meth:`MapSession.backoff_delay` with ``kind="respawn"``), and
   at most ``restart_budget`` respawns are spent per :meth:`map` call --
   a crash-looping farm degrades to fewer workers and finally to
-  explicit failures rather than fork-bombing the host.
+  explicit failures rather than fork-bombing the host.  A *kept* worker
+  that died between two calls did nothing wrong in either: it is found
+  by ``is_alive()`` when the next call draws its workers and replaced
+  for free (counted in ``spawned`` only).
+* **Orphan check.**  Every worker, busy or idle, exits within one
+  ``heartbeat`` of its supervisor's death (``os.getppid()`` in the beat
+  thread): the backstop for a SIGKILLed owner that never reached its
+  ``close()``.
 * **Poison-point quarantine.**  A point whose attempts kill
   ``poison_threshold`` *consecutive* workers (crash / stall / timeout,
   with no clean result in between) is quarantined: journaled as a
@@ -89,6 +107,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback
@@ -135,6 +154,14 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
     """
     from repro.telemetry import events as _events
 
+    # What fork handed over from the supervisor and a worker must not
+    # keep for a life that outlasts the call: its open event files, and
+    # -- when it runs an event loop (``python -m repro serve``) -- a
+    # SIGTERM routed through a wakeup descriptor this process shares
+    # with that loop, where ``terminate()`` here would stop the server.
+    _events.drop_inherited_sinks()
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
     working = threading.Event()
     shutdown = threading.Event()
@@ -206,14 +233,17 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
 
 
 class _Worker:
-    """One long-lived worker process plus its pipe and current row."""
+    """One worker process plus its pipe and current row.  It lives until
+    it is stopped or killed; its dispatcher decides when
+    (:meth:`WorkStealingDispatcher.__exit__`)."""
 
     def __init__(self, ctx, slot: int,
                  heartbeat: float = DEFAULT_HEARTBEAT) -> None:
         self.slot = slot
+        self.supervisor = os.getpid()
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_worker_main, args=(child, heartbeat, os.getpid()),
+            target=_worker_main, args=(child, heartbeat, self.supervisor),
             daemon=True,
         )
         self.proc.start()
@@ -294,11 +324,20 @@ class WorkStealingDispatcher:
     and ``chaos`` (a :class:`repro.chaos.ChaosMonkey` fault-injection
     hook, never set in production).
 
-    Counters: ``steals`` (rows taken from another shard),
-    ``dispatched`` (points started on workers), ``worker_restarts``
-    (workers respawned after a crash, stall or timeout), ``stalls``
-    (workers killed by the liveness deadline), ``poisoned`` (points
-    quarantined).
+    Counters: ``spawned`` (worker processes started -- first spawns,
+    restarts and replacements of a kept worker found dead alike; the
+    count that says whether a call paid a fork), ``steals`` (rows taken
+    from another shard), ``dispatched`` (points started on workers),
+    ``worker_restarts`` (workers respawned after a crash, stall or
+    timeout), ``stalls`` (workers killed by the liveness deadline),
+    ``poisoned`` (points quarantined).
+
+    Worker lifetime: the dispatcher is a context manager.  Inside
+    ``with dispatcher:`` the workers a call leaves idle are kept for the
+    next call; leaving the outermost block stops and reaps them.  A
+    ``map`` outside any block is a block of one call, so it spawns and
+    reaps its own workers.  ``runner`` may be re-pointed between calls
+    (:class:`repro.serve.QueryEngine` does, per query).
     """
 
     def __init__(
@@ -312,6 +351,8 @@ class WorkStealingDispatcher:
         restart_budget: Optional[int] = None,
         chaos: Optional[Any] = None,
     ) -> None:
+        self._idle: List[_Worker] = []  # kept between calls while open
+        self._depth = 0  # open ``with`` blocks; a map_rows call is one
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if heartbeat <= 0:
@@ -336,11 +377,69 @@ class WorkStealingDispatcher:
         self.poison_threshold = poison_threshold
         self.restart_budget = restart_budget
         self.chaos = chaos
+        self.spawned = 0
         self.steals = 0
         self.dispatched = 0
         self.worker_restarts = 0
         self.stalls = 0
         self.poisoned = 0
+
+    # -- worker lifetime --------------------------------------------------
+    def __enter__(self) -> "WorkStealingDispatcher":
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._depth -= 1
+        if self._depth <= 0:
+            self._reap_idle()
+
+    def _reap_idle(self) -> None:
+        """Leaving the outermost block: every idle worker is told to
+        stop before the first is joined, so they exit in parallel."""
+        idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.stop()
+        for worker in idle:
+            try:
+                worker.reap()
+            except Exception:
+                worker.kill()
+
+    def __del__(self) -> None:
+        # Dropped while held open (an engine nobody closed): the
+        # workers go with their owner, not at interpreter exit.  A
+        # forked copy of this object owns nothing.
+        if self._idle and self._idle[0].supervisor == os.getpid():
+            self._reap_idle()
+
+    @property
+    def live_workers(self) -> int:
+        """Kept idle workers whose process is still alive."""
+        return sum(1 for w in self._idle if w.proc.is_alive())
+
+    def _spawn(self, slot: int) -> _Worker:
+        self.spawned += 1
+        return _Worker(multiprocessing.get_context(), slot, self.heartbeat)
+
+    def _draw(self, n: int) -> "List[Optional[_Worker]]":
+        """``n`` live workers numbered ``0..n-1``: kept ones first,
+        spawning only what is missing.  A kept worker found dead (an
+        OOM kill between two calls) is buried and replaced here, at no
+        charge to any point or to the call's restart budget."""
+        alive = []
+        for worker in self._idle:
+            if worker.proc.is_alive():
+                alive.append(worker)
+            else:
+                worker.kill()
+        self._idle = alive  # still the owner's if a fork below fails
+        fresh = [self._spawn(slot) for slot in range(len(alive), n)]
+        pool: "List[Optional[_Worker]]" = alive[:n] + fresh
+        self._idle = alive[n:]
+        for slot, worker in enumerate(pool):
+            worker.slot = slot
+        return pool
 
     # Delegate the runner surface callers poke at after a sweep.
     @property
@@ -357,7 +456,8 @@ class WorkStealingDispatcher:
     def render_report(self, title: str = "work-stealing dispatcher") -> str:
         lines = [
             self.runner.render_report(title),
-            f"  dispatch: workers={self.workers} steals={self.steals} "
+            f"  dispatch: workers={self.workers} spawned={self.spawned} "
+            f"steals={self.steals} "
             f"dispatched={self.dispatched} restarts={self.worker_restarts} "
             f"stalls={self.stalls} poisoned={self.poisoned}",
         ]
@@ -412,14 +512,14 @@ class WorkStealingDispatcher:
                     "module-level function (or functools.partial over one), "
                     "or jobs=1."
                 ) from exc
-        return session.execute(self._run_stealing, jobs=self.workers)
+        with self:  # outside any other block, this call is one of its own
+            return session.execute(self._run_stealing, jobs=self.workers)
 
     # -- scheduling -------------------------------------------------------
     def _run_stealing(self, session: MapSession) -> None:
         from repro.telemetry import events as _events
 
         n_workers = min(self.workers, len(session.pending_rows)) or 1
-        ctx = multiprocessing.get_context()
         budget = self.restart_budget
         if budget is None:
             budget = max(8, 4 * n_workers)
@@ -433,9 +533,6 @@ class WorkStealingDispatcher:
             shards[rank % n_workers].append([(i, 1) for i in row])
             home.update(dict.fromkeys(row, rank % n_workers))
         delayed: List["tuple[float, int, int]"] = []  # (not_before, i, attempt)
-        pool: List[Optional[_Worker]] = [
-            _Worker(ctx, slot, self.heartbeat) for slot in range(n_workers)
-        ]
         respawn_at: Dict[int, float] = {}  # dead slot -> revival time
         slot_restarts: Dict[int, int] = {}
         kill_streak: Dict[int, int] = {}  # point -> consecutive worker kills
@@ -567,6 +664,7 @@ class WorkStealingDispatcher:
             else:
                 attempt_failed(i, attempt, seconds, kind, message, None, "")
 
+        pool = self._draw(n_workers)
         try:
             while outstanding > 0:
                 now = time.monotonic()
@@ -575,7 +673,7 @@ class WorkStealingDispatcher:
                 for slot, due in list(respawn_at.items()):
                     if due <= now:
                         respawn_at.pop(slot)
-                        pool[slot] = _Worker(ctx, slot, self.heartbeat)
+                        pool[slot] = self._spawn(slot)
                         self.worker_restarts += 1
                 if delayed:
                     due_tasks = [d for d in delayed if d[0] <= now]
@@ -706,21 +804,16 @@ class WorkStealingDispatcher:
         finally:
             # Whatever interrupted the loop -- the deferred first
             # failure, KeyboardInterrupt, a chaos-harness assertion --
-            # never leak a worker process.  Idle workers are all told to
-            # stop before the first is joined, so they exit in parallel.
-            for worker in pool:
-                if worker is not None and not worker.busy:
-                    worker.stop()
+            # never leak a worker process: a busy one is killed, an idle
+            # one goes back to the kept set, which leaving the outermost
+            # ``with`` block (map_rows' own, outside any other) reaps.
             for worker in pool:
                 if worker is None:
                     continue
-                try:
-                    if worker.busy:
-                        worker.kill()
-                    else:
-                        worker.reap()
-                except Exception:
+                if worker.busy:
                     try:
                         worker.kill()
                     except Exception:
                         pass
+                else:
+                    self._idle.append(worker)

@@ -10,10 +10,14 @@ of such points
   poison-point quarantine.  A worker that dies (segfault, OOM kill,
   unhandled exception) takes down only the point it held and is
   respawned.  There is one pool: ``ExperimentRunner(jobs=N).map`` *is*
-  ``WorkStealingDispatcher(runner, workers=N).map``.  Workers are
-  long-lived, so module-level state persists across the points one
-  worker runs (as it does inline), and ``fn`` and the points must
-  pickle.  :meth:`ExperimentRunner.map_rows` farms points a **row** at
+  ``WorkStealingDispatcher(runner, workers=N).map``.  Workers live as
+  long as their owner says: one ``map`` call by default (forked on
+  entry, reaped on return), or the whole of a ``with runner:`` block,
+  which holds one dispatcher open so a run of many ``map`` calls forks
+  ``jobs`` processes once.  Module-level state persists across the
+  points one worker runs (as it does inline) and can reach no result:
+  ``fn`` and the points must pickle, and cross the pipe with every
+  row.  :meth:`ExperimentRunner.map_rows` farms points a **row** at
   a time -- one pickle, one worker, in order -- so what a row's points
   share is built once per row; a fault inside a row still costs only
   the point in flight (:mod:`repro.flow.pool`);
@@ -267,6 +271,11 @@ class ExperimentRunner:
     #: the *executed* points across calls in completion order).  Failed
     #: points carry no manifest.
     last_manifests: List[RunManifest] = field(default_factory=list)
+    #: The pool ``with runner:`` holds open (``jobs > 1`` only); its
+    #: ``spawned`` says how many processes the block's maps started.
+    dispatcher: Optional[WorkStealingDispatcher] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _warned_corrupt: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -342,6 +351,21 @@ class ExperimentRunner:
             timeout=timeout,
             retries=retries,
         )
+
+    # -- pool lifetime ----------------------------------------------------
+    def __enter__(self) -> "ExperimentRunner":
+        """Hold one pool open for every ``map`` made inside the block:
+        ``jobs`` workers are forked by the first and reaped on the way
+        out, instead of once per call.  Nothing to hold at ``jobs=1``."""
+        if self.jobs > 1:
+            if self.dispatcher is None:
+                self.dispatcher = WorkStealingDispatcher(self, workers=self.jobs)
+            self.dispatcher.__enter__()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self.jobs > 1:
+            self.dispatcher.__exit__(*exc)
 
     # -- telemetry --------------------------------------------------------
     def _count(self, name: str, attr: str) -> None:
@@ -451,9 +475,8 @@ class ExperimentRunner:
         """
         overrides = dict(timeout=timeout, retries=retries, on_failure=on_failure)
         if self.jobs > 1:
-            return WorkStealingDispatcher(self, workers=self.jobs).map_rows(
-                fn, rows, label, **overrides
-            )
+            farm = self.dispatcher or WorkStealingDispatcher(self, workers=self.jobs)
+            return farm.map_rows(fn, rows, label, **overrides)
         return MapSession.over_rows(self, fn, rows, label, **overrides).execute(
             self._run_inline, jobs=1
         )

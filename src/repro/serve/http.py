@@ -45,6 +45,7 @@ import asyncio
 import functools
 import json
 import os
+import signal
 from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.service import (
@@ -239,6 +240,7 @@ class QueryServer:
             "max_inflight": self.max_inflight,
             "queries": self.engine.queries,
             "jobs": len(self.jobs),
+            "farm_workers": self.engine.farm_workers,
             "circuit": "absent" if breaker is None else breaker.state,
         }
 
@@ -503,21 +505,32 @@ def _render_response(
 
 
 async def _amain(server: QueryServer) -> None:
+    """Serve until cancelled or signalled.  SIGTERM / SIGINT stop the
+    accept loop; every way out closes the engine, so no kept worker
+    outlives the server (SIGKILL leaves that to the workers' own
+    orphan check, :func:`repro.flow.pool._worker_main`)."""
     host, port = await server.start()
     print(f"serving on http://{host}:{port}", flush=True)
     print(f"store: {os.fspath(server.engine.store.root)} "
           f"({len(server.engine.store)} records), "
           f"workers={server.engine.workers}, "
           f"max_inflight={server.max_inflight}", flush=True)
+    loop = asyncio.get_running_loop()
+    serving = loop.create_task(server.serve_forever())
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, serving.cancel)
     try:
-        await server.serve_forever()
+        await serving
     except asyncio.CancelledError:
-        pass
+        print("shutting down", flush=True)
+    finally:
+        # Evaluations still in the executor hand their farm back as
+        # they finish: wait for them, then reap.
+        await loop.shutdown_default_executor()
+        server.engine.close()
 
 
 def run_server(server: QueryServer) -> None:
-    """Blocking entry point used by ``python -m repro serve``."""
-    try:
-        asyncio.run(_amain(server))
-    except KeyboardInterrupt:
-        print("shutting down", flush=True)
+    """Blocking entry point used by ``python -m repro serve``: returns
+    (exit status 0) after SIGTERM, SIGINT or cancellation."""
+    asyncio.run(_amain(server))

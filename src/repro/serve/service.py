@@ -18,13 +18,14 @@ here, and a query evaluated here accelerates everyone's next sweep.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.flow.dse import (
     DesignPoint,
@@ -35,6 +36,7 @@ from repro.flow.dse import (
     render_space,
 )
 from repro.flow.keying import Rendered, point_keys, stable_repr
+from repro.flow.pool import WorkStealingDispatcher
 from repro.flow.runner import ExperimentRunner
 from repro.flow.taskgraph import CoreGraph, demo_multimedia_soc, demo_telecom_soc
 from repro.network.topology import (
@@ -494,6 +496,51 @@ class QueryEngine:
         self.queries = 0
         self.farm_queries = 0
         self.degraded_queries = 0
+        #: Idle farms, each held open: a farm-bound :meth:`answer` pops
+        #: one (or makes one) and pushes it back, so concurrent misses
+        #: never share workers and sequential ones never re-fork them.
+        self._farms: List[WorkStealingDispatcher] = []
+
+    # -- farm lifetime ----------------------------------------------------
+    def __enter__(self) -> "QueryEngine":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop and reap every kept worker.  The engine stays usable:
+        the next miss forks its workers again."""
+        while True:
+            try:
+                farm = self._farms.pop()
+            except IndexError:
+                return
+            farm.__exit__()
+
+    @property
+    def farm_workers(self) -> int:
+        """Live kept workers of the idle farms (``/healthz``)."""
+        return sum(farm.live_workers for farm in list(self._farms))
+
+    @contextlib.contextmanager
+    def _farm(self, runner: ExperimentRunner) -> Iterator[Any]:
+        """What a miss calls ``map_rows`` on: ``runner`` itself when it
+        runs inline, else a kept farm pointed at it for this query."""
+        if runner.jobs == 1:
+            yield runner
+            return
+        try:
+            farm = self._farms.pop()
+        except IndexError:
+            farm = WorkStealingDispatcher(runner, workers=runner.jobs).__enter__()
+        farm.runner = runner
+        before = farm.spawned
+        try:
+            yield farm
+        finally:
+            self._count("worker_spawns", farm.spawned - before)
+            self._farms.append(farm)
 
     def _count(self, name: str, by: int = 1) -> None:
         if self.metrics is not None and by:
@@ -669,6 +716,9 @@ class QueryEngine:
                 served_from = "farm"
                 self.farm_queries += 1
                 self._count("farm_queries")
+                # The runner is per query (its events path is the
+                # job's, its reports must not pile up in a server); the
+                # worker processes are the engine's.
                 runner = self.make_runner(
                     events_path=events_path, jobs=self.workers
                 )
@@ -676,12 +726,13 @@ class QueryEngine:
                 # points of a fabric are farmed as one task.
                 wanted, index = set(missing), itertools.count()
                 try:
-                    computed = runner.map_rows(
-                        _evaluate_design_point,
-                        [[combo for combo in row if next(index) in wanted]
-                         for row in self._rows(spec, _built)],
-                        label="query",
-                    )
+                    with self._farm(runner) as farm:
+                        computed = farm.map_rows(
+                            _evaluate_design_point,
+                            [[combo for combo in row if next(index) in wanted]
+                             for row in self._rows(spec, _built)],
+                            label="query",
+                        )
                 except Exception:
                     if self.breaker is not None:
                         self.breaker.record_failure()

@@ -144,6 +144,16 @@ class EventWriter(EventSink):
             self._fh.close()
             self._fh = None
 
+    def abandon(self) -> None:
+        """Let go of the file in a forked copy: point its descriptor at
+        ``/dev/null``.  Deliberately not :meth:`close` -- the buffer (and
+        its lock) may have been another parent thread's mid-write at the
+        moment of the fork, and that text is the parent's to write."""
+        if self._fh is not None:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self._fh.fileno())
+            os.close(null)
+
     def __enter__(self) -> "EventWriter":
         return self
 
@@ -151,9 +161,9 @@ class EventWriter(EventSink):
         self.close()
 
 
-# Process-local sink stack.  ``emit`` writes to the top entry only, so
-# a forked worker that installs its own collector shadows any writer
-# (and its file descriptor) inherited from the parent.
+# Process-local sink stack.  ``emit`` writes to the top entry only.  A
+# forked pool worker starts by dropping the writers (and their file
+# descriptors) it inherited from the parent: drop_inherited_sinks().
 _SINKS: List[EventSink] = []
 _SEQ = [0]
 
@@ -171,6 +181,17 @@ def remove_sink(sink: EventSink) -> None:
         _SINKS.remove(sink)
     except ValueError:
         pass
+
+
+def drop_inherited_sinks() -> None:
+    """In a forked worker: let go of this process's copies of the file
+    sinks the parent had open at fork time and empty the stack, so a
+    worker that outlives the call holds no descriptor on a per-job
+    ``events.jsonl``."""
+    for sink in _SINKS:
+        if isinstance(sink, EventWriter):
+            sink.abandon()
+    _SINKS.clear()
 
 
 def current_sink() -> Optional[EventSink]:
