@@ -2,28 +2,34 @@
 
 The Monte-Carlo shape behind every confidence interval in this repo:
 run the *same* fabric under hundreds of seeds (and per-lane fault
-phases) and reduce.  A scalar workflow pays build + codegen +
-the full idle horizon for every seed; the batched kernel
-(:mod:`repro.sim.batch`, docs/BATCHING.md) elaborates and compiles
-once, time-multiplexes replica lanes over the one object graph, and
-collapses each lane's post-traffic idle tail to O(1) via the generated
-``run_to_event`` entry plus fault-event catch-up.
-
-The workload is the bounded-episode case that skipping targets: a 2x2
+phases) and reduce.  The workload is the bounded-episode case: a 2x2
 mesh, two masters with sparse uniform traffic capped at a few
 transactions each, a fault window whose phase varies per lane, and a
-long measurement horizon -- so almost all of the scalar run is idle
-loop.  Asserted floor: a ``REPLICAS``-lane batch beats sequential
-scalar compiled runs by >= 10x per replica.  (That a lane is
-digest-identical to a scalar compiled run, itself digest-identical
-across all three kernels, is gated per run by the ledger's
-``batch_campaign`` workload and by ``tests/test_batch.py``.)
+long measurement horizon -- so ~98% of the cycles have nothing awake.
+
+The generated loop collapses those idle spans itself, for every caller
+(:mod:`repro.sim.compiled`, docs/PERFORMANCE.md), so a scalar
+``sim.run`` of the episode no longer walks the empty horizon and the
+old "batch >= 10x scalar per replica" floor describes nothing (16.7x
+when only the batch collapsed its tail; 1.6-1.7x measured on this host
+with the collapse in the loop: 2.9 ms/lane against 4.5-4.9 ms/run).  What a
+batch (:mod:`repro.sim.batch`, docs/BATCHING.md) still buys is
+elaboration: **one build and one codegen for N lanes**, each lane
+re-armed by an in-place ``reset`` (~0.2 ms) where the scalar workflow
+rebuilds and recompiles per seed (~2 ms here).  Asserted floor: a
+``REPLICAS``-lane batch is >= 1.2x cheaper per replica than sequential
+scalar compiled runs -- the measured ratio less run-to-run noise; the
+absolute per-lane cost is gated by the ledger's ``batch_campaign``
+workload, not here.  (That a lane is digest-identical to a scalar
+compiled run, itself digest-identical across all three kernels, is
+gated per run by that workload and by ``tests/test_batch.py``.)
 
 Scalar per-run cost is flat in the replica index (each run rebuilds,
 recompiles and re-runs from scratch), so the sequential-1024 total is
 timed over ``SCALAR_RUNS_TIMED`` runs and projected linearly; the
-measured per-run mean, the projection, and the full batch timing all
-land in ``results/BENCH_s4.json``.
+measured per-run mean (``scalar_ms_per_run``, next to ``ms_per_lane``),
+the projection, and the full batch timing all land in
+``results/BENCH_s4.json``.
 """
 
 import time
@@ -172,15 +178,17 @@ def test_s4_batch(benchmark):
             "seconds_per_run": per_run,
             "sequential_1024_seconds_projected": sequential_projected,
         },
+        "ms_per_lane": per_lane * 1e3,
+        "scalar_ms_per_run": per_run * 1e3,
         "speedup": speedup,
         "lane0_digest_matches_scalar": True,
         "three_kernel_digest_matches": True,
         "reduced": result.reduced,
     })
 
-    assert speedup >= 10.0, (
-        f"batched lanes must be >= 10x cheaper than sequential scalar "
-        f"runs on this workload, got {speedup:.1f}x"
+    assert speedup >= 1.2, (
+        f"batched lanes must stay >= 1.2x cheaper than sequential scalar "
+        f"runs (one build + one codegen for all of them), got {speedup:.2f}x"
     )
     assert skip_frac > 0.5, "the idle tail should dominate this workload"
 

@@ -111,7 +111,8 @@ class FaultInjector(Component):
         #: instants (see :mod:`repro.telemetry.lifecycle`).
         self.lifecycle = False
 
-        self._resolve(windows)
+        self._resolved, self._events = self._resolve(windows)
+        self.windows = tuple(windows)
 
         noc.sim.add(self)
         # Register on the NoC so enable_lifecycle / telemetry find us.
@@ -142,9 +143,11 @@ class FaultInjector(Component):
             self._probe_last[link.name] = 0
             noc.sim.add_probe(link, self._make_probe(link))
 
-    def _resolve(self, windows: Sequence[FaultWindow]) -> None:
-        """Resolve ``windows`` onto concrete links and rebuild the
-        sorted event schedule.  Typos fail here, not mid-campaign."""
+    def _resolve(self, windows: Sequence[FaultWindow]):
+        """Resolve ``windows`` onto concrete links; returns the
+        ``(resolved, events)`` pair -- the windows with their links and
+        the sorted event schedule -- without touching the injector.
+        Typos fail here, not mid-campaign."""
         by_name = {link.name: link for link in self.noc.links}
         resolved: List[Tuple[FaultWindow, Tuple[Link, ...]]] = []
         events: List[Tuple[int, int, int, Link, FaultWindow, bool]] = []
@@ -166,9 +169,7 @@ class FaultInjector(Component):
                 events.append((w.start, 0, wi, link, w, True))
                 events.append((w.end, 1, wi, link, w, False))
         events.sort(key=lambda e: (e[0], e[1], e[2], e[3].name))
-        self.windows = tuple(windows)
-        self._resolved = resolved
-        self._events = events
+        return resolved, events
 
     def set_windows(self, windows: Sequence[FaultWindow]) -> None:
         """Replace the fault schedule on a live injector.
@@ -179,28 +180,25 @@ class FaultInjector(Component):
         resolves to must already be probed -- construct the injector
         with ``probe_links`` naming the union of all schedules' links.
         Progress state is cleared exactly as :meth:`reset` clears it;
-        call at a cycle-0 boundary (after ``sim.reset()``).
+        call at a cycle-0 boundary (after ``sim.reset()``).  A rejected
+        schedule leaves the injector exactly as it was.
         """
-        old_links = {l for _, links in self._resolved for l in links}
-        self._resolve(windows)
-        new_links = {l for _, links in self._resolved for l in links}
+        resolved, events = self._resolve(windows)
         missing = sorted(
-            l.name for l in new_links if l.name not in self.flits_during_fault
+            {
+                l.name for _, links in resolved for l in links
+                if l.name not in self.flits_during_fault
+            }
         )
         if missing:
             raise SimulationError(
                 f"set_windows touches unprobed link(s) {missing}: pass "
                 f"probe_links= at construction to pre-declare them"
             )
-        self._next_event = 0
-        self._open.clear()
-        self.windows_opened = 0
-        self.windows_closed = 0
-        for name in self.flits_during_fault:
-            self.flits_during_fault[name] = 0
-            self._probe_last[name] = 0
-        for link in old_links | new_links:
-            link.clear_fault()
+        self.reset()  # clears the outgoing schedule's link overrides
+        self.windows = tuple(windows)
+        self._resolved = resolved
+        self._events = events
 
     def _make_probe(self, link: Link):
         def probe(_cycle: int) -> None:
@@ -242,16 +240,16 @@ class FaultInjector(Component):
         else:
             link.set_fault(error_rate=w.error_rate)
 
-    def catch_up(self, cycle: int) -> None:
-        """Apply every event scheduled at or before ``cycle`` at once.
+    def idle_until(self):
+        """Cycle of the next scheduled window event, else ``None``.
 
-        Equivalent to ticking the injector on every cycle of a span in
-        which nothing else happened: ``_apply`` depends only on the open
-        stack, so collapsing the per-cycle calls is exact.  The batch
-        runner uses this after skipping an idle span (see
-        :mod:`repro.sim.batch`).
+        The generated loop's idle-span contract
+        (:func:`repro.sim.compiled._generate`): ``tick`` is a no-op on
+        every cycle before the one returned, so a span in which nothing
+        else happens either may be crossed without calling it.
         """
-        self.tick(cycle)
+        i = self._next_event
+        return self._events[i][0] if i < len(self._events) else None
 
     def tick(self, cycle: int) -> None:
         # Overrides set during tick(t) govern flits the link samples at

@@ -317,7 +317,8 @@ def verify_fast_path(
     :class:`~repro.faults.FaultInjector` on every instance and prove the
     quiescence contract holds while fault windows open and close.
     ``max_transactions`` bounds each master (the Monte-Carlo episode
-    shape the batched kernel skips idle tails of; see docs/BATCHING.md).
+    shape whose idle tail the generated loop collapses; see
+    docs/PERFORMANCE.md, "Idle spans").
     """
     if len(kernels) < 2:
         raise ValueError(f"need at least two kernels to compare, got {kernels!r}")

@@ -4,10 +4,8 @@ Fault campaigns and load sweeps need *many* independent replicas per
 design point before their BER/latency curves mean anything -- the same
 statistical-confidence argument MultiNoC makes for multiprocessor NoC
 evaluation.  Building a fresh NoC per replica pays elaboration plus
-codegen (milliseconds) per seed, and a scalar run pays the idle loop
-for every quiet cycle of a long Monte-Carlo horizon.  This module adds
-the replica dimension on top of the compiled kernel
-(:mod:`repro.sim.compiled`):
+codegen (milliseconds) per seed.  This module adds the replica
+dimension on top of the compiled kernel (:mod:`repro.sim.compiled`):
 
 * **One elaboration, R lanes.**  :class:`BatchSimulator` compiles the
   network once and reuses the object graph and the generated program
@@ -23,17 +21,14 @@ the replica dimension on top of the compiled kernel
   single compiled object graph: wires carry arbitrary Python payloads
   (flits, OCP transactions), which is why PR 6 rejected a vectorized
   register lane -- lanes are therefore time-multiplexed, not
-  vector-parallel, and the batch win comes from amortized elaboration
-  plus idle-span skipping, not SIMD.
-* **Idle-span skipping.**  The generated ``run_to_event`` entry returns
-  early once a lane is provably idle: nothing woke, no wire holds a
-  value, and no drawer-lane master can still inject.  For bounded
-  Monte-Carlo episodes (``max_transactions``) the long quiet tail after
-  the last transaction completes collapses to O(1) per lane --
-  arithmetic on the cycle/tick counters plus
-  :meth:`~repro.faults.injector.FaultInjector.catch_up` for scheduled
-  fault events -- while staying digest-identical to the scalar kernels
-  (the skipped span provably contains no RNG draw, tick, or latch).
+  vector-parallel, and the batch win is amortized elaboration, not
+  SIMD.
+* **No loop of its own.**  :meth:`BatchSimulator.run_exact` is
+  ``sim.run``: the long quiet tail of a bounded Monte-Carlo episode
+  (``max_transactions``) is collapsed by the generated loop itself --
+  for a lane exactly as for a scalar run, see "Idle spans" in
+  :func:`repro.sim.compiled._generate` -- so a lane is digest- and
+  counter-identical to the scalar kernels by construction.
 * **Deterministic seeding.**  Lane ``k`` offsets every traffic-pattern
   and link seed by ``k * seed_stride``; lane 0 runs the exact seeds the
   network was built with, so its digest matches a scalar run
@@ -59,7 +54,6 @@ import numpy as np
 
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.snapshot import SnapshotError
-from repro.sim.trace import NullTracer
 
 __all__ = [
     "BatchSimulator",
@@ -156,7 +150,7 @@ class BatchSimulator:
         batch = BatchSimulator(noc, replicas=256)
         for k in range(batch.replicas):
             batch.begin_lane(k)
-            batch.run_exact(horizon)     # idle spans skipped when legal
+            batch.run_exact(horizon)     # == noc.sim.run(horizon)
             collect(noc)
 
     ``begin_lane(k)`` reseeds every traffic pattern and link to its
@@ -217,20 +211,6 @@ class BatchSimulator:
         self._link_seeds = [
             (link, link._seed - base) for link in noc.links
         ]
-        # Idle-span skipping is sound only when the skipped cycles are
-        # provably event-free: every always-lane component must be a
-        # fault injector (whose event catch-up is exact) with no probe
-        # attached.  Watchers and live tracers are re-checked per run.
-        from repro.faults.injector import FaultInjector
-
-        self._always: List[Any] = [
-            sim._component_names[name] for name in self.program.meta["always"]
-        ]
-        self._skippable = all(
-            isinstance(comp, FaultInjector) and comp not in sim._probes
-            for comp in self._always
-        )
-
     # -- lane control ------------------------------------------------------
 
     def begin_lane(self, k: int) -> None:
@@ -255,58 +235,12 @@ class BatchSimulator:
     def run_exact(self, cycles: int) -> None:
         """Advance the current lane exactly ``cycles`` cycles.
 
-        Takes the generated ``run_to_event`` entry and, whenever the
-        lane goes provably idle with no master able to inject, accounts
-        the remaining span arithmetically: cycle and tick counters
-        advance as the real loop would have, and fault injectors catch
-        up their event schedules.  Falls back to the ordinary kernel
-        dispatch whenever skipping would be observable (watchers, a
-        live tracer, or a non-injector always-lane component).
+        Plain ``sim.run`` (which rejects a negative count): the
+        generated loop collapses idle spans itself
+        (:mod:`repro.sim.compiled`), for a lane exactly as for a scalar
+        run.
         """
-        sim: Simulator = self.noc.sim
-        if cycles < 0:
-            raise SimulationError("cannot run a negative number of cycles")
-        prog = self.program
-        if (
-            not self._skippable
-            or sim._watchers
-            or type(sim.tracer) is not NullTracer
-        ):
-            sim.run(cycles)
-            return
-        if prog.rev != sim._structure_rev:
-            raise SimulationError(
-                "the batch's compiled program is stale (structural "
-                "mutation mid-batch?); rebuild the BatchSimulator"
-            )
-        left = cycles
-        run_to_event = prog.run_to_event
-        while left:
-            left -= run_to_event(left)
-            if left:
-                self._skip(left)
-                left = 0
-        prog.rearm()
-
-    def _skip(self, span: int) -> None:
-        """Account ``span`` provably idle cycles without executing them.
-
-        Mirrors what the generated loop's idle branch would have done:
-        always-lane components and sleeping drawer masters count as
-        executed ticks, everything else as skipped -- then the fault
-        injectors apply any window events the span crossed.
-        """
-        sim = self.noc.sim
-        meta = self.program.meta
-        n_always = meta["n_always"]
-        n_masters = len(meta["masters"])
-        sim.cycle += span
-        sim.ticks_executed += span * (n_always + n_masters)
-        sim.ticks_skipped += span * (
-            meta["n_components"] - n_always - n_masters
-        )
-        for inj in self._always:
-            inj.catch_up(sim.cycle - 1)
+        self.noc.sim.run(cycles)
 
     # -- whole-batch convenience ------------------------------------------
 
@@ -315,7 +249,6 @@ class BatchSimulator:
         cycles: int,
         collect: Callable[[Any, int], Dict[str, float]],
         *,
-        start_lane: int = 0,
         digest: bool = False,
     ) -> BatchResult:
         """Run every lane for ``cycles`` cycles and reduce the metrics.
@@ -328,7 +261,7 @@ class BatchSimulator:
         rows: List[Dict[str, float]] = []
         digests: List[str] = [] if digest else None
         profiler = getattr(self.noc.sim, "profiler", None)
-        for k in range(start_lane, self.replicas):
+        for k in range(self.replicas):
             self.begin_lane(k)
             t0 = time.perf_counter() if profiler is not None else 0.0
             self.run_exact(cycles)
@@ -405,6 +338,7 @@ def run_batch(
     collect: Callable[[Any, int], Dict[str, float]],
     *,
     seed_stride: int = SEED_STRIDE,
+    lane_windows: Optional[Callable[[int], Sequence]] = None,
     digest: bool = False,
 ) -> BatchResult:
     """Build ``builder()`` once, batch it, run every lane, reduce.
@@ -414,5 +348,7 @@ def run_batch(
     :meth:`~BatchSimulator.run_lanes`.
     """
     noc = builder()
-    batch = BatchSimulator(noc, replicas, seed_stride=seed_stride)
+    batch = BatchSimulator(
+        noc, replicas, seed_stride=seed_stride, lane_windows=lane_windows
+    )
     return batch.run_lanes(cycles, collect, digest=digest)

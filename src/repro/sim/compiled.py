@@ -54,9 +54,16 @@ woken component through its *lane*:
     take this lane, so observers see exactly the ticks the component's
     own code performs.
 ``always``
-    Components with no quiescence contract (fault injectors, progress
-    watchdogs) run every cycle, linear-merged with the woken set in
+    Components with no quiescence contract (fault injectors) run every
+    cycle the loop steps, linear-merged with the woken set in
     scheduling order.
+
+The loop does not step through *idle spans* -- cycles with nothing
+awake and no wire hot -- when every always-lane component says when it
+next has work (``idle_until()``): it spins on the masters' gate draws
+alone and advances the counters arithmetically, for every caller of
+``run`` (see :func:`_generate`; the generated header's ``# idle spans:``
+line records whether the block was emitted and, if not, who blocked it).
 
 Kernel mode ``"compiled"`` picks specialized lanes wherever a component
 qualifies; mode ``"fast"`` is the same loop with every component on the
@@ -111,33 +118,17 @@ class CompiledProgram:
     lanes:
         Lane name -> component count (a compile summary for tests and
         benchmarks).
-    run_to_event:
-        ``run_to_event(n)`` -- run at most ``n`` cycles, returning the
-        number actually consumed; returns early (after completing a
-        cycle) once the network is provably idle: nothing woke for the
-        next cycle, no wire holds a non-default value, and no
-        drawer-lane master can still inject.  Unlike ``run`` it never
-        re-arms sleeping masters on exit -- callers that stop mid-run
-        must pair it with :meth:`rearm` before snapshotting or
-        digesting.  The batch runner (:mod:`repro.sim.batch`) is the
-        intended caller.
-    rearm:
-        ``rearm()`` -- restore the run-boundary invariant (every
-        unfinished drawer-lane master awake, as the ``generic`` lane
-        would have left it), exactly what ``run`` does in its epilogue.
-    meta:
-        Static facts the batch runner needs to reason about skipped
-        spans: ``n_components``, ``n_always``, plus the ``always`` and
-        ``masters`` component-name tuples.
+    idle_spans:
+        How the loop crosses a cycle with nothing awake and no wire
+        hot: ``"collapse"`` (the emitted idle-span block, see
+        :func:`_generate`) or ``"per-cycle (blocked by ...)"`` naming
+        the always-lane component that forbids it.  The same text is
+        the ``# idle spans:`` line of ``source``.
     """
 
-    __slots__ = (
-        "source", "run", "rev", "lane_of", "lanes",
-        "run_to_event", "rearm", "meta",
-    )
+    __slots__ = ("source", "run", "rev", "lane_of", "lanes", "idle_spans")
 
-    def __init__(self, source, run, rev, lane_of,
-                 run_to_event=None, rearm=None, meta=None):
+    def __init__(self, source, run, rev, lane_of, idle_spans):
         self.source = source
         self.run = run
         self.rev = rev
@@ -145,13 +136,14 @@ class CompiledProgram:
         self.lanes: Dict[str, int] = {}
         for lane in self.lane_of.values():
             self.lanes[lane] = self.lanes.get(lane, 0) + 1
-        self.run_to_event = run_to_event
-        self.rearm = rearm
-        self.meta: Dict[str, object] = dict(meta or {})
+        self.idle_spans = idle_spans
 
     def __repr__(self) -> str:
         summary = " ".join(f"{k}={v}" for k, v in sorted(self.lanes.items()))
-        return f"CompiledProgram(rev={self.rev}, {summary or 'empty'})"
+        return (
+            f"CompiledProgram(rev={self.rev}, {summary or 'empty'}, "
+            f"idle spans: {self.idle_spans})"
+        )
 
 
 #: Lane name -> factory in :mod:`repro.sim.lanes` (``switch`` lanes bind a
@@ -444,31 +436,59 @@ def _classify(sim: Simulator, c, specialize: bool) -> str:
     return "generic"
 
 
-def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
-    """Generate the per-network module source; returns (source, lanes).
+def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]], str]:
+    """Generate the per-network module source; returns
+    ``(source, lanes, idle_spans)``.
 
     Deterministic: the text depends only on the network structure (and
     the tracer type), never on runtime state or ids -- the golden-file
     test relies on this.
+
+    **Idle spans.**  A cycle with nothing awake and no wire hot is, by
+    the quiescence contracts, one tick per always-lane component plus
+    one gate draw per armed drawer-lane master.  When every always-lane
+    component implements ``idle_until()`` (the cycle of its next
+    scheduled work, or ``None``; its ticks before that cycle are
+    no-ops) and none is probed, the awake-empty branch of both loops
+    crosses such cycles in a spin that performs only the draws -- each
+    master's own RNG, in the per-cycle order -- up to the end of this
+    ``run(n)`` or the earliest ``idle_until()``, and advances ``cyc`` /
+    ``exe`` / ``skp`` by exactly what the per-cycle branch counts.  A
+    passing draw ends the spin mid-cycle: ``hit`` names the master, the
+    masters before it have already drawn (and failed) for that cycle,
+    and the ordinary per-cycle text finishes it.  An always-lane
+    component without ``idle_until``, or a probed one, means the block
+    is not emitted (``idle_spans`` names it); the observed loop also
+    steps per cycle while a watcher is attached.
     """
-    lane_of: List[Tuple[str, str]] = []
+    specialize = sim.kernel != "fast"
+    lane_of: List[Tuple[str, str]] = [
+        (c.name, "always" if not c._sleepy else _classify(sim, c, specialize))
+        for c in sim._components
+    ]
+    idle_spans = "collapse"
+    for c, (_, lane) in zip(sim._components, lane_of):
+        if lane == "always" and (not hasattr(c, "idle_until") or c in sim._probes):
+            why = "probed" if hasattr(c, "idle_until") else "no idle_until"
+            idle_spans = f"per-cycle (blocked by {c.name!r}: {why})"
+            break
+    collapse = idle_spans == "collapse"
+
     bind: List[str] = []
     masters: List[str] = []  # variable names of drawer-lane masters
-    gates: List[str] = []  # per-master injection-window gate expressions
     blocks: List[str] = []  # unrolled per-master gate blocks (slow loop)
     fast_sleep: List[str] = []  # fast-loop variant, awake set non-empty
     fast_idle: List[str] = []  # fast-loop variant, awake set empty
     rebinds: List[str] = []  # per-run rebinds for the drawer lane
+    armed: List[Tuple[str, str]] = []  # per master: (arm{i}, its gate text)
+    spin: List[str] = []  # the idle-span spin's one draw per armed master
 
     always_vars: List[str] = []  # no quiescence contract: run every cycle
     switch_shapes: set = set()
-    specialize = sim.kernel != "fast"
-    for i, c in enumerate(sim._components):
-        lane = "always" if not c._sleepy else _classify(sim, c, specialize)
-        lane_of.append((c.name, lane))
-        if lane == "always":
-            always_vars.append(f"c{i}")
+    for i, (c, (_, lane)) in enumerate(zip(sim._components, lane_of)):
         var = f"c{i}"
+        if lane == "always":
+            always_vars.append(var)
         bind.append(f"    {var} = N[{c.name!r}]  # {type(c).__name__}: {lane}")
         if lane == "switch":
             # Switches get shape-specialized unrolled builders emitted
@@ -481,6 +501,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
             bind.append(f"    TH[{var}] = {_FACTORY_OF[lane]}({var})")
         if lane == "master":
             masters.append(var)
+            j = len(masters)
             rebinds.append(f"        rnd{i} = {var}.pattern._rng.random")
             rebinds.append(f"        if{i} = {var}._in_flight")
             rebinds.append(f"        tk{i} = {var}.tick")
@@ -489,13 +510,23 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
             gate = f"_len(if{i}) < {maxo}"
             if c.max_transactions is not None:
                 gate += f" and {var}.issued < {int(c.max_transactions)}"
-            gates.append(f"({gate})")
             rebinds.append(f"        arm{i} = {gate}")
+            armed.append((f"arm{i}", gate))
+            spin.append(
+                f"if arm{i} and rnd{i}() < {rate}:\n    hit = {j}\n    break"
+            )
+
+            # This cycle's gate may be settled already: the idle-span
+            # spin drew for master ``hit`` (passed) and for those before
+            # it (failed).
+            pre, post = (
+                (f"hit == {j} or (hit < {j} and ", ")") if collapse else ("", "")
+            )
             blocks.append(
                 f"""\
             if {var} not in awake:
                 slept += 1
-                if {gate} and rnd{i}() < {rate}:
+                if {pre}{gate} and rnd{i}() < {rate}{post}:
                     tk{i}(cyc, _predrawn_inject=True)
                     if {var}._pending is not None:
                         nxt[{var}] = None"""
@@ -518,7 +549,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
             )
             fast_idle.append(
                 f"""\
-                    if arm{i} and rnd{i}() < {rate}:
+                    if {pre}arm{i} and rnd{i}() < {rate}{post}:
                         tk{i}(cyc, _predrawn_inject=True)
                         arm{i} = {gate}
                         if {var}._pending is not None:
@@ -533,16 +564,17 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     master_blocks = ("\n".join(blocks) + "\n") if blocks else ""
     master_rebinds = ("\n".join(rebinds) + "\n") if rebinds else ""
 
-    # Always-active components (fault injectors, watchdogs, anything
-    # without a quiescence contract) run every cycle, interleaved with
-    # the woken set in scheduling-index order (a linear merge), so run
-    # order -- and thus RNG/arbitration state -- matches the reference
-    # loop's.  Networks without them keep the plain sorted-awake text.
+    # Always-active components (fault injectors, anything without a
+    # quiescence contract) run every cycle, interleaved with the woken
+    # set in scheduling-index order (a linear merge), so run order --
+    # and thus RNG/arbitration state -- matches the reference loop's.
+    # Networks without them keep the plain sorted-awake text.
     always_bind = ""
     if always_vars:
         always_bind = f"""\
     AL = ({", ".join(always_vars)},)
     NA = {len(always_vars)}
+{"    IU = tuple(c.idle_until for c in AL)" + chr(10) if collapse else ""}\
 
     def _mkrun(awake):
         woken = sorted(awake, key=_SK)
@@ -563,9 +595,64 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         return run
 """
     mkrun = "_mkrun(awake)" if always_vars else "sorted(awake, key=_SK)"
+
+    def reindent(text: str, spaces: int) -> str:
+        pad = " " * spaces
+        return "\n".join(
+            (pad + line) if line.strip() else line for line in text.split("\n")
+        )
+
+    def span(observed: bool) -> str:
+        # The idle-span block (see the docstring), at column 0.  The
+        # observed loop does not cache gates, yields to watchers and
+        # publishes its counters; otherwise the two loops share it.
+        if not collapse:
+            return ""
+        per_cycle = len(always_vars) + len(masters)
+        if masters:
+            # Nobody armed: nothing can end the span early, so no spin.
+            any_armed = " or ".join(arm for arm, _ in armed)
+            cross = [f"for k in range(lim if {any_armed} else 0):"]
+            cross += [reindent(text, 4) for text in spin]
+            cross += ["else:", "    k = lim"]
+        else:
+            cross = ["k = lim"]
+        cross += [
+            "cyc += k",
+            f"exe += k * {per_cycle}",
+            f"skp += k * {len(sim._components) - per_cycle}",
+        ]
+        if observed:
+            cross += [
+                "S.cycle = cyc",
+                "S.ticks_executed = te0 + exe",
+                "S.ticks_skipped = ts0 + skp",
+            ]
+        cross += ["if not hit:", "    continue"] if masters else ["continue"]
+        lines = [
+            f"if not HOT{' and not WL' if observed else ''}:",
+            "    # Idle span: until ``lim`` a cycle is one gate draw per armed",
+            "    # master and nothing else -- cross ``k`` of them arithmetically.",
+        ]
+        if observed:
+            lines += [f"    {arm} = {gate}" for arm, gate in armed]
+        lines.append("    lim = end - cyc")
+        if always_vars:
+            lines += [
+                "    for due in IU:",
+                "        u = due()",
+                "        if u is not None and u - cyc < lim:",
+                "            lim = u - cyc",
+                "    if lim > 0:",
+            ]
+        lines += [reindent(line, 8 if always_vars else 4) for line in cross]
+        return "\n".join(lines) + "\n"
+
+    hit0 = "hit = 0\n" if collapse and masters else ""
     if always_vars:
-        slow_idle = """\
+        slow_idle = f"""\
             else:
+{reindent(span(True), 16)}\
                 for c in AL:
                     TH[c](cyc, nxt)
                 if P:
@@ -581,18 +668,18 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
             "                    nrun = NA"
         )
     else:
-        slow_idle = """\
+        slow_idle = f"""\
             else:
+{reindent(span(True), 16)}\
                 nrun = 0"""
         fast_idle_run = "                    nrun = 0"
-
-    def reindent(text: str, spaces: int) -> str:
-        if not text:
-            return text
-        pad = " " * spaces
-        return "\n".join(
-            (pad + line) if line.strip() else line for line in text.split("\n")
-        )
+    fast_idle_run = reindent(hit0 + span(False), 20) + fast_idle_run
+    if collapse:
+        loop_bound = "        end = cyc + n\n"
+        loop_head = "while cyc < end:"
+    else:
+        loop_bound = ""
+        loop_head = "for _ in range(n):"
 
     rearm = ""
     if masters:
@@ -608,16 +695,16 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
 """
         slow_try_open = "        try:\n"
         slow_epilogue = "        finally:\n" + rearm.rstrip("\n")
-        body_indent = True
     else:
         slow_try_open = ""
         slow_epilogue = ""
-        body_indent = False
 
-    cycle_body = f"""\
+    slow_loop = f"""\
+        {loop_head}
             awake = nxt
             S._awake = nxt = {{}}
             slept = 0
+{reindent(hit0, 12)}\
             if awake:
                 if rck == awake.keys():
                     run = rcv
@@ -661,60 +748,8 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
                 fn(cyc)
             cyc += 1
             S.cycle = cyc"""
-    slow_loop = "        for _ in range(n):\n" + cycle_body
-    if body_indent:
-        slow_loop = reindent(slow_loop, 4)
-
-    # run_to_event: the observed loop body plus an idle-exit test.  The
-    # test is evaluated after a completed cycle, so an early return
-    # leaves the simulator at an ordinary cycle boundary; the gate
-    # disjunction keeps the loop alive while any drawer-lane master can
-    # still inject (its RNG draws must stay inline to stay
-    # stream-identical).  No run-boundary rearm -- that is the caller's
-    # job, via the generated rearm().
-    idle_cond = ""
-    if gates:
-        idle_cond = " and not (" + " or ".join(gates) + ")"
-    rte_loop = (
-        "        done = 0\n"
-        "        for _ in range(n):\n"
-        + cycle_body
-        + f"""
-            done += 1
-            if not nxt and not HOT{idle_cond}:
-                break
-        return done"""
-    )
-    run_to_event = f"""\
-    def run_to_event(n):
-        # Bounded observed run that stops early -- after completing a
-        # cycle -- once the network is provably idle; returns the cycle
-        # count actually consumed.  See CompiledProgram.run_to_event.
-        cyc = S.cycle
-        te0 = S.ticks_executed
-        ts0 = S.ticks_skipped
-        exe = 0
-        skp = 0
-        rck = None
-        rcv = ()
-        nxt = S._awake
-        _len = len
-{master_rebinds}\
-{rte_loop}"""
     if masters:
-        rearm_fn = f"""\
-    def rearm():
-        # The run-boundary invariant run()'s epilogue maintains, as a
-        # separate entry for run_to_event callers.
-        aw = S._awake
-        for m in ({", ".join(masters)},):
-            if not m.is_quiescent():
-                aw[m] = None"""
-    else:
-        rearm_fn = """\
-    def rearm():
-        # No drawer-lane masters: the run-boundary invariant is free.
-        pass"""
+        slow_loop = reindent(slow_loop, 4)
 
     run_slow = f"""\
     def run_slow(n):
@@ -722,6 +757,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         # simulator state mid-run, so cycle/tick counters are published
         # every cycle, exactly like Simulator.step().
         cyc = S.cycle
+{loop_bound}\
         te0 = S.ticks_executed
         ts0 = S.ticks_skipped
         exe = 0
@@ -755,6 +791,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     run_fast = f"""\
     def run_fast(n):
         cyc = S.cycle
+{loop_bound}\
         te0 = S.ticks_executed
         ts0 = S.ticks_skipped
         exe = 0
@@ -765,7 +802,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         _len = len
 {master_rebinds}\
         try:
-            for _ in range(n):
+            {loop_head}
                 awake = nxt
                 S._awake = nxt = {{}}
                 if awake:
@@ -819,10 +856,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
             return run_slow(n)
         return run_fast(n)"""
 
-    run_fn = (
-        run_slow + "\n        return None\n\n" + run_fast
-        + "\n\n" + run_to_event + "\n\n" + rearm_fn
-    )
+    run_fn = run_slow + "\n        return None\n\n" + run_fast
 
     header = (
         "# Compiled tick kernel -- generated by repro.sim.compiled; do not\n"
@@ -830,6 +864,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         f"# network: {len(sim._components)} components, "
         f"{len(sim._wires)} wires\n"
         f"# lanes: {summary or 'none'}\n"
+        f"# idle spans: {idle_spans}\n"
     )
     build = (
         "def _build(sim):\n"
@@ -848,7 +883,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
         + run_fn
         + "\n"
         "\n"
-        "    return run_cycles, run_to_event, rearm\n"
+        "    return run_cycles\n"
     )
     switch_defs = "\n\n".join(
         _emit_switch(ni, no) for ni, no in sorted(switch_shapes)
@@ -856,7 +891,7 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]]]:
     if switch_defs:
         switch_defs += "\n\n"
     source = header + "\nfrom repro.sim.lanes import *\n\n\n" + switch_defs + build
-    return source, lane_of
+    return source, lane_of, idle_spans
 
 
 def compiled_source(sim: Simulator) -> str:
@@ -866,8 +901,7 @@ def compiled_source(sim: Simulator) -> str:
     kernel mode -- byte-stable across processes for the same
     construction code (see ``tests/test_codegen_golden.py``).
     """
-    source, _ = _generate(sim)
-    return source
+    return _generate(sim)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -885,7 +919,7 @@ def compile_simulator(sim: Simulator) -> CompiledProgram:
     Normally reached through :meth:`Simulator.compile` or lazily on the
     first :meth:`Simulator.run` under any mode but ``"interpreted"``.
     """
-    source, lane_of = _generate(sim)
+    source, lane_of, idle_spans = _generate(sim)
     # The generated _build wraps its lane thunks through the global
     # _PROF when a KernelProfiler is attached; None keeps unprofiled
     # kernels entirely wrapper-free (one build-time branch, never per
@@ -896,14 +930,7 @@ def compile_simulator(sim: Simulator) -> CompiledProgram:
         lane_map = dict(lane_of)
         g["_PROF"] = lambda S, TH: profiler._install(S, TH, lane_map)
     exec(_code_for(source), g)
-    run, run_to_event, rearm = g["_build"](sim)
-    meta = {
-        "n_components": len(sim._components),
-        "n_always": sum(1 for _, lane in lane_of if lane == "always"),
-        "always": tuple(n for n, lane in lane_of if lane == "always"),
-        "masters": tuple(n for n, lane in lane_of if lane == "master"),
-    }
     return CompiledProgram(
-        source=source, run=run, rev=sim._structure_rev, lane_of=lane_of,
-        run_to_event=run_to_event, rearm=rearm, meta=meta,
+        source=source, run=g["_build"](sim), rev=sim._structure_rev,
+        lane_of=lane_of, idle_spans=idle_spans,
     )

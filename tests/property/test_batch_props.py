@@ -6,8 +6,8 @@ N-replica batch is bit-identical to a scalar compiled run of a network
 built from scratch with every traffic and link seed offset by
 ``k * seed_stride`` -- including while fault windows are open, which is
 when link RNG streams and retransmission machinery actually diverge
-between seeds, and including bounded workloads where the batch's
-idle-span skipping is active.
+between seeds, and including bounded workloads where the generated
+loop's idle-span collapse is active.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -33,8 +33,8 @@ def scenario(draw):
     fault_start = draw(st.integers(min_value=0, max_value=150))
     fault_duration = draw(st.integers(min_value=100, max_value=600))
     error_rate = draw(st.sampled_from([0.05, 0.2]))
-    # None = open-ended traffic (no skipping); small caps exercise the
-    # idle-span skip path on the quiet tail.
+    # None = open-ended traffic; small caps leave a quiet tail with no
+    # master armed, which the loop crosses in O(1).
     max_transactions = draw(st.sampled_from([None, 1, 3]))
     replicas = draw(st.integers(min_value=2, max_value=4))
     lane = draw(st.integers(min_value=0, max_value=replicas - 1))

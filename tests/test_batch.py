@@ -4,10 +4,10 @@ The batching contract under test (docs/BATCHING.md): lane 0 of a batch
 is bit-identical to a scalar run of the network as built, and lane k to
 a scalar rebuild with every seed offset by ``k * seed_stride``;
 reseed-and-reset reuse of the compiled object graph is unobservable;
-idle-span skipping changes no statistic and no counter; the CI math is
-Student-t with NaN-dropping; batch checkpoints ride the v2 snapshot
-format and a killed replicated campaign resumes to exactly the
-uninterrupted result.
+the kernel's idle-span collapse changes no statistic and no counter of
+a lane; the CI math is Student-t with NaN-dropping; batch checkpoints
+ride the v2 snapshot format and a killed replicated campaign resumes to
+exactly the uninterrupted result.
 """
 
 import functools
@@ -154,12 +154,15 @@ class TestBatchSimulator:
         assert batch.noc.stats_digest() == first
 
     def test_skipping_matches_full_execution_and_its_counters(self):
-        # A bounded episode on a long horizon: the skipping path must
-        # land on the same digest, cycle, and tick totals as the plain
-        # compiled loop.
+        # A bounded episode on a long horizon: the collapsing loop must
+        # land on the same digest, cycle, and tick totals as the same
+        # program stepping per cycle -- which a watcher forces.
         ref = build()
         ref.sim.compile()
+        stepped = []
+        ref.sim.add_watcher(stepped.append)
         ref.run(20_000)
+        assert len(stepped) == 20_000
 
         batch_noc = build()
         batch = BatchSimulator(batch_noc, 1)
@@ -170,7 +173,6 @@ class TestBatchSimulator:
         assert batch_noc.sim.cycle == ref.sim.cycle
         assert batch_noc.sim.ticks_executed == ref.sim.ticks_executed
         assert batch_noc.sim.ticks_skipped == ref.sim.ticks_skipped
-        # ...and the span was actually skipped, not just re-run.
         assert batch_noc.sim.ticks_skipped > 0
 
     def test_lane_windows_reschedule_faults_per_lane(self):
@@ -203,6 +205,37 @@ class TestBatchSimulator:
         )
         with pytest.raises(SimulationError):
             batch.begin_lane(0)
+
+    def test_a_rejected_schedule_leaves_the_injector_untouched(self):
+        noc = build()
+        inj = noc.fault_injectors[0]
+        noc.run(150)  # WINDOW is open: progress state worth keeping
+        before = (inj.windows, inj._resolved, inj._events, inj._next_event,
+                  inj.windows_opened)
+        with pytest.raises(SimulationError):
+            inj.set_windows(
+                (FaultWindow("link.sw_1_1.p*", start=10, duration=5),)
+            )
+        assert (inj.windows, inj._resolved, inj._events, inj._next_event,
+                inj.windows_opened) == before
+        noc.run(4850)
+        untouched = build()
+        untouched.run(5000)
+        assert noc.stats_digest() == untouched.stats_digest()
+
+    def test_run_batch_forwards_lane_windows(self):
+        def lane_windows(k):
+            return (FaultWindow(CORNER, start=100 + 50 * k, duration=200,
+                                error_rate=0.2),)
+
+        result = run_batch(
+            build, 2, 3000,
+            lambda n, k: {"errors": float(n.total_errors_injected())},
+            lane_windows=lane_windows, digest=True,
+        )
+        scalar = build(lane=1, windows=lane_windows(1))
+        scalar.run(3000)
+        assert result.digests[1] == scalar.stats_digest()
 
     def test_run_lanes_reduces_to_soa_arrays(self):
         result = run_batch(

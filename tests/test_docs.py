@@ -317,7 +317,8 @@ class TestBatchingDoc:
             "BatchSimulator", "begin_lane", "run_lanes", "SEED_STRIDE",
             "seed_stride", "never invalidates", "stats_digest",
             # idle-span skipping
-            "run_to_event", "catch_up", "ordinary dispatch path",
+            "idle_until", "# idle spans: per-cycle", "`sim.run(n)`",
+            "ms_per_lane", "scalar_ms_per_run",
             # per-lane fault schedules
             "lane_windows", "set_windows", "probe_links",
             # CI math
