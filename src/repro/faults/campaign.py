@@ -23,16 +23,20 @@ is the convenience wrapper, and ``python -m repro faults`` the CLI.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
 from repro.flow.keying import stable_repr
-from repro.flow.runner import ExperimentRunner, RunManifest
+from repro.flow.runner import ExperimentRunner, RunManifest, _env_value
 from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
+from repro.network.noc import NocBuildConfig
+from repro.network.topology import mesh
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
 from repro.sim.snapshot import SimSnapshot, SnapshotError
 from repro.telemetry import events as _events
@@ -427,16 +431,14 @@ class FaultCampaign:
         return self.runner.attach_manifests(fn, self.specs, results)
 
 
-def _env_flag(name: str, raw: Optional[str]) -> bool:
-    """Parse a boolean environment variable strictly."""
-    if raw is None or raw == "":
-        return False
+def _flag(raw: str) -> bool:
+    """A boolean environment value, strictly (ValueError otherwise)."""
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"{name} must be a boolean flag (0/1/true/false), got {raw!r}")
+    raise ValueError(raw)
 
 
 def checkpoint_options_from_env() -> dict:
@@ -448,45 +450,25 @@ def checkpoint_options_from_env() -> dict:
     pytest-collected benchmarks (same channel as REPRO_JOBS).  Invalid
     values raise :class:`ValueError` naming the variable.
     """
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY") or None
-    every: Optional[int] = None
-    if raw is not None:
-        try:
-            every = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CHECKPOINT_EVERY must be a cycle count, got {raw!r}"
-            ) from None
-        if every < 1:
-            raise ValueError(
-                f"REPRO_CHECKPOINT_EVERY must be >= 1 cycles, got {every}"
-            )
+    every = _env_value(
+        "REPRO_CHECKPOINT_EVERY", int, "a cycle count", lambda n: n >= 1, ">= 1 cycles"
+    )
     checkpoint_dir = os.environ.get("REPRO_CHECKPOINT_DIR") or None
     if every is not None and checkpoint_dir is None:
         raise ValueError("REPRO_CHECKPOINT_EVERY needs REPRO_CHECKPOINT_DIR")
-    resume = _env_flag("REPRO_RESUME", os.environ.get("REPRO_RESUME"))
+    resume = _env_value("REPRO_RESUME", _flag, "a boolean flag (0/1/true/false)")
     return {
         "checkpoint_every": every,
         "checkpoint_dir": checkpoint_dir,
-        "resume": resume,
+        "resume": bool(resume),
     }
 
 
 def replicas_from_env(default: Optional[int] = None) -> Optional[int]:
     """``REPRO_REPLICAS`` as a replica count (``python -m repro figures
     --replicas N`` reaches benchmarks through it, like REPRO_JOBS)."""
-    raw = os.environ.get("REPRO_REPLICAS") or None
-    if raw is None:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_REPLICAS must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ValueError(f"REPRO_REPLICAS must be >= 1, got {n}")
-    return n
+    n = _env_value("REPRO_REPLICAS", int, "an integer", lambda n: n >= 1, ">= 1")
+    return default if n is None else n
 
 
 def render_campaign(results: Sequence[CampaignResult]) -> str:
@@ -515,3 +497,105 @@ def render_campaign(results: Sequence[CampaignResult]) -> str:
             row += f" {half:>8.4f} {r.replicas:>6d}"
         lines.append(row + f"  {note}")
     return "\n".join(lines)
+
+
+def faults_main(
+    smoke: bool = False,
+    jobs: int = 1,
+    cache: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    replicas: Optional[int] = None,
+) -> int:
+    """``python -m repro faults``: a small campaign on a 2x2 mesh
+    (baseline, burst, stuck-at, dead link with recovery armed), printed
+    as a table; ``smoke`` runs the deterministic resilience check
+    instead -- a faulted campaign that must complete and a dead link
+    with no recovery armed that the watchdog must catch.  Returns the
+    exit code (1 when an expectation or a runner point fails)."""
+    ckpt = {
+        "checkpoint_every": checkpoint_every,
+        "checkpoint_dir": checkpoint_dir,
+        "resume": resume,
+        "replicas": 1 if replicas is None else replicas,
+    }
+    plain = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
+    # Same fabric with the recovery machinery armed: NI transaction
+    # timeouts with one retry, plus the go-back-N sender resync timer.
+    hardened = TopologyNocBuilder(
+        mesh, (2, 2), n_initiators=2, n_targets=2,
+        config=NocBuildConfig(
+            ni_txn_timeout=300, ni_txn_retries=1, link_resync_timeout=40
+        ),
+    )
+    east = "link.sw_0_0.p*"  # everything leaving the corner switch
+
+    if smoke:
+        # Expectation 1: a faulted campaign still completes traffic.
+        healthy = CampaignSpec(
+            builder=hardened,
+            windows=(
+                FaultWindow(east, start=100, duration=200, error_rate=0.3),
+                FaultWindow(east, start=400, duration=150, mode="dead"),
+            ),
+            rate=0.05, warmup_cycles=100, measure_cycles=1200,
+            watchdog_horizon=2000, label="smoke-recovers",
+        )
+        # Expectation 2: a dead link with NO recovery armed must be
+        # caught by the watchdog, not hang the simulation.
+        wedged = CampaignSpec(
+            builder=plain,
+            windows=(FaultWindow(east, start=100, duration=10_000, mode="dead"),),
+            rate=0.05, warmup_cycles=100, measure_cycles=5000,
+            watchdog_horizon=600, label="smoke-wedged",
+        )
+        results = FaultCampaign([healthy, wedged], **ckpt).run()
+        print(render_campaign(results))
+        ok = True
+        if results[0].no_progress or results[0].completed <= 0:
+            print("SMOKE FAILED: recovery campaign did not complete", file=sys.stderr)
+            ok = False
+        if results[0].errors_injected <= 0 and results[0].flits_dropped <= 0:
+            print("SMOKE FAILED: no faults actually landed", file=sys.stderr)
+            ok = False
+        if not results[1].no_progress:
+            print(
+                "SMOKE FAILED: watchdog did not catch the dead link",
+                file=sys.stderr,
+            )
+            ok = False
+        else:
+            print(f"\nwatchdog diagnosis:\n{results[1].diagnosis}")
+        return 0 if ok else 1
+
+    runner = (
+        ExperimentRunner(jobs=jobs, cache_dir=cache)
+        if jobs > 1 or cache
+        else None
+    )
+    specs = [
+        CampaignSpec(builder=plain, rate=0.05, label="baseline"),
+        CampaignSpec(
+            builder=plain,
+            windows=(FaultWindow(east, start=400, duration=800, error_rate=0.3),),
+            rate=0.05, label="burst 0.3",
+        ),
+        CampaignSpec(
+            builder=plain,
+            windows=(FaultWindow(east, start=400, duration=300, mode="stuck"),),
+            rate=0.05, label="stuck 300cyc",
+        ),
+        CampaignSpec(
+            builder=hardened,
+            windows=(FaultWindow(east, start=400, duration=400, mode="dead"),),
+            rate=0.05, label="dead 400cyc +recovery",
+        ),
+    ]
+    with runner or contextlib.nullcontext():  # one pool for the verb
+        results = FaultCampaign(specs, runner=runner, **ckpt).run()
+    print(render_campaign(results))
+    if runner is not None and runner.failures:
+        print(runner.render_report("faults runner"), file=sys.stderr)
+        return 1
+    return 0

@@ -92,6 +92,30 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
     return [rec for rec in read_events(path) if isinstance(rec.get("key"), str)]
 
 
+def _env_value(
+    name: str,
+    parse: Callable[[str], Any],
+    malformed: str,
+    valid: Callable[[Any], bool] = lambda value: True,
+    invalid: str = "",
+) -> Any:
+    """``parse`` of environment variable ``name``, ``None`` when it is
+    unset or empty -- the one reader of the ``REPRO_*`` channel
+    ``python -m repro figures`` writes.  A value ``parse`` rejects, or
+    one ``valid`` refuses, raises :class:`ValueError` naming the
+    variable (``"<name> must be <malformed|invalid>, got ..."``)."""
+    raw = os.environ.get(name) or None
+    if raw is None:
+        return None
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {malformed}, got {raw!r}") from None
+    if not valid(value):
+        raise ValueError(f"{name} must be {invalid}, got {value}")
+    return value
+
+
 @dataclass
 class PointReport:
     """Wall-clock accounting for one *executed* point.
@@ -309,47 +333,23 @@ class ExperimentRunner:
         :func:`repro.faults.campaign.checkpoint_options_from_env`; a
         runner resumes by being run again on the same ``REPRO_CACHE``.)
         """
-        raw = os.environ.get("REPRO_JOBS", "1") or "1"
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer worker count, got {raw!r}"
-            ) from None
-        if jobs <= 0:
-            raise ValueError(
-                f"REPRO_JOBS must be a positive worker count (>= 1), got {jobs}"
-            )
-        cache = os.environ.get("REPRO_CACHE") or None
-        raw_timeout = os.environ.get("REPRO_TIMEOUT") or None
-        timeout: Optional[float] = None
-        if raw_timeout is not None:
-            try:
-                timeout = float(raw_timeout)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_TIMEOUT must be seconds (a number), got {raw_timeout!r}"
-                ) from None
-            if timeout <= 0:
-                raise ValueError(
-                    f"REPRO_TIMEOUT must be positive seconds, got {raw_timeout!r}"
-                )
-        raw_retries = os.environ.get("REPRO_RETRIES", "0") or "0"
-        try:
-            retries = int(raw_retries)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_RETRIES must be a non-negative integer, got {raw_retries!r}"
-            ) from None
-        if retries < 0:
-            raise ValueError(
-                f"REPRO_RETRIES must be a non-negative integer, got {retries}"
-            )
+        jobs = _env_value(
+            "REPRO_JOBS", int, "an integer worker count",
+            lambda n: n >= 1, "a positive worker count (>= 1)",
+        )
+        timeout = _env_value(
+            "REPRO_TIMEOUT", float, "seconds (a number)",
+            lambda s: s > 0, "positive seconds",
+        )
+        retries = _env_value(
+            "REPRO_RETRIES", int, "a non-negative integer",
+            lambda n: n >= 0, "a non-negative integer",
+        )
         return cls(
-            jobs=jobs,
-            cache_dir=cache,
+            jobs=jobs or 1,
+            cache_dir=os.environ.get("REPRO_CACHE") or None,
             timeout=timeout,
-            retries=retries,
+            retries=retries or 0,
         )
 
     # -- pool lifetime ----------------------------------------------------

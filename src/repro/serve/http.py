@@ -530,7 +530,26 @@ async def _amain(server: QueryServer) -> None:
         server.engine.close()
 
 
-def run_server(server: QueryServer) -> None:
-    """Blocking entry point used by ``python -m repro serve``: returns
-    (exit status 0) after SIGTERM, SIGINT or cancellation."""
-    asyncio.run(_amain(server))
+def serve_main(
+    store: str = ".repro-store",
+    host: str = "127.0.0.1",
+    port: int = 8787,
+    workers: int = 2,
+    max_inflight: int = 2,
+    request_timeout: float = 120.0,
+) -> int:
+    """``python -m repro serve``: a :class:`QueryServer` over the result
+    store at ``store`` (``request_timeout`` 0 disables the deadline),
+    served until SIGTERM, SIGINT or cancellation; returns exit code 0."""
+    from repro.store import ResultStore
+    from repro.telemetry.registry import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    engine = QueryEngine(
+        ResultStore(store, metrics=metrics), workers=workers, metrics=metrics
+    )
+    asyncio.run(_amain(QueryServer(
+        engine, host=host, port=port, max_inflight=max_inflight,
+        request_timeout=request_timeout or None,
+    )))
+    return 0

@@ -30,6 +30,7 @@ pays only dormant ``if self.lifecycle`` flag checks, measured at under
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -246,3 +247,92 @@ class NocTelemetry:
         paths["heatmap_txt"].write_text(render_heatmap(self.link_series) + "\n")
         paths["heatmap_csv"].write_text(heatmap_csv(self.link_series))
         return paths
+
+
+def _check_report(paths: Dict[str, Path]) -> "list[str]":
+    """Re-read every report artifact and list schema violations."""
+    problems = []
+    try:
+        validate_metrics(json.loads(paths["metrics"].read_text()))
+    except ValueError as exc:  # TelemetryError is a ValueError
+        problems.append(f"metrics.json: {exc}")
+    try:
+        trace = json.loads(paths["trace"].read_text())
+        events = trace["traceEvents"]
+        complete = [
+            e
+            for e in events
+            if e.get("cat") == "packet"
+            and e.get("ph") == "X"
+            and "src" in e.get("args", {})
+            and "ejected_by" in e.get("args", {})
+        ]
+        if not complete:
+            problems.append(
+                "trace.json: no packet with both injection and ejection spans"
+            )
+        if not any(e.get("cat") == "hop" for e in events):
+            problems.append("trace.json: no per-hop arbitration spans")
+    except (ValueError, KeyError, TypeError) as exc:
+        problems.append(f"trace.json: not a trace-event document ({exc})")
+    try:
+        lines = paths["heatmap_csv"].read_text().strip().splitlines()
+        cols = len(lines[0].split(","))
+        for line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) != cols:
+                raise ValueError(f"ragged row {cells[0]!r}")
+            for cell in cells[1:]:
+                float(cell)
+    except (ValueError, IndexError) as exc:
+        problems.append(f"heatmap.csv: {exc}")
+    return problems
+
+
+def report_main(
+    out: str = "telemetry-report",
+    mesh: str = "2x2",
+    cycles: int = 2000,
+    rate: float = 0.1,
+    window: int = 100,
+    check: bool = False,
+) -> int:
+    """``python -m repro report``: uniform random traffic on a ``mesh``
+    ("WxH") with :class:`NocTelemetry` attached, every artifact written
+    to ``out``; ``check`` re-reads and validates them.  Returns the exit
+    code (2 for a malformed ``mesh``, 1 for a failed check)."""
+    from repro.network import Noc, UniformRandomTraffic
+    from repro.network import mesh as mesh_topology
+    from repro.network.topology import attach_round_robin
+
+    try:
+        w, h = (int(x) for x in mesh.lower().split("x"))
+    except ValueError:
+        print(f"--mesh must look like 2x2, got {mesh!r}", file=sys.stderr)
+        return 2
+    topo = mesh_topology(w, h)
+    n = w * h
+    cpus, mems = attach_round_robin(topo, max(1, n // 2), max(1, n - n // 2))
+    noc = Noc(topo)
+    telemetry = NocTelemetry(noc, window=window)
+    noc.populate(
+        {c: UniformRandomTraffic(mems, rate, seed=i) for i, c in enumerate(cpus)}
+    )
+    noc.run(cycles)
+    paths = telemetry.write(out)
+    events = len(telemetry.collector.events)
+    print(
+        f"{w}x{h} mesh, {len(cpus)} CPUs + {len(mems)} memories, "
+        f"{cycles} cycles at rate {rate}: {noc.total_completed()} transactions, "
+        f"{events} lifecycle events"
+    )
+    for kind, path in paths.items():
+        print(f"  {kind:<12} {path}")
+    if check:
+        problems = _check_report(paths)
+        if problems:
+            for p in problems:
+                print(f"CHECK FAILED: {p}", file=sys.stderr)
+            return 1
+        print("  check        all artifacts valid")
+    return 0

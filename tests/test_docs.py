@@ -5,6 +5,8 @@ file references in the docs must exist.  Documentation that silently
 rots is worse than none.
 """
 
+import ast
+import glob
 import json
 import os
 import re
@@ -420,3 +422,64 @@ class TestServiceDoc:
         assert len(blocks) >= 3, "the guide promises runnable snippets"
         for i, block in enumerate(blocks):
             exec(compile(block, f"SERVICE-snippet-{i}", "exec"), {})
+
+
+def cli_command_lines():
+    """Every ``python -m repro <verb> ...`` command line in README.md,
+    docs/*.md, the Makefile and benchmarks/**/*.py, as ``(file, argv)``:
+    prose, code blocks and recipes (shell continuations and inline code
+    wrapped across a line joined), plus argv lists in Python source.
+    Placeholders (``N``, ``DIR``) and non-literal argv items stand in as
+    ``"1"``, which every flag's type accepts."""
+    files = ["README.md", "Makefile"]
+    files += sorted(glob.glob("docs/*.md", root_dir=ROOT))
+    files += sorted(glob.glob("benchmarks/**/*.py", root_dir=ROOT, recursive=True))
+    for rel in files:
+        with open(os.path.join(ROOT, rel), encoding="utf-8") as f:
+            text = f.read()
+        joined = re.sub(
+            r"(?<!`)(`{1,2})(?!`)[^`]+?(?<!`)\1(?!`)",
+            lambda m: m.group().replace("\n", " "),
+            text.replace("\\\n", " "),
+        )
+        for m in re.finditer(r"-m repro[ \t]+([^`#)\n]*)", joined):
+            yield rel, ["1" if t.isupper() else t for t in m.group(1).split()]
+        if rel.endswith(".py"):
+            for node in ast.walk(ast.parse(text)):
+                if not isinstance(node, ast.List):
+                    continue
+                items = [e.value if isinstance(e, ast.Constant) else "1"
+                         for e in node.elts]
+                for i in range(len(items) - 1):
+                    if items[i:i + 2] == ["-m", "repro"]:
+                        yield rel, items[i + 2:]
+
+
+class TestCliCommandLines:
+    """Docs and scripts cannot drift from the parser: every command line
+    they show parses (nothing is executed), so a flag the verb does not
+    read fails here."""
+
+    def test_every_command_line_parses(self, capsys):
+        from repro.__main__ import build_parser
+
+        bad = []
+        for rel, argv in cli_command_lines():
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exc:  # --help exits 0
+                if exc.code:
+                    error = capsys.readouterr().err.strip().splitlines()[-1]
+                    bad.append(f"{rel}: python -m repro {' '.join(argv)}  ({error})")
+        assert not bad, "\n".join(bad)
+
+    def test_the_collection_reaches_every_source(self):
+        found = list(cli_command_lines())
+        verbs = {argv[0] for _, argv in found if argv}
+        assert {"figures", "report", "faults", "top", "bench-diff", "serve",
+                "chaos"} <= verbs
+        # The ledger's server, by its argv list.
+        assert ("benchmarks/ledger/wl_serve.py",
+                ["serve", "--store", "1", "--port", "0", "--serve-workers", "1",
+                 "--max-inflight", "1"]) in found
+        assert any(rel == "Makefile" and "--cycles" in argv for rel, argv in found)
