@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -41,7 +41,7 @@ bench: figures
 # ledger workload once at --quick size with its per-run correctness
 # gate -- the CI pulse-check for the measurement stack.  Writes no
 # tracked file.
-bench-smoke: report-smoke faults-smoke checkpoint-smoke batch-smoke top-smoke serve-smoke chaos-smoke
+bench-smoke: report-smoke faults-smoke top-smoke serve-smoke chaos-smoke
 	PYTHONPATH=src $(PYTHON) benchmarks/smoke.py
 	python3 benchmarks/ledger/selfcheck.py
 
@@ -57,20 +57,6 @@ report-smoke:
 # watchdog must catch instead of hanging.  See docs/RESILIENCE.md.
 faults-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro faults --smoke
-
-# Crash-safety pulse-check: checkpoint a fault sweep, SIGKILL it
-# mid-campaign, resume, and require the results to match an
-# uninterrupted run with no completed point recomputed.  See
-# docs/CHECKPOINT.md.
-checkpoint-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/checkpoint_smoke.py
-
-# Batched Monte-Carlo pulse-check: a replicated campaign SIGKILLed at
-# its first batch checkpoint and resumed to the exact per-lane metrics
-# of an uninterrupted run, with its streamed events.jsonl validated and
-# replayed.  See docs/BATCHING.md.
-batch-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/batch_smoke.py
 
 # Fleet-telemetry pulse-check: a tiny cached sweep through the
 # experiment runner, then the `repro top` dashboard and its Prometheus

@@ -35,7 +35,6 @@ from repro.faults import (
     CampaignSpec,
     FaultCampaign,
     FaultWindow,
-    checkpoint_options_from_env,
     render_campaign,
     replicas_from_env,
 )
@@ -85,14 +84,12 @@ def sweep_specs(bers):
 
 
 def run_sweep(bers):
-    # --checkpoint-every / --checkpoint-dir / --resume / --replicas
-    # arrive via the environment, like --jobs / --cache do (see
-    # python -m repro figures).
+    # --replicas arrives via the environment, like --jobs / --cache do
+    # (see python -m repro figures).
     return FaultCampaign(
         sweep_specs(bers),
         runner=get_runner(),
         replicas=replicas_from_env(default=REPLICAS),
-        **checkpoint_options_from_env(),
     ).run()
 
 

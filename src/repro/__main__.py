@@ -77,15 +77,11 @@ def _figures(args) -> int:
     import pytest
 
     # The benchmarks run under pytest, so the run options travel via
-    # the REPRO_* environment (ExperimentRunner.from_env,
-    # checkpoint_options_from_env and replicas_from_env read it) --
-    # set for the pytest.main call only.
+    # the REPRO_* environment (ExperimentRunner.from_env and
+    # replicas_from_env read it) -- set for the pytest.main call only.
     env = {
         "REPRO_JOBS": args.jobs if args.jobs > 1 else None,
         "REPRO_CACHE": args.cache,
-        "REPRO_CHECKPOINT_EVERY": args.checkpoint_every,
-        "REPRO_CHECKPOINT_DIR": args.checkpoint_dir,
-        "REPRO_RESUME": 1 if args.resume else None,
         "REPRO_REPLICAS": args.replicas,
     }
     with mock.patch.dict(os.environ, {k: str(v) for k, v in env.items() if v}):
@@ -106,19 +102,6 @@ def _elsewhere(target: str):
         return getattr(importlib.import_module(module), name)(**kwargs)
 
     return run
-
-
-def _with_run_options(run):
-    """Resolve the run options' one derived default -- ``--checkpoint-dir``
-    is the ``--cache`` dir, else ``.repro-checkpoints`` -- for every verb
-    that takes them."""
-
-    def resolved(args) -> int:
-        if args.checkpoint_every is not None and not args.checkpoint_dir:
-            args.checkpoint_dir = args.cache or ".repro-checkpoints"
-        return run(args)
-
-    return resolved
 
 
 def _positive(text: str) -> int:
@@ -152,17 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--jobs", type=_positive, default=1, metavar="N",
         help="fan sweep points over N worker processes (default: 1, sequential)")
     add("--cache", metavar="DIR",
-        help="memoize sweep results in DIR keyed by config hash (default: no cache)")
-    add("--checkpoint-every", type=_positive, metavar="N",
-        help="write a deterministic simulator checkpoint every N cycles of "
-        "each campaign (default: off; see docs/CHECKPOINT.md)")
-    add("--checkpoint-dir", metavar="DIR",
-        help="directory for mid-campaign checkpoints "
-        "(default: the --cache dir, else .repro-checkpoints)")
-    add("--resume", action="store_true",
-        help="re-enter a killed campaign at its last mid-campaign checkpoint "
-        "instead of cycle 0 (completed points are served from --cache with "
-        "or without this flag)")
+        help="memoize sweep results in DIR keyed by config hash; re-running "
+        "on the same DIR resumes a killed run (default: no cache)")
     add("--replicas", type=_positive, metavar="N",
         help="measure every point under N seed-varied replica lanes and "
         "report mean +- 95%% CI (default: single seed; see docs/BATCHING.md)")
@@ -170,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("info", _info, "package inventory and this verb list")
     verb("demo", _demo, "run the quickstart network")
     verb("mesh-case-study", _mesh_case_study, "the paper's 2.6 mm2 headline")
-    verb("figures", _with_run_options(_figures),
+    verb("figures", _figures,
          "regenerate every paper figure (pytest-benchmark over benchmarks/)",
          parents=[run_options])
 
@@ -191,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-read and validate every artifact, exit non-zero on violations")
 
     add = verb("faults",
-               _with_run_options(_elsewhere("repro.faults.campaign:faults_main")),
+               _elsewhere("repro.faults.campaign:faults_main"),
                "fault-injection campaign on a 2x2 mesh (docs/RESILIENCE.md)",
                parents=[run_options])
     add("--smoke", action="store_true",

@@ -13,6 +13,7 @@ round-trip.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -32,34 +33,11 @@ class FlitType(enum.Enum):
         return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
-class IdSource:
-    """A resettable ``itertools.count``: checkpoint/restore must be able
-    to read and rewind the allocator, because allocated ids live inside
-    in-flight flit and transaction state (see repro.sim.snapshot)."""
-
-    __slots__ = ("next_value",)
-
-    def __init__(self, start: int = 1) -> None:
-        self.next_value = start
-
-    def __next__(self) -> int:
-        value = self.next_value
-        self.next_value = value + 1
-        return value
-
-    def __iter__(self) -> "IdSource":
-        return self
-
-
-_packet_ids = IdSource(1)
+_packet_ids = itertools.count(1)
 
 
 def next_packet_id() -> int:
-    """Globally unique packet id (simulation bookkeeping only).
-
-    Allocated from a resettable counter so simulator checkpoints can
-    capture and rewind it (ids are embedded in in-flight flits).
-    """
+    """Globally unique packet id (simulation bookkeeping only)."""
     return next(_packet_ids)
 
 

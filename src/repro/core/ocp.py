@@ -24,10 +24,10 @@ timing.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.flit import IdSource
 from repro.sim.kernel import Simulator
 
 
@@ -47,7 +47,7 @@ class SResp(enum.Enum):
     ERR = 3
 
 
-_txn_ids = IdSource(1)
+_txn_ids = itertools.count(1)
 
 
 def next_txn_id() -> int:

@@ -26,8 +26,6 @@ from repro.faults.campaign import (
     CampaignSpec,
     FaultCampaign,
     ReplicatedCampaign,
-    campaign_checkpoint_path,
-    checkpoint_options_from_env,
     render_campaign,
     replicas_from_env,
     run_campaign,
@@ -50,8 +48,6 @@ __all__ = [
     "NoProgressError",
     "ProgressWatchdog",
     "ReplicatedCampaign",
-    "campaign_checkpoint_path",
-    "checkpoint_options_from_env",
     "randomized_windows",
     "render_campaign",
     "replicas_from_env",

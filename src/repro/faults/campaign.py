@@ -11,34 +11,33 @@ There is one measurement body, :func:`run_campaign`: N seed-varied
 replica lanes over one build (a
 :class:`~repro.sim.batch.BatchSimulator`), N defaulting to 1.  The
 plain single-seed campaign is the one-lane case -- same loop, same
-watchdog, same checkpoint format -- and more lanes reduce to means with
-95% confidence intervals (see docs/BATCHING.md).
+watchdog -- and more lanes reduce to means with 95% confidence
+intervals (see docs/BATCHING.md).
 
 Specs are frozen dataclasses and :func:`run_campaign` is a module-level
 function, so campaigns plug into
 :class:`repro.flow.runner.ExperimentRunner` for process-parallel,
 disk-cached execution exactly like load sweeps do -- ``FaultCampaign``
-is the convenience wrapper, and ``python -m repro faults`` the CLI.
+is the convenience wrapper, and ``python -m repro faults`` the CLI.  A
+point is the unit of resume: re-running a killed campaign on the same
+cache recomputes only the points that never finished (see
+docs/CHECKPOINT.md).
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
-from repro.flow.keying import stable_repr
 from repro.flow.runner import ExperimentRunner, RunManifest, _env_value
 from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
-from repro.sim.snapshot import SimSnapshot, SnapshotError
 from repro.telemetry import events as _events
 
 
@@ -109,28 +108,8 @@ def _latency_stats(samples: Sequence[int]) -> Tuple[float, float]:
     return mean, float(p95)
 
 
-def campaign_checkpoint_path(
-    spec: CampaignSpec, checkpoint_dir: str, replicas: int = 1
-) -> str:
-    """Where a campaign's mid-run checkpoint lives.
-
-    Keyed by the sha256 of ``stable_repr(spec)``, so the same spec
-    always finds its own checkpoint and different specs never collide;
-    ``replicas > 1`` appends ``-r<N>``, because runs over different
-    lane counts compute different things and must never adopt each
-    other's state.
-    """
-    digest = hashlib.sha256(stable_repr(spec).encode()).hexdigest()
-    suffix = f"-r{replicas}" if replicas > 1 else ""
-    return os.path.join(checkpoint_dir, f"campaign-{digest[:16]}{suffix}.ckpt")
-
-
 def _build_campaign_noc(spec: CampaignSpec):
-    """Deterministically rebuild the campaign's NoC + injector.
-
-    Called both for a fresh run and before restoring a checkpoint: the
-    snapshot layer stores state only, so restore needs a structurally
-    identical simulator (see docs/CHECKPOINT.md)."""
+    """Build the campaign's NoC, fault injector and traffic."""
     noc = spec.builder()
     injector = FaultInjector(noc, spec.windows)
     attach_uniform_traffic(
@@ -148,8 +127,6 @@ _COUNT_METRICS = (
 _CI_METRICS = ("accepted_rate", "mean_latency", "p95_latency")
 #: Numeric metrics published per lane (``lane_metrics``, ``lane_batch``).
 _LANE_METRICS = _COUNT_METRICS + _CI_METRICS + ("no_progress",)
-#: Warm-up accounting at the start of a lane (checkpoint extras).
-_COLD = {"warm_completed": 0, "warm_samples": 0, "warm_captured": False}
 
 
 def _reduce(spec: CampaignSpec, rows: Sequence[dict]) -> CampaignResult:
@@ -186,13 +163,7 @@ def _reduce(spec: CampaignSpec, rows: Sequence[dict]) -> CampaignResult:
     )
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    replicas: int = 1,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-) -> CampaignResult:
+def run_campaign(spec: CampaignSpec, replicas: int = 1) -> CampaignResult:
     """Build, fault, run and measure one campaign over ``replicas``
     seed-varied lanes (module-level so ExperimentRunner worker
     processes can pickle it).
@@ -209,89 +180,32 @@ def run_campaign(
     ``lane_metrics``; a lane whose watchdog trips still contributes its
     truncated measurements, and the first trip's cycle/diagnosis
     surface on the reduced result.
-
-    With ``checkpoint_every`` and ``checkpoint_dir`` set, every lane is
-    sliced at checkpoint boundaries -- slicing is cycle-identical to
-    one long run -- and after each slice the in-flight lane's simulator
-    state is written with the warm-up accounting in its extras and the
-    batch container (lane index, finished lanes' rows) beside it.
-    ``resume=True`` re-enters that lane mid-flight and skips every
-    finished one; an unreadable, structurally stale, container-less or
-    different-geometry checkpoint falls back to a fresh run.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1 cycles, got {checkpoint_every}")
-    ckpt_path: Optional[str] = None
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every needs a checkpoint_dir")
-        ckpt_path = campaign_checkpoint_path(spec, checkpoint_dir, replicas)
-
-    # Run in slices so warm-up stats are captured punctually and
-    # checkpoints land on exact multiples of checkpoint_every.
-    total_cycles = spec.warmup_cycles + spec.measure_cycles
-    boundaries = {spec.warmup_cycles, total_cycles}
-    if ckpt_path is not None:
-        boundaries.update(range(checkpoint_every, total_cycles, checkpoint_every))
-    boundaries = sorted(boundaries)
-
     noc, injector = _build_campaign_noc(spec)
-    batch: Optional[BatchSimulator] = None
+    batch = BatchSimulator(noc, replicas)
     rows: List[dict] = []
-    warm = dict(_COLD)
-    if resume and ckpt_path is not None and os.path.exists(ckpt_path):
-        try:
-            snap = SimSnapshot.load(ckpt_path)
-            batch, extras = BatchSimulator.resume_lane(noc, snap, replicas)
-            rows = list(snap.batch["lane_results"])
-            warm = {**_COLD, **extras}
-        except SnapshotError:
-            # Stale or torn checkpoint: a partial restore may have
-            # touched state, so rebuild and start from lane 0.
-            noc, injector = _build_campaign_noc(spec)
-            batch = None
-    if batch is None:
-        batch = BatchSimulator(noc, replicas)
-
-    # A resumed batch sits mid-flight in its checkpointed lane; a fresh
-    # one (``lane == -1``) begins with lane 0.
-    for k in range(max(batch.lane, 0), replicas):
-        if k != batch.lane:
-            batch.begin_lane(k)
-            warm = dict(_COLD)
-        # Per lane, armed after any restore -- the watchdog hooks the
-        # *live* simulator and re-baselines on its first check, and a
-        # tripped lane must not poison the next.
+    for k in range(replicas):
+        batch.begin_lane(k)
+        # Per lane: the watchdog hooks the live simulator, and a tripped
+        # lane must not poison the next.
         watchdog = (
             ProgressWatchdog(noc, horizon=spec.watchdog_horizon)
             if spec.watchdog_horizon is not None
             else None
         )
+        warm_completed = warm_samples = 0
         no_progress = False
         no_progress_cycle = -1
         diagnosis = ""
         try:
-            for boundary in boundaries:
-                if boundary <= noc.sim.cycle:
-                    continue
-                batch.run_exact(boundary - noc.sim.cycle)
-                if noc.sim.cycle == spec.warmup_cycles and not warm["warm_captured"]:
-                    warm = {
-                        "warm_completed": noc.total_completed(),
-                        "warm_samples": len(noc.aggregate_latency().samples),
-                        "warm_captured": True,
-                    }
-                if (
-                    ckpt_path is not None
-                    and boundary % checkpoint_every == 0
-                    and boundary < total_cycles
-                ):
-                    snap = noc.sim.snapshot(extras=dict(warm))
-                    snap.batch = {**batch.batch_state(), "lane_results": rows}
-                    snap.save(ckpt_path)
-                    _events.emit("checkpoint", cycle=boundary, lane=k)
+            # Stop at the end of warm-up so its stats are captured
+            # punctually; slicing a run is cycle-identical to one run.
+            batch.run_exact(spec.warmup_cycles)
+            warm_completed = noc.total_completed()
+            warm_samples = len(noc.aggregate_latency().samples)
+            batch.run_exact(spec.measure_cycles)
         except NoProgressError as exc:
             no_progress = True
             no_progress_cycle = exc.cycle
@@ -302,7 +216,7 @@ def run_campaign(
 
         cycles_run = noc.sim.cycle
         completed = noc.total_completed()
-        samples = noc.aggregate_latency().samples[warm["warm_samples"]:]
+        samples = noc.aggregate_latency().samples[warm_samples:]
         mean, p95 = _latency_stats(samples)
         rows.append(
             {
@@ -311,7 +225,7 @@ def run_campaign(
                 "completed": float(completed),
                 "failed": float(noc.total_transactions_failed()),
                 "retried": float(noc.total_transactions_retried()),
-                "accepted_rate": (completed - warm["warm_completed"])
+                "accepted_rate": (completed - warm_completed)
                 / max(cycles_run - spec.warmup_cycles, 1),
                 "mean_latency": mean,
                 "p95_latency": p95,
@@ -326,59 +240,33 @@ def run_campaign(
         )
         if _events.current_sink() is not None:
             # The digest is only hashed when somebody is listening: the
-            # replay check (batch-smoke) compares per-lane digests of a
-            # killed-and-resumed campaign against an uninterrupted one.
+            # replay check compares per-lane digests of a re-run campaign
+            # against an uninterrupted one.
             _events.emit(
                 "lane_batch", lane=k, replicas=replicas,
                 metrics={name: rows[-1][name] for name in _LANE_METRICS},
                 digest=noc.stats_digest(),
             )
-
-    result = _reduce(spec, rows)
-    if ckpt_path is not None and not result.no_progress:
-        # Finished cleanly: the checkpoint has served its purpose.
-        try:
-            os.unlink(ckpt_path)
-        except OSError:
-            pass
-    return result
+    return _reduce(spec, rows)
 
 
 class ReplicatedCampaign:
     """The picklable :func:`run_campaign` with its knobs bound in --
     what :class:`FaultCampaign` hands to an ``ExperimentRunner``.
 
-    Deliberately *not* a dataclass: the cache token encodes only what
-    changes the *result*.  Checkpoint flags change how a result is
-    computed, never what it is, so they stay out -- a resumed sweep
-    then hits the entries its killed predecessor already published.
-    The replica count does change it (means + CIs), so a 3-lane sweep
-    and an 8-lane sweep never share entries; one lane keys as the bare
-    ``run_campaign`` function.  The multi-lane token text is frozen
-    (it names the PR 7 function and the stride) so stores written by
-    earlier versions stay valid.
+    Deliberately *not* a dataclass: the cache token is written by hand.
+    The replica count changes the result (means + CIs), so a 3-lane
+    sweep and an 8-lane sweep never share entries; one lane keys as the
+    bare ``run_campaign`` function.  The multi-lane token text is frozen
+    (it names the first replicated function and the stride), so stores
+    written by earlier versions stay valid.
     """
 
-    def __init__(
-        self,
-        replicas: int = 1,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-    ) -> None:
+    def __init__(self, replicas: int = 1) -> None:
         self.replicas = replicas
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
 
     def __call__(self, spec: CampaignSpec) -> CampaignResult:
-        return run_campaign(
-            spec,
-            self.replicas,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=self.checkpoint_dir,
-            resume=self.resume,
-        )
+        return run_campaign(spec, self.replicas)
 
     def cache_token(self):
         if self.replicas == 1:
@@ -392,8 +280,7 @@ class ReplicatedCampaign:
 class FaultCampaign:
     """A batch of campaign specs, optionally runner-accelerated.
 
-    ``replicas`` / ``checkpoint_every`` / ``checkpoint_dir`` /
-    ``resume`` are :func:`run_campaign`'s, threaded through the batch
+    ``replicas`` is :func:`run_campaign`'s, threaded through the batch
     (and through the runner's worker processes): with ``replicas > 1``
     each point is a seed-varied Monte-Carlo batch whose result carries
     95% confidence intervals."""
@@ -402,26 +289,16 @@ class FaultCampaign:
         self,
         specs: Sequence[CampaignSpec],
         runner: Optional[ExperimentRunner] = None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
         replicas: int = 1,
     ) -> None:
-        if checkpoint_every is not None and checkpoint_dir is None:
-            raise ValueError("checkpoint_every needs a checkpoint_dir")
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.specs = list(specs)
         self.runner = runner
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
         self.replicas = replicas
 
     def run(self) -> List[Optional[CampaignResult]]:
-        fn = ReplicatedCampaign(
-            self.replicas, self.checkpoint_every, self.checkpoint_dir, self.resume
-        )
+        fn = ReplicatedCampaign(self.replicas)
         if self.runner is None:
             return [fn(s) for s in self.specs]
         # Same provenance surfacing as load_sweep: every surviving point
@@ -429,39 +306,6 @@ class FaultCampaign:
         # point that failed under on_failure="record" stays None.
         results = self.runner.map(fn, self.specs, label="campaign")
         return self.runner.attach_manifests(fn, self.specs, results)
-
-
-def _flag(raw: str) -> bool:
-    """A boolean environment value, strictly (ValueError otherwise)."""
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def checkpoint_options_from_env() -> dict:
-    """``REPRO_CHECKPOINT_EVERY`` / ``REPRO_CHECKPOINT_DIR`` /
-    ``REPRO_RESUME`` as :class:`FaultCampaign` keyword arguments.
-
-    The environment is how ``python -m repro figures --checkpoint-every
-    N --checkpoint-dir DIR --resume`` reaches campaigns inside
-    pytest-collected benchmarks (same channel as REPRO_JOBS).  Invalid
-    values raise :class:`ValueError` naming the variable.
-    """
-    every = _env_value(
-        "REPRO_CHECKPOINT_EVERY", int, "a cycle count", lambda n: n >= 1, ">= 1 cycles"
-    )
-    checkpoint_dir = os.environ.get("REPRO_CHECKPOINT_DIR") or None
-    if every is not None and checkpoint_dir is None:
-        raise ValueError("REPRO_CHECKPOINT_EVERY needs REPRO_CHECKPOINT_DIR")
-    resume = _env_value("REPRO_RESUME", _flag, "a boolean flag (0/1/true/false)")
-    return {
-        "checkpoint_every": every,
-        "checkpoint_dir": checkpoint_dir,
-        "resume": bool(resume),
-    }
 
 
 def replicas_from_env(default: Optional[int] = None) -> Optional[int]:
@@ -503,9 +347,6 @@ def faults_main(
     smoke: bool = False,
     jobs: int = 1,
     cache: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     replicas: Optional[int] = None,
 ) -> int:
     """``python -m repro faults``: a small campaign on a 2x2 mesh
@@ -514,12 +355,7 @@ def faults_main(
     instead -- a faulted campaign that must complete and a dead link
     with no recovery armed that the watchdog must catch.  Returns the
     exit code (1 when an expectation or a runner point fails)."""
-    ckpt = {
-        "checkpoint_every": checkpoint_every,
-        "checkpoint_dir": checkpoint_dir,
-        "resume": resume,
-        "replicas": 1 if replicas is None else replicas,
-    }
+    replicas = 1 if replicas is None else replicas
     plain = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
     # Same fabric with the recovery machinery armed: NI transaction
     # timeouts with one retry, plus the go-back-N sender resync timer.
@@ -550,7 +386,7 @@ def faults_main(
             rate=0.05, warmup_cycles=100, measure_cycles=5000,
             watchdog_horizon=600, label="smoke-wedged",
         )
-        results = FaultCampaign([healthy, wedged], **ckpt).run()
+        results = FaultCampaign([healthy, wedged], replicas=replicas).run()
         print(render_campaign(results))
         ok = True
         if results[0].no_progress or results[0].completed <= 0:
@@ -593,7 +429,7 @@ def faults_main(
         ),
     ]
     with runner or contextlib.nullcontext():  # one pool for the verb
-        results = FaultCampaign(specs, runner=runner, **ckpt).run()
+        results = FaultCampaign(specs, runner=runner, replicas=replicas).run()
     print(render_campaign(results))
     if runner is not None and runner.failures:
         print(runner.render_report("faults runner"), file=sys.stderr)

@@ -78,12 +78,6 @@ class FaultInjector(Component):
     one closes the link reverts to its configured behaviour.
     """
 
-    #: Checkpoint contract (docs/CHECKPOINT.md): the NoC back-reference
-    #: and the resolved window schedule are rebuilt by re-constructing
-    #: the injector in the restore workflow; only progress state
-    #: (_next_event, _open, counters, probe baselines) is captured.
-    SNAPSHOT_STRUCTURAL = frozenset({"noc", "_resolved", "_events"})
-
     def __init__(
         self,
         noc,

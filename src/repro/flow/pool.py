@@ -139,8 +139,8 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
     (with ``exc`` downgraded to None when it does not pickle); the row
     continues either way.
     ``events`` is the list of structured telemetry records
-    (``repro.telemetry.events``) the point emitted -- campaign
-    checkpoints, lane batches -- which the parent merges into its own
+    (``repro.telemetry.events``) the point emitted -- a campaign's
+    lane batches -- which the parent merges into its own
     ``events.jsonl``.  If the process dies before reporting (segfault,
     SIGKILL) the parent sees EOF and classifies the point as a crash.
 

@@ -329,9 +329,8 @@ class ExperimentRunner:
         Recognised: ``REPRO_JOBS`` (positive int), ``REPRO_CACHE``
         (directory), ``REPRO_TIMEOUT`` (seconds), ``REPRO_RETRIES``
         (non-negative int).  Invalid values raise :class:`ValueError`
-        naming the variable.  (``REPRO_RESUME`` is read by
-        :func:`repro.faults.campaign.checkpoint_options_from_env`; a
-        runner resumes by being run again on the same ``REPRO_CACHE``.)
+        naming the variable.  There is no resume variable: a runner
+        resumes by being run again on the same ``REPRO_CACHE``.
         """
         jobs = _env_value(
             "REPRO_JOBS", int, "an integer worker count",

@@ -344,75 +344,6 @@ def verify_fast_path(
     return want
 
 
-def verify_checkpoint(
-    build_noc: Callable[[], "Noc"],
-    snapshot_at: int = 500,
-    cycles: int = 2000,
-    rate: float = 0.2,
-    max_outstanding: int = 4,
-    seed: int = 0,
-    attach: Optional[Callable[["Noc"], None]] = None,
-    kernel: str = "compiled",
-    restore_kernel: Optional[str] = None,
-) -> str:
-    """Cross-check snapshot/restore against an uninterrupted run.
-
-    Builds the same core-less NoC twice with identical traffic.  The
-    reference instance runs ``cycles`` straight through; the second
-    runs to ``snapshot_at``, snapshots, and the snapshot is restored
-    into a *third* freshly built instance which runs the remaining
-    cycles.  Raises :class:`~repro.sim.kernel.SimulationError` if the
-    restored run's :meth:`~repro.network.noc.Noc.stats_digest` diverges
-    from the reference; returns the (common) digest otherwise.
-
-    ``kernel`` names the scheduler mode; ``restore_kernel``, when
-    given, runs the *restored* instance under a different mode than the
-    one that took the snapshot -- the cross-kernel restore proof
-    (snapshots are kernel-agnostic; see ``docs/CHECKPOINT.md``).  The
-    reference still runs entirely under ``kernel``: mode equivalence is
-    :func:`verify_fast_path`'s job, so a divergence seen here indicts
-    checkpointing specifically.
-
-    ``attach`` plays the same role as in :func:`verify_fast_path`:
-    called on every freshly built NoC before traffic is populated, so
-    fault campaigns can arm an identical
-    :class:`~repro.faults.FaultInjector` on each instance -- including
-    windows that are *open* at ``snapshot_at``.
-    """
-    if not 0 < snapshot_at < cycles:
-        raise ValueError(
-            f"need 0 < snapshot_at < cycles, got {snapshot_at} / {cycles}"
-        )
-
-    def build(kern=kernel):
-        noc = build_noc()
-        noc.sim.set_kernel(kern)
-        if attach is not None:
-            attach(noc)
-        attach_uniform_traffic(noc, rate, seed, max_outstanding=max_outstanding)
-        return noc
-
-    reference = build()
-    reference.run(cycles)
-    want = reference.stats_digest()
-
-    donor = build()
-    donor.run(snapshot_at)
-    snap = donor.sim.snapshot()
-
-    restored = build(restore_kernel if restore_kernel is not None else kernel)
-    restored.sim.restore(snap)
-    restored.run(cycles - snapshot_at)
-    got = restored.stats_digest()
-    if got != want:
-        raise SimulationError(
-            f"checkpoint divergence: restore at cycle {snapshot_at} then "
-            f"run to {cycles} gave {got[:16]}..., uninterrupted run gave "
-            f"{want[:16]}..."
-        )
-    return got
-
-
 def saturation_rate(points: Sequence[LoadPoint], knee_factor: float = 3.0) -> Optional[float]:
     """First offered rate whose mean latency exceeds ``knee_factor`` x
     the lowest-load latency; ``None`` if the sweep never saturates."""

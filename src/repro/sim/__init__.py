@@ -31,7 +31,6 @@ from repro.sim.channel import AckSignal, FlitChannel, Wire
 from repro.sim.component import Component
 from repro.sim.compiled import CompiledProgram, compiled_source
 from repro.sim.kernel import KERNEL_MODES, SimulationError, Simulator
-from repro.sim.snapshot import SNAPSHOT_VERSION, SimSnapshot, SnapshotError
 from repro.sim.stats import Counter, LatencySampler, ThroughputMeter
 from repro.sim.trace import NullTracer, TextTracer, Tracer
 
@@ -44,11 +43,8 @@ __all__ = [
     "KERNEL_MODES",
     "LatencySampler",
     "NullTracer",
-    "SNAPSHOT_VERSION",
-    "SimSnapshot",
     "SimulationError",
     "Simulator",
-    "SnapshotError",
     "TextTracer",
     "ThroughputMeter",
     "Tracer",

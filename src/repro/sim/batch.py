@@ -36,9 +36,9 @@ dimension on top of the compiled kernel (:mod:`repro.sim.compiled`):
   ``bench_s4_batch``).
 
 Scalar is the one-lane case: ``repro.faults.run_campaign`` always runs
-through a :class:`BatchSimulator` (``replicas`` defaulting to 1), and
-:meth:`BatchSimulator.resume_lane` is the single resume path and
-geometry check for its checkpoints.
+through a :class:`BatchSimulator` (``replicas`` defaulting to 1).  A
+batch is one point: it is never checkpointed mid-flight, and a killed
+one is simply run again (see docs/CHECKPOINT.md).
 
 See ``docs/BATCHING.md`` for the full contract and
 ``benchmarks/bench_s4_batch.py`` for the measured speedup.
@@ -53,7 +53,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.snapshot import SnapshotError
 
 __all__ = [
     "BatchSimulator",
@@ -161,11 +160,6 @@ class BatchSimulator:
     ``k -> Sequence[FaultWindow]``), applied via
     :meth:`~repro.faults.injector.FaultInjector.set_windows` -- build
     the injector with ``probe_links`` covering every schedule's links.
-
-    Mid-lane state can be checkpointed with the ordinary
-    ``sim.snapshot()`` plus :meth:`batch_state`, and a whole batch
-    resumed from lane ``k`` with :meth:`resume_lane` -- see
-    ``repro.sim.snapshot`` and the campaign's kill-and-resume path.
     """
 
     def __init__(
@@ -175,15 +169,9 @@ class BatchSimulator:
         *,
         seed_stride: int = SEED_STRIDE,
         lane_windows: Optional[Callable[[int], Sequence]] = None,
-        assume_lane: int = 0,
     ) -> None:
         if replicas < 1:
             raise SimulationError("a batch needs at least one replica lane")
-        if not 0 <= assume_lane < replicas:
-            raise SimulationError(
-                f"assume_lane {assume_lane} out of range for a "
-                f"{replicas}-replica batch"
-            )
         self.noc = noc
         self.replicas = int(replicas)
         self.seed_stride = int(seed_stride)
@@ -192,25 +180,17 @@ class BatchSimulator:
         #: The shared generated program (the batch switches the
         #: simulator to the ``"compiled"`` mode).
         self.program = sim.compile()
-        self.lane = -1
         #: ``(n_replicas,)`` int64 seed offsets -- the SoA seed axis.
         self.seeds = (
             np.arange(self.replicas, dtype=np.int64) * self.seed_stride
         )
         # Construction-time seeds, restored per lane with the offset.
-        # ``assume_lane`` handles the restore path: a checkpoint's state
-        # (and the pattern objects ``sim.restore`` swaps in) carries
-        # lane-k seeds, so the lane-0 base is the captured seed minus
-        # k * stride.  Fresh builds pass the default 0 (identity).
-        base = assume_lane * self.seed_stride
         self._pattern_seeds = [
-            (m.pattern, m.pattern._seed - base)
+            (m.pattern, m.pattern._seed)
             for m in noc.masters.values()
             if hasattr(m.pattern, "_seed")
         ]
-        self._link_seeds = [
-            (link, link._seed - base) for link in noc.links
-        ]
+        self._link_seeds = [(link, link._seed) for link in noc.links]
     # -- lane control ------------------------------------------------------
 
     def begin_lane(self, k: int) -> None:
@@ -230,7 +210,6 @@ class BatchSimulator:
         if self.lane_windows is not None:
             for inj in getattr(self.noc, "fault_injectors", ()):
                 inj.set_windows(self.lane_windows(k))
-        self.lane = k
 
     def run_exact(self, cycles: int) -> None:
         """Advance the current lane exactly ``cycles`` cycles.
@@ -286,49 +265,6 @@ class BatchSimulator:
             metrics=metrics,
             digests=digests,
         )
-
-    # -- checkpoint plumbing ----------------------------------------------
-
-    def batch_state(self) -> Dict[str, Any]:
-        """The batch-level facts a checkpoint must carry alongside the
-        in-lane :class:`~repro.sim.snapshot.SimSnapshot` (see
-        ``SNAPSHOT_VERSION`` 2 in ``repro.sim.snapshot``)."""
-        return {
-            "replicas": self.replicas,
-            "lane": self.lane,
-            "seed_stride": self.seed_stride,
-        }
-
-    @classmethod
-    def resume_lane(
-        cls, noc, snap, replicas: int, *, seed_stride: int = SEED_STRIDE
-    ) -> Tuple["BatchSimulator", Dict[str, Any]]:
-        """Re-enter the lane a batch checkpoint froze mid-flight.
-
-        The one geometry check: ``snap`` must carry a batch container
-        (:meth:`batch_state`) taken with this ``replicas`` and
-        ``seed_stride``, else :class:`~repro.sim.snapshot.SnapshotError`.
-        Then ``noc`` -- a fresh, structurally identical build -- is
-        restored from ``snap`` and wrapped in a batch positioned on the
-        checkpointed lane.  Restore swaps the traffic patterns in by
-        value, so the batch is built *after* it, with the lane-k seeds
-        the checkpoint carries discounted back to the lane-0 base
-        (``assume_lane``).  Returns ``(batch, extras)``.
-        """
-        state = snap.batch
-        if state is None:
-            raise SnapshotError("checkpoint carries no batch container")
-        if state["replicas"] != replicas or state["seed_stride"] != seed_stride:
-            raise SnapshotError(
-                f"batch checkpoint was taken with replicas="
-                f"{state['replicas']} stride={state['seed_stride']}; "
-                f"this run wants {replicas}/{seed_stride}"
-            )
-        extras = noc.sim.restore(snap)
-        lane = int(state["lane"])
-        batch = cls(noc, replicas, seed_stride=seed_stride, assume_lane=lane)
-        batch.lane = lane
-        return batch, extras
 
 
 def run_batch(

@@ -73,16 +73,6 @@ class Wire:
         self._nxt = self.default
         self._driven = False
 
-    # -- checkpoint/restore contract ---------------------------------------
-    def snapshot(self) -> tuple:
-        """Register state as ``(cur, nxt, driven)`` (see docs/CHECKPOINT.md)."""
-        return (self._cur, self._nxt, self._driven)
-
-    def restore(self, state: tuple) -> None:
-        """Reapply a :meth:`snapshot` tuple; hot-list membership is
-        rebuilt separately by the kernel's restore."""
-        self._cur, self._nxt, self._driven = state
-
     def __repr__(self) -> str:
         return f"Wire({self.name!r}, value={self._cur!r})"
 

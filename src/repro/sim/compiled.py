@@ -71,12 +71,11 @@ qualifies; mode ``"fast"`` is the same loop with every component on the
 scheduler/quiescence bug (both modes diverge from ``"interpreted"``)
 from a lane-transliteration bug (only ``"compiled"`` does).  Both are
 cycle-identical to the reference loop -- digest-for-digest under
-``verify_fast_path`` / ``verify_checkpoint``, including open fault
-windows and cross-kernel snapshot restore.  Structural mutations
-(``add``/``wire``/``add_probe``/``restore``, a tracer swap, a kernel
-mode change) invalidate the program; it is re-elaborated on the next
-run.  ``reset`` does not: every stock component resets its
-codegen-bound containers in place.
+``verify_fast_path``, including open fault windows and a mid-run
+``set_kernel`` handoff.  Structural mutations (``add``/``wire``/
+``add_probe``, a tracer swap, a kernel mode change) invalidate the
+program; it is re-elaborated on the next run.  ``reset`` does not:
+every stock component resets its codegen-bound containers in place.
 
 A numpy structure-of-arrays lane was considered and rejected: wires
 carry arbitrary Python objects (flits, ACK signals, OCP transactions),
@@ -907,7 +906,7 @@ def compiled_source(sim: Simulator) -> str:
 @functools.lru_cache(maxsize=16)
 def _code_for(source: str):
     # The text is byte-identical for every rebuild of one topology
-    # (each load-sweep point, batch lane, snapshot restore) and
+    # (each load-sweep point, batch lane) and
     # ``builtins.compile`` is most of an elaboration, so the code object
     # -- immutable, holding no simulator state -- is shared per source.
     return compile(source, "<repro.sim.compiled>", "exec")

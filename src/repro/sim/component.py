@@ -23,23 +23,7 @@ class Component:
     kernel skip its ``tick`` on cycles where the tick would provably be
     a no-op.  Components that do not implement the contract are ticked
     every cycle, which is always correct.
-
-    Checkpointing (see ``docs/CHECKPOINT.md``): :meth:`snapshot` and
-    :meth:`restore` capture and reapply the component's registers.  The
-    defaults cover any component whose state lives in instance
-    attributes; a subclass holding *structural* references that the
-    restore workflow rebuilds (and that must not be serialized into the
-    snapshot) lists those attribute names in ``SNAPSHOT_STRUCTURAL``.
     """
-
-    #: Attribute names excluded from the default :meth:`snapshot` --
-    #: structure the restore workflow recreates by re-running
-    #: construction code, not runtime state.  Subclasses extend this
-    #: with e.g. back-references to their owning network.
-    SNAPSHOT_STRUCTURAL: "typing.FrozenSet[str]" = frozenset()
-
-    #: Kernel bookkeeping attributes, never part of a snapshot.
-    _KERNEL_ATTRS = frozenset({"name", "sim", "_sched_index", "_sleepy"})
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -96,29 +80,6 @@ class Component:
         """
         if self.sim is not None:
             self.sim.wake(self)
-
-    # -- checkpoint/restore contract ---------------------------------------
-    def snapshot(self) -> dict:
-        """This component's registers as a serializable mapping.
-
-        The default captures every instance attribute except kernel
-        bookkeeping and ``SNAPSHOT_STRUCTURAL`` entries.  References to
-        wires, channels and sibling components are fine -- the snapshot
-        serializer writes them symbolically and the restoring simulator
-        resolves them by name.  Override only for components whose
-        state lives outside ``__dict__``.
-        """
-        skip = self._KERNEL_ATTRS | self.SNAPSHOT_STRUCTURAL
-        return {k: v for k, v in self.__dict__.items() if k not in skip}
-
-    def restore(self, state: dict) -> None:
-        """Reapply a mapping produced by :meth:`snapshot`.
-
-        Called by :meth:`repro.sim.kernel.Simulator.restore` after a
-        full :meth:`reset`, so implementations may assume power-on
-        state underneath.
-        """
-        self.__dict__.update(state)
 
     def trace(self, cycle: int, event: str, **fields: object) -> None:
         """Emit a trace event through the owning simulator's tracer."""

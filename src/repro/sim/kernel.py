@@ -95,7 +95,7 @@ class Simulator:
         self._awake: Dict[Component, None] = {}  # sleepy components due a tick
         self._hot_wires: List[Wire] = []  # wires needing latch attention
         # ``_structure_rev`` counts structural mutations (registration,
-        # restore, probe attachment, tracer swap, mode change); the
+        # probe attachment, tracer swap, mode change); the
         # generated program is only valid for the revision it was
         # elaborated against and is rebuilt on the next run otherwise.
         self._structure_rev = 0
@@ -361,33 +361,6 @@ class Simulator:
                 self._step_full()
         elif cycles:
             self._ensure_program().run(cycles)
-
-    # -- checkpoint/restore ------------------------------------------------
-    def snapshot(self, extras: Optional[dict] = None):
-        """Freeze the simulator at its current cycle boundary.
-
-        Returns a :class:`~repro.sim.snapshot.SimSnapshot` capturing the
-        cycle counter, all wire registers, all component state, the
-        activity scheduler's wake set and hot-wire list, and the
-        process-global id counters.  ``extras`` is caller bookkeeping
-        stored alongside (returned by :meth:`restore`).  See
-        ``docs/CHECKPOINT.md``.
-        """
-        from repro.sim.snapshot import snapshot_simulator
-
-        return snapshot_simulator(self, extras)
-
-    def restore(self, snap) -> dict:
-        """Load a :class:`~repro.sim.snapshot.SimSnapshot` into this
-        simulator, which must be structurally identical to the captured
-        one (rebuild it with the original construction code first).
-        Discards all current runtime state; returns the snapshot's
-        extras.  Continuing from here is cycle-identical to the
-        uninterrupted run.
-        """
-        from repro.sim.snapshot import restore_simulator
-
-        return restore_simulator(self, snap)
 
     def run_until(
         self,

@@ -42,7 +42,6 @@ Event vocabulary (the spans of a campaign):
                 (``ok``/``failed``), ``seconds``, ``attempts``,
                 ``cached`` (True for cache hits, which skip
                 ``point_start``)
-``checkpoint``  a campaign checkpoint hit disk: ``cycle``, ``lane``
 ``lane_batch``  one replica lane of a campaign finished (a one-lane
                 campaign emits lane 0): ``lane``, ``replicas``,
                 ``metrics`` (the lane's row), ``digest``
@@ -78,7 +77,6 @@ EVENT_TYPES = (
     "retry",
     "steal",
     "point_end",
-    "checkpoint",
     "lane_batch",
     "worker_stall",
     "poisoned",
@@ -320,13 +318,13 @@ def replay_summary(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Reconstruct campaign state from the stream alone.
 
     This is the reducer behind ``python -m repro top`` and the
-    batch-smoke replay check: after a mid-run SIGKILL and resume, the
-    merged stream must replay to the same per-point statuses, retry
-    counts, per-lane metrics and digests as the final
+    re-run replay check: after a run is killed and run again on the
+    same cache, the merged stream must replay to the same per-point
+    statuses, retry counts, per-lane metrics and digests as the final
     ``CampaignResult``.  Duplicate ``lane_batch`` records for one lane
-    (a lane re-run after resuming from an older checkpoint) keep the
-    *last* occurrence -- re-runs are bit-identical by the batching
-    contract, so this is a dedup, not a choice.
+    (a point the runner retried after its lanes had already streamed)
+    keep the *last* occurrence -- re-runs are bit-identical by the
+    batching contract, so this is a dedup, not a choice.
     """
     points: Dict[str, Dict[str, object]] = {}
     lanes: Dict[int, Dict[str, object]] = {}
@@ -341,7 +339,6 @@ def replay_summary(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "cached": 0,
         "retries": 0,
         "steals": 0,
-        "checkpoints": 0,
         "stalls": 0,
         "poisoned": 0,
         "circuit_opens": 0,
@@ -394,8 +391,6 @@ def replay_summary(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
             summary["circuit"] = "open"
         elif event == "circuit_close":
             summary["circuit"] = "closed"
-        elif event == "checkpoint":
-            summary["checkpoints"] = int(summary["checkpoints"]) + 1
         elif event == "lane_batch":
             lane = int(rec.get("lane", -1))
             lanes[lane] = {
@@ -438,9 +433,8 @@ def events_to_chrome_trace(
     Timestamps are wall-clock microseconds relative to the earliest
     record (the flit exporter uses one *cycle* per microsecond; the two
     planes render as separate Perfetto processes, so the units do not
-    collide).  Every point label gets its own timeline row; retries and
-    checkpoints are instant markers; lane batches render on a shared
-    ``lanes`` row.
+    collide).  Every point label gets its own timeline row; retries are
+    instant markers; lane batches render on a shared ``lanes`` row.
     """
     if not records:
         return []
@@ -565,19 +559,6 @@ def events_to_chrome_trace(
                         "kind": rec.get("kind"),
                         "message": rec.get("message"),
                     },
-                }
-            )
-        elif event == "checkpoint":
-            out.append(
-                {
-                    "name": "checkpoint",
-                    "cat": "checkpoint",
-                    "ph": "i",
-                    "s": "p",
-                    "pid": CAMPAIGN_TRACE_PID,
-                    "tid": RUN_TID,
-                    "ts": ts,
-                    "args": {"cycle": rec.get("cycle"), "lane": rec.get("lane")},
                 }
             )
         elif event == "lane_batch":

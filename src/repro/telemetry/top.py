@@ -3,8 +3,8 @@
 Tails the structured event stream (``events.jsonl``, see
 :mod:`repro.telemetry.events`) that :class:`ExperimentRunner` and the
 replicated campaign harness write next to the run cache.  Each
-frame shows per-point state (running / ok / failed / cached), retry and
-checkpoint totals, the cache-hit rate, an ETA extrapolated from the
+frame shows per-point state (running / ok / failed / cached), the retry
+total, the cache-hit rate, an ETA extrapolated from the
 mean finished-point duration, and replica-lane throughput from
 ``lane_batch`` events.
 
@@ -75,7 +75,6 @@ def summary_registry(summary: Dict[str, Any]) -> MetricsRegistry:
     reg.counter("top.points_failed").inc(int(summary.get("failed", 0)))
     reg.counter("top.points_cached").inc(int(summary.get("cached", 0)))
     reg.counter("top.retries").inc(int(summary.get("retries", 0)))
-    reg.counter("top.checkpoints").inc(int(summary.get("checkpoints", 0)))
     reg.counter("top.worker_stalls").inc(int(summary.get("stalls", 0)))
     reg.counter("top.points_poisoned").inc(int(summary.get("poisoned", 0)))
     reg.gauge("top.circuit_open").set(
@@ -132,7 +131,6 @@ def render_dashboard(
     )
     lines.append(
         f"retries: {summary.get('retries', 0)}   "
-        f"checkpoints: {summary.get('checkpoints', 0)}   "
         f"cache-hit rate: {hit_rate:.0%}"
     )
     stalls = int(summary.get("stalls", 0) or 0)

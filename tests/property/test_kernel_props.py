@@ -1,15 +1,15 @@
 """Property-based tests for scheduler-mode equivalence.
 
-The three kernels (interpreted, fast, compiled) and the checkpoint
-layer promise the same thing from different angles: one cycle-accurate
-machine, many execution strategies.  On any small mesh, under any
+The three kernels (interpreted, fast, compiled) promise the same thing
+from different angles: one cycle-accurate machine, many execution
+strategies.  On any small mesh, under any
 uniform random workload -- light or contended, with or without link
 errors, bare or watched by a probe monitor, a watchdog or a live
 lifecycle tracer (each of which moves components onto different lanes
 of the generated loop) -- all three kernels must produce byte-identical
-statistics and show the observer the same thing, and
-snapshotting mid-run under one kernel then restoring into a simulator
-running *another* kernel must land on the very same digest.  Contended
+statistics and show the observer the same thing, and one instance
+handed from one kernel to *another* mid-run (``set_kernel`` at a cycle
+boundary) must land on the very same digest.  Contended
 rates are load-bearing here: arbitration, NACK recovery and wormhole
 blocking only execute under pressure, and a compiled-kernel arbitration
 bug once survived every light-load test in the suite.
@@ -89,7 +89,7 @@ def _build(params, kernel):
 
 @settings(max_examples=12, deadline=None)
 @given(scenario())
-def test_kernels_and_checkpoints_agree(params):
+def test_kernels_and_handoffs_agree(params):
     cycles, snap_at, src, dst = params[7], params[8], params[9], params[10]
 
     digests = {}
@@ -102,18 +102,14 @@ def test_kernels_and_checkpoints_agree(params):
     assert len(set(digests.values())) == 1, digests
     assert seen["fast"] == seen["compiled"] == seen["interpreted"]
 
-    # Mid-run snapshot under ``src``, restored into a ``dst``-kernel
-    # simulator, must converge on the same digest.
-    donor = _build(params, src)
-    donor.run(snap_at)
-    snap = donor.sim.snapshot()
-    assert snap.kernel == src
-
-    restored = _build(params, dst)
-    restored.sim.restore(snap)
-    assert restored.sim.kernel == dst
-    restored.run(cycles - snap_at)
-    assert restored.stats_digest() == digests["interpreted"]
+    # One instance run ``snap_at`` cycles under ``src``, then handed to
+    # ``dst`` for the rest, must converge on the same digest.
+    handoff = _build(params, src)
+    handoff.run(snap_at)
+    handoff.sim.set_kernel(dst)
+    handoff.run(cycles - snap_at)
+    assert handoff.stats_digest() == digests["interpreted"]
+    assert handoff.observed() == seen["interpreted"]
 
 
 # -- protocol state, not just statistics -------------------------------------

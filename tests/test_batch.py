@@ -5,9 +5,8 @@ is bit-identical to a scalar run of the network as built, and lane k to
 a scalar rebuild with every seed offset by ``k * seed_stride``;
 reseed-and-reset reuse of the compiled object graph is unobservable;
 the kernel's idle-span collapse changes no statistic and no counter of
-a lane; the CI math is Student-t with NaN-dropping; batch checkpoints
-ride the v2 snapshot format and a killed replicated campaign resumes to
-exactly the uninterrupted result.
+a lane; the CI math is Student-t with NaN-dropping; a campaign's
+results and store keys are pinned to the commits that first wrote them.
 """
 
 import functools
@@ -23,11 +22,9 @@ from repro.faults import (
     FaultInjector,
     FaultWindow,
     ReplicatedCampaign,
-    campaign_checkpoint_path,
     replicas_from_env,
     run_campaign,
 )
-from repro.faults.campaign import _build_campaign_noc
 from repro.flow.runner import ExperimentRunner, point_key
 from repro.network.experiments import (
     LoadPoint,
@@ -48,7 +45,6 @@ from repro.sim.batch import (
     t_quantile_95,
 )
 from repro.sim.kernel import SimulationError
-from repro.sim.snapshot import SimSnapshot, SnapshotError
 
 CORNER = "link.sw_0_0.p*"
 WINDOW = FaultWindow(CORNER, start=100, duration=200, error_rate=0.2)
@@ -119,8 +115,6 @@ class TestBatchSimulator:
         noc = build()
         with pytest.raises(SimulationError):
             BatchSimulator(noc, 0)
-        with pytest.raises(SimulationError):
-            BatchSimulator(noc, 4, assume_lane=4)
         batch = BatchSimulator(noc, 2)
         with pytest.raises(SimulationError):
             batch.begin_lane(2)
@@ -260,80 +254,6 @@ class TestBatchSimulator:
         assert batch.program is not None
 
 
-class TestBatchCheckpoint:
-    def test_snapshot_v2_roundtrip_carries_batch_state(self, tmp_path):
-        noc = build()
-        batch = BatchSimulator(noc, 4)
-        batch.begin_lane(2)
-        batch.run_exact(500)
-        snap = noc.sim.snapshot()
-        snap.batch = batch.batch_state()
-        path = str(tmp_path / "batch.ckpt")
-        snap.save(path)
-
-        loaded = SimSnapshot.load(path)
-        assert loaded.version == 2
-        assert loaded.batch == {
-            "replicas": 4, "lane": 2, "seed_stride": SEED_STRIDE,
-        }
-
-    def test_scalar_snapshots_have_no_batch(self, tmp_path):
-        noc = build()
-        noc.run(200)
-        snap = noc.sim.snapshot()
-        assert snap.batch is None
-        path = str(tmp_path / "scalar.ckpt")
-        snap.save(path)
-        assert SimSnapshot.load(path).batch is None
-
-    def test_resume_lane_validates_geometry(self):
-        donor = BatchSimulator(build(), 4)
-        donor.begin_lane(3)
-        donor.run_exact(100)
-        snap = donor.noc.sim.snapshot()
-        with pytest.raises(SnapshotError, match="no batch container"):
-            BatchSimulator.resume_lane(build(), snap, 4)
-        snap.batch = donor.batch_state()
-        with pytest.raises(SimulationError, match="replicas=4"):
-            BatchSimulator.resume_lane(build(), snap, 8)
-        with pytest.raises(SimulationError, match="stride"):
-            BatchSimulator.resume_lane(build(), snap, 4, seed_stride=7)
-        batch, extras = BatchSimulator.resume_lane(build(), snap, 4)
-        assert batch.lane == 3 and batch.replicas == 4
-        assert extras == {}
-        assert batch.noc.sim.cycle == 100
-
-    def test_restored_lane_continues_bit_identically(self):
-        # Snapshot lane 1 mid-run, restore into a *fresh* build (the
-        # crash-recovery path: assume_lane subtracts the lane offset the
-        # restored pattern seeds carry), finish, compare to an
-        # uninterrupted lane 1.
-        ref_batch = BatchSimulator(build(), 3)
-        ref_batch.begin_lane(1)
-        ref_batch.run_exact(4000)
-        ref = ref_batch.noc.stats_digest()
-
-        donor = BatchSimulator(build(), 3)
-        donor.begin_lane(1)
-        donor.run_exact(1500)
-        snap = donor.noc.sim.snapshot()
-        snap.batch = donor.batch_state()
-
-        fresh = build()
-        resumed, _ = BatchSimulator.resume_lane(
-            fresh, snap, 3, seed_stride=snap.batch["seed_stride"]
-        )
-        assert resumed.lane == 1
-        resumed.run_exact(4000 - 1500)
-        assert fresh.stats_digest() == ref
-        # ... and the lanes after it reseed from the lane-0 base.
-        resumed.begin_lane(2)
-        resumed.run_exact(4000)
-        ref_batch.begin_lane(2)
-        ref_batch.run_exact(4000)
-        assert fresh.stats_digest() == ref_batch.noc.stats_digest()
-
-
 def campaign_spec(**kw):
     builder = TopologyNocBuilder(
         mesh, (2, 2), n_initiators=2, n_targets=2,
@@ -424,60 +344,6 @@ class TestReplicatedCampaign:
         assert replicated.accepted_rate == pytest.approx(mean)
         assert replicated.ci95["accepted_rate"] == pytest.approx(half)
 
-    def test_kill_and_resume_matches_uninterrupted(self, tmp_path,
-                                                   monkeypatch):
-        spec = campaign_spec()
-        reference = run_campaign(spec, 3)
-
-        # Crash the campaign right after its second checkpoint lands.
-        saves = {"n": 0}
-        real_save = SimSnapshot.save
-
-        def dying_save(self, path):
-            real_save(self, path)
-            saves["n"] += 1
-            if saves["n"] >= 2:
-                raise KeyboardInterrupt("simulated SIGKILL")
-
-        monkeypatch.setattr(SimSnapshot, "save", dying_save)
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
-            )
-        monkeypatch.setattr(SimSnapshot, "save", real_save)
-        ckpts = list(tmp_path.glob("campaign-*.ckpt"))
-        assert len(ckpts) == 1 and ckpts[0].name.endswith("-r3.ckpt")
-
-        resumed = run_campaign(
-            spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
-            resume=True,
-        )
-        assert resumed.lane_metrics == reference.lane_metrics
-        assert resumed.ci95 == reference.ci95
-        assert resumed == reference
-        # A finished campaign cleans up after itself.
-        assert not list(tmp_path.glob("campaign-*.ckpt"))
-
-    def test_incompatible_checkpoint_falls_back_to_fresh(self, tmp_path):
-        spec = campaign_spec()
-        reference = run_campaign(spec, 2)
-        # A checkpoint from a *different* geometry at the path the
-        # 2-replica campaign will probe: must be ignored, not trusted.
-        donor_noc = spec.builder()
-        donor_noc.run(100)
-        snap = donor_noc.sim.snapshot()
-        snap.batch = {"replicas": 5, "lane": 3, "seed_stride": 7,
-                      "lane_results": []}
-        stale = campaign_checkpoint_path(spec, str(tmp_path), 2)
-        assert stale.endswith("-r2.ckpt")
-        snap.save(stale)
-        resumed = run_campaign(
-            spec, 2, checkpoint_every=300, checkpoint_dir=str(tmp_path),
-            resume=True,
-        )
-        assert resumed == reference
-        assert resumed.lane_metrics == reference.lane_metrics
-
     def test_cache_token_distinguishes_replication(self):
         wrapped = ReplicatedCampaign(3)
         assert "replicas=3" in wrapped.cache_token()
@@ -492,9 +358,6 @@ class TestReplicatedCampaign:
         scalar = "2c5bfa4b2805fd8f9ee982f1d2d1f327e3f643d04936b8b7067b8d1b06666fe3"
         assert point_key(run_campaign, spec) == scalar
         assert point_key(ReplicatedCampaign(), spec) == scalar
-        assert point_key(
-            ReplicatedCampaign(1, 100, "/ckpt", resume=True), spec
-        ) == scalar
         assert point_key(ReplicatedCampaign(3), spec) == (
             "cff8d7ae9850c5ef68d1b38ad8c6101aa091441d602fc93958bed0ab0fe9d393"
         )
@@ -512,27 +375,6 @@ class TestReplicatedCampaign:
         assert result == PARENT_REPLICATED
         assert result.ci95 == PARENT_REPLICATED.ci95
         assert result.lane_metrics == PARENT_REPLICATED.lane_metrics
-
-    def test_parent_format_scalar_checkpoint_is_stale(self, tmp_path):
-        # Before the merge a one-lane campaign checkpointed a bare
-        # simulator snapshot (no batch container) at the same path:
-        # resume must ignore it and run fresh, not trust or crash on it.
-        spec = campaign_spec()
-        donor, _ = _build_campaign_noc(spec)
-        donor.run(300)
-        snap = donor.sim.snapshot(
-            extras={"warm_completed": 7, "warm_samples": 7,
-                    "warm_captured": True}
-        )
-        assert snap.batch is None
-        path = campaign_checkpoint_path(spec, str(tmp_path))
-        snap.save(path)
-        resumed = run_campaign(
-            spec, checkpoint_every=300, checkpoint_dir=str(tmp_path),
-            resume=True,
-        )
-        assert resumed == PARENT_SCALAR
-        assert not list(tmp_path.glob("campaign-*.ckpt"))
 
     def test_fault_campaign_replicas_is_a_plain_int(self):
         assert FaultCampaign([]).replicas == 1

@@ -20,8 +20,7 @@ from repro.__main__ import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-RUN_OPTIONS = {"--jobs", "--cache", "--checkpoint-every", "--checkpoint-dir",
-               "--resume", "--replicas"}
+RUN_OPTIONS = {"--jobs", "--cache", "--replicas"}
 
 #: The flags each verb reads -- written out, not derived from the parser.
 VERB_FLAGS = {
@@ -58,8 +57,8 @@ class TestHelp:
         assert listed == VERB_FLAGS[verb] | {"--help"}
         assert f"{verb}:" not in out  # no per-verb prefixes left
 
-    def test_thirty_six_verb_flag_pairs(self):
-        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 36
+    def test_thirty_verb_flag_pairs(self):
+        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 30
 
     def test_no_verb_is_info(self, capsys):
         assert main([]) == 0
@@ -77,6 +76,13 @@ class TestForeignFlags:
         ["top", "--store", "x"],
         ["bench-diff", "--jobs", "2"],
         ["info", "--jobs", "2"],
+        # No verb checkpoints mid-run: re-running on --cache resumes.
+        ["figures", "--checkpoint-every", "500"],
+        ["figures", "--checkpoint-dir", "d"],
+        ["figures", "--resume"],
+        ["faults", "--checkpoint-every", "500"],
+        ["faults", "--checkpoint-dir", "d"],
+        ["faults", "--resume"],
     ])
     def test_another_verbs_flag_exits_2_naming_it(self, argv, capsys):
         assert argv[1] in usage_error(capsys, argv)
@@ -87,7 +93,7 @@ class TestCounts:
         ["figures", "--jobs", "0"],
         ["figures", "--jobs", "-3"],
         ["figures", "--replicas", "0"],
-        ["figures", "--checkpoint-every", "0"],
+        ["faults", "--replicas", "0"],
         ["faults", "--jobs", "0"],
         ["faults", "--replicas", "-1"],
         ["report", "--window", "0"],
@@ -125,8 +131,7 @@ class TestHandlers:
          {"out": "telemetry-report", "mesh": "2x2", "cycles": 2000,
           "rate": 0.1, "window": 100, "check": False}),
         (["faults", "--smoke"], "repro.faults.campaign:faults_main",
-         {"smoke": True, "jobs": 1, "cache": None, "checkpoint_every": None,
-          "checkpoint_dir": None, "resume": False, "replicas": None}),
+         {"smoke": True, "jobs": 1, "cache": None, "replicas": None}),
         (["top", "--dir", "d", "--once"], "repro.telemetry.top:top_main",
          {"run_dir": "d", "once": True, "interval": 1.0, "prom": None}),
         (["bench-diff"], "repro.telemetry.regress:bench_diff",
@@ -146,24 +151,12 @@ class TestHandlers:
         assert main(argv) == 0
         assert seen == expected
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["--checkpoint-every", "50"], ".repro-checkpoints"),
-        (["--checkpoint-every", "50", "--cache", "c"], "c"),
-        (["--checkpoint-every", "50", "--cache", "c", "--checkpoint-dir", "d"], "d"),
-        (["--cache", "c"], None),
-    ])
-    def test_faults_checkpoint_dir_default(self, argv, expected, monkeypatch):
-        seen = _record(monkeypatch, "repro.faults.campaign:faults_main")
-        assert main(["faults", *argv]) == 0
-        assert seen["checkpoint_dir"] == expected
-
 
 class TestFiguresEnvironment:
     @pytest.fixture
     def pytest_main(self, monkeypatch, tmp_path):
         """Stand-in for ``pytest.main``: records the REPRO_* environment
         it saw and what the benchmarks' readers make of it."""
-        from repro.faults.campaign import checkpoint_options_from_env
         from repro.flow.runner import ExperimentRunner
 
         monkeypatch.chdir(tmp_path)  # from_env opens --cache as a store
@@ -174,33 +167,17 @@ class TestFiguresEnvironment:
         def fake(args):
             seen["env"] = {k: v for k, v in os.environ.items()
                            if k.startswith("REPRO_")}
-            seen["checkpoint"] = checkpoint_options_from_env()
             seen["jobs"] = ExperimentRunner.from_env().jobs
             return 0
 
         monkeypatch.setattr(pytest, "main", fake)
         return seen
 
-    def test_checkpoint_every_alone_gets_the_default_dir(self, pytest_main):
-        assert main(["figures", "--checkpoint-every", "500"]) == 0
-        assert pytest_main["env"] == {
-            "REPRO_CHECKPOINT_EVERY": "500",
-            "REPRO_CHECKPOINT_DIR": ".repro-checkpoints",
-        }
-        assert pytest_main["checkpoint"] == {
-            "checkpoint_every": 500,
-            "checkpoint_dir": ".repro-checkpoints",
-            "resume": False,
-        }
-        assert not [k for k in os.environ if k.startswith("REPRO_")]
-
     def test_every_option_reaches_pytest_and_none_outlives_it(self, pytest_main):
-        assert main(["figures", "--jobs", "3", "--cache", "c", "--resume",
-                     "--checkpoint-every", "9", "--replicas", "4"]) == 0
+        assert main(["figures", "--jobs", "3", "--cache", "c",
+                     "--replicas", "4"]) == 0
         assert pytest_main["env"] == {
-            "REPRO_JOBS": "3", "REPRO_CACHE": "c",
-            "REPRO_CHECKPOINT_EVERY": "9", "REPRO_CHECKPOINT_DIR": "c",
-            "REPRO_RESUME": "1", "REPRO_REPLICAS": "4",
+            "REPRO_JOBS": "3", "REPRO_CACHE": "c", "REPRO_REPLICAS": "4",
         }
         assert pytest_main["jobs"] == 3
         assert not [k for k in os.environ if k.startswith("REPRO_")]

@@ -173,7 +173,7 @@ class TestObservabilityDoc:
             "--replicas", "BATCHING.md",
             # fleet telemetry: run events, profiler, dashboard, regress
             "repro.telemetry.events/v1", "events.jsonl",
-            "point_start", "retry", "point_end", "checkpoint",
+            "point_start", "retry", "point_end",
             "lane_batch", "run_end", "replay_summary",
             "KernelProfiler", "sample_every", "profile.json",
             "python -m repro top", "metrics.prom",
@@ -262,35 +262,26 @@ class TestCheckpointDoc:
         with open(self.PATH, encoding="utf-8") as f:
             text = f.read()
         for term in (
-            # snapshot contract + format
-            "SimSnapshot", "SnapshotError", "snapshot()", "restore(",
-            "SNAPSHOT_STRUCTURAL", "SNAPSHOT_VERSION", "sha256",
-            "verify_checkpoint", "stats_digest",
+            # a point is the unit of resume
+            "a point is the unit of resume", "**Resume = run again**",
+            "cache_hits", "cache_misses", "no mid-run simulator checkpoint",
             # hardened runner
             "runs.jsonl", "timeout", "retries", "PointFailure",
-            "on_failure", "corrupt", "read_journal",
+            "on_failure", "corrupt", "sha256", "read_journal",
             # ... on the one supervised pool: the behaviour deltas
             "repro.flow.pool", "long-lived", "restart budget",
             "poisoned", "SIGKILLed", "must pickle",
-            # campaign + CLI + CI
-            "checkpoint_every", "--checkpoint-every", "--resume",
-            "REPRO_CHECKPOINT_EVERY", "checkpoint-smoke", "timeout_guard",
-            # kernel-agnostic restores
-            "kernel-agnostic", "snap.kernel", "restore_kernel",
-            '`kernel != "interpreted"`',
-            # the v2 batch container and its kill-and-resume smoke
-            "snap.batch", "assume_lane", "batch-smoke", "BATCHING.md",
-            # one checkpoint format, file name kept per replica count
-            "## Checkpointed campaigns: one format",
-            "kept per replica count", "`-r{N}`", "campaign_checkpoint_path",
-            "BatchSimulator.resume_lane", "pre-merge one-lane checkpoint",
-            "ignored, never trusted",
+            # campaigns, CLI, CI
+            "FaultCampaign", "lane_batch", "BATCHING.md",
+            "there is no `--resume` flag", "REPRO_TIMEOUT",
+            "test_killed_and_resumed_stream_replays_to_the_final_result",
+            "timeout_guard",
         ):
             assert term in text, term
 
     def test_every_python_block_runs(self):
         blocks = extract_python_blocks(self.PATH)
-        assert len(blocks) >= 3, "the guide promises runnable snippets"
+        assert len(blocks) >= 2, "the guide promises runnable snippets"
         for i, block in enumerate(blocks):
             exec(compile(block, f"CHECKPOINT-snippet-{i}", "exec"), {})
 
@@ -333,11 +324,9 @@ class TestBatchingDoc:
             "ci95 is None", "measure_load_point_lane",
             "attach_manifests", "as `None`", "stride knob",
             "frozen token", "reused by it",
-            "`BatchSimulator.resume_lane(noc, snap, replicas)`",
-            "one geometry check",
-            # checkpoints + CI artifacts
-            "snap.batch", "SNAPSHOT_VERSION", "assume_lane",
-            "batch-smoke", "BENCH_s4.json",
+            # a campaign is one point: resume = run again
+            "## A campaign is one point", "never checkpointed mid-run",
+            "BENCH_s4.json",
         ):
             assert term in text, term
 

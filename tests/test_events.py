@@ -4,8 +4,8 @@ Covers the ``repro.telemetry.events/v1`` contracts from
 docs/OBSERVABILITY.md ("Fleet telemetry"): the process-local sink
 stack, the append-only torn-tolerant ``events.jsonl`` format, the
 validator, worker-to-parent event forwarding through
-:class:`ExperimentRunner`, replicated-campaign ``lane_batch`` /
-``checkpoint`` emission, the kill-and-resume replay guarantee, the
+:class:`ExperimentRunner`, replicated-campaign ``lane_batch`` emission,
+the kill-and-rerun replay guarantee (a point is the unit of resume), the
 Chrome-trace export (golden-filed) and the ``repro top`` dashboard
 built on :func:`replay_summary`.
 
@@ -24,8 +24,8 @@ import os
 
 import pytest
 
-from repro.faults import CampaignSpec, FaultWindow, run_campaign
-from repro.sim.snapshot import SimSnapshot
+from repro.faults import CampaignSpec, FaultCampaign, FaultWindow, run_campaign
+from repro.faults import campaign as campaign_mod
 from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
@@ -74,8 +74,8 @@ def rec(seq, pid, t, event, **fields):
 
 
 # A fixed two-process campaign stream: parent pid 100 runs the map,
-# worker pid 101 contributes a forwarded checkpoint, point 1 retries
-# once, point 0 is a cache hit, and two replica lanes finish.
+# point 1 retries once, point 0 is a cache hit, and worker pid 101
+# forwards the two replica lanes point 1 finished.
 GOLDEN_RECORDS = [
     rec(1, 100, 1000.0, "run_start", label="sweep", points=3, pending=2,
         cached=1, jobs=2),
@@ -83,21 +83,20 @@ GOLDEN_RECORDS = [
         status="ok", seconds=0.0, attempts=0, cached=True),
     rec(3, 100, 1000.002, "point_start", label="sweep[1]", key="k1",
         attempt=1),
-    rec(1, 101, 1000.010, "checkpoint", cycle=300, lane=None),
     rec(4, 100, 1000.050, "retry", label="sweep[1]", key="k1", attempt=1,
         kind="error", message="ValueError: boom"),
     rec(5, 100, 1000.051, "point_start", label="sweep[1]", key="k1",
         attempt=2),
     rec(6, 100, 1000.120, "point_end", label="sweep[1]", key="k1",
         status="ok", seconds=0.069, attempts=2, cached=False),
-    rec(7, 100, 1000.130, "lane_batch", lane=0, replicas=2,
+    rec(1, 101, 1000.130, "lane_batch", lane=0, replicas=2,
         metrics={"cycles_run": 1400.0, "completed": 21.0}, digest="aa" * 32),
-    rec(8, 100, 1000.140, "lane_batch", lane=1, replicas=2,
+    rec(2, 101, 1000.140, "lane_batch", lane=1, replicas=2,
         metrics={"cycles_run": 1400.0, "completed": 19.0}, digest="bb" * 32),
-    rec(9, 100, 1000.150, "point_end", label="sweep[2]", key="k2",
+    rec(7, 100, 1000.150, "point_end", label="sweep[2]", key="k2",
         status="failed", seconds=0.120, attempts=1, cached=False,
         kind="timeout", message="exceeded 0.1s"),
-    rec(10, 100, 1000.160, "run_end", label="sweep", ok=1, failed=1,
+    rec(8, 100, 1000.160, "run_end", label="sweep", ok=1, failed=1,
         cached=1, retries=1),
 ]
 
@@ -125,18 +124,18 @@ def small_spec(**kw):
 # ---------------------------------------------------------------------------
 class TestSinkStack:
     def test_emit_without_sink_is_a_noop(self):
-        assert emit("checkpoint", cycle=1) is None
+        assert emit("steal", cycle=1) is None
 
     def test_collector_receives_schema_stamped_records(self):
         col = install_sink(EventCollector())
         try:
-            out = emit("checkpoint", cycle=7, lane=None)
+            out = emit("steal", cycle=7, lane=None)
         finally:
             remove_sink(col)
         assert col.records == [out]
         r = col.records[0]
         assert r["schema"] == EVENTS_SCHEMA
-        assert r["event"] == "checkpoint"
+        assert r["event"] == "steal"
         assert r["cycle"] == 7
         assert r["pid"] == os.getpid()
         assert isinstance(r["seq"], int) and isinstance(r["t"], float)
@@ -145,11 +144,11 @@ class TestSinkStack:
         outer = install_sink(EventCollector())
         inner = install_sink(EventCollector())
         try:
-            emit("checkpoint", cycle=1)
+            emit("steal", cycle=1)
         finally:
             remove_sink(inner)
         try:
-            emit("checkpoint", cycle=2)
+            emit("steal", cycle=2)
         finally:
             remove_sink(outer)
         assert [r["cycle"] for r in inner.records] == [1]
@@ -217,7 +216,7 @@ class TestConcurrentTailing:
     """
 
     def _record(self, seq):
-        return {"schema": EVENTS_SCHEMA, "event": "checkpoint",
+        return {"schema": EVENTS_SCHEMA, "event": "steal",
                 "seq": seq, "pid": 1, "t": float(seq)}
 
     def test_torn_tail_is_withheld_then_delivered_once(self, tmp_path):
@@ -299,14 +298,14 @@ class TestValidateEvents:
             validate_events([bad])
 
     def test_seq_regression_flagged(self):
-        records = [rec(5, 100, 1.0, "checkpoint", cycle=1),
-                   rec(4, 100, 2.0, "checkpoint", cycle=2)]
+        records = [rec(5, 100, 1.0, "steal", label="s", key="k"),
+                   rec(4, 100, 2.0, "steal", label="s", key="k")]
         with pytest.raises(TelemetryError, match="seq went 5 -> 4"):
             validate_events(records)
 
     def test_seq_restart_at_one_is_pid_reuse_not_an_error(self):
-        validate_events([rec(5, 100, 1.0, "checkpoint", cycle=1),
-                         rec(1, 100, 2.0, "checkpoint", cycle=2)])
+        validate_events([rec(5, 100, 1.0, "steal", label="s", key="k"),
+                         rec(1, 100, 2.0, "steal", label="s", key="k")])
 
     def test_errors_are_itemized(self):
         bad = [rec(0, 0, "soon", "telepathy")]
@@ -318,7 +317,7 @@ class TestValidateEvents:
 
     def test_bool_is_not_a_valid_seq(self):
         with pytest.raises(TelemetryError, match="seq"):
-            validate_events([rec(True, 100, 1.0, "checkpoint")])
+            validate_events([rec(True, 100, 1.0, "steal")])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,6 @@ class TestReplaySummary:
         assert s["points_expected"] == 3
         assert (s["ok"], s["failed"], s["cached"]) == (1, 1, 1)
         assert s["retries"] == 1
-        assert s["checkpoints"] == 1
         assert s["finished"] == pytest.approx(1000.160)
         assert s["points"]["sweep[0]"]["status"] == "cached"
         assert s["points"]["sweep[1]"]["status"] == "ok"
@@ -364,7 +362,7 @@ def _square(x):
 
 
 def _square_with_worker_event(x):
-    emit("checkpoint", cycle=x)
+    emit("lane_batch", lane=x, replicas=1, metrics={}, digest=None)
     return x * x
 
 
@@ -433,9 +431,9 @@ class TestRunnerEvents:
         records = self.events_of(tmp_path)
         s = replay_summary(records)
         assert (s["ok"], s["failed"]) == (2, 0)
-        assert s["checkpoints"] == 2  # one forwarded from each worker
+        assert sorted(s["lanes"]) == [2, 3]  # one forwarded per point
         worker_pids = {
-            r["pid"] for r in records if r["event"] == "checkpoint"
+            r["pid"] for r in records if r["event"] == "lane_batch"
         }
         assert worker_pids and os.getpid() not in worker_pids
 
@@ -468,7 +466,7 @@ class TestRunnerEvents:
 
 
 # ---------------------------------------------------------------------------
-# replicated campaigns emit lane batches + checkpoints
+# replicated campaigns emit lane batches
 # ---------------------------------------------------------------------------
 class TestCampaignEvents:
     @pytest.mark.timeout_guard(240)
@@ -505,52 +503,60 @@ class TestCampaignEvents:
     def test_killed_and_resumed_stream_replays_to_the_final_result(
         self, tmp_path, monkeypatch
     ):
-        """The tier-1 version of the batch-smoke guarantee: interrupt a
-        checkpointing replicated campaign mid-run, resume into the same
-        events.jsonl, and the merged stream must replay to the resumed
-        campaign's lane metrics (duplicates deduplicate last-wins)."""
-        spec = small_spec()
-        events_path = str(tmp_path / "events.jsonl")
-        saves = {"n": 0}
-        real_save = SimSnapshot.save
+        """A point is the unit of resume: a cached replicated
+        FaultCampaign killed after its first point and run again on the
+        same cache appends to one events.jsonl.  The merged stream must
+        validate and replay to the re-run's lane metrics, every lane
+        digest must equal an uninterrupted run's, the finished point
+        must be a cache hit, and the ``top`` frame must read the lanes."""
+        specs = [small_spec(label="first"), small_spec(seed=4, label="second")]
+        col = install_sink(EventCollector())
+        try:
+            reference = FaultCampaign(specs, replicas=3).run()
+        finally:
+            remove_sink(col)
 
-        def dying_save(snap, path):
-            real_save(snap, path)
-            saves["n"] += 1
-            if saves["n"] >= 2:
+        cache = str(tmp_path / "cache")
+        real_build = campaign_mod._build_campaign_noc
+        builds = {"n": 0}
+
+        def dying_build(spec):
+            builds["n"] += 1
+            if builds["n"] == 2:
                 raise KeyboardInterrupt("simulated SIGKILL")
+            return real_build(spec)
 
-        monkeypatch.setattr(SimSnapshot, "save", dying_save)
-        writer = install_sink(EventWriter(events_path))
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_campaign(
-                    spec, 3, checkpoint_every=300,
-                    checkpoint_dir=str(tmp_path),
-                )
-        finally:
-            remove_sink(writer)
-            writer.close()
-        monkeypatch.setattr(SimSnapshot, "save", real_save)
+        monkeypatch.setattr(campaign_mod, "_build_campaign_noc", dying_build)
+        with pytest.raises(KeyboardInterrupt):
+            FaultCampaign(
+                specs, runner=ExperimentRunner(cache_dir=cache), replicas=3
+            ).run()
+        monkeypatch.setattr(campaign_mod, "_build_campaign_noc", real_build)
 
-        writer = install_sink(EventWriter(events_path))
-        try:
-            resumed = run_campaign(
-                spec, 3, checkpoint_every=300, checkpoint_dir=str(tmp_path),
-                resume=True,
-            )
-        finally:
-            remove_sink(writer)
-            writer.close()
+        runner = ExperimentRunner(cache_dir=cache)
+        resumed = FaultCampaign(specs, runner=runner, replicas=3).run()
+        assert (runner.cache_hits, runner.cache_misses) == (1, 1)
+        assert resumed == reference
+        assert [r.lane_metrics for r in resumed] == [
+            r.lane_metrics for r in reference
+        ]
 
-        records = read_events(events_path)
+        records = read_events(os.path.join(cache, "events.jsonl"))
         validate_events(records)
         s = replay_summary(records)
-        assert s["checkpoints"] >= 2  # pre-kill checkpoints survived
+        assert s["points"]["campaign[0]"]["status"] == "cached"
+        assert s["running"] == []
         assert s["lane_metrics"] == {
             name: tuple(values)
-            for name, values in resumed.lane_metrics.items()
+            for name, values in resumed[1].lane_metrics.items()
         }
+        # Killed run: the first point's lanes; re-run: the second's.
+        assert [r["digest"] for r in records if r["event"] == "lane_batch"] == [
+            r["digest"] for r in col.records if r["event"] == "lane_batch"
+        ]
+        assert any(e.get("cat") == "lane" for e in events_to_chrome_trace(records))
+        frame = render_dashboard(load_summary(cache), cache)
+        assert "lanes: 3 finished" in frame
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +588,7 @@ class TestChromeTraceExport:
         assert point1["ts"] == 2000
         assert point1["args"]["attempts"] == 2
         instants = {e["cat"] for e in events if e["ph"] == "i"}
-        assert instants == {"retry", "checkpoint", "lane"}
+        assert instants == {"retry", "lane"}
 
     def test_cached_point_without_start_gets_a_synthetic_span(self):
         events = events_to_chrome_trace(GOLDEN_RECORDS)
@@ -604,14 +610,13 @@ class TestDashboard:
         assert "points: 3 total | 1 ok, 1 failed, 1 cached" in frame
         assert "[finished]" in frame
         assert "retries: 1" in frame
-        assert "checkpoints: 1" in frame
         assert "cache-hit rate: 50%" in frame
         assert "lanes: 2 finished" in frame
         assert "sweep[2]" in frame and "failed" in frame
 
     def test_eta_only_while_points_remain(self):
         assert eta_seconds(replay_summary(GOLDEN_RECORDS)) is None
-        s = replay_summary(GOLDEN_RECORDS[:7])  # sweep[2] still pending
+        s = replay_summary(GOLDEN_RECORDS[:6])  # sweep[2] still pending
         eta = eta_seconds(s)
         assert eta == pytest.approx(0.069)  # one finished point, one left
 
@@ -619,7 +624,7 @@ class TestDashboard:
         s = replay_summary(GOLDEN_RECORDS)
         rate = lane_throughput(s)
         assert rate == pytest.approx(2800.0 / 0.010, rel=1e-6)
-        assert lane_throughput(replay_summary(GOLDEN_RECORDS[:8])) is None
+        assert lane_throughput(replay_summary(GOLDEN_RECORDS[:7])) is None
 
     def test_load_summary_prefers_events_over_journal(self, tmp_path):
         with EventWriter(str(tmp_path / "events.jsonl")) as w:

@@ -1,12 +1,12 @@
-"""Crash-safety of the hardened ExperimentRunner and campaign resume.
+"""Crash-safety of the hardened ExperimentRunner: a point is the unit of resume.
 
 Three worker failure modes must each be isolated to their own point --
 the function raising, exceeding the wall-clock timeout, and the worker
 process dying outright (SIGKILL stands in for segfault/OOM) -- while
 completed siblings stay cached and journaled.  On top of that: bounded
 retries with backoff, the ``runs.jsonl`` journal, corrupt-cache
-quarantine, strict ``from_env`` validation, and
-kill-and-resume of checkpointed fault campaigns.
+quarantine, strict ``from_env`` validation, and fault campaigns that
+resume by being run again on the same cache.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import pytest
 from repro.faults.campaign import (
     CampaignSpec,
     FaultCampaign,
-    ReplicatedCampaign,
-    campaign_checkpoint_path,
-    checkpoint_options_from_env,
     run_campaign,
 )
 from repro.faults.injector import FaultWindow
@@ -40,7 +37,6 @@ from repro.flow.runner import (
 )
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
-from repro.sim.snapshot import SimSnapshot
 from repro.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
 
@@ -376,9 +372,8 @@ class TestFromEnvValidation:
     def test_timeout_retries_resume_channel(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "3")
-        # REPRO_RESUME is the campaigns' (checkpoint_options_from_env):
-        # a runner resumes by being run again, so it has no such field.
-        monkeypatch.setenv("REPRO_RESUME", "true")
+        # A runner resumes by being run again on the same cache, so it
+        # has no resume field.
         runner = ExperimentRunner.from_env()
         assert runner.timeout == 2.5
         assert runner.retries == 3
@@ -421,112 +416,20 @@ SPEC = CampaignSpec(
 
 
 class TestCampaignCheckpointing:
-    def test_checkpointed_run_equals_plain_run(self, tmp_path):
-        plain = run_campaign(SPEC)
-        sliced = run_campaign(SPEC, checkpoint_every=100, checkpoint_dir=str(tmp_path))
-        assert sliced == plain
-        # Finished cleanly: the working checkpoint was cleaned up.
-        assert not os.path.exists(campaign_checkpoint_path(SPEC, str(tmp_path)))
-
-    def test_kill_mid_campaign_then_resume_matches(self, tmp_path, monkeypatch):
-        plain = run_campaign(SPEC)
-
-        # Simulate the kill: die right after the third checkpoint
-        # lands (the lane loop never calls Noc.run, so the kill hooks
-        # the one thing every slice does -- same as test_batch.py).
-        class Killed(Exception):
-            pass
-
-        real_save = SimSnapshot.save
-        saves = {"n": 0}
-
-        def dying_save(self, path):
-            real_save(self, path)
-            saves["n"] += 1
-            if saves["n"] >= 3:
-                raise Killed()
-
-        monkeypatch.setattr(SimSnapshot, "save", dying_save)
-        with pytest.raises(Killed):
-            run_campaign(SPEC, checkpoint_every=100, checkpoint_dir=str(tmp_path))
-        monkeypatch.setattr(SimSnapshot, "save", real_save)
-
-        ckpt = campaign_checkpoint_path(SPEC, str(tmp_path))
-        assert os.path.exists(ckpt), "no mid-campaign checkpoint was written"
-        resumed = run_campaign(
-            SPEC, checkpoint_every=100, checkpoint_dir=str(tmp_path), resume=True
-        )
-        assert resumed == plain
-        assert not os.path.exists(ckpt)
-
-    def test_resume_with_stale_checkpoint_falls_back_to_fresh(self, tmp_path):
-        ckpt = campaign_checkpoint_path(SPEC, str(tmp_path))
-        os.makedirs(str(tmp_path), exist_ok=True)
-        with open(ckpt, "wb") as f:
-            f.write(b"XLCKPT01" + b"\x00" * 40)  # right magic, garbage body
-        resumed = run_campaign(
-            SPEC, checkpoint_every=100, checkpoint_dir=str(tmp_path), resume=True
-        )
-        assert resumed == run_campaign(SPEC)
-
-    def test_checkpoint_flags_do_not_change_cache_keys(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
-        wrapped = ReplicatedCampaign(
-            checkpoint_every=100, checkpoint_dir=str(tmp_path), resume=True
-        )
-        assert point_key(run_campaign, SPEC) == point_key(wrapped, SPEC)
-        assert point_key(ReplicatedCampaign(3), SPEC) == point_key(
-            ReplicatedCampaign(3, 100, str(tmp_path), resume=True), SPEC
-        )
+    """The store is a campaign's only checkpoint: one record per point."""
 
     def test_fault_campaign_resumes_through_the_runner(self, tmp_path):
         cache = str(tmp_path / "cache")
-        ckpts = str(tmp_path / "ckpts")
         first = FaultCampaign(
-            [SPEC],
-            runner=ExperimentRunner(jobs=2, cache_dir=cache),
-            checkpoint_every=200,
-            checkpoint_dir=ckpts,
+            [SPEC], runner=ExperimentRunner(jobs=2, cache_dir=cache)
         )
         want = first.run()
         second = FaultCampaign(
-            [SPEC],
-            runner=ExperimentRunner(jobs=2, cache_dir=cache),
-            checkpoint_every=200,
-            checkpoint_dir=ckpts,
-            resume=True,
+            [SPEC], runner=ExperimentRunner(jobs=2, cache_dir=cache)
         )
         got = second.run()
         assert second.runner.cache_hits == 1
-        assert [r.label for r in got] == [r.label for r in want]
-
-    def test_checkpoint_every_requires_a_dir(self):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_campaign(SPEC, checkpoint_every=100)
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            FaultCampaign([SPEC], checkpoint_every=100)
-
-    def test_env_channel(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "500")
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_RESUME", "1")
-        opts = checkpoint_options_from_env()
-        assert opts == {
-            "checkpoint_every": 500,
-            "checkpoint_dir": str(tmp_path),
-            "resume": True,
-        }
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "zero")
-        with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY"):
-            checkpoint_options_from_env()
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "500")
-        monkeypatch.setenv("REPRO_RESUME", "maybe")
-        with pytest.raises(ValueError, match="REPRO_RESUME"):
-            checkpoint_options_from_env()
-        monkeypatch.setenv("REPRO_RESUME", "1")
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR")
-        with pytest.raises(ValueError, match="REPRO_CHECKPOINT_DIR"):
-            checkpoint_options_from_env()
+        assert got == want
 
 
 def _sweep_point(spec):

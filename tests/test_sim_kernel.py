@@ -115,6 +115,14 @@ class TestSimulator:
         sim.run(10)
         assert sim.cycle == 10
 
+    def test_negative_cycle_count_rejected(self, sim):
+        with pytest.raises(SimulationError, match="non-negative"):
+            sim.run(-5)
+
+    def test_zero_cycles_is_a_no_op(self, sim):
+        sim.run(0)
+        assert sim.cycle == 0
+
     def test_run_until_counts_cycles(self, sim):
         w = sim.wire("w")
         sampler = sim.add(Sampler("smp", w))
