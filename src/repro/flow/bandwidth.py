@@ -12,7 +12,7 @@ one flit per cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import NocParameters
 from repro.core.packet import PacketHeader
@@ -59,6 +59,56 @@ def demand_to_flit_rate(
     return transactions_per_cycle * flits_per_transaction(params, burst_len)
 
 
+#: One demand on a placement: its rate (words/kcycle) and the links its
+#: source route crosses, as (from-element, to-element) pairs in the
+#: direction of flow, the NI injection and ejection links included.
+DemandRoute = Tuple[float, Tuple[Tuple[str, str], ...]]
+
+
+def demand_routes(
+    topology: Topology,
+    core_graph: CoreGraph,
+    policy: str = "",
+) -> List[DemandRoute]:
+    """Every demand's rate and links, in ``core_graph.demands()`` order.
+
+    Only the placement decides them, never flit width or buffer depth,
+    so a mapped fabric derives them once
+    (:attr:`repro.flow.selection.MappedFabric.routes`) and every
+    configuration loads them with :func:`route_loads`.
+    """
+    policy = policy or topology.default_policy
+    switches = set(topology.switches)
+    routes = []
+    for src, dst, rate in core_graph.demands():
+        current = topology.switch_of(src)
+        links = [(src, current)]  # injection link
+        for hop in route_between(topology, src, dst, policy):
+            nxt = topology.ports_of(current)[hop]
+            links.append((current, nxt))
+            if nxt in switches:
+                current = nxt
+        routes.append((rate, tuple(links)))
+    return routes
+
+
+def route_loads(
+    routes: Sequence[DemandRoute],
+    params: NocParameters,
+    burst_len: int = 4,
+) -> Dict[Tuple[str, str], LinkLoad]:
+    """Per-link flit load of :func:`demand_routes` under ``params``."""
+    loads: Dict[Tuple[str, str], float] = {}
+    for rate, links in routes:
+        flits = demand_to_flit_rate(rate, params, burst_len)
+        for link in links:
+            loads[link] = loads.get(link, 0.0) + flits
+    return {
+        key: LinkLoad(src=key[0], dst=key[1], flits_per_cycle=v)
+        for key, v in loads.items()
+    }
+
+
 def link_loads(
     topology: Topology,
     core_graph: CoreGraph,
@@ -71,26 +121,7 @@ def link_loads(
     Links are identified by (from-element, to-element) pairs in the
     direction of flow; NI injection and ejection links are included.
     """
-    policy = policy or topology.default_policy
-    loads: Dict[Tuple[str, str], float] = {}
-
-    def add(src: str, dst: str, flits: float) -> None:
-        loads[(src, dst)] = loads.get((src, dst), 0.0) + flits
-
-    for src, dst, rate in core_graph.demands():
-        flits = demand_to_flit_rate(rate, params, burst_len)
-        route = route_between(topology, src, dst, policy)
-        current = topology.switch_of(src)
-        add(src, current, flits)  # injection link
-        for hop in route:
-            nxt = topology.ports_of(current)[hop]
-            add(current, nxt, flits)
-            if nxt in topology.switches:
-                current = nxt
-    return {
-        key: LinkLoad(src=key[0], dst=key[1], flits_per_cycle=v)
-        for key, v in loads.items()
-    }
+    return route_loads(demand_routes(topology, core_graph, policy), params, burst_len)
 
 
 def check_feasibility(
@@ -106,9 +137,16 @@ def check_feasibility(
     below 1.0 keeps headroom for the ACK/NACK retransmission overhead
     and burstiness that average-rate analysis cannot see.
     """
+    return feasibility(link_loads(topology, core_graph, params, burst_len), margin)
+
+
+def feasibility(
+    loads: Dict[Tuple[str, str], LinkLoad],
+    margin: float = 0.8,
+) -> Tuple[bool, List[LinkLoad]]:
+    """:func:`check_feasibility` of loads already computed."""
     if not 0 < margin <= 1.0:
         raise ValueError("margin must be in (0, 1]")
-    loads = link_loads(topology, core_graph, params, burst_len)
     hot = [
         load
         for load in loads.values()

@@ -15,18 +15,25 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.core.config import NocParameters
-from repro.flow.bandwidth import LinkLoad, check_feasibility, flits_per_transaction
+from repro.flow.bandwidth import (
+    DemandRoute,
+    LinkLoad,
+    demand_routes,
+    feasibility,
+    flits_per_transaction,
+    route_loads,
+)
 from repro.flow.floorplan import Floorplan, floorplan_topology
 from repro.flow.mapping import anneal_mapping, apply_mapping, greedy_mapping, mapping_cost
 from repro.flow.taskgraph import CoreGraph
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import Topology
-from repro.synth.report import SynthesisReport, synthesize_noc
+from repro.synth.report import NocCensus, SynthesisReport, synthesize_noc
 
 #: Cycles a flit spends per hop: 2 switch pipeline stages + 1 link stage.
 CYCLES_PER_HOP = 3
@@ -82,13 +89,35 @@ def estimate_mean_cycles(
     for their cheap datapaths in latency (the tradeoff the A3 ablation
     measures and the DSE sweeps).
     """
+    return mean_cycles(demand_hops(core_graph, topology, mapping), params, burst_len)
+
+
+def demand_hops(
+    core_graph: CoreGraph,
+    topology: Topology,
+    mapping: Dict[str, str],
+) -> List[Tuple[float, int]]:
+    """``(rate, hop count)`` of every demand, in demand order, the
+    ejection hop included: all the latency estimate reads of a
+    placement (:attr:`MappedFabric.hops` keeps it per fabric)."""
+    hops = dict(nx.all_pairs_shortest_path_length(topology.graph))
+    return [
+        (rate, hops[mapping[src]][mapping[dst]] + 1)
+        for src, dst, rate in core_graph.demands()
+    ]
+
+
+def mean_cycles(
+    hop_counts: Sequence[Tuple[float, int]],
+    params: Optional[NocParameters] = None,
+    burst_len: int = 4,
+) -> float:
+    """:func:`estimate_mean_cycles` over :func:`demand_hops`."""
     params = params or NocParameters()
     serialization = flits_per_transaction(params, burst_len) - 1
-    hops = dict(nx.all_pairs_shortest_path_length(topology.graph))
     total_rate = 0.0
     total_cycles = 0.0
-    for src, dst, rate in core_graph.demands():
-        hop_count = hops[mapping[src]][mapping[dst]] + 1  # + ejection hop
+    for rate, hop_count in hop_counts:
         total_cycles += rate * (
             hop_count * CYCLES_PER_HOP + NI_OVERHEAD_CYCLES + serialization
         )
@@ -146,6 +175,26 @@ class MappedFabric:
         topo = apply_mapping(fabric, self.core_graph, mapping)
         return topo, mapping, mapping_cost(self.core_graph, topo, mapping)
 
+    # What stage 2 reads of the placement: fixed by it, the same for
+    # every flit width and buffer depth, so derived on first read and
+    # kept for as long as the placement is.
+
+    @cached_property
+    def hops(self) -> List[Tuple[float, int]]:
+        """:func:`demand_hops` of the placement."""
+        topo, mapping, _ = self.placement
+        return demand_hops(self.core_graph, topo, mapping)
+
+    @cached_property
+    def routes(self) -> List[DemandRoute]:
+        """:func:`~repro.flow.bandwidth.demand_routes` of the placement."""
+        return demand_routes(self.placement[0], self.core_graph)
+
+    @cached_property
+    def census(self) -> NocCensus:
+        """The synthesis models' view of the mapped topology."""
+        return NocCensus.of(self.placement[0])
+
 
 def estimate_candidate(
     mapped: MappedFabric,
@@ -154,14 +203,16 @@ def estimate_candidate(
 ) -> CandidateResult:
     """Stage 2: size one mapped fabric under ``config`` and estimate it.
     Reads the placement, never changes it, so results of one
-    :class:`MappedFabric` share its topology and mapping objects."""
-    core_graph = mapped.core_graph
+    :class:`MappedFabric` share its topology and mapping objects; what
+    the placement alone decides (hop counts, routes, the census of
+    component instances) is derived once per fabric, and only the
+    models that read width and depth run per point."""
     topo, mapping, cost = mapped.placement
-    report = synthesize_noc(topo, config, target_freq_mhz=target_freq_mhz)
+    report = synthesize_noc(mapped.census, config, target_freq_mhz=target_freq_mhz)
     freq = min(report.min_max_freq_mhz, target_freq_mhz)
     params = (config.params if config is not None else None) or NocParameters()
-    cycles = estimate_mean_cycles(core_graph, topo, mapping, params=params)
-    feasible, overloaded = check_feasibility(topo, core_graph, params)
+    cycles = mean_cycles(mapped.hops, params)
+    feasible, overloaded = feasibility(route_loads(mapped.routes, params))
     return CandidateResult(
         topology=topo,
         mapping=mapping,

@@ -9,7 +9,7 @@ flow uses to explore topologies without running synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import NiConfig, NocParameters, SwitchConfig
 from repro.network.noc import NocBuildConfig
@@ -96,36 +96,65 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class NocCensus:
+    """What the synthesis models read of a topology: every switch with
+    its radix and every NI with its role, in report order, plus the
+    link count.  Only the topology decides it, so a mapped fabric takes
+    it once (:attr:`repro.flow.selection.MappedFabric.census`) and
+    :func:`synthesize_noc` sizes it under every configuration."""
+
+    name: str
+    switches: Tuple[Tuple[str, int], ...]  # (name, radix)
+    nis: Tuple[Tuple[str, bool], ...]  # (name, is initiator)
+    n_links: int
+
+    @classmethod
+    def of(cls, topology: Topology) -> "NocCensus":
+        topology.validate()
+        return cls(
+            name=topology.name,
+            switches=tuple((s, topology.radix_of(s)) for s in topology.switches),
+            nis=tuple((ni, topology.is_initiator(ni)) for ni in topology.nis),
+            # Two unidirectional links per switch-switch edge and per NI
+            # attachment, exactly as the simulation view wires them.
+            n_links=2 * topology.graph.number_of_edges() + 2 * len(topology.nis),
+        )
+
+
 def synthesize_noc(
-    topology: Topology,
+    topology: Union[Topology, NocCensus],
     config: Optional[NocBuildConfig] = None,
     target_freq_mhz: float = 1000.0,
     lib: TechnologyLibrary = UMC130,
     activity: float = DEFAULT_ACTIVITY,
     include_links: bool = True,
 ) -> SynthesisReport:
-    """Estimate area/frequency/power for every instance of a topology.
+    """Estimate area/frequency/power for every instance of a topology
+    (or of its :class:`NocCensus`, taken once for many configurations).
 
     Components whose maximum achievable frequency falls below the
     target are synthesized at their own maximum instead (the paper's
     mesh case study does exactly this: NIs and 4x4 switches close
-    1 GHz while the 6x4 switches settle at 875-980 MHz).
+    1 GHz while the 6x4 switches settle at 875-980 MHz).  Instances of
+    one netlist -- switches of one radix, NIs of one role -- are
+    evaluated once and reported once each, in topology order.
     """
-    topology.validate()
+    census = topology if isinstance(topology, NocCensus) else NocCensus.of(topology)
     cfg = config or NocBuildConfig()
     params: NocParameters = cfg.params
-    report = SynthesisReport(noc_name=topology.name, target_freq_mhz=target_freq_mhz)
+    report = SynthesisReport(noc_name=census.name, target_freq_mhz=target_freq_mhz)
 
-    n_targets = max(len(topology.targets), 1)
-    n_initiators = max(len(topology.initiators), 1)
+    n_initiators = sum(initiator for _, initiator in census.nis)
+    n_targets = max(len(census.nis) - n_initiators, 1)
+    n_initiators = max(n_initiators, 1)
     ni_cfg = NiConfig(
         params=params,
         buffer_depth=cfg.ni_buffer_depth,
         max_outstanding=cfg.ni_max_outstanding,
     )
 
-    for s in topology.switches:
-        radix = topology.radix_of(s)
+    def switch_model(radix: int) -> tuple:
         sw_cfg = SwitchConfig(
             n_inputs=radix,
             n_outputs=radix,
@@ -135,46 +164,40 @@ def synthesize_noc(
         )
         fmax = switch_max_freq_mhz(sw_cfg, params, lib)
         f_run = min(target_freq_mhz, fmax)
-        report.components.append(
-            ComponentReport(
-                name=s,
-                kind="switch",
-                label=sw_cfg.label(),
-                area_mm2=switch_area_mm2(sw_cfg, params, lib=lib, target_freq_mhz=f_run),
-                max_freq_mhz=fmax,
-                power_mw=switch_power_mw(
-                    sw_cfg, params, f_run, lib=lib, activity=activity
-                ),
-            )
+        return (
+            "switch",
+            sw_cfg.label(),
+            switch_area_mm2(sw_cfg, params, lib=lib, target_freq_mhz=f_run),
+            fmax,
+            switch_power_mw(sw_cfg, params, f_run, lib=lib, activity=activity),
         )
 
-    for ni in topology.nis:
-        initiator = topology.is_initiator(ni)
+    def ni_model(initiator: bool) -> tuple:
         n_dest = n_targets if initiator else n_initiators
         fmax = ni_max_freq_mhz(ni_cfg, lib, initiator)
         f_run = min(target_freq_mhz, fmax)
-        kind = "initiator_ni" if initiator else "target_ni"
-        report.components.append(
-            ComponentReport(
-                name=ni,
-                kind=kind,
-                label=f"flit{params.flit_width}",
-                area_mm2=ni_area_mm2(
-                    ni_cfg, lib=lib, initiator=initiator,
-                    n_destinations=n_dest, target_freq_mhz=f_run,
-                ),
-                max_freq_mhz=fmax,
-                power_mw=ni_power_mw(
-                    ni_cfg, f_run, lib=lib, initiator=initiator,
-                    n_destinations=n_dest, activity=activity,
-                ),
-            )
+        return (
+            "initiator_ni" if initiator else "target_ni",
+            f"flit{params.flit_width}",
+            ni_area_mm2(
+                ni_cfg, lib=lib, initiator=initiator,
+                n_destinations=n_dest, target_freq_mhz=f_run,
+            ),
+            fmax,
+            ni_power_mw(
+                ni_cfg, f_run, lib=lib, initiator=initiator,
+                n_destinations=n_dest, activity=activity,
+            ),
+        )
+
+    for instances, model in ((census.switches, switch_model), (census.nis, ni_model)):
+        models = {key: model(key) for key in {key for _, key in instances}}
+        report.components.extend(
+            ComponentReport(name, *models[key]) for name, key in instances
         )
 
     if include_links:
-        # Two unidirectional links per switch-switch edge and per NI
-        # attachment, exactly as the simulation view wires them.
-        n_links = 2 * topology.graph.number_of_edges() + 2 * len(topology.nis)
+        n_links = census.n_links
         area = link_area_mm2(cfg.link, params, lib)
         power = area * (target_freq_mhz / 1000.0) * lib.dyn_mw_per_mm2_ghz * activity
         report.components.append(
