@@ -219,6 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline in seconds; timed-out requests answer "
         "504 with the standard error schema (default: 120; 0 disables)")
 
+    add = verb("compile", _elsewhere("repro.compiler:compile_main"),
+               "xpipesCompiler: a NoC specification JSON in; routing "
+               "tables, the SystemC-style synthesis view and the "
+               "synthesis estimate out")
+    spec_or_demo = verbs.choices["compile"].add_mutually_exclusive_group(
+        required=True)
+    spec_or_demo.add_argument("spec", nargs="?", metavar="SPEC.json",
+                              help="NoC specification JSON file")
+    spec_or_demo.add_argument("--demo", action="store_true",
+                              help="print a starter specification and exit")
+    add("-o", "--output", metavar="DIR",
+        help="write the synthesis view (SystemC-style sources) into DIR")
+    add("--tables", action="store_true", help="print the routing tables")
+    add("--report", action="store_true", help="print the synthesis estimate")
+    add("--freq", type=float, default=1000.0, metavar="MHZ",
+        help="target frequency of --report in MHz (default: 1000)")
+
     add = verb("chaos", _elsewhere("repro.chaos:chaos_main"),
                "seeded supervision drill: worker kills, stalls and store "
                "corruption must not change the sweep's result")

@@ -15,7 +15,13 @@ orthogonal views the paper describes:
 
 Routing tables (the NI LUT contents) are generated once and shared by
 both views (:mod:`~repro.compiler.routing_tables`).
+
+``python -m repro compile`` is the command-line front end
+(:func:`compile_main`): one JSON specification in, routing tables,
+the SystemC-style synthesis view and the synthesis estimate out.
 """
+
+import sys
 
 from repro.compiler.codegen import generate_systemc, write_systemc
 from repro.compiler.instantiate import simulation_view, synthesis_view
@@ -23,6 +29,7 @@ from repro.compiler.routing_tables import generate_routing_tables, render_routin
 from repro.compiler.spec import CoreBinding, NocSpecification
 
 __all__ = [
+    "compile_main",
     "CoreBinding",
     "NocSpecification",
     "generate_routing_tables",
@@ -32,3 +39,38 @@ __all__ = [
     "synthesis_view",
     "write_systemc",
 ]
+
+
+def _demo_spec() -> NocSpecification:
+    from repro.network.topology import attach_round_robin, mesh
+
+    topo = mesh(2, 2)
+    attach_round_robin(topo, 2, 2)
+    return NocSpecification.from_topology(topo, name="demo2x2")
+
+
+def compile_main(spec=None, output=None, tables=False, report=False,
+                 freq=1000.0, demo=False) -> int:
+    """``python -m repro compile``: ``--demo`` prints a starter
+    specification; otherwise read the ``spec`` file and do any of
+    ``--output DIR`` (write the synthesis view), ``--tables`` (print the
+    routing tables) and ``--report`` (print the synthesis estimate at
+    ``--freq`` MHz).  The parser requires exactly one of ``spec`` and
+    ``--demo``; a spec with nothing to do is a usage error (exit 2)."""
+    if demo:
+        print(_demo_spec().to_json())
+        return 0
+    if not (output or tables or report):
+        print("repro compile: error: nothing to do: pass --output, --tables "
+              "and/or --report", file=sys.stderr)
+        return 2
+    with open(spec, "r", encoding="utf-8") as f:
+        noc_spec = NocSpecification.from_json(f.read())
+    if tables:
+        print(render_routing_tables(generate_routing_tables(noc_spec)))
+    if report:
+        print(synthesis_view(noc_spec, target_freq_mhz=freq).to_table())
+    if output:
+        for path in write_systemc(noc_spec, output):
+            print(f"wrote {path}")
+    return 0

@@ -18,8 +18,16 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   What a worker may remember is module-level state -- from fork time
   and from the points it has run, exactly as inline execution does.
   None of it can reach a result: ``fn`` and the points cross the pipe
-  pickled with every row, keys are computed in the parent, and a
-  worker never touches the store;
+  pickled with every row;
+* **the worker that computes a point publishes it.**  Keys are computed
+  in the parent and cross the pipe with the row, beside the store's
+  root.  A worker pickles a result once, writes those bytes as the
+  record under the key it was given -- and no other key -- with the
+  store's file half (:func:`repro.store.cas.write_record`), and replies
+  with the same bytes and the record's header.  The parent only
+  accounts it (:meth:`repro.store.ResultStore.account`: ``puts``,
+  ``conflicts``, metrics, the chaos hook), so workers create records
+  in parallel and a miss returns exactly what a later hit reads;
 * the unit of work is a **row**: a list of points handed over together
   (:meth:`WorkStealingDispatcher.map_rows`; :meth:`map` is the
   one-point-row case).  A row's pending points cross the pipe in *one*
@@ -37,9 +45,9 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   row its victim would reach *last*, so stragglers shed load instead of
   gating the sweep.  Every steal is counted and emitted as a ``steal``
   event on the ``repro.telemetry.events`` plane;
-* everything around the scheduling -- store probing, streamed journal
-  and manifest updates, bounded retries with seeded-jitter exponential
-  backoff, per-point wall-clock timeouts (the worker is SIGKILLed and
+* everything else around the scheduling -- store probing and
+  accounting, streamed journal and manifest updates, bounded retries
+  with seeded-jitter exponential backoff, per-point wall-clock timeouts (the worker is SIGKILLed and
   respawned; only the point it held is re-attempted), crash isolation,
   the deferred first-failure re-raise -- is
   :class:`~repro.flow.runner.MapSession`'s bookkeeping; this module only
@@ -56,22 +64,24 @@ that raises fails alone and the worker carries on with the row.  A
 re-attempt re-enters as a one-point row.  The limit: a row runs on one
 worker, so a batch of one row has no parallelism.
 
-Tasks cross the pipe pickled, so ``fn`` and every point must pickle.
-An unpicklable ``fn`` (a lambda, a closure) is refused with a
-:class:`ValueError` before any worker is spawned; an unpicklable point
-is charged to that point alone as an ``"error"`` failure and its
+Tasks cross the pipe pickled, so ``fn``, every point and every result
+must pickle.  An unpicklable ``fn`` (a lambda, a closure) is refused
+with a :class:`ValueError` before any worker is spawned; an unpicklable
+point is charged to that point alone as an ``"error"`` failure and its
 siblings finish (a row that does not pickle is split into one-point
-rows to find it).
+rows to find it).  A result that does not pickle, or whose record
+cannot be written, is an ``"error"`` of its point too -- the same
+charge the inline scheduler makes.
 
 Supervision (docs/RESILIENCE.md, "Supervision & chaos testing"): on
 top of the scheduling, the dispatcher is its workers' supervisor.
 
 * **Heartbeats with a liveness deadline.**  Each worker runs a
   background thread that sends ``("hb",)`` ticks over its duplex pipe
-  while a point is executing.  A worker silent for longer than
-  ``liveness`` seconds is *wedged, not dead* -- a SIGSTOP, a pathological
-  native call -- and would otherwise be invisible until the per-point
-  ``timeout`` (or forever, with no timeout configured).  The
+  while a point is executing or publishing.  A worker silent for longer
+  than ``liveness`` seconds is *wedged, not dead* -- a SIGSTOP, a
+  pathological native call -- and would otherwise be invisible until
+  the per-point ``timeout`` (or forever, with no timeout configured).  The
   supervisor kills it, emits a ``worker_stall`` event, charges the
   attempt as kind ``"stall"`` and re-attempts only the point it held.
 * **Restart budgets with seeded-jitter backoff.**  A killed worker's
@@ -107,6 +117,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -115,6 +126,8 @@ from collections import deque
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+
+from repro.store import cas
 
 if TYPE_CHECKING:  # runner.py imports this module; only names are needed here
     from repro.flow.runner import ExperimentRunner, MapSession
@@ -131,22 +144,36 @@ DEFAULT_POISON_THRESHOLD = 3
 def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
     """Long-lived worker loop: run rows of points until told to stop.
 
-    Messages in: ``("run", fn, indices, points)`` -- one row, unpickled
-    as one object so what its points share stays shared -- or
-    ``("stop",)``.  Messages out, one per point, in row order:
-    ``("ok", i, seconds, result, events)`` on success, ``("error",
-    i, seconds, exc, summary, traceback_text, events)`` on an exception
-    (with ``exc`` downgraded to None when it does not pickle); the row
-    continues either way.
+    Messages in: ``("run", fn, indices, points, keys, root)`` -- one
+    row, unpickled as one object so what its points share stays shared;
+    ``keys`` are the points' store keys, computed in the supervisor, and
+    ``root`` is the store's directory (None when the map has no store)
+    -- or ``("stop",)``.  Messages out, one per point, in row order:
+    ``("ok", i, seconds, payload, published, events)`` on success,
+    ``("error", i, seconds, exc, summary, traceback_text, events)`` on
+    an exception (with ``exc`` downgraded to None when it does not
+    pickle); the row continues either way.
+
+    A point's result is pickled **once**, here: ``payload`` is those
+    bytes, and with a store they are also the record this worker
+    writes under the point's key (:func:`repro.store.cas.write_record`)
+    before replying, so the supervisor unpickles exactly what a later
+    hit will read.  ``published`` is the write's ``(header, outcome)``
+    for the supervisor to account (None without a store).  A result
+    that does not pickle, or a record that cannot be written, is an
+    ``"error"`` of its point.  ``seconds`` is the time of ``fn`` alone.
     ``events`` is the list of structured telemetry records
     (``repro.telemetry.events``) the point emitted -- a campaign's
     lane batches -- which the parent merges into its own
     ``events.jsonl``.  If the process dies before reporting (segfault,
-    SIGKILL) the parent sees EOF and classifies the point as a crash.
+    SIGKILL) the parent sees EOF and classifies the point as a crash;
+    a record it wrote first stays, and the re-attempt finds it
+    identical.
 
-    While a point is executing, a daemon thread additionally sends
-    ``("hb",)`` every ``heartbeat`` seconds -- the liveness signal the
-    parent's supervisor watches.  A stopped or wedged process stops
+    While a point is executing or publishing, a daemon thread
+    additionally sends ``("hb",)`` every ``heartbeat`` seconds -- the
+    liveness signal the parent's supervisor watches, so a write that
+    hangs is a stall like any other.  A stopped or wedged process stops
     beating (SIGSTOP freezes every thread), which is exactly what makes
     the stall detectable.  The same thread exits the process once the
     supervisor is gone (SIGKILLed sweep): forked siblings hold copies of
@@ -180,16 +207,19 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
 
     threading.Thread(target=_beat, daemon=True).start()
 
-    def run_point(fn, i: int, point) -> bool:
-        """Run and report one point; False when the pipe is gone."""
+    def run_point(fn, i: int, point, key: str, root: Optional[str]) -> bool:
+        """Run, publish and report one point; False when the pipe is gone."""
         collector = _events.install_sink(_events.EventCollector())
         working.set()
         t0 = time.perf_counter()
         try:
             result = fn(point)
+            seconds = time.perf_counter() - t0
+            payload = pickle.dumps(result)
+            published = cas.write_record(root, key, payload) if root else None
             working.clear()
             with send_lock:
-                conn.send(("ok", i, time.perf_counter() - t0, result,
+                conn.send(("ok", i, seconds, payload, published,
                            collector.records))
         except BaseException as exc:  # noqa: BLE001 -- report, parent decides
             working.clear()
@@ -225,9 +255,9 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
             except Exception:
                 pass
             return
-        _, fn, indices, points = msg
-        for i, point in zip(indices, points):
-            if not run_point(fn, i, point):
+        _, fn, indices, points, keys, root = msg
+        for i, point, key in zip(indices, points, keys):
+            if not run_point(fn, i, point, key, root):
                 shutdown.set()
                 return
 
@@ -264,7 +294,8 @@ class _Worker:
         return max(self.started, self.last_beat)
 
     def assign(self, payload: bytes, row: "List[tuple[int, int]]") -> None:
-        """Hand over one pre-pickled ``("run", fn, indices, points)`` row."""
+        """Hand over one pre-pickled ``("run", fn, indices, points, keys,
+        root)`` row."""
         self.conn.send_bytes(payload)
         self.row = deque(row)
 
@@ -603,6 +634,7 @@ class WorkStealingDispatcher:
                     payload = ForkingPickler.dumps((
                         "run", session.fn, indices,
                         [session.points[i] for i in indices],
+                        [session.keys[i] for i in indices], session.root,
                     ))
                 except Exception as exc:
                     if len(row) > 1:
@@ -756,10 +788,11 @@ class WorkStealingDispatcher:
                         continue
                     _, attempt = worker.row.popleft()
                     if msg[0] == "ok":
-                        _, ri, fn_seconds, result, wevents = msg
+                        _, ri, fn_seconds, payload, published, wevents = msg
                         _events.forward(wevents)
                         kill_streak.pop(ri, None)
-                        session.finish_ok(ri, attempt, fn_seconds, result)
+                        session.finish_ok(ri, attempt, fn_seconds,
+                                          pickle.loads(payload), published)
                         outstanding -= 1
                     else:
                         _, ri, fn_seconds, exc, summary, tb, wevents = msg

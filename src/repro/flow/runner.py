@@ -56,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import pickle
 import random
 import time
 import traceback
@@ -71,7 +72,7 @@ from repro.flow.keying import (  # noqa: F401 -- the keying names' old home
     stable_repr,
 )
 from repro.flow.pool import WorkStealingDispatcher
-from repro.store import ResultStore
+from repro.store import ResultStore, cas
 
 #: Kinds a :class:`PointFailure` can carry: the worker function raised,
 #: exceeded the wall-clock ``timeout``, the worker process died without
@@ -499,9 +500,13 @@ class ExperimentRunner:
         ]
 
     def _run_inline(self, session: "MapSession") -> None:
-        """Sequential execution of the pending points (``jobs == 1``)."""
+        """Sequential execution of the pending points (``jobs == 1``):
+        each point is computed and published here, with the same
+        :func:`repro.store.cas.write_record` a pool worker calls, and a
+        publish that raises is an ``"error"`` of its point, as there."""
         from repro.telemetry import events as _events
 
+        root = session.root
         for i in session.pending:
             attempts = 0
             while True:
@@ -513,6 +518,10 @@ class ExperimentRunner:
                 t0 = time.perf_counter()
                 try:
                     result = session.fn(session.points[i])
+                    seconds = time.perf_counter() - t0
+                    published = cas.write_record(
+                        root, session.keys[i], pickle.dumps(result)
+                    ) if root else None
                 except Exception as exc:
                     seconds = time.perf_counter() - t0
                     if session.attempt_failed(
@@ -523,8 +532,7 @@ class ExperimentRunner:
                         time.sleep(session.backoff_delay(i, attempts))
                         continue
                     break
-                seconds = time.perf_counter() - t0
-                session.finish_ok(i, attempts, seconds, result)
+                session.finish_ok(i, attempts, seconds, result, published)
                 break
 
     # -- reporting --------------------------------------------------------
@@ -564,9 +572,11 @@ class MapSession:
     very differently -- a loop in this process vs. long-lived workers
     pulling from shards -- but everything *around* the scheduling is
     identical and lives here: effective retry/timeout configuration,
-    cache keys and cache probing, the streamed store/journal/manifest
-    updates as points finish, retry accounting, the telemetry event
-    stream, and the deferred first-failure re-raise.
+    cache keys and cache probing, the streamed store accounting and
+    journal/manifest updates as points finish, retry accounting, the
+    telemetry event stream, and the deferred first-failure re-raise.
+    The store *record* of a point is written by whichever process ran
+    the point; the session only accounts it (:meth:`finish_ok`).
 
     Lifecycle: construct (probes the cache, classifying every point as
     a hit or ``pending``), then :meth:`execute` with a scheduler, which
@@ -608,6 +618,11 @@ class MapSession:
 
         if runner.store is not None:  # cache_dir= opened one too
             check_keyable_fn(fn)
+        #: The store directory the point's process publishes into
+        #: (None: nothing is stored).
+        self.root: Optional[str] = (
+            runner.store.root if runner.store is not None else None
+        )
         self.keys = point_keys(fn, points, runner.salt)
         # Deterministic jitter seed: a function of *what* is being run,
         # not of wall-clock or pid, so chaos runs and re-runs
@@ -743,7 +758,14 @@ class MapSession:
         self._journal.write(record)
 
     # -- attempt outcomes -------------------------------------------------
-    def finish_ok(self, i: int, attempts: int, seconds: float, result: Any) -> None:
+    def finish_ok(
+        self, i: int, attempts: int, seconds: float, result: Any,
+        published: Optional["tuple[cas.StoreRecord, str]"],
+    ) -> None:
+        """Account a point that ran and was published where it ran:
+        ``published`` is :func:`repro.store.cas.write_record`'s
+        ``(header, outcome)`` (None without a store), which the store
+        counts here; no record file is written here."""
         from repro.telemetry import events as _events
 
         runner = self.runner
@@ -754,8 +776,8 @@ class MapSession:
         runner.reports.append(
             PointReport(f"{self.label}[{i}]", self.keys[i], seconds, cached=False)
         )
-        if runner.store is not None:
-            runner.store.put(self.keys[i], result)
+        if published is not None:
+            runner.store.account(*published)
         self._journal_append(
             {
                 "status": "ok",

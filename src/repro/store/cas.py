@@ -28,6 +28,16 @@ directory), so concurrent publishers racing on one key settle
 last-write-wins with no reader ever seeing a torn record; a racing
 publish that would *change* an existing record's digest is counted in
 ``conflicts`` (determinism violations are worth noticing).
+
+A publish has two halves.  :func:`write_record` is the file half --
+sha256, the existing-record check, the tempfile and the rename -- and
+runs where the value was computed: in the pool worker that ran the
+point (:mod:`repro.flow.pool`), so workers create records in parallel.
+:meth:`ResultStore.account` is the other half -- ``puts``,
+``conflicts``, the ``store.*`` metrics and the chaos hook -- and runs
+in the supervisor on the header the worker reports.
+:meth:`ResultStore.put` is both halves in one process.
+
 :meth:`ResultStore.keys` lists the record files,
 :meth:`ResultStore.record` reads one header, and
 :meth:`ResultStore.gc` evicts the oldest records to a count/byte
@@ -95,6 +105,104 @@ def _check_key(key: str) -> str:
     return key
 
 
+#: What :func:`write_record` found: no record under the key (or a
+#: damaged one), a record of identical bytes, or one of different bytes.
+NEW, SAME, CONFLICT = "new", "same", "conflict"
+
+#: Everything reading a record can raise on a damaged file.
+_DAMAGE = (StoreError, OSError, ValueError, KeyError, TypeError,
+           pickle.PickleError, EOFError, AttributeError, ImportError,
+           IndexError)
+
+
+def _record_path(root: str, key: str) -> str:
+    _check_key(key)
+    return os.path.join(root, OBJECTS_DIRNAME, key[:2], key + RECORD_SUFFIX)
+
+
+def _read_header(fh: Any, key: str) -> StoreRecord:
+    """The header of the record file open as ``fh`` (left positioned
+    at the payload); raises one of ``_DAMAGE`` on any damage."""
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise StoreError(f"bad magic {magic!r}")
+    header = json.loads(fh.readline().decode("utf-8"))
+    record = StoreRecord(
+        key=str(header["key"]),
+        digest=str(header["digest"]),
+        size=int(header["size"]),
+        created=float(header["created"]),
+        label=str(header.get("label", "")),
+    )
+    if record.key != key:
+        raise StoreError(
+            f"header names key {record.key[:12]}..., file is {key[:12]}..."
+        )
+    return record
+
+
+def _quarantine(path: str) -> None:
+    """Rename a damaged record to ``*.corrupt`` (evidence for debugging;
+    :meth:`ResultStore.gc` sweeps it)."""
+    try:
+        os.replace(path, path[: -len(RECORD_SUFFIX)] + ".corrupt")
+    except OSError:
+        pass
+
+
+def write_record(
+    root: str, key: str, payload: bytes, label: str = ""
+) -> Tuple[StoreRecord, str]:
+    """The file half of a publish: make ``payload`` (a pickle) the
+    record under ``key`` in the store rooted at ``root``.  Returns the
+    header and the outcome -- :data:`NEW`, :data:`SAME` (an identical
+    record was there and is kept, untouched) or :data:`CONFLICT` (a
+    record of different bytes was replaced).  A damaged record under
+    the key is quarantined and counts as absent.
+
+    It counts nothing and calls no hook, so it runs in whichever
+    process computed the value -- a pool worker, or the supervisor at
+    ``jobs=1``; :meth:`ResultStore.account` is the other half.  The
+    write is a tempfile in the shard directory plus ``os.replace``: a
+    reader never sees a torn record, and a writer cut short leaves at
+    most a ``*.tmp`` file that no reader lists."""
+    digest = hashlib.sha256(payload).hexdigest()
+    path = _record_path(root, key)
+    outcome = NEW
+    try:
+        with open(path, "rb") as fh:
+            existing = _read_header(fh, key)
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    except _DAMAGE:
+        _quarantine(path)
+    else:
+        if existing.digest == digest:
+            return existing, SAME
+        outcome = CONFLICT
+    record = StoreRecord(
+        key=key, digest=digest, size=len(payload), created=time.time(),
+        label=label,
+    )
+    shard = os.path.dirname(path)
+    os.makedirs(shard, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(json.dumps(record.as_dict(), sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return record, outcome
+
+
 class ResultStore:
     """A shared, self-verifying result directory.  See the module
     docstring for the format; see docs/SERVICE.md for the service it
@@ -148,8 +256,7 @@ class ResultStore:
 
     # -- paths ------------------------------------------------------------
     def record_path(self, key: str) -> str:
-        _check_key(key)
-        return os.path.join(self._objects, key[:2], key + RECORD_SUFFIX)
+        return _record_path(self.root, key)
 
     # -- write side -------------------------------------------------------
     def put(self, key: str, value: Any, label: str = "") -> StoreRecord:
@@ -157,40 +264,19 @@ class ResultStore:
         record header.  Re-publishing an identical payload is an
         idempotent no-op (the existing record is kept); a *different*
         payload wins the race last-write style and bumps
-        ``conflicts``."""
-        payload = pickle.dumps(value)
-        digest = hashlib.sha256(payload).hexdigest()
-        existing = self.record(key)
-        if existing is not None:
-            if existing.digest == digest:
-                return existing
+        ``conflicts``.  :func:`write_record` and :meth:`account` in one
+        process."""
+        return self.account(*write_record(self.root, key, pickle.dumps(value), label))
+
+    def account(self, record: StoreRecord, outcome: str) -> StoreRecord:
+        """Count one :func:`write_record` outcome, wherever the file was
+        written: ``puts`` (and the chaos hook) for a record that is
+        new or replaced a different one, ``conflicts`` for the latter,
+        nothing for a republish of identical bytes."""
+        if outcome == SAME:
+            return record
+        if outcome == CONFLICT:
             self._count("conflicts", "conflicts")
-        record = StoreRecord(
-            key=key,
-            digest=digest,
-            size=len(payload),
-            created=time.time(),
-            label=label,
-        )
-        path = self.record_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(
-                    json.dumps(record.as_dict(), sort_keys=True).encode("utf-8")
-                )
-                fh.write(b"\n")
-                fh.write(payload)
-                fh.flush()
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self._count("puts", "puts")
         if self.chaos is not None:
             self.chaos.on_store_put(self, record)
@@ -204,23 +290,7 @@ class ResultStore:
         path = self.record_path(key)
         try:
             with open(path, "rb") as fh:
-                magic = fh.read(len(MAGIC))
-                if magic != MAGIC:
-                    raise StoreError(f"bad magic {magic!r}")
-                header_line = fh.readline()
-                header = json.loads(header_line.decode("utf-8"))
-                record = StoreRecord(
-                    key=str(header["key"]),
-                    digest=str(header["digest"]),
-                    size=int(header["size"]),
-                    created=float(header["created"]),
-                    label=str(header.get("label", "")),
-                )
-                if record.key != key:
-                    raise StoreError(
-                        f"header names key {record.key[:12]}..., "
-                        f"file is {key[:12]}..."
-                    )
+                record = _read_header(fh, key)
                 if not with_payload:
                     return record, None
                 payload = fh.read()
@@ -232,16 +302,11 @@ class ResultStore:
                 if hashlib.sha256(payload).hexdigest() != record.digest:
                     raise StoreError("payload sha256 does not match header")
                 return record, pickle.loads(payload)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return None, None
-        except (StoreError, OSError, ValueError, KeyError, TypeError,
-                pickle.PickleError, EOFError, AttributeError, ImportError,
-                IndexError):
+        except _DAMAGE:
             self._count("corrupt_records", "corrupt_records")
-            try:
-                os.replace(path, path[: -len(RECORD_SUFFIX)] + ".corrupt")
-            except OSError:
-                pass
+            _quarantine(path)
             return None, None
 
     def record(self, key: str) -> Optional[StoreRecord]:

@@ -35,6 +35,7 @@ VERB_FLAGS = {
     "serve": {"--store", "--host", "--port", "--serve-workers",
               "--max-inflight", "--request-timeout"},
     "chaos": {"--seed", "--points", "--workers", "--chaos-dir", "--keep"},
+    "compile": {"--demo", "--output", "--tables", "--report", "--freq"},
 }
 
 
@@ -53,12 +54,12 @@ class TestHelp:
             main([verb, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", out, flags=re.M))
+        listed = set(re.findall(r"^  (?:-\w(?: \S+)?, )?(--[\w-]+)", out, flags=re.M))
         assert listed == VERB_FLAGS[verb] | {"--help"}
         assert f"{verb}:" not in out  # no per-verb prefixes left
 
-    def test_thirty_verb_flag_pairs(self):
-        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 30
+    def test_thirty_five_verb_flag_pairs(self):
+        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 35
 
     def test_no_verb_is_info(self, capsys):
         assert main([]) == 0
@@ -143,6 +144,9 @@ class TestHandlers:
           "workers": 3, "max_inflight": 2, "request_timeout": 120.0}),
         (["chaos", "--chaos-dir", "s"], "repro.chaos:chaos_main",
          {"out": "s", "seed": 7, "points": 12, "workers": 3, "keep": False}),
+        (["compile", "spec.json", "--tables"], "repro.compiler:compile_main",
+         {"spec": "spec.json", "demo": False, "output": None, "tables": True,
+          "report": False, "freq": 1000.0}),
     ])
     def test_body_beside_its_package_gets_every_flag(
         self, argv, target, expected, monkeypatch
