@@ -177,7 +177,7 @@ def _top_cpp(spec: NocSpecification) -> str:
         signals.append(f"    sc_signal<sc_uint<8> > {sig}_ack;")
 
     # Switch-to-switch channels.
-    for a, b in topo.graph.edges:
+    for a, b in topo.edges:
         sa = f"{a}_{topo.port_toward(a, b)}__{b}_{topo.port_toward(b, a)}"
         channel(f"ch_{sa}_fwd")
         channel(f"ch_{sa}_rev")

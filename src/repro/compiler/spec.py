@@ -80,7 +80,7 @@ class NocSpecification:
             flow_control=cfg.flow_control,
             routing_policy=cfg.routing_policy,
             switches=topology.switches,
-            edges=[tuple(e) for e in topology.graph.edges],
+            edges=topology.edges,
             coords=dict(topology.coords),
             cores=cores,
         )

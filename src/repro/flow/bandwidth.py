@@ -162,5 +162,5 @@ def bisection_demand(topology: Topology, core_graph: CoreGraph, mapping_free=Tru
     A coarse scalar used to compare fabrics before mapping: fabrics with
     more links spread the same demand thinner.
     """
-    edges = max(topology.graph.number_of_edges(), 1)
+    edges = max(len(topology.edges), 1)
     return core_graph.total_demand() / edges

@@ -104,9 +104,9 @@ def floorplan_topology(
     order = list(switches)
     rng.shuffle(order)
     assign = {s: i for i, s in enumerate(order)}
-    # Read once: the move loop walks no networkx view and no coordinate
+    # Read once: the move loop walks no port list and no coordinate
     # (the slot-to-slot table is slots^2 floats, ~5 MB at 400 switches).
-    edges = list(topology.graph.edges)
+    edges = topology.edges
     dist = [[abs(ax - bx) + abs(ay - by) for bx, by in slots] for ax, ay in slots]
 
     def cost() -> float:
@@ -158,7 +158,7 @@ def _finish(
     tile_mm: float,
 ) -> Floorplan:
     plan = Floorplan(positions=positions, tile_mm=tile_mm)
-    for a, b in topology.graph.edges:
+    for a, b in topology.edges:
         ax, ay = positions[a]
         bx, by = positions[b]
         plan.link_lengths_mm[(a, b)] = abs(ax - bx) + abs(ay - by)

@@ -17,16 +17,10 @@ import math
 import random
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from repro.core.config import NocParameters
 from repro.flow.bandwidth import demand_to_flit_rate
 from repro.flow.taskgraph import CoreGraph
 from repro.network.topology import Topology
-
-
-def _hop_matrix(fabric: Topology) -> Dict[str, Dict[str, int]]:
-    return dict(nx.all_pairs_shortest_path_length(fabric.graph))
 
 
 def mapping_cost(
@@ -42,7 +36,7 @@ def mapping_cost(
     not free (they still cross their shared switch).
     """
     if hops is None:
-        hops = _hop_matrix(fabric)
+        hops = fabric.hop_matrix()
     total = 0.0
     for src, dst, rate in core_graph.demands():
         total += rate * (hops[mapping[src]][mapping[dst]] + 1)
@@ -66,7 +60,7 @@ def greedy_mapping(
     takes the one minimizing its demand-weighted distance to already
     placed partners.
     """
-    hops = _hop_matrix(fabric)
+    hops = fabric.hop_matrix()
     capacity = _slot_capacity(fabric, max_radix)
     if sum(capacity.values()) < len(core_graph.cores):
         raise ValueError(
@@ -80,7 +74,7 @@ def greedy_mapping(
             core_graph.demand_between(c, o) for o in core_graph.cores if o != c
         ),
     )
-    centrality = nx.closeness_centrality(fabric.graph) if len(fabric.switches) > 1 else {
+    centrality = fabric.closeness() if len(fabric.switches) > 1 else {
         s: 1.0 for s in fabric.switches
     }
     mapping: Dict[str, str] = {}
@@ -119,12 +113,12 @@ def bandwidth_penalty(
     below a one-flit-per-cycle-per-hop budget.
     """
     if hops is None:
-        hops = _hop_matrix(fabric)
+        hops = fabric.hop_matrix()
     pressure = 0.0
     for src, dst, rate in core_graph.demands():
         flits = demand_to_flit_rate(rate, params)
         pressure += flits * (hops[mapping[src]][mapping[dst]] + 1)
-    return _overload_penalty(pressure, fabric.graph.number_of_edges())
+    return _overload_penalty(pressure, len(fabric.edges))
 
 
 def _overload_penalty(pressure: float, fabric_edges: int) -> float:
@@ -174,7 +168,7 @@ def anneal_mapping(
     core_ids = list(range(len(cores)))
     core_index = {c: i for i, c in enumerate(cores)}
     switch_index = {s: j for j, s in enumerate(switches)}
-    hops = _hop_matrix(fabric)
+    hops = fabric.hop_matrix()
     hop1 = [[hops[a][b] + 1 for b in switches] for a in switches]
     place = [switch_index[mapping[c]] for c in cores]
     cap = [capacity[s] for s in switches]
@@ -182,7 +176,7 @@ def anneal_mapping(
         (core_index[src], core_index[dst], rate)
         for src, dst, rate in core_graph.demands()
     ]
-    fabric_edges = fabric.graph.number_of_edges()
+    fabric_edges = len(fabric.edges)
     flit_demands = []
     if bandwidth_params is not None:
         flit_demands = [

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.config import NocParameters
 from repro.flow.bandwidth import (
     DemandRoute,
@@ -100,7 +98,7 @@ def demand_hops(
     """``(rate, hop count)`` of every demand, in demand order, the
     ejection hop included: all the latency estimate reads of a
     placement (:attr:`MappedFabric.hops` keeps it per fabric)."""
-    hops = dict(nx.all_pairs_shortest_path_length(topology.graph))
+    hops = topology.hop_matrix()
     return [
         (rate, hops[mapping[src]][mapping[dst]] + 1)
         for src, dst, rate in core_graph.demands()

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class CoreSpec:
@@ -33,29 +31,28 @@ class TaskGraph:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.DiGraph()
+        #: ``{src: {dst: rate}}``; every task is a key, in the order it
+        #: was first named, and each source's flows in declaration order.
+        self.rates: Dict[str, Dict[str, float]] = {}
 
     def add_task(self, task: str) -> None:
-        self.graph.add_node(task)
+        self.rates.setdefault(task, {})
 
     def add_flow(self, src: str, dst: str, rate: float) -> None:
         """Declare that ``src`` sends ``rate`` words/kcycle to ``dst``."""
         if rate <= 0:
             raise ValueError("flow rate must be positive")
-        for t in (src, dst):
-            if t not in self.graph:
-                self.graph.add_node(t)
-        if self.graph.has_edge(src, dst):
-            self.graph[src][dst]["rate"] += rate
-        else:
-            self.graph.add_edge(src, dst, rate=rate)
+        self.add_task(src)
+        self.add_task(dst)
+        out = self.rates[src]
+        out[dst] = out.get(dst, 0) + rate
 
     @property
     def tasks(self) -> List[str]:
-        return list(self.graph.nodes)
+        return list(self.rates)
 
     def flows(self) -> List[Tuple[str, str, float]]:
-        return [(u, v, d["rate"]) for u, v, d in self.graph.edges(data=True)]
+        return _edges(self.rates)
 
     def fold(self, assignment: Dict[str, str], cores: Iterable[CoreSpec]) -> "CoreGraph":
         """Fold tasks onto cores; intra-core flows vanish.
@@ -93,8 +90,11 @@ class CoreGraph:
             if c.name in self.cores:
                 raise ValueError(f"duplicate core {c.name!r}")
             self.cores[c.name] = c
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self.cores)
+        #: ``{src: {dst: rate}}``: every core is a key, in core order,
+        #: and each source's demands in the order first declared.
+        self.rates: Dict[str, Dict[str, float]] = {c: {} for c in self.cores}
+        # dst -> its sources, in the order first declared.
+        self._sources: Dict[str, List[str]] = {c: [] for c in self.cores}
 
     @property
     def initiators(self) -> List[str]:
@@ -115,13 +115,15 @@ class CoreGraph:
                 f"{'initiators' if self.cores[src].is_initiator else 'targets'}; "
                 "route it through a slave"
             )
-        if self.graph.has_edge(src, dst):
-            self.graph[src][dst]["rate"] += rate
-        else:
-            self.graph.add_edge(src, dst, rate=rate)
+        out = self.rates[src]
+        if dst not in out:
+            self._sources[dst].append(src)
+        out[dst] = out.get(dst, 0) + rate
 
     def demands(self) -> List[Tuple[str, str, float]]:
-        return [(u, v, d["rate"]) for u, v, d in self.graph.edges(data=True)]
+        """Every demand: sources in core order, each one's targets in
+        the order first declared."""
+        return _edges(self.rates)
 
     def cache_token(self) -> tuple:
         """Stable content identity for experiment-cache keys (see
@@ -136,10 +138,10 @@ class CoreGraph:
     def demand_between(self, a: str, b: str) -> float:
         """Total demand in both directions between two cores."""
         total = 0.0
-        if self.graph.has_edge(a, b):
-            total += self.graph[a][b]["rate"]
-        if self.graph.has_edge(b, a):
-            total += self.graph[b][a]["rate"]
+        if b in self.rates[a]:
+            total += self.rates[a][b]
+        if a in self.rates[b]:
+            total += self.rates[b][a]
         return total
 
     def total_demand(self) -> float:
@@ -154,11 +156,15 @@ class CoreGraph:
         caller's choice).
         """
         out: Dict[str, float] = {}
-        for _, dst, rate in self.graph.out_edges(initiator, data="rate"):
+        for dst, rate in self.rates[initiator].items():
             out[dst] = out.get(dst, 0.0) + rate
-        for src, _, rate in self.graph.in_edges(initiator, data="rate"):
-            out[src] = out.get(src, 0.0) + rate
+        for src in self._sources[initiator]:
+            out[src] = out.get(src, 0.0) + self.rates[src][initiator]
         return out
+
+
+def _edges(rates: Dict[str, Dict[str, float]]) -> List[Tuple[str, str, float]]:
+    return [(u, v, r) for u, out in rates.items() for v, r in out.items()]
 
 
 def demo_multimedia_soc() -> Tuple[TaskGraph, Dict[str, str], CoreGraph]:

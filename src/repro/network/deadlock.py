@@ -12,18 +12,23 @@ The builder can run the check up front (``Noc`` exposes it via
 :func:`check_deadlock_freedom`), turning a lurking simulation hang into
 a design-time diagnostic -- exactly the kind of guarantee a
 synthesis-oriented flow must give.
+
+networkx (for its cycle enumeration) is imported by the two functions
+that build or search the graph, not by this module: no build, sweep or
+serve path that skips the analysis loads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.routing import Route, route_between
 from repro.network.topology import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Channel = Tuple[str, str]  # (from element, to element), direction of flow
 
@@ -65,6 +70,8 @@ def channel_dependency_graph(
     and ejection channels cannot participate in cycles -- they have a
     single producer/consumer -- and are omitted, as is standard).
     """
+    import networkx as nx
+
     policy = policy or topology.default_policy
     cdg = nx.DiGraph()
     pairs = [(i, t) for i in topology.initiators for t in topology.targets]
@@ -110,6 +117,8 @@ def check_deadlock_freedom(
     rather than "the first one found"; ``cycles_truncated`` flags when
     the cap was hit.
     """
+    import networkx as nx
+
     cdg = channel_dependency_graph(topology, policy)
     cycles = [
         list(nodes)

@@ -199,7 +199,7 @@ class Noc:
         self._ni_rx: Dict[str, object] = {}
 
         # Guard against silently ignored overrides (typoed names).
-        valid_pairs = {frozenset(e) for e in topo.graph.edges}
+        valid_pairs = {frozenset(e) for e in topo.edges}
         valid_pairs |= {
             frozenset((ni, topo.switch_of(ni))) for ni in topo.nis
         }

@@ -11,14 +11,16 @@ Port numbering: each switch's ports are numbered in the order its
 connections were declared.  Port *p* is bidirectional (input *p* and
 output *p* lead to the same neighbour), matching the paper's NxM
 switches whose radix equals the number of attached elements.
+
+The port lists are also the switch graph: routes, hop counts, the
+centrality mapping reads and the link list all walk them directly (see
+the graph walks below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 
 class TopologyError(ValueError):
@@ -45,8 +47,9 @@ class Topology:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.Graph()  # switch-to-switch connectivity
-        self._ports: Dict[str, List[str]] = {}  # switch -> neighbour per port
+        # switch -> neighbour (switch or NI) per port; the switch entries
+        # are the switch graph's adjacency, in declaration order.
+        self._ports: Dict[str, List[str]] = {}
         self._nis: Dict[str, NiAttachment] = {}
         self.coords: Dict[str, Tuple[int, int]] = {}
 
@@ -54,7 +57,6 @@ class Topology:
     def add_switch(self, name: str, coord: Optional[Tuple[int, int]] = None) -> None:
         if name in self._ports or name in self._nis:
             raise TopologyError(f"duplicate element name {name!r}")
-        self.graph.add_node(name)
         self._ports[name] = []
         if coord is not None:
             self.coords[name] = coord
@@ -77,9 +79,8 @@ class Topology:
                 raise TopologyError(f"{s!r} is not a switch")
         if a == b:
             raise TopologyError("self-loops are not allowed")
-        if self.graph.has_edge(a, b):
+        if b in self._ports[a]:
             raise TopologyError(f"switches {a!r} and {b!r} already connected")
-        self.graph.add_edge(a, b)
         self._ports[a].append(b)
         self._ports[b].append(a)
 
@@ -127,6 +128,29 @@ class Topology:
         """Neighbour (switch or NI) behind each port, in port order."""
         return list(self._ports[switch])
 
+    def has_edge(self, a: str, b: str) -> bool:
+        """Whether switches ``a`` and ``b`` are linked."""
+        return a in self._ports and b in self._ports and b in self._ports[a]
+
+    @property
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every switch-to-switch link once, from the side declared first."""
+        return _edges(self._ports)
+
+    def is_connected(self) -> bool:
+        """Whether every switch reaches every other."""
+        first = next(iter(self._ports), None)
+        return first is None or len(_bfs_lengths(self._ports, first)) == len(self._ports)
+
+    def hop_matrix(self) -> Dict[str, Dict[str, int]]:
+        """Switch-to-switch hop counts: ``hops[a][b]``."""
+        return {s: _bfs_lengths(self._ports, s) for s in self._ports}
+
+    def closeness(self) -> Dict[str, float]:
+        """Closeness centrality of every switch (Wasserman-Faust
+        scaled, so a disconnected fabric still ranks its switches)."""
+        return _closeness(self._ports)
+
     def radix_of(self, switch: str) -> int:
         return len(self._ports[switch])
 
@@ -143,14 +167,20 @@ class Topology:
         for name, att in self._nis.items():
             if att.switch is None:
                 raise TopologyError(f"NI {name!r} is unattached")
-        if self.graph.number_of_nodes() > 1 and not nx.is_connected(self.graph):
+        if not self.is_connected():
             raise TopologyError(f"topology {self.name!r} is not connected")
 
     # -- path policies -------------------------------------------------------
     def switch_path(self, src: str, dst: str, policy: str = "shortest") -> List[str]:
         """Sequence of switches from ``src`` to ``dst`` inclusive."""
         if policy == "shortest":
-            return nx.shortest_path(self.graph, src, dst)
+            for s in (src, dst):
+                if s not in self._ports:
+                    raise TopologyError(f"{s!r} is not a switch")
+            path = _shortest_path(self._ports, src, dst)
+            if path is None:
+                raise TopologyError(f"no path from {src!r} to {dst!r}")
+            return path
         if policy == "dor":
             return self._dor_path(src, dst)
         raise TopologyError(f"unknown routing policy {policy!r}")
@@ -170,13 +200,13 @@ class Topology:
         while x != dx:
             x += 1 if dx > x else -1
             nxt = by_coord.get((x, y))
-            if nxt is None or not self.graph.has_edge(path[-1], nxt):
+            if nxt is None or not self.has_edge(path[-1], nxt):
                 raise TopologyError(f"no X-dimension neighbour at {(x, y)}")
             path.append(nxt)
         while y != dy:
             y += 1 if dy > y else -1
             nxt = by_coord.get((x, y))
-            if nxt is None or not self.graph.has_edge(path[-1], nxt):
+            if nxt is None or not self.has_edge(path[-1], nxt):
                 raise TopologyError(f"no Y-dimension neighbour at {(x, y)}")
             path.append(nxt)
         return path
@@ -207,6 +237,105 @@ class Topology:
             f"Topology({self.name!r}, switches={len(self._ports)}, "
             f"initiators={len(self.initiators)}, targets={len(self.targets)})"
         )
+
+
+# -- graph walks ---------------------------------------------------------------
+#
+# ``adj`` is ``Topology._ports``: each switch and the neighbour behind
+# each of its ports.  A neighbour that is not a key is an NI, not a
+# graph node, and every walk skips it.  Nodes and neighbours are visited
+# in insertion order with networkx's tie-breaks (``Graph.edges``,
+# ``single_source_shortest_path_length``, ``closeness_centrality`` and
+# the ``bidirectional_shortest_path`` that ``shortest_path`` runs on an
+# unweighted graph), so every route, hop count, centrality -- and the
+# mappings, cache keys and stored results built on them -- is the one
+# networkx gives for the same fabric (tests/test_graph_walks.py).
+
+
+def _edges(adj: Dict[str, List[str]]) -> List[Tuple[str, str]]:
+    out: List[Tuple[str, str]] = []
+    seen = set()
+    for v, ports in adj.items():
+        out.extend((v, w) for w in ports if w in adj and w not in seen)
+        seen.add(v)
+    return out
+
+
+def _bfs_lengths(adj: Dict[str, List[str]], source: str) -> Dict[str, int]:
+    """Hops from ``source`` to every reachable switch, in BFS order."""
+    dist = {source: 0}
+    level, d = [source], 0
+    while level:
+        d += 1
+        nxt = []
+        for v in level:
+            for w in adj[v]:
+                if w in adj and w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        level = nxt
+    return dist
+
+
+def _closeness(adj: Dict[str, List[str]]) -> Dict[str, float]:
+    n = len(adj)
+    out = {}
+    for v in adj:
+        sp = _bfs_lengths(adj, v)
+        total = sum(sp.values())
+        c = 0.0
+        if total > 0.0 and n > 1:
+            c = (len(sp) - 1.0) / total
+            c *= (len(sp) - 1.0) / (n - 1)  # same float ops as networkx
+        out[v] = c
+    return out
+
+
+def _shortest_path(adj: Dict[str, List[str]], src: str, dst: str) -> Optional[List[str]]:
+    """Bidirectional BFS: grow the smaller fringe (the forward one on a
+    tie) until the two searches meet; ``None`` when they cannot."""
+    if src == dst:
+        return [src]
+    pred: Dict[str, Optional[str]] = {src: None}
+    succ: Dict[str, Optional[str]] = {dst: None}
+    forward, reverse = [src], [dst]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            forward, meet = _expand(adj, forward, pred, succ)
+        else:
+            reverse, meet = _expand(adj, reverse, succ, pred)
+        if meet is not None:
+            return _chain(pred, meet)[::-1] + _chain(succ, succ[meet])
+    return None
+
+
+def _expand(
+    adj: Dict[str, List[str]],
+    fringe: List[str],
+    parent: Dict[str, Optional[str]],
+    other: Dict[str, Optional[str]],
+) -> Tuple[List[str], Optional[str]]:
+    """One BFS level out of ``fringe``: the next fringe, and the first
+    node the ``other`` search has already reached (None if none)."""
+    nxt = []
+    for v in fringe:
+        for w in adj[v]:
+            if w in adj:
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+                if w in other:
+                    return nxt, w
+    return nxt, None
+
+
+def _chain(parent: Dict[str, Optional[str]], w: Optional[str]) -> List[str]:
+    """``w``, its parent, its parent's parent, ... up to the search root."""
+    out = []
+    while w is not None:
+        out.append(w)
+        w = parent[w]
+    return out
 
 
 # -- factories ---------------------------------------------------------------

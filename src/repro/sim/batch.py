@@ -22,7 +22,10 @@ dimension on top of the compiled kernel (:mod:`repro.sim.compiled`):
   (flits, OCP transactions), which is why PR 6 rejected a vectorized
   register lane -- lanes are therefore time-multiplexed, not
   vector-parallel, and the batch win is amortized elaboration, not
-  SIMD.
+  SIMD.  numpy is imported by the functions that build or reduce those
+  arrays, not by this module, so a process that never batches (every
+  sweep, serve and scalar build path imports this module) never loads
+  it.
 * **No loop of its own.**  :meth:`BatchSimulator.run_exact` is
   ``sim.run``: the long quiet tail of a bounded Monte-Carlo episode
   (``max_transactions``) is collapsed by the generated loop itself --
@@ -48,11 +51,12 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import SimulationError, Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BatchSimulator",
@@ -93,6 +97,8 @@ def mean_ci95(values: Sequence[float]) -> Tuple[float, float]:
     (e.g. "no latency samples in this lane") are dropped before
     reduction; an all-NaN input reduces to ``(nan, 0.0)``.
     """
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=np.float64)
     arr = arr[~np.isnan(arr)]
     n = int(arr.size)
@@ -108,6 +114,8 @@ def mean_ci95(values: Sequence[float]) -> Tuple[float, float]:
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """The standard reduction attached to every batched metric:
     ``{"mean", "ci95", "n"}`` (see docs/BATCHING.md for the math)."""
+    import numpy as np
+
     mean, half = mean_ci95(values)
     arr = np.asarray(list(values), dtype=np.float64)
     return {"mean": mean, "ci95": half, "n": int((~np.isnan(arr)).sum())}
@@ -170,6 +178,8 @@ class BatchSimulator:
         seed_stride: int = SEED_STRIDE,
         lane_windows: Optional[Callable[[int], Sequence]] = None,
     ) -> None:
+        import numpy as np
+
         if replicas < 1:
             raise SimulationError("a batch needs at least one replica lane")
         self.noc = noc
@@ -251,6 +261,8 @@ class BatchSimulator:
             rows.append(collect(self.noc, k))
             if digest:
                 digests.append(self.noc.stats_digest())
+        import numpy as np
+
         names = sorted({name for row in rows for name in row})
         metrics = {
             name: np.array(

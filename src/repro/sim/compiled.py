@@ -685,8 +685,8 @@ def _generate(sim: Simulator) -> Tuple[str, List[Tuple[str, str]], str]:
         rearm = f"""\
             # Run-boundary invariant: a drawer-lane master sleeps inside
             # the loop, but the interpreted kernels keep every unfinished
-            # master awake -- re-arm them so snapshots taken between runs
-            # (and kernel switches) see interpreted-equivalent state.
+            # master awake -- re-arm them so a set_kernel handoff between
+            # two runs leaves the interpreted loop the state it expects.
             aw = S._awake
             for m in ({", ".join(masters)},):
                 if not m.is_quiescent():

@@ -118,7 +118,7 @@ class NocCensus:
             nis=tuple((ni, topology.is_initiator(ni)) for ni in topology.nis),
             # Two unidirectional links per switch-switch edge and per NI
             # attachment, exactly as the simulation view wires them.
-            n_links=2 * topology.graph.number_of_edges() + 2 * len(topology.nis),
+            n_links=2 * len(topology.edges) + 2 * len(topology.nis),
         )
 
 

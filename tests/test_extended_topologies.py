@@ -15,7 +15,7 @@ from repro.network.traffic import TraceTraffic, TxnTemplate
 class TestFullyConnected:
     def test_edge_count(self):
         t = fully_connected(5)
-        assert t.graph.number_of_edges() == 10
+        assert len(t.edges) == 10
 
     def test_diameter_one(self):
         t = fully_connected(4)
@@ -30,7 +30,7 @@ class TestFullyConnected:
 class TestHypercube:
     def test_degree_equals_dimension(self):
         t = hypercube(3)
-        assert all(t.graph.degree[s] == 3 for s in t.switches)
+        assert all(t.radix_of(s) == 3 for s in t.switches)
 
     def test_switch_count(self):
         assert len(hypercube(4).switches) == 16
@@ -51,14 +51,15 @@ class TestFatTree:
     def test_leaves_connect_to_both_roots(self):
         t = fat_tree(4)
         for i in range(4):
-            assert t.graph.has_edge(f"leaf_{i}", "root_0")
-            assert t.graph.has_edge(f"leaf_{i}", "root_1")
+            assert t.has_edge(f"leaf_{i}", "root_0")
+            assert t.has_edge(f"leaf_{i}", "root_1")
 
     def test_path_diversity(self):
         import networkx as nx
 
         t = fat_tree(3)
-        paths = list(nx.all_shortest_paths(t.graph, "leaf_0", "leaf_2"))
+        graph = nx.Graph(t.edges)
+        paths = list(nx.all_shortest_paths(graph, "leaf_0", "leaf_2"))
         assert len(paths) == 2  # one through each root
 
     def test_min_size(self):

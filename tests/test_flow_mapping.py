@@ -57,9 +57,7 @@ class TestGreedy:
         cg = line_core_graph()
         topo = mesh(3, 3)
         mapping = greedy_mapping(cg, topo)
-        import networkx as nx
-
-        dist = nx.shortest_path_length(topo.graph, mapping["cpu0"], mapping["mem0"])
+        dist = topo.hop_matrix()[mapping["cpu0"]][mapping["mem0"]]
         assert dist <= 1
 
     def test_respects_capacity(self):
@@ -109,7 +107,7 @@ class TestAnneal:
         for sw in mapping.values():
             loads[sw] = loads.get(sw, 0) + 1
         for sw, n in loads.items():
-            assert topo.graph.degree[sw] + n <= 5
+            assert topo.radix_of(sw) + n <= 5
 
 
 def fractional_core_graph():

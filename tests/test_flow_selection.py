@@ -104,8 +104,9 @@ def _heavy(core_graph, factor=40):
     import copy
 
     heavy = copy.deepcopy(core_graph)
-    for u, v in list(heavy.graph.edges):
-        heavy.graph[u][v]["rate"] *= factor
+    for out in heavy.rates.values():
+        for v in out:
+            out[v] *= factor
     return heavy
 
 

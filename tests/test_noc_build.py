@@ -35,7 +35,7 @@ class TestStructure:
     def test_two_links_per_edge_and_attachment(self):
         noc, _, _ = small_noc()
         topo = noc.topology
-        expected = 2 * topo.graph.number_of_edges() + 2 * len(topo.nis)
+        expected = 2 * len(topo.edges) + 2 * len(topo.nis)
         assert len(noc.links) == expected
 
     def test_node_ids_unique_and_dense(self):

@@ -98,12 +98,12 @@ class TestMesh:
     def test_shape(self):
         t = mesh(3, 4)
         assert len(t.switches) == 12
-        assert t.graph.number_of_edges() == 3 * 3 + 4 * 2  # rows*(cols-1)+cols*(rows-1)
+        assert len(t.edges) == 3 * 3 + 4 * 2  # rows*(cols-1)+cols*(rows-1)
 
     def test_corner_and_center_degrees(self):
         t = mesh(3, 3)
-        assert t.graph.degree["sw_0_0"] == 2
-        assert t.graph.degree["sw_1_1"] == 4
+        assert t.radix_of("sw_0_0") == 2
+        assert t.radix_of("sw_1_1") == 4
 
     def test_coords_enable_dor(self):
         t = mesh(2, 2)
@@ -122,7 +122,7 @@ class TestMesh:
 class TestOtherFactories:
     def test_torus_degree_uniform(self):
         t = torus(3, 3)
-        assert all(t.graph.degree[s] == 4 for s in t.switches)
+        assert all(t.radix_of(s) == 4 for s in t.switches)
         assert t.default_policy == "shortest"
 
     def test_torus_min_size(self):
@@ -131,7 +131,7 @@ class TestOtherFactories:
 
     def test_ring(self):
         t = ring(5)
-        assert all(t.graph.degree[s] == 2 for s in t.switches)
+        assert all(t.radix_of(s) == 2 for s in t.switches)
 
     def test_ring_min_size(self):
         with pytest.raises(TopologyError):
@@ -139,12 +139,12 @@ class TestOtherFactories:
 
     def test_star(self):
         t = star(4)
-        assert t.graph.degree["hub"] == 4
-        assert all(t.graph.degree[f"leaf_{i}"] == 1 for i in range(4))
+        assert t.radix_of("hub") == 4
+        assert all(t.radix_of(f"leaf_{i}") == 1 for i in range(4))
 
     def test_spidergon_cross_links(self):
         t = spidergon(6)
-        assert all(t.graph.degree[s] == 3 for s in t.switches)
+        assert all(t.radix_of(s) == 3 for s in t.switches)
 
     def test_spidergon_odd_rejected(self):
         with pytest.raises(TopologyError):
@@ -153,14 +153,14 @@ class TestOtherFactories:
     def test_custom_topology(self):
         t = custom_topology("c", [("a", "b"), ("b", "c")])
         assert set(t.switches) == {"a", "b", "c"}
-        assert t.graph.has_edge("a", "b")
+        assert t.has_edge("a", "b")
 
     def test_attach_round_robin_spreads_cores(self):
         t = mesh(2, 2)
         cpus, mems = attach_round_robin(t, 4, 4)
         assert len(cpus) == 4 and len(mems) == 4
         # Every switch got exactly 2 NIs.
-        assert all(t.radix_of(s) == t.graph.degree[s] + 2 for s in t.switches)
+        assert all(sum(p in t.nis for p in t.ports_of(s)) == 2 for s in t.switches)
         t.validate()
 
     def test_unknown_policy_rejected(self):
@@ -172,3 +172,20 @@ class TestOtherFactories:
         t = ring(4)
         with pytest.raises(TopologyError, match="coordinates"):
             t.switch_path("sw_0", "sw_2", "dor")
+
+    def test_shortest_path_to_an_unreachable_switch_raises_topology_error(self):
+        t = custom_topology("split", [("a", "b"), ("c", "d")])
+        with pytest.raises(TopologyError, match="no path from 'a' to 'd'"):
+            t.switch_path("a", "d", "shortest")
+
+    @pytest.mark.parametrize("src, dst", [("nope", "sw_1"), ("sw_0", "nope")])
+    def test_shortest_path_with_an_unknown_switch_raises_topology_error(self, src, dst):
+        t = ring(4)
+        with pytest.raises(TopologyError, match="'nope' is not a switch"):
+            t.switch_path(src, dst, "shortest")
+
+    def test_shortest_path_to_an_ni_raises_topology_error(self):
+        t = ring(4)
+        attach_round_robin(t, 1, 1)
+        with pytest.raises(TopologyError, match="'cpu0' is not a switch"):
+            t.switch_path("sw_0", "cpu0", "shortest")
