@@ -31,6 +31,7 @@ from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
+from repro.store import ResultStore
 
 POINTS = [0.02, 0.05, 0.08]
 
@@ -71,7 +72,7 @@ def run_top(cache: str, prom: str) -> "tuple[int, str]":
 
 def main():
     with tempfile.TemporaryDirectory() as cache:
-        runner = ExperimentRunner(jobs=2, cache_dir=cache)
+        runner = ExperimentRunner(jobs=2, store=ResultStore(cache))
         results = runner.map(sweep_point, POINTS, label="top-smoke")
         if len(results) != len(POINTS) or runner.failures:
             print("top-smoke: FAIL -- the sweep itself failed")

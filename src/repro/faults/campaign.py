@@ -38,6 +38,7 @@ from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
+from repro.store import ResultStore
 from repro.telemetry import events as _events
 
 
@@ -406,7 +407,7 @@ def faults_main(
         return 0 if ok else 1
 
     runner = (
-        ExperimentRunner(jobs=jobs, cache_dir=cache)
+        ExperimentRunner(jobs=jobs, store=ResultStore(cache) if cache else None)
         if jobs > 1 or cache
         else None
     )

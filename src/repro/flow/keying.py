@@ -1,15 +1,15 @@
 """Cache keys: the content-based name of ``fn(point)``.
 
-A key is ``sha256("v{CACHE_VERSION}|salt|stable_repr(fn)|stable_repr(point)")``
--- the identity of the *work*, so any runner, on any host, configured
-the same way addresses the same :class:`~repro.store.ResultStore`
-record.  :func:`stable_repr` canonicalises dataclasses, enums,
-dicts/sets (sorted), callables (by qualname) and objects exposing a
-``cache_token()`` method.  Invalidation is by construction: change any
-argument -- or the salt, or :data:`CACHE_VERSION` -- and the key
-changes.  See ``docs/PERFORMANCE.md`` ("Cache keys") for the rules, for
-what is rendered once per :func:`point_keys` call, and for what is
-deliberately *not* hashed (code bodies).
+A key is ``sha256("v{CACHE_VERSION}||stable_repr(fn)|stable_repr(point)")``
+-- the identity of the *work*, so any runner, on any host, addresses
+the same :class:`~repro.store.ResultStore` record.  :func:`stable_repr`
+canonicalises dataclasses, enums, dicts/sets (sorted), callables (by
+qualname) and objects exposing a ``cache_token()`` method.
+Invalidation is by construction: change any argument -- or
+:data:`CACHE_VERSION` -- and the key changes.  See
+``docs/PERFORMANCE.md`` ("Cache keys") for the rules, for what is
+rendered once per :func:`point_keys` call, and for what is deliberately
+*not* hashed (code bodies).
 """
 
 from __future__ import annotations
@@ -108,19 +108,20 @@ def stable_repr(obj: Any, memo: Optional[_Memo] = None) -> str:
     return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
 
 
-def point_keys(fn: Callable, points: Sequence[Any], salt: str = "") -> List[str]:
+def point_keys(fn: Callable, points: Sequence[Any]) -> List[str]:
     """The cache keys of ``fn(p)`` for every ``p`` in ``points``: the
     sha256 hexdigests a :class:`~repro.store.ResultStore` files the
     results under.
 
-    What the points share is done once: the ``version|salt|fn|`` prefix
-    is hashed once and copied per point, and every ``cache_token()``
+    What the points share is done once: the ``version||fn|`` prefix is
+    hashed once and copied per point, and every ``cache_token()``
     object is rendered once for the whole batch (one call-scoped
     :func:`stable_repr` memo).
     """
     memo: _Memo = {}
+    # The empty second field is kept so every stored key stays valid.
     prefix = hashlib.sha256(
-        f"v{CACHE_VERSION}|{salt}|{stable_repr(fn, memo)}|".encode()
+        f"v{CACHE_VERSION}||{stable_repr(fn, memo)}|".encode()
     )
     keys = []
     for point in points:
@@ -130,9 +131,9 @@ def point_keys(fn: Callable, points: Sequence[Any], salt: str = "") -> List[str]
     return keys
 
 
-def point_key(fn: Callable, point: Any, salt: str = "") -> str:
+def point_key(fn: Callable, point: Any) -> str:
     """The cache key of ``fn(point)``: :func:`point_keys` of one point."""
-    return point_keys(fn, (point,), salt)[0]
+    return point_keys(fn, (point,))[0]
 
 
 def check_keyable_fn(fn: Callable) -> None:
@@ -143,9 +144,9 @@ def check_keyable_fn(fn: Callable) -> None:
     capturing different cells -- semantically different functions would
     share a cache key, and a shared :class:`~repro.store.ResultStore`
     would then serve a wrong-function hit to another host.  The runner
-    enforces this only when results are memoized (``cache_dir`` or
-    ``store`` configured): without a cache the keys are reporting
-    labels, nothing is served by them.
+    enforces this only when results are memoized (a ``store``
+    configured): without one the keys are reporting labels, nothing is
+    served by them.
     """
     probe = fn
     while isinstance(probe, functools.partial):

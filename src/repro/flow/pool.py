@@ -499,18 +499,11 @@ class WorkStealingDispatcher:
         fn: Callable[[Any], Any],
         points: Sequence[Any],
         label: str = "point",
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_failure: Optional[str] = None,
     ) -> List[Any]:
         """``runner.map`` semantics under work-stealing scheduling:
         :meth:`map_rows` over one-point rows."""
         return [
-            row[0] for row in self.map_rows(
-                fn, [[p] for p in points], label,
-                timeout=timeout, retries=retries, on_failure=on_failure,
-            )
+            row[0] for row in self.map_rows(fn, [[p] for p in points], label)
         ]
 
     def map_rows(
@@ -518,20 +511,13 @@ class WorkStealingDispatcher:
         fn: Callable[[Any], Any],
         rows: Sequence[Sequence[Any]],
         label: str = "point",
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_failure: Optional[str] = None,
     ) -> List[List[Any]]:
         """``runner.map_rows`` semantics under work-stealing scheduling.
         An ``fn`` that does not pickle raises :class:`ValueError` before
         any worker is spawned or any event is emitted."""
         from repro.flow.runner import MapSession  # runner imports this module
 
-        session = MapSession.over_rows(
-            self.runner, fn, rows, label,
-            timeout=timeout, retries=retries, on_failure=on_failure,
-        )
+        session = MapSession.over_rows(self.runner, fn, rows, label)
         if session.pending:
             try:
                 ForkingPickler.dumps(fn)
@@ -551,6 +537,7 @@ class WorkStealingDispatcher:
         from repro.telemetry import events as _events
 
         n_workers = min(self.workers, len(session.pending_rows)) or 1
+        timeout = session.runner.timeout
         budget = self.restart_budget
         if budget is None:
             budget = max(8, 4 * n_workers)
@@ -747,8 +734,8 @@ class WorkStealingDispatcher:
 
                 wait_for = 0.2
                 now = time.monotonic()
-                if session.timeout is not None:
-                    nearest = min(w.started + session.timeout for w in busy)
+                if timeout is not None:
+                    nearest = min(w.started + timeout for w in busy)
                     wait_for = min(wait_for, max(0.0, nearest - now))
                 if self.liveness is not None:
                     nearest = min(w.watermark + self.liveness for w in busy)
@@ -807,14 +794,14 @@ class WorkStealingDispatcher:
                         point_started(worker)
 
                 now = time.monotonic()
-                if session.timeout is not None:
+                if timeout is not None:
                     for worker in pool:
                         if (worker is None or not worker.busy
-                                or now - worker.started < session.timeout):
+                                or now - worker.started < timeout):
                             continue
                         worker_killed(
                             worker, now - worker.started, "timeout",
-                            f"exceeded {session.timeout:g}s wall-clock limit",
+                            f"exceeded {timeout:g}s wall-clock limit",
                         )
                 if self.liveness is not None:
                     for worker in pool:

@@ -21,29 +21,25 @@ of such points
   a time -- one pickle, one worker, in order -- so what a row's points
   share is built once per row; a fault inside a row still costs only
   the point in flight (:mod:`repro.flow.pool`);
-* **memoized on disk** when a ``cache_dir`` (or a shared ``store``) is
-  configured.  There is one format: ``cache_dir=D`` opens a
-  :class:`repro.store.ResultStore` at ``D``, so each point's result is
-  a sha256-verified record under a key derived from the *identity* of
-  the work (function qualname + arguments + salt), and re-generating
-  figures after an unrelated edit costs nothing.  ``D`` also hosts the
-  ``runs.jsonl`` journal and the ``events.jsonl`` stream.  ``*.pkl``
-  files written by older versions are ignored (delete them);
+* **memoized on disk** when a ``store`` (a
+  :class:`repro.store.ResultStore`) is configured: each point's result
+  is a sha256-verified record under a key derived from the *identity*
+  of the work (function qualname + arguments), so re-generating figures
+  after an unrelated edit costs nothing.  The store's root also hosts
+  the ``runs.jsonl`` journal and the ``events.jsonl`` stream;
 * **resiliently**: per-point wall-clock ``timeout``, bounded ``retries``
   with exponential backoff, and a ``runs.jsonl`` journal recording
   every completion and failure.  Results stream into the store and
   journal *as points finish*, so killing a sweep mid-flight loses none
-  of the completed points -- re-running with the same cache directory
-  picks up where it stopped (resume *is* run again: a stored point is
-  a hit).
+  of the completed points -- re-running on the same store picks up
+  where it stopped (resume *is* run again: a stored point is a hit).
   See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
 
 The cache keys come from :mod:`repro.flow.keying` (re-exported here):
-change any argument -- or bump :data:`ExperimentRunner.salt` / the
-library's :data:`CACHE_VERSION` -- and the key changes.  See
-``docs/PERFORMANCE.md`` for the rules and for what is deliberately
-*not* hashed (code bodies: delete the cache directory after editing
-measurement code).
+change any argument -- or bump the library's :data:`CACHE_VERSION` --
+and the key changes.  See ``docs/PERFORMANCE.md`` for the rules and for
+what is deliberately *not* hashed (code bodies: delete the store after
+editing measurement code).
 
 All knobs default off (``jobs=1``, no cache, no timeout, no retries),
 so existing sequential behaviour is unchanged unless a caller -- or
@@ -81,6 +77,14 @@ from repro.store import ResultStore, cas
 #: quarantined after killing too many consecutive workers
 #: (``poisoned``; see :mod:`repro.flow.pool`).
 FAILURE_KINDS = ("error", "timeout", "crash", "stall", "poisoned")
+
+#: Fractional jitter on every backoff delay: each delay is multiplied by
+#: ``1 + BACKOFF_JITTER * u`` with ``u`` in ``[0, 1)`` drawn from a
+#: :class:`random.Random` seeded from the sweep's cache keys (see
+#: :meth:`MapSession.backoff_delay`).  Deterministic by construction --
+#: two runs of the same plan sleep the same delays in the same order --
+#: so jitter decorrelates retry storms without costing reproducibility.
+BACKOFF_JITTER = 0.1
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:
@@ -121,18 +125,17 @@ def _env_value(
 class PointReport:
     """Wall-clock accounting for one *executed* point.
 
-    A cache hit leaves no report (``cached`` is always False): it cost
-    nothing, and ``cache_hits``, ``last_manifests`` and the
-    ``point_end cached=true`` event already say it happened -- so a
-    long-lived runner serving hits retains nothing per hit.
+    A cache hit leaves no report: it cost nothing, and ``cache_hits``,
+    ``last_manifests`` and the ``point_end cached=true`` event already
+    say it happened -- so a long-lived runner serving hits retains
+    nothing per hit.
     """
 
-    __slots__ = ("label", "key", "seconds", "cached")
+    __slots__ = ("label", "key", "seconds")
 
     label: str
     key: str
     seconds: float
-    cached: bool
 
 
 @dataclass
@@ -214,22 +217,13 @@ class ExperimentRunner:
         picklability requirement.  With ``jobs > 1`` the points run on
         ``jobs`` long-lived supervised worker processes
         (:mod:`repro.flow.pool`), so a dying worker is isolated.
-    cache_dir:
-        Directory for memoized results; ``None`` (default) disables
-        memoization.  Opened as a :class:`repro.store.ResultStore`
-        (which becomes ``store``) unless a ``store`` is given too.
-        Also hosts the ``runs.jsonl`` journal and ``events.jsonl``.
     store:
         Optional :class:`repro.store.ResultStore`: the sha256-verified
         content-addressed result tier (docs/SERVICE.md), consulted
         before computing and published to as points finish, so many
-        runners -- possibly on many hosts -- pool their work.  With
-        both ``store`` and ``cache_dir``, results live only in
-        ``store`` and ``cache_dir`` holds only the journal and event
-        stream; with a store alone, those live in the store's root.
-    salt:
-        Extra string mixed into every cache key -- a manual
-        invalidation lever for callers.
+        runners -- possibly on many hosts -- pool their work.  Its root
+        also hosts the ``runs.jsonl`` journal and ``events.jsonl``.
+        ``None`` (default) disables memoization.
     timeout:
         Per-point wall-clock limit in seconds.  Enforced only when
         ``jobs > 1`` (a timed-out worker is SIGKILLed); inline
@@ -237,17 +231,10 @@ class ExperimentRunner:
     retries:
         How many times a failed point is re-attempted (so a point runs
         at most ``retries + 1`` times).  Re-attempts are delayed by
-        ``backoff * 2**attempt`` seconds.
+        ``backoff * 2**attempt`` seconds, jittered by
+        :data:`BACKOFF_JITTER`.
     backoff:
         Base delay for the exponential retry backoff, in seconds.
-    backoff_jitter:
-        Fractional jitter on every backoff delay: each delay is
-        multiplied by ``1 + backoff_jitter * u`` where ``u`` in
-        ``[0, 1)`` comes from a :class:`random.Random` seeded from the
-        sweep's cache keys (see :meth:`MapSession.backoff_delay`).
-        Deterministic by construction -- two runs of the same plan
-        sleep the same delays in the same order -- so jitter decorrelates
-        retry storms without costing reproducibility.  ``0`` disables.
     on_failure:
         ``"raise"`` (default): after *all* points have finished (so
         completed siblings are cached and journaled), re-raise the
@@ -263,45 +250,41 @@ class ExperimentRunner:
         Structured event stream destination
         (``repro.telemetry.events``, schema
         ``repro.telemetry.events/v1``).  Defaults to
-        ``<cache_dir>/events.jsonl`` whenever a cache directory is
-        configured; set explicitly to stream without a cache, or to
-        ``""`` to disable streaming entirely.  Workers ship their
+        ``<store root>/events.jsonl`` whenever a store is configured;
+        set explicitly to stream without a store.  Workers ship their
         events back over the result pipe; the parent merges everything
         into one append-only file that ``python -m repro top`` tails.
     """
 
     jobs: int = 1
-    cache_dir: Optional[str] = None
     store: Optional[Any] = None
-    salt: str = ""
     timeout: Optional[float] = None
     retries: int = 0
     backoff: float = 0.5
-    backoff_jitter: float = 0.1
     on_failure: str = "raise"
     metrics: Optional[Any] = None
     events_path: Optional[str] = None
-    reports: List[PointReport] = field(default_factory=list)
-    failures: List[PointFailure] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    retry_count: int = 0
-    timeout_count: int = 0
-    crash_count: int = 0
-    stall_count: int = 0
-    failure_count: int = 0
-    corrupt_cache_entries: int = 0
+    reports: List[PointReport] = field(default_factory=list, init=False)
+    failures: List[PointFailure] = field(default_factory=list, init=False)
+    cache_hits: int = field(default=0, init=False)
+    cache_misses: int = field(default=0, init=False)
+    retry_count: int = field(default=0, init=False)
+    timeout_count: int = field(default=0, init=False)
+    crash_count: int = field(default=0, init=False)
+    stall_count: int = field(default=0, init=False)
+    failure_count: int = field(default=0, init=False)
+    corrupt_cache_entries: int = field(default=0, init=False)
     #: Per-point provenance for the most recent :meth:`map` call, in
     #: input order, hits included (unlike ``reports``, which accumulates
     #: the *executed* points across calls in completion order).  Failed
     #: points carry no manifest.
-    last_manifests: List[RunManifest] = field(default_factory=list)
+    last_manifests: List[RunManifest] = field(default_factory=list, init=False)
     #: The pool ``with runner:`` holds open (``jobs > 1`` only); its
     #: ``spawned`` says how many processes the block's maps started.
     dispatcher: Optional[WorkStealingDispatcher] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _warned_corrupt: bool = field(default=False, repr=False)
+    _warned_corrupt: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -310,16 +293,10 @@ class ExperimentRunner:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive seconds, got {self.timeout}")
-        if self.backoff_jitter < 0:
-            raise ValueError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
-            )
         if self.on_failure not in ("raise", "record"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
             )
-        if self.store is None and self.cache_dir is not None:
-            self.store = ResultStore(self.cache_dir)
 
     @classmethod
     def from_env(cls) -> "ExperimentRunner":
@@ -327,30 +304,18 @@ class ExperimentRunner:
         -m repro figures --jobs N --cache DIR`` uses to reach runners
         inside pytest-collected benchmarks).
 
-        Recognised: ``REPRO_JOBS`` (positive int), ``REPRO_CACHE``
-        (directory), ``REPRO_TIMEOUT`` (seconds), ``REPRO_RETRIES``
-        (non-negative int).  Invalid values raise :class:`ValueError`
-        naming the variable.  There is no resume variable: a runner
-        resumes by being run again on the same ``REPRO_CACHE``.
+        Reads ``REPRO_JOBS`` (positive int) and ``REPRO_CACHE`` (the
+        directory of a :class:`repro.store.ResultStore`); an invalid
+        ``REPRO_JOBS`` raises :class:`ValueError` naming the variable.
+        There is no resume variable: a runner resumes by being run
+        again on the same ``REPRO_CACHE``.
         """
         jobs = _env_value(
             "REPRO_JOBS", int, "an integer worker count",
             lambda n: n >= 1, "a positive worker count (>= 1)",
         )
-        timeout = _env_value(
-            "REPRO_TIMEOUT", float, "seconds (a number)",
-            lambda s: s > 0, "positive seconds",
-        )
-        retries = _env_value(
-            "REPRO_RETRIES", int, "a non-negative integer",
-            lambda n: n >= 0, "a non-negative integer",
-        )
-        return cls(
-            jobs=jobs or 1,
-            cache_dir=os.environ.get("REPRO_CACHE") or None,
-            timeout=timeout,
-            retries=retries or 0,
-        )
+        cache = os.environ.get("REPRO_CACHE")
+        return cls(jobs=jobs or 1, store=ResultStore(cache) if cache else None)
 
     # -- pool lifetime ----------------------------------------------------
     def __enter__(self) -> "ExperimentRunner":
@@ -398,14 +363,10 @@ class ExperimentRunner:
     # -- journal ----------------------------------------------------------
     @property
     def journal_path(self) -> Optional[str]:
-        """``runs.jsonl`` inside the cache directory -- or, with only a
-        shared store configured, inside the store root (None when fully
-        uncached)."""
-        if self.cache_dir is not None:
-            return os.path.join(self.cache_dir, "runs.jsonl")
-        if self.store is not None:
-            return os.path.join(self.store.root, "runs.jsonl")
-        return None
+        """``runs.jsonl`` inside the store root (None without a store)."""
+        if self.store is None:
+            return None
+        return os.path.join(self.store.root, "runs.jsonl")
 
     # -- execution --------------------------------------------------------
     def map(
@@ -413,10 +374,6 @@ class ExperimentRunner:
         fn: Callable[[Any], Any],
         points: Sequence[Any],
         label: str = "point",
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_failure: Optional[str] = None,
     ) -> List[Any]:
         """``[fn(p) for p in points]`` with caching, parallelism and
         failure isolation.
@@ -424,9 +381,7 @@ class ExperimentRunner:
         Results come back in input order.  ``fn`` must be a module-level
         callable (or :func:`functools.partial` over one) when
         ``jobs > 1`` so worker processes can run it; its arguments
-        should be stable_repr-hashable when caching is on.  The keyword
-        arguments override the runner's instance-level defaults for
-        this call only.
+        should be stable_repr-hashable when caching is on.
 
         Completed points are cached and journaled the moment they
         finish, *before* the batch ends -- a killed sweep loses nothing
@@ -444,10 +399,7 @@ class ExperimentRunner:
         supervision defaults, when ``jobs > 1``).
         """
         return [
-            row[0] for row in self.map_rows(
-                fn, [[p] for p in points], label,
-                timeout=timeout, retries=retries, on_failure=on_failure,
-            )
+            row[0] for row in self.map_rows(fn, [[p] for p in points], label)
         ]
 
     def map_rows(
@@ -455,10 +407,6 @@ class ExperimentRunner:
         fn: Callable[[Any], Any],
         rows: Sequence[Sequence[Any]],
         label: str = "point",
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_failure: Optional[str] = None,
     ) -> List[List[Any]]:
         """``[[fn(p) for p in row] for row in rows]``: :meth:`map` over
         the concatenated rows -- same keys, records, events, labels
@@ -473,11 +421,10 @@ class ExperimentRunner:
         timeout or raise inside a row costs (the point in flight, never
         the row).
         """
-        overrides = dict(timeout=timeout, retries=retries, on_failure=on_failure)
         if self.jobs > 1:
             farm = self.dispatcher or WorkStealingDispatcher(self, workers=self.jobs)
-            return farm.map_rows(fn, rows, label, **overrides)
-        return MapSession.over_rows(self, fn, rows, label, **overrides).execute(
+            return farm.map_rows(fn, rows, label)
+        return MapSession.over_rows(self, fn, rows, label).execute(
             self._run_inline, jobs=1
         )
 
@@ -496,7 +443,7 @@ class ExperimentRunner:
         by_key = {m.key: m for m in self.last_manifests}
         return [
             None if r is None else dataclasses.replace(r, manifest=by_key[key])
-            for key, r in zip(point_keys(fn, points, self.salt), results)
+            for key, r in zip(point_keys(fn, points), results)
         ]
 
     def _run_inline(self, session: "MapSession") -> None:
@@ -541,7 +488,6 @@ class ExperimentRunner:
         executed point and one per failure (hits are only counted)."""
         lines = [
             f"{title}: jobs={self.jobs} "
-            f"cache={'off' if self.cache_dir is None else self.cache_dir} "
             f"store={'off' if self.store is None else self.store.root} "
             f"hits={self.cache_hits} misses={self.cache_misses}",
         ]
@@ -571,10 +517,10 @@ class MapSession:
     (:class:`repro.flow.pool.WorkStealingDispatcher`) schedule work
     very differently -- a loop in this process vs. long-lived workers
     pulling from shards -- but everything *around* the scheduling is
-    identical and lives here: effective retry/timeout configuration,
-    cache keys and cache probing, the streamed store accounting and
-    journal/manifest updates as points finish, retry accounting, the
-    telemetry event stream, and the deferred first-failure re-raise.
+    identical and lives here: cache keys and cache probing, the streamed
+    store accounting and journal/manifest updates as points finish,
+    retry accounting, the telemetry event stream, and the deferred
+    first-failure re-raise.
     The store *record* of a point is written by whichever process ran
     the point; the session only accounts it (:meth:`finish_ok`).
 
@@ -597,33 +543,21 @@ class MapSession:
         label: str = "point",
         *,
         rows: Optional[List[List[int]]] = None,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        on_failure: Optional[str] = None,
     ) -> None:
         self.runner = runner
         self.fn = fn
         self.points = points
         self.rows = [[i] for i in range(len(points))] if rows is None else rows
         self.label = label
-        self.timeout = runner.timeout if timeout is None else timeout
-        self.retries = runner.retries if retries is None else retries
-        self.on_failure = runner.on_failure if on_failure is None else on_failure
-        if self.on_failure not in ("raise", "record"):
-            raise ValueError(
-                f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
-            )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
-        if runner.store is not None:  # cache_dir= opened one too
+        if runner.store is not None:
             check_keyable_fn(fn)
         #: The store directory the point's process publishes into
         #: (None: nothing is stored).
         self.root: Optional[str] = (
             runner.store.root if runner.store is not None else None
         )
-        self.keys = point_keys(fn, points, runner.salt)
+        self.keys = point_keys(fn, points)
         # Deterministic jitter seed: a function of *what* is being run,
         # not of wall-clock or pid, so chaos runs and re-runs
         # reproduce the exact same backoff delays (docs/RESILIENCE.md).
@@ -660,14 +594,14 @@ class MapSession:
     @classmethod
     def over_rows(
         cls, runner: ExperimentRunner, fn: Callable[[Any], Any],
-        rows: Sequence[Sequence[Any]], label: str = "point", **overrides: Any,
+        rows: Sequence[Sequence[Any]], label: str = "point",
     ) -> "MapSession":
         """The session over the concatenation of ``rows``."""
         points = [p for row in rows for p in row]
         index = iter(range(len(points)))
         return cls(
             runner, fn, points, label,
-            rows=[[next(index) for _ in row] for row in rows], **overrides,
+            rows=[[next(index) for _ in row] for row in rows],
         )
 
     # -- backoff ----------------------------------------------------------
@@ -684,19 +618,14 @@ class MapSession:
         therefore produce identically ordered retry timelines.
         """
         base = self.runner.backoff * (2 ** (attempt - 1))
-        jitter = self.runner.backoff_jitter
-        if jitter <= 0 or base <= 0:
-            return base
         rng = random.Random(f"{self.jitter_seed}|{kind}|{i}|{attempt}")
-        return base * (1.0 + jitter * rng.random())
+        return base * (1.0 + BACKOFF_JITTER * rng.random())
 
     # -- event stream -----------------------------------------------------
     def events_path(self) -> Optional[str]:
         runner = self.runner
         if runner.events_path is not None:
-            return runner.events_path or None  # "" disables streaming
-        if runner.cache_dir is not None:
-            return os.path.join(runner.cache_dir, "events.jsonl")
+            return runner.events_path
         if runner.store is not None:
             return os.path.join(runner.store.root, "events.jsonl")
         return None
@@ -714,7 +643,9 @@ class MapSession:
         from repro.telemetry import events as _events
 
         path = self.events_path()
-        writer = _events.install_sink(_events.EventWriter(path)) if path else None
+        writer = None if path is None else _events.install_sink(
+            _events.EventWriter(path)
+        )
         try:
             _events.emit(
                 "run_start", label=self.label, points=len(self.points),
@@ -774,7 +705,7 @@ class MapSession:
             self.keys[i], cached=False, seconds=seconds
         )
         runner.reports.append(
-            PointReport(f"{self.label}[{i}]", self.keys[i], seconds, cached=False)
+            PointReport(f"{self.label}[{i}]", self.keys[i], seconds)
         )
         if published is not None:
             runner.store.account(*published)
@@ -827,7 +758,7 @@ class MapSession:
             status="failed", seconds=round(seconds, 6), attempts=attempts,
             cached=False, kind=kind, message=message,
         )
-        if self.on_failure == "raise" and self.first_exc is None:
+        if runner.on_failure == "raise" and self.first_exc is None:
             self.first_exc = exc if exc is not None else RuntimeError(
                 f"{failure.label} {kind} after {attempts} attempt(s): {message}"
             )
@@ -855,7 +786,7 @@ class MapSession:
             runner._count("crashes", "crash_count")
         elif kind == "stall":
             runner._count("stalls", "stall_count")
-        if attempt <= self.retries:
+        if attempt <= runner.retries:
             runner._count("retries", "retry_count")
             self.tally["retries"] += 1
             _events.emit(

@@ -480,7 +480,6 @@ class QueryEngine:
         workers: int = 2,
         timeout: Optional[float] = None,
         retries: int = 0,
-        salt: str = "",
         metrics: Optional[Any] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
@@ -488,7 +487,6 @@ class QueryEngine:
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        self.salt = salt
         self.metrics = metrics
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             metrics=metrics
@@ -552,7 +550,6 @@ class QueryEngine:
         return ExperimentRunner(
             jobs=jobs,
             store=self.store,
-            salt=self.salt,
             timeout=self.timeout,
             retries=self.retries,
             metrics=self.metrics,
@@ -582,7 +579,6 @@ class QueryEngine:
         return point_keys(
             _evaluate_design_point,
             [combo for row in self._rows(spec, _rendered) for combo in row],
-            self.salt,
         )
 
     # -- answering --------------------------------------------------------

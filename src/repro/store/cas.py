@@ -11,9 +11,10 @@ key; the objects directory is the only index:
       objects/ab/abcd....rec  # MAGIC + header JSON line + pickle payload
 
 Keys are the :class:`~repro.flow.runner.ExperimentRunner` cache keys:
-sha256 hexdigests over ``CACHE_VERSION | salt | stable_repr(fn) |
-stable_repr(point)``, so a record's identity *is* the work it answers
-for, and two runners configured identically address the same records.
+sha256 hexdigests over ``CACHE_VERSION || stable_repr(fn) |
+stable_repr(point)`` (:mod:`repro.flow.keying`), so a record's identity
+*is* the work it answers for, and any two runners address the same
+records.
 
 Every record is self-verifying: the header carries the sha256 and byte
 size of the pickle payload, checked on every read.  A record that

@@ -120,8 +120,11 @@ class EventWriter(EventSink):
 
     Every record is written as one line and flushed immediately, so a
     crash loses at most the line being written (readers tolerate the
-    torn tail).  Records passed through :meth:`write` verbatim (e.g.
-    merged worker records) keep their original ``pid``/``seq``/``t``.
+    torn tail).  Opening a file whose last line a killed writer left
+    without its newline first ends that line, so the torn text stays
+    one skipped line and the first record written here stands alone.
+    Records passed through :meth:`write` verbatim (e.g. merged worker
+    records) keep their original ``pid``/``seq``/``t``.
     """
 
     def __init__(self, path: str) -> None:
@@ -130,6 +133,12 @@ class EventWriter(EventSink):
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._fh: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
+        if self._fh.tell():
+            with open(self.path, "rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    self._fh.write("\n")
+                    self._fh.flush()
 
     def write(self, record: Dict[str, object]) -> None:
         if self._fh is None:

@@ -2,9 +2,10 @@
 
 ``point_keys`` renders every ``cache_token()`` object once per call and
 hashes the shared prefix once; neither may change a key.  The reference
-is the definition itself -- one sha256 over one ``v|salt|fn|point``
-string -- over a copy of the points in which every occurrence of a
-token is a *distinct* equal-valued instance, so no memo can ever hit.
+is the definition itself -- one sha256 over one ``v||fn|point``
+string, whose empty field is what keeps every stored key valid -- over
+a copy of the points in which every occurrence of a token is a
+*distinct* equal-valued instance, so no memo can ever hit.
 """
 
 import dataclasses
@@ -111,8 +112,8 @@ def shared_tokens():
     return pool
 
 
-def definition(fn, point, salt):
-    ident = f"v{CACHE_VERSION}|{salt}|{stable_repr(fn)}|{stable_repr(point)}"
+def definition(fn, point):
+    ident = f"v{CACHE_VERSION}||{stable_repr(fn)}|{stable_repr(point)}"
     return hashlib.sha256(ident.encode()).hexdigest()
 
 
@@ -120,22 +121,21 @@ def definition(fn, point, salt):
 @given(
     shapes=st.lists(_shapes, min_size=1, max_size=5),
     fn_shape=st.one_of(st.just(None), _shapes),
-    salt=st.sampled_from(["", "rev2", "a|b"]),
 )
-def test_batch_keys_equal_per_point_keys(shapes, fn_shape, salt):
+def test_batch_keys_equal_per_point_keys(shapes, fn_shape):
     pool = shared_tokens()
     points = [materialize(s, pool.__getitem__) for s in shapes]
     fn = _work if fn_shape is None else functools.partial(
         _work, materialize(fn_shape, pool.__getitem__)
     )
-    batch = point_keys(fn, points, salt)
+    batch = point_keys(fn, points)
     # Each shared instance was rendered at most once for the whole batch.
     assert all(t.renders <= 1 for t in pool)
-    assert batch == [point_key(fn, p, salt) for p in points]
+    assert batch == [point_key(fn, p) for p in points]
 
     unshared_fn = _work if fn_shape is None else functools.partial(
         _work, materialize(fn_shape, fresh_token)
     )
     assert batch == [
-        definition(unshared_fn, materialize(s, fresh_token), salt) for s in shapes
+        definition(unshared_fn, materialize(s, fresh_token)) for s in shapes
     ]

@@ -118,9 +118,11 @@ class TestFailureMachinery:
         assert runner.retry_count == 1
 
     def test_timeout_kills_and_respawns_worker(self):
-        runner = ExperimentRunner(on_failure="record", retries=1, backoff=0.01)
+        runner = ExperimentRunner(
+            on_failure="record", retries=1, backoff=0.01, timeout=0.5
+        )
         disp = WorkStealingDispatcher(runner, workers=2)
-        out = disp.map(_hang, [1], timeout=0.5)
+        out = disp.map(_hang, [1])
         assert out == [None]
         # The first timeout kills the worker; the retry needs a revived
         # slot, so by the time the sweep ends at least one respawn ran.
@@ -152,7 +154,7 @@ class TestFailureMachinery:
         assert sorted(e["status"] for e in ends) == ["failed", "ok", "ok"]
 
     def test_unpicklable_point_is_journaled_and_raised_last(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         with pytest.raises(TypeError, match="pickle"):
             runner.map(_square, [1, threading.Lock(), 3])
         statuses = sorted(

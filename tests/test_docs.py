@@ -85,7 +85,7 @@ class TestPerformanceDoc:
             "wake_inputs", "is_quiescent", "request_wakeup",
             "verify_fast_path", 'kernel="interpreted"', "_step_full",
             "cache_token", "CACHE_VERSION", "--jobs", "--cache",
-            # one pool, one store: what jobs=N and cache_dir= mean
+            # one pool, one store: what jobs=N and store= mean
             "long-lived", "repro.flow.pool", "ResultStore",
             "events.jsonl", "delete the `*.pkl` files",
             # the compiled kernel
@@ -273,7 +273,8 @@ class TestCheckpointDoc:
             "poisoned", "SIGKILLed", "must pickle",
             # campaigns, CLI, CI
             "FaultCampaign", "lane_batch", "BATCHING.md",
-            "there is no `--resume` flag", "REPRO_TIMEOUT",
+            "there is no `--resume` flag",
+            "`ExperimentRunner.from_env` reads `REPRO_JOBS` and `REPRO_CACHE` only",
             "test_killed_and_resumed_stream_replays_to_the_final_result",
             "timeout_guard",
         ):
@@ -370,7 +371,7 @@ class TestServiceDoc:
             "functools.partial",
             # the dispatcher: ExperimentRunner's own pool, one format
             "(`repro.flow.pool`)", "**is** `ExperimentRunner`'s pool",
-            "results then live **only** in `store`",
+            "There is no other on-disk result format.",
             "WorkStealingDispatcher", "MapSession", "round-robin",
             "steals", "worker_restarts", "digest-identical",
             "`steal` event", "thief", "victim",

@@ -30,6 +30,7 @@ from repro.flow.runner import ExperimentRunner
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
+from repro.store import ResultStore
 from repro.telemetry import (
     EVENT_TYPES,
     EVENTS_SCHEMA,
@@ -386,7 +387,7 @@ class TestRunnerEvents:
         return records
 
     def test_inline_run_emits_full_lifecycle(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         assert runner.map(_square, [2, 3], label="sq") == [4, 9]
         records = self.events_of(tmp_path)
         kinds = [r["event"] for r in records]
@@ -397,7 +398,7 @@ class TestRunnerEvents:
         assert s["jobs"] == 1
 
     def test_cache_hits_emit_cached_point_end(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [2, 3], label="sq")
         runner.map(_square, [2, 3], label="sq")
         s = replay_summary(self.events_of(tmp_path))
@@ -407,14 +408,16 @@ class TestRunnerEvents:
     def test_inline_retry_and_failure_events(self, tmp_path):
         cache = tmp_path / "cache"
         runner = ExperimentRunner(
-            cache_dir=str(cache), retries=1, backoff=0.0, on_failure="record",
+            store=ResultStore(str(cache)), retries=1, backoff=0.0, on_failure="record",
         )
         marker = str(tmp_path / "marker")
         out = runner.map(
             _fail_unless_marker, [(marker, 5)], label="flaky",
         )
         assert out == [5]
-        runner.map(_always_fails, ["x"], label="doomed", retries=0)
+        ExperimentRunner(store=runner.store, on_failure="record").map(
+            _always_fails, ["x"], label="doomed",
+        )
         records = self.events_of(cache)
         s = replay_summary(records)
         assert s["retries"] == 1
@@ -424,7 +427,7 @@ class TestRunnerEvents:
         assert "first attempt fails" in retry["message"]
 
     def test_pool_forwards_worker_events_with_worker_pid(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         assert runner.map(
             _square_with_worker_event, [2, 3], label="pool",
         ) == [4, 9]
@@ -440,7 +443,7 @@ class TestRunnerEvents:
     def test_pool_retry_emits_events(self, tmp_path):
         cache = tmp_path / "cache"
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(cache), retries=1, backoff=0.0,
+            jobs=2, store=ResultStore(str(cache)), retries=1, backoff=0.0,
         )
         marker = str(tmp_path / "marker")
         assert runner.map(
@@ -450,14 +453,9 @@ class TestRunnerEvents:
         assert sum(r["event"] == "retry" for r in records) == 1
         assert replay_summary(records)["points"]["flaky[0]"]["retries"] == 1
 
-    def test_events_path_empty_string_disables_the_stream(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path), events_path="")
-        runner.map(_square, [2], label="quiet")
-        assert not os.path.exists(tmp_path / "events.jsonl")
-
     def test_explicit_events_path_overrides_cache_dir(self, tmp_path):
         path = str(tmp_path / "elsewhere" / "ev.jsonl")
-        runner = ExperimentRunner(cache_dir=str(tmp_path), events_path=path)
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)), events_path=path)
         runner.map(_square, [2], label="sq")
         assert not os.path.exists(tmp_path / "events.jsonl")
         records = read_events(path)
@@ -529,11 +527,11 @@ class TestCampaignEvents:
         monkeypatch.setattr(campaign_mod, "_build_campaign_noc", dying_build)
         with pytest.raises(KeyboardInterrupt):
             FaultCampaign(
-                specs, runner=ExperimentRunner(cache_dir=cache), replicas=3
+                specs, runner=ExperimentRunner(store=ResultStore(cache)), replicas=3
             ).run()
         monkeypatch.setattr(campaign_mod, "_build_campaign_noc", real_build)
 
-        runner = ExperimentRunner(cache_dir=cache)
+        runner = ExperimentRunner(store=ResultStore(cache))
         resumed = FaultCampaign(specs, runner=runner, replicas=3).run()
         assert (runner.cache_hits, runner.cache_misses) == (1, 1)
         assert resumed == reference

@@ -12,6 +12,7 @@ from repro.network.experiments import (
 )
 from repro.network.noc import Noc
 from repro.network.topology import attach_round_robin, mesh
+from repro.store import ResultStore
 
 
 def small_builder():
@@ -80,7 +81,7 @@ class TestManifests:
         import repro
 
         builder = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         first = load_sweep(builder, [0.05], warmup_cycles=100,
                            measure_cycles=300, runner=runner)
         m1 = first[0].manifest

@@ -29,6 +29,7 @@ from repro.network.noc import Noc, NocBuildConfig
 from repro.network.topology import attach_round_robin, mesh, ring
 from repro.network.traffic import UniformRandomTraffic
 from repro.sim.kernel import SimulationError
+from repro.store import ResultStore
 
 from tests.conftest import build_small_mesh_noc
 
@@ -328,7 +329,7 @@ class TestCampaign:
             CampaignSpec(builder=BUILDER, rate=r, measure_cycles=600)
             for r in (0.02, 0.05)
         ]
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         first = FaultCampaign(specs, runner=runner).run()
         second = FaultCampaign(specs, runner=runner).run()
         assert [m.cached for m in (r.manifest for r in first)] == [False, False]

@@ -73,9 +73,8 @@ class TestServeKeysBuildNothing:
         assert len(_NAMES) == len(_GRID_FAMILIES) + len(_COUNT_FAMILIES) == 8
 
     @pytest.mark.parametrize("core_graph", sorted(CORE_GRAPHS))
-    @pytest.mark.parametrize("salt", ["", "rev2"])
-    def test_keys_are_the_per_combo_point_keys(self, tmp_path, core_graph, salt):
-        engine = QueryEngine(ResultStore(tmp_path / "store"), workers=1, salt=salt)
+    def test_keys_are_the_per_combo_point_keys(self, tmp_path, core_graph):
+        engine = QueryEngine(ResultStore(tmp_path / "store"), workers=1)
         spec = QuerySpec(
             core_graph=core_graph, topologies=tuple(_NAMES),
             flit_widths=(16, 64), buffer_depths=(2, 6),
@@ -84,7 +83,7 @@ class TestServeKeysBuildNothing:
         combos = engine.combos(spec)
         assert len(combos) == len(_NAMES) * 4
         assert engine.keys(spec) == [
-            point_key(_evaluate_design_point, c, salt) for c in combos
+            point_key(_evaluate_design_point, c) for c in combos
         ]
         # ... and again from the warm name cache.
-        assert engine.keys(spec) == point_keys(_evaluate_design_point, combos, salt)
+        assert engine.keys(spec) == point_keys(_evaluate_design_point, combos)

@@ -81,7 +81,7 @@ class TestFailedPublish:
     def test_failed_publish_is_charged_to_its_point(self, tmp_path, jobs, case):
         store = ResultStore(tmp_path / "store")
         fn = square if case == "unwritable-shard" else unpicklable_at_two
-        keys = [point_key(fn, p, "") for p in POINTS]
+        keys = [point_key(fn, p) for p in POINTS]
         if case == "unwritable-shard":
             # The shard directory of point 2 cannot be created: a file
             # holds its name (a chmod would not stop a root process).
@@ -176,7 +176,7 @@ class TestWorkerKilledAroundItsWrite:
         # the retry's publish is new and counted.
         assert store.puts == len(POINTS) - (0 if cut_short else 1)
 
-        keys = [point_key(square, p, "") for p in POINTS]
+        keys = [point_key(square, p) for p in POINTS]
         leftovers = [n for n in os.listdir(shard) if n.endswith(".tmp")]
         assert len(leftovers) == (1 if cut_short else 0)
         reader = ResultStore(store.root)

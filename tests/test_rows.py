@@ -75,9 +75,9 @@ class TestIdentity:
         assert isinstance(combo[1], MappedFabric)
         bare = combo[:1] + (combo[1].fabric,) + combo[2:]
         assert (
-            point_key(_evaluate_design_point, combo, "identity")
-            == point_key(_evaluate_design_point, bare, "identity")
-            == "5faa5bc682ab2301629e67923651cb3d97c1dbe91ae471f3f6a4448a5a28c392"
+            point_key(_evaluate_design_point, combo)
+            == point_key(_evaluate_design_point, bare)
+            == "54ef217a7c761f518465f8ec017707776480cd842e6f12033873df8b37fcc1dc"
         )
         assert _evaluate_design_point(combo) == _evaluate_design_point(bare)
 
@@ -135,7 +135,7 @@ class TestOncePerRow:
         graph = core_graph_from_name("multimedia")
         bare = explore_design_space(graph, fabrics(), **self.GRID)
         assert len(bare) == 24 and len(anneals) == 4
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         assert explore_design_space(graph, fabrics(), runner=runner, **self.GRID) == bare
         assert len(anneals) == 8 and len(runner.reports) == 24
 
@@ -227,7 +227,9 @@ class TestRowsInThePool:
 
     def test_sigkill_mid_row_charges_only_the_point_in_flight(self, tmp_path):
         rows = _rows_of([None, None, "sigkill", None, None], [None, None])
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path), on_failure="record")
+        runner = ExperimentRunner(
+            jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
+        )
         got = runner.map_rows(_probe, rows, label="pt")
         [failure] = runner.failures
         assert (failure.label, failure.kind, failure.attempts) == ("pt[2]", "crash", 1)
@@ -302,7 +304,7 @@ class TestRowsInThePool:
         points = list(range(7))
 
         def run(tag, call):
-            runner = ExperimentRunner(cache_dir=str(tmp_path / tag))
+            runner = ExperimentRunner(store=ResultStore(str(tmp_path / tag)))
             disp = WorkStealingDispatcher(runner, workers=1)
             collector = install_sink(EventCollector())
             try:

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import functools
+import hashlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.flow.runner import (
     stable_repr,
 )
 from repro.network.topology import mesh
+from repro.store import ResultStore
 
 
 def _square(x):
@@ -40,7 +42,6 @@ class TestMap:
         runner.map(_square, [5, 6], label="sq")
         labels = [r.label for r in runner.reports]
         assert labels == ["sq[0]", "sq[1]"]
-        assert all(not r.cached for r in runner.reports)
         assert "sq[0]" in runner.render_report()
 
     def test_worker_exception_propagates(self):
@@ -51,7 +52,7 @@ class TestMap:
 
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         first = runner.map(_square, [3, 4])
         assert (runner.cache_hits, runner.cache_misses) == (0, 2)
         second = runner.map(_square, [3, 4])
@@ -59,51 +60,45 @@ class TestCache:
         assert first == second
         # A hit leaves no report: it is counted, manifested and said so
         # in the header, and a long-lived runner retains nothing for it.
-        assert [r.cached for r in runner.reports] == [False, False]
+        assert len(runner.reports) == 2
         assert runner.cache_hits == 2
         assert [m.cached for m in runner.last_manifests] == [True, True]
         assert "hits=2" in runner.render_report()
 
     def test_cache_survives_runner_instances(self, tmp_path):
-        ExperimentRunner(cache_dir=str(tmp_path)).map(_square, [9])
-        fresh = ExperimentRunner(cache_dir=str(tmp_path))
+        ExperimentRunner(store=ResultStore(str(tmp_path))).map(_square, [9])
+        fresh = ExperimentRunner(store=ResultStore(str(tmp_path)))
         assert fresh.map(_square, [9]) == [81]
         assert fresh.cache_hits == 1
 
     def test_different_args_miss(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [3])
         runner.map(_square, [4])
         assert runner.cache_hits == 0
 
     def test_different_functions_do_not_collide(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [3])
         assert runner.map(abs, [3]) == [3]  # not 9 served from _square's entry
         assert runner.cache_hits == 0
 
-    def test_salt_invalidates(self, tmp_path):
-        ExperimentRunner(cache_dir=str(tmp_path)).map(_square, [3])
-        salted = ExperimentRunner(cache_dir=str(tmp_path), salt="rev2")
-        salted.map(_square, [3])
-        assert salted.cache_misses == 1 and salted.cache_hits == 0
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [3])
         record = runner.store.record_path(point_key(_square, 3))
         with open(record, "wb") as f:
             f.write(b"not a record")
-        again = ExperimentRunner(cache_dir=str(tmp_path))
+        again = ExperimentRunner(store=ResultStore(str(tmp_path)))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert again.map(_square, [3]) == [9]
         assert again.cache_misses == 1
         assert again.corrupt_cache_entries == 1
 
     def test_parallel_runs_populate_the_cache(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         runner.map(_square, [1, 2, 3])
-        sequential = ExperimentRunner(cache_dir=str(tmp_path))
+        sequential = ExperimentRunner(store=ResultStore(str(tmp_path)))
         assert sequential.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert sequential.cache_hits == 3
 
@@ -112,7 +107,7 @@ class TestHitsRetainNothing:
     def test_all_hit_maps_do_not_grow_the_runner(self, tmp_path):
         import tracemalloc
 
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         points = list(range(16))
         runner.map(_square, points, label="warm")
         executed = len(runner.reports)
@@ -137,7 +132,7 @@ class TestHitsRetainNothing:
 
 class TestManifests:
     def test_map_records_one_manifest_per_point_in_order(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [3, 4])
         assert len(runner.last_manifests) == 2
         assert [m.cached for m in runner.last_manifests] == [False, False]
@@ -165,7 +160,7 @@ class TestManifests:
         assert len(runner.last_manifests) == 1
 
     def test_parallel_map_still_manifests_in_order(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         runner.map(_square, [1, 2, 3])
         assert len(runner.last_manifests) == 3
         assert all(isinstance(m, RunManifest) for m in runner.last_manifests)
@@ -177,7 +172,7 @@ class TestFromEnv:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         runner = ExperimentRunner.from_env()
-        assert runner.jobs == 1 and runner.cache_dir is None
+        assert runner.jobs == 1 and runner.store is None
 
     def test_garbage_jobs_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
@@ -188,7 +183,7 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
         runner = ExperimentRunner.from_env()
-        assert runner.jobs == 4 and runner.cache_dir == str(tmp_path)
+        assert runner.jobs == 4 and runner.store.root == str(tmp_path)
 
 
 class _Color(enum.Enum):
@@ -257,10 +252,11 @@ class TestStableRepr:
         assert "Opaque" in stable_repr(Opaque())
 
     def test_salt_and_version_feed_the_key(self):
+        """The preimage keeps its empty salt field, so no stored key
+        moved when the salt went."""
         assert isinstance(CACHE_VERSION, int)
-        k1 = point_key(_square, 3)
-        k2 = point_key(_square, 3, salt="s")
-        assert k1 != k2
+        ident = f"v{CACHE_VERSION}||{stable_repr(_square)}|{stable_repr(3)}"
+        assert point_key(_square, 3) == hashlib.sha256(ident.encode()).hexdigest()
 
 
 def _make_adder(n):
@@ -283,28 +279,26 @@ class TestKeyableGuard:
         assert point_key(add1, 5) == point_key(add2, 5)
 
     def test_lambda_rejected_when_caching(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path / "cache")))
         with pytest.raises(ValueError, match="lambda"):
             runner.map(lambda x: x, [1])
 
     def test_closure_rejected_when_caching(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path / "cache")))
         with pytest.raises(ValueError, match="closure"):
             runner.map(_make_adder(3), [1])
 
     def test_closure_rejected_when_storing(self, tmp_path):
-        from repro.store import ResultStore
-
         runner = ExperimentRunner(store=ResultStore(tmp_path / "store"))
         with pytest.raises(ValueError, match="captured"):
             runner.map(_make_adder(3), [1])
 
     def test_partial_over_named_function_is_fine(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path / "cache")))
         assert runner.map(functools.partial(_square), [3]) == [9]
 
     def test_partial_over_lambda_still_rejected(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
+        runner = ExperimentRunner(store=ResultStore(str(tmp_path / "cache")))
         with pytest.raises(ValueError, match="lambda"):
             runner.map(functools.partial(lambda x: x), [1])
 

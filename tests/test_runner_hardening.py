@@ -71,7 +71,7 @@ def _flaky(point):
 
 class TestFailureIsolation:
     def test_raising_worker_spares_siblings(self, tmp_path):
-        runner = ExperimentRunner(jobs=2, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         points = [("ok", 1), ("raise", "boom"), ("ok", 3)]
         with pytest.raises(ValueError, match="scripted failure: boom"):
             runner.map(_behave, points, label="pt")
@@ -82,14 +82,16 @@ class TestFailureIsolation:
         failed = [e for e in entries if e["status"] == "failed"]
         assert len(ok) == 2 and len(failed) == 1
         assert failed[0]["kind"] == "error"
-        rerun = ExperimentRunner(jobs=2, cache_dir=str(tmp_path), on_failure="record")
+        rerun = ExperimentRunner(
+            jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
+        )
         results = rerun.map(_behave, points, label="pt")
         assert results[0] == 2 and results[2] == 6
         assert rerun.cache_hits == 2  # nothing recomputed
 
     def test_sigkilled_worker_is_a_crash_not_an_abort(self, tmp_path):
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), on_failure="record"
+            jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
         )
         results = runner.map(
             _behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt"
@@ -103,7 +105,7 @@ class TestFailureIsolation:
     @pytest.mark.timeout_guard(60)
     def test_hung_worker_is_terminated_at_the_deadline(self, tmp_path):
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), timeout=1.0, on_failure="record"
+            jobs=2, store=ResultStore(str(tmp_path)), timeout=1.0, on_failure="record"
         )
         t0 = time.monotonic()
         results = runner.map(
@@ -189,12 +191,10 @@ class TestDeterministicBackoffJitter:
     """Satellite: retry/backoff jitter is seeded from the sweep itself,
     so identical plans produce identical retry timelines."""
 
-    def _session(self, backoff=0.5, jitter=0.1, label="jit", points=(1, 2, 3)):
+    def _session(self, backoff=0.5, label="jit", points=(1, 2, 3)):
         from repro.flow.runner import MapSession
 
-        runner = ExperimentRunner(
-            retries=3, backoff=backoff, backoff_jitter=jitter
-        )
+        runner = ExperimentRunner(retries=3, backoff=backoff)
         return MapSession(runner, _behave, list(points), label)
 
     def test_same_plan_gives_identical_delays(self):
@@ -212,24 +212,16 @@ class TestDeterministicBackoffJitter:
         assert s.backoff_delay(0, 2) > s.backoff_delay(0, 1)
 
     def test_delays_bounded_by_jitter_fraction(self):
-        s = self._session(backoff=0.5, jitter=0.1)
+        s = self._session(backoff=0.5)
         for a in (1, 2, 3):
             base = 0.5 * (2 ** (a - 1))
             d = s.backoff_delay(0, a)
             assert base <= d <= base * 1.1
 
-    def test_zero_jitter_is_pure_exponential(self):
-        s = self._session(jitter=0.0)
-        assert s.backoff_delay(5, 2) == 1.0
-
     def test_different_sweeps_get_different_jitter(self):
         a = self._session(label="sweep-a")
         b = self._session(label="sweep-b")
         assert a.backoff_delay(0, 1) != b.backoff_delay(0, 1)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError, match="backoff_jitter"):
-            ExperimentRunner(backoff_jitter=-0.1)
 
     def test_two_identical_runs_emit_identical_retry_order(self, tmp_path):
         """End to end: same plan, two fresh runs, byte-comparable retry
@@ -259,7 +251,7 @@ class TestJournalAndResume:
         # "Kill" = a batch where one point crashes hard; the survivors
         # must already be on disk when the crash is reported.
         first = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), on_failure="record"
+            jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
         )
         first.map(_behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt")
         done = [
@@ -267,10 +259,10 @@ class TestJournalAndResume:
             if rec["status"] == "ok"
         ]
         assert len(done) == 2
-        # Resume is "run again on the same cache_dir": every journaled-ok
+        # Resume is "run again on the same store": every journaled-ok
         # key is a hit, with no flag asking for it.
         rerun = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path), on_failure="record"
+            jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
         )
         results = rerun.map(_behave, [("ok", 1), ("ok", 3)], label="pt")
         assert results == [2, 6]
@@ -279,12 +271,24 @@ class TestJournalAndResume:
         assert rerun.cache_hits == 2
 
     def test_journal_survives_torn_writes(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        from repro.telemetry.events import read_events
+
+        runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         runner.map(_behave, [("ok", 1)], label="pt")
-        with open(runner.journal_path, "a") as f:
-            f.write('{"key": "half-written')  # no newline, invalid JSON
+        events_path = str(tmp_path / "events.jsonl")
+        for path in (runner.journal_path, events_path):
+            with open(path, "a") as f:
+                f.write('{"key": "half-written')  # no newline, invalid JSON
         entries = read_journal(runner.journal_path)
         assert len(entries) == 1  # torn tail skipped, good line kept
+        # The resumed run's first record must not land on the torn line.
+        runner.map(_behave, [("ok", 1), ("ok", 2)], label="pt")
+        assert [(r["label"], r["status"]) for r in
+                read_journal(runner.journal_path)] == [
+            ("pt[0]", "ok"), ("pt[1]", "ok"),
+        ]
+        starts = [r for r in read_events(events_path) if r["event"] == "run_start"]
+        assert [(r["points"], r["cached"]) for r in starts] == [(1, 0), (2, 1)]
 
     def test_no_journal_without_a_cache_dir(self):
         runner = ExperimentRunner(jobs=1)
@@ -309,7 +313,7 @@ class TestJournalAndResume:
 
 class TestCorruptCacheQuarantine:
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         runner.map(_behave, [("ok", 5)], label="pt")
         key = point_key(_behave, ("ok", 5))
         record = runner.store.record_path(key)
@@ -317,7 +321,7 @@ class TestCorruptCacheQuarantine:
             f.write(b"this is not a record")
         metrics = MetricsRegistry()
         fresh = ExperimentRunner(
-            jobs=1, cache_dir=str(tmp_path), metrics=metrics
+            jobs=1, store=ResultStore(str(tmp_path)), metrics=metrics
         )
         with pytest.warns(RuntimeWarning, match="quarantined"):
             results = fresh.map(_behave, [("ok", 5)], label="pt")
@@ -331,14 +335,14 @@ class TestCorruptCacheQuarantine:
         assert "corrupt_cache_entries=1" in fresh.render_report()
 
     def test_warning_fires_once_per_runner(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         points = [("ok", 5), ("ok", 6)]
         runner.map(_behave, points, label="pt")
         for p in points:
             record = runner.store.record_path(point_key(_behave, p))
             with open(record, "wb") as f:
                 f.write(b"garbage")
-        fresh = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        fresh = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         with pytest.warns(RuntimeWarning) as record:
             fresh.map(_behave, points, label="pt")
         assert len([w for w in record if w.category is RuntimeWarning]) == 1
@@ -347,7 +351,7 @@ class TestCorruptCacheQuarantine:
 
 class TestLegacyPickleCacheIsIgnored:
     def test_stale_pkl_is_a_miss_kept_and_silent(self, tmp_path):
-        runner = ExperimentRunner(jobs=1, cache_dir=str(tmp_path))
+        runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         stale = tmp_path / f"{point_key(_behave, ('ok', 5))}.pkl"
         stale.write_bytes(pickle.dumps("from an older version"))
         with warnings.catch_warnings():
@@ -372,26 +376,13 @@ class TestFromEnvValidation:
     def test_timeout_retries_resume_channel(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "3")
-        # A runner resumes by being run again on the same cache, so it
-        # has no resume field.
+        # The channel is REPRO_JOBS and REPRO_CACHE only, and a runner
+        # resumes by being run again on the same cache, so it has no
+        # resume field.
         runner = ExperimentRunner.from_env()
-        assert runner.timeout == 2.5
-        assert runner.retries == 3
+        assert runner.timeout is None
+        assert runner.retries == 0
         assert not hasattr(runner, "resume")
-
-    @pytest.mark.parametrize(
-        "var,value,match",
-        [
-            ("REPRO_TIMEOUT", "soon", "REPRO_TIMEOUT"),
-            ("REPRO_TIMEOUT", "-1", "REPRO_TIMEOUT.*positive"),
-            ("REPRO_RETRIES", "lots", "REPRO_RETRIES"),
-            ("REPRO_RETRIES", "-1", "REPRO_RETRIES"),
-        ],
-    )
-    def test_garbage_values_name_the_variable(self, monkeypatch, var, value, match):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=match):
-            ExperimentRunner.from_env()
 
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -421,11 +412,11 @@ class TestCampaignCheckpointing:
     def test_fault_campaign_resumes_through_the_runner(self, tmp_path):
         cache = str(tmp_path / "cache")
         first = FaultCampaign(
-            [SPEC], runner=ExperimentRunner(jobs=2, cache_dir=cache)
+            [SPEC], runner=ExperimentRunner(jobs=2, store=ResultStore(cache))
         )
         want = first.run()
         second = FaultCampaign(
-            [SPEC], runner=ExperimentRunner(jobs=2, cache_dir=cache)
+            [SPEC], runner=ExperimentRunner(jobs=2, store=ResultStore(cache))
         )
         got = second.run()
         assert second.runner.cache_hits == 1
@@ -467,7 +458,7 @@ class TestSweepUnderInjectedFailures:
                          measure_cycles=400, seed=2, label="healthy-2"),
         ]
         runner = ExperimentRunner(
-            jobs=2, cache_dir=str(tmp_path / "cache"), retries=1, backoff=0.05
+            jobs=2, store=ResultStore(str(tmp_path / "cache")), retries=1, backoff=0.05
         )
         results = runner.map(_sweep_point, specs, label="campaign")
         assert [r.label for r in results] == ["healthy-1", "flaky-once", "healthy-2"]

@@ -262,26 +262,10 @@ class TestRunnerIntegration:
         assert second.map(_square, [2, 3]) == [4, 9]
         assert second.cache_hits == 2 and second.cache_misses == 0
 
-    def test_store_and_cache_dir_both_publish(self, tmp_path):
-        """Both configured: the result lives only in ``store``;
-        ``cache_dir`` hosts the journal and the event stream."""
-        store = ResultStore(tmp_path / "store")
-        runner = ExperimentRunner(
-            store=store, cache_dir=str(tmp_path / "cache")
-        )
-        runner.map(_square, [5])
-        assert runner.store is store and len(store) == 1
-        assert sorted(os.listdir(tmp_path / "cache")) == [
-            "events.jsonl", "runs.jsonl",
-        ]
-        assert not os.path.exists(tmp_path / "store" / "runs.jsonl")
-
     def test_run_directory_layout(self, tmp_path):
-        """One record file per point, one ledger, one stream -- whether
-        the run directory is a ``cache_dir`` or a bare store root."""
+        """One record file per point, one ledger, one stream, all in
+        the store's root."""
         layout = {"STORE.json", "objects", "runs.jsonl", "events.jsonl"}
-        ExperimentRunner(cache_dir=str(tmp_path / "cache")).map(_square, [2, 3])
-        assert set(os.listdir(tmp_path / "cache")) == layout
         store = ResultStore(tmp_path / "store")
         ExperimentRunner(store=store).map(_square, [2, 3])
         assert set(os.listdir(store.root)) == layout
