@@ -30,19 +30,18 @@ golden-dse:
 	import json; from tests.test_rows import GOLDEN_DSE, identity; \
 	json.dump(identity(), open(GOLDEN_DSE, 'w'), indent=2); print(file=open(GOLDEN_DSE, 'a'))"
 
-# Full figure regeneration (pytest-benchmark over benchmarks/).
+# Full figure regeneration: main(runner) of every benchmarks/bench_*.py,
+# in-process (tests/test_figures.py checks the deterministic ones).
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro figures
 
 bench: figures
 
-# One tiny point of every bench family through the experiment runner,
-# under a wall-clock budget (see benchmarks/smoke.py), then every
-# ledger workload once at --quick size with its per-run correctness
-# gate -- the CI pulse-check for the measurement stack.  Writes no
-# tracked file.
+# The pulse-checks below, then every ledger workload once at --quick
+# size with its per-run correctness gate -- the CI pulse-check for the
+# measurement stack.  Writes no tracked file.  (The figures' code paths
+# are tier-1: tests/test_figures.py.)
 bench-smoke: report-smoke faults-smoke top-smoke serve-smoke chaos-smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/smoke.py
 	python3 benchmarks/ledger/selfcheck.py
 
 # Telemetry pulse-check: run the report CLI on a tiny 2x2 mesh and

@@ -1,9 +1,13 @@
 """Shared helpers for the figure-reproduction benchmarks.
 
-Every ``bench_f*.py`` regenerates one of the paper's evaluation figures:
-it computes the figure's rows, prints them, writes them to
-``benchmarks/results/`` so they survive pytest's output capture, and
-asserts the *shape* claims the paper makes (orderings, growth, ranges).
+Every ``bench_*.py`` is a plain module whose ``main(runner)``
+regenerates one figure: it computes the figure's rows, prints them,
+writes them to ``benchmarks/results/`` (the timing benches S1, S2 and
+S4 only print) and asserts the *shape* claims the paper makes
+(orderings, growth, ranges).  ``python -m repro
+figures`` calls every ``main`` with one shared
+:class:`~repro.flow.runner.ExperimentRunner`; ``tests/test_figures.py``
+checks the deterministic ones against their committed rows.
 """
 
 from __future__ import annotations
@@ -12,21 +16,9 @@ import json
 import os
 from typing import Iterable
 
-from repro.flow.runner import ExperimentRunner
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 FLIT_WIDTHS = (16, 32, 64, 128)
-
-
-def get_runner() -> ExperimentRunner:
-    """The experiment runner configured for this benchmark session.
-
-    Sequential and uncached by default; ``python -m repro figures
-    --jobs N --cache DIR`` (or the REPRO_JOBS / REPRO_CACHE environment
-    variables directly) turn on parallelism and disk memoization.
-    """
-    return ExperimentRunner.from_env()
 
 
 def emit(figure: str, lines: Iterable[str]) -> str:
@@ -43,10 +35,10 @@ def emit(figure: str, lines: Iterable[str]) -> str:
 def emit_json(name: str, payload: dict) -> str:
     """Persist a machine-readable benchmark record under results/.
 
-    The textual ``emit`` rows are for humans; tooling that tracks
-    performance over time (or gates a CI lane on a ratio) wants stable
-    keys instead of parsing aligned columns.  Written with sorted keys
-    so diffs of consecutive runs stay readable.
+    The textual ``emit`` rows are for humans; tooling that reads a
+    curve's confidence intervals wants stable keys instead of parsing
+    aligned columns.  Written with sorted keys so diffs of consecutive
+    runs stay readable.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")

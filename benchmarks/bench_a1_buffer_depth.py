@@ -10,7 +10,7 @@ flits) and mean latency down to a knee, while area grows linearly --
 past the knee you pay silicon for nothing.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import NocParameters, SwitchConfig
 from repro.network.noc import Noc, NocBuildConfig
@@ -42,8 +42,8 @@ def run_depth(depth):
     return noc.aggregate_latency().mean(), rejected, area
 
 
-def ablation_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "A1: output queue depth ablation (2x2 mesh, contended uniform traffic)",
         f"{'depth':>6} {'mean lat':>9} {'rejected':>9} {'4x4 area':>9}",
     ]
@@ -51,8 +51,8 @@ def ablation_rows():
     for d in DEPTHS:
         lat, rej, area = run_depth(d)
         data[d] = (lat, rej, area)
-        rows.append(f"{d:>6} {lat:>9.1f} {rej:>9} {area:>9.4f}")
-    return rows, data
+        lines.append(f"{d:>6} {lat:>9.1f} {rej:>9} {area:>9.4f}")
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -66,7 +66,7 @@ def check_shape(data):
     assert data[16][0] <= data[2][0] * 1.05
 
 
-def test_a1_buffer_depth(benchmark):
-    rows, data = benchmark.pedantic(ablation_rows, rounds=1, iterations=1)
-    emit("a1_buffer_depth", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a1_buffer_depth", lines)
+    check_shape(*data)

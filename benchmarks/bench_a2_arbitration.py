@@ -10,7 +10,7 @@ to the best master's; fixed priority opens a much wider gap (and its
 most-favoured master beats everyone).
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import ArbitrationPolicy
 from repro.network.noc import Noc, NocBuildConfig
@@ -44,20 +44,20 @@ def run_policy(policy):
     return {c: noc.masters[c].latency.mean() for c in cpus}
 
 
-def ablation_rows():
+def rows(runner):
     rr = run_policy(ArbitrationPolicy.ROUND_ROBIN)
     fx = run_policy(ArbitrationPolicy.FIXED_PRIORITY)
-    rows = [
+    lines = [
         "A2: arbitration policy under a shared hot target",
         f"{'master':<8} {'round robin':>12} {'fixed prio':>12}",
     ]
     for c in rr:
-        rows.append(f"{c:<8} {rr[c]:>12.1f} {fx[c]:>12.1f}")
+        lines.append(f"{c:<8} {rr[c]:>12.1f} {fx[c]:>12.1f}")
     rr_spread = max(rr.values()) / min(rr.values())
     fx_spread = max(fx.values()) / min(fx.values())
-    rows.append("")
-    rows.append(f"latency spread (worst/best): RR {rr_spread:.2f}, fixed {fx_spread:.2f}")
-    return rows, rr, fx
+    lines.append("")
+    lines.append(f"latency spread (worst/best): RR {rr_spread:.2f}, fixed {fx_spread:.2f}")
+    return lines, (rr, fx)
 
 
 def check_shape(rr, fx):
@@ -71,7 +71,7 @@ def check_shape(rr, fx):
     assert worst == f"cpu{N_MASTERS - 1}"
 
 
-def test_a2_arbitration(benchmark):
-    rows, rr, fx = benchmark.pedantic(ablation_rows, rounds=1, iterations=1)
-    emit("a2_arbitration", rows)
-    check_shape(rr, fx)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a2_arbitration", lines)
+    check_shape(*data)

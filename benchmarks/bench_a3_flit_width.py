@@ -11,7 +11,7 @@ the latency x area product exposes a sweet spot strictly inside the
 swept range (the reason 32/64 are the paper's working points).
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NocParameters
 from repro.network.noc import Noc, NocBuildConfig
@@ -35,8 +35,8 @@ def run_width(width):
     return noc.aggregate_latency().mean(), area
 
 
-def ablation_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "A3: flit width ablation (8-beat bursts, 2x2 mesh)",
         f"{'flit':>5} {'mean lat':>9} {'area mm2':>9} {'lat*area':>9}",
     ]
@@ -44,8 +44,8 @@ def ablation_rows():
     for w in FLIT_WIDTHS:
         lat, area = run_width(w)
         data[w] = (lat, area)
-        rows.append(f"{w:>5} {lat:>9.1f} {area:>9.3f} {lat * area:>9.1f}")
-    return rows, data
+        lines.append(f"{w:>5} {lat:>9.1f} {area:>9.3f} {lat * area:>9.1f}")
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -60,7 +60,7 @@ def check_shape(data):
     assert min(products[0], products[-1]) > min(products)
 
 
-def test_a3_flit_width(benchmark):
-    rows, data = benchmark.pedantic(ablation_rows, rounds=1, iterations=1)
-    emit("a3_flit_width", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a3_flit_width", lines)
+    check_shape(*data)

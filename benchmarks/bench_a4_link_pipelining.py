@@ -13,7 +13,7 @@ nanoseconds at the frequency each wire length permits shows the
 pipelined point beating the unpipelined one for long wires.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import LinkConfig
 from repro.core.flow_control import window_for_link
@@ -37,15 +37,15 @@ def run_stages(stages):
     return noc.aggregate_latency().mean()
 
 
-def ablation_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "A4: link pipeline depth vs latency",
         f"{'stages':>7} {'mean lat cyc':>13} {'gbn window':>11}",
     ]
     lat = {}
     for s in STAGES:
         lat[s] = run_stages(s)
-        rows.append(f"{s:>7} {lat[s]:>13.1f} {window_for_link(s):>11}")
+        lines.append(f"{s:>7} {lat[s]:>13.1f} {window_for_link(s):>11}")
 
     # Wire-length view: a 4 mm wire at 1 GHz needs pipelining; compare
     # end-to-end time for "slow clock, 1 stage" vs "full clock, piped".
@@ -54,12 +54,12 @@ def ablation_rows():
     piped_stages = stages_for_length(wire_mm, 1000.0)
     t_slow = lat[1] / (slow_clock / 1000.0)
     t_piped = lat[min(piped_stages, max(STAGES))] / 1.0
-    rows.append("")
-    rows.append(
+    lines.append("")
+    lines.append(
         f"{wire_mm:.0f} mm wires: unpipelined @ {slow_clock:.0f} MHz -> {t_slow:.0f} ns; "
         f"{piped_stages}-stage piped @ 1000 MHz -> {t_piped:.0f} ns"
     )
-    return rows, lat, (t_slow, t_piped)
+    return lines, (lat, (t_slow, t_piped))
 
 
 def check_shape(lat, times):
@@ -73,7 +73,7 @@ def check_shape(lat, times):
     assert t_piped < t_slow, "pipelining must win on long wires"
 
 
-def test_a4_link_pipelining(benchmark):
-    rows, lat, times = benchmark.pedantic(ablation_rows, rounds=1, iterations=1)
-    emit("a4_link_pipelining", rows)
-    check_shape(lat, times)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a4_link_pipelining", lines)
+    check_shape(*data)

@@ -12,7 +12,7 @@ size); CRC-16 is at least as strong.  Detection costs retransmissions,
 which grow with the protection level actually exercised.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import LinkConfig
 from repro.core.crc import CRC16_CCITT, CRC8_ATM, CrcCodec
@@ -65,23 +65,23 @@ def run_codec(codec):
     }
 
 
-def fidelity_rows():
+def rows(runner):
     results = {
         "none": run_codec(None),
         "crc8": run_codec(CrcCodec(WIDTH, width=8, poly=CRC8_ATM)),
         "crc16": run_codec(CrcCodec(WIDTH, width=16, poly=CRC16_CCITT)),
     }
-    rows = [
+    lines = [
         f"A5: error-detection fidelity ({N_FLITS} flits, BER={BER}, bit-accurate)",
         f"{'codec':<7} {'delivered':>10} {'silent bad':>11} {'detected':>9} "
         f"{'injected':>9}",
     ]
     for name, r in results.items():
-        rows.append(
+        lines.append(
             f"{name:<7} {r['delivered']:>10} {r['silent']:>11} "
             f"{r['detected']:>9} {r['injected']:>9}"
         )
-    return rows, results
+    return lines, (results,)
 
 
 def check_shape(results):
@@ -99,7 +99,7 @@ def check_shape(results):
     assert crc16["detected"] > 0
 
 
-def test_a5_crc_fidelity(benchmark):
-    rows, results = benchmark.pedantic(fidelity_rows, rounds=1, iterations=1)
-    emit("a5_crc_fidelity", rows)
-    check_shape(results)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a5_crc_fidelity", lines)
+    check_shape(*data)

@@ -11,7 +11,7 @@ Shape claims: dynamic energy per transaction tracks mean hop count
 dominated by switches; leakage grows with total instantiated area.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.network.noc import Noc
 from repro.network.topology import attach_round_robin, mesh, star
@@ -35,25 +35,25 @@ def run_fabric(factory, *args):
     return report, hops
 
 
-def energy_rows():
+def rows(runner):
     results = {}
     for name, factory, args in (
         ("star4", star, (4,)),
         ("mesh3x3", mesh, (3, 3)),
     ):
         results[name] = run_fabric(factory, *args)
-    rows = [
+    lines = [
         f"A6: energy per transaction, identical workloads ({3 * TXNS} txns)",
         f"{'fabric':<9} {'dyn nJ':>8} {'leak nJ':>8} {'pJ/txn':>8} "
         f"{'flit-hops/txn':>14}",
     ]
     for name, (report, hops) in results.items():
-        rows.append(
+        lines.append(
             f"{name:<9} {report.total_dynamic_pj / 1000:>8.2f} "
             f"{report.leakage_pj / 1000:>8.2f} {report.pj_per_transaction:>8.1f} "
             f"{hops:>14.1f}"
         )
-    return rows, results
+    return lines, (results,)
 
 
 def check_shape(results):
@@ -75,7 +75,7 @@ def check_shape(results):
     )
 
 
-def test_a6_energy(benchmark):
-    rows, results = benchmark.pedantic(energy_rows, rounds=1, iterations=1)
-    emit("a6_energy", rows)
-    check_shape(results)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a6_energy", lines)
+    check_shape(*data)

@@ -12,7 +12,7 @@ than the flat bus (the bridge adds latency and holds the fast bus);
 the NoC beats both once several masters contend.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.bus import BridgedBus, SharedBus
 from repro.network.noc import Noc
@@ -62,18 +62,18 @@ def run_noc():
     return noc.aggregate_latency().mean()
 
 
-def hierarchy_rows():
+def rows(runner):
     flat = run_flat()
     bridged = run_bridged()
     noc = run_noc()
-    rows = [
+    lines = [
         f"A7: interconnect generations, {N_MASTERS} masters, rate {RATE}",
         f"{'architecture':<16} {'mean latency':>13}",
         f"{'flat bus':<16} {flat:>13.1f}",
         f"{'bridged bus':<16} {bridged:>13.1f}",
         f"{'xpipes NoC':<16} {noc:>13.1f}",
     ]
-    return rows, (flat, bridged, noc)
+    return lines, ((flat, bridged, noc),)
 
 
 def check_shape(values):
@@ -85,7 +85,7 @@ def check_shape(values):
     assert noc < bridged
 
 
-def test_a7_bus_hierarchies(benchmark):
-    rows, values = benchmark.pedantic(hierarchy_rows, rounds=1, iterations=1)
-    emit("a7_bus_hierarchies", rows)
-    check_shape(values)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a7_bus_hierarchies", lines)
+    check_shape(*data)

@@ -15,13 +15,11 @@ bisection links for the same cores).
 Each point is measured under ``REPLICAS`` seed-varied lanes and
 reduced to a mean with 95% confidence half-widths (docs/BATCHING.md),
 so the shape claims compare means, not single draws; the curve with
-its CIs also lands in ``results/BENCH_a8.json``.  ``python -m repro
-figures --replicas N`` (or REPRO_REPLICAS) overrides the lane count.
+its CIs also lands in ``results/BENCH_a8.json``.
 """
 
-from _common import emit, emit_json, get_runner
+from benchmarks._common import emit, emit_json
 
-from repro.faults import replicas_from_env
 from repro.network.experiments import (
     TopologyNocBuilder,
     load_sweep,
@@ -31,30 +29,28 @@ from repro.network.experiments import (
 from repro.network.topology import mesh, ring
 
 RATES = (0.01, 0.03, 0.06, 0.1, 0.15, 0.2, 0.3)
-REPLICAS = 4  # default lanes per point (REPRO_REPLICAS overrides)
+REPLICAS = 4  # lanes per point
 
 
-def sweep_rows():
-    replicas = replicas_from_env(default=REPLICAS)
-    with get_runner() as runner:  # two maps, one pool (REPRO_JOBS > 1)
-        mesh_pts = load_sweep(
-            TopologyNocBuilder(mesh, (3, 3)), RATES, seed=3, runner=runner,
-            replicas=replicas,
-        )
-        ring_pts = load_sweep(
-            TopologyNocBuilder(ring, (4,)), RATES, seed=3, runner=runner,
-            replicas=replicas,
-        )
-    rows = [render_sweep(mesh_pts, "A8a: 3x3 mesh, 4 CPUs + 4 memories")]
-    rows.append("")
-    rows.append(render_sweep(ring_pts, "A8b: ring-4, same cores"))
+def rows(runner):
+    mesh_pts = load_sweep(
+        TopologyNocBuilder(mesh, (3, 3)), RATES, seed=3, runner=runner,
+        replicas=REPLICAS,
+    )
+    ring_pts = load_sweep(
+        TopologyNocBuilder(ring, (4,)), RATES, seed=3, runner=runner,
+        replicas=REPLICAS,
+    )
+    lines = [render_sweep(mesh_pts, "A8a: 3x3 mesh, 4 CPUs + 4 memories")]
+    lines.append("")
+    lines.append(render_sweep(ring_pts, "A8b: ring-4, same cores"))
     mesh_sat = saturation_rate(mesh_pts)
     ring_sat = saturation_rate(ring_pts)
-    rows.append("")
-    rows.append(
+    lines.append("")
+    lines.append(
         f"saturation (3x zero-load latency): mesh {mesh_sat}, ring {ring_sat}"
     )
-    return rows, mesh_pts, ring_pts
+    return lines, (mesh_pts, ring_pts)
 
 
 def check_shape(mesh_pts, ring_pts):
@@ -86,9 +82,10 @@ def _point_record(p):
     }
 
 
-def test_a8_load_sweep(benchmark):
-    rows, mesh_pts, ring_pts = benchmark.pedantic(sweep_rows, rounds=1, iterations=1)
-    emit("a8_load_sweep", rows)
+def main(runner):
+    lines, data = rows(runner)
+    mesh_pts, ring_pts = data
+    emit("a8_load_sweep", lines)
     emit_json("BENCH_a8", {
         "bench": "a8_load_sweep",
         "rates": list(RATES),
@@ -100,4 +97,4 @@ def test_a8_load_sweep(benchmark):
             "ring_4": saturation_rate(ring_pts),
         },
     })
-    check_shape(mesh_pts, ring_pts)
+    check_shape(*data)

@@ -13,14 +13,14 @@ this contention-free estimate (they cost area and buy nothing the
 estimator can see -- the A1 ablation shows what they do buy).
 """
 
-from _common import emit, get_runner
+from benchmarks._common import emit
 
 from repro.flow import demo_multimedia_soc
 from repro.flow.dse import explore_design_space, pareto_frontier, render_space
 from repro.network.topology import mesh, ring, star
 
 
-def dse_rows():
+def rows(runner):
     _, _, core_graph = demo_multimedia_soc()
     points = explore_design_space(
         core_graph,
@@ -29,16 +29,16 @@ def dse_rows():
         buffer_depths=(4, 6),
         seed=2,
         anneal_iterations=400,
-        runner=get_runner(),
+        runner=runner,
     )
     frontier = pareto_frontier(points)
-    rows = [render_space(points, frontier, "A9: multimedia SoC design space")]
+    lines = [render_space(points, frontier, "A9: multimedia SoC design space")]
     best_latency = min(frontier, key=lambda p: p.latency_ns)
     best_area = min(frontier, key=lambda p: p.area_mm2)
-    rows.append("")
-    rows.append(f"fastest : {best_latency.row()}")
-    rows.append(f"smallest: {best_area.row()}")
-    return rows, points, frontier
+    lines.append("")
+    lines.append(f"fastest : {best_latency.row()}")
+    lines.append(f"smallest: {best_area.row()}")
+    return lines, (points, frontier)
 
 
 def check_shape(points, frontier):
@@ -56,7 +56,7 @@ def check_shape(points, frontier):
     assert all(p.feasible for p in frontier)
 
 
-def test_a9_design_space(benchmark):
-    rows, points, frontier = benchmark.pedantic(dse_rows, rounds=1, iterations=1)
-    emit("a9_design_space", rows)
-    check_shape(points, frontier)
+def main(runner):
+    lines, data = rows(runner)
+    emit("a9_design_space", lines)
+    check_shape(*data)

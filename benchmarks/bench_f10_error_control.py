@@ -13,7 +13,7 @@ latency grow monotonically with BER; at BER=0 there is no retransmission
 tax beyond contention.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import LinkConfig
 from repro.network.noc import Noc, NocBuildConfig
@@ -44,8 +44,8 @@ def run_ber(ber):
     }
 
 
-def ber_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F10: delivery under unreliable links (2x2 mesh, ACK/NACK go-back-N)",
         f"{'BER':>7} {'delivered':>10} {'mean lat':>9} {'errors':>8} "
         f"{'retrans':>8} {'flits':>8}",
@@ -54,11 +54,11 @@ def ber_rows():
     for ber in BERS:
         r = run_ber(ber)
         series[ber] = r
-        rows.append(
+        lines.append(
             f"{ber:>7.3f} {r['completed']:>4}/{r['expected']:<5} "
             f"{r['latency']:>9.1f} {r['errors']:>8} {r['retrans']:>8} {r['flits']:>8}"
         )
-    return rows, series
+    return lines, (series,)
 
 
 def check_shape(series):
@@ -73,7 +73,7 @@ def check_shape(series):
     assert series[0.05]["latency"] > series[0.0]["latency"]
 
 
-def test_f10_error_control(benchmark):
-    rows, series = benchmark.pedantic(ber_rows, rounds=1, iterations=1)
-    emit("f10_error_control", rows)
-    check_shape(series)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f10_error_control", lines)
+    check_shape(*data)

@@ -6,14 +6,14 @@ operating point.  Shape claims: area grows with flit width, the target
 NI sits above the initiator NI, and NIs stay well below switch areas.
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NiConfig, NocParameters, SwitchConfig
 from repro.synth import ni_area_mm2, switch_area_mm2
 
 
-def ni_area_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F1: NI area (mm2) vs flit width @ 1 GHz target",
         f"{'flit':>5} {'initiator':>10} {'target':>10}",
     ]
@@ -23,8 +23,8 @@ def ni_area_rows():
         init = ni_area_mm2(cfg, initiator=True, n_destinations=11, target_freq_mhz=1000)
         targ = ni_area_mm2(cfg, initiator=False, n_destinations=8, target_freq_mhz=1000)
         data[w] = (init, targ)
-        rows.append(f"{w:>5} {init:>10.4f} {targ:>10.4f}")
-    return rows, data
+        lines.append(f"{w:>5} {init:>10.4f} {targ:>10.4f}")
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -40,7 +40,7 @@ def check_shape(data):
         assert data[w][1] < sw, "NIs stay below the 4x4 switch"
 
 
-def test_f1_ni_area(benchmark):
-    rows, data = benchmark(ni_area_rows)
-    emit("f1_ni_area", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f1_ni_area", lines)
+    check_shape(*data)

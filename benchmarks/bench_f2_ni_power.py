@@ -6,14 +6,14 @@ above initiator NI; same ordering as the area figure (power tracks
 area at fixed frequency).
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NiConfig, NocParameters
 from repro.synth import ni_power_mw
 
 
-def ni_power_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F2: NI power (mW) vs flit width @ 1 GHz",
         f"{'flit':>5} {'initiator':>10} {'target':>10}",
     ]
@@ -23,8 +23,8 @@ def ni_power_rows():
         init = ni_power_mw(cfg, 1000.0, initiator=True, n_destinations=11)
         targ = ni_power_mw(cfg, 1000.0, initiator=False, n_destinations=8)
         data[w] = (init, targ)
-        rows.append(f"{w:>5} {init:>10.2f} {targ:>10.2f}")
-    return rows, data
+        lines.append(f"{w:>5} {init:>10.2f} {targ:>10.2f}")
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -40,7 +40,7 @@ def check_shape(data):
     assert data[128][1] < 60.0
 
 
-def test_f2_ni_power(benchmark):
-    rows, data = benchmark(ni_power_rows)
-    emit("f2_ni_power", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f2_ni_power", lines)
+    check_shape(*data)

@@ -6,7 +6,7 @@ flit width; flit width dominates (register files scale with width);
 the 32-bit 4x4 instance sits near 0.1 mm².
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NocParameters, SwitchConfig
 from repro.synth import switch_area_mm2, switch_max_freq_mhz
@@ -14,8 +14,8 @@ from repro.synth import switch_area_mm2, switch_max_freq_mhz
 RADIXES = ((3, 3), (4, 4), (5, 5), (6, 4), (6, 6), (8, 8))
 
 
-def switch_area_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F3: switch area (mm2) vs radix and flit width (@ min(1 GHz, fmax))",
         f"{'config':>7} " + " ".join(f"{w:>8}b" for w in FLIT_WIDTHS),
     ]
@@ -29,8 +29,8 @@ def switch_area_rows():
             area = switch_area_mm2(cfg, p, target_freq_mhz=f)
             data[(n_in, n_out, w)] = area
             cells.append(f"{area:>9.4f}")
-        rows.append(f"{cfg.label():>7} " + " ".join(cells))
-    return rows, data
+        lines.append(f"{cfg.label():>7} " + " ".join(cells))
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -43,7 +43,7 @@ def check_shape(data):
     assert 0.07 < data[(4, 4, 32)] < 0.13, "4x4 32b anchor near 0.1 mm2"
 
 
-def test_f3_switch_area(benchmark):
-    rows, data = benchmark(switch_area_rows)
-    emit("f3_switch_area", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f3_switch_area", lines)
+    check_shape(*data)

@@ -5,7 +5,7 @@ power grows with radix and flit width, tracks area at fixed frequency,
 and lands in the tens of mW for 130 nm switches at ~1 GHz.
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NocParameters, SwitchConfig
 from repro.synth import switch_max_freq_mhz, switch_power_mw
@@ -13,8 +13,8 @@ from repro.synth import switch_max_freq_mhz, switch_power_mw
 RADIXES = ((4, 4), (5, 5), (6, 4), (6, 6))
 
 
-def switch_power_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F4: switch power (mW) vs radix and flit width (@ min(1 GHz, fmax))",
         f"{'config':>7} " + " ".join(f"{w:>8}b" for w in FLIT_WIDTHS),
     ]
@@ -28,8 +28,8 @@ def switch_power_rows():
             power = switch_power_mw(cfg, p, f)
             data[(n_in, n_out, w)] = power
             cells.append(f"{power:>9.2f}")
-        rows.append(f"{cfg.label():>7} " + " ".join(cells))
-    return rows, data
+        lines.append(f"{cfg.label():>7} " + " ".join(cells))
+    return lines, (data,)
 
 
 def check_shape(data):
@@ -41,7 +41,7 @@ def check_shape(data):
     assert 10.0 < data[(4, 4, 32)] < 60.0, "tens of mW at 1 GHz, 130 nm"
 
 
-def test_f4_switch_power(benchmark):
-    rows, data = benchmark(switch_power_rows)
-    emit("f4_switch_power", rows)
-    check_shape(data)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f4_switch_power", lines)
+    check_shape(*data)

@@ -6,7 +6,7 @@ Initiator NI / Target NI / 4x4 switch / 6x4 switch, plus the headline
 with NIs and 4x4 switches at 1 GHz and 6x4 switches at 875-980 MHz.
 """
 
-from _common import FLIT_WIDTHS, emit
+from benchmarks._common import FLIT_WIDTHS, emit
 
 from repro.core.config import NiConfig, NocParameters, SwitchConfig
 from repro.network.noc import NocBuildConfig
@@ -28,8 +28,8 @@ def build_case_study_topology():
     return topo
 
 
-def case_study_rows():
-    rows = [
+def rows(runner):
+    lines = [
         "F5: mesh case study -- component area (mm2) vs flit width",
         f"{'flit':>5} {'init NI':>9} {'targ NI':>9} {'4x4 sw':>9} {'6x4 sw':>9}",
     ]
@@ -48,7 +48,7 @@ def case_study_rows():
             switch_area_mm2(sw64, p, target_freq_mhz=f64),
         )
         curves[w] = vals
-        rows.append(f"{w:>5} " + " ".join(f"{v:>9.4f}" for v in vals))
+        lines.append(f"{w:>5} " + " ".join(f"{v:>9.4f}" for v in vals))
 
     # Whole-mesh synthesis at 32-bit flits.
     topo = build_case_study_topology()
@@ -58,21 +58,21 @@ def case_study_rows():
     p32 = NocParameters(flit_width=32)
     f44_relaxed = switch_relaxed_freq_mhz(SwitchConfig(4, 4), p32)
     f64_relaxed = switch_relaxed_freq_mhz(SwitchConfig(6, 4), p32)
-    rows.append("")
-    rows.append(
+    lines.append("")
+    lines.append(
         f"3x4 mesh, 8 processors + 11 slaves, 32-bit flits: "
         f"{report.total_area_mm2:.2f} mm2 (paper: ~2.6 mm2)"
     )
-    rows.append(
+    lines.append(
         f"operating points: 4x4 switch {f44_relaxed:.0f} MHz (paper: 1 GHz), "
         f"6x4 switch {f64_relaxed:.0f} MHz (paper: 875-980 MHz)"
     )
     by_kind = report.area_by_kind()
-    rows.append(
+    lines.append(
         "area split: "
         + ", ".join(f"{k}={v:.2f}" for k, v in sorted(by_kind.items()))
     )
-    return rows, curves, report, (f44_relaxed, f64_relaxed)
+    return lines, (curves, report, (f44_relaxed, f64_relaxed))
 
 
 def check_shape(curves, report, freqs):
@@ -89,7 +89,7 @@ def check_shape(curves, report, freqs):
     assert 875.0 <= f64 <= 980.0
 
 
-def test_f5_mesh_case_study(benchmark):
-    rows, curves, report, freqs = benchmark(case_study_rows)
-    emit("f5_mesh_case_study", rows)
-    check_shape(curves, report, freqs)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f5_mesh_case_study", lines)
+    check_shape(*data)

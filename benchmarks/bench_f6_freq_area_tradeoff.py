@@ -7,7 +7,7 @@ frequency, superlinear near the maximum, with a ~1.8x total span and a
 maximum frequency near 1.5 GHz.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.core.config import NocParameters, SwitchConfig
 from repro.synth import frequency_area_curve, switch_max_freq_mhz
@@ -15,19 +15,19 @@ from repro.synth import frequency_area_curve, switch_max_freq_mhz
 FREQS = list(range(100, 1800, 100))
 
 
-def tradeoff_rows():
+def rows(runner):
     cfg = SwitchConfig(n_inputs=5, n_outputs=5)
     p = NocParameters(flit_width=32)
     curve = frequency_area_curve(cfg, p, FREQS)
     fmax = switch_max_freq_mhz(cfg, p)
-    rows = [
+    lines = [
         "F6: 32-bit 5x5 switch -- area vs synthesis target frequency",
         f"{'MHz':>6} {'area mm2':>9}",
     ]
     for f, a in curve:
-        rows.append(f"{f:>6.0f} {a:>9.4f}")
-    rows.append(f"fmax = {fmax:.0f} MHz (paper curve extends to ~1500 MHz)")
-    return rows, curve, fmax
+        lines.append(f"{f:>6.0f} {a:>9.4f}")
+    lines.append(f"fmax = {fmax:.0f} MHz (paper curve extends to ~1500 MHz)")
+    return lines, (curve, fmax)
 
 
 def check_shape(curve, fmax):
@@ -45,7 +45,7 @@ def check_shape(curve, fmax):
     assert deltas[-1] > deltas[len(deltas) // 2]
 
 
-def test_f6_freq_area_tradeoff(benchmark):
-    rows, curve, fmax = benchmark(tradeoff_rows)
-    emit("f6_freq_area_tradeoff", rows)
-    check_shape(curve, fmax)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f6_freq_area_tradeoff", lines)
+    check_shape(*data)

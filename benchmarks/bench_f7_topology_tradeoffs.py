@@ -12,7 +12,7 @@ wins frequency, area and cycle count simultaneously -- and the
 estimator ranks a sensible winner.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.flow import demo_multimedia_soc, select_topology
 from repro.flow.selection import evaluate_candidate
@@ -26,24 +26,24 @@ def candidates():
     return [mesh(2, 3), star(3), ring(4)]
 
 
-def tradeoff_rows():
+def rows(runner):
     _, _, core_graph = demo_multimedia_soc()
     results = select_topology(core_graph, candidates(), target_freq_mhz=1600, seed=4)
-    rows = [
+    lines = [
         "F7: topology tradeoffs for the multimedia SoC",
         f"{'topology':<16} {'freq':>9} {'area':>11} {'power':>11} "
         f"{'cycles':>10} {'latency':>10}",
     ]
     for r in results:
-        rows.append(r.row())
+        lines.append(r.row())
     best = results[0]
-    rows.append("")
-    rows.append(
+    lines.append("")
+    lines.append(
         f"selected: {best.name} "
         f"({best.freq_mhz:.0f} MHz, {best.area_mm2:.3f} mm2, "
         f"{best.mean_cycles:.1f} cycles -> {best.mean_latency_ns:.2f} ns)"
     )
-    return rows, results
+    return lines, (results,)
 
 
 def check_shape(results):
@@ -71,7 +71,7 @@ def check_shape(results):
     assert scores == sorted(scores)
 
 
-def test_f7_topology_tradeoffs(benchmark):
-    rows, results = benchmark.pedantic(tradeoff_rows, rounds=1, iterations=1)
-    emit("f7_topology_tradeoffs", rows)
-    check_shape(results)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f7_topology_tradeoffs", lines)
+    check_shape(*data)

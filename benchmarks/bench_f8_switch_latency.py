@@ -10,7 +10,7 @@ close to the 5 extra stages (paid on both the request and the response
 path of every transaction).
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.network.noc import Noc, NocBuildConfig
 from repro.network.topology import attach_round_robin, mesh
@@ -34,10 +34,10 @@ def run_generation(pipeline_stages):
     return noc.aggregate_latency()
 
 
-def latency_rows():
+def rows(runner):
     lite = run_generation(2)
     old = run_generation(7)
-    rows = [
+    lines = [
         "F8: switch pipeline depth vs transaction latency (3x3 mesh, 5-hop path)",
         f"{'generation':<24} {'stages':>7} {'mean':>8} {'min':>6} {'max':>6}",
         f"{'xpipes Lite':<24} {2:>7} {lite.mean():>8.1f} "
@@ -48,7 +48,7 @@ def latency_rows():
         f"latency saved: {old.mean() - lite.mean():.1f} cycles per transaction "
         f"({(1 - lite.mean() / old.mean()) * 100:.0f}%)",
     ]
-    return rows, lite, old
+    return lines, (lite, old)
 
 
 def check_shape(lite, old):
@@ -60,7 +60,7 @@ def check_shape(lite, old):
     assert lite.minimum() < old.minimum()
 
 
-def test_f8_switch_latency(benchmark):
-    rows, lite, old = benchmark.pedantic(latency_rows, rounds=1, iterations=1)
-    emit("f8_switch_latency", rows)
-    check_shape(lite, old)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f8_switch_latency", lines)
+    check_shape(*data)

@@ -12,7 +12,7 @@ roughly linearly with master count while the NoC degrades gently --
 the curves cross and the gap widens.
 """
 
-from _common import emit
+from benchmarks._common import emit
 
 from repro.bus import SharedBus
 from repro.network.noc import Noc
@@ -48,8 +48,8 @@ def run_noc(n_masters):
     return noc.aggregate_latency().mean()
 
 
-def sweep_rows():
-    rows = [
+def rows(runner):
+    lines = [
         f"F9: bus vs NoC mean latency (cycles), rate={RATE}/master, 4 slaves",
         f"{'masters':>8} {'shared bus':>11} {'xpipes NoC':>11} {'bus/noc':>8}",
     ]
@@ -58,10 +58,10 @@ def sweep_rows():
         bus_lat = run_bus(n)
         noc_lat = run_noc(n)
         series[n] = (bus_lat, noc_lat)
-        rows.append(
+        lines.append(
             f"{n:>8} {bus_lat:>11.1f} {noc_lat:>11.1f} {bus_lat / noc_lat:>8.2f}"
         )
-    return rows, series
+    return lines, (series,)
 
 
 def check_shape(series):
@@ -77,7 +77,7 @@ def check_shape(series):
     assert series[1][0] <= series[1][1] * 1.2
 
 
-def test_f9_bus_vs_noc(benchmark):
-    rows, series = benchmark.pedantic(sweep_rows, rounds=1, iterations=1)
-    emit("f9_bus_vs_noc", rows)
-    check_shape(series)
+def main(runner):
+    lines, data = rows(runner)
+    emit("f9_bus_vs_noc", lines)
+    check_shape(*data)

@@ -15,20 +15,17 @@ transactions or tripping the progress watchdog.
 Every spec is a frozen :class:`~repro.faults.CampaignSpec` run through
 :func:`~repro.faults.run_campaign`, so ``python -m repro figures
 --jobs N --cache DIR`` parallelizes and memoizes the sweep like any
-other figure.  The dense variant is marked ``slow`` and excluded from
-``repro figures``; run it with ``pytest -m slow benchmarks/``.
+other figure.  ``main`` runs the regular sweep and the dense one
+(``s3_resilience_dense``, ~17 s sequential).
 
 Each point is a Monte-Carlo batch of ``REPLICAS`` seed-varied lanes
 (one compiled network, time-multiplexed; see docs/BATCHING.md), so the
 curve's accepted-rate and latency columns are means with 95%
 confidence half-widths -- emitted both in the table and in
-``results/BENCH_s3.json``.  ``python -m repro figures --replicas N``
-(or REPRO_REPLICAS) overrides the lane count.
+``results/BENCH_s3.json`` / ``results/BENCH_s3_dense.json``.
 """
 
-import pytest
-
-from _common import emit, emit_json, get_runner
+from benchmarks._common import emit, emit_json
 
 from repro.core.config import LinkConfig
 from repro.faults import (
@@ -36,14 +33,13 @@ from repro.faults import (
     FaultCampaign,
     FaultWindow,
     render_campaign,
-    replicas_from_env,
 )
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 
 RATE = 0.05
-REPLICAS = 8  # default Monte-Carlo lanes per point (REPRO_REPLICAS overrides)
+REPLICAS = 8  # Monte-Carlo lanes per point
 BERS = (0.0, 0.01, 0.05, 0.1, 0.2)
 DENSE_BERS = (0.0, 0.005, 0.01, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3, 0.4)
 CORNER = "link.sw_0_0.p*"  # every link leaving the corner switch
@@ -83,14 +79,8 @@ def sweep_specs(bers):
     return specs
 
 
-def run_sweep(bers):
-    # --replicas arrives via the environment, like --jobs / --cache do
-    # (see python -m repro figures).
-    return FaultCampaign(
-        sweep_specs(bers),
-        runner=get_runner(),
-        replicas=replicas_from_env(default=REPLICAS),
-    ).run()
+def run_sweep(bers, runner):
+    return FaultCampaign(sweep_specs(bers), runner=runner, replicas=REPLICAS).run()
 
 
 def check_and_emit(results, bers, figure: str) -> None:
@@ -156,12 +146,6 @@ def check_and_emit(results, bers, figure: str) -> None:
     assert dead.completed > 0 and not dead.no_progress
 
 
-def test_s3_resilience(benchmark):
-    results = benchmark.pedantic(lambda: run_sweep(BERS), rounds=1, iterations=1)
-    check_and_emit(results, BERS, "s3_resilience")
-
-
-@pytest.mark.slow
-def test_s3_resilience_dense(benchmark):
-    results = benchmark.pedantic(lambda: run_sweep(DENSE_BERS), rounds=1, iterations=1)
-    check_and_emit(results, DENSE_BERS, "s3_resilience_dense")
+def main(runner):
+    check_and_emit(run_sweep(BERS, runner), BERS, "s3_resilience")
+    check_and_emit(run_sweep(DENSE_BERS, runner), DENSE_BERS, "s3_resilience_dense")

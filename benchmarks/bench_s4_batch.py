@@ -26,15 +26,14 @@ gated per run by that workload and by ``tests/test_batch.py``.)
 
 Scalar per-run cost is flat in the replica index (each run rebuilds,
 recompiles and re-runs from scratch), so the sequential-1024 total is
-timed over ``SCALAR_RUNS_TIMED`` runs and projected linearly; the
-measured per-run mean (``scalar_ms_per_run``, next to ``ms_per_lane``),
-the projection, and the full batch timing all land in
-``results/BENCH_s4.json``.
+timed over ``SCALAR_RUNS_TIMED`` runs and projected linearly.  The
+per-run mean, the projection and the batch timing are printed, not
+written: wall-clock numbers are host-dependent, and the tracked
+per-lane and per-run costs are the ledger's ``sim.batch.ms_per_lane``
+and ``sim.batch.scalar_ms_per_run``.
 """
 
 import time
-
-from _common import emit, emit_json
 
 from repro.faults import FaultInjector, FaultWindow
 from repro.network.experiments import TopologyNocBuilder
@@ -111,8 +110,8 @@ def run_batch_phase():
     }
 
 
-def test_s4_batch(benchmark):
-    batch = benchmark.pedantic(run_batch_phase, rounds=1, iterations=1)
+def main(runner):
+    batch = run_batch_phase()
     result = batch["result"]
     per_lane = batch["total_seconds"] / REPLICAS
 
@@ -149,46 +148,16 @@ def test_s4_batch(benchmark):
         f"{REPLICAS} sequential ~= {sequential_projected:.1f} s)",
         f"speedup: {speedup:.1f}x per replica",
         f"ticks skipped (last lane): {skip_frac:.0%}",
-        f"lane-0 digest == scalar compiled == fast == interpreted: yes",
         f"mean latency: {result.reduced['mean_latency']['mean']:.1f} "
         f"+- {result.reduced['mean_latency']['ci95']:.1f} "
         f"(95% CI over {REPLICAS} lanes)",
         f"retransmissions: {result.reduced['retransmissions']['mean']:.2f} "
         f"+- {result.reduced['retransmissions']['ci95']:.2f}",
     ]
-    emit("s4_batch", rows)
-
-    emit_json("BENCH_s4", {
-        "bench": "s4_batch",
-        "mesh": "2x2",
-        "replicas": REPLICAS,
-        "horizon_cycles": HORIZON,
-        "rate": RATE,
-        "max_transactions": MAX_TRANSACTIONS,
-        "seed_stride": SEED_STRIDE,
-        "batch": {
-            "setup_seconds": batch["setup_seconds"],
-            "run_seconds": batch["run_seconds"],
-            "total_seconds": batch["total_seconds"],
-            "seconds_per_lane": per_lane,
-            "ticks_skipped_fraction_last_lane": skip_frac,
-        },
-        "scalar": {
-            "runs_timed": SCALAR_RUNS_TIMED,
-            "seconds_per_run": per_run,
-            "sequential_1024_seconds_projected": sequential_projected,
-        },
-        "ms_per_lane": per_lane * 1e3,
-        "scalar_ms_per_run": per_run * 1e3,
-        "speedup": speedup,
-        "lane0_digest_matches_scalar": True,
-        "three_kernel_digest_matches": True,
-        "reduced": result.reduced,
-    })
+    print("\n".join(rows))
 
     assert speedup >= 1.2, (
         f"batched lanes must stay >= 1.2x cheaper than sequential scalar "
         f"runs (one build + one codegen for all of them), got {speedup:.2f}x"
     )
     assert skip_frac > 0.5, "the idle tail should dominate this workload"
-

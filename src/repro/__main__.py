@@ -71,23 +71,32 @@ def _mesh_case_study(args) -> int:
 
 
 def _figures(args) -> int:
-    import os
-    from unittest import mock
+    import pathlib
+    import traceback
 
-    import pytest
+    from repro.flow.runner import ExperimentRunner
+    from repro.store import ResultStore
 
-    # The benchmarks run under pytest, so the run options travel via
-    # the REPRO_* environment (ExperimentRunner.from_env and
-    # replicas_from_env read it) -- set for the pytest.main call only.
-    env = {
-        "REPRO_JOBS": args.jobs if args.jobs > 1 else None,
-        "REPRO_CACHE": args.cache,
-        "REPRO_REPLICAS": args.replicas,
-    }
-    with mock.patch.dict(os.environ, {k: str(v) for k, v in env.items() if v}):
-        # "slow" marks the dense resilience sweeps; the committed
-        # figures come from the regular-size runs.
-        return pytest.main(["benchmarks/", "--benchmark-only", "-q", "-m", "not slow"])
+    # Every benchmarks/bench_*.py is a plain module whose main(runner)
+    # regenerates one figure and asserts its shape claims.
+    names = sorted(p.stem for p in pathlib.Path("benchmarks").glob("bench_*.py"))
+    if not names:
+        print("figures: no benchmarks/bench_*.py here; run from the repo root",
+              file=sys.stderr)
+        return 2
+    failed = []
+    store = ResultStore(args.cache) if args.cache else None
+    with ExperimentRunner(jobs=args.jobs, store=store) as runner:
+        for name in names:
+            try:
+                importlib.import_module(f"benchmarks.{name}").main(runner)
+            except Exception:
+                traceback.print_exc()
+                failed.append(name)
+    if failed:
+        print(f"figures: {len(failed)} failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _elsewhere(target: str):
@@ -137,15 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("--cache", metavar="DIR",
         help="memoize sweep results in DIR keyed by config hash; re-running "
         "on the same DIR resumes a killed run (default: no cache)")
-    add("--replicas", type=_positive, metavar="N",
-        help="measure every point under N seed-varied replica lanes and "
-        "report mean +- 95%% CI (default: single seed; see docs/BATCHING.md)")
 
     verb("info", _info, "package inventory and this verb list")
     verb("demo", _demo, "run the quickstart network")
     verb("mesh-case-study", _mesh_case_study, "the paper's 2.6 mm2 headline")
     verb("figures", _figures,
-         "regenerate every paper figure (pytest-benchmark over benchmarks/)",
+         "regenerate every figure: main(runner) of each benchmarks/bench_*.py",
          parents=[run_options])
 
     add = verb("report", _elsewhere("repro.telemetry.noc:report_main"),
@@ -168,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                _elsewhere("repro.faults.campaign:faults_main"),
                "fault-injection campaign on a 2x2 mesh (docs/RESILIENCE.md)",
                parents=[run_options])
+    add("--replicas", type=_positive, metavar="N",
+        help="measure every point under N seed-varied replica lanes and "
+        "report mean +- 95%% CI (default: single seed; see docs/BATCHING.md)")
     add("--smoke", action="store_true",
         help="run the tiny deterministic resilience check (one recovering "
         "campaign + one watchdog catch), exit non-zero if either "

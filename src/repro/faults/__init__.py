@@ -27,7 +27,6 @@ from repro.faults.campaign import (
     FaultCampaign,
     ReplicatedCampaign,
     render_campaign,
-    replicas_from_env,
     run_campaign,
 )
 from repro.faults.injector import (
@@ -50,6 +49,5 @@ __all__ = [
     "ReplicatedCampaign",
     "randomized_windows",
     "render_campaign",
-    "replicas_from_env",
     "run_campaign",
 ]

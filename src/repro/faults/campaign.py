@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
-from repro.flow.runner import ExperimentRunner, RunManifest, _env_value
+from repro.flow.runner import ExperimentRunner, RunManifest
 from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
@@ -307,13 +307,6 @@ class FaultCampaign:
         # point that failed under on_failure="record" stays None.
         results = self.runner.map(fn, self.specs, label="campaign")
         return self.runner.attach_manifests(fn, self.specs, results)
-
-
-def replicas_from_env(default: Optional[int] = None) -> Optional[int]:
-    """``REPRO_REPLICAS`` as a replica count (``python -m repro figures
-    --replicas N`` reaches benchmarks through it, like REPRO_JOBS)."""
-    n = _env_value("REPRO_REPLICAS", int, "an integer", lambda n: n >= 1, ">= 1")
-    return default if n is None else n
 
 
 def render_campaign(results: Sequence[CampaignResult]) -> str:

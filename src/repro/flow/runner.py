@@ -42,9 +42,10 @@ what is deliberately *not* hashed (code bodies: delete the store after
 editing measurement code).
 
 All knobs default off (``jobs=1``, no cache, no timeout, no retries),
-so existing sequential behaviour is unchanged unless a caller -- or
-``python -m repro figures --jobs N --cache DIR`` via
-:meth:`ExperimentRunner.from_env` -- opts in.
+so existing sequential behaviour is unchanged unless a caller opts in:
+``python -m repro figures --jobs N --cache DIR`` builds one
+``ExperimentRunner(jobs=N, store=ResultStore(DIR))`` and hands it to
+every figure's ``main(runner)``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.flow.keying import (  # noqa: F401 -- the keying names' old home
     stable_repr,
 )
 from repro.flow.pool import WorkStealingDispatcher
-from repro.store import ResultStore, cas
+from repro.store import cas
 
 #: Kinds a :class:`PointFailure` can carry: the worker function raised,
 #: exceeded the wall-clock ``timeout``, the worker process died without
@@ -95,30 +96,6 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
     from repro.telemetry.events import read_events
 
     return [rec for rec in read_events(path) if isinstance(rec.get("key"), str)]
-
-
-def _env_value(
-    name: str,
-    parse: Callable[[str], Any],
-    malformed: str,
-    valid: Callable[[Any], bool] = lambda value: True,
-    invalid: str = "",
-) -> Any:
-    """``parse`` of environment variable ``name``, ``None`` when it is
-    unset or empty -- the one reader of the ``REPRO_*`` channel
-    ``python -m repro figures`` writes.  A value ``parse`` rejects, or
-    one ``valid`` refuses, raises :class:`ValueError` naming the
-    variable (``"<name> must be <malformed|invalid>, got ..."``)."""
-    raw = os.environ.get(name) or None
-    if raw is None:
-        return None
-    try:
-        value = parse(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be {malformed}, got {raw!r}") from None
-    if not valid(value):
-        raise ValueError(f"{name} must be {invalid}, got {value}")
-    return value
 
 
 @dataclass
@@ -297,25 +274,6 @@ class ExperimentRunner:
             raise ValueError(
                 f"on_failure must be 'raise' or 'record', got {self.on_failure!r}"
             )
-
-    @classmethod
-    def from_env(cls) -> "ExperimentRunner":
-        """Build from the ``REPRO_*`` environment (the channel ``python
-        -m repro figures --jobs N --cache DIR`` uses to reach runners
-        inside pytest-collected benchmarks).
-
-        Reads ``REPRO_JOBS`` (positive int) and ``REPRO_CACHE`` (the
-        directory of a :class:`repro.store.ResultStore`); an invalid
-        ``REPRO_JOBS`` raises :class:`ValueError` naming the variable.
-        There is no resume variable: a runner resumes by being run
-        again on the same ``REPRO_CACHE``.
-        """
-        jobs = _env_value(
-            "REPRO_JOBS", int, "an integer worker count",
-            lambda n: n >= 1, "a positive worker count (>= 1)",
-        )
-        cache = os.environ.get("REPRO_CACHE")
-        return cls(jobs=jobs or 1, store=ResultStore(cache) if cache else None)
 
     # -- pool lifetime ----------------------------------------------------
     def __enter__(self) -> "ExperimentRunner":

@@ -22,7 +22,6 @@ from repro.faults import (
     FaultInjector,
     FaultWindow,
     ReplicatedCampaign,
-    replicas_from_env,
     run_campaign,
 )
 from repro.flow.runner import ExperimentRunner, point_key
@@ -384,19 +383,6 @@ class TestReplicatedCampaign:
             FaultCampaign([], seed_stride=7)
         (one,) = FaultCampaign([campaign_spec()]).run()
         assert one == PARENT_SCALAR and one.ci95 is None
-
-    def test_replicas_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLICAS", raising=False)
-        assert replicas_from_env() is None
-        assert replicas_from_env(default=8) == 8
-        monkeypatch.setenv("REPRO_REPLICAS", "4")
-        assert replicas_from_env(default=8) == 4
-        monkeypatch.setenv("REPRO_REPLICAS", "0")
-        with pytest.raises(ValueError):
-            replicas_from_env()
-        monkeypatch.setenv("REPRO_REPLICAS", "many")
-        with pytest.raises(ValueError):
-            replicas_from_env()
 
 
 class TestReplicatedSweeps:

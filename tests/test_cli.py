@@ -20,7 +20,7 @@ from repro.__main__ import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-RUN_OPTIONS = {"--jobs", "--cache", "--replicas"}
+RUN_OPTIONS = {"--jobs", "--cache"}
 
 #: The flags each verb reads -- written out, not derived from the parser.
 VERB_FLAGS = {
@@ -28,7 +28,7 @@ VERB_FLAGS = {
     "demo": set(),
     "mesh-case-study": set(),
     "figures": RUN_OPTIONS,
-    "faults": RUN_OPTIONS | {"--smoke"},
+    "faults": RUN_OPTIONS | {"--replicas", "--smoke"},
     "report": {"--out", "--mesh", "--cycles", "--rate", "--window", "--check"},
     "top": {"--dir", "--once", "--interval", "--prom"},
     "bench-diff": {"--ledger", "--baseline"},
@@ -58,8 +58,8 @@ class TestHelp:
         assert listed == VERB_FLAGS[verb] | {"--help"}
         assert f"{verb}:" not in out  # no per-verb prefixes left
 
-    def test_thirty_five_verb_flag_pairs(self):
-        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 35
+    def test_thirty_four_verb_flag_pairs(self):
+        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 34
 
     def test_no_verb_is_info(self, capsys):
         assert main([]) == 0
@@ -84,6 +84,9 @@ class TestForeignFlags:
         ["faults", "--checkpoint-every", "500"],
         ["faults", "--checkpoint-dir", "d"],
         ["faults", "--resume"],
+        # Figures take no lane count: a committed figure is a function
+        # of the code alone.
+        ["figures", "--replicas", "4"],
     ])
     def test_another_verbs_flag_exits_2_naming_it(self, argv, capsys):
         assert argv[1] in usage_error(capsys, argv)
@@ -93,7 +96,6 @@ class TestCounts:
     @pytest.mark.parametrize("argv", [
         ["figures", "--jobs", "0"],
         ["figures", "--jobs", "-3"],
-        ["figures", "--replicas", "0"],
         ["faults", "--replicas", "0"],
         ["faults", "--jobs", "0"],
         ["faults", "--replicas", "-1"],
@@ -158,37 +160,41 @@ class TestHandlers:
 
 class TestFiguresEnvironment:
     @pytest.fixture
-    def pytest_main(self, monkeypatch, tmp_path):
-        """Stand-in for ``pytest.main``: records the REPRO_* environment
-        it saw and what the benchmarks' readers make of it."""
-        from repro.flow.runner import ExperimentRunner
-
-        monkeypatch.chdir(tmp_path)  # from_env opens --cache as a store
-        for key in [k for k in os.environ if k.startswith("REPRO_")]:
-            monkeypatch.delenv(key)
-        seen = {}
-
-        def fake(args):
-            seen["env"] = {k: v for k, v in os.environ.items()
-                           if k.startswith("REPRO_")}
-            seen["jobs"] = ExperimentRunner.from_env().jobs
-            return 0
-
-        monkeypatch.setattr(pytest, "main", fake)
+    def benches(self, monkeypatch, tmp_path):
+        """Two fake ``benchmarks/bench_*.py`` modules in an empty
+        working directory: records the runner each ``main`` gets."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "benchmarks").mkdir()
+        seen = []
+        for name in ("bench_x1", "bench_x2"):
+            (tmp_path / "benchmarks" / f"{name}.py").write_text("")
+            module = type(sys)(f"benchmarks.{name}")
+            module.main = seen.append
+            monkeypatch.setitem(sys.modules, f"benchmarks.{name}", module)
         return seen
 
-    def test_every_option_reaches_pytest_and_none_outlives_it(self, pytest_main):
-        assert main(["figures", "--jobs", "3", "--cache", "c",
-                     "--replicas", "4"]) == 0
-        assert pytest_main["env"] == {
-            "REPRO_JOBS": "3", "REPRO_CACHE": "c", "REPRO_REPLICAS": "4",
-        }
-        assert pytest_main["jobs"] == 3
-        assert not [k for k in os.environ if k.startswith("REPRO_")]
+    def test_every_figure_gets_one_runner_built_from_the_flags(self, benches):
+        environ = dict(os.environ)
+        assert main(["figures", "--jobs", "3", "--cache", "c"]) == 0
+        first, second = benches
+        assert first is second
+        assert first.jobs == 3 and first.store.root == "c"
+        assert dict(os.environ) == environ
 
-    def test_defaults_set_nothing(self, pytest_main):
+    def test_defaults_set_nothing(self, benches):
         assert main(["figures"]) == 0
-        assert pytest_main["env"] == {}
+        assert [(r.jobs, r.store) for r in benches] == [(1, None)] * 2
+
+    def test_a_failing_figure_is_named_and_the_rest_still_run(
+        self, benches, capsys
+    ):
+        def boom(runner):
+            raise AssertionError("shape")
+
+        sys.modules["benchmarks.bench_x1"].main = boom
+        assert main(["figures"]) == 1
+        assert len(benches) == 1  # bench_x2 ran after bench_x1 failed
+        assert "1 failed: bench_x1" in capsys.readouterr().err
 
 
 def test_parsing_loads_no_package():

@@ -92,7 +92,7 @@ class TestPerformanceDoc:
             'kernel="compiled"', "set_kernel", "sim.compile()",
             "three modes over two loops", 'kernel="fast"', "8–15% slower",
             "repro/sim/lanes.py", "instance-level", "stride=",
-            "BENCH_s1.json", "baseline.json",
+            "`sim.kernel.*` metrics, not a results file", "baseline.json",
             # the kernel decision table + the batched mode it indexes
             "## Choosing a kernel", "batched", "BatchSimulator",
             "BATCHING.md",
@@ -274,7 +274,7 @@ class TestCheckpointDoc:
             # campaigns, CLI, CI
             "FaultCampaign", "lane_batch", "BATCHING.md",
             "there is no `--resume` flag",
-            "`ExperimentRunner.from_env` reads `REPRO_JOBS` and `REPRO_CACHE` only",
+            "`main(runner)`; there is no environment channel",
             "test_killed_and_resumed_stream_replays_to_the_final_result",
             "timeout_guard",
         ):
@@ -319,7 +319,7 @@ class TestBatchingDoc:
             "mean_ci95", "t_quantile_95", "Student-t", "summarize",
             # harness integration + CLI
             "run_campaign_replicated", "replicas=", "lane_metrics",
-            "--replicas", "REPRO_REPLICAS",
+            "--replicas", "`REPLICAS` constants",
             # scalar = one lane: one campaign body, one sweep body
             "scalar = one lane", "`run_campaign(spec, replicas=N)`",
             "ci95 is None", "measure_load_point_lane",
@@ -327,7 +327,7 @@ class TestBatchingDoc:
             "frozen token", "reused by it",
             # a campaign is one point: resume = run again
             "## A campaign is one point", "never checkpointed mid-run",
-            "BENCH_s4.json",
+            "`sim.batch.scalar_ms_per_run`",
         ):
             assert term in text, term
 

@@ -167,25 +167,6 @@ class TestManifests:
         assert all(not m.cached for m in runner.last_manifests)
 
 
-class TestFromEnv:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        runner = ExperimentRunner.from_env()
-        assert runner.jobs == 1 and runner.store is None
-
-    def test_garbage_jobs_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "abc")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            ExperimentRunner.from_env()
-
-    def test_reads_environment(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        runner = ExperimentRunner.from_env()
-        assert runner.jobs == 4 and runner.store.root == str(tmp_path)
-
-
 class _Color(enum.Enum):
     RED = 1
     BLUE = 2

@@ -5,7 +5,7 @@ the function raising, exceeding the wall-clock timeout, and the worker
 process dying outright (SIGKILL stands in for segfault/OOM) -- while
 completed siblings stay cached and journaled.  On top of that: bounded
 retries with backoff, the ``runs.jsonl`` journal, corrupt-cache
-quarantine, strict ``from_env`` validation, and fault campaigns that
+quarantine, strict constructor validation, and fault campaigns that
 resume by being run again on the same cache.
 """
 
@@ -363,27 +363,6 @@ class TestLegacyPickleCacheIsIgnored:
 
 
 class TestFromEnvValidation:
-    def test_zero_jobs_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ValueError, match="REPRO_JOBS.*positive"):
-            ExperimentRunner.from_env()
-
-    def test_negative_jobs_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "-3")
-        with pytest.raises(ValueError, match="REPRO_JOBS.*positive"):
-            ExperimentRunner.from_env()
-
-    def test_timeout_retries_resume_channel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        # The channel is REPRO_JOBS and REPRO_CACHE only, and a runner
-        # resumes by being run again on the same cache, so it has no
-        # resume field.
-        runner = ExperimentRunner.from_env()
-        assert runner.timeout is None
-        assert runner.retries == 0
-        assert not hasattr(runner, "resume")
-
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError, match="jobs"):
             ExperimentRunner(jobs=0)
