@@ -10,8 +10,9 @@ production (``chaos is None``):
   a worker; the monkey signals the worker's process here;
 * ``tick()`` -- once per scheduler loop; the monkey resumes "slow"
   workers whose suspension expired;
-* ``on_store_put(store, record)`` -- after a record is durably
-  written; the monkey damages it here.
+* ``on_store_put(store, record)`` -- after a record is written and
+  indexed; the monkey flips the final payload byte inside the record's
+  span in its segment (``store.locate``).
 
 Every fault actually delivered is appended to :attr:`ChaosMonkey.log`
 -- the harness asserts the plan *landed* (a chaos run where no worker
@@ -26,6 +27,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.plan import WORKER_KINDS, ChaosPlan
+from repro.store.cas import TRAILER_SIZE
 
 
 class ChaosMonkey:
@@ -101,12 +103,16 @@ class ChaosMonkey:
         self.puts += 1
         if self._corruptions.pop(self.puts, None) is None:
             return
-        path = store.record_path(record.key)
+        located = store.locate(record.key)
+        if located is None:
+            return
+        path, offset, length = located
+        at = offset + length - TRAILER_SIZE - 1  # inside the record's span
         try:
             with open(path, "r+b") as fh:
-                fh.seek(-1, os.SEEK_END)
+                fh.seek(at)
                 last = fh.read(1)
-                fh.seek(-1, os.SEEK_END)
+                fh.seek(at)
                 fh.write(bytes([last[0] ^ 0xFF]))
         except OSError:
             return

@@ -21,13 +21,15 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   pickled with every row;
 * **the worker that computes a point publishes it.**  Keys are computed
   in the parent and cross the pipe with the row, beside the store's
-  root.  A worker pickles a result once, writes those bytes as the
-  record under the key it was given -- and no other key -- with the
-  store's file half (:func:`repro.store.cas.write_record`), and replies
-  with the same bytes and the record's header.  The parent only
-  accounts it (:meth:`repro.store.ResultStore.account`: ``puts``,
-  ``conflicts``, metrics, the chaos hook), so workers create records
-  in parallel and a miss returns exactly what a later hit reads;
+  root.  A worker pickles a result once, appends those bytes as the
+  record under the key it was given -- and no other key -- to its own
+  segment with the store's file half
+  (:func:`repro.store.cas.write_record`), and replies with the same
+  bytes, the record's header and its location.  The parent indexes
+  and accounts it (:meth:`repro.store.ResultStore.account`: the index
+  entry, ``puts``, ``conflicts``, metrics, the chaos hook) without
+  reading it back, so workers append in parallel and a miss returns
+  exactly what a later hit reads;
 * the unit of work is a **row**: a list of points handed over together
   (:meth:`WorkStealingDispatcher.map_rows`; :meth:`map` is the
   one-point-row case).  A row's pending points cross the pipe in *one*
@@ -156,13 +158,13 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
 
     A point's result is pickled **once**, here: ``payload`` is those
     bytes, and with a store they are also the record this worker
-    writes under the point's key (:func:`repro.store.cas.write_record`)
+    appends under the point's key (:func:`repro.store.cas.write_record`)
     before replying, so the supervisor unpickles exactly what a later
-    hit will read.  ``published`` is the write's ``(header, outcome)``
-    for the supervisor to account (None without a store).  A result
-    that does not pickle, or a record that cannot be written, is an
-    ``"error"`` of its point.  ``seconds`` is the time of ``fn`` alone.
-    ``events`` is the list of structured telemetry records
+    hit will read.  ``published`` is the write's ``(header, outcome,
+    location)`` for the supervisor to index and account (None without a
+    store).  A result that does not pickle, or a record that cannot be
+    written, is an ``"error"`` of its point.  ``seconds`` is the time of
+    ``fn`` alone.  ``events`` is the list of structured telemetry records
     (``repro.telemetry.events``) the point emitted -- a campaign's
     lane batches -- which the parent merges into its own
     ``events.jsonl``.  If the process dies before reporting (segfault,

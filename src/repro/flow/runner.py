@@ -55,6 +55,7 @@ import hashlib
 import os
 import pickle
 import random
+import sys
 import time
 import traceback
 import warnings
@@ -304,15 +305,17 @@ class ExperimentRunner:
         corrupt_before = store.corrupt_records
         found = store.get(key)
         if store.corrupt_records > corrupt_before:
-            # The store quarantined the record as *.corrupt and reports
-            # a miss, so the recomputed result republishes cleanly.
+            # The store counted the record, dropped it from its index
+            # and reports a miss, so the recomputed result republishes
+            # cleanly.
             self._count("corrupt_cache_entries", "corrupt_cache_entries")
             if not self._warned_corrupt:
                 self._warned_corrupt = True
                 warnings.warn(
                     f"experiment cache entry {key[:12]}... in {store.root} "
-                    "is unreadable; quarantined as *.corrupt and recomputing "
-                    "(further corrupt entries this run are counted silently)",
+                    "is unreadable; quarantined (dropped from the store's "
+                    "index) and recomputing (further corrupt entries this "
+                    "run are counted silently)",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -649,28 +652,32 @@ class MapSession:
     # -- attempt outcomes -------------------------------------------------
     def finish_ok(
         self, i: int, attempts: int, seconds: float, result: Any,
-        published: Optional["tuple[cas.StoreRecord, str]"],
+        published: Optional["tuple[cas.StoreRecord, str, cas.Location]"],
     ) -> None:
         """Account a point that ran and was published where it ran:
         ``published`` is :func:`repro.store.cas.write_record`'s
-        ``(header, outcome)`` (None without a store), which the store
-        counts here; no record file is written here."""
+        ``(header, outcome, location)`` (None without a store), which
+        the store indexes -- under ``keys[i]``, so the index shares this
+        session's key strings -- and counts here; no record is written
+        here."""
         from repro.telemetry import events as _events
 
         runner = self.runner
+        # Interned: a runner that maps one label again and again (a
+        # sweep per seed) keeps one string per point label, not one per
+        # report.
+        label = sys.intern(f"{self.label}[{i}]")
         self.results[i] = result
         self.manifests[i] = RunManifest.local(
             self.keys[i], cached=False, seconds=seconds
         )
-        runner.reports.append(
-            PointReport(f"{self.label}[{i}]", self.keys[i], seconds)
-        )
+        runner.reports.append(PointReport(label, self.keys[i], seconds))
         if published is not None:
-            runner.store.account(*published)
+            runner.store.account(*published, key=self.keys[i])
         self._journal_append(
             {
                 "status": "ok",
-                "label": f"{self.label}[{i}]",
+                "label": label,
                 "key": self.keys[i],
                 "seconds": round(seconds, 6),
                 "attempts": attempts,
@@ -678,7 +685,7 @@ class MapSession:
         )
         self.tally["ok"] += 1
         _events.emit(
-            "point_end", label=f"{self.label}[{i}]", key=self.keys[i],
+            "point_end", label=label, key=self.keys[i],
             status="ok", seconds=round(seconds, 6), attempts=attempts,
             cached=False,
         )

@@ -68,6 +68,10 @@ _ROUTES = {
     "/query": ("POST",),
 }
 
+#: Seconds a client gets to deliver a request's head, and then its
+#: body: a slow-loris connection is cut at this, with a 400.
+READ_TIMEOUT = 10.0
+
 _INDEX = {
     "service": "repro design-space query service",
     "endpoints": {
@@ -267,7 +271,8 @@ class QueryServer:
     async def _query(self, body: bytes) -> Tuple[int, Dict[str, str], bytes]:
         try:
             doc = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack.
             self._count("http_errors")
             return _error_response(
                 400, "bad_request", f"bad JSON body: {exc}", retryable=False
@@ -427,7 +432,7 @@ async def _read_request(
     """Parse one HTTP/1.1 request: ``(method, path, body)``."""
     try:
         head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=10.0
+            reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT
         )
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
             asyncio.TimeoutError) as exc:
@@ -437,23 +442,25 @@ async def _read_request(
     if len(parts) != 3:
         raise QueryError(f"malformed request line {request_line!r}")
     method, path, _version = parts
-    length = 0
+    lengths = set()
     for line in header_lines:
         name, _, value = line.partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                raise QueryError(f"bad Content-Length {value.strip()!r}")
-    if length < 0:
-        raise QueryError(f"bad Content-Length {length}")
+            # 1*DIGIT only: int() would also take "+5", "1_0" and " 5 ".
+            value = value.strip(" \t")
+            if not (value.isascii() and value.isdigit()):
+                raise QueryError(f"bad Content-Length {value!r}")
+            lengths.add(int(value))
+    if len(lengths) > 1:
+        raise QueryError(f"conflicting Content-Length headers {sorted(lengths)}")
+    length = lengths.pop() if lengths else 0
     if length > MAX_BODY_BYTES:
         raise QueryError(f"body of {length} bytes exceeds the 8 MiB limit")
     body = b""
     if length:
         try:
             body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=10.0
+                reader.readexactly(length), timeout=READ_TIMEOUT
             )
         except (asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
             raise QueryError(f"truncated body: {type(exc).__name__}")

@@ -4,12 +4,12 @@
 ``store`` -- and the design-space service (``python -m repro serve``,
 docs/SERVICE.md) serves queries out of it: many runners and one HTTP
 front end reading and writing the same directory, possibly over a
-network filesystem, able to tell a half-written file from a result and
+network filesystem, able to tell a torn record from a result and
 to inventory what is in there.
 
 See :mod:`repro.store.cas` for the
-on-disk format (sha256-verified records, atomic publishes, garbage
-collection).
+on-disk format (sha256-verified records appended to per-writer
+segments, an in-memory index, garbage collection by compaction).
 """
 
 from repro.store.cas import (

@@ -73,3 +73,18 @@ class FlitSink(Component):
         f = self.receiver.poll(self.accept)
         if f is not None:
             self.got.append(f)
+
+
+def flip_final_payload_byte(store, key: str) -> str:
+    """Damage the record under ``key`` in place the way
+    ``ChaosMonkey.on_store_put`` does: flip the last byte of its payload
+    inside the record's span in its segment.  Returns the segment path."""
+    from repro.store.cas import TRAILER_SIZE
+
+    path, offset, length = store.locate(key)
+    with open(path, "r+b") as fh:
+        fh.seek(offset + length - TRAILER_SIZE - 1)
+        last = fh.read(1)
+        fh.seek(-1, 1)
+        fh.write(bytes([last[0] ^ 0xFF]))
+    return path

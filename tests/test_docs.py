@@ -364,10 +364,10 @@ class TestServiceDoc:
             text = f.read()
         for term in (
             # the store: layout, keys, verification, maintenance
-            "repro.store/v1", "STORE.json", "objects directory is the index",
-            ".rec", "*.corrupt", "sha256", "CACHE_VERSION",
-            "stable_repr", "os.replace", "last-write-wins",
-            "conflicts", "exactly one file publish", "gc(", "StoreError",
+            "repro.store/v2", "STORE.json", "The index is in memory",
+            ".seg", "dropped from the index", "sha256", "CACHE_VERSION",
+            "stable_repr", "O_APPEND", "last-write-wins",
+            "conflicts", "exactly one append", "gc(", "StoreError",
             "functools.partial",
             # the dispatcher: ExperimentRunner's own pool, one format
             "(`repro.flow.pool`)", "**is** `ExperimentRunner`'s pool",
@@ -405,7 +405,7 @@ class TestServiceDoc:
     def test_has_the_store_layout_and_endpoint_table(self):
         with open(self.PATH, encoding="utf-8") as f:
             text = f.read()
-        assert "objects/" in text and "| endpoint |" in text
+        assert "segments/" in text and "| endpoint |" in text
 
     def test_every_python_block_runs(self):
         blocks = extract_python_blocks(self.PATH)

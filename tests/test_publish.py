@@ -1,20 +1,20 @@
 """Publish where the point is computed.
 
-A pool worker writes the store record of the point it ran
+A pool worker appends the store record of the point it ran
 (``repro.store.cas.write_record``, the file half of a publish) and the
-supervisor only accounts the header it is sent
-(``ResultStore.account``).  Pinned here: a failed publish is charged
-to its point the same way by both schedulers; a worker killed between
-its write and its reply leaves a record its re-attempt finds identical;
-pooled and inline runs leave byte-identical stores, and the supervisor
-of a pooled run writes no record file at all.
+supervisor only indexes and accounts the header and location it is
+sent (``ResultStore.account``).  Pinned here: a failed publish is
+charged to its point the same way by both schedulers; a worker killed
+between its write and its reply leaves a record its re-attempt finds
+identical; pooled and inline runs leave byte-identical stores, and the
+supervisor of a pooled run writes no record at all.
 """
 
 from __future__ import annotations
 
 import builtins
+import errno
 import os
-import tempfile
 
 import pytest
 
@@ -78,17 +78,24 @@ class TestFailedPublish:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("case", ["unwritable-shard", "unpicklable-result"])
-    def test_failed_publish_is_charged_to_its_point(self, tmp_path, jobs, case):
+    def test_failed_publish_is_charged_to_its_point(self, tmp_path, monkeypatch,
+                                                    jobs, case):
         store = ResultStore(tmp_path / "store")
         fn = square if case == "unwritable-shard" else unpicklable_at_two
         keys = [point_key(fn, p) for p in POINTS]
         if case == "unwritable-shard":
-            # The shard directory of point 2 cannot be created: a file
-            # holds its name (a chmod would not stop a root process).
-            shard = os.path.dirname(store.record_path(keys[2]))
-            assert [k[:2] for k in keys].count(keys[2][:2]) == 1
-            with open(shard, "w") as fh:
-                fh.write("not a directory")
+            # The shard a record lands in is its writer's segment: the
+            # append of point 2's record to it fails as a full disk
+            # would (a chmod would not stop a root process); workers
+            # forked after the patch inherit it.
+            real = cas.ResultStore._append
+
+            def append(handle, frame):
+                if keys[2].encode() in frame:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real(handle, frame)
+
+            monkeypatch.setattr(cas.ResultStore, "_append", append)
         runner = ExperimentRunner(store=store, jobs=jobs, retries=1,
                                   backoff=0.01, on_failure="record")
         results = runner.map(fn, POINTS)
@@ -122,8 +129,8 @@ class TestFailedPublish:
 def exit_after_first_write(marker: str, cut_short: bool):
     """A :func:`cas.write_record` whose first call in a worker (across
     processes: ``marker`` is created once) publishes the record -- or,
-    ``cut_short``, only starts its tempfile -- and then kills its own
-    process before the reply."""
+    ``cut_short``, appends only the record's first bytes, a torn tail --
+    and then kills its own process before the reply."""
     supervisor = os.getpid()
     real = cas.write_record
 
@@ -137,10 +144,7 @@ def exit_after_first_write(marker: str, cut_short: bool):
                 os.write(fd, key.encode())
                 os.close(fd)
                 if cut_short:
-                    shard = os.path.dirname(cas._record_path(root, key))
-                    os.makedirs(shard, exist_ok=True)
-                    tmp_fd, _ = tempfile.mkstemp(dir=shard, suffix=".tmp")
-                    os.write(tmp_fd, cas.MAGIC)
+                    cas._store_at(root)._append(cas.MAGIC)
                 else:
                     real(root, key, payload, label)
                 os._exit(9)
@@ -165,20 +169,17 @@ class TestWorkerKilledAroundItsWrite:
         assert runner.crash_count == 1 and runner.retry_count == 1
         assert not runner.failures
         killed = open(marker).read()
-        shard = os.path.dirname(store.record_path(killed))
-        assert [n for n in os.listdir(shard) if n.startswith(killed)] == [
-            killed + ".rec"
-        ]
+        records = segment_records(store.root)
+        assert [key for key, _ in records].count(killed) == 1
         assert store.conflicts == 0
         # The record of a worker that died before replying is on disk
         # but was never accounted; its retry found it identical and
-        # counts nothing.  A write cut short left only a tempfile, so
+        # counts nothing.  A write cut short left only a torn tail, so
         # the retry's publish is new and counted.
         assert store.puts == len(POINTS) - (0 if cut_short else 1)
 
         keys = [point_key(square, p) for p in POINTS]
-        leftovers = [n for n in os.listdir(shard) if n.endswith(".tmp")]
-        assert len(leftovers) == (1 if cut_short else 0)
+        assert len(torn_tails(store.root)) == (1 if cut_short else 0)
         reader = ResultStore(store.root)
         assert sorted(reader.keys()) == sorted(keys)
         assert len(reader) == len(POINTS)
@@ -186,6 +187,40 @@ class TestWorkerKilledAroundItsWrite:
         assert reader.corrupt_records == 0
         assert sorted(reader.gc(max_records=0)) == sorted(keys)
         assert len(reader) == 0
+        assert torn_tails(store.root) == []
+
+
+def segment_records(root: str) -> list:
+    """``(key, segment)`` of every complete record in the store's
+    segments, duplicates included."""
+    found = []
+    for path in segments(root):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            records, _ = cas._scan(fd, 0, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        found.extend((record.key, path) for _, _, record in records)
+    return found
+
+
+def torn_tails(root: str) -> list:
+    """The segments whose bytes end inside a record."""
+    torn = []
+    for path in segments(root):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if cas._scan(fd, 0, size)[1] != size:
+                torn.append(path)
+        finally:
+            os.close(fd)
+    return torn
+
+
+def segments(root: str) -> list:
+    seg_dir = os.path.join(root, cas.SEGMENTS_DIRNAME)
+    return [os.path.join(seg_dir, n) for n in sorted(os.listdir(seg_dir))]
 
 
 def _campaign_spec() -> CampaignSpec:
@@ -233,7 +268,7 @@ class TestPooledAndInlineStoresAreIdentical:
     ):
         pooled = ResultStore(tmp_path / "a")
         pooled_results = run_workloads(ExperimentRunner(store=pooled, jobs=2))
-        assert parent_writes == []  # the supervisor wrote no record file
+        assert parent_writes == []  # the supervisor wrote no record
         inline = ResultStore(tmp_path / "b")
         inline_results = run_workloads(ExperimentRunner(store=inline, jobs=1))
         assert len(parent_writes) == RECORDS  # ... which inline does

@@ -43,6 +43,7 @@ from repro.telemetry.events import EventCollector, install_sink, remove_sink
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DSE = os.path.join(DATA, "golden_dse_identity.json")
 PARENT_STORE = os.path.join(DATA, "parent_store")
+PARENT_DIGESTS = os.path.join(DATA, "parent_store_digests.json")
 FABRICS = ("mesh-2x2", "ring-4", "star-4", "spidergon-4")
 #: The sweep ``tests/data/parent_store`` holds, as the parent wrote it.
 STORED = dict(flit_widths=(16, 64), buffer_depths=(4,), seed=5, anneal_iterations=200)
@@ -104,15 +105,22 @@ class TestIdentity:
         assert points == serial and missing == []
 
     def test_records_are_the_parent_commits(self, tmp_path):
-        parent, fresh = ResultStore(PARENT_STORE), ResultStore(str(tmp_path))
+        """Every record's payload digest and size, as the parent commit
+        stored them (``parent_store_digests.json`` was extracted from
+        the fixture before it was converted to the segment layout)."""
+        with open(PARENT_DIGESTS) as f:
+            theirs = json.load(f)
+        fresh = ResultStore(str(tmp_path))
         explore_design_space(
             core_graph_from_name("multimedia"), fabrics(FABRICS[:2]),
             runner=ExperimentRunner(store=fresh), **STORED,
         )
-        assert sorted(fresh.keys()) == sorted(parent.keys())
-        for key in parent.keys():
-            ours, theirs = fresh.record(key), parent.record(key)
-            assert (ours.digest, ours.size) == (theirs.digest, theirs.size)
+        parent = ResultStore(PARENT_STORE)
+        assert sorted(fresh.keys()) == sorted(parent.keys()) == sorted(theirs)
+        for key, (digest, size) in theirs.items():
+            for store in (fresh, parent):
+                record = store.record(key)
+                assert (record.digest, record.size) == (digest, size)
 
 
 class TestOncePerRow:

@@ -16,6 +16,7 @@ from repro.flow.runner import (
 )
 from repro.network.topology import mesh
 from repro.store import ResultStore
+from tests.harness import flip_final_payload_byte
 
 
 def _square(x):
@@ -86,9 +87,7 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         runner = ExperimentRunner(store=ResultStore(str(tmp_path)))
         runner.map(_square, [3])
-        record = runner.store.record_path(point_key(_square, 3))
-        with open(record, "wb") as f:
-            f.write(b"not a record")
+        flip_final_payload_byte(runner.store, point_key(_square, 3))
         again = ExperimentRunner(store=ResultStore(str(tmp_path)))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert again.map(_square, [3]) == [9]

@@ -39,6 +39,7 @@ from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
 from repro.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
+from tests.harness import flip_final_payload_byte
 
 
 def _behave(point):
@@ -316,9 +317,8 @@ class TestCorruptCacheQuarantine:
         runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         runner.map(_behave, [("ok", 5)], label="pt")
         key = point_key(_behave, ("ok", 5))
-        record = runner.store.record_path(key)
-        with open(record, "wb") as f:
-            f.write(b"this is not a record")
+        segment = flip_final_payload_byte(runner.store, key)
+        size = os.path.getsize(segment)
         metrics = MetricsRegistry()
         fresh = ExperimentRunner(
             jobs=1, store=ResultStore(str(tmp_path)), metrics=metrics
@@ -329,7 +329,11 @@ class TestCorruptCacheQuarantine:
         assert fresh.corrupt_cache_entries == 1
         assert fresh.store.corrupt_records == 1
         assert metrics.counter("runner.corrupt_cache_entries").value == 1
-        assert os.path.exists(record[: -len(".rec")] + ".corrupt")
+        # Dropped from the index, not renamed: the damaged bytes stay in
+        # the segment until gc, and the recomputed record is appended.
+        assert not any(n.endswith(".corrupt") for n in os.listdir(tmp_path))
+        assert os.path.getsize(segment) == size
+        assert fresh.store.record_path(key) != segment
         # The recomputed result was re-published under the original key.
         assert ResultStore(str(tmp_path)).get(key) == (True, 10)
         assert "corrupt_cache_entries=1" in fresh.render_report()
@@ -339,9 +343,7 @@ class TestCorruptCacheQuarantine:
         points = [("ok", 5), ("ok", 6)]
         runner.map(_behave, points, label="pt")
         for p in points:
-            record = runner.store.record_path(point_key(_behave, p))
-            with open(record, "wb") as f:
-                f.write(b"garbage")
+            flip_final_payload_byte(runner.store, point_key(_behave, p))
         fresh = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         with pytest.warns(RuntimeWarning) as record:
             fresh.map(_behave, points, label="pt")

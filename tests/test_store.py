@@ -14,12 +14,14 @@ import time
 import pytest
 
 from repro.flow.runner import ExperimentRunner
+from repro.store import cas
 from repro.store import (
     STORE_SCHEMA,
     ResultStore,
     StoreError,
     StoreRecord,
 )
+from tests.harness import flip_final_payload_byte
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -109,10 +111,21 @@ class TestKeysAndMarkers:
     def test_accepts_a_real_digest(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         key = hashlib.sha256(b"a real digest").hexdigest()
-        assert store.record_path(key).endswith(f"{key[:2]}/{key}.rec")
+        assert store.record_path(key) is None
         assert store.get(key) == (False, None)
         store.put(key, 7)
         assert store.get(key) == (True, 7)
+        segment = store.record_path(key)
+        assert os.path.dirname(segment) == os.path.join(store.root, "segments")
+        assert segment.endswith(".seg")
+
+    def test_refuses_a_one_file_per_record_store(self, tmp_path):
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "STORE.json").write_text(
+            '{"schema": "repro.store/v1"}\n')
+        with pytest.raises(StoreError, match="repro.store/v1.*repro.store/v2"):
+            ResultStore(tmp_path / "store")
+        assert os.listdir(tmp_path / "store") == ["STORE.json"]
 
     def test_refuses_foreign_directory(self, tmp_path):
         (tmp_path / "store").mkdir()
@@ -127,22 +140,35 @@ class TestKeysAndMarkers:
 
 
 class TestQuarantine:
-    def _flip_payload_byte(self, store, key):
-        path = store.record_path(key)
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        return path
-
     def test_corrupt_payload_quarantined_as_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, {"x": 1})
-        path = self._flip_payload_byte(store, KEY_A)
+        path = flip_final_payload_byte(store, KEY_A)
+        size = os.path.getsize(path)
         hit, value = store.get(KEY_A)
         assert not hit and value is None
         assert store.corrupt_records == 1
-        assert not os.path.exists(path)
-        assert os.path.exists(path[: -len(".rec")] + ".corrupt")
+        # Counted, dropped from the index; no *.corrupt file is written
+        # and the damaged bytes stay in the segment until gc.
+        assert KEY_A not in store and len(store) == 0
+        assert os.path.getsize(path) == size
+        assert [n for _, _, names in os.walk(store.root) for n in names
+                if n.endswith(".corrupt")] == []
+
+    def test_republish_through_a_handle_still_indexing_the_damage(self, tmp_path):
+        """A forked worker's inherited index may still point at a record
+        another handle found damaged: its publish checks the payload, not
+        just the header, so it appends a clean record."""
+        first = ResultStore(tmp_path / "store")
+        second = ResultStore(tmp_path / "store")
+        first.put(KEY_A, "good")
+        assert second.get(KEY_A) == (True, "good")
+        flip_final_payload_byte(first, KEY_A)
+        assert first.get(KEY_A) == (False, None)
+        second.put(KEY_A, "good")
+        assert (second.puts, second.conflicts) == (1, 0)
+        assert second.get(KEY_A) == (True, "good")
+        assert ResultStore(tmp_path / "store").get(KEY_A) == (True, "good")
 
     def test_truncated_record_quarantined(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -163,28 +189,66 @@ class TestQuarantine:
     def test_republish_after_quarantine_serves_cleanly(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, "good")
-        self._flip_payload_byte(store, KEY_A)
+        damaged = store.locate(KEY_A)
+        flip_final_payload_byte(store, KEY_A)
         assert store.get(KEY_A) == (False, None)
         store.put(KEY_A, "good")
+        assert store.puts == 2 and store.conflicts == 0
         assert store.get(KEY_A) == (True, "good")
-        corrupt = store.record_path(KEY_A)[: -len(".rec")] + ".corrupt"
-        assert os.path.exists(corrupt)  # evidence survives the recovery
+        # The evidence survives the recovery: the damaged record is
+        # still in its segment, ahead of the republished one.
+        path, offset, length = damaged
+        assert store.locate(KEY_A)[:2] == (path, offset + length)
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            blob = fh.read(length)
+        assert blob.startswith(cas.MAGIC) and pickle.dumps("good") not in blob
 
 
 class TestManifestAndGc:
-    def test_put_is_one_file_publish(self, tmp_path):
-        """A publish is one record file -- the objects directory is the
-        only index, nothing else in the root grows per put."""
+    def test_put_is_one_append(self, tmp_path):
+        """A publish is one append to the writer's segment -- the index
+        lives in memory, nothing else in the root grows per put."""
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, 1)
-        store.put(KEY_A, 2)  # conflict rewrite
+        store.put(KEY_A, 2)  # conflict: a second record, appended
         store.put(KEY_B, 3)
-        assert sorted(os.listdir(store.root)) == ["STORE.json", "objects"]
-        files = [
-            name for _, _, names in os.walk(tmp_path / "store" / "objects")
-            for name in names
-        ]
-        assert sorted(files) == [KEY_A + ".rec", KEY_B + ".rec"]
+        assert sorted(os.listdir(store.root)) == ["STORE.json", "segments"]
+        (segment,) = os.listdir(tmp_path / "store" / "segments")
+        path = os.path.join(store.root, "segments", segment)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            found, end = cas._scan(fd, 0, os.path.getsize(path))
+        finally:
+            os.close(fd)
+        assert [record.key for _, _, record in found] == [KEY_A, KEY_A, KEY_B]
+        assert end == os.path.getsize(path)
+        assert store.record_path(KEY_A) == store.record_path(KEY_B) == path
+
+    def test_a_sweep_adds_no_file_per_point(self, tmp_path):
+        """A 64-point ``jobs=2`` sweep into a fresh store leaves at most
+        one segment per concurrent writer (``jobs`` workers plus the
+        supervisor) beside the journal and the event stream, and a
+        second sweep adds no file at all."""
+        root = tmp_path / "store"
+        store = ResultStore(root)
+
+        def files():
+            return sorted(
+                os.path.relpath(os.path.join(d, n), root)
+                for d, _, names in os.walk(root) for n in names
+            )
+
+        before = files()
+        runner = ExperimentRunner(store=store, jobs=2)
+        assert runner.map(_square, range(64)) == [x * x for x in range(64)]
+        added = set(files()) - set(before) - {"runs.jsonl", "events.jsonl"}
+        assert 1 <= len(added) <= runner.jobs + 1, added
+        assert len(store) == 64
+        after_first = files()
+        runner.map(_square, range(64, 128))
+        assert files() == after_first
+        assert len(ResultStore(root)) == 128
 
     def test_stale_manifest_from_an_older_store_is_ignored(self, tmp_path):
         """Stores written before the manifest was dropped still carry a
@@ -204,21 +268,14 @@ class TestManifestAndGc:
         assert list(reopened.keys()) == [KEY_B]
         assert stale.read_text() == junk
 
-    def test_gc_evicts_oldest_first(self, tmp_path):
+    def test_gc_evicts_oldest_first(self, tmp_path, monkeypatch):
+        # Deterministic ordering without sleeping: a clock that reads n.
+        clock = iter([0.0, 1.0, 2.0])
+        monkeypatch.setattr(cas.time, "time", lambda: next(clock))
         store = ResultStore(tmp_path / "store")
         for n, key in enumerate([KEY_A, KEY_B, KEY_C]):
-            record = store.put(key, n)
-            # Deterministic ordering without sleeping: rewrite created.
-            path = store.record_path(key)
-            blob = open(path, "rb").read()
-            header = json.loads(blob[len(b"repro-store/v1\n"):].split(b"\n")[0])
-            header["created"] = float(n)
-            payload = blob.split(b"\n", 2)[2]
-            open(path, "wb").write(
-                b"repro-store/v1\n"
-                + json.dumps(header, sort_keys=True).encode() + b"\n"
-                + payload
-            )
+            assert store.put(key, n).created == float(n)
+        monkeypatch.undo()
         evicted = store.gc(max_records=1)
         assert evicted == [KEY_A, KEY_B]
         assert list(store.keys()) == [KEY_C]
@@ -231,17 +288,19 @@ class TestManifestAndGc:
         evicted = store.gc(max_records=1, keep={KEY_A, KEY_B})
         assert evicted == [] and len(store) == 2
 
-    def test_gc_removes_quarantined_files(self, tmp_path):
+    def test_gc_drops_the_damaged_bytes(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(KEY_A, 1)
-        path = store.record_path(KEY_A)
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        store.get(KEY_A)  # quarantines
-        store.gc()
-        corrupt = path[: -len(".rec")] + ".corrupt"
-        assert not os.path.exists(corrupt)
+        store.put(KEY_B, 2)
+        path = flip_final_payload_byte(store, KEY_A)
+        store.get(KEY_A)  # counted, dropped from the index
+        assert store.gc() == []
+        assert not os.path.exists(path)
+        (segment,) = os.listdir(os.path.join(store.root, "segments"))
+        assert os.path.getsize(os.path.join(store.root, "segments", segment)) \
+            == store.locate(KEY_B)[2]
+        assert list(store.keys()) == [KEY_B]
+        assert ResultStore(store.root).get(KEY_B) == (True, 2)
 
     def test_gc_rejects_negative_budgets(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -263,9 +322,9 @@ class TestRunnerIntegration:
         assert second.cache_hits == 2 and second.cache_misses == 0
 
     def test_run_directory_layout(self, tmp_path):
-        """One record file per point, one ledger, one stream, all in
-        the store's root."""
-        layout = {"STORE.json", "objects", "runs.jsonl", "events.jsonl"}
+        """The segments, one ledger, one stream, all in the store's
+        root."""
+        layout = {"STORE.json", "segments", "runs.jsonl", "events.jsonl"}
         store = ResultStore(tmp_path / "store")
         ExperimentRunner(store=store).map(_square, [2, 3])
         assert set(os.listdir(store.root)) == layout
@@ -366,6 +425,102 @@ class TestConcurrency:
         assert out == [x * x for x in range(6)]
         assert runner.cache_hits >= survivors >= 2
         assert runner.cache_hits + runner.cache_misses == 6
+
+
+class TestThreads:
+    def test_threads_share_one_handle(self, tmp_path):
+        """A server's threads share one handle: puts, gets and catch-ups
+        from more threads than cores, switching as often as the
+        interpreter allows, lose no record and read no torn one."""
+        store = ResultStore(tmp_path / "store")
+        keys = [hashlib.sha256(f"thread-{i}".encode()).hexdigest()
+                for i in range(96)]
+        errors = []
+
+        def work(part):
+            try:
+                for key in keys[part::4]:
+                    store.put(key, {"key": key})
+                    assert store.get(key) == (True, {"key": key})
+                    assert len(store) >= 1
+            except BaseException as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert (store.puts, store.conflicts, store.corrupt_records) == (96, 0, 0)
+        assert sorted(store.keys()) == sorted(keys)
+        reader = ResultStore(store.root)
+        assert [reader.get(k) for k in keys] == [(True, {"key": k}) for k in keys]
+        assert reader.corrupt_records == 0
+
+
+class TestGcUnderWriters:
+    @pytest.mark.timeout_guard(120)
+    def test_gc_loses_no_record_appended_while_it_runs(self, tmp_path):
+        """Short-lived writer processes -- each adopts a segment, appends
+        and exits, as sweep workers do -- run while gc compacts in a
+        loop: every key a writer appended is still listed, or was
+        returned by gc as evicted."""
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        for i in range(40):
+            store.put(_numbered(i), i)  # something old to evict
+        ctx = multiprocessing.get_context()
+        done = ctx.Event()
+        writers = ctx.Process(target=_writer_waves, args=(root, 8, 25, done))
+        writers.start()
+        evicted = []
+        rounds = 0
+        try:
+            while not done.is_set() or rounds < 3:
+                evicted += store.gc(max_records=30)
+                rounds += 1
+        finally:
+            writers.join(60)
+        assert writers.exitcode == 0
+        evicted += store.gc(max_records=30)
+        appended = {_numbered(1000 + i) for i in range(8 * 25)}
+        assert appended <= set(store.keys()) | set(evicted)
+        assert len(evicted) == len(set(evicted))
+        reader = ResultStore(root)
+        for key in set(reader.keys()) & appended:
+            assert reader.get(key) == (True, int(key, 16) & 0xFFFF)
+        assert reader.corrupt_records == 0
+
+
+def _numbered(i):
+    return f"{0xabc << 200 | i:064x}"
+
+
+def _writer_waves(root, waves, per_wave, done):
+    """``waves`` writer processes one after another, ``per_wave``
+    records each, then set ``done``."""
+    ctx = multiprocessing.get_context()
+    for wave in range(waves):
+        proc = ctx.Process(target=_write_some, args=(root, 1000 + wave * per_wave,
+                                                     per_wave))
+        proc.start()
+        proc.join(30)
+        if proc.exitcode != 0:
+            os._exit(1)
+    done.set()
+
+
+def _write_some(root, first, count):
+    store = ResultStore(root)
+    for i in range(first, first + count):
+        store.put(_numbered(i), i)
 
 
 def _race_put(root, key, value, barrier):
