@@ -44,6 +44,9 @@ class Rendered(str):
 #: reused while the memo lives.
 _Memo = Dict[int, Tuple[Any, str]]
 
+#: The exact types :func:`stable_repr` renders as their ``repr``.
+_SCALARS = frozenset({int, str, bool, bytes, float, type(None)})
+
 
 def stable_repr(obj: Any, memo: Optional[_Memo] = None) -> str:
     """A deterministic, content-based representation for cache keys.
@@ -60,12 +63,28 @@ def stable_repr(obj: Any, memo: Optional[_Memo] = None) -> str:
     point of a sweep -- is rendered once.  Like ``copy.deepcopy``'s, it
     must not outlive the call it was made for: the objects are the
     caller's and mutable, and a later call must see their new content.
+
+    The common shapes are dispatched on their exact type first -- a
+    scalar, a plain tuple of scalars, a memoized object -- and yield the
+    text the general rules below would; subclasses take those rules.
     """
-    if type(obj) is Rendered:
+    cls = type(obj)
+    if cls is Rendered:
         return obj
-    if obj is None or isinstance(obj, (bool, int, str, bytes)):
+    if cls in _SCALARS:
         return repr(obj)
-    if isinstance(obj, float):
+    if cls is tuple:
+        if memo is None:
+            memo = {}
+        inner = ", ".join([
+            repr(x) if type(x) in _SCALARS else stable_repr(x, memo) for x in obj
+        ])
+        return f"({inner})"
+    if memo:
+        seen = memo.get(id(obj))
+        if seen is not None:
+            return seen[1]
+    if isinstance(obj, (int, str, bytes, float)):
         return repr(obj)  # repr round-trips floats exactly
     if isinstance(obj, enum.Enum):
         return f"{type(obj).__qualname__}.{obj.name}"

@@ -62,6 +62,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import __version__
 from repro.flow.keying import (  # noqa: F401 -- the keying names' old home
     CACHE_VERSION,
     check_keyable_fn,
@@ -173,13 +174,11 @@ class RunManifest:
 
     @classmethod
     def local(cls, key: str, cached: bool, seconds: float) -> "RunManifest":
-        import repro
-
         return cls(
             key=key,
             cached=cached,
             seconds=seconds,
-            repro_version=repro.__version__,
+            repro_version=__version__,
         )
 
 
@@ -298,13 +297,14 @@ class ExperimentRunner:
             self.metrics.counter(f"runner.{name}").inc()
 
     # -- cache plumbing ---------------------------------------------------
-    def _cache_load(self, key: str) -> "tuple[bool, Any]":
+    def _cache_probe(self, keys: List[str]) -> "List[tuple[bool, Any]]":
+        """``(hit, value)`` for each of ``keys``: one batched store read."""
         store = self.store
         if store is None:
-            return False, None
+            return [(False, None)] * len(keys)
         corrupt_before = store.corrupt_records
-        found = store.get(key)
-        if store.corrupt_records > corrupt_before:
+        found = store.get_many(keys)
+        for _ in range(store.corrupt_records - corrupt_before):
             # The store counted the record, dropped it from its index
             # and reports a miss, so the recomputed result republishes
             # cleanly.
@@ -312,8 +312,8 @@ class ExperimentRunner:
             if not self._warned_corrupt:
                 self._warned_corrupt = True
                 warnings.warn(
-                    f"experiment cache entry {key[:12]}... in {store.root} "
-                    "is unreadable; quarantined (dropped from the store's "
+                    f"an experiment cache entry in {store.root} is "
+                    "unreadable; quarantined (dropped from the store's "
                     "index) and recomputing (further corrupt entries this "
                     "run are counted silently)",
                     RuntimeWarning,
@@ -535,8 +535,8 @@ class MapSession:
         self.hits: List[int] = []
         self.pending: List[int] = []
 
-        for i, key in enumerate(self.keys):
-            hit, value = runner._cache_load(key)
+        for i, (key, (hit, value)) in enumerate(
+                zip(self.keys, runner._cache_probe(self.keys))):
             if hit:
                 runner.cache_hits += 1
                 self.results[i] = value

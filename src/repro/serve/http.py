@@ -113,6 +113,7 @@ class QueryServer:
         self.inflight = 0
         self.jobs: Dict[str, Dict[str, Any]] = {}
         self._job_seq = 0
+        self._job_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- metrics ----------------------------------------------------------
@@ -337,7 +338,9 @@ class QueryServer:
             "events_path": os.path.join(job_dir, "events.jsonl"),
         }
         self._count("jobs_started")
-        asyncio.get_running_loop().create_task(self._run_job(job_id, answer))
+        task = asyncio.get_running_loop().create_task(self._run_job(job_id, answer))
+        self._job_tasks.add(task)
+        task.add_done_callback(self._job_tasks.discard)
         return _json_response(202, {
             "job": job_id,
             "status": "running",
@@ -404,9 +407,14 @@ class QueryServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop accepting, then wait for every background job started
+        here: a job's evaluation runs in an executor thread that no
+        cancel can stop, so it is let finish and hand its farm back."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._job_tasks:
+            await asyncio.gather(*self._job_tasks, return_exceptions=True)
 
 
 def _tail_events(path: str, since: int) -> list:
@@ -532,7 +540,9 @@ async def _amain(server: QueryServer) -> None:
         print("shutting down", flush=True)
     finally:
         # Evaluations still in the executor hand their farm back as
-        # they finish: wait for them, then reap.
+        # they finish: wait for them (background jobs included), then
+        # reap.
+        await server.close()
         await loop.shutdown_default_executor()
         server.engine.close()
 

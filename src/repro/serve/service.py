@@ -589,8 +589,7 @@ class QueryEngine:
         ``points[i]`` is None exactly for the missing indices."""
         points: List[Optional[DesignPoint]] = []
         missing: List[int] = []
-        for i, key in enumerate(self.keys(spec)):
-            hit, value = self.store.get(key)
+        for i, (hit, value) in enumerate(self.store.get_many(self.keys(spec))):
             points.append(value if hit else None)
             if not hit:
                 missing.append(i)

@@ -47,7 +47,10 @@ segment.
 
 **The index** is built at open from the headers alone, and caught up
 on a miss by parsing only the bytes appended since the last scan (and
-rebuilt when gc removed a segment).  A record a handle is *told* of --
+rebuilt when gc removed a segment).  :meth:`ResultStore.get_many` reads
+a batch under one lock, checks each segment's liveness once and catches
+up at most once, on its first miss; ``get`` is its one-key case.  A
+record a handle is *told* of --
 its own append, or a worker's reported to :meth:`ResultStore.account`
 -- waits in a compact pending tier (flat arrays and a Bloom filter)
 until a lookup needs it, and the scan skips it.  Last write wins by
@@ -618,18 +621,36 @@ class ResultStore:
         if self._scanned[seg] == offset:
             self._scanned[seg] = offset + length
 
+    def _locate(self, keys: List[str]) -> Iterator[Optional[int]]:
+        """The packed location of each of ``keys``, in order (None for
+        a miss).  The index catches up at most once, on the first key it
+        has no live location for: one it lacks, or one whose segment gc
+        compacted away.  Each segment's liveness is checked once."""
+        alive: Dict[int, bool] = {}
+        caught_up = False
+        for key in keys:
+            _check_key(key)
+            loc = self._index.get(key)
+            if loc is None and self._pending.holds(key):
+                self._fold()
+                loc = self._index.get(key)
+            if loc is not None:
+                seg = loc & 0xFFFF
+                live = alive.get(seg)
+                if live is None:
+                    live = alive[seg] = os.fstat(self._fds[seg]).st_nlink > 0
+                if not live:
+                    loc = None
+            if loc is None and not caught_up:
+                caught_up = True
+                self._refresh()  # may renumber the segments
+                alive.clear()
+                loc = self._index.get(key)
+            yield loc
+
     def _find(self, key: str) -> Optional[int]:
-        """The packed location of ``key``, catching the index up when
-        it has none, or when gc compacted its segment away."""
-        _check_key(key)
-        loc = self._index.get(key)
-        if loc is None and self._pending.holds(key):
-            self._fold()
-            loc = self._index.get(key)
-        if loc is None or os.fstat(self._fds[loc & 0xFFFF]).st_nlink == 0:
-            self._refresh()
-            loc = self._index.get(key)
-        return loc
+        """The packed location of ``key``: :meth:`_locate` of one key."""
+        return next(self._locate([key]))
 
     def _read(self, key: str, loc: int) -> Tuple[StoreRecord, bytes]:
         seg, offset, length = _unpack(loc)
@@ -738,7 +759,8 @@ class ResultStore:
         ``puts`` (and the chaos hook) for a record that is new or
         superseded a different one, ``conflicts`` for the latter,
         nothing for a republish of identical bytes."""
-        self._learn(record.key if key is None else key, location)
+        if location[0] != self._writer_name:  # else learned when appended
+            self._learn(record.key if key is None else key, location)
         if outcome == SAME:
             return record
         if outcome == CONFLICT:
@@ -749,42 +771,52 @@ class ResultStore:
         return record
 
     # -- read side --------------------------------------------------------
-    def _load(
-        self, key: str, with_payload: bool
-    ) -> Tuple[Optional[StoreRecord], Optional[Any]]:
-        """Read (and verify) one record; count and drop it on damage."""
-        loc = self._find(key)
-        if loc is None:
-            return None, None
-        try:
-            record, payload = self._read(key, loc)
-            if not with_payload:
-                return record, None
-            _verify(payload, record)
-            return record, pickle.loads(payload)
-        except _DAMAGE:
-            self._count("corrupt_records", "corrupt_records")
-            del self._index[key]
-            return None, None
+    def _damaged(self, key: str) -> None:
+        self._count("corrupt_records", "corrupt_records")
+        del self._index[key]
 
     @_serialized
     def record(self, key: str) -> Optional[StoreRecord]:
         """The header under ``key``, or None.  Does not verify the
         payload and does not touch the hit/miss counters."""
-        record, _ = self._load(key, with_payload=False)
-        return record
+        loc = self._find(key)
+        if loc is None:
+            return None
+        try:
+            return self._read(key, loc)[0]
+        except _DAMAGE:
+            self._damaged(key)
+            return None
 
-    @_serialized
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(True, value)`` when ``key`` holds a verified record,
         else ``(False, None)`` -- including when the record existed but
-        failed verification and was dropped from the index."""
-        record, value = self._load(key, with_payload=True)
-        if record is None:
+        failed verification and was dropped from the index.
+        :meth:`get_many` of one key."""
+        return self.get_many([key])[0]
+
+    @_serialized
+    def get_many(self, keys: List[str]) -> List[Tuple[bool, Any]]:
+        """:meth:`get` of each of ``keys``, in order, under one lock:
+        each segment's liveness is checked once, and the index catches
+        up at most once, on the first miss, so a batch of hits lists no
+        directory.  Every record is verified and counted as by
+        :meth:`get`: a hit, a miss, or a corrupt record dropped from
+        the index and read as a miss."""
+        found: List[Tuple[bool, Any]] = []
+        for key, loc in zip(keys, self._locate(keys)):
+            if loc is not None:
+                try:
+                    record, payload = self._read(key, loc)
+                    _verify(payload, record)
+                    found.append((True, pickle.loads(payload)))
+                    self._count("hits", "hits")
+                    continue
+                except _DAMAGE:
+                    self._damaged(key)
+            found.append((False, None))
             self._count("misses", "misses")
-            return False, None
-        self._count("hits", "hits")
-        return True, value
+        return found
 
     @_serialized
     def locate(self, key: str) -> Optional[Location]:

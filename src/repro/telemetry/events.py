@@ -88,6 +88,9 @@ EVENT_TYPES = (
 #: default stream file name, next to the runner's ``runs.jsonl``
 EVENTS_BASENAME = "events.jsonl"
 
+#: ``json.dumps(record, sort_keys=True)``, with one encoder for every line.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
 # The Perfetto process id for the campaign plane.  The flit lifecycle
 # exporter owns pid 1 (``lifecycle.TRACE_PID``); campaigns render as a
 # second process so both traces can be concatenated into one view.
@@ -118,13 +121,14 @@ class EventCollector(EventSink):
 class EventWriter(EventSink):
     """Append-only JSONL file sink.
 
-    Every record is written as one line and flushed immediately, so a
-    crash loses at most the line being written (readers tolerate the
-    torn tail).  Opening a file whose last line a killed writer left
-    without its newline first ends that line, so the torn text stays
-    one skipped line and the first record written here stands alone.
-    Records passed through :meth:`write` verbatim (e.g. merged worker
-    records) keep their original ``pid``/``seq``/``t``.
+    Every record is one line, written with one ``write(2)`` per record,
+    nothing buffered: the line is in the kernel when :meth:`write`
+    returns, so a crash loses at most the line being written (readers
+    tolerate the torn tail).  Opening a file whose last line a killed
+    writer left without its newline first ends that line, so the torn
+    text stays one skipped line and the first record written here
+    stands alone.  Records passed through :meth:`write` verbatim (e.g.
+    merged worker records) keep their original ``pid``/``seq``/``t``.
     """
 
     def __init__(self, path: str) -> None:
@@ -132,19 +136,22 @@ class EventWriter(EventSink):
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._fh: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
+        self._fh: Optional[IO[bytes]] = open(self.path, "ab", buffering=0)
         if self._fh.tell():
             with open(self.path, "rb") as tail:
                 tail.seek(-1, os.SEEK_END)
                 if tail.read(1) != b"\n":
-                    self._fh.write("\n")
-                    self._fh.flush()
+                    self._put(b"\n")
+
+    def _put(self, data: bytes) -> None:
+        fd = self._fh.fileno()
+        while data:  # one write(2), unless the kernel takes less
+            data = data[os.write(fd, data):]
 
     def write(self, record: Dict[str, object]) -> None:
         if self._fh is None:
             raise TelemetryError("EventWriter is closed: %s" % self.path)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._put((_ENCODE(record) + "\n").encode("utf-8"))
 
     def close(self) -> None:
         if self._fh is not None:
@@ -153,9 +160,9 @@ class EventWriter(EventSink):
 
     def abandon(self) -> None:
         """Let go of the file in a forked copy: point its descriptor at
-        ``/dev/null``.  Deliberately not :meth:`close` -- the buffer (and
-        its lock) may have been another parent thread's mid-write at the
-        moment of the fork, and that text is the parent's to write."""
+        ``/dev/null``.  Deliberately not :meth:`close` -- the file
+        object may have been another parent thread's mid-write at the
+        moment of the fork, and that line is the parent's to write."""
         if self._fh is not None:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, self._fh.fileno())

@@ -1,13 +1,27 @@
-"""Cache keys: the call-scoped memo, ``Rendered`` pass-through, and the
-serve hit path's build-nothing keys."""
+"""Cache keys: the call-scoped memo, ``Rendered`` pass-through, the
+serve hit path's build-nothing keys, and the renderer's text against a
+frozen copy of its general rules."""
+
+import collections
+import dataclasses
+import enum
+import functools
+import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.flow
 import repro.flow.runner
 from repro.flow import keying
 from repro.flow.dse import _evaluate_design_point
-from repro.flow.keying import Rendered, point_key, point_keys, stable_repr
+from repro.flow.keying import (
+    CACHE_VERSION,
+    Rendered,
+    point_key,
+    point_keys,
+    stable_repr,
+)
 from repro.serve.service import (
     _COUNT_FAMILIES,
     _GRID_FAMILIES,
@@ -16,7 +30,7 @@ from repro.serve.service import (
     QuerySpec,
 )
 from repro.store import ResultStore
-from tests.property.test_keying_props import Token, _work
+from tests.property.test_keying_props import Box, Colour, Token, _work
 
 
 class TestOldHome:
@@ -87,3 +101,119 @@ class TestServeKeysBuildNothing:
         ]
         # ... and again from the warm name cache.
         assert engine.keys(spec) == point_keys(_evaluate_design_point, combos)
+
+
+def reference_stable_repr(obj, memo=None):
+    """``stable_repr`` as it was before the exact-type dispatch, frozen
+    here as the oracle: every key ever stored was made by this text."""
+    if type(obj) is Rendered:
+        return obj
+    if obj is None or isinstance(obj, (bool, int, str, bytes)):
+        return repr(obj)
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__qualname__}.{obj.name}"
+    if memo is None:
+        memo = {}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = ", ".join(
+            f"{f.name}={reference_stable_repr(getattr(obj, f.name), memo)}"
+            for f in dataclasses.fields(obj)
+        )
+        return f"{type(obj).__qualname__}({fields})"
+    if isinstance(obj, (list, tuple)):
+        inner = ", ".join([reference_stable_repr(x, memo) for x in obj])
+        return f"[{inner}]" if isinstance(obj, list) else f"({inner})"
+    if isinstance(obj, dict):
+        items = sorted(
+            (reference_stable_repr(k, memo), reference_stable_repr(v, memo))
+            for k, v in obj.items()
+        )
+        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(obj, (set, frozenset)):
+        return "{" + ", ".join(
+            sorted(reference_stable_repr(x, memo) for x in obj)) + "}"
+    if isinstance(obj, functools.partial):
+        return (
+            f"partial({reference_stable_repr(obj.func, memo)}, "
+            f"args={reference_stable_repr(obj.args, memo)}, "
+            f"kwargs={reference_stable_repr(obj.keywords, memo)})"
+        )
+    token = getattr(obj, "cache_token", None)
+    if callable(token):
+        seen = memo.get(id(obj))
+        if seen is None:
+            seen = memo[id(obj)] = (obj, reference_stable_repr(token(), memo))
+        return seen[1]
+    if callable(obj):
+        mod = getattr(obj, "__module__", "?")
+        qual = getattr(obj, "__qualname__", repr(type(obj).__qualname__))
+        return f"callable({mod}.{qual})"
+    return f"opaque({type(obj).__module__}.{type(obj).__qualname__})"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    """A ``str`` subclass: not rendered by exact type."""
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+#: One ``cache_token()`` object that recurs within a value.
+SHARED = Token(("shared", 3, (1.5, None)))
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.binary(max_size=3), st.sampled_from(Level), st.sampled_from(Colour),
+    st.text(max_size=4).map(Rendered), st.text(max_size=4).map(Name),
+    st.just(SHARED),
+)
+
+
+def _nested(children):
+    items = st.lists(children, max_size=4)
+    return st.one_of(
+        items, items.map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)),
+                        children, max_size=3),
+        st.sets(st.one_of(st.integers(-5, 5), st.text(max_size=2)), max_size=3),
+        st.frozensets(st.integers(-5, 5), max_size=3),
+        st.tuples(children, children).map(lambda ab: Pair(*ab)),
+        st.tuples(children, children).map(lambda ab: Box(*ab)),
+        st.tuples(items, st.dictionaries(st.sampled_from("ab"), children,
+                                         max_size=2)).map(
+            lambda ak: functools.partial(_work, *ak[0], **ak[1])),
+    )
+
+
+_values = st.recursive(_scalars, _nested, max_leaves=16)
+
+
+class TestTextIsTheReferenceText:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_one_value(self, value):
+        assert stable_repr(value) == reference_stable_repr(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_values, max_size=5))
+    def test_a_batch_of_keys_under_one_memo(self, points):
+        points = points + [(SHARED, 16, 2.0, None, True)] * 2
+        memo: dict = {}
+        prefix = f"v{CACHE_VERSION}||{reference_stable_repr(_work, memo)}|"
+        assert point_keys(_work, points) == [
+            hashlib.sha256(
+                (prefix + reference_stable_repr(p, memo)).encode()).hexdigest()
+            for p in points
+        ]
+
+    def test_the_dse_point_shape(self):
+        point = (SHARED, Rendered("<fabric>"), 32, 4, 1000.0, 8, 11, 600)
+        assert stable_repr(point) == reference_stable_repr(point)
+        assert stable_repr((Level.LOW, Name("x"), Pair(1, "y"), ())) == (
+            reference_stable_repr((Level.LOW, Name("x"), Pair(1, "y"), ())))

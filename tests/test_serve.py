@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import multiprocessing
 import re
 import socket
 import threading
@@ -240,6 +241,8 @@ def live_server(tmp_path, request):
     asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(5)
+    loop.close()
+    engine.close()
 
 
 def _get(url):
@@ -546,6 +549,35 @@ class TestHttp:
         assert "repro_serve_inflight 0" in text
 
 
+class TestClose:
+    def test_close_with_a_job_in_flight_leaves_no_task_or_worker(self, tmp_path):
+        """``close()`` waits out a 202 job: no task is left pending, the
+        job is done, and closing the engine then reaps every worker."""
+        engine = QueryEngine(ResultStore(tmp_path / "store"), workers=2)
+        server = QueryServer(engine, port=0, max_inflight=1)
+        before = {c.pid for c in multiprocessing.active_children()}
+        q = dict(FAST, topologies=["mesh-2x2", "ring-4"], flit_widths=[16, 32],
+                 buffer_depths=[4])
+
+        async def scenario():
+            host, port = await server.start()
+            status, doc = await asyncio.get_running_loop().run_in_executor(
+                None, _post, f"http://{host}:{port}/query", q
+            )
+            assert status == 202
+            await server.close()
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            return doc["job"]
+
+        job = asyncio.run(scenario())
+        assert server.jobs[job]["status"] == "done"
+        assert server.inflight == 0
+        engine.close()
+        assert engine.farm_workers == 0
+        assert not [c.pid for c in multiprocessing.active_children()
+                    if c.pid not in before]
+
+
 class TestCircuitBreaker:
     def _breaker(self, **kw):
         clock = {"now": 0.0}
@@ -751,6 +783,7 @@ class TestHttpErrorSchema:
             asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)
             loop.call_soon_threadsafe(loop.stop)
             thread.join(5)
+            loop.close()
 
     def test_request_timeout_validation(self, tmp_path):
         engine = QueryEngine(ResultStore(tmp_path / "store"), workers=1)

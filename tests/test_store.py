@@ -21,11 +21,13 @@ from repro.store import (
     StoreError,
     StoreRecord,
 )
+from repro.telemetry.registry import MetricsRegistry
 from tests.harness import flip_final_payload_byte
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
 KEY_C = "c" * 64
+KEY_D = "d" * 64
 
 
 def _square(x):
@@ -85,6 +87,61 @@ class TestRoundTrip:
         ResultStore(tmp_path / "store").put(KEY_A, "persisted")
         store = ResultStore(tmp_path / "store")
         assert store.get(KEY_A) == (True, "persisted")
+
+
+class TestGetMany:
+    def test_a_batch_reads_as_its_per_key_gets(self, tmp_path):
+        """In order, each key a hit, a miss, or a corrupt record read as
+        a miss and dropped -- counted per key, metrics included."""
+        metrics = MetricsRegistry()
+        store = ResultStore(tmp_path / "store", metrics=metrics)
+        for key, value in ((KEY_A, "a"), (KEY_B, "b"), (KEY_C, "c")):
+            store.put(key, value)
+        flip_final_payload_byte(store, KEY_C)
+        assert store.get_many([KEY_A, KEY_D, KEY_C, KEY_B, KEY_A]) == [
+            (True, "a"), (False, None), (False, None), (True, "b"), (True, "a"),
+        ]
+        assert (store.hits, store.misses, store.corrupt_records) == (3, 2, 1)
+        assert [metrics.counter(f"store.{name}").value
+                for name in ("hits", "misses", "corrupt_records")] == [3, 2, 1]
+        assert KEY_C not in store and store.get_many([]) == []
+
+    def test_one_catch_up_finds_another_writers_records(self, tmp_path):
+        reader = ResultStore(tmp_path / "store")
+        reader.put(KEY_A, "a")
+        writer = ResultStore(tmp_path / "store")
+        writer.put(KEY_B, "b")
+        writer.put(KEY_C, "c")
+        assert reader.get_many([KEY_A, KEY_B, KEY_D, KEY_C]) == [
+            (True, "a"), (True, "b"), (False, None), (True, "c"),
+        ]
+
+    def test_a_batch_after_gc_reads_the_compacted_segment(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for key in (KEY_A, KEY_B, KEY_C):
+            store.put(key, key[0])
+        reader = ResultStore(tmp_path / "store")
+        assert reader.get_many([KEY_A]) == [(True, "a")]
+        assert store.gc(max_records=2) == [KEY_A]
+        assert reader.get_many([KEY_B, KEY_A, KEY_C]) == [
+            (True, "b"), (False, None), (True, "c"),
+        ]
+
+
+class TestLearnOnce:
+    def _entries(self, store):
+        return len(store._pending.keys) + len(store._index)
+
+    def test_a_put_indexes_its_record_once(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for i in range(10):
+            store.put(hashlib.sha256(b"%d" % i).hexdigest(), i)
+        assert self._entries(store) == 10 and len(store) == 10
+
+    def test_an_inline_publish_indexes_its_record_once(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        ExperimentRunner(store=store).map(_square, range(10))
+        assert self._entries(store) == 10 and store.puts == 10
 
 
 class TestKeysAndMarkers:
