@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke top-smoke serve-smoke chaos-smoke bench-diff serve
+.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke top-smoke chaos-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -41,7 +41,7 @@ bench: figures
 # size with its per-run correctness gate -- the CI pulse-check for the
 # measurement stack.  Writes no tracked file.  (The figures' code paths
 # are tier-1: tests/test_figures.py.)
-bench-smoke: report-smoke faults-smoke top-smoke serve-smoke chaos-smoke
+bench-smoke: report-smoke faults-smoke top-smoke chaos-smoke
 	python3 benchmarks/ledger/selfcheck.py
 
 # Telemetry pulse-check: run the report CLI on a tiny 2x2 mesh and
@@ -63,15 +63,6 @@ faults-smoke:
 # docs/OBSERVABILITY.md.
 top-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/top_smoke.py
-
-# DSE-service pulse-check: seed a store through the pool, boot `python
-# -m repro serve` on a free port, require /healthz to count the seeded
-# records and a background job to stream its events to completion.
-# (Hit / miss / metrics behaviour of the same subprocess is gated by
-# the ledger's query_hit / query_miss workloads, which bench-smoke runs
-# through selfcheck.py.)  See docs/SERVICE.md.
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/serve_smoke.py
 
 # Supervision pulse-check: the seeded chaos harness -- a clean
 # work-stealing sweep vs one with injected worker SIGKILLs, SIGSTOP

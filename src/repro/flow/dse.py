@@ -162,14 +162,17 @@ def explore_design_space(
 def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     """Non-dominated points, sorted by latency.
 
-    Comparison is by *value*, never identity: points restored from the
-    result store or another process are equal to (but
-    not the same object as) their originals, and value-equal duplicates
-    collapse to one frontier entry instead of distorting it.
+    Points restored from the result store or another process are equal
+    to (but not the same object as) their originals, so value-equal
+    duplicates first collapse to one entry instead of distorting the
+    frontier.  After that no two entries are equal, and the scan skips
+    a point's self by identity (the dataclass ``__eq__`` on every pair
+    was most of the scan's time).
     """
     unique = list(dict.fromkeys(points))  # value-dedup, order preserved
     frontier = [
-        p for p in unique if not any(q.dominates(p) for q in unique if q != p)
+        p for p in unique
+        if not any(q.dominates(p) for q in unique if q is not p)
     ]
     frontier.sort(key=lambda p: (p.latency_ns, p.area_mm2))
     return frontier

@@ -108,11 +108,10 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   the farm's restart budget.
 
 Digest discipline: a pooled sweep must produce results bit-identical
-to an inline ``jobs=1`` run; the suite, ``make serve-smoke`` and
-``make chaos-smoke`` all enforce it.  Fault injection for the chaos
-harness enters exclusively through the ``chaos`` hook object (see
-:mod:`repro.chaos`); with ``chaos=None`` (production) no fault path
-exists.
+to an inline ``jobs=1`` run; the suite and ``make chaos-smoke`` both
+enforce it.  Fault injection for the chaos harness enters exclusively
+through the ``chaos`` hook object (see :mod:`repro.chaos`); with
+``chaos=None`` (production) no fault path exists.
 """
 
 from __future__ import annotations

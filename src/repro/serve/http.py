@@ -55,9 +55,6 @@ from repro.serve.service import (
     parse_query,
 )
 
-#: Request fields that steer the HTTP layer, not the query itself.
-_CONTROL_FIELDS = ("wait",)
-
 #: Methods each fixed route answers; anything else on these paths is a
 #: ``405`` with an ``Allow`` header (``/jobs/...`` is GET-only).
 _ROUTES = {
@@ -165,13 +162,9 @@ class QueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            if self.request_timeout is not None:
-                status, headers, body = await asyncio.wait_for(
-                    self._respond(reader), self.request_timeout
-                )
-            else:
+            async with asyncio.timeout(self.request_timeout):
                 status, headers, body = await self._respond(reader)
-        except asyncio.TimeoutError:
+        except TimeoutError:
             status, headers, body = _error_response(
                 504, "deadline",
                 f"request exceeded the {self.request_timeout:g}s "
@@ -439,11 +432,10 @@ async def _read_request(
 ) -> Tuple[str, str, bytes]:
     """Parse one HTTP/1.1 request: ``(method, path, body)``."""
     try:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT
-        )
+        async with asyncio.timeout(READ_TIMEOUT):
+            head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-            asyncio.TimeoutError) as exc:
+            TimeoutError) as exc:
         raise QueryError(f"malformed request head: {type(exc).__name__}")
     request_line, *header_lines = head.decode("latin-1").split("\r\n")
     parts = request_line.split()
@@ -467,10 +459,9 @@ async def _read_request(
     body = b""
     if length:
         try:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=READ_TIMEOUT
-            )
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
+            async with asyncio.timeout(READ_TIMEOUT):
+                body = await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, TimeoutError) as exc:
             raise QueryError(f"truncated body: {type(exc).__name__}")
     return method.upper(), path, body
 
@@ -486,7 +477,8 @@ _STATUS_TEXT = {
 def _json_response(
     status: int, doc: Any
 ) -> Tuple[int, Dict[str, str], bytes]:
-    body = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # No indent: that would force the stdlib's pure-Python encoder.
+    body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
     return status, {"Content-Type": "application/json; charset=utf-8"}, body
 
 

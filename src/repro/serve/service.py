@@ -360,13 +360,14 @@ class QuerySpec:
 
 
 _TUPLE_FIELDS = {"topologies", "flit_widths", "buffer_depths"}
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(QuerySpec))
 
 
 def parse_query(doc: Any) -> QuerySpec:
     """A JSON request body -> :class:`QuerySpec`, with named errors."""
     if not isinstance(doc, dict):
         raise QueryError(f"query must be a JSON object, got {type(doc).__name__}")
-    known = {f.name for f in dataclasses.fields(QuerySpec)}
+    known = set(_SPEC_FIELDS)
     unknown = sorted(set(doc) - known)
     if unknown:
         raise QueryError(f"unknown query fields {unknown}; know {sorted(known)}")
@@ -423,7 +424,9 @@ class QueryResult:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "query": dataclasses.asdict(self.spec),
+            # Field by field: every field is a scalar or a tuple of
+            # scalars, so asdict's deep copy would buy nothing.
+            "query": {name: getattr(self.spec, name) for name in _SPEC_FIELDS},
             "best": None if self.best is None else point_as_dict(self.best),
             "frontier": [point_as_dict(p) for p in self.frontier],
             "points": [point_as_dict(p) for p in self.points],

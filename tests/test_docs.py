@@ -396,7 +396,7 @@ class TestServiceDoc:
             "Retry-After", "retryable", "method_not_allowed",
             "--request-timeout", "RESILIENCE.md",
             # smoke coverage
-            "serve-smoke", "bench-smoke", "chaos-smoke",
+            "test_seeded_server_end_to_end", "bench-smoke", "chaos-smoke",
         ):
             assert term in text, term
         for gone in ("repro.serve.dispatch", "writes publish to both"):

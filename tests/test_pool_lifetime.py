@@ -495,12 +495,14 @@ def _serve(tmp_path):
     return proc, found.group(1)
 
 
+def _http(base, path, doc=None):
+    data = None if doc is None else json.dumps(doc).encode()
+    with urllib.request.urlopen(base + path, data=data, timeout=60) as reply:
+        return reply.status, json.loads(reply.read())
+
+
 def _miss(base, seed):
-    body = dict(SLICE, seed=seed, wait=True)
-    body = {k: list(v) if isinstance(v, tuple) else v for k, v in body.items()}
-    req = urllib.request.Request(base + "/query", data=json.dumps(body).encode())
-    with urllib.request.urlopen(req, timeout=60) as reply:
-        return json.loads(reply.read())
+    return _http(base, "/query", dict(SLICE, seed=seed, wait=True))[1]
 
 
 def _children_of(pid):
@@ -517,15 +519,43 @@ def _children_of(pid):
 
 
 class TestServerShutdown:
-    def test_sigterm_reaps_the_farm_and_exits_zero(self, tmp_path):
+    @pytest.mark.timeout_guard(60.0)
+    def test_seeded_server_end_to_end(self, tmp_path):
+        """The real ``python -m repro serve`` over a store a pooled
+        sweep seeded: /healthz counts the records, a 202 job streams its
+        events to completion, the farm is kept across misses, and
+        SIGTERM reaps it and exits 0."""
+        explore_design_space(
+            core_graph_from_name("multimedia"),
+            [topology_from_name(name) for name in SLICE["topologies"]],
+            flit_widths=SLICE["flit_widths"], buffer_depths=SLICE["buffer_depths"],
+            anneal_iterations=SLICE["anneal_iterations"],
+            runner=ExperimentRunner(store=ResultStore(tmp_path / "store"), jobs=2),
+        )
         proc, base = _serve(tmp_path)
         try:
+            status, health = _http(base, "/healthz")
+            assert status == 200 and health["status"] == "ok"
+            assert health["records"] == N_POINTS
+            # A one-row miss without "wait": a job, and its event trail.
+            status, doc = _http(base, "/query", dict(
+                anneal_iterations=50, topologies=["ring-4"], seed=21))
+            assert status == 202
+            job = doc["job"]
+            assert _until(lambda: _http(base, f"/jobs/{job}")[1]["status"]
+                          != "running", 60.0)
+            assert _http(base, f"/jobs/{job}")[1]["status"] == "done"
+            events = [e["event"] for e in
+                      _http(base, f"/jobs/{job}/events?since=0")[1]["events"]]
+            assert events[0] == "run_start" and events[-1] == "run_end"
+            assert "point_end" in events
+            # Once both workers exist, later misses fork nothing.
             assert _miss(base, 1)["served_from"] == "farm"
             workers = _children_of(proc.pid)
             assert _miss(base, 2)["served_from"] == "farm"
+            assert _miss(base, 3)["served_from"] == "farm"
             assert _children_of(proc.pid) == workers and len(workers) == 2
-            with urllib.request.urlopen(base + "/healthz", timeout=10) as reply:
-                assert json.loads(reply.read())["farm_workers"] == 2
+            assert _http(base, "/healthz")[1]["farm_workers"] == 2
             with urllib.request.urlopen(base + "/metrics", timeout=10) as reply:
                 assert "repro_serve_worker_spawns 2" in reply.read().decode()
             proc.terminate()

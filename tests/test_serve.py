@@ -548,6 +548,44 @@ class TestHttp:
         assert "repro_store_puts" in text
         assert "repro_serve_inflight 0" in text
 
+    def test_bodies_are_compact_sorted_json(self, live_server):
+        """Every JSON body is the C encoder's sorted-key single line: a
+        hit, a 202 job, a 400 and /healthz, each with a matching
+        Content-Length; the hit is the in-process answer."""
+        server, base = live_server
+
+        def raw(path, doc=None):
+            data = None if doc is None else json.dumps(doc).encode()
+            req = urllib.request.Request(base + path, data=data)
+            try:
+                with urllib.request.urlopen(req, timeout=60) as r:
+                    return r.status, r.headers, r.read()
+            except urllib.error.HTTPError as e:
+                return e.code, e.headers, e.read()
+
+        _post(base + "/query", dict(FAST, wait=True))  # seed the slice
+        answers = {
+            "hit": raw("/query", dict(FAST)),
+            "job": raw("/query", dict(FAST, seed=5)),
+            "bad": raw("/query", {"flit_widths": [0]}),
+            "healthz": raw("/healthz"),
+        }
+        assert {k: a[0] for k, a in answers.items()} == {
+            "hit": 200, "job": 202, "bad": 400, "healthz": 200,
+        }
+        for status, headers, body in answers.values():
+            doc = json.loads(body)
+            assert body == (json.dumps(doc, sort_keys=True) + "\n").encode()
+            assert int(headers["Content-Length"]) == len(body)
+        hit = json.loads(answers["hit"][2])
+        expected = server.engine.query(
+            QuerySpec(**FAST), evaluate=False
+        ).as_dict()
+        expected = json.loads(json.dumps(expected))
+        hit.pop("seconds")
+        expected.pop("seconds")
+        assert hit["served_from"] == "store" and hit == expected
+
 
 class TestClose:
     def test_close_with_a_job_in_flight_leaves_no_task_or_worker(self, tmp_path):
