@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke top-smoke chaos-smoke bench-diff serve
+.PHONY: test loc golden-kernel golden-dse bench bench-smoke figures report-smoke faults-smoke bench-diff serve
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -40,8 +40,10 @@ bench: figures
 # The pulse-checks below, then every ledger workload once at --quick
 # size with its per-run correctness gate -- the CI pulse-check for the
 # measurement stack.  Writes no tracked file.  (The figures' code paths
-# are tier-1: tests/test_figures.py.)
-bench-smoke: report-smoke faults-smoke top-smoke chaos-smoke
+# are tier-1: tests/test_figures.py; so are the `repro top` flow,
+# tests/test_events.py, and worker supervision under faults,
+# tests/property/test_pool_lifetime_props.py.)
+bench-smoke: report-smoke faults-smoke
 	python3 benchmarks/ledger/selfcheck.py
 
 # Telemetry pulse-check: run the report CLI on a tiny 2x2 mesh and
@@ -56,23 +58,6 @@ report-smoke:
 # watchdog must catch instead of hanging.  See docs/RESILIENCE.md.
 faults-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro faults --smoke
-
-# Fleet-telemetry pulse-check: a tiny cached sweep through the
-# experiment runner, then the `repro top` dashboard and its Prometheus
-# exposition must agree with what the runner reported.  See
-# docs/OBSERVABILITY.md.
-top-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/top_smoke.py
-
-# Supervision pulse-check: the seeded chaos harness -- a clean
-# work-stealing sweep vs one with injected worker SIGKILLs, SIGSTOP
-# stalls, store corruption and event-log truncation; the result digest
-# must match, the journal must show every point exactly once, and no
-# worker process may survive.  Plus a poison-pill quarantine drill.
-# A plan that did not land (no kill, stall, corruption or truncation
-# delivered) is itself a violation.  See docs/RESILIENCE.md.
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --seed 1307
 
 # The DSE query service itself (docs/SERVICE.md).
 serve:

@@ -113,16 +113,35 @@ def _elsewhere(target: str):
     return run
 
 
-def _positive(text: str) -> int:
-    """``type=`` of every count flag: an integer >= 1, else a usage
-    error (exit 2) that names the flag."""
+def _within(convert, low, high, what: str):
+    """``type=`` of a numeric flag: ``convert(text)`` in ``[low, high]``,
+    else a usage error (exit 2) that names the flag."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _within(int, 1, float("inf"), "a positive integer")
+
+
+def _mesh(text: str) -> "tuple[int, int]":
+    """``type=`` of ``report --mesh``: ``WxH`` with W and H >= 1, as
+    ``(W, H)``."""
     try:
-        value = int(text)
+        w, h = (int(x) for x in text.lower().split("x"))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+        w = h = 0
+    if min(w, h) < 1:
+        raise argparse.ArgumentTypeError(f"must be WxH with W, H >= 1, got {text!r}")
+    return w, h
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,10 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("--out", default="telemetry-report", metavar="DIR",
         help="output directory for metrics.json / trace.json / "
         "heatmap.{txt,csv} (default: telemetry-report)")
-    add("--mesh", default="2x2", metavar="WxH", help="mesh dimensions (default: 2x2)")
+    add("--mesh", type=_mesh, default="2x2", metavar="WxH",
+        help="mesh dimensions (default: 2x2)")
     add("--cycles", type=_positive, default=2000, metavar="N",
         help="cycles to simulate (default: 2000)")
-    add("--rate", type=float, default=0.1, metavar="R",
+    add("--rate", type=_within(float, 0, 1, "in [0, 1]"), default=0.1, metavar="R",
         help="injection attempts per master per cycle (default: 0.1)")
     add("--window", type=_positive, default=100, metavar="W",
         help="heatmap window width in cycles (default: 100)")
@@ -215,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         ".repro-store; created on first use, shareable across hosts)")
     add("--host", default="127.0.0.1", metavar="ADDR",
         help="address to bind (default: 127.0.0.1)")
-    add("--port", type=int, default=8787, metavar="N",
+    add("--port", type=_within(int, 0, 65535, "in [0, 65535]"), default=8787,
+        metavar="N",
         help="port to bind; 0 picks a free port, printed on startup "
         "(default: 8787)")
     add("--serve-workers", dest="workers", type=_positive, default=2, metavar="N",
@@ -245,21 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--freq", type=float, default=1000.0, metavar="MHZ",
         help="target frequency of --report in MHz (default: 1000)")
 
-    add = verb("chaos", _elsewhere("repro.chaos:chaos_main"),
-               "seeded supervision drill: worker kills, stalls and store "
-               "corruption must not change the sweep's result")
-    add("--seed", type=int, default=7, metavar="N",
-        help="fault-plan seed -- the same seed always injects the same "
-        "kills/stalls/corruptions (default: 7)")
-    add("--points", type=_positive, default=12, metavar="N",
-        help="sweep points per drill run (default: 12)")
-    add("--workers", type=_positive, default=3, metavar="N",
-        help="dispatcher worker processes (default: 3)")
-    add("--chaos-dir", dest="out", metavar="DIR",
-        help="scratch directory for the drill stores "
-        "(default: a fresh temp dir, removed afterwards)")
-    add("--keep", action="store_true",
-        help="keep the scratch directory for post-mortem")
     return parser
 
 

@@ -27,7 +27,7 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   (:func:`repro.store.cas.write_record`), and replies with the same
   bytes, the record's header and its location.  The parent indexes
   and accounts it (:meth:`repro.store.ResultStore.account`: the index
-  entry, ``puts``, ``conflicts``, metrics, the chaos hook) without
+  entry, ``puts``, ``conflicts``, metrics) without
   reading it back, so workers append in parallel and a miss returns
   exactly what a later hit reads;
 * the unit of work is a **row**: a list of points handed over together
@@ -75,7 +75,7 @@ rows to find it).  A result that does not pickle, or whose record
 cannot be written, is an ``"error"`` of its point too -- the same
 charge the inline scheduler makes.
 
-Supervision (docs/RESILIENCE.md, "Supervision & chaos testing"): on
+Supervision (docs/RESILIENCE.md, "Supervision & fault testing"): on
 top of the scheduling, the dispatcher is its workers' supervisor.
 
 * **Heartbeats with a liveness deadline.**  Each worker runs a
@@ -108,10 +108,10 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   the farm's restart budget.
 
 Digest discipline: a pooled sweep must produce results bit-identical
-to an inline ``jobs=1`` run; the suite and ``make chaos-smoke`` both
-enforce it.  Fault injection for the chaos harness enters exclusively
-through the ``chaos`` hook object (see :mod:`repro.chaos`); with
-``chaos=None`` (production) no fault path exists.
+to an inline ``jobs=1`` run, whatever killed, stopped or poisoned its
+workers; ``tests/property/test_pool_lifetime_props.py`` drives those
+faults through points, signals and files the test owns.  This module
+has no injection seam.
 """
 
 from __future__ import annotations
@@ -351,10 +351,8 @@ class WorkStealingDispatcher:
     docstring): ``heartbeat`` (worker tick period), ``liveness``
     (heartbeat silence before a busy worker is killed as stalled;
     ``None`` disables), ``poison_threshold`` (consecutive worker kills
-    before a point is quarantined), ``restart_budget`` (max worker
-    respawns per :meth:`map`; ``None`` means ``max(8, 4 * workers)``),
-    and ``chaos`` (a :class:`repro.chaos.ChaosMonkey` fault-injection
-    hook, never set in production).
+    before a point is quarantined) and ``restart_budget`` (max worker
+    respawns per :meth:`map`; ``None`` means ``max(8, 4 * workers)``).
 
     Counters: ``spawned`` (worker processes started -- first spawns,
     restarts and replacements of a kept worker found dead alike; the
@@ -381,7 +379,6 @@ class WorkStealingDispatcher:
         liveness: Optional[float] = DEFAULT_LIVENESS,
         poison_threshold: int = DEFAULT_POISON_THRESHOLD,
         restart_budget: Optional[int] = None,
-        chaos: Optional[Any] = None,
     ) -> None:
         self._idle: List[_Worker] = []  # kept between calls while open
         self._depth = 0  # open ``with`` blocks; a map_rows call is one
@@ -408,7 +405,6 @@ class WorkStealingDispatcher:
         self.liveness = liveness
         self.poison_threshold = poison_threshold
         self.restart_budget = restart_budget
-        self.chaos = chaos
         self.spawned = 0
         self.steals = 0
         self.dispatched = 0
@@ -557,8 +553,6 @@ class WorkStealingDispatcher:
         kill_streak: Dict[int, int] = {}  # point -> consecutive worker kills
         outstanding = len(session.pending)
         budget_left = budget
-        if self.chaos is not None:
-            self.chaos.attach_session(session)
 
         def next_row(slot: int) -> Optional["List[tuple[int, int]]"]:
             """Own shard first; otherwise steal from the richest."""
@@ -609,8 +603,6 @@ class WorkStealingDispatcher:
                 "point_start", label=f"{session.label}[{i}]",
                 key=session.keys[i], attempt=attempt,
             )
-            if self.chaos is not None:
-                self.chaos.on_dispatch(worker, i, attempt, self.dispatched)
 
         def feed(worker: _Worker) -> None:
             while True:
@@ -688,8 +680,6 @@ class WorkStealingDispatcher:
         try:
             while outstanding > 0:
                 now = time.monotonic()
-                if self.chaos is not None:
-                    self.chaos.tick()
                 for slot, due in list(respawn_at.items()):
                     if due <= now:
                         respawn_at.pop(slot)
@@ -824,7 +814,7 @@ class WorkStealingDispatcher:
                         )
         finally:
             # Whatever interrupted the loop -- the deferred first
-            # failure, KeyboardInterrupt, a chaos-harness assertion --
+            # failure, KeyboardInterrupt, a test's assertion --
             # never leak a worker process: a busy one is killed, an idle
             # one goes back to the kept set, which leaving the outermost
             # ``with`` block (map_rows' own, outside any other) reaps.

@@ -520,7 +520,7 @@ class MapSession:
         )
         self.keys = point_keys(fn, points)
         # Deterministic jitter seed: a function of *what* is being run,
-        # not of wall-clock or pid, so chaos runs and re-runs
+        # not of wall-clock or pid, so a faulted run and its re-run
         # reproduce the exact same backoff delays (docs/RESILIENCE.md).
         self.jitter_seed = int.from_bytes(
             hashlib.sha256(
@@ -575,8 +575,8 @@ class MapSession:
         The jitter stream is keyed by ``(sweep, kind, i, attempt)``
         alone -- not by which worker failed or when -- so the delay for
         a given re-attempt is the same in every run of the same plan,
-        regardless of scheduling order.  Two runs of one chaos plan
-        therefore produce identically ordered retry timelines.
+        regardless of scheduling order.  Two runs that meet the same
+        faults therefore produce identically ordered retry timelines.
         """
         base = self.runner.backoff * (2 ** (attempt - 1))
         rng = random.Random(f"{self.jitter_seed}|{kind}|{i}|{attempt}")

@@ -27,7 +27,7 @@ Evaluations run in a thread-pool executor so the event loop stays
 responsive; the blocking work inside them is the dispatcher's worker
 *processes*, so the GIL is not on the critical path.
 
-Degradation contract (docs/SERVICE.md, "Supervision & chaos testing"):
+Degradation contract (docs/SERVICE.md, "Supervision & fault testing"):
 every request is bounded by a **per-request deadline**
 (``request_timeout``; ``504`` with ``Retry-After`` past it); the farm
 path sits behind the engine's :class:`~repro.serve.CircuitBreaker`,

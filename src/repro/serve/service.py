@@ -405,7 +405,7 @@ class QueryResult:
     ``hints`` names, for each of them, the nearest cached neighbor in
     the query's own grid (same topology preferred, then closest flit
     width and buffer depth) -- an honest partial answer instead of a
-    5xx (docs/SERVICE.md, "Supervision & chaos testing").
+    5xx (docs/SERVICE.md, "Supervision & fault testing").
 
     ``seconds`` is the wall time of :meth:`QueryEngine.answer`: the
     farm evaluation and selection that follow the store probe.

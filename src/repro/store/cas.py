@@ -65,8 +65,8 @@ value was computed: in the pool worker that ran the point
 (:mod:`repro.flow.pool`), so workers append in parallel, each to its
 own segment.  It returns the record's location, and
 :meth:`ResultStore.account` is the other half -- the index entry,
-``puts``, ``conflicts``, the ``store.*`` metrics and the chaos hook --
-and runs in the supervisor on what the worker reports.
+``puts``, ``conflicts`` and the ``store.*`` metrics -- and runs in the
+supervisor on what the worker reports.
 :meth:`ResultStore.put` is both halves in one process.
 
 :meth:`ResultStore.keys` lists the indexed keys,
@@ -463,11 +463,6 @@ class ResultStore:
         self.puts = 0
         self.corrupt_records = 0
         self.conflicts = 0
-        #: Optional fault-injection hook (``repro.chaos.ChaosMonkey``):
-        #: called as ``chaos.on_store_put(store, record)`` after every
-        #: successful publish, so a seeded plan can corrupt the record
-        #: it just wrote.  None in production.
-        self.chaos: Optional[Any] = None
         # The index: key -> packed location; per segment number, its
         # file name, read descriptor, parsed prefix and size at the
         # last scan.
@@ -756,9 +751,9 @@ class ResultStore:
         """Index and count one :func:`write_record` outcome, wherever
         the record was written: its location enters this handle's
         index (under ``key``, the caller's own string, when given), then
-        ``puts`` (and the chaos hook) for a record that is new or
-        superseded a different one, ``conflicts`` for the latter,
-        nothing for a republish of identical bytes."""
+        ``puts`` for a record that is new or superseded a different one,
+        ``conflicts`` for the latter, nothing for a republish of
+        identical bytes."""
         if location[0] != self._writer_name:  # else learned when appended
             self._learn(record.key if key is None else key, location)
         if outcome == SAME:
@@ -766,8 +761,6 @@ class ResultStore:
         if outcome == CONFLICT:
             self._count("conflicts", "conflicts")
         self._count("puts", "puts")
-        if self.chaos is not None:
-            self.chaos.on_store_put(self, record)
         return record
 
     # -- read side --------------------------------------------------------

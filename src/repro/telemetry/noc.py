@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.network.monitors import NetworkMonitor
 from repro.sim.trace import NullTracer
@@ -291,25 +291,21 @@ def _check_report(paths: Dict[str, Path]) -> "list[str]":
 
 def report_main(
     out: str = "telemetry-report",
-    mesh: str = "2x2",
+    mesh: Tuple[int, int] = (2, 2),
     cycles: int = 2000,
     rate: float = 0.1,
     window: int = 100,
     check: bool = False,
 ) -> int:
     """``python -m repro report``: uniform random traffic on a ``mesh``
-    ("WxH") with :class:`NocTelemetry` attached, every artifact written
-    to ``out``; ``check`` re-reads and validates them.  Returns the exit
-    code (2 for a malformed ``mesh``, 1 for a failed check)."""
+    of ``(W, H)`` switches with :class:`NocTelemetry` attached, every
+    artifact written to ``out``; ``check`` re-reads and validates them.
+    Returns the exit code (1 for a failed check)."""
     from repro.network import Noc, UniformRandomTraffic
     from repro.network import mesh as mesh_topology
     from repro.network.topology import attach_round_robin
 
-    try:
-        w, h = (int(x) for x in mesh.lower().split("x"))
-    except ValueError:
-        print(f"--mesh must look like 2x2, got {mesh!r}", file=sys.stderr)
-        return 2
+    w, h = mesh
     topo = mesh_topology(w, h)
     n = w * h
     cpus, mems = attach_round_robin(topo, max(1, n // 2), max(1, n - n // 2))

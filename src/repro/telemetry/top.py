@@ -8,10 +8,10 @@ total, the cache-hit rate, an ETA extrapolated from the
 mean finished-point duration, and replica-lane throughput from
 ``lane_batch`` events.
 
-``--once`` renders a single frame and exits (the ``make top-smoke``
-CI path); ``--prom FILE`` additionally writes a Prometheus-style text
-exposition built from a :class:`MetricsRegistry`, so the same numbers
-are scrapeable.
+``--once`` renders a single frame and exits (the path
+``tests/test_events.py`` drives in a subprocess); ``--prom FILE``
+additionally writes a Prometheus-style text exposition built from a
+:class:`MetricsRegistry`, so the same numbers are scrapeable.
 """
 
 import os

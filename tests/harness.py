@@ -76,9 +76,9 @@ class FlitSink(Component):
 
 
 def flip_final_payload_byte(store, key: str) -> str:
-    """Damage the record under ``key`` in place the way
-    ``ChaosMonkey.on_store_put`` does: flip the last byte of its payload
-    inside the record's span in its segment.  Returns the segment path."""
+    """Damage the record under ``key`` in place: flip the last byte of
+    its payload inside the record's span in its segment, so the sha256
+    check refuses it on the next read.  Returns the segment path."""
     from repro.store.cas import TRAILER_SIZE
 
     path, offset, length = store.locate(key)

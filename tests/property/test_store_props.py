@@ -4,8 +4,8 @@ its files.
 A ``RuleBasedStateMachine`` drives one store root through two handles
 -- the second one opened on demand, a writer of its own -- with puts,
 gets, reopens, ``gc(max_records, keep)``, a flipped final payload byte
-(what ``ChaosMonkey`` does) and a segment cut short (a writer killed
-mid-write), next to a dict model.  After every step: ``keys()`` and
+(``tests/harness.py::flip_final_payload_byte``) and a segment cut short
+(a writer killed mid-write), next to a dict model.  After every step: ``keys()`` and
 ``len()`` agree with the model, and a ``get`` returns the model's value,
 or, for a key whose record was damaged, a miss or a value published
 under it before; a flipped record is a *counted* miss on the handle

@@ -4,7 +4,7 @@ Each verb's ``--help`` lists exactly the flags it reads, a flag that
 belongs to another verb is a usage error, count flags are checked when
 parsing, and the verb bodies that live beside their packages get every
 flag under their own parameter names.  (What the verbs *do* is tested
-in test_main_cli.py, test_regress.py and test_chaos.py.)
+in test_main_cli.py and test_regress.py.)
 """
 
 import importlib
@@ -34,7 +34,6 @@ VERB_FLAGS = {
     "bench-diff": {"--ledger", "--baseline"},
     "serve": {"--store", "--host", "--port", "--serve-workers",
               "--max-inflight", "--request-timeout"},
-    "chaos": {"--seed", "--points", "--workers", "--chaos-dir", "--keep"},
     "compile": {"--demo", "--output", "--tables", "--report", "--freq"},
 }
 
@@ -58,8 +57,8 @@ class TestHelp:
         assert listed == VERB_FLAGS[verb] | {"--help"}
         assert f"{verb}:" not in out  # no per-verb prefixes left
 
-    def test_thirty_four_verb_flag_pairs(self):
-        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 34
+    def test_twenty_nine_verb_flag_pairs(self):
+        assert sum(len(flags) for flags in VERB_FLAGS.values()) == 29
 
     def test_no_verb_is_info(self, capsys):
         assert main([]) == 0
@@ -103,12 +102,18 @@ class TestCounts:
         ["report", "--cycles", "0"],
         ["serve", "--serve-workers", "0"],
         ["serve", "--max-inflight", "0"],
-        ["chaos", "--workers", "0"],
-        ["chaos", "--points", "many"],
+        # Values outside a flag's range are usage errors too.
+        ["report", "--mesh", "0x2"],
+        ["report", "--rate", "7"],
+        ["report", "--rate", "-1"],
+        ["serve", "--port", "99999"],
+        ["serve", "--port", "-1"],
     ])
     def test_a_bad_count_is_a_usage_error_naming_the_flag(self, argv, capsys):
         err = usage_error(capsys, argv)
-        assert f"argument {argv[1]}: must be a positive integer" in err
+        must = {"--mesh": "WxH with W, H >= 1", "--rate": "in [0, 1]",
+                "--port": "in [0, 65535]"}.get(argv[1], "a positive integer")
+        assert f"argument {argv[1]}: must be {must}, got {argv[2]!r}" in err
 
 
 def _record(monkeypatch, target):
@@ -131,7 +136,7 @@ def _record(monkeypatch, target):
 class TestHandlers:
     @pytest.mark.parametrize("argv, target, expected", [
         (["report"], "repro.telemetry.noc:report_main",
-         {"out": "telemetry-report", "mesh": "2x2", "cycles": 2000,
+         {"out": "telemetry-report", "mesh": (2, 2), "cycles": 2000,
           "rate": 0.1, "window": 100, "check": False}),
         (["faults", "--smoke"], "repro.faults.campaign:faults_main",
          {"smoke": True, "jobs": 1, "cache": None, "replicas": None}),
@@ -144,8 +149,10 @@ class TestHandlers:
          "repro.serve.http:serve_main",
          {"store": ".repro-store", "host": "127.0.0.1", "port": 0,
           "workers": 3, "max_inflight": 2, "request_timeout": 120.0}),
-        (["chaos", "--chaos-dir", "s"], "repro.chaos:chaos_main",
-         {"out": "s", "seed": 7, "points": 12, "workers": 3, "keep": False}),
+        (["report", "--mesh", "3x2", "--rate", "0.5"],
+         "repro.telemetry.noc:report_main",
+         {"out": "telemetry-report", "mesh": (3, 2), "cycles": 2000,
+          "rate": 0.5, "window": 100, "check": False}),
         (["compile", "spec.json", "--tables"], "repro.compiler:compile_main",
          {"spec": "spec.json", "demo": False, "output": None, "tables": True,
           "report": False, "freq": 1000.0}),

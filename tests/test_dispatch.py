@@ -8,8 +8,8 @@ import time
 
 import pytest
 
+from repro.flow.pool import WorkStealingDispatcher
 from repro.flow.runner import ExperimentRunner, PointFailure, read_journal
-from repro.serve import WorkStealingDispatcher
 from repro.store import ResultStore
 from repro.telemetry.events import (
     EventCollector,
@@ -181,25 +181,14 @@ class TestFailureMachinery:
         assert len(runner.failures) == 1
 
 
-class _StallFirstDispatch:
-    """Minimal chaos hook: SIGSTOP the first dispatched worker."""
-
-    def __init__(self):
-        self.stalled_pid = None
-
-    def attach_session(self, session):
-        pass
-
-    def tick(self):
-        pass
-
-    def on_store_put(self, store, record):
-        pass
-
-    def on_dispatch(self, worker, i, attempt, ordinal):
-        if self.stalled_pid is None:
-            self.stalled_pid = worker.proc.pid
-            os.kill(self.stalled_pid, signal.SIGSTOP)
+def _square_after_stopping_once(point):
+    """SIGSTOPs its own worker on the first attempt (the marker file
+    says one happened), squares on the next."""
+    x, marker = point
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return x * x
 
 
 class TestSupervision:
@@ -214,17 +203,17 @@ class TestSupervision:
         with pytest.raises(ValueError, match="restart_budget"):
             WorkStealingDispatcher(runner, restart_budget=-1)
 
-    def test_stalled_worker_detected_killed_and_point_retried(self):
+    def test_stalled_worker_detected_killed_and_point_retried(self, tmp_path):
         """A SIGSTOPped worker stops heartbeating; the liveness deadline
         must reclaim it and re-attempt only the point it held."""
         runner = ExperimentRunner(retries=1, backoff=0.01)
         disp = WorkStealingDispatcher(
             runner, workers=2, heartbeat=0.05, liveness=0.5,
-            chaos=_StallFirstDispatch(),
         )
         collector = install_sink(EventCollector())
         try:
-            out = disp.map(_square, [5], label="stall")
+            out = disp.map(_square_after_stopping_once,
+                           [(5, str(tmp_path / "stopped"))], label="stall")
         finally:
             remove_sink(collector)
         assert out == [25]

@@ -179,7 +179,8 @@ class TestObservabilityDoc:
             "python -m repro top", "metrics.prom",
             "MetricsRegistry.merge",
             "bench-diff", "baseline.json", "BENCHMARK.json", "unresolved",
-            "not comparable", "benchmark PR", "top-smoke",
+            "not comparable", "benchmark PR",
+            "test_top_process_agrees_with_a_cached_pool_sweep",
         ):
             assert term in text, term
 
@@ -224,13 +225,13 @@ class TestResilienceDoc:
             # campaign harness, CLI, CI
             "CampaignSpec", "run_campaign", "python -m repro faults",
             "faults-smoke", "bench_s3_resilience",
-            # fleet supervision + chaos harness
+            # fleet supervision + the fault state machine
             "heartbeat", "liveness", "worker_stall", "restart_budget",
             "poison_threshold", "poisoned", "CircuitBreaker",
-            "circuit_open", "degraded", "ChaosPlan", "ChaosMonkey",
-            "corrupt_record", "truncate_events",
-            "exactly once", "orphan", "python -m repro chaos",
-            "chaos-smoke",
+            "circuit_open", "degraded", "KeptPool",
+            "RuleBasedStateMachine", "no injection seam",
+            "flip_final_payload_byte", "events.jsonl",
+            "exactly once", "orphan",
             # the pool is ExperimentRunner's: the behaviour deltas
             "repro.flow.pool", "long-lived", "SIGKILLed", "must pickle",
             # scalar = one lane, and the one cache key that moved
@@ -396,7 +397,7 @@ class TestServiceDoc:
             "Retry-After", "retryable", "method_not_allowed",
             "--request-timeout", "RESILIENCE.md",
             # smoke coverage
-            "test_seeded_server_end_to_end", "bench-smoke", "chaos-smoke",
+            "test_seeded_server_end_to_end", "bench-smoke", "KeptPool",
         ):
             assert term in text, term
         for gone in ("repro.serve.dispatch", "writes publish to both"):
@@ -414,6 +415,16 @@ class TestServiceDoc:
             exec(compile(block, f"SERVICE-snippet-{i}", "exec"), {})
 
 
+def _joined(text):
+    """``text`` with shell continuations and inline code wrapped across
+    a line joined onto one line."""
+    return re.sub(
+        r"(?<!`)(`{1,2})(?!`)[^`]+?(?<!`)\1(?!`)",
+        lambda m: m.group().replace("\n", " "),
+        text.replace("\\\n", " "),
+    )
+
+
 def cli_command_lines():
     """Every ``python -m repro <verb> ...`` command line in README.md,
     docs/*.md, the Makefile and benchmarks/**/*.py, as ``(file, argv)``:
@@ -427,11 +438,7 @@ def cli_command_lines():
     for rel in files:
         with open(os.path.join(ROOT, rel), encoding="utf-8") as f:
             text = f.read()
-        joined = re.sub(
-            r"(?<!`)(`{1,2})(?!`)[^`]+?(?<!`)\1(?!`)",
-            lambda m: m.group().replace("\n", " "),
-            text.replace("\\\n", " "),
-        )
+        joined = _joined(text)
         for m in re.finditer(r"-m repro[ \t]+([^`#)\n]*)", joined):
             yield rel, ["1" if t.isupper() else t for t in m.group(1).split()]
         if rel.endswith(".py"):
@@ -443,6 +450,31 @@ def cli_command_lines():
                 for i in range(len(items) - 1):
                     if items[i:i + 2] == ["-m", "repro"]:
                         yield rel, items[i + 2:]
+
+
+def make_targets_named():
+    """Every ``make <target>`` named in README.md, docs/*.md, the
+    Makefile's comments and the sources under src/, as ``(file,
+    target)``: in inline code, or leading a line of a code block
+    (fenced, indented, or after a ``$`` prompt)."""
+    files = ["README.md", "Makefile"]
+    files += sorted(glob.glob("docs/*.md", root_dir=ROOT))
+    files += sorted(glob.glob("src/**/*.py", root_dir=ROOT, recursive=True))
+    for rel in files:
+        with open(os.path.join(ROOT, rel), encoding="utf-8") as f:
+            text = f.read()
+        if rel == "Makefile":
+            text = "\n".join(line for line in text.splitlines()
+                             if line.lstrip().startswith("#"))
+        joined = _joined(text)
+        code = "\n".join(re.findall(r"```[^\n]*\n(.*?)```", joined, re.S))
+        for pattern, where in (
+            (r"`make[ \t]+([\w-]+)", joined),
+            (r"^(?: {4,}|\$ )make[ \t]+([\w-]+)", joined),
+            (r"^[ \t]*(?:\$ )?make[ \t]+([\w-]+)", code),
+        ):
+            for m in re.finditer(pattern, where, flags=re.M):
+                yield rel, m.group(1)
 
 
 class TestCliCommandLines:
@@ -467,9 +499,19 @@ class TestCliCommandLines:
         found = list(cli_command_lines())
         verbs = {argv[0] for _, argv in found if argv}
         assert {"figures", "report", "faults", "top", "bench-diff", "serve",
-                "chaos"} <= verbs
+                "compile"} <= verbs
         # The ledger's server, by its argv list.
         assert ("benchmarks/ledger/wl_serve.py",
                 ["serve", "--store", "1", "--port", "0", "--serve-workers", "1",
                  "--max-inflight", "1"]) in found
         assert any(rel == "Makefile" and "--cycles" in argv for rel, argv in found)
+
+    def test_every_make_target_named_is_a_makefile_target(self):
+        with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as f:
+            targets = set(re.findall(r"^([\w-]+):", f.read(), flags=re.M))
+        named = list(make_targets_named())
+        assert {rel.split("/")[0] for rel, _ in named} >= {
+            "README.md", "docs", "src"}
+        missing = sorted({f"{rel}: make {t}" for rel, t in named
+                          if t not in targets})
+        assert not missing, "\n".join(missing)

@@ -21,6 +21,8 @@ Regenerate the Chrome-trace snapshot with::
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,7 +58,8 @@ from repro.telemetry.top import (
     write_prometheus,
 )
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
 GOLDEN_TRACE = os.path.join(DATA, "golden_campaign_trace.json")
 
 
@@ -658,3 +661,42 @@ class TestDashboard:
         assert "repro_top_points_ok 1" in text
         assert "repro_top_points_failed 1" in text
         assert "repro_top_points_cached 1" in text
+
+    @pytest.mark.timeout_guard(120)
+    def test_top_process_agrees_with_a_cached_pool_sweep(self, tmp_path):
+        """A pooled sweep into a store, then ``python -m repro top
+        --once --prom`` as a process: its frame and exposition count
+        what the runner reported, and a re-run shows as cache hits."""
+        rates = [0.02, 0.05, 0.08]
+        cache, prom = str(tmp_path / "cache"), str(tmp_path / "metrics.prom")
+        runner = ExperimentRunner(jobs=2, store=ResultStore(cache))
+        assert None not in runner.map(_accepted_rate, rates, label="top")
+        assert not runner.failures
+        frame = _top_once(cache, prom)
+        for want in ("points: 3 total", "3 ok", "[finished]",
+                     "cache-hit rate: 0%", "events.jsonl"):
+            assert want in frame, frame
+        exposition = open(prom, encoding="utf-8").read().splitlines()
+        assert "repro_top_points_ok 3" in exposition
+        assert "repro_top_points_failed 0" in exposition
+        runner.map(_accepted_rate, rates, label="top")
+        assert "3 cached" in _top_once(cache, prom)
+
+
+def _accepted_rate(rate):
+    """A sweep point worth a dashboard row: one small fault campaign."""
+    return run_campaign(small_spec(rate=rate, label=f"top rate={rate}")).accepted_rate
+
+
+def _top_once(run_dir, prom):
+    """One ``python -m repro top`` frame of ``run_dir``, as printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "top", "--dir", run_dir, "--once",
+         "--prom", prom],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout

@@ -1,5 +1,7 @@
 """The top-level ``python -m repro`` command line."""
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -43,7 +45,9 @@ class TestReportCommand:
         assert "3x2 mesh" in capsys.readouterr().out
 
     def test_report_rejects_malformed_mesh(self, capsys):
-        assert main(["report", "--mesh", "banana"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--mesh", "banana"])
+        assert exc.value.code == 2
         assert "--mesh" in capsys.readouterr().err
 
 

@@ -20,12 +20,10 @@ import urllib.request
 
 import pytest
 
-from repro.chaos import ChaosMonkey, ChaosPlan, chaos_point
-from repro.chaos.harness import journal_counts, results_digest
 from repro.flow.dse import explore_design_space
-from repro.flow.pool import DEFAULT_HEARTBEAT
+from repro.flow.pool import DEFAULT_HEARTBEAT, WorkStealingDispatcher
 from repro.flow.runner import ExperimentRunner, read_journal
-from repro.serve import QueryEngine, QuerySpec, WorkStealingDispatcher
+from repro.serve import QueryEngine, QuerySpec
 from repro.serve.http import QueryServer
 from repro.serve.service import core_graph_from_name, topology_from_name
 from repro.store import ResultStore
@@ -57,6 +55,17 @@ def _kill_self_once(marker):
         return "survived"
     open(marker, "w").close()
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _square_stopping_once(point):
+    """Squares ``x``; with a marker path, first SIGSTOPs its own worker
+    on the first attempt, leaving the worker's pid in the marker."""
+    x, marker = point
+    if marker and not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return x * x
 
 
 def _hang_once(marker):
@@ -343,24 +352,6 @@ class TestEngine:
         assert server._healthz()["farm_workers"] == 0
 
 
-class _StopFirstDispatch:
-    """Minimal chaos hook: SIGSTOP the first worker dispatched to."""
-
-    def __init__(self):
-        self.stopped = None
-
-    def attach_session(self, session):
-        pass
-
-    def tick(self):
-        pass
-
-    def on_dispatch(self, worker, i, attempt, ordinal):
-        if self.stopped is None:
-            self.stopped = worker.proc.pid
-            os.kill(self.stopped, signal.SIGSTOP)
-
-
 class TestSupervisionInsideAKeptPool:
     """A fault costs the point in flight and its worker -- and the next
     ``map`` on the same dispatcher finds a full, clean pool."""
@@ -390,19 +381,18 @@ class TestSupervisionInsideAKeptPool:
             self._next_map_is_clean(disp, spawned=3)
             assert len(first & set(disp.map(_pid, range(4)))) == 1
 
-    def test_stalled_worker(self):
+    def test_stalled_worker(self, tmp_path):
         runner = ExperimentRunner(retries=1, backoff=0.01)
-        hook = _StopFirstDispatch()
+        marker = tmp_path / "stopped"
         with WorkStealingDispatcher(
             runner, workers=2, heartbeat=0.05, liveness=0.5
         ) as disp:
             disp.map(_pid, range(4))
-            disp.chaos = hook
-            assert disp.map(_square, [5, 6, 7]) == [25, 36, 49]
-            disp.chaos = None
+            points = [(5, str(marker)), (6, None), (7, None)]
+            assert disp.map(_square_stopping_once, points) == [25, 36, 49]
             assert disp.stalls == 1 and runner.stall_count == 1
             assert not runner.failures
-            assert _wait_gone([hook.stopped], 2.0) == []
+            assert _wait_gone([int(marker.read_text())], 2.0) == []
             self._next_map_is_clean(disp, spawned=3)
 
     def test_per_point_timeout(self, tmp_path):
@@ -432,52 +422,6 @@ class TestSupervisionInsideAKeptPool:
             assert runner.crash_count == 0
             # Not a restart (restart_budget=0 would have refused one).
             assert disp.worker_restarts == 0 and disp.spawned == 3
-
-    @pytest.mark.timeout_guard(240.0)
-    def test_seeded_chaos_plan_twice_over_one_open_dispatcher(self, tmp_path):
-        """``make chaos-smoke``'s plan, its three invariants, two rounds
-        on the same kept pool: the second round starts from whatever
-        the first round's kills and stalls left behind."""
-        before = _snapshot()
-        workers, points = 3, 12
-        sweep = [(f"pt-{k:03d}", 200 + k, 0.05) for k in range(points)]
-        clean = results_digest([chaos_point(p) for p in sweep])
-        reports = []
-        with WorkStealingDispatcher(
-            ExperimentRunner(), workers=workers, heartbeat=0.1, liveness=2.0
-        ) as disp:
-            for round_ in range(2):
-                monkey = ChaosMonkey(ChaosPlan(1307, horizon=10))
-                store = ResultStore(tmp_path / f"store-{round_}")
-                store.chaos = monkey
-                disp.runner = ExperimentRunner(
-                    store=store, retries=4, backoff=0.05, timeout=60.0)
-                disp.chaos, disp.dispatched = monkey, 0
-                try:
-                    out = disp.map(chaos_point, sweep, label="chaos")
-                finally:
-                    monkey.release()
-                    disp.chaos = None
-                by_key = journal_counts(disp.runner.journal_path)
-                terminal = [
-                    [r["status"] for r in recs if r["status"] in ("ok", "failed")]
-                    for recs in by_key.values()
-                ]
-                reports.append({
-                    "digest": results_digest(out),
-                    "faults": [(kind, at) for kind, at, _ in monkey.log
-                               if kind in ("kill", "stall", "slow")],
-                    "terminal": sorted(terminal),
-                    "failures": list(disp.runner.failures),
-                })
-                assert len(_new_children(before)) <= workers
-                assert disp.live_workers <= workers
-        assert reports[0] == reports[1]
-        assert reports[0]["digest"] == clean
-        assert reports[0]["terminal"] == [["ok"]] * points
-        assert reports[0]["failures"] == []
-        assert {kind for kind, _ in reports[0]["faults"]} >= {"kill", "stall"}
-        assert _new_children(before) == []
 
 
 def _serve(tmp_path):

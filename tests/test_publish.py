@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from repro.chaos import ChaosMonkey, ChaosPlan
 from repro.faults import CampaignSpec, FaultCampaign, FaultWindow
 from repro.flow.dse import explore_design_space
 from repro.flow.keying import point_key
@@ -284,13 +283,19 @@ class TestPooledAndInlineStoresAreIdentical:
         assert (pooled.puts, pooled.conflicts) == (RECORDS, 0)
         assert rerun.cache_hits == RECORDS and rerun.cache_misses == 0
 
-    def test_every_counter_counts_one_put_per_computed_point(self, tmp_path):
+    def test_every_counter_counts_one_put_per_computed_point(
+        self, tmp_path, monkeypatch
+    ):
         metrics = MetricsRegistry()
         store = ResultStore(tmp_path / "store", metrics=metrics)
-        monkey = ChaosMonkey(ChaosPlan(
-            0, kills=0, stalls=0, slows=0, corruptions=0, event_truncations=0,
-        ))
-        store.chaos = monkey
+        accounted = []  # one entry per ResultStore.account call
+        account = ResultStore.account
+
+        def counting(self, record, *args, **kwargs):
+            accounted.append(record.key)
+            return account(self, record, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "account", counting)
         engine = QueryEngine(store, workers=2, metrics=metrics)
         try:
             result = engine.query(QuerySpec(
@@ -301,7 +306,7 @@ class TestPooledAndInlineStoresAreIdentical:
             engine.close()
         computed = metrics.counter("serve.points_computed").value
         assert result.store_misses == computed == 8
-        assert store.puts == monkey.puts == len(store) == computed
+        assert store.puts == len(accounted) == len(store) == computed
         prom = metrics.to_prometheus(prefix="repro")
         assert f"repro_store_puts {computed}" in prom.splitlines()
         assert store.conflicts == 0

@@ -179,12 +179,17 @@ class TestOncePerRow:
 
 def _probe(point):
     """``(pid, id(shared))``, after the scripted behaviour of ``point``
-    = ``(shared, action)``."""
+    = ``(shared, action)``; ``("sigstop", marker)`` stops its own
+    process on the first attempt only (the marker file says one
+    happened)."""
     shared, action = point
     if action == "raise":
         raise ValueError("scripted failure")
     if action == "sigkill":
         os.kill(os.getpid(), signal.SIGKILL)
+    if isinstance(action, tuple) and not os.path.exists(action[1]):
+        open(action[1], "w").close()
+        os.kill(os.getpid(), signal.SIGSTOP)
     if isinstance(action, float):
         time.sleep(action)
     return os.getpid(), id(shared)
@@ -197,25 +202,6 @@ def _rows_of(*actions_per_row):
         shared = {"row": len(rows)}
         rows.append([(shared, action) for action in actions])
     return rows
-
-
-class _StallAt:
-    """Chaos hook: SIGSTOP the worker as dispatch ``ordinal`` lands."""
-
-    def __init__(self, ordinal):
-        self.ordinal = ordinal
-        self.seen = []
-
-    def attach_session(self, session):
-        pass
-
-    def tick(self):
-        pass
-
-    def on_dispatch(self, worker, i, attempt, ordinal):
-        self.seen.append((i, attempt, ordinal))
-        if ordinal == self.ordinal:
-            os.kill(worker.proc.pid, signal.SIGSTOP)
 
 
 class TestRowsInThePool:
@@ -250,15 +236,13 @@ class TestRowsInThePool:
         assert sorted(r["attempts"] for r in journal) == [1] * 7
         assert [r["status"] for r in journal].count("ok") == 6
 
-    def test_stall_mid_row_charges_only_the_point_in_flight(self):
-        # Dispatch ordinals of a one-worker run are the points in order:
-        # ordinal 3 is the third point of the only row.
-        # Points sleep, so the worker is inside the third when it lands.
-        rows = _rows_of([0.2, 0.2, 0.2, 0.2])
+    def test_stall_mid_row_charges_only_the_point_in_flight(self, tmp_path):
+        # One worker runs the only row's points in order; the third
+        # stops its own process on its first attempt.
+        rows = _rows_of([0.2, 0.2, ("sigstop", str(tmp_path / "stopped")), 0.2])
         runner = ExperimentRunner(retries=1, backoff=0.01)
-        chaos = _StallAt(3)
         disp = WorkStealingDispatcher(
-            runner, workers=1, heartbeat=0.05, liveness=0.5, chaos=chaos,
+            runner, workers=1, heartbeat=0.05, liveness=0.5,
         )
         collector = install_sink(EventCollector())
         try:
@@ -271,8 +255,11 @@ class TestRowsInThePool:
         ends = {r["label"]: r["attempts"] for r in collector.records
                 if r["event"] == "point_end"}
         assert ends == {"pt[0]": 1, "pt[1]": 1, "pt[2]": 2, "pt[3]": 1}
-        assert [seen[:2] for seen in chaos.seen[:3]] == [(0, 1), (1, 1), (2, 1)]
-        assert sorted(seen[:2] for seen in chaos.seen[3:]) == [(2, 2), (3, 1)]
+        # The dispatch order: (point, attempt) of every point_start.
+        order = [(int(r["label"][3:-1]), r["attempt"]) for r in collector.records
+                 if r["event"] == "point_start"]
+        assert order[:3] == [(0, 1), (1, 1), (2, 1)]
+        assert sorted(order[3:]) == [(2, 2), (3, 1)]
         assert disp.dispatched == 5
 
     def test_a_raising_point_fails_alone_and_the_row_continues(self):

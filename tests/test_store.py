@@ -433,7 +433,7 @@ class TestConcurrency:
         script.write_text(
             "import sys\n"
             "from repro.flow.runner import ExperimentRunner\n"
-            "from repro.serve import WorkStealingDispatcher\n"
+            "from repro.flow.pool import WorkStealingDispatcher\n"
             "from repro.store import ResultStore\n"
             "from tests.test_store import _slow_square\n"
             f"store = ResultStore({root!r})\n"
@@ -475,7 +475,7 @@ class TestConcurrency:
 
         survivors = len(ResultStore(root))
         runner = ExperimentRunner(store=ResultStore(root), jobs=2)
-        from repro.serve import WorkStealingDispatcher
+        from repro.flow.pool import WorkStealingDispatcher
 
         disp = WorkStealingDispatcher(runner, workers=2)
         out = disp.map(_slow_square, list(range(6)), label="sweep")
