@@ -113,23 +113,27 @@ def _elsewhere(target: str):
     return run
 
 
-def _within(convert, low, high, what: str):
-    """``type=`` of a numeric flag: ``convert(text)`` in ``[low, high]``,
-    else a usage error (exit 2) that names the flag."""
+def _within(convert, low, high, what: str, low_open: bool = False):
+    """``type=`` of a numeric flag: ``convert(text)`` in ``[low, high]``
+    (``(low, high]`` when ``low_open``), else a usage error (exit 2)
+    that names the flag."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = None
-        if value is None or not low <= value <= high:
+        if (value is None or not low <= value <= high
+                or (low_open and value == low)):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive = _within(int, 1, float("inf"), "a positive integer")
+_INF = float("inf")
+_positive = _within(int, 1, _INF, "a positive integer")
+_seconds = _within(float, 0, _INF, "a number >= 0")
 
 
 def _mesh(text: str) -> "tuple[int, int]":
@@ -208,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run directory holding events.jsonl (default: .repro-cache)")
     add("--once", action="store_true",
         help="render a single frame and exit instead of looping")
-    add("--interval", type=float, default=1.0, metavar="S",
+    add("--interval", type=_seconds, default=1.0, metavar="S",
         help="seconds between dashboard repaints (default: 1.0)")
     add("--prom", metavar="FILE",
         help="also write a Prometheus text exposition of the summary to "
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--max-inflight", type=_positive, default=2, metavar="N",
         help="admission control -- at most N farm evaluations in flight "
         "before POST /query answers 429 (default: 2)")
-    add("--request-timeout", type=float, default=120.0, metavar="S",
+    add("--request-timeout", type=_seconds, default=120.0, metavar="S",
         help="per-request deadline in seconds; timed-out requests answer "
         "504 with the standard error schema (default: 120; 0 disables)")
 
@@ -263,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the synthesis view (SystemC-style sources) into DIR")
     add("--tables", action="store_true", help="print the routing tables")
     add("--report", action="store_true", help="print the synthesis estimate")
-    add("--freq", type=float, default=1000.0, metavar="MHZ",
+    add("--freq", type=_within(float, 0, _INF, "a number > 0", low_open=True),
+        default=1000.0, metavar="MHZ",
         help="target frequency of --report in MHz (default: 1000)")
 
     return parser

@@ -9,7 +9,9 @@ and slaves as the NoC, so the F9 bench can sweep load on identical
 workloads.
 """
 
-from repro.bus.ahb import SharedBus, SharedBusConfig
-from repro.bus.bridge import BridgedBus, BusBridge
+from repro._lazy import lazy_exports
 
-__all__ = ["BridgedBus", "BusBridge", "SharedBus", "SharedBusConfig"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ahb": ("SharedBus", "SharedBusConfig"),
+    "bridge": ("BridgedBus", "BusBridge"),
+})

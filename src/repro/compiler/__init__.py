@@ -23,25 +23,19 @@ the SystemC-style synthesis view and the synthesis estimate out.
 
 import sys
 
-from repro.compiler.codegen import generate_systemc, write_systemc
-from repro.compiler.instantiate import simulation_view, synthesis_view
-from repro.compiler.routing_tables import generate_routing_tables, render_routing_tables
-from repro.compiler.spec import CoreBinding, NocSpecification
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "compile_main",
-    "CoreBinding",
-    "NocSpecification",
-    "generate_routing_tables",
-    "generate_systemc",
-    "render_routing_tables",
-    "simulation_view",
-    "synthesis_view",
-    "write_systemc",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codegen": ("generate_systemc", "write_systemc"),
+    "instantiate": ("simulation_view", "synthesis_view"),
+    "routing_tables": ("generate_routing_tables", "render_routing_tables"),
+    "spec": ("CoreBinding", "NocSpecification"),
+})
+__all__ = ["compile_main", *__all__]
 
 
-def _demo_spec() -> NocSpecification:
+def _demo_spec():
+    from repro.compiler.spec import NocSpecification
     from repro.network.topology import attach_round_robin, mesh
 
     topo = mesh(2, 2)
@@ -64,13 +58,24 @@ def compile_main(spec=None, output=None, tables=False, report=False,
         print("repro compile: error: nothing to do: pass --output, --tables "
               "and/or --report", file=sys.stderr)
         return 2
+    from repro.compiler.spec import NocSpecification
+
     with open(spec, "r", encoding="utf-8") as f:
         noc_spec = NocSpecification.from_json(f.read())
     if tables:
+        from repro.compiler.routing_tables import (
+            generate_routing_tables,
+            render_routing_tables,
+        )
+
         print(render_routing_tables(generate_routing_tables(noc_spec)))
     if report:
+        from repro.compiler.instantiate import synthesis_view
+
         print(synthesis_view(noc_spec, target_freq_mhz=freq).to_table())
     if output:
+        from repro.compiler.codegen import write_systemc
+
         for path in write_systemc(noc_spec, output):
             print(f"wrote {path}")
     return 0

@@ -10,17 +10,22 @@ of :mod:`repro.compiler.codegen`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.compiler.spec import NocSpecification
-from repro.network.noc import Noc
-from repro.sim.trace import Tracer
 from repro.synth.report import SynthesisReport, synthesize_noc
 from repro.synth.technology import TechnologyLibrary, UMC130
 
+if TYPE_CHECKING:
+    from repro.network.noc import Noc
+    from repro.sim.trace import Tracer
+
 
 def simulation_view(spec: NocSpecification, tracer: Optional[Tracer] = None) -> Noc:
-    """Instantiate the runnable network described by a specification."""
+    """Instantiate the runnable network described by a specification
+    (the one function here that loads the simulator)."""
+    from repro.network.noc import Noc
+
     return Noc(spec.to_topology(), spec.build_config(), tracer=tracer)
 
 

@@ -13,8 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import ArbitrationPolicy, LinkConfig, NocParameters
-from repro.network.noc import NocBuildConfig
+from repro.core.config import ArbitrationPolicy, LinkConfig, NocBuildConfig, NocParameters
 from repro.network.topology import Topology
 
 

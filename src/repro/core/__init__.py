@@ -18,52 +18,17 @@ Every block is parameterized through the dataclasses in
 the xpipesCompiler specializes.
 """
 
-from repro.core.credit import CreditReceiver, CreditSender, CreditToken
-from repro.core.credit_switch import InputBufferedSwitch
-from repro.core.config import (
-    ArbitrationPolicy,
-    LinkConfig,
-    NiConfig,
-    NocParameters,
-    SwitchConfig,
-)
-from repro.core.flit import Flit, FlitType
-from repro.core.ocp import (
-    BurstTransaction,
-    OcpCmd,
-    OcpMasterPort,
-    OcpResponse,
-    OcpSlavePort,
-    SResp,
-)
-from repro.core.packet import Packet, PacketHeader, PacketKind
-from repro.core.packetizer import Depacketizer, Packetizer
-from repro.core.routing import Route, RoutingTable, compute_routes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArbitrationPolicy",
-    "CreditReceiver",
-    "CreditSender",
-    "CreditToken",
-    "InputBufferedSwitch",
-    "BurstTransaction",
-    "Depacketizer",
-    "Flit",
-    "FlitType",
-    "LinkConfig",
-    "NiConfig",
-    "NocParameters",
-    "OcpCmd",
-    "OcpMasterPort",
-    "OcpResponse",
-    "OcpSlavePort",
-    "Packet",
-    "PacketHeader",
-    "PacketKind",
-    "Packetizer",
-    "Route",
-    "RoutingTable",
-    "SResp",
-    "SwitchConfig",
-    "compute_routes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("ArbitrationPolicy", "LinkConfig", "NiConfig", "NocParameters",
+               "SwitchConfig"),
+    "credit": ("CreditReceiver", "CreditSender", "CreditToken"),
+    "credit_switch": ("InputBufferedSwitch",),
+    "flit": ("Flit", "FlitType"),
+    "ocp": ("BurstTransaction", "OcpCmd", "OcpMasterPort", "OcpResponse",
+            "OcpSlavePort", "SResp"),
+    "packet": ("Packet", "PacketHeader", "PacketKind"),
+    "packetizer": ("Depacketizer", "Packetizer"),
+    "routing": ("Route", "RoutingTable", "compute_routes"),
+})

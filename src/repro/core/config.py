@@ -4,13 +4,17 @@ xpipes Lite components are C++ class templates specialized per instance
 by the xpipesCompiler (flit width, I/O port counts, buffer sizes...).
 These dataclasses are the Python equivalent: frozen, validated parameter
 records shared by the simulation models in :mod:`repro.core` and the
-synthesis models in :mod:`repro.synth`.
+synthesis models in :mod:`repro.synth`.  :class:`NocBuildConfig`
+aggregates them for a whole network; it lives here, not beside the
+builder (:mod:`repro.network.noc`), so the synthesis and DSE views can
+read it without loading the simulator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 
 class ArbitrationPolicy(enum.Enum):
@@ -177,3 +181,57 @@ class NiConfig:
             raise ValueError("txn_timeout must be >= 1 cycle (or None)")
         if self.txn_retries < 0:
             raise ValueError("txn_retries must be >= 0")
+
+
+@dataclass(frozen=True)
+class NocBuildConfig:
+    """Everything the builder needs besides the topology itself."""
+
+    params: NocParameters = field(default_factory=NocParameters)
+    buffer_depth: int = 6
+    pipeline_stages: int = 2
+    arbitration: ArbitrationPolicy = ArbitrationPolicy.ROUND_ROBIN
+    link: LinkConfig = field(default_factory=LinkConfig)
+    ni_buffer_depth: int = 4
+    ni_max_outstanding: int = 8
+    ni_posted_writes: bool = False
+    ni_enforce_thread_order: bool = False
+    #: End-to-end transaction timeout at the initiator NIs (cycles; see
+    #: docs/RESILIENCE.md).  ``None`` keeps the paper's hang-forever
+    #: semantics; a value arms retry (``ni_txn_retries`` attempts) then
+    #: SResp.ERR delivery for lost transactions.
+    ni_txn_timeout: Optional[int] = None
+    ni_txn_retries: int = 0
+    #: Sender-side lost-flit recovery (cycles of reverse-channel
+    #: silence before a go-back-N sender rewinds; ``None`` disables).
+    #: Needed for links that *drop* flits (dead-link faults) rather
+    #: than corrupt them.  Applies to every switch and NI sender.
+    link_resync_timeout: Optional[int] = None
+    #: Bit-accurate error mode: attach a real CRC per flit (pair with
+    #: ``LinkConfig(bit_errors=True)``); undetected errors become
+    #: possible, as in silicon.
+    crc_mode: bool = False
+    #: Link-level flow control: the paper's "ack_nack" (output-queued
+    #: switch + go-back-N retransmission) or the classical "credit"
+    #: (input-buffered switch + credit counters).  Credit mode assumes
+    #: reliable links and rejects error injection (see A10).
+    flow_control: str = "ack_nack"
+    #: Per-link overrides keyed by frozenset({element_a, element_b});
+    #: typically produced from a floorplan via
+    #: :func:`repro.flow.floorplan.link_configs_from_floorplan` so long
+    #: wires get the pipeline stages they need.  Unlisted links use
+    #: ``link``.
+    link_overrides: "Dict[frozenset, LinkConfig]" = field(default_factory=dict)
+    routing_policy: Optional[str] = None  # None = topology default
+    seed: int = 1
+    #: Scheduler mode (see ``docs/PERFORMANCE.md``): "compiled", the
+    #: generated activity-tracked loop, elaborated lazily on the first
+    #: run; "fast", the same loop without specialized lanes; or
+    #: "interpreted", the classical tick-everything reference loop.
+    #: Results are cycle-identical in every mode (checked by
+    #: :func:`repro.network.experiments.verify_fast_path`).
+    kernel: str = "compiled"
+
+    def link_for(self, a: str, b: str) -> LinkConfig:
+        """The link configuration between two elements."""
+        return self.link_overrides.get(frozenset((a, b)), self.link)

@@ -70,6 +70,9 @@ class Link(Component):
         self.flits_carried = 0
         self.errors_injected = 0
         self.flits_dropped = 0
+        #: Flits sampled (carried or dropped) while a fault override was
+        #: set -- what a FaultInjector window actually hit.
+        self.flits_faulted = 0
         # Transient fault overrides (see repro.faults.FaultInjector):
         # unlike the immutable LinkConfig -- which rejects rate 1.0 --
         # these model *fault windows*: stuck-at links (rate 1.0 for a
@@ -88,6 +91,7 @@ class Link(Component):
         self.flits_carried = 0
         self.errors_injected = 0
         self.flits_dropped = 0
+        self.flits_faulted = 0
         self._fault_rate = None
         self._fault_drop = False
 
@@ -123,13 +127,18 @@ class Link(Component):
         if flit is None:
             return None
         if self._fault_drop:
+            self.flits_faulted += 1
             self.flits_dropped += 1
             if self.lifecycle:
                 self.trace(cycle, "link_error", pkt=flit.packet_id, seq=flit.seqno,
                            dropped=True)
             return None
         self.flits_carried += 1
-        rate = self._fault_rate if self._fault_rate is not None else self.config.error_rate
+        rate = self._fault_rate
+        if rate is None:
+            rate = self.config.error_rate
+        else:
+            self.flits_faulted += 1
         if rate > 0.0 and self._rng.random() < rate:
             self.errors_injected += 1
             if self.lifecycle:

@@ -21,33 +21,11 @@ go-back-N sender (``GoBackNSender.resync_timeout``); this package is
 what exercises them.
 """
 
-from repro.faults.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    FaultCampaign,
-    ReplicatedCampaign,
-    render_campaign,
-    run_campaign,
-)
-from repro.faults.injector import (
-    FAULT_MODES,
-    FaultInjector,
-    FaultWindow,
-    randomized_windows,
-)
-from repro.faults.watchdog import NoProgressError, ProgressWatchdog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_MODES",
-    "CampaignResult",
-    "CampaignSpec",
-    "FaultCampaign",
-    "FaultInjector",
-    "FaultWindow",
-    "NoProgressError",
-    "ProgressWatchdog",
-    "ReplicatedCampaign",
-    "randomized_windows",
-    "render_campaign",
-    "run_campaign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "injector": ("FAULT_MODES", "FaultInjector", "FaultWindow", "randomized_windows"),
+    "watchdog": ("NoProgressError", "ProgressWatchdog"),
+    "campaign": ("CampaignResult", "CampaignSpec", "FaultCampaign",
+                 "ReplicatedCampaign", "render_campaign", "run_campaign"),
+})

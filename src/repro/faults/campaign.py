@@ -29,17 +29,19 @@ from __future__ import annotations
 import contextlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import NocBuildConfig
 from repro.faults.injector import FaultInjector, FaultWindow
 from repro.faults.watchdog import NoProgressError, ProgressWatchdog
-from repro.flow.runner import ExperimentRunner, RunManifest
+from repro.flow.session import RunManifest
 from repro.network.experiments import TopologyNocBuilder, attach_uniform_traffic
-from repro.network.noc import NocBuildConfig
 from repro.network.topology import mesh
 from repro.sim.batch import SEED_STRIDE, BatchSimulator, mean_ci95
-from repro.store import ResultStore
 from repro.telemetry import events as _events
+
+if TYPE_CHECKING:
+    from repro.flow.runner import ExperimentRunner
 
 
 @dataclass(frozen=True)
@@ -398,6 +400,9 @@ def faults_main(
         else:
             print(f"\nwatchdog diagnosis:\n{results[1].diagnosis}")
         return 0 if ok else 1
+
+    from repro.flow.runner import ExperimentRunner
+    from repro.store import ResultStore
 
     runner = (
         ExperimentRunner(jobs=jobs, store=ResultStore(cache) if cache else None)

@@ -13,8 +13,10 @@ docs/RESILIENCE.md).
 ``Link`` instances of a built :class:`~repro.network.noc.Noc`.  It is a
 plain always-on component (no quiescence contract), so fault windows
 open and close punctually in both scheduling modes even on links that
-are asleep; per-link ``add_probe`` hooks additionally count the flits
-each link actually moved while one of its windows was open.
+are asleep.  A link counts the flits it moves while an override is set
+(``Link.flits_faulted``) wherever the override makes it run its own
+``tick`` -- under every kernel -- so counting needs no hook and leaves
+the compiled program as built.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class FaultInjector(Component):
         noc,
         windows: Sequence[FaultWindow],
         name: str = "faults",
-        probe_links: Sequence[str] = (),
     ) -> None:
         super().__init__(name)
         self.noc = noc
@@ -96,11 +97,6 @@ class FaultInjector(Component):
         # instrumentation
         self.windows_opened = 0
         self.windows_closed = 0
-        #: Flits each faulted link moved (carried or dropped) while one
-        #: of its windows was open -- counted by per-link tick probes,
-        #: which fire only on cycles the link actually executed.
-        self.flits_during_fault: Dict[str, int] = {}
-        self._probe_last: Dict[str, int] = {}
         #: Lifecycle telemetry: window open/close emit ``fault`` trace
         #: instants (see :mod:`repro.telemetry.lifecycle`).
         self.lifecycle = False
@@ -113,29 +109,15 @@ class FaultInjector(Component):
         if not hasattr(noc, "fault_injectors"):
             noc.fault_injectors = []
         noc.fault_injectors.append(self)
-        # Probes are structural (registering one invalidates a compiled
-        # program), so they are laid down once, here: on every link the
-        # initial schedule touches plus any ``probe_links`` names given
-        # up front.  ``set_windows`` may later swap in any schedule that
-        # stays within this probed set -- the batch runner pre-declares
-        # the union of its per-lane schedules this way.
-        probed = {l for _, links in self._resolved for l in links}
-        by_name = {link.name: link for link in noc.links}
-        for pat in probe_links:
-            names = (
-                fnmatch.filter(sorted(by_name), pat)
-                if any(ch in pat for ch in "*?[")
-                else ([pat] if pat in by_name else [])
-            )
-            if not names:
-                raise SimulationError(
-                    f"probe_links pattern matches no link: {pat!r}"
-                )
-            probed.update(by_name[n] for n in names)
-        for link in probed:
-            self.flits_during_fault[link.name] = 0
-            self._probe_last[link.name] = 0
-            noc.sim.add_probe(link, self._make_probe(link))
+
+    @property
+    def flits_during_fault(self) -> Dict[str, int]:
+        """Flits each link of the schedule moved (carried or dropped)
+        while a fault override was set on it, since the last reset."""
+        return {
+            link.name: link.flits_faulted
+            for _, links in self._resolved for link in links
+        }
 
     def _resolve(self, windows: Sequence[FaultWindow]):
         """Resolve ``windows`` onto concrete links; returns the
@@ -169,49 +151,24 @@ class FaultInjector(Component):
         """Replace the fault schedule on a live injector.
 
         Meant for replica-lane reuse (:mod:`repro.sim.batch`): the same
-        built network runs many schedules without re-registering probes,
-        so a compiled program stays valid.  Every link the new schedule
-        resolves to must already be probed -- construct the injector
-        with ``probe_links`` naming the union of all schedules' links.
-        Progress state is cleared exactly as :meth:`reset` clears it;
-        call at a cycle-0 boundary (after ``sim.reset()``).  A rejected
-        schedule leaves the injector exactly as it was.
+        built network runs many schedules, on any of its links, and the
+        compiled program stays valid (a fault override is runtime state,
+        not structure).  Progress state is cleared exactly as
+        :meth:`reset` clears it; call at a cycle-0 boundary (after
+        ``sim.reset()``).  A schedule naming no link is rejected and
+        leaves the injector exactly as it was.
         """
         resolved, events = self._resolve(windows)
-        missing = sorted(
-            {
-                l.name for _, links in resolved for l in links
-                if l.name not in self.flits_during_fault
-            }
-        )
-        if missing:
-            raise SimulationError(
-                f"set_windows touches unprobed link(s) {missing}: pass "
-                f"probe_links= at construction to pre-declare them"
-            )
         self.reset()  # clears the outgoing schedule's link overrides
         self.windows = tuple(windows)
         self._resolved = resolved
         self._events = events
-
-    def _make_probe(self, link: Link):
-        def probe(_cycle: int) -> None:
-            moved = link.flits_carried + link.flits_dropped
-            if link.fault_active:
-                self.flits_during_fault[link.name] += (
-                    moved - self._probe_last[link.name]
-                )
-            self._probe_last[link.name] = moved
-        return probe
 
     def reset(self) -> None:
         self._next_event = 0
         self._open.clear()
         self.windows_opened = 0
         self.windows_closed = 0
-        for name in self.flits_during_fault:
-            self.flits_during_fault[name] = 0
-            self._probe_last[name] = 0
         for _, links in self._resolved:
             for link in links:
                 link.clear_fault()

@@ -18,48 +18,17 @@ estimations.  This package implements that front end:
   independent experiment points (see ``docs/PERFORMANCE.md``).
 """
 
-from repro.flow.bandwidth import LinkLoad, check_feasibility, link_loads
-from repro.flow.dse import DesignPoint, explore_design_space, pareto_frontier, render_space
-from repro.flow.floorplan import Floorplan, floorplan_topology
-from repro.flow.mapping import (
-    anneal_mapping,
-    apply_mapping,
-    greedy_mapping,
-    mapping_cost,
-)
-from repro.flow.keying import stable_repr
-from repro.flow.runner import ExperimentRunner, PointReport
-from repro.flow.selection import CandidateResult, select_topology
-from repro.flow.taskgraph import (
-    CoreGraph,
-    CoreSpec,
-    TaskGraph,
-    demo_multimedia_soc,
-    demo_telecom_soc,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CandidateResult",
-    "DesignPoint",
-    "LinkLoad",
-    "explore_design_space",
-    "pareto_frontier",
-    "render_space",
-    "check_feasibility",
-    "link_loads",
-    "CoreGraph",
-    "CoreSpec",
-    "ExperimentRunner",
-    "Floorplan",
-    "PointReport",
-    "stable_repr",
-    "TaskGraph",
-    "anneal_mapping",
-    "apply_mapping",
-    "demo_multimedia_soc",
-    "demo_telecom_soc",
-    "floorplan_topology",
-    "greedy_mapping",
-    "mapping_cost",
-    "select_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bandwidth": ("LinkLoad", "check_feasibility", "link_loads"),
+    "dse": ("DesignPoint", "explore_design_space", "pareto_frontier", "render_space"),
+    "floorplan": ("Floorplan", "floorplan_topology"),
+    "keying": ("stable_repr",),
+    "mapping": ("anneal_mapping", "apply_mapping", "greedy_mapping", "mapping_cost"),
+    "runner": ("ExperimentRunner",),
+    "selection": ("CandidateResult", "select_topology"),
+    "session": ("PointReport",),
+    "taskgraph": ("CoreGraph", "CoreSpec", "TaskGraph", "demo_multimedia_soc",
+                  "demo_telecom_soc"),
+})

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.config import NocParameters
+from repro.core.config import NocBuildConfig, NocParameters
 from repro.flow.selection import MappedFabric, estimate_candidate
 from repro.flow.taskgraph import CoreGraph
-from repro.network.noc import NocBuildConfig
 from repro.network.topology import Topology
 
 

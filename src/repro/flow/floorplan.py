@@ -175,7 +175,7 @@ def link_configs_from_floorplan(
     For each placed switch-to-switch wire, the stages needed to close
     timing at ``freq_mhz`` are computed from its Manhattan length; the
     result plugs straight into
-    :attr:`repro.network.noc.NocBuildConfig.link_overrides`, closing
+    :attr:`repro.core.config.NocBuildConfig.link_overrides`, closing
     the loop from floorplanning back into cycle-accurate simulation.
     NI attachment links are tile-local and keep the base config.
     """

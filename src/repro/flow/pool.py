@@ -52,7 +52,7 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   with seeded-jitter exponential backoff, per-point wall-clock timeouts (the worker is SIGKILLed and
   respawned; only the point it held is re-attempted), crash isolation,
   the deferred first-failure re-raise -- is
-  :class:`~repro.flow.runner.MapSession`'s bookkeeping; this module only
+  :class:`~repro.flow.session.MapSession`'s bookkeeping; this module only
   schedules.
 
 What a fault inside a row costs is **the point in flight, never the
@@ -102,7 +102,7 @@ top of the scheduling, the dispatcher is its workers' supervisor.
 * **Poison-point quarantine.**  A point whose attempts kill
   ``poison_threshold`` *consecutive* workers (crash / stall / timeout,
   with no clean result in between) is quarantined: journaled as a
-  :class:`~repro.flow.runner.PointFailure` of kind ``"poisoned"`` (a
+  :class:`~repro.flow.session.PointFailure` of kind ``"poisoned"`` (a
   repro bundle -- the exact fn/point to re-run in isolation), emitted
   as a ``poisoned`` event, and skipped instead of burning the rest of
   the farm's restart budget.
@@ -128,10 +128,14 @@ from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
+from repro.flow.session import MapSession
 from repro.store import cas
+# At module level, not per map: a server's first farmed query would
+# otherwise compile it mid-request, raising the supervisor's peak RSS.
+from repro.telemetry import events as _events
 
-if TYPE_CHECKING:  # runner.py imports this module; only names are needed here
-    from repro.flow.runner import ExperimentRunner, MapSession
+if TYPE_CHECKING:  # runner.py imports this module; only the name is needed here
+    from repro.flow.runner import ExperimentRunner
 
 #: Default seconds between worker heartbeat ticks.
 DEFAULT_HEARTBEAT = 0.25
@@ -180,8 +184,6 @@ def _worker_main(conn, heartbeat: float, supervisor_pid: int) -> None:
     supervisor is gone (SIGKILLed sweep): forked siblings hold copies of
     this pipe's far end, so EOF alone would never arrive.
     """
-    from repro.telemetry import events as _events
-
     # What fork handed over from the supervisor and a worker must not
     # keep for a life that outlasts the call: its open event files, and
     # -- when it runs an event loop (``python -m repro serve``) -- a
@@ -343,7 +345,7 @@ class WorkStealingDispatcher:
     :meth:`map_rows` contract -- results in input order, caching,
     retries, timeouts, journal, ``last_manifests`` -- because the
     bookkeeping *is* the runner's, via
-    :class:`~repro.flow.runner.MapSession`.
+    :class:`~repro.flow.session.MapSession`.
 
     Parameters: ``runner`` supplies configuration and owns the
     cache/store/journal; ``workers`` is the pool width (defaults to
@@ -512,8 +514,6 @@ class WorkStealingDispatcher:
         """``runner.map_rows`` semantics under work-stealing scheduling.
         An ``fn`` that does not pickle raises :class:`ValueError` before
         any worker is spawned or any event is emitted."""
-        from repro.flow.runner import MapSession  # runner imports this module
-
         session = MapSession.over_rows(self.runner, fn, rows, label)
         if session.pending:
             try:
@@ -531,8 +531,6 @@ class WorkStealingDispatcher:
 
     # -- scheduling -------------------------------------------------------
     def _run_stealing(self, session: MapSession) -> None:
-        from repro.telemetry import events as _events
-
         n_workers = min(self.workers, len(session.pending_rows)) or 1
         timeout = session.runner.timeout
         budget = self.restart_budget

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import NocParameters
+from repro.core.config import NocBuildConfig, NocParameters
 from repro.flow.bandwidth import (
     DemandRoute,
     LinkLoad,
@@ -29,7 +29,6 @@ from repro.flow.bandwidth import (
 from repro.flow.floorplan import Floorplan, floorplan_topology
 from repro.flow.mapping import anneal_mapping, apply_mapping, greedy_mapping, mapping_cost
 from repro.flow.taskgraph import CoreGraph
-from repro.network.noc import NocBuildConfig
 from repro.network.topology import Topology
 from repro.synth.report import NocCensus, SynthesisReport, synthesize_noc
 

@@ -11,74 +11,20 @@ complete networks the way the xpipesCompiler's simulation view does:
   switches and links into a runnable :class:`~repro.network.noc.Noc`.
 """
 
-from repro.network.cores import OcpMemorySlave, OcpTrafficMaster
-from repro.network.deadlock import check_deadlock_freedom
-from repro.network.experiments import LoadPoint, load_sweep, render_sweep, saturation_rate
-from repro.network.scoreboard import (
-    CheckedTrafficMaster,
-    add_checked_masters,
-    assert_all_clean,
-    private_stripe_patterns,
-)
-from repro.network.monitors import NetworkMonitor, utilization_report
-from repro.network.noc import Noc, NocBuildConfig
-from repro.network.topology import (
-    Topology,
-    TopologyError,
-    custom_topology,
-    fat_tree,
-    fully_connected,
-    hypercube,
-    mesh,
-    ring,
-    spidergon,
-    star,
-    torus,
-)
-from repro.network.traffic import (
-    HotspotTraffic,
-    PermutationTraffic,
-    RateTableTraffic,
-    ScriptedTraffic,
-    TraceTraffic,
-    TrafficPattern,
-    TxnTemplate,
-    UniformRandomTraffic,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckedTrafficMaster",
-    "HotspotTraffic",
-    "LoadPoint",
-    "add_checked_masters",
-    "assert_all_clean",
-    "load_sweep",
-    "private_stripe_patterns",
-    "render_sweep",
-    "saturation_rate",
-    "NetworkMonitor",
-    "Noc",
-    "NocBuildConfig",
-    "OcpMemorySlave",
-    "OcpTrafficMaster",
-    "PermutationTraffic",
-    "RateTableTraffic",
-    "ScriptedTraffic",
-    "Topology",
-    "TopologyError",
-    "TraceTraffic",
-    "TrafficPattern",
-    "TxnTemplate",
-    "UniformRandomTraffic",
-    "check_deadlock_freedom",
-    "custom_topology",
-    "fat_tree",
-    "fully_connected",
-    "hypercube",
-    "mesh",
-    "ring",
-    "spidergon",
-    "star",
-    "torus",
-    "utilization_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cores": ("OcpMemorySlave", "OcpTrafficMaster"),
+    "deadlock": ("check_deadlock_freedom",),
+    "experiments": ("LoadPoint", "load_sweep", "render_sweep", "saturation_rate"),
+    "monitors": ("NetworkMonitor", "utilization_report"),
+    "noc": ("Noc", "NocBuildConfig"),
+    "scoreboard": ("CheckedTrafficMaster", "add_checked_masters", "assert_all_clean",
+                   "private_stripe_patterns"),
+    "topology": ("Topology", "TopologyError", "custom_topology", "fat_tree",
+                 "fully_connected", "hypercube", "mesh", "ring", "spidergon",
+                 "star", "torus"),
+    "traffic": ("HotspotTraffic", "PermutationTraffic", "RateTableTraffic",
+                "ScriptedTraffic", "TraceTraffic", "TrafficPattern", "TxnTemplate",
+                "UniformRandomTraffic"),
+})

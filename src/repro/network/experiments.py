@@ -30,8 +30,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.flow.runner import RunManifest
-from repro.network.noc import Noc, NocBuildConfig
+from repro.core.config import NocBuildConfig
+from repro.flow.session import RunManifest
+from repro.network.noc import Noc
 from repro.network.topology import attach_round_robin
 from repro.network.traffic import UniformRandomTraffic
 from repro.sim.batch import SEED_STRIDE, mean_ci95
@@ -257,7 +258,7 @@ def load_sweep(
     back as ``None``, as ``runner.map`` reports it.
 
     Every returned point carries a
-    :class:`~repro.flow.runner.RunManifest` in ``point.manifest``
+    :class:`~repro.flow.session.RunManifest` in ``point.manifest``
     recording where the number came from: with a runner, lane 0's own
     cache key plus hit/miss and compute seconds; inline, a keyless
     timed record.

@@ -19,16 +19,11 @@ simulation view does for the SystemC one: given a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.config import (
-    ArbitrationPolicy,
-    LinkConfig,
-    NiConfig,
-    NocParameters,
-    SwitchConfig,
-)
+# NocBuildConfig is also re-exported for the callers and stored pickles
+# that name it here.
+from repro.core.config import NiConfig, NocBuildConfig, SwitchConfig
 from repro.core.crc import codec_for_flit_width
 from repro.core.credit_switch import InputBufferedSwitch
 from repro.core.flow_control import window_for_link
@@ -43,60 +38,6 @@ from repro.network.traffic import TrafficPattern
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.stats import LatencySampler
 from repro.sim.trace import Tracer
-
-
-@dataclass(frozen=True)
-class NocBuildConfig:
-    """Everything the builder needs besides the topology itself."""
-
-    params: NocParameters = field(default_factory=NocParameters)
-    buffer_depth: int = 6
-    pipeline_stages: int = 2
-    arbitration: ArbitrationPolicy = ArbitrationPolicy.ROUND_ROBIN
-    link: LinkConfig = field(default_factory=LinkConfig)
-    ni_buffer_depth: int = 4
-    ni_max_outstanding: int = 8
-    ni_posted_writes: bool = False
-    ni_enforce_thread_order: bool = False
-    #: End-to-end transaction timeout at the initiator NIs (cycles; see
-    #: docs/RESILIENCE.md).  ``None`` keeps the paper's hang-forever
-    #: semantics; a value arms retry (``ni_txn_retries`` attempts) then
-    #: SResp.ERR delivery for lost transactions.
-    ni_txn_timeout: Optional[int] = None
-    ni_txn_retries: int = 0
-    #: Sender-side lost-flit recovery (cycles of reverse-channel
-    #: silence before a go-back-N sender rewinds; ``None`` disables).
-    #: Needed for links that *drop* flits (dead-link faults) rather
-    #: than corrupt them.  Applies to every switch and NI sender.
-    link_resync_timeout: Optional[int] = None
-    #: Bit-accurate error mode: attach a real CRC per flit (pair with
-    #: ``LinkConfig(bit_errors=True)``); undetected errors become
-    #: possible, as in silicon.
-    crc_mode: bool = False
-    #: Link-level flow control: the paper's "ack_nack" (output-queued
-    #: switch + go-back-N retransmission) or the classical "credit"
-    #: (input-buffered switch + credit counters).  Credit mode assumes
-    #: reliable links and rejects error injection (see A10).
-    flow_control: str = "ack_nack"
-    #: Per-link overrides keyed by frozenset({element_a, element_b});
-    #: typically produced from a floorplan via
-    #: :func:`repro.flow.floorplan.link_configs_from_floorplan` so long
-    #: wires get the pipeline stages they need.  Unlisted links use
-    #: ``link``.
-    link_overrides: "Dict[frozenset, LinkConfig]" = field(default_factory=dict)
-    routing_policy: Optional[str] = None  # None = topology default
-    seed: int = 1
-    #: Scheduler mode (see ``docs/PERFORMANCE.md``): "compiled", the
-    #: generated activity-tracked loop, elaborated lazily on the first
-    #: run; "fast", the same loop without specialized lanes; or
-    #: "interpreted", the classical tick-everything reference loop.
-    #: Results are cycle-identical in every mode (checked by
-    #: :func:`repro.network.experiments.verify_fast_path`).
-    kernel: str = "compiled"
-
-    def link_for(self, a: str, b: str) -> LinkConfig:
-        """The link configuration between two elements."""
-        return self.link_overrides.get(frozenset((a, b)), self.link)
 
 
 class Noc:

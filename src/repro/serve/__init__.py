@@ -17,28 +17,11 @@ Three pieces, layered on the result store (:mod:`repro.store`):
   ``GET /metrics``.
 """
 
-from repro.flow.pool import WorkStealingDispatcher
-from repro.serve.service import (
-    CircuitBreaker,
-    FarmUnavailable,
-    QueryEngine,
-    QueryError,
-    QueryResult,
-    QuerySpec,
-    core_graph_from_name,
-    parse_query,
-    topology_from_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "FarmUnavailable",
-    "QueryEngine",
-    "QueryError",
-    "QueryResult",
-    "QuerySpec",
-    "WorkStealingDispatcher",
-    "core_graph_from_name",
-    "parse_query",
-    "topology_from_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    # WorkStealingDispatcher is repro.flow.pool's, imported by the service.
+    "service": ("CircuitBreaker", "FarmUnavailable", "QueryEngine", "QueryError",
+                "QueryResult", "QuerySpec", "WorkStealingDispatcher",
+                "core_graph_from_name", "parse_query", "topology_from_name"),
+})

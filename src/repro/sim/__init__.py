@@ -27,27 +27,13 @@ Public surface:
 * :mod:`~repro.sim.trace` -- human-readable event tracing.
 """
 
-from repro.sim.channel import AckSignal, FlitChannel, Wire
-from repro.sim.component import Component
-from repro.sim.compiled import CompiledProgram, compiled_source
-from repro.sim.kernel import KERNEL_MODES, SimulationError, Simulator
-from repro.sim.stats import Counter, LatencySampler, ThroughputMeter
-from repro.sim.trace import NullTracer, TextTracer, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckSignal",
-    "CompiledProgram",
-    "Component",
-    "Counter",
-    "FlitChannel",
-    "KERNEL_MODES",
-    "LatencySampler",
-    "NullTracer",
-    "SimulationError",
-    "Simulator",
-    "TextTracer",
-    "ThroughputMeter",
-    "Tracer",
-    "Wire",
-    "compiled_source",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "channel": ("AckSignal", "FlitChannel", "Wire"),
+    "component": ("Component",),
+    "compiled": ("CompiledProgram", "compiled_source"),
+    "kernel": ("KERNEL_MODES", "SimulationError", "Simulator"),
+    "stats": ("Counter", "LatencySampler", "ThroughputMeter"),
+    "trace": ("NullTracer", "TextTracer", "Tracer"),
+})

@@ -166,8 +166,8 @@ class BatchSimulator:
     bit-identical to a scalar run of the network as built.  Per-lane
     fault schedules go through ``lane_windows`` (a callable
     ``k -> Sequence[FaultWindow]``), applied via
-    :meth:`~repro.faults.injector.FaultInjector.set_windows` -- build
-    the injector with ``probe_links`` covering every schedule's links.
+    :meth:`~repro.faults.injector.FaultInjector.set_windows`, on any
+    of the network's links.
     """
 
     def __init__(

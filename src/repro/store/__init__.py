@@ -12,16 +12,8 @@ on-disk format (sha256-verified records appended to per-writer
 segments, an in-memory index, garbage collection by compaction).
 """
 
-from repro.store.cas import (
-    STORE_SCHEMA,
-    ResultStore,
-    StoreError,
-    StoreRecord,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STORE_SCHEMA",
-    "ResultStore",
-    "StoreError",
-    "StoreRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cas": ("STORE_SCHEMA", "ResultStore", "StoreError", "StoreRecord"),
+})

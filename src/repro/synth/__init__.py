@@ -18,51 +18,16 @@ See DESIGN.md section 5 and the tests in
 ``tests/test_synth_calibration.py`` that pin these anchors.
 """
 
-from repro.synth.energy import (
-    EnergyReport,
-    link_energy_per_flit_pj,
-    measure_noc_energy,
-    ni_energy_per_packet_pj,
-    switch_energy_per_flit_pj,
-)
-from repro.synth.area import (
-    credit_switch_area_mm2,
-    link_area_mm2,
-    ni_area_mm2,
-    switch_area_mm2,
-)
-from repro.synth.power import ni_power_mw, switch_power_mw
-from repro.synth.report import ComponentReport, SynthesisReport, synthesize_noc
-from repro.synth.technology import UMC130, TechnologyLibrary, scale_to_node
-from repro.synth.timing import (
-    frequency_area_curve,
-    ni_max_freq_mhz,
-    speed_fraction,
-    switch_delay_ps,
-    switch_max_freq_mhz,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComponentReport",
-    "EnergyReport",
-    "link_energy_per_flit_pj",
-    "measure_noc_energy",
-    "ni_energy_per_packet_pj",
-    "switch_energy_per_flit_pj",
-    "SynthesisReport",
-    "TechnologyLibrary",
-    "UMC130",
-    "credit_switch_area_mm2",
-    "frequency_area_curve",
-    "link_area_mm2",
-    "ni_area_mm2",
-    "ni_max_freq_mhz",
-    "ni_power_mw",
-    "scale_to_node",
-    "speed_fraction",
-    "switch_area_mm2",
-    "switch_delay_ps",
-    "switch_max_freq_mhz",
-    "switch_power_mw",
-    "synthesize_noc",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "area": ("credit_switch_area_mm2", "link_area_mm2", "ni_area_mm2",
+             "switch_area_mm2"),
+    "energy": ("EnergyReport", "link_energy_per_flit_pj", "measure_noc_energy",
+               "ni_energy_per_packet_pj", "switch_energy_per_flit_pj"),
+    "power": ("ni_power_mw", "switch_power_mw"),
+    "report": ("ComponentReport", "SynthesisReport", "synthesize_noc"),
+    "technology": ("UMC130", "TechnologyLibrary", "scale_to_node"),
+    "timing": ("frequency_area_curve", "ni_max_freq_mhz", "speed_fraction",
+               "switch_delay_ps", "switch_max_freq_mhz"),
+})

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.config import NiConfig, NocParameters, SwitchConfig
-from repro.network.noc import NocBuildConfig
+from repro.core.config import NiConfig, NocBuildConfig, NocParameters, SwitchConfig
 from repro.network.topology import Topology
 from repro.synth.area import link_area_mm2, ni_area_mm2, switch_area_mm2
 from repro.synth.power import DEFAULT_ACTIVITY, ni_power_mw, switch_power_mw

@@ -13,85 +13,20 @@ repro bench-diff``, bounds read from ``BENCHMARK.json``) and
 :mod:`repro.telemetry.top` (the ``python -m repro top`` dashboard).
 """
 
-from repro.telemetry.events import (
-    EVENT_TYPES,
-    EVENTS_SCHEMA,
-    EventCollector,
-    EventWriter,
-    emit,
-    events_to_chrome_trace,
-    install_file_sink,
-    install_sink,
-    read_events,
-    remove_sink,
-    replay_summary,
-    validate_events,
-    write_events_chrome_trace,
-)
-from repro.telemetry.heatmap import (
-    LinkUtilizationSeries,
-    heatmap_csv,
-    render_heatmap,
-)
-from repro.telemetry.lifecycle import (
-    LIFECYCLE_EVENTS,
-    LifecycleCollector,
-    chrome_trace_events,
-    enable_lifecycle,
-    write_chrome_trace,
-)
-from repro.telemetry.noc import NocTelemetry
-from repro.telemetry.profile import (
-    PROFILE_SCHEMA,
-    KernelProfiler,
-    validate_profile,
-)
-from repro.telemetry.registry import (
-    SCHEMA,
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    SeriesMetric,
-    TelemetryError,
-    validate_metrics,
-)
-from repro.telemetry.regress import bench_diff, diff_metrics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "EVENTS_SCHEMA",
-    "EVENT_TYPES",
-    "PROFILE_SCHEMA",
-    "LIFECYCLE_EVENTS",
-    "CounterMetric",
-    "EventCollector",
-    "EventWriter",
-    "GaugeMetric",
-    "HistogramMetric",
-    "KernelProfiler",
-    "LifecycleCollector",
-    "LinkUtilizationSeries",
-    "MetricsRegistry",
-    "NocTelemetry",
-    "SeriesMetric",
-    "TelemetryError",
-    "bench_diff",
-    "chrome_trace_events",
-    "diff_metrics",
-    "emit",
-    "enable_lifecycle",
-    "events_to_chrome_trace",
-    "heatmap_csv",
-    "install_file_sink",
-    "install_sink",
-    "read_events",
-    "remove_sink",
-    "render_heatmap",
-    "replay_summary",
-    "validate_events",
-    "validate_metrics",
-    "validate_profile",
-    "write_chrome_trace",
-    "write_events_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": ("EVENT_TYPES", "EVENTS_SCHEMA", "EventCollector", "EventWriter", "emit",
+               "events_to_chrome_trace", "install_file_sink", "install_sink",
+               "read_events", "remove_sink", "replay_summary", "validate_events",
+               "write_events_chrome_trace"),
+    "heatmap": ("LinkUtilizationSeries", "heatmap_csv", "render_heatmap"),
+    "lifecycle": ("LIFECYCLE_EVENTS", "LifecycleCollector", "chrome_trace_events",
+                  "enable_lifecycle", "write_chrome_trace"),
+    "noc": ("NocTelemetry",),
+    "profile": ("PROFILE_SCHEMA", "KernelProfiler", "validate_profile"),
+    "registry": ("SCHEMA", "CounterMetric", "GaugeMetric", "HistogramMetric",
+                 "MetricsRegistry", "SeriesMetric", "TelemetryError",
+                 "validate_metrics"),
+    "regress": ("bench_diff", "diff_metrics"),
+})

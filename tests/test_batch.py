@@ -186,18 +186,29 @@ class TestBatchSimulator:
         scalar.run(3000)
         assert result.digests[1] == scalar.stats_digest()
 
-    def test_lane_windows_on_unprobed_links_fail_fast(self):
-        noc = build(windows=())
-        FaultInjector(noc, (WINDOW,))  # probes only the corner links
-        batch = BatchSimulator(
-            noc, 2,
-            lane_windows=lambda k: (
-                FaultWindow("link.sw_1_1.p*", start=10, duration=5,
-                            error_rate=0.1),
-            ),
+    def test_lane_windows_may_fault_links_the_first_schedule_did_not(self):
+        # The injector is built over the corner links; lane 1 faults
+        # the opposite corner's instead, on the same compiled program.
+        def lane_windows(k):
+            return (FaultWindow("link.sw_1_1.p*" if k else CORNER, start=100,
+                                duration=2000, mode="stuck"),)
+
+        noc = build(rate=0.05, max_transactions=20)
+        batch = BatchSimulator(noc, 2, lane_windows=lane_windows)
+        program = batch.program
+        result = batch.run_lanes(
+            3000,
+            lambda n, k: {"faulted": float(sum(
+                n.fault_injectors[0].flits_during_fault.values()))},
+            digest=True,
         )
-        with pytest.raises(SimulationError):
-            batch.begin_lane(0)
+        assert noc.sim.compile() is program
+        scalar = build(lane=1, windows=lane_windows(1), rate=0.05,
+                       max_transactions=20)
+        scalar.run(3000)
+        assert result.digests[1] == scalar.stats_digest()
+        assert result.metrics["faulted"][1] == sum(
+            scalar.fault_injectors[0].flits_during_fault.values()) > 0
 
     def test_a_rejected_schedule_leaves_the_injector_untouched(self):
         noc = build()
@@ -207,7 +218,7 @@ class TestBatchSimulator:
                   inj.windows_opened)
         with pytest.raises(SimulationError):
             inj.set_windows(
-                (FaultWindow("link.sw_1_1.p*", start=10, duration=5),)
+                (FaultWindow("link.nope*", start=10, duration=5),)
             )
         assert (inj.windows, inj._resolved, inj._events, inj._next_event,
                 inj.windows_opened) == before

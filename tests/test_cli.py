@@ -108,11 +108,18 @@ class TestCounts:
         ["report", "--rate", "-1"],
         ["serve", "--port", "99999"],
         ["serve", "--port", "-1"],
+        ["serve", "--request-timeout", "-1"],
+        ["compile", "--freq", "-5"],
+        ["compile", "--freq", "0"],
+        ["top", "--interval", "-1"],
+        ["top", "--interval", "nan"],
     ])
     def test_a_bad_count_is_a_usage_error_naming_the_flag(self, argv, capsys):
         err = usage_error(capsys, argv)
         must = {"--mesh": "WxH with W, H >= 1", "--rate": "in [0, 1]",
-                "--port": "in [0, 65535]"}.get(argv[1], "a positive integer")
+                "--port": "in [0, 65535]", "--freq": "a number > 0",
+                "--request-timeout": "a number >= 0",
+                "--interval": "a number >= 0"}.get(argv[1], "a positive integer")
         assert f"argument {argv[1]}: must be {must}, got {argv[2]!r}" in err
 
 
@@ -156,6 +163,16 @@ class TestHandlers:
         (["compile", "spec.json", "--tables"], "repro.compiler:compile_main",
          {"spec": "spec.json", "demo": False, "output": None, "tables": True,
           "report": False, "freq": 1000.0}),
+        # The lower bounds: 0 disables the request deadline and repaints
+        # without a pause; a frequency must be above 0.
+        (["serve", "--request-timeout", "0"], "repro.serve.http:serve_main",
+         {"store": ".repro-store", "host": "127.0.0.1", "port": 8787,
+          "workers": 2, "max_inflight": 2, "request_timeout": 0.0}),
+        (["top", "--interval", "0"], "repro.telemetry.top:top_main",
+         {"run_dir": ".repro-cache", "once": False, "interval": 0.0, "prom": None}),
+        (["compile", "--demo", "--freq", "0.5"], "repro.compiler:compile_main",
+         {"spec": None, "demo": True, "output": None, "tables": False,
+          "report": False, "freq": 0.5}),
     ])
     def test_body_beside_its_package_gets_every_flag(
         self, argv, target, expected, monkeypatch

@@ -315,7 +315,7 @@ class TestBatchingDoc:
             "idle_until", "# idle spans: per-cycle", "`sim.run(n)`",
             "ms_per_lane", "scalar_ms_per_run",
             # per-lane fault schedules
-            "lane_windows", "set_windows", "probe_links",
+            "lane_windows", "set_windows", "may touch any link",
             # CI math
             "mean_ci95", "t_quantile_95", "Student-t", "summarize",
             # harness integration + CLI

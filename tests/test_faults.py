@@ -28,7 +28,7 @@ from repro.network.monitors import occupancy_snapshot
 from repro.network.noc import Noc, NocBuildConfig
 from repro.network.topology import attach_round_robin, mesh, ring
 from repro.network.traffic import UniformRandomTraffic
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import KERNEL_MODES, SimulationError
 from repro.store import ResultStore
 
 from tests.conftest import build_small_mesh_noc
@@ -147,6 +147,32 @@ class TestFaultInjector:
         noc.run(800)
         assert noc.total_flits_dropped() > 0
         assert sum(inj.flits_during_fault.values()) > 0
+
+    #: ``stats_digest`` of the rig below as the parent commit's injector
+    #: left it, when a per-link tick probe did the counting: counting in
+    #: the link instead changed no statistic.
+    PROBED_DIGEST = "0a19733bc496fe427ec99a577035b811b77243289e31db5024e2ee1843b36f7b"
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_flits_during_fault_are_the_flits_moved_under_an_override(self, kernel):
+        # The links are error-free outside the windows, so every
+        # corrupted flit crossed under the stuck window and every
+        # dropped one under the dead window.
+        noc, cpus, mems = build_small_mesh_noc(kernel=kernel, **RECOVERY)
+        inj = FaultInjector(noc, [
+            FaultWindow(CORNER, start=100, duration=200, mode="stuck"),
+            FaultWindow(CORNER, start=400, duration=100, mode="dead"),
+        ])
+        populated(noc, cpus, mems, rate=0.1)
+        noc.run(800)
+        moved = {
+            link.name: link.errors_injected + link.flits_dropped
+            for link in noc.links if link.name.startswith("link.sw_0_0.")
+        }
+        assert inj.flits_during_fault == moved
+        assert sum(moved.values()) == 413  # the same under every kernel
+        assert not noc.sim._probes  # counting hooks nothing into the kernel
+        assert noc.stats_digest() == self.PROBED_DIGEST
 
     def test_randomized_windows_reproducible(self):
         names = ["a", "b"]

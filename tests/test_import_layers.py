@@ -1,0 +1,141 @@
+"""The import graph follows the layers (docs/ARCHITECTURE.md, "Layers").
+
+A process loads only the layers it runs: the simulator stack loads no
+farm, store or service, and the synthesis / DSE view loads no
+simulator.  Each check imports an entry point in a fresh interpreter
+and reads ``sys.modules``.  Package ``__init__`` s resolve their public
+names on first use (``repro._lazy``); the compatibility half pins that
+every public name, old import path and old pickle still resolves.
+"""
+
+import importlib
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+#: Entry points of the simulator stack, and what none of them may load.
+SIM_ENTRY_POINTS = (
+    "import repro.network.noc",
+    "import repro.network.experiments",
+    "import repro.sim.batch",
+    "import repro.telemetry.profile",
+    "from repro.faults import FaultInjector",
+    "import repro.faults.campaign",
+)
+FARM_AND_SERVICE = (
+    "repro.flow.runner", "repro.flow.pool", "repro.store", "repro.serve",
+    "multiprocessing", "asyncio",
+)
+
+#: Entry points of the synthesis / DSE view, and what none may load.
+SYNTH_ENTRY_POINTS = (
+    "import repro.flow.dse",
+    "import repro.synth.report",
+    "import repro.compiler.spec",
+    "import repro.compiler.instantiate",
+    "import repro.serve.service",
+)
+SIMULATOR = ("repro.network.noc", "repro.core.ni", "repro.sim")
+
+PACKAGES = ["repro"] + sorted(
+    f"repro.{name}" for name in os.listdir(os.path.join(SRC, "repro"))
+    if os.path.isfile(os.path.join(SRC, "repro", name, "__init__.py"))
+)
+
+
+def loaded_by(statement: str) -> set:
+    """The modules a fresh interpreter holds after ``statement``."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def within(modules: set, layers) -> list:
+    return sorted(
+        m for m in modules
+        if any(m == layer or m.startswith(layer + ".") for layer in layers)
+    )
+
+
+class TestLayering:
+    @pytest.mark.parametrize("statement", SIM_ENTRY_POINTS)
+    def test_the_simulator_stack_loads_no_farm_store_or_service(self, statement):
+        assert within(loaded_by(statement), FARM_AND_SERVICE) == []
+
+    @pytest.mark.parametrize("statement", SYNTH_ENTRY_POINTS)
+    def test_the_synthesis_view_loads_no_simulator(self, statement):
+        assert within(loaded_by(statement), SIMULATOR) == []
+
+    def test_a_package_import_loads_no_submodule(self):
+        statement = "; ".join(f"import {pkg}" for pkg in PACKAGES)
+        assert sorted(m for m in loaded_by(statement) if m.startswith("repro")) == [
+            "repro", "repro._lazy", *PACKAGES[1:],
+        ]
+
+
+class TestCompatibility:
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_public_name_resolves(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+        assert set(module.__all__) <= set(dir(module))
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro.network
+
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.network.nope
+        with pytest.raises(ImportError):
+            exec("from repro.network import nope", {})
+
+    def test_a_declared_submodule_resolves_as_an_attribute(self):
+        import repro.network
+
+        assert repro.network.topology is importlib.import_module(
+            "repro.network.topology")
+
+    def test_old_paths_are_the_same_objects(self):
+        from repro.core import config
+        from repro.flow import pool, runner, session
+        from repro.network import noc
+        import repro.serve
+
+        assert noc.NocBuildConfig is config.NocBuildConfig
+        for name in ("RunManifest", "MapSession", "PointReport", "PointFailure",
+                     "FAILURE_KINDS", "BACKOFF_JITTER"):
+            assert getattr(runner, name) is getattr(session, name), name
+        assert pool.MapSession is session.MapSession
+        assert repro.serve.WorkStealingDispatcher is pool.WorkStealingDispatcher
+
+    def test_a_load_point_pickled_under_the_old_manifest_path_unpickles(self):
+        from repro.flow.session import RunManifest
+        from repro.network.experiments import LoadPoint
+
+        point = LoadPoint(
+            offered_rate=0.1, accepted_rate=0.09, mean_latency=21.5,
+            p95_latency=40.0, completed=12,
+            manifest=RunManifest.local("ab" * 32, cached=False, seconds=0.5),
+        )
+        # Protocol 2 names a class as text, so the old module path can be
+        # written in: what a store record from before the move holds.
+        new = pickle.dumps(point, protocol=2)
+        old = new.replace(b"crepro.flow.session\nRunManifest\n",
+                          b"crepro.flow.runner\nRunManifest\n")
+        assert old != new
+        restored = pickle.loads(old)
+        assert restored == point and restored.manifest == point.manifest
+        assert type(restored.manifest) is RunManifest
