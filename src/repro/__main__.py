@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
 
 
@@ -114,17 +115,17 @@ def _elsewhere(target: str):
 
 
 def _within(convert, low, high, what: str, low_open: bool = False):
-    """``type=`` of a numeric flag: ``convert(text)`` in ``[low, high]``
-    (``(low, high]`` when ``low_open``), else a usage error (exit 2)
-    that names the flag."""
+    """``type=`` of a numeric flag: a finite ``convert(text)`` in
+    ``[low, high]`` (``(low, high]`` when ``low_open``), else a usage
+    error (exit 2) that names the flag."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = None
-        if (value is None or not low <= value <= high
-                or (low_open and value == low)):
+        if (value is None or not math.isfinite(value)
+                or not low <= value <= high or (low_open and value == low)):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 

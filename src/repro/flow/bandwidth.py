@@ -154,13 +154,3 @@ def feasibility(
     ]
     hot.sort(key=lambda x: -x.flits_per_cycle)
     return (not hot, hot)
-
-
-def bisection_demand(topology: Topology, core_graph: CoreGraph, mapping_free=True) -> float:
-    """Total demand as a fraction of the fabric's edge count.
-
-    A coarse scalar used to compare fabrics before mapping: fabrics with
-    more links spread the same demand thinner.
-    """
-    edges = max(len(topology.edges), 1)
-    return core_graph.total_demand() / edges

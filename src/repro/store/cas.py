@@ -50,14 +50,12 @@ on a miss by parsing only the bytes appended since the last scan (and
 rebuilt when gc removed a segment).  :meth:`ResultStore.get_many` reads
 a batch under one lock, checks each segment's liveness once and catches
 up at most once, on its first miss; ``get`` is its one-key case.  A
-record a handle is *told* of --
-its own append, or a worker's reported to :meth:`ResultStore.account`
--- waits in a compact pending tier (flat arrays and a Bloom filter)
-until a lookup needs it, and the scan skips it.  Last write wins by
-``(created, segment, offset)``, so racing publishers settle on one
-record and a racing publish that would *change* an existing record's
-digest is counted in ``conflicts`` (determinism violations are worth
-noticing).
+record a handle is *told* of -- its own append, or a worker's reported
+to :meth:`ResultStore.account` -- enters the index at once, and the
+scan skips it.  Last write wins by ``(created, segment, offset)``, so
+racing publishers settle on one record and a racing publish that would
+*change* an existing record's digest is counted in ``conflicts``
+(determinism violations are worth noticing).
 
 A publish has two halves.  :func:`write_record` is the file half --
 sha256, the existing-record check, the append -- and runs where the
@@ -90,7 +88,6 @@ import tempfile
 import threading
 import time
 import weakref
-from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -326,50 +323,6 @@ def _open(path: str, flags: int) -> Optional[int]:
         return None
 
 
-class _Pending:
-    """Records a handle was told of -- by :meth:`ResultStore.account`,
-    or by its own appends -- and has not put in its dict yet: their
-    keys (the caller's own strings) and locations in flat arrays, and a
-    Bloom filter over the keys.  About 23 bytes a record, where a dict
-    entry and its int cost about 70: a supervisor is told of every
-    record its workers append and reads few of them back."""
-
-    #: Filter bits per key and probes per lookup.  A key is a sha256
-    #: hexdigest, so its 8-digit slices are independent hashes.
-    BITS, PROBES = 24, 4
-
-    def __init__(self) -> None:
-        self.keys: List[str] = []
-        self.locs = array("Q")  # offset << 16 | segment
-        self.lengths = array("I")
-        self.bloom = bytearray(64)
-
-    def _bits(self, key: str) -> List[int]:
-        mask = len(self.bloom) * 8 - 1
-        h = int(key[: 8 * self.PROBES], 16)
-        return [(h >> (32 * j)) & mask for j in range(self.PROBES)]
-
-    def add(self, key: str, seg: int, offset: int, length: int) -> None:
-        if (len(self.keys) + 1) * self.BITS > len(self.bloom) * 8:
-            self.bloom = bytearray(len(self.bloom) * 2)
-            for old in self.keys:
-                self._mark(old)
-        self.keys.append(key)
-        self.locs.append(offset << 16 | seg)
-        self.lengths.append(length)
-        self._mark(key)
-
-    def _mark(self, key: str) -> None:
-        for b in self._bits(key):
-            self.bloom[b >> 3] |= 1 << (b & 7)
-
-    def holds(self, key: str) -> bool:
-        """Whether ``key`` is pending: the filter, then (rarely) the list."""
-        bloom = self.bloom
-        return all(bloom[b >> 3] >> (b & 7) & 1 for b in self._bits(key)) and (
-            key in self.keys)
-
-
 def _segment_name() -> str:
     return f"{time.time_ns():016x}-{os.getpid()}{SEGMENT_SUFFIX}"
 
@@ -472,7 +425,6 @@ class ResultStore:
         self._fds: List[int] = []
         self._scanned: List[int] = []
         self._seen: List[int] = []
-        self._pending = _Pending()
         self._writer_fd = -1
         self._writer_name = ""
         self._writer_end = 0
@@ -531,7 +483,6 @@ class ResultStore:
         self._fds.clear()
         self._scanned.clear()
         self._seen.clear()
-        self._pending = _Pending()
 
     def _segment(self, name: str) -> Optional[int]:
         """The number of segment ``name`` in this handle, opening it on
@@ -586,12 +537,6 @@ class ResultStore:
             return
         self._index[key] = loc
 
-    def _fold(self) -> None:
-        """Move the pending tier into the dict."""
-        pending, self._pending = self._pending, _Pending()
-        for key, at, length in zip(pending.keys, pending.locs, pending.lengths):
-            self._enter(key, _pack(at & 0xFFFF, at >> 16, length))
-
     def _rank(self, loc: int) -> Tuple[float, str, int]:
         seg, offset, length = _unpack(loc)
         try:
@@ -601,18 +546,15 @@ class ResultStore:
         return (record.created, self._names[seg], offset)
 
     def _learn(self, key: str, location: Location) -> None:
-        """Index a record some process reported appending -- in the
-        pending tier, unless the dict already holds the key and must
-        weigh the two -- and skip it in the next scan when it is where
-        the scan would resume."""
+        """Index a record some process reported appending -- weighed
+        against the record already indexed for its key, if any -- and
+        skip it in the next scan when it is where the scan would
+        resume."""
         name, offset, length = location
         seg = self._segment(name)
         if seg is None:
             return
-        if key in self._index:
-            self._enter(key, _pack(seg, offset, length))
-        else:
-            self._pending.add(key, seg, offset, length)
+        self._enter(key, _pack(seg, offset, length))
         if self._scanned[seg] == offset:
             self._scanned[seg] = offset + length
 
@@ -626,9 +568,6 @@ class ResultStore:
         for key in keys:
             _check_key(key)
             loc = self._index.get(key)
-            if loc is None and self._pending.holds(key):
-                self._fold()
-                loc = self._index.get(key)
             if loc is not None:
                 seg = loc & 0xFFFF
                 live = alive.get(seg)
@@ -834,13 +773,11 @@ class ResultStore:
     @_serialized
     def keys(self) -> Iterator[str]:
         """Every indexed key (payloads unverified), sorted."""
-        self._fold()
         self._refresh()
         return iter(sorted(self._index))
 
     @_serialized
     def __len__(self) -> int:
-        self._fold()
         self._refresh()
         return len(self._index)
 
@@ -894,7 +831,6 @@ class ResultStore:
                     held[name] = fd
                 else:
                     os.close(fd)
-            self._fold()
             self._refresh()  # after locking: the held segments are final
             pinned = set(keep)
             for seg, fd in enumerate(self._fds):

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -113,14 +113,30 @@ class TestCounts:
         ["compile", "--freq", "0"],
         ["top", "--interval", "-1"],
         ["top", "--interval", "nan"],
+        # Non-finite values are out of every range.
+        ["compile", "--freq", "inf"],
+        ["top", "--interval", "inf"],
+        ["serve", "--request-timeout", "inf"],
+        ["compile", "--freq=-inf"],
+        ["top", "--interval=-inf"],
+        ["serve", "--request-timeout=-inf"],
     ])
     def test_a_bad_count_is_a_usage_error_naming_the_flag(self, argv, capsys):
         err = usage_error(capsys, argv)
+        if len(argv) == 2:  # "--flag=-inf": a bare "-inf" would read as a flag
+            argv = [argv[0], *argv[1].split("=")]
         must = {"--mesh": "WxH with W, H >= 1", "--rate": "in [0, 1]",
                 "--port": "in [0, 65535]", "--freq": "a number > 0",
                 "--request-timeout": "a number >= 0",
                 "--interval": "a number >= 0"}.get(argv[1], "a positive integer")
         assert f"argument {argv[1]}: must be {must}, got {argv[2]!r}" in err
+
+    @pytest.mark.parametrize("argv, dest", [
+        (["top", "--interval", "0"], "interval"),
+        (["serve", "--request-timeout", "0"], "request_timeout"),
+    ])
+    def test_zero_seconds_are_accepted(self, argv, dest):
+        assert getattr(build_parser().parse_args(argv), dest) == 0.0
 
 
 def _record(monkeypatch, target):

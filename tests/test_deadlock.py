@@ -1,5 +1,6 @@
 """Unit tests for wormhole deadlock analysis (channel dependency graphs)."""
 
+import networkx as nx
 import pytest
 
 from repro.network.deadlock import (
@@ -47,7 +48,7 @@ class TestChannelDependencyGraph:
         attach_round_robin(topo, 2, 2)
         cdg = channel_dependency_graph(topo)
         switches = set(topo.switches)
-        for a, b in cdg.nodes:
+        for a, b in cdg:
             assert a in switches and b in switches
 
     def test_describe_both_ways(self):
@@ -120,3 +121,38 @@ class TestCycleEnumeration:
         report = check_deadlock_freedom(topo, "dor")
         assert report.is_deadlock_free
         assert not report.cycles_truncated
+
+
+def _rotated(cycle):
+    """A cycle written from its least channel: one spelling per cycle."""
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+class TestCyclesAgainstNetworkx:
+    """The enumeration finds exactly networkx's elementary cycles, each
+    once, on fabrics with none, a few and hundreds."""
+
+    @pytest.mark.parametrize("make, cores, policy", [
+        (lambda: ring(6), 3, ""),
+        (lambda: ring(6), 3, "shortest"),
+        (lambda: ring(8), 4, "shortest"),
+        (lambda: torus(3, 3), 3, ""),
+        (lambda: torus(3, 3), 9, "shortest"),
+        (lambda: torus(4, 4), 6, "shortest"),
+        (lambda: torus(3, 4), 9, ""),
+    ], ids=["ring6", "ring6-shortest", "ring8-shortest", "torus3x3",
+            "torus3x3-shortest", "torus4x4-shortest", "torus3x4"])
+    def test_cycle_set_equals_networkx(self, make, cores, policy):
+        topo = make()
+        attach_round_robin(topo, cores, cores)
+        report = check_deadlock_freedom(topo, policy, cycle_cap=10**6)
+        ours = [_rotated(c) for c in report.cycles]
+        cdg = channel_dependency_graph(topo, policy)
+        reference = nx.DiGraph()
+        reference.add_nodes_from(cdg)
+        reference.add_edges_from((a, b) for a in cdg for b in cdg[a])
+        assert len(ours) == len(set(ours))
+        assert set(ours) == {_rotated(c) for c in nx.simple_cycles(reference)}
+        assert report.n_channels == reference.number_of_nodes()
+        assert report.n_dependencies == reference.number_of_edges()

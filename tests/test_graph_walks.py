@@ -290,8 +290,9 @@ def test_deadlock_report_matches_networkx_routes(make, policy):
 
 
 def test_build_sweep_and_serve_imports_load_neither_networkx_nor_numpy():
-    """networkx is loaded by the deadlock analysis and numpy by a batch,
-    each on first use; importing the library loads neither."""
+    """numpy is loaded by a batch on first use, and networkx never:
+    importing the library and running the deadlock analysis load
+    neither."""
     code = "\n".join([
         "import sys",
         "import repro, repro.network, repro.flow, repro.flow.dse",
@@ -314,4 +315,4 @@ def test_build_sweep_and_serve_imports_load_neither_networkx_nor_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, check=True,
     ).stdout.splitlines()
-    assert out == ["[]", "['networkx']", "['networkx', 'numpy']"]
+    assert out == ["[]", "[]", "['numpy']"]

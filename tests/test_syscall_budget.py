@@ -88,6 +88,19 @@ def test_a_cold_probe_catches_up_once(tmp_path, counted):
     assert counted["listdir"] <= 1
 
 
+def test_records_a_pool_published_are_hits_with_no_listdir(tmp_path, counted):
+    """The supervisor indexes what its workers report, so reading those
+    records back never catches up from the directory."""
+    store = ResultStore(tmp_path / "store")
+    points = list(range(N_POINTS))
+    with ExperimentRunner(store=store, jobs=2) as runner:
+        runner.map(_square, points)
+    counted.clear()
+    assert store.get_many(point_keys(_square, points)) == (
+        [(True, x * x) for x in points])
+    assert counted["listdir"] == 0
+
+
 def test_an_event_is_one_write(tmp_path, monkeypatch):
     writer = EventWriter(str(tmp_path / "events.jsonl"))
     fd = writer._fh.fileno()
