@@ -128,27 +128,22 @@ class TestGetMany:
         ]
 
 
-def _put_ten(store):
-    for i in range(10):
-        store.put(hashlib.sha256(b"%d" % i).hexdigest(), i)
-
-
-def _pool_ten(store):
-    with ExperimentRunner(store=store, jobs=2) as runner:
-        runner.map(_square, range(10))
-
-
 class TestLearnOnce:
     def _entries(self, store):
         return len(store._index)
 
-    @pytest.mark.parametrize("publish", [_put_ten, _pool_ten],
-                             ids=["put", "pool"])
-    def test_a_put_indexes_its_record_once(self, tmp_path, publish):
-        """Whether the handle appended a record itself or was told of a
-        worker's append through ``account``, it indexes it once."""
+    def test_a_put_indexes_its_record_once(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        publish(store)
+        for i in range(10):
+            store.put(hashlib.sha256(b"%d" % i).hexdigest(), i)
+        assert self._entries(store) == 10 and len(store) == 10
+
+    def test_a_worker_append_indexes_its_record_once(self, tmp_path):
+        """A worker's append, reported to the handle through ``account``,
+        is indexed once too."""
+        store = ResultStore(tmp_path / "store")
+        with ExperimentRunner(store=store, jobs=2) as runner:
+            runner.map(_square, range(10))
         assert self._entries(store) == 10 and len(store) == 10
 
     def test_an_inline_publish_indexes_its_record_once(self, tmp_path):
