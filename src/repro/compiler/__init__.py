@@ -50,7 +50,9 @@ def compile_main(spec=None, output=None, tables=False, report=False,
     ``--output DIR`` (write the synthesis view), ``--tables`` (print the
     routing tables) and ``--report`` (print the synthesis estimate at
     ``--freq`` MHz).  The parser requires exactly one of ``spec`` and
-    ``--demo``; a spec with nothing to do is a usage error (exit 2)."""
+    ``--demo``; a spec with nothing to do is a usage error (exit 2), and
+    so is one that does not load or does not route: the whole route set
+    is derived before any view is produced."""
     if demo:
         print(_demo_spec().to_json())
         return 0
@@ -59,9 +61,17 @@ def compile_main(spec=None, output=None, tables=False, report=False,
               "and/or --report", file=sys.stderr)
         return 2
     from repro.compiler.spec import NocSpecification
+    from repro.core.routing import RouteSet
 
-    with open(spec, "r", encoding="utf-8") as f:
-        noc_spec = NocSpecification.from_json(f.read())
+    try:
+        with open(spec, "r", encoding="utf-8") as f:
+            noc_spec = NocSpecification.from_json(f.read())
+        routes = RouteSet(noc_spec.to_topology(), noc_spec.routing_policy)
+        for pair in routes.pairs():
+            routes.route(*pair)
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"repro compile: error: {spec}: {exc}", file=sys.stderr)
+        return 2
     if tables:
         from repro.compiler.routing_tables import (
             generate_routing_tables,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.routing import AddressMap, Route, compute_routes
+from repro.core.routing import AddressMap, Route, RouteSet
 from repro.compiler.spec import NocSpecification
 
 
@@ -29,15 +29,14 @@ class RoutingTables:
 def generate_routing_tables(spec: NocSpecification) -> RoutingTables:
     """Compute every LUT from the specification."""
     topo = spec.to_topology()
-    policy = spec.routing_policy or topo.default_policy
-    routes = compute_routes(topo, policy)
+    routes = RouteSet(topo, spec.routing_policy)
     node_ids = {ni: i for i, ni in enumerate(topo.initiators + topo.targets)}
     forward = {
-        ini: {t: (node_ids[t], routes[(ini, t)]) for t in topo.targets}
+        ini: {t: (node_ids[t], routes.route(ini, t)) for t in topo.targets}
         for ini in topo.initiators
     }
     reverse = {
-        t: {node_ids[ini]: routes[(t, ini)] for ini in topo.initiators}
+        t: {node_ids[ini]: routes.route(t, ini) for ini in topo.initiators}
         for t in topo.targets
     }
     return RoutingTables(

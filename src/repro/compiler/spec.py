@@ -144,7 +144,18 @@ class NocSpecification:
 
     @staticmethod
     def from_json(text: str) -> "NocSpecification":
+        """Parse a specification; a document that is not one raises
+        ``ValueError`` naming what is wrong."""
         doc = json.loads(text)
+        try:
+            return NocSpecification._from_doc(doc)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed specification: {exc}") from None
+
+    @staticmethod
+    def _from_doc(doc: dict) -> "NocSpecification":
         return NocSpecification(
             name=doc["name"],
             params=NocParameters(**doc["params"]),

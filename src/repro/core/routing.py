@@ -12,10 +12,10 @@ The only lookup hardware is the LUT inside each NI:
 
 This module defines the :class:`Route` value, the :class:`AddressMap`
 that assigns each target a region of the address space, the two LUT
-flavours bundled as :class:`RoutingTable`, and
-:func:`compute_routes`, which walks a topology object (duck-typed; see
-:class:`repro.network.topology.Topology`) and produces the port-index
-sequence for every NI pair.
+flavours bundled as :class:`RoutingTable`, and :class:`RouteSet`, the
+one place a route is derived: every view of a NoC -- the simulator's
+LUTs, the compiler's tables, the link loads, the deadlock check and the
+estimate -- reads its routes from one.
 """
 
 from __future__ import annotations
@@ -126,34 +126,58 @@ class RoutingTable:
         return self.reverse[initiator_id]
 
 
-def compute_routes(topology, policy: str = "shortest") -> Dict[Tuple[str, str], Route]:
-    """Port-index routes between every (initiator NI, target NI) pair.
+#: A unidirectional channel: (from element, to element), in the
+#: direction of flow; an element is a switch or an NI.
+Channel = Tuple[str, str]
+
+
+class RouteSet:
+    """Every source route of one topology under one routing policy.
 
     ``topology`` is duck-typed and must provide ``initiators``,
-    ``targets``, ``switch_of(ni)``, ``switch_path(src, dst, policy)``
-    and ``port_toward(switch, neighbor)`` -- see
-    :class:`repro.network.topology.Topology`.  Responses reuse the same
-    function with the roles swapped, so routes exist in both directions.
+    ``targets``, ``default_policy``, ``switch_of(ni)``,
+    ``switch_path(src, dst, policy)`` and ``port_toward(switch,
+    neighbor)`` -- see :class:`repro.network.topology.Topology`.  The
+    policy is resolved here, once: ``None`` means the topology's
+    default.  A pair is routed on first read and kept, so a caller that
+    reads a few pairs pays for those alone.
 
-    The route for a pair is: for each switch on the path, the output
-    port toward the next element (the next switch, or the destination NI
-    at the last switch).
+    The route from one NI to another is, for each switch on the path,
+    the output port toward the next element (the next switch, or the
+    destination NI at the last switch); its channels run from the
+    injection link to the ejection link.
     """
-    routes: Dict[Tuple[str, str], Route] = {}
-    pairs = [(a, b) for a in topology.initiators for b in topology.targets]
-    pairs += [(b, a) for a in topology.initiators for b in topology.targets]
-    for src, dst in pairs:
-        routes[(src, dst)] = route_between(topology, src, dst, policy)
-    return routes
 
+    def __init__(self, topology, policy: Optional[str] = None) -> None:
+        self.topology = topology
+        self.policy: str = policy or topology.default_policy
+        self._routes: Dict[Tuple[str, str], Tuple[Route, Tuple[Channel, ...]]] = {}
 
-def route_between(topology, src_ni: str, dst_ni: str, policy: str = "shortest") -> Route:
-    """The source route from one NI to another (see :func:`compute_routes`)."""
-    src_sw = topology.switch_of(src_ni)
-    dst_sw = topology.switch_of(dst_ni)
-    path = topology.switch_path(src_sw, dst_sw, policy)
-    ports = []
-    for i, sw in enumerate(path):
-        nxt = path[i + 1] if i + 1 < len(path) else dst_ni
-        ports.append(topology.port_toward(sw, nxt))
-    return Route(tuple(ports))
+    def pairs(self) -> List[Tuple[str, str]]:
+        """Every ordered (initiator, target) pair, then every (target,
+        initiator) pair: the routes the NI LUTs hold."""
+        inits, targets = self.topology.initiators, self.topology.targets
+        return [(i, t) for i in inits for t in targets] + [
+            (t, i) for i in inits for t in targets
+        ]
+
+    def route(self, src_ni: str, dst_ni: str) -> Route:
+        """The port route from ``src_ni`` to ``dst_ni``."""
+        return self._entry(src_ni, dst_ni)[0]
+
+    def channels(self, src_ni: str, dst_ni: str) -> Tuple[Channel, ...]:
+        """The channels the route occupies, injection to ejection."""
+        return self._entry(src_ni, dst_ni)[1]
+
+    def _entry(self, src_ni: str, dst_ni: str) -> Tuple[Route, Tuple[Channel, ...]]:
+        entry = self._routes.get((src_ni, dst_ni))
+        if entry is None:
+            topo = self.topology
+            path = topo.switch_path(
+                topo.switch_of(src_ni), topo.switch_of(dst_ni), self.policy
+            )
+            hops = list(zip(path, path[1:] + [dst_ni]))
+            ports = tuple(topo.port_toward(sw, nxt) for sw, nxt in hops)
+            entry = (Route(ports), ((src_ni, path[0]), *hops))
+            self._routes[(src_ni, dst_ni)] = entry
+        return entry

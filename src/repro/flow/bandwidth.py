@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import NocParameters
 from repro.core.packet import PacketHeader
-from repro.core.routing import route_between
+from repro.core.routing import Channel, RouteSet
 from repro.flow.taskgraph import CoreGraph
 from repro.network.topology import Topology
 
@@ -59,17 +59,13 @@ def demand_to_flit_rate(
     return transactions_per_cycle * flits_per_transaction(params, burst_len)
 
 
-#: One demand on a placement: its rate (words/kcycle) and the links its
-#: source route crosses, as (from-element, to-element) pairs in the
-#: direction of flow, the NI injection and ejection links included.
-DemandRoute = Tuple[float, Tuple[Tuple[str, str], ...]]
+#: One demand on a placement: its rate (words/kcycle) and the channels
+#: its source route crosses, the NI injection and ejection links
+#: included (:meth:`repro.core.routing.RouteSet.channels`).
+DemandRoute = Tuple[float, Tuple[Channel, ...]]
 
 
-def demand_routes(
-    topology: Topology,
-    core_graph: CoreGraph,
-    policy: str = "",
-) -> List[DemandRoute]:
+def demand_routes(routes: RouteSet, core_graph: CoreGraph) -> List[DemandRoute]:
     """Every demand's rate and links, in ``core_graph.demands()`` order.
 
     Only the placement decides them, never flit width or buffer depth,
@@ -77,19 +73,7 @@ def demand_routes(
     (:attr:`repro.flow.selection.MappedFabric.routes`) and every
     configuration loads them with :func:`route_loads`.
     """
-    policy = policy or topology.default_policy
-    switches = set(topology.switches)
-    routes = []
-    for src, dst, rate in core_graph.demands():
-        current = topology.switch_of(src)
-        links = [(src, current)]  # injection link
-        for hop in route_between(topology, src, dst, policy):
-            nxt = topology.ports_of(current)[hop]
-            links.append((current, nxt))
-            if nxt in switches:
-                current = nxt
-        routes.append((rate, tuple(links)))
-    return routes
+    return [(rate, routes.channels(src, dst)) for src, dst, rate in core_graph.demands()]
 
 
 def route_loads(
@@ -114,14 +98,14 @@ def link_loads(
     core_graph: CoreGraph,
     params: NocParameters,
     burst_len: int = 4,
-    policy: str = "",
 ) -> Dict[Tuple[str, str], LinkLoad]:
-    """Per-link flit load when every demand follows its source route.
+    """Per-link flit load when every demand follows its source route
+    under the topology's default policy.
 
     Links are identified by (from-element, to-element) pairs in the
     direction of flow; NI injection and ejection links are included.
     """
-    return route_loads(demand_routes(topology, core_graph, policy), params, burst_len)
+    return route_loads(demand_routes(RouteSet(topology), core_graph), params, burst_len)
 
 
 def check_feasibility(

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import NocBuildConfig, NocParameters
+from repro.core.routing import RouteSet
 from repro.flow.bandwidth import (
     DemandRoute,
     LinkLoad,
@@ -85,23 +86,20 @@ def estimate_mean_cycles(
     flits finishes *n - 1* cycles after its head, so narrow flits pay
     for their cheap datapaths in latency (the tradeoff the A3 ablation
     measures and the DSE sweeps).
+
+    Like the placement search's cost, it reads a core -> switch
+    ``mapping`` and the switch-to-switch BFS distance
+    (:meth:`Topology.hop_matrix`), so it needs no NI attached; every
+    routing policy is minimal, so it equals :func:`mean_cycles` of
+    :attr:`MappedFabric.hops`, which reads the routes.
     """
-    return mean_cycles(demand_hops(core_graph, topology, mapping), params, burst_len)
-
-
-def demand_hops(
-    core_graph: CoreGraph,
-    topology: Topology,
-    mapping: Dict[str, str],
-) -> List[Tuple[float, int]]:
-    """``(rate, hop count)`` of every demand, in demand order, the
-    ejection hop included: all the latency estimate reads of a
-    placement (:attr:`MappedFabric.hops` keeps it per fabric)."""
     hops = topology.hop_matrix()
-    return [
-        (rate, hops[mapping[src]][mapping[dst]] + 1)
-        for src, dst, rate in core_graph.demands()
-    ]
+    return mean_cycles(
+        [(rate, hops[mapping[src]][mapping[dst]] + 1)
+         for src, dst, rate in core_graph.demands()],
+        params,
+        burst_len,
+    )
 
 
 def mean_cycles(
@@ -109,7 +107,8 @@ def mean_cycles(
     params: Optional[NocParameters] = None,
     burst_len: int = 4,
 ) -> float:
-    """:func:`estimate_mean_cycles` over :func:`demand_hops`."""
+    """:func:`estimate_mean_cycles` over ``(rate, hop count)`` per
+    demand, the ejection hop included."""
     params = params or NocParameters()
     serialization = flits_per_transaction(params, burst_len) - 1
     total_rate = 0.0
@@ -177,15 +176,21 @@ class MappedFabric:
     # kept for as long as the placement is.
 
     @cached_property
+    def route_set(self) -> RouteSet:
+        """The routes of the mapped topology under its default policy."""
+        return RouteSet(self.placement[0])
+
+    @cached_property
     def hops(self) -> List[Tuple[float, int]]:
-        """:func:`demand_hops` of the placement."""
-        topo, mapping, _ = self.placement
-        return demand_hops(self.core_graph, topo, mapping)
+        """``(rate, hop count)`` of every demand, in demand order, the
+        ejection hop included: all the latency estimate reads."""
+        route = self.route_set.route
+        return [(rate, len(route(src, dst))) for src, dst, rate in self.core_graph.demands()]
 
     @cached_property
     def routes(self) -> List[DemandRoute]:
         """:func:`~repro.flow.bandwidth.demand_routes` of the placement."""
-        return demand_routes(self.placement[0], self.core_graph)
+        return demand_routes(self.route_set, self.core_graph)
 
     @cached_property
     def census(self) -> NocCensus:

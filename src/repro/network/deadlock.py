@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.core.routing import Route, route_between
+from repro.core.routing import Channel, RouteSet
 from repro.network.topology import Topology
-
-Channel = Tuple[str, str]  # (from element, to element), direction of flow
 
 
 @dataclass
@@ -61,7 +59,7 @@ class DeadlockReport:
 
 def channel_dependency_graph(
     topology: Topology,
-    policy: str = "",
+    policy: Optional[str] = None,
 ) -> Dict[Channel, List[Channel]]:
     """Build the channel dependency graph for all NI-pair routes, as
     ``{channel: [channels that depend on it]}`` in first-seen order.
@@ -70,15 +68,10 @@ def channel_dependency_graph(
     and ejection channels cannot participate in cycles -- they have a
     single producer/consumer -- and are omitted, as is standard).
     """
-    policy = policy or topology.default_policy
+    routes = RouteSet(topology, policy)
     cdg: Dict[Channel, List[Channel]] = {}
-    pairs = [(i, t) for i in topology.initiators for t in topology.targets]
-    pairs += [(t, i) for i in topology.initiators for t in topology.targets]
-    for src, dst in pairs:
-        route = route_between(topology, src, dst, policy)
-        channels = _route_channels(topology, src, route)
-        fabric = [c for c in channels if c[0] in topology.switches
-                  and c[1] in topology.switches]
+    for src, dst in routes.pairs():
+        fabric = routes.channels(src, dst)[1:-1]
         for a, b in zip(fabric, fabric[1:]):
             succ = cdg.setdefault(a, [])
             if b not in succ:
@@ -89,19 +82,6 @@ def channel_dependency_graph(
     return cdg
 
 
-def _route_channels(topology: Topology, src_ni: str, route: Route) -> List[Channel]:
-    """The ordered channels a route occupies, injection to ejection."""
-    channels: List[Channel] = []
-    current = topology.switch_of(src_ni)
-    channels.append((src_ni, current))
-    for hop in route:
-        nxt = topology.ports_of(current)[hop]
-        channels.append((current, nxt))
-        if nxt in topology.switches:
-            current = nxt
-    return channels
-
-
 #: Default cap on enumerated dependency cycles: a bad policy on a large
 #: topology has combinatorially many, and the report only needs enough
 #: to count truthfully and show examples.
@@ -109,7 +89,7 @@ CYCLE_SAMPLE_CAP = 64
 
 
 def check_deadlock_freedom(
-    topology: Topology, policy: str = "", cycle_cap: int = CYCLE_SAMPLE_CAP
+    topology: Topology, policy: Optional[str] = None, cycle_cap: int = CYCLE_SAMPLE_CAP
 ) -> DeadlockReport:
     """Analyse a topology + routing policy for wormhole deadlock.
 

@@ -4,8 +4,9 @@
 simulation view does for the SystemC one: given a
 :class:`~repro.network.topology.Topology` and a parameter set, it
 
-1. computes source routes for every NI pair (dimension-order on meshes,
-   shortest-path otherwise),
+1. reads the source route of every NI pair from one
+   :class:`~repro.core.routing.RouteSet` (dimension-order on full
+   grids, shortest-path otherwise),
 2. instantiates one :class:`~repro.core.switch.Switch` per topology
    switch with its derived radix,
 3. instantiates :class:`~repro.core.ni.InitiatorNI` /
@@ -30,7 +31,7 @@ from repro.core.flow_control import window_for_link
 from repro.core.link import Link
 from repro.core.ni import InitiatorNI, TargetNI
 from repro.core.ocp import OcpMasterPort, OcpSlavePort
-from repro.core.routing import AddressMap, Route, RoutingTable, compute_routes
+from repro.core.routing import AddressMap, RouteSet, RoutingTable
 from repro.core.switch import Switch
 from repro.network.cores import OcpMemorySlave, OcpTrafficMaster
 from repro.network.topology import Topology
@@ -91,9 +92,8 @@ class Noc:
         self.codec = (
             codec_for_flit_width(params.flit_width) if self.config.crc_mode else None
         )
-        policy = self.config.routing_policy or topology.default_policy
-        self.routing_policy = policy
-        self.routes: Dict[tuple, Route] = compute_routes(topology, policy)
+        self.route_set = RouteSet(topology, self.config.routing_policy)
+        self.routing_policy = self.route_set.policy
         self._check_routes()
 
         self._build_fabric()
@@ -108,7 +108,8 @@ class Noc:
     # -- construction ------------------------------------------------------
     def _check_routes(self) -> None:
         params = self.config.params
-        for (src, dst), route in self.routes.items():
+        for src, dst in self.route_set.pairs():
+            route = self.route_set.route(src, dst)
             if route.hops > params.max_hops:
                 raise SimulationError(
                     f"route {src}->{dst} needs {route.hops} hops; raise "
@@ -273,7 +274,8 @@ class Noc:
             table = RoutingTable(
                 address_map=self.address_map,
                 forward={
-                    t: (self.node_ids[t], self.routes[(name, t)]) for t in topo.targets
+                    t: (self.node_ids[t], self.route_set.route(name, t))
+                    for t in topo.targets
                 },
             )
             ni = InitiatorNI(
@@ -297,7 +299,8 @@ class Noc:
             self.slave_ports[name] = port
             table = RoutingTable(
                 reverse={
-                    self.node_ids[i]: self.routes[(name, i)] for i in topo.initiators
+                    self.node_ids[i]: self.route_set.route(name, i)
+                    for i in topo.initiators
                 },
             )
             ni = TargetNI(

@@ -213,8 +213,25 @@ class Topology:
 
     @property
     def default_policy(self) -> str:
-        """DOR when every switch has coordinates on a grid, else shortest."""
-        return "dor" if self.coords and len(self.coords) == len(self._ports) else "shortest"
+        """DOR on a full grid, else shortest.
+
+        A full grid: the coordinates fill a rectangle, one switch per
+        cell, and every two switches one cell apart are linked -- where
+        every dimension-order path exists.  A grid with a hole or a
+        missing link routes shortest-path.
+        """
+        cells = {c: s for s, c in self.coords.items()}
+        if not cells or len(cells) != len(self._ports):
+            return "shortest"
+        xs = [x for x, _ in cells]
+        ys = [y for _, y in cells]
+        if len(cells) != (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1):
+            return "shortest"
+        for (x, y), s in cells.items():
+            for nxt in (cells.get((x + 1, y)), cells.get((x, y + 1))):
+                if nxt is not None and not self.has_edge(s, nxt):
+                    return "shortest"
+        return "dor"
 
     def cache_token(self) -> tuple:
         """Stable structural identity for experiment-cache keys.

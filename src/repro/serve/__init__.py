@@ -1,6 +1,6 @@
 """The design-space-exploration service layer (docs/SERVICE.md).
 
-ROADMAP item 3: promote the sweep farm into a queryable shared system.
+The sweep farm promoted into a queryable shared system.
 Three pieces, layered on the result store (:mod:`repro.store`):
 
 * :class:`WorkStealingDispatcher` -- re-exported from

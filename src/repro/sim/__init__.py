@@ -23,7 +23,7 @@ Public surface:
 * :class:`~repro.sim.channel.FlitChannel` -- a forward flit wire plus a
   reverse ACK/NACK wire, the link-level interface used across the whole
   library.
-* :mod:`~repro.sim.stats` -- latency/throughput instrumentation.
+* :mod:`~repro.sim.stats` -- latency samples and counters.
 * :mod:`~repro.sim.trace` -- human-readable event tracing.
 """
 
@@ -34,6 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "component": ("Component",),
     "compiled": ("CompiledProgram", "compiled_source"),
     "kernel": ("KERNEL_MODES", "SimulationError", "Simulator"),
-    "stats": ("Counter", "LatencySampler", "ThroughputMeter"),
+    "stats": ("Counter", "LatencySampler"),
     "trace": ("NullTracer", "TextTracer", "Tracer"),
 })

@@ -1,4 +1,4 @@
-"""Simulation instrumentation: latency samples, throughput, counters.
+"""Simulation instrumentation: latency samples and counters.
 
 These are the measurements behind the paper's performance claims
 (per-hop latency of the 2-stage switch, accepted throughput under
@@ -8,7 +8,7 @@ unreliable links, bus-vs-NoC saturation).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class Counter:
@@ -118,36 +118,3 @@ class LatencySampler:
     def reset(self) -> None:
         self._open.clear()
         self.samples.clear()
-
-
-class ThroughputMeter:
-    """Counts accepted items over a measured window of cycles."""
-
-    def __init__(self, name: str = "throughput") -> None:
-        self.name = name
-        self.accepted = 0
-        self.window_start: Optional[int] = None
-        self.window_end: Optional[int] = None
-
-    def open_window(self, cycle: int) -> None:
-        self.window_start = cycle
-        self.accepted = 0
-
-    def record(self, cycle: int, items: int = 1) -> None:
-        if self.window_start is not None and cycle >= self.window_start:
-            self.accepted += items
-            self.window_end = cycle
-
-    def rate(self) -> float:
-        """Accepted items per cycle over the observed window."""
-        if self.window_start is None or self.window_end is None:
-            return 0.0
-        span = self.window_end - self.window_start + 1
-        if span <= 0:
-            return 0.0
-        return self.accepted / span
-
-    def reset(self) -> None:
-        self.accepted = 0
-        self.window_start = None
-        self.window_end = None

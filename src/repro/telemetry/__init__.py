@@ -17,9 +17,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "events": ("EVENT_TYPES", "EVENTS_SCHEMA", "EventCollector", "EventWriter", "emit",
-               "events_to_chrome_trace", "install_file_sink", "install_sink",
-               "read_events", "remove_sink", "replay_summary", "validate_events",
-               "write_events_chrome_trace"),
+               "events_to_chrome_trace", "install_sink", "read_events", "remove_sink",
+               "replay_summary", "validate_events", "write_events_chrome_trace"),
     "heatmap": ("LinkUtilizationSeries", "heatmap_csv", "render_heatmap"),
     "lifecycle": ("LIFECYCLE_EVENTS", "LifecycleCollector", "chrome_trace_events",
                   "enable_lifecycle", "write_chrome_trace"),

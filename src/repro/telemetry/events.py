@@ -212,13 +212,6 @@ def current_sink() -> Optional[EventSink]:
     return _SINKS[-1] if _SINKS else None
 
 
-def install_file_sink(path: str) -> EventWriter:
-    """Open ``path`` for append and install it as the current sink.
-    Used by processes that stream straight to disk (the batch-smoke
-    victim, ``run_campaign`` under the CLI)."""
-    return install_sink(EventWriter(path))  # type: ignore[return-value]
-
-
 def make_record(event: str, **fields: object) -> Dict[str, object]:
     """Build (and sequence) a schema-stamped record without writing it."""
     _SEQ[0] += 1

@@ -5,7 +5,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.core.arbiter import RoundRobinArbiter
 from repro.core.buffers import BoundedFifo
-from repro.core.routing import route_between
+from repro.core.routing import RouteSet
 from repro.network.topology import attach_round_robin, mesh
 
 
@@ -86,7 +86,7 @@ class TestRouteProps:
         cpus, mems = attach_round_robin(topo, n_cpus, n_mems)
         for c in cpus:
             for m in mems:
-                route = route_between(topo, c, m, topo.default_policy)
+                route = RouteSet(topo).route(c, m)
                 # Walk the route and confirm it lands on the target NI.
                 current = topo.switch_of(c)
                 for hop in route[:-1]:
@@ -107,6 +107,6 @@ class TestRouteProps:
         cpus, mems = attach_round_robin(topo, 2, 2)
         for c in cpus:
             for m in mems:
-                dor = route_between(topo, c, m, "dor")
-                short = route_between(topo, c, m, "shortest")
+                dor = RouteSet(topo, "dor").route(c, m)
+                short = RouteSet(topo, "shortest").route(c, m)
                 assert dor.hops == short.hops  # DOR is minimal on meshes

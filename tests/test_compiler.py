@@ -12,7 +12,7 @@ from repro.compiler import (
     write_systemc,
 )
 from repro.core.config import ArbitrationPolicy, LinkConfig, NocParameters
-from repro.core.routing import compute_routes
+from repro.core.routing import RouteSet
 from repro.network.noc import NocBuildConfig
 from repro.network.topology import attach_round_robin, mesh
 from repro.network.traffic import UniformRandomTraffic
@@ -36,11 +36,11 @@ class TestSpecification:
         assert set(topo.initiators) == {"cpu0", "cpu1"}
         assert set(topo.targets) == {"mem0", "mem1"}
         # Port numbering survives the round trip (routes depend on it).
-        original_routes = compute_routes(spec.to_topology(), "dor")
-        again_routes = compute_routes(
-            NocSpecification.from_json(spec.to_json()).to_topology(), "dor"
-        )
-        assert original_routes == again_routes
+        original = RouteSet(spec.to_topology(), "dor")
+        again = RouteSet(NocSpecification.from_json(spec.to_json()).to_topology(), "dor")
+        assert original.pairs() == again.pairs()
+        for pair in original.pairs():
+            assert original.route(*pair) == again.route(*pair)
 
     def test_build_config_carries_parameters(self):
         topo = mesh(2, 2)
@@ -86,15 +86,15 @@ class TestRoutingTables:
     def test_tables_match_compute_routes(self, spec):
         tables = generate_routing_tables(spec)
         topo = spec.to_topology()
-        routes = compute_routes(topo, "dor")
+        routes = RouteSet(topo, "dor")
         for ini, entries in tables.forward.items():
             for target, (dest_id, route) in entries.items():
-                assert route == routes[(ini, target)]
+                assert route == routes.route(ini, target)
                 assert dest_id == tables.node_ids[target]
         for target, entries in tables.reverse.items():
             for ini_id, route in entries.items():
                 ini = [n for n, i in tables.node_ids.items() if i == ini_id][0]
-                assert route == routes[(target, ini)]
+                assert route == routes.route(target, ini)
 
     def test_render_mentions_every_ni(self, spec):
         text = render_routing_tables(generate_routing_tables(spec))

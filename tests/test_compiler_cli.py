@@ -69,3 +69,67 @@ class TestCli:
     def test_the_old_entry_point_is_gone(self):
         with pytest.raises(ImportError):
             __import__("repro.compiler.__main__")
+
+
+def holey_spec(policy=None):
+    """A 2x3 mesh spec that lost two links but keeps its coordinates."""
+    from repro.compiler import NocSpecification
+    from repro.network.topology import attach_round_robin, mesh
+
+    topo = mesh(2, 3)
+    attach_round_robin(topo, 3, 3)
+    spec = NocSpecification.from_topology(topo)
+    gone = ({"sw_0_0", "sw_1_0"}, {"sw_1_1", "sw_2_1"})
+    spec.edges = [e for e in spec.edges if set(e) not in gone]
+    spec.routing_policy = policy
+    return spec.to_json()
+
+
+def demo_doc(**changes):
+    from repro.compiler import _demo_spec
+
+    doc = json.loads(_demo_spec().to_json())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+class TestBadSpec:
+    """A spec that does not load or does not route is refused with one
+    error line and exit 2, before any view is produced."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "Expecting property name"),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+        ("{}", "missing field 'name'"),
+        ("[]", "malformed specification"),
+        (demo_doc(routing_policy="fancy"), "unknown routing policy 'fancy'"),
+        (demo_doc(params={"flit_width": 32, "bogus": 1}), "malformed specification"),
+        (holey_spec("dor"), "no X-dimension neighbour"),
+    ], ids=["malformed-json", "deeply-nested-json", "empty-object", "not-an-object", "unknown-policy",
+            "unknown-parameter", "holey-grid-explicit-dor"])
+    @pytest.mark.parametrize("action", ["--tables", "--report", "-o"])
+    def test_is_refused_with_one_error_line(self, tmp_path, capsys, text, reason, action):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out_dir = tmp_path / "gen"
+        argv = [str(path), action] + ([str(out_dir)] if action == "-o" else [])
+        assert compile_(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro compile: error: {path}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_a_missing_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert compile_(str(path), "--tables") == 2
+        assert capsys.readouterr().err.startswith(f"repro compile: error: {path}: ")
+
+    def test_a_holey_grid_routes_shortest_by_default(self, tmp_path, capsys):
+        path = tmp_path / "holey.json"
+        path.write_text(holey_spec())
+        assert compile_(str(path), "--tables", "--report") == 0
+        out = capsys.readouterr().out
+        assert out.count("route=<") == 2 * 3 * 3
+        assert "TOTAL" in out

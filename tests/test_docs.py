@@ -515,3 +515,24 @@ class TestCliCommandLines:
         missing = sorted({f"{rel}: make {t}" for rel, t in named
                           if t not in targets})
         assert not missing, "\n".join(missing)
+
+
+class TestRoadmapCitations:
+    """The ROADMAP is re-anchored and its items renumbered over time --
+    which is how every number the docs cited went stale -- so a doc or a
+    docstring cites an item by its topic, never by its number."""
+
+    def test_no_doc_or_source_cites_a_roadmap_item_number(self):
+        cited = []
+        for top in ("docs", "src"):
+            for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+                for name in files:
+                    if not name.endswith((".md", ".py")):
+                        continue
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as f:
+                        for lineno, line in enumerate(f, 1):
+                            if re.search(r"ROADMAP('s)? (items? )?\d", line):
+                                rel = os.path.relpath(path, ROOT)
+                                cited.append(f"{rel}:{lineno}: {line.strip()}")
+        assert cited == [], "\n".join(cited)

@@ -197,7 +197,7 @@ class TestStageTwoReadsThePlacementOnce:
         from repro.serve.service import core_graph_from_name, topology_from_name
         from repro.synth import report
 
-        calls = {"hops": 0, "routes": 0, "census": 0, "switch_model": 0}
+        calls = {"route_set": 0, "census": 0, "switch_model": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -205,10 +205,9 @@ class TestStageTwoReadsThePlacementOnce:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(selection, "demand_hops",
-                            counted("hops", selection.demand_hops))
-        monkeypatch.setattr(selection, "demand_routes",
-                            counted("routes", selection.demand_routes))
+        # Hop counts and link routes both read one route set per fabric.
+        monkeypatch.setattr(selection, "RouteSet",
+                            counted("route_set", selection.RouteSet))
         census_of = counted("census", selection.NocCensus.of)
         monkeypatch.setattr(selection, "NocCensus", type(
             "CountedCensus", (), {"of": staticmethod(census_of)}))
@@ -220,7 +219,7 @@ class TestStageTwoReadsThePlacementOnce:
             buffer_depths=(2, 6), seed=5, anneal_iterations=100,
         )
         assert len(points) == 5 * 6
-        assert calls["hops"] == calls["routes"] == calls["census"] == 5
+        assert calls["route_set"] == calls["census"] == 5
         # One switch model per distinct radix per point, not per switch.
         mapped = [selection.MappedFabric(core_graph_from_name("telecom"), f,
                                          anneal_iterations=100, seed=5)

@@ -8,6 +8,7 @@ names on first use (``repro._lazy``); the compatibility half pins that
 every public name, old import path and old pickle still resolves.
 """
 
+import ast
 import importlib
 import os
 import pickle
@@ -139,3 +140,28 @@ class TestCompatibility:
         restored = pickle.loads(old)
         assert restored == point and restored.manifest == point.manifest
         assert type(restored.manifest) is RunManifest
+
+
+#: The modules that may derive a route: everything else reads one from
+#: a ``repro.core.routing.RouteSet``.
+ROUTE_DERIVERS = ("repro/core/routing.py", "repro/network/topology.py")
+
+
+class TestOneRouteSet:
+    def test_only_the_route_set_walks_paths_or_resolves_the_policy(self):
+        offenders = []
+        for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+                if not name.endswith(".py") or rel in ROUTE_DERIVERS:
+                    continue
+                with open(path, encoding="utf-8") as f:
+                    tree = ast.parse(f.read(), filename=rel)
+                offenders += [
+                    f"{rel}:{node.lineno} .{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("switch_path", "default_policy")
+                ]
+        assert offenders == []

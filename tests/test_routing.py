@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.packet import ADDR_OFFSET_BITS
-from repro.core.routing import AddressMap, Route, RoutingTable, compute_routes, route_between
+from repro.core.routing import AddressMap, Route, RouteSet, RoutingTable
 from repro.network.topology import attach_round_robin, mesh, ring, star
 
 
@@ -84,12 +84,14 @@ class TestComputeRoutes:
 
     def test_routes_exist_for_all_pairs_both_directions(self):
         topo = self.make_attached_mesh()
-        routes = compute_routes(topo)
-        assert len(routes) == 2 * 2 * 2  # 2 cpus x 2 mems x 2 directions
+        routes = RouteSet(topo)
+        pairs = routes.pairs()
+        assert len(set(pairs)) == len(pairs) == 2 * 2 * 2  # 2 cpus x 2 mems x 2 directions
+        assert all(routes.route(*pair).hops >= 1 for pair in pairs)
 
     def test_route_length_is_switch_count_on_path(self):
         topo = self.make_attached_mesh()
-        route = route_between(topo, "cpu0", "mem0")
+        route = RouteSet(topo).route("cpu0", "mem0")
         src_sw = topo.switch_of("cpu0")
         dst_sw = topo.switch_of("mem0")
         path = topo.switch_path(src_sw, dst_sw, topo.default_policy)
@@ -97,13 +99,13 @@ class TestComputeRoutes:
 
     def test_last_hop_points_at_target_ni(self):
         topo = self.make_attached_mesh()
-        route = route_between(topo, "cpu0", "mem1")
+        route = RouteSet(topo).route("cpu0", "mem1")
         dst_sw = topo.switch_of("mem1")
         assert route[-1] == topo.port_toward(dst_sw, "mem1")
 
     def test_intermediate_hops_follow_the_path(self):
         topo = self.make_attached_mesh()
-        route = route_between(topo, "cpu0", "mem1", "dor")
+        route = RouteSet(topo, "dor").route("cpu0", "mem1")
         path = topo.switch_path(topo.switch_of("cpu0"), topo.switch_of("mem1"), "dor")
         for i in range(len(path) - 1):
             assert route[i] == topo.port_toward(path[i], path[i + 1])
@@ -114,7 +116,7 @@ class TestComputeRoutes:
         topo.add_target("mem")
         topo.attach("cpu", "hub")
         topo.attach("mem", "hub")
-        route = route_between(topo, "cpu", "mem")
+        route = RouteSet(topo).route("cpu", "mem")
         assert route.hops == 1
         assert route[0] == topo.port_toward("hub", "mem")
 
@@ -124,8 +126,8 @@ class TestComputeRoutes:
         topo.add_target("mem")
         topo.attach("cpu", "sw_0_0")
         topo.attach("mem", "sw_2_2")
-        dor = route_between(topo, "cpu", "mem", "dor")
-        shortest = route_between(topo, "cpu", "mem", "shortest")
+        dor = RouteSet(topo, "dor").route("cpu", "mem")
+        shortest = RouteSet(topo, "shortest").route("cpu", "mem")
         assert dor.hops == shortest.hops == 5  # 4 fabric hops + ejection
 
     def test_ring_routes_take_short_way_around(self):
@@ -134,5 +136,5 @@ class TestComputeRoutes:
         topo.add_target("mem")
         topo.attach("cpu", "sw_0")
         topo.attach("mem", "sw_5")  # one hop the short way
-        route = route_between(topo, "cpu", "mem")
+        route = RouteSet(topo).route("cpu", "mem")
         assert route.hops == 2  # sw_0 -> sw_5 -> eject

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import Counter, LatencySampler, ThroughputMeter
+from repro.sim.stats import Counter, LatencySampler
 
 
 class TestCounter:
@@ -107,34 +107,3 @@ class TestLatencySampler:
     def test_histogram_invalid_width(self):
         with pytest.raises(ValueError):
             LatencySampler().histogram(0)
-
-
-class TestThroughputMeter:
-    def test_rate_over_window(self):
-        t = ThroughputMeter()
-        t.open_window(100)
-        for cyc in range(100, 110):
-            t.record(cyc)
-        assert t.rate() == pytest.approx(10 / 10)
-
-    def test_records_before_window_ignored(self):
-        t = ThroughputMeter()
-        t.open_window(10)
-        t.record(5)
-        assert t.accepted == 0
-
-    def test_rate_without_window_is_zero(self):
-        assert ThroughputMeter().rate() == 0.0
-
-    def test_multi_item_record(self):
-        t = ThroughputMeter()
-        t.open_window(0)
-        t.record(0, items=4)
-        assert t.accepted == 4
-
-    def test_reset(self):
-        t = ThroughputMeter()
-        t.open_window(0)
-        t.record(0)
-        t.reset()
-        assert t.rate() == 0.0
