@@ -66,7 +66,7 @@ def compile_main(spec=None, output=None, tables=False, report=False,
     try:
         with open(spec, "r", encoding="utf-8") as f:
             noc_spec = NocSpecification.from_json(f.read())
-        routes = RouteSet(noc_spec.to_topology(), noc_spec.routing_policy)
+        routes = RouteSet(noc_spec.to_topology(), noc_spec.config.routing_policy)
         for pair in routes.pairs():
             routes.route(*pair)
     except (OSError, ValueError, RecursionError) as exc:

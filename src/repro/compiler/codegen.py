@@ -34,7 +34,8 @@ _HEADER = """\
 
 
 def _params_h(spec: NocSpecification) -> str:
-    p = spec.params
+    cfg = spec.config
+    p = cfg.params
     lines = [
         _HEADER.format(name=spec.name),
         "#ifndef XPIPES_PARAMS_H",
@@ -48,10 +49,10 @@ def _params_h(spec: NocSpecification) -> str:
         f"#define XPIPES_NODE_ID_BITS    {p.node_id_bits}",
         f"#define XPIPES_BURST_BITS      {p.burst_bits}",
         f"#define XPIPES_HEADER_BITS     {PacketHeader.bit_width(p)}",
-        f"#define XPIPES_BUFFER_DEPTH    {spec.buffer_depth}",
-        f"#define XPIPES_PIPELINE_STAGES {spec.pipeline_stages}",
-        f"#define XPIPES_LINK_STAGES     {spec.link.stages}",
-        f'#define XPIPES_ARBITRATION     "{spec.arbitration.value}"',
+        f"#define XPIPES_BUFFER_DEPTH    {cfg.buffer_depth}",
+        f"#define XPIPES_PIPELINE_STAGES {cfg.pipeline_stages}",
+        f"#define XPIPES_LINK_STAGES     {cfg.link.stages}",
+        f'#define XPIPES_ARBITRATION     "{cfg.arbitration.value}"',
         "",
         "#endif // XPIPES_PARAMS_H",
         "",
@@ -98,9 +99,9 @@ def _ni_types_h(spec: NocSpecification) -> str:
         '#include "xpipes_ni.h"  // template <int FLIT_W, int DATA_W, int OUTSTANDING>',
         "",
         "typedef xpipes_ni_initiator<XPIPES_FLIT_WIDTH, XPIPES_DATA_WIDTH, "
-        f"{spec.ni_max_outstanding}> xpipes_initiator_ni;",
+        f"{spec.config.ni_max_outstanding}> xpipes_initiator_ni;",
         "typedef xpipes_ni_target<XPIPES_FLIT_WIDTH, XPIPES_DATA_WIDTH, "
-        f"{spec.ni_max_outstanding}> xpipes_target_ni;",
+        f"{spec.config.ni_max_outstanding}> xpipes_target_ni;",
         "",
         "#endif // XPIPES_NI_TYPES_H",
         "",
@@ -110,7 +111,7 @@ def _ni_types_h(spec: NocSpecification) -> str:
 
 def _routing_tables_h(spec: NocSpecification) -> str:
     tables = generate_routing_tables(spec)
-    p = spec.params
+    p = spec.config.params
     lines = [
         _HEADER.format(name=spec.name),
         "#ifndef XPIPES_ROUTING_TABLES_H",

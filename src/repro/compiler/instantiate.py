@@ -26,7 +26,7 @@ def simulation_view(spec: NocSpecification, tracer: Optional[Tracer] = None) -> 
     (the one function here that loads the simulator)."""
     from repro.network.noc import Noc
 
-    return Noc(spec.to_topology(), spec.build_config(), tracer=tracer)
+    return Noc(spec.to_topology(), spec.config, tracer=tracer)
 
 
 def synthesis_view(
@@ -37,7 +37,7 @@ def synthesis_view(
     """Estimate the synthesized implementation of a specification."""
     return synthesize_noc(
         spec.to_topology(),
-        spec.build_config(),
+        spec.config,
         target_freq_mhz=target_freq_mhz,
         lib=lib,
     )

@@ -29,7 +29,7 @@ class RoutingTables:
 def generate_routing_tables(spec: NocSpecification) -> RoutingTables:
     """Compute every LUT from the specification."""
     topo = spec.to_topology()
-    routes = RouteSet(topo, spec.routing_policy)
+    routes = RouteSet(topo, spec.config.routing_policy)
     node_ids = {ni: i for i, ni in enumerate(topo.initiators + topo.targets)}
     forward = {
         ini: {t: (node_ids[t], routes.route(ini, t)) for t in topo.targets}

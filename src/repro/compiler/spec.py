@@ -1,20 +1,34 @@
 """The NoC specification: the compiler's single input.
 
 A :class:`NocSpecification` captures everything the xpipesCompiler
-needs: global parameters, per-component-type configuration, the switch
-fabric, and which core plugs in where.  Specifications serialize to
-JSON so flows can hand them across tools (SunMap emits one, the
-compiler consumes it), and round-trip losslessly.
+needs: the component settings (one
+:class:`~repro.core.config.NocBuildConfig`, which both views read), the
+switch fabric, and which core plugs in where.  Specifications serialize
+to JSON so flows can hand them across tools (SunMap emits one, the
+compiler consumes it).
+
+The JSON codec is derived from the config's dataclass fields, so every
+setting round-trips losslessly and a new field needs no codec edit.
+The config's keys sit flat beside ``name``, ``switches``, ``edges``,
+``coords`` and ``cores``; an absent one takes its default.  Reading
+refuses an unknown key, a value whose type is not the field's (``bool``
+is not an ``int``) and a setting the config's own checks reject.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
+import typing
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import ArbitrationPolicy, LinkConfig, NocBuildConfig, NocParameters
+from repro.core.config import NocBuildConfig
 from repro.network.topology import Topology
+
+#: The spec's own keys; every other key is a :class:`NocBuildConfig` field.
+_STRUCTURE = ("name", "switches", "edges", "coords", "cores")
 
 
 @dataclass(frozen=True)
@@ -31,20 +45,7 @@ class NocSpecification:
     """Everything needed to instantiate one NoC."""
 
     name: str
-    params: NocParameters = field(default_factory=NocParameters)
-    buffer_depth: int = 6
-    pipeline_stages: int = 2
-    arbitration: ArbitrationPolicy = ArbitrationPolicy.ROUND_ROBIN
-    link: LinkConfig = field(default_factory=LinkConfig)
-    ni_buffer_depth: int = 4
-    ni_max_outstanding: int = 8
-    ni_posted_writes: bool = False
-    ni_enforce_thread_order: bool = False
-    #: Per-connection link overrides, keyed by frozenset of endpoints
-    #: (see NocBuildConfig.link_overrides).
-    link_overrides: Dict[frozenset, LinkConfig] = field(default_factory=dict)
-    flow_control: str = "ack_nack"
-    routing_policy: Optional[str] = None
+    config: NocBuildConfig = field(default_factory=NocBuildConfig)
     switches: List[str] = field(default_factory=list)
     edges: List[Tuple[str, str]] = field(default_factory=list)
     coords: Dict[str, Tuple[int, int]] = field(default_factory=dict)
@@ -59,25 +60,13 @@ class NocSpecification:
     ) -> "NocSpecification":
         """Capture an attached topology + build config as a specification."""
         topology.validate()
-        cfg = config or NocBuildConfig()
         cores = [
             CoreBinding(ni, topology.is_initiator(ni), topology.switch_of(ni))
             for ni in topology.nis
         ]
         return NocSpecification(
             name=name or topology.name,
-            params=cfg.params,
-            buffer_depth=cfg.buffer_depth,
-            pipeline_stages=cfg.pipeline_stages,
-            arbitration=cfg.arbitration,
-            link=cfg.link,
-            ni_buffer_depth=cfg.ni_buffer_depth,
-            ni_max_outstanding=cfg.ni_max_outstanding,
-            ni_posted_writes=cfg.ni_posted_writes,
-            ni_enforce_thread_order=cfg.ni_enforce_thread_order,
-            link_overrides=dict(cfg.link_overrides),
-            flow_control=cfg.flow_control,
-            routing_policy=cfg.routing_policy,
+            config=config or NocBuildConfig(),
             switches=topology.switches,
             edges=topology.edges,
             coords=dict(topology.coords),
@@ -100,41 +89,11 @@ class NocSpecification:
         topo.validate()
         return topo
 
-    def build_config(self) -> NocBuildConfig:
-        return NocBuildConfig(
-            params=self.params,
-            buffer_depth=self.buffer_depth,
-            pipeline_stages=self.pipeline_stages,
-            arbitration=self.arbitration,
-            link=self.link,
-            ni_buffer_depth=self.ni_buffer_depth,
-            ni_max_outstanding=self.ni_max_outstanding,
-            ni_posted_writes=self.ni_posted_writes,
-            ni_enforce_thread_order=self.ni_enforce_thread_order,
-            link_overrides=dict(self.link_overrides),
-            flow_control=self.flow_control,
-            routing_policy=self.routing_policy,
-        )
-
     # -- serialization ---------------------------------------------------------
     def to_json(self, indent: int = 2) -> str:
         doc = {
             "name": self.name,
-            "params": asdict(self.params),
-            "buffer_depth": self.buffer_depth,
-            "pipeline_stages": self.pipeline_stages,
-            "arbitration": self.arbitration.value,
-            "link": asdict(self.link),
-            "ni_buffer_depth": self.ni_buffer_depth,
-            "ni_max_outstanding": self.ni_max_outstanding,
-            "ni_posted_writes": self.ni_posted_writes,
-            "ni_enforce_thread_order": self.ni_enforce_thread_order,
-            "link_overrides": {
-                "|".join(sorted(k)): asdict(v)
-                for k, v in self.link_overrides.items()
-            },
-            "flow_control": self.flow_control,
-            "routing_policy": self.routing_policy,
+            **_encode(self.config),
             "switches": self.switches,
             "edges": [list(e) for e in self.edges],
             "coords": {k: list(v) for k, v in self.coords.items()},
@@ -156,25 +115,63 @@ class NocSpecification:
 
     @staticmethod
     def _from_doc(doc: dict) -> "NocSpecification":
+        settings = {k: v for k, v in doc.items() if k not in _STRUCTURE}
         return NocSpecification(
             name=doc["name"],
-            params=NocParameters(**doc["params"]),
-            buffer_depth=doc["buffer_depth"],
-            pipeline_stages=doc["pipeline_stages"],
-            arbitration=ArbitrationPolicy(doc["arbitration"]),
-            link=LinkConfig(**doc["link"]),
-            ni_buffer_depth=doc["ni_buffer_depth"],
-            ni_max_outstanding=doc["ni_max_outstanding"],
-            ni_posted_writes=doc.get("ni_posted_writes", False),
-            ni_enforce_thread_order=doc.get("ni_enforce_thread_order", False),
-            link_overrides={
-                frozenset(k.split("|")): LinkConfig(**v)
-                for k, v in doc.get("link_overrides", {}).items()
-            },
-            flow_control=doc.get("flow_control", "ack_nack"),
-            routing_policy=doc.get("routing_policy"),
+            config=_decode_record(NocBuildConfig, settings, ""),
             switches=list(doc["switches"]),
             edges=[tuple(e) for e in doc["edges"]],
             coords={k: tuple(v) for k, v in doc["coords"].items()},
             cores=[CoreBinding(**c) for c in doc["cores"]],
         )
+
+
+# -- the codec: driven by field types, so it names no setting ------------------
+def _encode(value: Any) -> Any:
+    """JSON form of a setting: a record as an object of its fields, an
+    enum as its value, a map keyed by element pairs with ``a|b`` keys."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {"|".join(sorted(k)): _encode(v) for k, v in value.items()}
+    return value
+
+
+def _decode_record(cls: type, doc: dict, where: str) -> Any:
+    """Build ``cls`` from its JSON object; absent fields take defaults."""
+    hints = typing.get_type_hints(cls)
+    for k in doc:
+        if k not in hints:
+            raise TypeError(f"unknown key {k!r}{' in ' + where if where else ''}")
+    return cls(**{
+        k: _decode(hints[k], v, f"{where}.{k}" if where else k)
+        for k, v in doc.items()
+    })
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """The value of JSON ``value`` as type ``tp``, or ``TypeError``."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(tp)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return tp(value)
+    is_map = typing.get_origin(tp) is dict
+    if (is_map or dataclasses.is_dataclass(tp)) and not isinstance(value, dict):
+        raise TypeError(f"{where}: expected an object, got {value!r}")
+    if is_map:
+        return {frozenset(k.split("|")): _decode(args[1], v, f"{where}[{k}]")
+                for k, v in value.items()}
+    if dataclasses.is_dataclass(tp):
+        return _decode_record(tp, value, where)
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:  # exact: a JSON bool is no int
+        raise TypeError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value

@@ -5,9 +5,11 @@ by the xpipesCompiler (flit width, I/O port counts, buffer sizes...).
 These dataclasses are the Python equivalent: frozen, validated parameter
 records shared by the simulation models in :mod:`repro.core` and the
 synthesis models in :mod:`repro.synth`.  :class:`NocBuildConfig`
-aggregates them for a whole network; it lives here, not beside the
-builder (:mod:`repro.network.noc`), so the synthesis and DSE views can
-read it without loading the simulator.
+aggregates them for a whole network and is validated the same way: it
+builds the one :class:`SwitchConfig` / :class:`NiConfig` mapping both
+views read, so a bad setting fails where the config is made.  It lives
+here, not beside the builder (:mod:`repro.network.noc`), so the
+synthesis and DSE views can read it without loading the simulator.
 """
 
 from __future__ import annotations
@@ -185,7 +187,9 @@ class NiConfig:
 
 @dataclass(frozen=True)
 class NocBuildConfig:
-    """Everything the builder needs besides the topology itself."""
+    """Everything the builder needs besides the topology itself: the one
+    description of a NoC's component settings, which both views and the
+    compiler's :class:`~repro.compiler.spec.NocSpecification` carry."""
 
     params: NocParameters = field(default_factory=NocParameters)
     buffer_depth: int = 6
@@ -231,6 +235,36 @@ class NocBuildConfig:
     #: Results are cycle-identical in every mode (checked by
     #: :func:`repro.network.experiments.verify_fast_path`).
     kernel: str = "compiled"
+
+    def __post_init__(self) -> None:
+        # The component records hold the ranges; building one of each
+        # applies them here, so no range is written twice.
+        self.switch_config(1)
+        self.ni_config()
+        if self.flow_control not in ("ack_nack", "credit"):
+            raise ValueError(f"unknown flow_control {self.flow_control!r}")
+
+    def switch_config(self, radix: int) -> SwitchConfig:
+        """The record of one ``radix`` x ``radix`` switch of this NoC."""
+        return SwitchConfig(
+            n_inputs=radix,
+            n_outputs=radix,
+            buffer_depth=self.buffer_depth,
+            pipeline_stages=self.pipeline_stages,
+            arbitration=self.arbitration,
+        )
+
+    def ni_config(self) -> NiConfig:
+        """The record every NI of this NoC is built from."""
+        return NiConfig(
+            params=self.params,
+            buffer_depth=self.ni_buffer_depth,
+            max_outstanding=self.ni_max_outstanding,
+            posted_writes=self.ni_posted_writes,
+            enforce_thread_order=self.ni_enforce_thread_order,
+            txn_timeout=self.ni_txn_timeout,
+            txn_retries=self.ni_txn_retries,
+        )
 
     def link_for(self, a: str, b: str) -> LinkConfig:
         """The link configuration between two elements."""

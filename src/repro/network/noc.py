@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 # NocBuildConfig is also re-exported for the callers and stored pickles
 # that name it here.
-from repro.core.config import NiConfig, NocBuildConfig, SwitchConfig
+from repro.core.config import NocBuildConfig
 from repro.core.crc import codec_for_flit_width
 from repro.core.credit_switch import InputBufferedSwitch
 from repro.core.flow_control import window_for_link
@@ -65,10 +65,6 @@ class Noc:
         self.node_ids: Dict[str, int] = {ni: i for i, ni in enumerate(all_nis)}
         self.address_map = AddressMap(topology.targets)
 
-        if self.config.flow_control not in ("ack_nack", "credit"):
-            raise SimulationError(
-                f"unknown flow_control {self.config.flow_control!r}"
-            )
         self.credit_mode = self.config.flow_control == "credit"
         if self.credit_mode:
             rates = [self.config.link.error_rate] + [
@@ -170,13 +166,7 @@ class Noc:
         self.switches: Dict[str, Switch] = {}
         for s in topo.switches:
             radix = topo.radix_of(s)
-            sw_cfg = SwitchConfig(
-                n_inputs=radix,
-                n_outputs=radix,
-                buffer_depth=cfg.buffer_depth,
-                pipeline_stages=cfg.pipeline_stages,
-                arbitration=cfg.arbitration,
-            )
+            sw_cfg = cfg.switch_config(radix)
             # Ports were appended in declaration order, matching the
             # topology's port numbering.
             in_by_port = sorted(self._sw_in[s], key=lambda t: t[0])
@@ -254,15 +244,7 @@ class Noc:
 
     def _build_nis(self) -> None:
         topo, cfg, sim = self.topology, self.config, self.sim
-        ni_cfg = NiConfig(
-            params=cfg.params,
-            buffer_depth=cfg.ni_buffer_depth,
-            max_outstanding=cfg.ni_max_outstanding,
-            posted_writes=cfg.ni_posted_writes,
-            enforce_thread_order=cfg.ni_enforce_thread_order,
-            txn_timeout=cfg.ni_txn_timeout,
-            txn_retries=cfg.ni_txn_retries,
-        )
+        ni_cfg = cfg.ni_config()
         self.initiator_nis: Dict[str, InitiatorNI] = {}
         self.target_nis: Dict[str, TargetNI] = {}
         self.master_ports: Dict[str, OcpMasterPort] = {}

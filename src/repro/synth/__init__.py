@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                "ni_energy_per_packet_pj", "switch_energy_per_flit_pj"),
     "power": ("ni_power_mw", "switch_power_mw"),
     "report": ("ComponentReport", "SynthesisReport", "synthesize_noc"),
-    "technology": ("UMC130", "TechnologyLibrary", "scale_to_node"),
+    "technology": ("UMC130", "TechnologyLibrary"),
     "timing": ("frequency_area_curve", "ni_max_freq_mhz", "speed_fraction",
                "switch_delay_ps", "switch_max_freq_mhz"),
 })

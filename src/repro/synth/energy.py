@@ -126,11 +126,7 @@ def measure_noc_energy(
 
     n_targets = max(len(topo.targets), 1)
     n_initiators = max(len(topo.initiators), 1)
-    ni_cfg = NiConfig(
-        params=params,
-        buffer_depth=cfg.ni_buffer_depth,
-        max_outstanding=cfg.ni_max_outstanding,
-    )
+    ni_cfg = cfg.ni_config()
     e_ini = ni_energy_per_packet_pj(ni_cfg, lib, True, n_targets)
     e_tgt = ni_energy_per_packet_pj(ni_cfg, lib, False, n_initiators)
     for ni in noc.initiator_nis.values():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.config import NiConfig, NocBuildConfig, NocParameters, SwitchConfig
+from repro.core.config import NocBuildConfig, NocParameters
 from repro.network.topology import Topology
 from repro.synth.area import link_area_mm2, ni_area_mm2, switch_area_mm2
 from repro.synth.power import DEFAULT_ACTIVITY, ni_power_mw, switch_power_mw
@@ -147,20 +147,10 @@ def synthesize_noc(
     n_initiators = sum(initiator for _, initiator in census.nis)
     n_targets = max(len(census.nis) - n_initiators, 1)
     n_initiators = max(n_initiators, 1)
-    ni_cfg = NiConfig(
-        params=params,
-        buffer_depth=cfg.ni_buffer_depth,
-        max_outstanding=cfg.ni_max_outstanding,
-    )
+    ni_cfg = cfg.ni_config()
 
     def switch_model(radix: int) -> tuple:
-        sw_cfg = SwitchConfig(
-            n_inputs=radix,
-            n_outputs=radix,
-            buffer_depth=cfg.buffer_depth,
-            pipeline_stages=cfg.pipeline_stages,
-            arbitration=cfg.arbitration,
-        )
+        sw_cfg = cfg.switch_config(radix)
         fmax = switch_max_freq_mhz(sw_cfg, params, lib)
         f_run = min(target_freq_mhz, fmax)
         return (

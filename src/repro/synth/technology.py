@@ -11,7 +11,7 @@ that breaks an anchor fails CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -75,33 +75,3 @@ UMC130 = TechnologyLibrary(
     leak_mw_per_mm2=3.0,
 )
 
-
-def scale_to_node(lib: TechnologyLibrary, feature_nm: int) -> TechnologyLibrary:
-    """First-order constant-field scaling of a library to another node.
-
-    Area scales with the square of feature size, delay linearly, dynamic
-    power density roughly inversely with feature size (smaller nodes
-    pack more switching per mm²), leakage grows as nodes shrink.  This
-    is the standard back-of-envelope used for "what would this NoC cost
-    at 90 nm" questions; it is not a sign-off model.
-    """
-    if feature_nm <= 0:
-        raise ValueError("feature_nm must be positive")
-    s = feature_nm / lib.feature_nm
-    return replace(
-        lib,
-        name=f"{lib.name}-scaled-{feature_nm}nm",
-        feature_nm=feature_nm,
-        ff_area_um2_per_bit=lib.ff_area_um2_per_bit * s * s,
-        mux_area_um2_per_bit_port=lib.mux_area_um2_per_bit_port * s * s,
-        arb_area_um2_per_pair=lib.arb_area_um2_per_pair * s * s,
-        ctl_area_um2_per_port=lib.ctl_area_um2_per_port * s * s,
-        lut_area_um2_per_bit=lib.lut_area_um2_per_bit * s * s,
-        base_area_um2=lib.base_area_um2 * s * s,
-        t_reg_ps=lib.t_reg_ps * s,
-        t_arb_ps_per_log2=lib.t_arb_ps_per_log2 * s,
-        t_xbar_ps_per_log2=lib.t_xbar_ps_per_log2 * s,
-        t_load_ps_per_log2w=lib.t_load_ps_per_log2w * s,
-        dyn_mw_per_mm2_ghz=lib.dyn_mw_per_mm2_ghz / s,
-        leak_mw_per_mm2=lib.leak_mw_per_mm2 / (s * s),
-    )

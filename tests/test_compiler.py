@@ -1,5 +1,7 @@
 """Unit tests for the xpipesCompiler: spec, tables, codegen, views."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler import (
@@ -18,6 +20,29 @@ from repro.network.topology import attach_round_robin, mesh
 from repro.network.traffic import UniformRandomTraffic
 
 
+#: One non-default value per NocBuildConfig field.
+NON_DEFAULT = {
+    "params": NocParameters(flit_width=64, max_hops=6),
+    "buffer_depth": 8,
+    "pipeline_stages": 7,
+    "arbitration": ArbitrationPolicy.FIXED_PRIORITY,
+    "link": LinkConfig(stages=2, error_rate=0.01, bit_errors=True),
+    "ni_buffer_depth": 5,
+    "ni_max_outstanding": 3,
+    "ni_posted_writes": True,
+    "ni_enforce_thread_order": True,
+    "ni_txn_timeout": 400,
+    "ni_txn_retries": 2,
+    "link_resync_timeout": 64,
+    "crc_mode": True,
+    "flow_control": "credit",
+    "link_overrides": {frozenset(("sw_0_0", "sw_1_0")): LinkConfig(stages=3)},
+    "routing_policy": "shortest",
+    "seed": 7,
+    "kernel": "interpreted",
+}
+
+
 @pytest.fixture
 def spec():
     topo = mesh(2, 2)
@@ -29,6 +54,18 @@ class TestSpecification:
     def test_json_roundtrip_is_lossless(self, spec):
         again = NocSpecification.from_json(spec.to_json())
         assert again == spec
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_every_config_field_roundtrips(self, spec, name):
+        value = NON_DEFAULT[name]
+        assert value != getattr(NocBuildConfig(), name)
+        spec.config = NocBuildConfig(**{name: value})
+        again = NocSpecification.from_json(spec.to_json())
+        assert getattr(again.config, name) == value
+        assert again == spec
+
+    def test_every_config_field_has_a_roundtrip_case(self):
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(NocBuildConfig)}
 
     def test_to_topology_rebuilds_structure(self, spec):
         topo = spec.to_topology()
@@ -52,7 +89,7 @@ class TestSpecification:
             link=LinkConfig(stages=2, error_rate=0.01),
         )
         spec = NocSpecification.from_topology(topo, cfg)
-        rebuilt = spec.build_config()
+        rebuilt = spec.config
         assert rebuilt.params.flit_width == 64
         assert rebuilt.buffer_depth == 8
         assert rebuilt.arbitration is ArbitrationPolicy.FIXED_PRIORITY
@@ -71,7 +108,7 @@ class TestSpecification:
         spec = NocSpecification.from_topology(topo, cfg)
         again = NocSpecification.from_json(spec.to_json())
         assert again == spec
-        rebuilt = again.build_config()
+        rebuilt = again.config
         assert rebuilt.link_for("sw_0_0", "sw_1_0").stages == 3
         assert rebuilt.link_for("sw_0_0", "sw_0_1").stages == 1
 
@@ -177,7 +214,7 @@ class TestViews:
 
         via_compiler = synthesis_view(spec, target_freq_mhz=900)
         direct = synthesize_noc(
-            spec.to_topology(), spec.build_config(), target_freq_mhz=900
+            spec.to_topology(), spec.config, target_freq_mhz=900
         )
         assert via_compiler.total_area_mm2 == pytest.approx(direct.total_area_mm2)
 

@@ -1,5 +1,6 @@
 """The xpipesCompiler front end: ``python -m repro compile``."""
 
+import dataclasses
 import json
 import os
 
@@ -81,7 +82,7 @@ def holey_spec(policy=None):
     spec = NocSpecification.from_topology(topo)
     gone = ({"sw_0_0", "sw_1_0"}, {"sw_1_1", "sw_2_1"})
     spec.edges = [e for e in spec.edges if set(e) not in gone]
-    spec.routing_policy = policy
+    spec.config = dataclasses.replace(spec.config, routing_policy=policy)
     return spec.to_json()
 
 
@@ -105,8 +106,18 @@ class TestBadSpec:
         (demo_doc(routing_policy="fancy"), "unknown routing policy 'fancy'"),
         (demo_doc(params={"flit_width": 32, "bogus": 1}), "malformed specification"),
         (holey_spec("dor"), "no X-dimension neighbour"),
+        (demo_doc(buffer_depth="x"), "buffer_depth: expected int, got 'x'"),
+        (demo_doc(buffer_depth=0), "output queue depth must be >= 2"),
+        (demo_doc(pipeline_stages=0), "pipeline_stages must be >= 1"),
+        (demo_doc(ni_max_outstanding=0), "max_outstanding must be >= 1"),
+        (demo_doc(flow_control="nope"), "unknown flow_control 'nope'"),
+        (demo_doc(seed=True), "seed: expected int, got True"),
+        (demo_doc(buffer_dept=3), "unknown key 'buffer_dept'"),
     ], ids=["malformed-json", "deeply-nested-json", "empty-object", "not-an-object", "unknown-policy",
-            "unknown-parameter", "holey-grid-explicit-dor"])
+            "unknown-parameter", "holey-grid-explicit-dor", "buffer-depth-not-int",
+            "buffer-depth-out-of-range", "pipeline-stages-out-of-range",
+            "ni-max-outstanding-out-of-range", "unknown-flow-control", "seed-is-bool",
+            "unknown-key"])
     @pytest.mark.parametrize("action", ["--tables", "--report", "-o"])
     def test_is_refused_with_one_error_line(self, tmp_path, capsys, text, reason, action):
         path = tmp_path / "bad.json"

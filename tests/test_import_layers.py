@@ -9,6 +9,7 @@ every public name, old import path and old pickle still resolves.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import pickle
@@ -142,6 +143,17 @@ class TestCompatibility:
         assert type(restored.manifest) is RunManifest
 
 
+def src_trees():
+    """``(path under src/, parsed module)`` for every module of the package."""
+    for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as f:
+                    yield rel, ast.parse(f.read(), filename=rel)
+
+
 #: The modules that may derive a route: everything else reads one from
 #: a ``repro.core.routing.RouteSet``.
 ROUTE_DERIVERS = ("repro/core/routing.py", "repro/network/topology.py")
@@ -149,19 +161,46 @@ ROUTE_DERIVERS = ("repro/core/routing.py", "repro/network/topology.py")
 
 class TestOneRouteSet:
     def test_only_the_route_set_walks_paths_or_resolves_the_policy(self):
-        offenders = []
-        for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
-            for name in files:
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
-                if not name.endswith(".py") or rel in ROUTE_DERIVERS:
-                    continue
-                with open(path, encoding="utf-8") as f:
-                    tree = ast.parse(f.read(), filename=rel)
-                offenders += [
-                    f"{rel}:{node.lineno} .{node.attr}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and node.attr in ("switch_path", "default_policy")
-                ]
+        offenders = [
+            f"{rel}:{node.lineno} .{node.attr}"
+            for rel, tree in src_trees() if rel not in ROUTE_DERIVERS
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("switch_path", "default_policy")
+        ]
         assert offenders == []
+
+
+#: The module that maps a NoC's settings to its component records:
+#: everything else asks ``NocBuildConfig.ni_config()`` /
+#: ``.switch_config(radix)``.
+RECORD_BUILDER = "repro/core/config.py"
+
+
+class TestOneConfig:
+    def test_only_the_config_builds_component_records(self):
+        offenders = [
+            f"{rel}:{node.lineno} {node.func.id}("
+            for rel, tree in src_trees() if rel != RECORD_BUILDER
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("NiConfig", "SwitchConfig")
+        ]
+        assert offenders == []
+
+    def test_the_spec_names_no_config_field(self):
+        """The spec's codec is derived from the config's fields, so a
+        setting added to ``NocBuildConfig`` needs no edit there."""
+        from repro.core.config import NocBuildConfig
+
+        settings = {f.name for f in dataclasses.fields(NocBuildConfig)}
+        (tree,) = [t for rel, t in src_trees() if rel == "repro/compiler/spec.py"]
+        named = [
+            (node.lineno, word) for node in ast.walk(tree)
+            for word in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None), getattr(node, "value", None),
+            )
+            if isinstance(word, str) and word in settings
+        ]
+        assert named == []

@@ -85,15 +85,3 @@ class TestBusReset:
         first = run(bus)
         bus.sim.reset()
         assert run(bus) == first
-
-
-class TestEnergyScaling:
-    def test_smaller_node_cheaper_per_flit(self):
-        from repro.core.config import NocParameters
-        from repro.synth import scale_to_node, switch_energy_per_flit_pj, UMC130
-
-        lib90 = scale_to_node(UMC130, 90)
-        e130 = switch_energy_per_flit_pj(SwitchConfig(4, 4), NocParameters())
-        e90 = switch_energy_per_flit_pj(SwitchConfig(4, 4), NocParameters(), lib=lib90)
-        # Area shrinks quadratically, density rises ~linearly: net win.
-        assert e90 < e130

@@ -10,7 +10,6 @@ from repro.synth import (
     ni_area_mm2,
     ni_max_freq_mhz,
     ni_power_mw,
-    scale_to_node,
     speed_fraction,
     switch_area_mm2,
     switch_delay_ps,
@@ -169,22 +168,6 @@ class TestPower:
 
 
 class TestTechnologyScaling:
-    def test_smaller_node_shrinks_area(self):
-        lib90 = scale_to_node(UMC130, 90)
-        assert switch_area_mm2(sw(), params(), lib=lib90) < switch_area_mm2(
-            sw(), params()
-        )
-
-    def test_smaller_node_speeds_up(self):
-        lib90 = scale_to_node(UMC130, 90)
-        assert switch_max_freq_mhz(sw(), params(), lib=lib90) > switch_max_freq_mhz(
-            sw(), params()
-        )
-
-    def test_invalid_node_rejected(self):
-        with pytest.raises(ValueError):
-            scale_to_node(UMC130, 0)
-
     def test_library_validation(self):
         import dataclasses
 
