@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 
 
@@ -277,7 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader left (``| head -1``): exit 128 + SIGPIPE, no
+        # traceback, and no second error from the exit-time flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -298,11 +298,6 @@ class TraceTraffic(TrafficPattern):
                 entries.append(parsed)
         return cls(entries)
 
-    @classmethod
-    def from_file(cls, path: str) -> "TraceTraffic":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_text(f.read())
-
     @staticmethod
     def render(entries: Sequence[Tuple[int, TxnTemplate]]) -> str:
         """Inverse of :meth:`from_text`: serialize a trace to text."""

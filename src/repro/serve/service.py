@@ -19,7 +19,6 @@ here, and a query evaluated here accelerates everyone's next sweep.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import itertools
 import math
@@ -27,6 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.codec import decode, encode
+from repro.core.config import NocParameters
 from repro.flow.dse import (
     DesignPoint,
     _evaluate_design_point,
@@ -260,14 +261,6 @@ def _rendered(kind: str, name: str) -> Rendered:
     return Rendered(stable_repr(_built(kind, name)))
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: Any) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """One design-space question, normalized.
@@ -280,6 +273,9 @@ class QuerySpec:
     5x5 config >= 800 MHz under multimedia traffic" is
     ``QuerySpec(core_graph="multimedia", topologies=("mesh-5x5",),
     min_freq_mhz=800, objective="area")``.
+
+    A request body becomes one through :func:`parse_query`, which
+    refuses a value of the wrong type; the bounds are checked here.
     """
 
     core_graph: str = "multimedia"
@@ -297,14 +293,29 @@ class QuerySpec:
     objective: str = "area"
 
     def __post_init__(self) -> None:
-        if self.core_graph not in CORE_GRAPHS:
-            raise QueryError(
-                f"core graph {self.core_graph!r}: know {sorted(CORE_GRAPHS)}"
-            )
-        if not self.topologies:
-            raise QueryError("query needs at least one topology")
-        if not self.flit_widths or not self.buffer_depths:
-            raise QueryError("query needs flit_widths and buffer_depths")
+        # The evaluators' own bounds (repro.core.config), checked here so
+        # a malformed value is the client's 400 and never a farm failure
+        # that counts against the circuit breaker.
+        radix = NocParameters().max_radix  # the ports one route hop names
+        for name, value, ok, bound in (
+            ("core_graph", self.core_graph, self.core_graph in CORE_GRAPHS,
+             f"one of {sorted(CORE_GRAPHS)}"),
+            ("objective", self.objective, self.objective in OBJECTIVES,
+             f"one of {sorted(OBJECTIVES)}"),
+            ("topologies", self.topologies, bool(self.topologies), "a non-empty list"),
+            ("flit_widths", self.flit_widths, min(self.flit_widths, default=0) >= 4,
+             "a non-empty list of integers >= 4"),
+            ("buffer_depths", self.buffer_depths,
+             min(self.buffer_depths, default=0) >= 2,
+             "a non-empty list of integers >= 2"),
+            ("max_radix", self.max_radix, 1 <= self.max_radix <= radix,
+             f"in [1, {radix}]"),
+            ("target_freq_mhz", self.target_freq_mhz, self.target_freq_mhz > 0, "> 0"),
+            ("anneal_iterations", self.anneal_iterations,
+             self.anneal_iterations >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise QueryError(f"{name} must be {bound}, got {value!r}")
         points = (
             len(self.topologies) * len(self.flit_widths) * len(self.buffer_depths)
         )
@@ -315,35 +326,7 @@ class QuerySpec:
             )
         for name in self.topologies:
             # Validates eagerly, building only a name not met before.
-            # (A non-str cannot be a cache key: the builder names what
-            # is wrong with it.)
-            (_rendered if isinstance(name, str) else _built)("topology", name)
-        # The evaluators' own bounds (repro.core.config), checked here so
-        # a malformed value is the client's 400 and never a farm failure
-        # that counts against the circuit breaker.
-        for name, floor in (("flit_widths", 4), ("buffer_depths", 2)):
-            for value in getattr(self, name):
-                if not _is_int(value) or value < floor:
-                    raise QueryError(
-                        f"{name} must be integers >= {floor}, got {value!r}"
-                    )
-        for name in ("seed", "anneal_iterations", "max_radix"):
-            if not _is_int(getattr(self, name)):
-                raise QueryError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
-        for name, optional in (
-            ("target_freq_mhz", False), ("min_freq_mhz", False),
-            ("max_latency_ns", True), ("max_area_mm2", True),
-            ("max_power_mw", True),
-        ):
-            value = getattr(self, name)
-            if not (_is_real(value) or (optional and value is None)):
-                raise QueryError(f"{name} must be a number, got {value!r}")
-        if self.objective not in OBJECTIVES:
-            raise QueryError(
-                f"objective {self.objective!r}: know {sorted(OBJECTIVES)}"
-            )
+            _rendered("topology", name)
 
     def meets_constraints(self, p: DesignPoint) -> bool:
         if not p.feasible:
@@ -359,41 +342,16 @@ class QuerySpec:
         return True
 
 
-_TUPLE_FIELDS = {"topologies", "flit_widths", "buffer_depths"}
-_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(QuerySpec))
-
-
 def parse_query(doc: Any) -> QuerySpec:
     """A JSON request body -> :class:`QuerySpec`, with named errors."""
-    if not isinstance(doc, dict):
-        raise QueryError(f"query must be a JSON object, got {type(doc).__name__}")
-    known = set(_SPEC_FIELDS)
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise QueryError(f"unknown query fields {unknown}; know {sorted(known)}")
-    kwargs: Dict[str, Any] = {}
-    for name, value in doc.items():
-        if name in _TUPLE_FIELDS:
-            if isinstance(value, (str, int)):
-                value = (value,)
-            elif isinstance(value, list):
-                value = tuple(value)
-            else:
-                raise QueryError(f"{name} must be a list, got {value!r}")
-        kwargs[name] = value
     try:
-        return QuerySpec(**kwargs)
+        return decode(QuerySpec, doc)
     except TypeError as exc:
         raise QueryError(str(exc)) from None
 
 
-_POINT_FIELDS = tuple(f.name for f in dataclasses.fields(DesignPoint))
-
-
-def point_as_dict(p: DesignPoint) -> Dict[str, Any]:
-    """``dataclasses.asdict`` for a :class:`DesignPoint`, whose fields
-    are all scalars (no recursive copy: ~15 of these per answer)."""
-    return {name: getattr(p, name) for name in _POINT_FIELDS}
+#: A point's JSON form, under the name the ledger's serve workloads import.
+point_as_dict = encode
 
 
 @dataclass
@@ -423,23 +381,11 @@ class QueryResult:
     hints: List[Dict[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            # Field by field: every field is a scalar or a tuple of
-            # scalars, so asdict's deep copy would buy nothing.
-            "query": {name: getattr(self.spec, name) for name in _SPEC_FIELDS},
-            "best": None if self.best is None else point_as_dict(self.best),
-            "frontier": [point_as_dict(p) for p in self.frontier],
-            "points": [point_as_dict(p) for p in self.points],
-            "feasible": sum(
-                1 for p in self.points if self.spec.meets_constraints(p)
-            ),
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "served_from": self.served_from,
-            "seconds": round(self.seconds, 6),
-            "degraded": self.degraded,
-            "hints": self.hints,
-        }
+        doc = encode(self)
+        doc["query"] = doc.pop("spec")
+        doc["feasible"] = sum(map(self.spec.meets_constraints, self.points))
+        doc["seconds"] = round(self.seconds, 6)
+        return doc
 
     def render(self) -> str:
         table = render_space(
@@ -634,24 +580,15 @@ class QueryEngine:
                 + abs(da - db)
             )
 
+        def cell(j: int) -> Dict[str, Any]:
+            return dict(zip(("topology", "flit_width", "buffer_depth"), grid[j]))
+
         hints: List[Dict[str, Any]] = []
         for i in missing:
-            name, width, depth = grid[i]
-            hint: Dict[str, Any] = {
-                "missing": {
-                    "topology": name, "flit_width": width,
-                    "buffer_depth": depth,
-                },
-                "nearest": None,
-            }
+            hint: Dict[str, Any] = {"missing": cell(i), "nearest": None}
             if present:
                 j = min(present, key=lambda j: (distance(i, j), j))
-                nname, nwidth, ndepth = grid[j]
-                hint["nearest"] = {
-                    "topology": nname, "flit_width": nwidth,
-                    "buffer_depth": ndepth,
-                    "point": point_as_dict(points[j]),
-                }
+                hint["nearest"] = dict(cell(j), point=encode(points[j]))
             hints.append(hint)
         return hints
 

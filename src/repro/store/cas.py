@@ -91,6 +91,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.codec import decode, encode
+
 STORE_SCHEMA = "repro.store/v2"
 
 #: The record framing, byte for byte that of the one-file-per-record
@@ -137,15 +139,6 @@ class StoreRecord:
     created: float  # publish wall-clock time (time.time)
     label: str = ""
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "digest": self.digest,
-            "size": self.size,
-            "created": self.created,
-            "label": self.label,
-        }
-
 
 def _check_key(key: str) -> str:
     """Keys are sha256 hexdigests; anything else is refused."""
@@ -180,14 +173,7 @@ def _unpack(loc: int) -> Tuple[int, int, int]:
 
 # -- record framing ------------------------------------------------------------
 def _header(line: bytes) -> StoreRecord:
-    header = json.loads(line.decode("utf-8"))
-    record = StoreRecord(
-        key=str(header["key"]),
-        digest=str(header["digest"]),
-        size=int(header["size"]),
-        created=float(header["created"]),
-        label=str(header.get("label", "")),
-    )
+    record = decode(StoreRecord, json.loads(line.decode("utf-8")))
     if _KEY.fullmatch(record.key) is None or record.size < 0:
         raise StoreError(f"bad header {line[:80]!r}")
     return record
@@ -195,7 +181,7 @@ def _header(line: bytes) -> StoreRecord:
 
 def _frame(record: StoreRecord, payload: bytes) -> bytes:
     """The bytes of one record, trailer included."""
-    head = MAGIC + json.dumps(record.as_dict(), sort_keys=True).encode("utf-8") + b"\n"
+    head = MAGIC + json.dumps(encode(record), sort_keys=True).encode("utf-8") + b"\n"
     body = len(head) + len(payload)
     return b"".join((head, payload, _TRAILER.pack(body, _TAG)))
 

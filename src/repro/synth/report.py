@@ -61,20 +61,6 @@ class SynthesisReport:
             totals[c.kind] = totals.get(c.kind, 0.0) + c.area_mm2
         return totals
 
-    def to_csv(self) -> str:
-        """Machine-readable dump (one row per component + TOTAL)."""
-        lines = ["name,kind,label,area_mm2,max_freq_mhz,power_mw"]
-        for c in self.components:
-            lines.append(
-                f"{c.name},{c.kind},{c.label},"
-                f"{c.area_mm2:.6f},{c.max_freq_mhz:.1f},{c.power_mw:.3f}"
-            )
-        lines.append(
-            f"TOTAL,,,{self.total_area_mm2:.6f},"
-            f"{self.min_max_freq_mhz:.1f},{self.total_power_mw:.3f}"
-        )
-        return "\n".join(lines) + "\n"
-
     def to_table(self) -> str:
         """Human-readable summary table."""
         lines = [

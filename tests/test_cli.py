@@ -251,3 +251,22 @@ def test_parsing_loads_no_package():
         text=True, check=True,
     ).stdout
     assert out.strip() == "['repro.__main__']"
+
+
+@pytest.mark.parametrize("verb", [["compile", "--demo"], ["info"]])
+def test_a_closed_reader_ends_the_verb_quietly(verb):
+    """``python -m repro compile --demo | head -1``: once the reader of
+    stdout is gone the verb stops with status 141 (128 + SIGPIPE, what a
+    shell reports for a writer SIGPIPE ended) and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *verb], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 141

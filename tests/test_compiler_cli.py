@@ -94,6 +94,13 @@ def demo_doc(**changes):
     return json.dumps(doc)
 
 
+def demo_edit(key, edit):
+    """The demo spec with ``edit(doc[key])`` in place of ``doc[key]``."""
+    doc = json.loads(demo_doc())
+    doc[key] = edit(doc[key])
+    return json.dumps(doc)
+
+
 class TestBadSpec:
     """A spec that does not load or does not route is refused with one
     error line and exit 2, before any view is produced."""
@@ -113,11 +120,20 @@ class TestBadSpec:
         (demo_doc(flow_control="nope"), "unknown flow_control 'nope'"),
         (demo_doc(seed=True), "seed: expected int, got True"),
         (demo_doc(buffer_dept=3), "unknown key 'buffer_dept'"),
+        (demo_edit("cores", lambda cores: [dict(cores[0], is_initiator="no")]
+                   + cores[1:]),
+         "cores[0].is_initiator: expected bool, got 'no'"),
+        (demo_edit("coords", lambda coords: dict(coords, sw_0_0=[0.5, "x"])),
+         "coords[sw_0_0][0]: expected int, got 0.5"),
+        (demo_edit("edges", lambda edges: [edges[0] + ["sw_1_1"]] + edges[1:]),
+         "edges[0]: expected a list of 2"),
+        (demo_doc(switches="abc"), "switches: expected a list, got 'abc'"),
     ], ids=["malformed-json", "deeply-nested-json", "empty-object", "not-an-object", "unknown-policy",
             "unknown-parameter", "holey-grid-explicit-dor", "buffer-depth-not-int",
             "buffer-depth-out-of-range", "pipeline-stages-out-of-range",
             "ni-max-outstanding-out-of-range", "unknown-flow-control", "seed-is-bool",
-            "unknown-key"])
+            "unknown-key", "initiator-flag-not-bool", "coord-not-int",
+            "edge-of-three", "switches-not-a-list"])
     @pytest.mark.parametrize("action", ["--tables", "--report", "-o"])
     def test_is_refused_with_one_error_line(self, tmp_path, capsys, text, reason, action):
         path = tmp_path / "bad.json"

@@ -127,12 +127,6 @@ class TestTraceTraffic:
         with pytest.raises(ValueError, match="direction"):
             TraceTraffic.from_text("0 mem0 0 X 1")
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text(self.TEXT)
-        t = TraceTraffic.from_file(str(path))
-        assert t.next_transaction(0) is not None
-
     def test_reset(self):
         t = TraceTraffic.from_text("0 mem0 0 R 1\n")
         t.next_transaction(0)

@@ -204,3 +204,50 @@ class TestOneConfig:
             if isinstance(word, str) and word in settings
         ]
         assert named == []
+
+
+#: The one JSON decoder, and the modules whose documents cross a
+#: boundary: the spec, the query and its answer, the store header.
+CODEC = "repro/core/codec.py"
+BOUNDARIES = ("repro/compiler/spec.py", "repro/serve/service.py",
+              "repro/store/cas.py")
+
+
+def _reads_a_field(node) -> bool:
+    """``doc["name"]`` or ``doc.get("name", ...)`` anywhere in ``node``."""
+    return any(
+        (isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant)
+         and isinstance(sub.slice.value, str))
+        or (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "get" and sub.args
+            and isinstance(sub.args[0], ast.Constant))
+        for sub in ast.walk(node)
+    )
+
+
+class TestOneCodec:
+    def test_only_the_codec_reads_types_or_checks_them_by_hand(self):
+        offenders = [
+            f"{rel}:{node.lineno} {word}"
+            for rel, tree in src_trees() if rel != CODEC
+            for node in ast.walk(tree)
+            for word in (getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None))
+            if word in ("get_type_hints", "_is_int", "_is_real")
+        ]
+        assert offenders == []
+
+    def test_no_boundary_builds_a_record_field_by_field(self):
+        """A record at a boundary comes out of ``codec.decode`` whole:
+        no constructor call there reads its arguments out of a document
+        by key, or takes them as ``**`` collected from one."""
+        offenders = [
+            f"{rel}:{node.lineno} {node.func.id}("
+            for rel, tree in src_trees() if rel in BOUNDARIES
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id[:1].isupper()
+            and any(kw.arg is None or _reads_a_field(kw.value)
+                    for kw in node.keywords)
+        ]
+        assert offenders == []

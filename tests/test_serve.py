@@ -124,6 +124,13 @@ class TestParseQuery:
             {"min_freq_mhz": float("nan")},
             {"max_area_mm2": "1"},
             {"max_power_mw": False},
+            # bounds: each used to pass and fail in the farm, or later
+            {"max_radix": 0},
+            {"max_radix": -3},
+            {"max_radix": 16},
+            {"target_freq_mhz": 0},
+            {"target_freq_mhz": -100},
+            {"anneal_iterations": -5},
         ],
     )
     def test_invalid_specs_rejected(self, doc):
@@ -141,8 +148,28 @@ class TestParseQuery:
             parse_query({"topologies": ["mesh-1000x1000"] * 4097})
 
     def test_unhashable_topology_name_is_named(self):
-        with pytest.raises(QueryError, match="expected '<family>-<size>'"):
+        with pytest.raises(
+            QueryError, match=r"topologies\[0\]: expected str, got \['mesh-2x2'\]"
+        ):
             parse_query({"topologies": [["mesh-2x2"]]})
+
+    def test_the_radix_bound_is_what_a_route_hop_can_name(self):
+        from repro.core.config import NocParameters
+
+        top = NocParameters().max_radix
+        assert parse_query({"max_radix": top}).max_radix == top
+        with pytest.raises(QueryError, match="max_radix"):
+            parse_query({"max_radix": top + 1})
+
+    def test_one_spelling_one_key(self, tmp_path):
+        """An int-spelled float field decodes to the float, so the same
+        question keys (and is stored) once."""
+        engine = QueryEngine(ResultStore(tmp_path / "store"), workers=1)
+        spec = parse_query({"target_freq_mhz": 1000})
+        assert type(spec.target_freq_mhz) is float
+        assert engine.keys(spec) == engine.keys(parse_query({}))
+        assert engine.keys(spec) == engine.keys(
+            parse_query({"target_freq_mhz": 1000.0}))
 
     def test_constraint_filter(self):
         spec = parse_query({"min_freq_mhz": 800, "max_area_mm2": 1.0})
@@ -400,6 +427,25 @@ class TestHttp:
         assert len(engine.store) == 0
         assert engine.store.hits == engine.store.misses == 0
         assert engine.metrics.counter("serve.http_errors").value == len(bodies)
+
+    def test_out_of_bound_settings_are_400s_and_compute_nothing(
+        self, live_server
+    ):
+        """A max_radix of 0 or a target frequency of 0 used to reach
+        the farm and fail there; now each is a 400 naming its bound."""
+        server, base = live_server
+        for body, bound in [
+            ({"max_radix": 0}, "max_radix must be in [1, 8]"),
+            ({"max_radix": 16}, "max_radix must be in [1, 8]"),
+            ({"target_freq_mhz": 0}, "target_freq_mhz must be > 0"),
+            ({"anneal_iterations": -5}, "anneal_iterations must be >= 0"),
+        ]:
+            status, doc = _post(base + "/query", dict(FAST, wait=True, **body))
+            assert status == 400 and doc["error"] == "bad_request", body
+            assert bound in doc["detail"]
+        metrics = server.engine.metrics
+        assert metrics.counter("serve.points_computed").value == 0
+        assert server.engine.queries == 0 and len(server.engine.store) == 0
 
     @pytest.mark.timeout_guard(60)
     def test_oversized_requests_are_fast_400s_and_healthz_stays_live(

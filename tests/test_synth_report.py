@@ -78,14 +78,3 @@ class TestSynthesisReport:
         report = synthesize_noc(attached_mesh())
         labels = {c.label for c in report.by_kind("switch")}
         assert labels == {"3x3"}  # 2 mesh neighbours + 1 NI on every switch
-
-    def test_csv_export(self):
-        report = synthesize_noc(attached_mesh())
-        csv = report.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "name,kind,label,area_mm2,max_freq_mhz,power_mw"
-        assert lines[-1].startswith("TOTAL,")
-        # One row per component plus header and total.
-        assert len(lines) == len(report.components) + 2
-        total_area = float(lines[-1].split(",")[3])
-        assert total_area == pytest.approx(report.total_area_mm2, abs=1e-5)
