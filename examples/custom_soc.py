@@ -10,13 +10,14 @@ hand-builds an irregular fabric shaped like a set-top-box SoC:
 * a streaming spine for the video pipeline,
 * a stub switch for slow peripherals,
 
-then runs the full safety tooling (wormhole deadlock analysis,
-bandwidth feasibility), simulates it under self-checking traffic, and
-prints the synthesis estimate of exactly this irregular instance.
+then runs the full safety tooling (wormhole deadlock analysis, the
+buildability verdict on header fields and link bandwidth), simulates it
+under self-checking traffic, and prints the synthesis estimate of exactly this irregular instance.
 """
 
-from repro.core.config import NocParameters
-from repro.flow.bandwidth import check_feasibility
+from repro.core.config import NocBuildConfig
+from repro.core.routing import RouteSet, violations
+from repro.flow.bandwidth import demand_routes, route_loads
 from repro.flow.taskgraph import CoreGraph, CoreSpec
 from repro.network import Noc, check_deadlock_freedom
 from repro.network.scoreboard import (
@@ -79,13 +80,15 @@ def main() -> None:
     demands.add_demand("cpu", "ddr", 120.0)
     demands.add_demand("dma", "flash", 20.0)
     demands.add_demand("frame_buf", "gpu", 90.0)
-    feasible, hot = check_feasibility(topo, demands, NocParameters())
-    print(f"bandwidth feasibility: {'OK' if feasible else 'OVERLOADED'}")
-    for load in hot:
-        print(f"  {load.src} -> {load.dst}: {load.flits_per_cycle:.2f} flits/cycle")
+    config = NocBuildConfig()
+    routes = RouteSet(topo)
+    found = violations(routes, config, route_loads(demand_routes(routes, demands), config.params))
+    print(f"buildability (header fields, bandwidth): {'OK' if not found else 'REFUSED'}")
+    for violation in found:
+        print(f"  {violation.message}")
 
     # -- simulate with a self-checking scoreboard ----------------------------
-    noc = Noc(topo)
+    noc = Noc(topo, config)
     cpus = topo.initiators
     mems = topo.targets
     patterns = private_stripe_patterns(cpus, mems, rate=0.06, seed=4)

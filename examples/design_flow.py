@@ -48,18 +48,12 @@ def main() -> None:
     for core, switch in sorted(best.mapping.items()):
         print(f"  {core:<8} -> {switch}")
 
-    # -- 3. Bandwidth feasibility + floorplan ---------------------------------
-    from repro.core.config import NocParameters
-    from repro.flow.bandwidth import check_feasibility
-
-    feasible, hot = check_feasibility(best.topology, core_graph, NocParameters())
-    print(f"\n=== bandwidth feasibility ===")
-    if feasible:
-        print("  all links within capacity margin")
-    else:
-        for load in hot:
-            print(f"  OVERLOADED {load.src} -> {load.dst}: "
-                  f"{load.flits_per_cycle:.2f} flits/cycle")
+    # -- 3. Buildability (header fields, link bandwidth) + floorplan ---------
+    print(f"\n=== buildability ===")
+    if best.feasible:
+        print("  every route fits the header; all links within capacity margin")
+    for violation in best.violations:
+        print(f"  REFUSED: {violation.message}")
 
     plan = best.floorplan
     print(f"\n=== floorplan ===")

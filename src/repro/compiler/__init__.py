@@ -51,8 +51,10 @@ def compile_main(spec=None, output=None, tables=False, report=False,
     routing tables) and ``--report`` (print the synthesis estimate at
     ``--freq`` MHz).  The parser requires exactly one of ``spec`` and
     ``--demo``; a spec with nothing to do is a usage error (exit 2), and
-    so is one that does not load or does not route: the whole route set
-    is derived before any view is produced."""
+    so is one that does not load, does not route or that the simulator
+    would refuse to build: :func:`repro.core.routing.violations` judges
+    the whole route set before any view is produced, one error line per
+    violated kind."""
     if demo:
         print(_demo_spec().to_json())
         return 0
@@ -61,16 +63,19 @@ def compile_main(spec=None, output=None, tables=False, report=False,
               "and/or --report", file=sys.stderr)
         return 2
     from repro.compiler.spec import NocSpecification
-    from repro.core.routing import RouteSet
+    from repro.core.routing import RouteSet, refusal, violations
 
     try:
         with open(spec, "r", encoding="utf-8") as f:
             noc_spec = NocSpecification.from_json(f.read())
-        routes = RouteSet(noc_spec.to_topology(), noc_spec.config.routing_policy)
-        for pair in routes.pairs():
-            routes.route(*pair)
+        errors = refusal(violations(
+            RouteSet(noc_spec.to_topology(), noc_spec.config.routing_policy),
+            noc_spec.config))
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"repro compile: error: {spec}: {exc}", file=sys.stderr)
+        errors = [exc]
+    for error in errors:
+        print(f"repro compile: error: {spec}: {error}", file=sys.stderr)
+    if errors:
         return 2
     if tables:
         from repro.compiler.routing_tables import (

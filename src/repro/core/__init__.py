@@ -30,5 +30,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
             "OcpSlavePort", "SResp"),
     "packet": ("Packet", "PacketHeader", "PacketKind"),
     "packetizer": ("Depacketizer", "Packetizer"),
-    "routing": ("Route", "RouteSet", "RoutingTable"),
+    "routing": ("Route", "RouteSet", "RoutingTable", "Violation", "violations"),
 })

@@ -243,6 +243,23 @@ class NocBuildConfig:
         self.ni_config()
         if self.flow_control not in ("ack_nack", "credit"):
             raise ValueError(f"unknown flow_control {self.flow_control!r}")
+        if self.flow_control == "credit":
+            rates = [self.link.error_rate] + [
+                lc.error_rate for lc in self.link_overrides.values()
+            ]
+            if any(r > 0 for r in rates) or self.crc_mode:
+                raise ValueError(
+                    "credit flow control assumes reliable links: it cannot "
+                    "retransmit, so error injection/CRC mode is rejected "
+                    "(use ack_nack for unreliable links)"
+                )
+            if self.pipeline_stages != 2:
+                raise ValueError("credit mode models only the 2-stage switch")
+            if self.link_resync_timeout is not None:
+                raise ValueError(
+                    "link_resync_timeout is a go-back-N recovery knob; "
+                    "credit senders cannot retransmit"
+                )
 
     def switch_config(self, radix: int) -> SwitchConfig:
         """The record of one ``radix`` x ``radix`` switch of this NoC."""

@@ -155,11 +155,6 @@ class Flit:
         _s_birth_cycle(c, self.birth_cycle)
         return c
 
-    def with_route_offset(self, offset: int) -> "Flit":
-        c = _clone(self)
-        _s_route_offset(c, offset)
-        return c
-
     def corrupt(self) -> "Flit":
         c = _clone(self)
         _s_corrupted(c, True)

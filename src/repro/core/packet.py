@@ -186,11 +186,6 @@ class Packet:
         """Bits on the wire: header register + payload registers."""
         return PacketHeader.bit_width(params) + len(self.payload) * params.data_width
 
-    def flit_count(self, params: NocParameters) -> int:
-        """Flits after decomposition at the configured flit width."""
-        bits = self.total_bits(params)
-        return -(-bits // params.flit_width)
-
     def __repr__(self) -> str:
         return (
             f"Packet<{self.header.kind.name} id={self.packet_id} "

@@ -16,6 +16,14 @@ flavours bundled as :class:`RoutingTable`, and :class:`RouteSet`, the
 one place a route is derived: every view of a NoC -- the simulator's
 LUTs, the compiler's tables, the link loads, the deadlock check and the
 estimate -- reads its routes from one.
+
+It also holds the one buildability verdict, :func:`violations`.  The NI
+packs the whole source route into a fixed header field (``max_hops``
+hops of ``port_bits`` bits) and its node id into ``node_id_bits``, so a
+route set the header cannot encode is not a NoC; neither is one whose
+demands load a link past its capacity.  The simulator's builder,
+``repro compile`` and the design-space estimate all ask it, so they
+refuse the same NoCs.
 """
 
 from __future__ import annotations
@@ -152,6 +160,7 @@ class RouteSet:
         self.topology = topology
         self.policy: str = policy or topology.default_policy
         self._routes: Dict[Tuple[str, str], Tuple[Route, Tuple[Channel, ...]]] = {}
+        self._unencodable: Dict[Tuple[int, int], Tuple[Violation, ...]] = {}
 
     def pairs(self) -> List[Tuple[str, str]]:
         """Every ordered (initiator, target) pair, then every (target,
@@ -160,6 +169,28 @@ class RouteSet:
         return [(i, t) for i in inits for t in targets] + [
             (t, i) for i in inits for t in targets
         ]
+
+    def unencodable(self, params) -> Tuple["Violation", ...]:
+        """The ``"hops"`` and ``"port"`` violations of every LUT pair
+        under ``params``' route field (:class:`~repro.core.config.NocParameters`).
+        The pairs are walked once per field shape and the answer kept, so
+        a sweep that shares one route set walks them once per placement."""
+        key = (params.max_hops, params.port_bits)
+        if key not in self._unencodable:
+            found = []
+            for src, dst in self.pairs():
+                route = self.route(src, dst)
+                if route.hops > params.max_hops:
+                    found.append(Violation("hops", (src, dst), (
+                        f"route {src}->{dst} needs {route.hops} hops; raise "
+                        f"NocParameters.max_hops (currently {params.max_hops})")))
+                wide = [port for port in route if port >= params.max_radix]
+                if wide:
+                    found.append(Violation("port", (src, dst), (
+                        f"route {src}->{dst} uses port {wide[0]}; raise "
+                        f"NocParameters.port_bits (currently {params.port_bits})")))
+            self._unencodable[key] = tuple(found)
+        return self._unencodable[key]
 
     def route(self, src_ni: str, dst_ni: str) -> Route:
         """The port route from ``src_ni`` to ``dst_ni``."""
@@ -181,3 +212,74 @@ class RouteSet:
             entry = (Route(ports), ((src_ni, path[0]), *hops))
             self._routes[(src_ni, dst_ni)] = entry
         return entry
+
+
+#: A link carries at most one flit per cycle.
+LINK_CAPACITY_FLITS_PER_CYCLE = 1.0
+#: The share of that capacity an average load may take: headroom for
+#: the ACK/NACK retransmissions and burstiness that an average-rate
+#: analysis cannot see.
+BANDWIDTH_MARGIN = 0.8
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One reason a NoC cannot be built.
+
+    ``kind`` is ``"node_ids"`` (``where`` is empty: the whole NoC),
+    ``"hops"`` or ``"port"`` (an NI pair), ``"link_override"`` (the
+    connections named) or ``"bandwidth"`` (a channel).
+    """
+
+    kind: str
+    where: Tuple[str, ...]
+    message: str
+
+
+def violations(
+    route_set: RouteSet,
+    config,
+    loads: Optional[Mapping[Channel, float]] = None,
+) -> List[Violation]:
+    """Every reason ``route_set`` cannot be built under ``config`` (a
+    :class:`~repro.core.config.NocBuildConfig`): too many NIs for the
+    node id field, a LUT route the route field cannot encode, a link
+    override that names no connection and -- given ``loads``, each
+    channel's average flits per cycle -- a channel loaded past
+    :data:`BANDWIDTH_MARGIN` of its capacity, worst first.  Empty means
+    buildable."""
+    topo, params = route_set.topology, config.params
+    found: List[Violation] = []
+    nis = len(topo.initiators) + len(topo.targets)
+    if nis > params.max_nodes:
+        found.append(Violation("node_ids", (), (
+            f"{nis} NIs exceed the {params.node_id_bits}-bit "
+            f"node id space ({params.max_nodes})")))
+    found += route_set.unencodable(params)
+    if config.link_overrides:
+        known = {frozenset(e) for e in topo.edges}
+        known |= {frozenset((ni, topo.switch_of(ni))) for ni in topo.nis}
+        unknown = sorted("-".join(sorted(k)) for k in set(config.link_overrides) - known)
+        if unknown:
+            found.append(Violation("link_override", tuple(unknown), (
+                "link_overrides name connections that do not exist: "
+                + ", ".join(unknown))))
+    hot = [(channel, flits) for channel, flits in (loads or {}).items()
+           if flits > BANDWIDTH_MARGIN * LINK_CAPACITY_FLITS_PER_CYCLE]
+    for (src, dst), flits in sorted(hot, key=lambda item: -item[1]):
+        found.append(Violation("bandwidth", (src, dst), (
+            f"link {src}->{dst} carries {flits:.2f} flits/cycle, over "
+            f"{BANDWIDTH_MARGIN:.0%} of its capacity")))
+    return found
+
+
+def refusal(found: Iterable[Violation]) -> List[str]:
+    """One line per violated kind: its first message, and how many more
+    of that kind follow."""
+    first: Dict[str, str] = {}
+    count: Dict[str, int] = {}
+    for v in found:
+        first.setdefault(v.kind, v.message)
+        count[v.kind] = count.get(v.kind, 0) + 1
+    return [msg + (f" (and {count[kind] - 1} more)" if count[kind] > 1 else "")
+            for kind, msg in first.items()]

@@ -21,7 +21,7 @@ estimations.  This package implements that front end:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "bandwidth": ("LinkLoad", "check_feasibility", "link_loads"),
+    "bandwidth": ("demand_routes", "route_loads"),
     "dse": ("DesignPoint", "explore_design_space", "pareto_frontier", "render_space"),
     "floorplan": ("Floorplan", "floorplan_topology"),
     "keying": ("stable_repr",),

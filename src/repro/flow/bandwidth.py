@@ -1,40 +1,22 @@
-"""Link bandwidth feasibility analysis.
+"""Link bandwidth loads.
 
 A mapping is only viable if no link is asked to carry more traffic than
 it physically can -- the constraint SunMap checks before handing a
-topology to the compiler.  Given a mapped topology and the application's
-core graph, this module routes every demand along its actual source
-route, accumulates per-link load, converts it into flits/cycle (header
-overhead included) and flags violations against the link capacity of
-one flit per cycle.
+topology to the compiler.  Given a mapped topology's routes and the
+application's core graph, this module routes every demand along its
+actual source route and accumulates per-link load in flits/cycle
+(header overhead included); :func:`repro.core.routing.violations`
+judges those loads against the link capacity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import NocParameters
 from repro.core.packet import PacketHeader
 from repro.core.routing import Channel, RouteSet
 from repro.flow.taskgraph import CoreGraph
-from repro.network.topology import Topology
-
-#: A link carries at most one flit per cycle.
-LINK_CAPACITY_FLITS_PER_CYCLE = 1.0
-
-
-@dataclass(frozen=True)
-class LinkLoad:
-    """Load on one unidirectional link, in flits per cycle."""
-
-    src: str  # switch or NI name
-    dst: str
-    flits_per_cycle: float
-
-    @property
-    def utilization(self) -> float:
-        return self.flits_per_cycle / LINK_CAPACITY_FLITS_PER_CYCLE
 
 
 def flits_per_transaction(params: NocParameters, burst_len: int) -> float:
@@ -80,61 +62,12 @@ def route_loads(
     routes: Sequence[DemandRoute],
     params: NocParameters,
     burst_len: int = 4,
-) -> Dict[Tuple[str, str], LinkLoad]:
-    """Per-link flit load of :func:`demand_routes` under ``params``."""
-    loads: Dict[Tuple[str, str], float] = {}
+) -> Dict[Channel, float]:
+    """Flits per cycle on every channel :func:`demand_routes` cross,
+    under ``params``; NI injection and ejection links included."""
+    loads: Dict[Channel, float] = {}
     for rate, links in routes:
         flits = demand_to_flit_rate(rate, params, burst_len)
         for link in links:
             loads[link] = loads.get(link, 0.0) + flits
-    return {
-        key: LinkLoad(src=key[0], dst=key[1], flits_per_cycle=v)
-        for key, v in loads.items()
-    }
-
-
-def link_loads(
-    topology: Topology,
-    core_graph: CoreGraph,
-    params: NocParameters,
-    burst_len: int = 4,
-) -> Dict[Tuple[str, str], LinkLoad]:
-    """Per-link flit load when every demand follows its source route
-    under the topology's default policy.
-
-    Links are identified by (from-element, to-element) pairs in the
-    direction of flow; NI injection and ejection links are included.
-    """
-    return route_loads(demand_routes(RouteSet(topology), core_graph), params, burst_len)
-
-
-def check_feasibility(
-    topology: Topology,
-    core_graph: CoreGraph,
-    params: NocParameters,
-    burst_len: int = 4,
-    margin: float = 0.8,
-) -> Tuple[bool, List[LinkLoad]]:
-    """Is the mapping's worst link within ``margin`` of capacity?
-
-    Returns (feasible, overloaded links sorted worst-first).  ``margin``
-    below 1.0 keeps headroom for the ACK/NACK retransmission overhead
-    and burstiness that average-rate analysis cannot see.
-    """
-    return feasibility(link_loads(topology, core_graph, params, burst_len), margin)
-
-
-def feasibility(
-    loads: Dict[Tuple[str, str], LinkLoad],
-    margin: float = 0.8,
-) -> Tuple[bool, List[LinkLoad]]:
-    """:func:`check_feasibility` of loads already computed."""
-    if not 0 < margin <= 1.0:
-        raise ValueError("margin must be in (0, 1]")
-    hot = [
-        load
-        for load in loads.values()
-        if load.flits_per_cycle > margin * LINK_CAPACITY_FLITS_PER_CYCLE
-    ]
-    hot.sort(key=lambda x: -x.flits_per_cycle)
-    return (not hot, hot)
+    return loads

@@ -23,8 +23,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 #: Bumped when the library changes in ways that invalidate cached
 #: results wholesale (e.g. measurement-semantics fixes).  v2: sweep
 #: points now carry a :class:`~repro.flow.runner.RunManifest`, so
-#: pre-manifest pickles must not be served.
-CACHE_VERSION = 2
+#: pre-manifest pickles must not be served.  v3: a point whose routes
+#: the packet header cannot encode is infeasible
+#: (:func:`repro.core.routing.violations`).
+CACHE_VERSION = 3
 
 
 class Rendered(str):

@@ -1,32 +1,26 @@
 """Topology selection: the "power of abstraction" loop.
 
-For each candidate fabric the flow maps the application, checks link
-bandwidth, runs the analytic synthesis models and estimates average
-transaction latency -- then ranks candidates by a user-weighted
-objective.  This is the paper's F7 experiment: different topologies for
-the same application trade clock frequency, area and cycle counts
-(e.g. 925 MHz / 0.51 mm² / +10% performance vs 850 MHz / 0.42 mm² /
--14% area).  A candidate's floorplan (placement, wire lengths, link
-pipelining) is derived from it on demand: no estimate reads it.
+For each candidate fabric the flow maps the application, checks that
+the result can be built (header fields, link bandwidth), runs the
+analytic synthesis models and estimates average transaction latency --
+then ranks candidates by a user-weighted objective.  This is the
+paper's F7 experiment: different topologies for the same application
+trade clock frequency, area and cycle counts (e.g. 925 MHz / 0.51 mm² /
++10% performance vs 850 MHz / 0.42 mm² / -14% area).  A candidate's
+floorplan (placement, wire lengths, link pipelining) is derived from it
+on demand: no estimate reads it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import NocBuildConfig, NocParameters
-from repro.core.routing import RouteSet
-from repro.flow.bandwidth import (
-    DemandRoute,
-    LinkLoad,
-    demand_routes,
-    feasibility,
-    flits_per_transaction,
-    route_loads,
-)
+from repro.core.routing import RouteSet, Violation, violations
+from repro.flow.bandwidth import DemandRoute, demand_routes, flits_per_transaction, route_loads
 from repro.flow.floorplan import Floorplan, floorplan_topology
 from repro.flow.mapping import anneal_mapping, apply_mapping, greedy_mapping, mapping_cost
 from repro.flow.taskgraph import CoreGraph
@@ -52,8 +46,13 @@ class CandidateResult:
     mean_cycles: float  # demand-weighted transaction latency in cycles
     mean_latency_ns: float
     mapping_cost: float
-    feasible: bool = True  # all links within bandwidth margin
-    overloaded: "List[LinkLoad]" = None  # type: ignore[assignment]
+    #: Why the simulator would refuse this NoC
+    #: (:func:`repro.core.routing.violations`); empty when buildable.
+    violations: List[Violation] = field(default_factory=list)
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
     @property
     def name(self) -> str:
@@ -207,14 +206,16 @@ def estimate_candidate(
     Reads the placement, never changes it, so results of one
     :class:`MappedFabric` share its topology and mapping objects; what
     the placement alone decides (hop counts, routes, the census of
-    component instances) is derived once per fabric, and only the
-    models that read width and depth run per point."""
+    component instances, the LUT routes the header cannot encode) is
+    derived once per fabric, and only the models that read width and
+    depth run per point.  Feasible means the simulator would build it:
+    :func:`repro.core.routing.violations` finds nothing."""
     topo, mapping, cost = mapped.placement
+    config = config or NocBuildConfig()
     report = synthesize_noc(mapped.census, config, target_freq_mhz=target_freq_mhz)
     freq = min(report.min_max_freq_mhz, target_freq_mhz)
-    params = (config.params if config is not None else None) or NocParameters()
-    cycles = mean_cycles(mapped.hops, params)
-    feasible, overloaded = feasibility(route_loads(mapped.routes, params))
+    cycles = mean_cycles(mapped.hops, config.params)
+    found = violations(mapped.route_set, config, route_loads(mapped.routes, config.params))
     return CandidateResult(
         topology=topo,
         mapping=mapping,
@@ -225,8 +226,7 @@ def estimate_candidate(
         mean_cycles=cycles,
         mean_latency_ns=cycles / (freq / 1000.0),
         mapping_cost=cost,
-        feasible=feasible,
-        overloaded=overloaded,
+        violations=found,
     )
 
 
@@ -263,8 +263,8 @@ def select_topology(
     if not candidates:
         raise ValueError("need at least one candidate topology")
     if objective is None:
-        # Minimise latency x area; bandwidth-infeasible candidates are
-        # pushed to the bottom regardless of their other merits.
+        # Minimise latency x area; infeasible candidates are pushed to
+        # the bottom regardless of their other merits.
         objective = lambda r: (  # noqa: E731
             (0 if r.feasible else 1),
             r.mean_latency_ns * r.area_mm2,

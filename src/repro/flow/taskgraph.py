@@ -144,9 +144,6 @@ class CoreGraph:
             total += self.rates[b][a]
         return total
 
-    def total_demand(self) -> float:
-        return sum(r for _, _, r in self.demands())
-
     def initiator_demands(self, initiator: str) -> Dict[str, float]:
         """Demand of one master per target, both directions combined.
 

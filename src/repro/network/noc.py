@@ -6,7 +6,8 @@ simulation view does for the SystemC one: given a
 
 1. reads the source route of every NI pair from one
    :class:`~repro.core.routing.RouteSet` (dimension-order on full
-   grids, shortest-path otherwise),
+   grids, shortest-path otherwise) and refuses what
+   :func:`~repro.core.routing.violations` finds unbuildable,
 2. instantiates one :class:`~repro.core.switch.Switch` per topology
    switch with its derived radix,
 3. instantiates :class:`~repro.core.ni.InitiatorNI` /
@@ -31,7 +32,7 @@ from repro.core.flow_control import window_for_link
 from repro.core.link import Link
 from repro.core.ni import InitiatorNI, TargetNI
 from repro.core.ocp import OcpMasterPort, OcpSlavePort
-from repro.core.routing import AddressMap, RouteSet, RoutingTable
+from repro.core.routing import AddressMap, RouteSet, RoutingTable, refusal, violations
 from repro.core.switch import Switch
 from repro.network.cores import OcpMemorySlave, OcpTrafficMaster
 from repro.network.topology import Topology
@@ -54,43 +55,20 @@ class Noc:
         self.topology = topology
         self.config = config or NocBuildConfig()
         self.sim = Simulator(tracer, kernel=self.config.kernel)
-        params = self.config.params
 
         all_nis = topology.initiators + topology.targets
-        if len(all_nis) > params.max_nodes:
-            raise SimulationError(
-                f"{len(all_nis)} NIs exceed the {params.node_id_bits}-bit "
-                f"node id space ({params.max_nodes})"
-            )
         self.node_ids: Dict[str, int] = {ni: i for i, ni in enumerate(all_nis)}
         self.address_map = AddressMap(topology.targets)
-
         self.credit_mode = self.config.flow_control == "credit"
-        if self.credit_mode:
-            rates = [self.config.link.error_rate] + [
-                lc.error_rate for lc in self.config.link_overrides.values()
-            ]
-            if any(r > 0 for r in rates) or self.config.crc_mode:
-                raise SimulationError(
-                    "credit flow control assumes reliable links: it cannot "
-                    "retransmit, so error injection/CRC mode is rejected "
-                    "(use ack_nack for unreliable links)"
-                )
-            if self.config.pipeline_stages != 2:
-                raise SimulationError(
-                    "credit mode models only the 2-stage switch"
-                )
-            if self.config.link_resync_timeout is not None:
-                raise SimulationError(
-                    "link_resync_timeout is a go-back-N recovery knob; "
-                    "credit senders cannot retransmit"
-                )
         self.codec = (
-            codec_for_flit_width(params.flit_width) if self.config.crc_mode else None
+            codec_for_flit_width(self.config.params.flit_width)
+            if self.config.crc_mode else None
         )
         self.route_set = RouteSet(topology, self.config.routing_policy)
         self.routing_policy = self.route_set.policy
-        self._check_routes()
+        found = violations(self.route_set, self.config)
+        if found:
+            raise SimulationError("; ".join(refusal(found)))
 
         self._build_fabric()
         self._build_nis()
@@ -102,22 +80,6 @@ class Noc:
         self.slaves: Dict[str, OcpMemorySlave] = {}
 
     # -- construction ------------------------------------------------------
-    def _check_routes(self) -> None:
-        params = self.config.params
-        for src, dst in self.route_set.pairs():
-            route = self.route_set.route(src, dst)
-            if route.hops > params.max_hops:
-                raise SimulationError(
-                    f"route {src}->{dst} needs {route.hops} hops; raise "
-                    f"NocParameters.max_hops (currently {params.max_hops})"
-                )
-            for port in route:
-                if port >= params.max_radix:
-                    raise SimulationError(
-                        f"route {src}->{dst} uses port {port}; raise "
-                        f"NocParameters.port_bits (currently {params.port_bits})"
-                    )
-
     def _build_fabric(self) -> None:
         """Create channels, links and switches."""
         topo, cfg, sim = self.topology, self.config, self.sim
@@ -135,18 +97,6 @@ class Noc:
         # Per-NI channels (NI transmit toward fabric, NI receive from it).
         self._ni_tx: Dict[str, object] = {}
         self._ni_rx: Dict[str, object] = {}
-
-        # Guard against silently ignored overrides (typoed names).
-        valid_pairs = {frozenset(e) for e in topo.edges}
-        valid_pairs |= {
-            frozenset((ni, topo.switch_of(ni))) for ni in topo.nis
-        }
-        unknown = set(cfg.link_overrides) - valid_pairs
-        if unknown:
-            pretty = ", ".join(sorted("-".join(sorted(k)) for k in unknown))
-            raise SimulationError(
-                f"link_overrides name connections that do not exist: {pretty}"
-            )
 
         link_seed = cfg.seed
         done_edges = set()

@@ -195,11 +195,3 @@ def assert_all_clean(masters: Dict[str, CheckedTrafficMaster]) -> None:
     """Raise on the first master whose scoreboard saw corruption."""
     for master in masters.values():
         master.assert_clean()
-
-
-def scoreboard_digest(masters: Dict[str, CheckedTrafficMaster]) -> str:
-    """One sha256 over every checked master's scoreboard, sorted by name."""
-    import hashlib
-
-    lines = [f"{name} {masters[name].digest()}" for name in sorted(masters)]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

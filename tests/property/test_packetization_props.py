@@ -15,6 +15,7 @@ from repro.core.packetizer import (
     decompose_bits,
     recompose_bits,
 )
+from repro.flow.bandwidth import flits_per_transaction
 
 params_strategy = st.builds(
     NocParameters,
@@ -90,13 +91,14 @@ class TestPacketizationProps:
     def test_full_roundtrip(self, params_and_packet):
         params, packet = params_and_packet
         flits = Packetizer(params).decompose(packet)
-        assert len(flits) == packet.flit_count(params)
+        assert len(flits) == flits_per_transaction(params, len(packet.payload))
         # Deliver with the route fully consumed, as at the far NI.
         dp = Depacketizer(params)
         out = None
         for f in flits:
             if f.is_head:
-                f = f.with_route_offset(len(packet.header.route))
+                for _ in packet.header.route:
+                    f = f.advance_route()
             result = dp.feed(f)
             if result is not None:
                 out = result

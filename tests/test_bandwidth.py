@@ -1,14 +1,15 @@
-"""Unit tests for link bandwidth feasibility analysis."""
+"""Unit tests for link bandwidth loads and the verdict's bandwidth kind."""
 
 import pytest
 
-from repro.core.config import NocParameters
+from repro.core.config import NocBuildConfig, NocParameters
 from repro.core.packet import PacketHeader
+from repro.core.routing import BANDWIDTH_MARGIN, RouteSet, violations
 from repro.flow.bandwidth import (
-    check_feasibility,
+    demand_routes,
     demand_to_flit_rate,
     flits_per_transaction,
-    link_loads,
+    route_loads,
 )
 from repro.flow.taskgraph import CoreGraph, CoreSpec
 from repro.network.topology import mesh
@@ -40,6 +41,15 @@ def attached_line(cg):
     topo.attach("mem0", "sw_1_0")
     topo.attach("mem1", "sw_1_0")
     return topo
+
+
+def link_loads(topo, cg, params):
+    return route_loads(demand_routes(RouteSet(topo), cg), params)
+
+
+def verdict(topo, cg, params):
+    return violations(RouteSet(topo), NocBuildConfig(params=params),
+                      link_loads(topo, cg, params))
 
 
 class TestConversions:
@@ -75,7 +85,7 @@ class TestLinkLoads:
         # Both flows cross the single sw_0_0 -> sw_1_0 trunk.
         trunk = loads[("sw_0_0", "sw_1_0")]
         single = demand_to_flit_rate(100.0, p)
-        assert trunk.flits_per_cycle == pytest.approx(2 * single)
+        assert trunk == pytest.approx(2 * single)
 
     def test_ejection_links_counted(self):
         cg = two_pair_graph()
@@ -95,27 +105,30 @@ class TestFeasibility:
     def test_light_load_feasible(self):
         cg = two_pair_graph(rate=50.0)
         topo = attached_line(cg)
-        ok, hot = check_feasibility(topo, cg, NocParameters(flit_width=32))
-        assert ok and hot == []
+        assert verdict(topo, cg, NocParameters(flit_width=32)) == []
 
     def test_overload_flagged_worst_first(self):
         cg = two_pair_graph(rate=1800.0)  # ~1.8 words/cycle on the trunk
         topo = attached_line(cg)
-        ok, hot = check_feasibility(topo, cg, NocParameters(flit_width=32))
-        assert not ok
-        assert hot[0].flits_per_cycle == max(h.flits_per_cycle for h in hot)
-        assert hot[0].utilization > 1.0
+        p = NocParameters(flit_width=32)
+        hot = verdict(topo, cg, p)
+        assert hot and {v.kind for v in hot} == {"bandwidth"}
+        loads = [link_loads(topo, cg, p)[v.where] for v in hot]
+        assert loads == sorted(loads, reverse=True)
+        assert loads[0] > 1.0
+        assert hot[0].message.startswith("link sw_0_0->sw_1_0 carries ")
 
     def test_wider_flits_restore_feasibility(self):
         cg = two_pair_graph(rate=450.0)
         topo = attached_line(cg)
-        ok_narrow, _ = check_feasibility(topo, cg, NocParameters(flit_width=16))
-        ok_wide, _ = check_feasibility(topo, cg, NocParameters(flit_width=128))
-        assert not ok_narrow
-        assert ok_wide
+        assert verdict(topo, cg, NocParameters(flit_width=16)) != []
+        assert verdict(topo, cg, NocParameters(flit_width=128)) == []
 
-    def test_margin_validated(self):
+    def test_the_margin_is_the_threshold(self):
         cg = two_pair_graph()
         topo = attached_line(cg)
-        with pytest.raises(ValueError):
-            check_feasibility(topo, cg, NocParameters(), margin=0.0)
+        routes = RouteSet(topo)
+        trunk = ("sw_0_0", "sw_1_0")
+        for load, flagged in ((BANDWIDTH_MARGIN, False), (BANDWIDTH_MARGIN + 1e-9, True)):
+            found = violations(routes, NocBuildConfig(), {trunk: load})
+            assert [v.where for v in found] == ([trunk] if flagged else [])

@@ -362,14 +362,15 @@ class TestReplicatedCampaign:
         ).cache_token()
 
     def test_store_keys_are_the_parent_commits(self):
-        # Literals computed at the commit before the scalar/replicated
-        # bodies were merged (PR 13): stores written then stay valid.
+        # The keys the commit before the scalar/replicated bodies were
+        # merged gave, with the preimage's CACHE_VERSION moved to 3:
+        # under version 2 this tree still computes that commit's.
         spec = campaign_spec()
-        scalar = "2c5bfa4b2805fd8f9ee982f1d2d1f327e3f643d04936b8b7067b8d1b06666fe3"
+        scalar = "8581df744684e5842407d507a35e6deadefe5435590781068dadd43b5c872df4"
         assert point_key(run_campaign, spec) == scalar
         assert point_key(ReplicatedCampaign(), spec) == scalar
         assert point_key(ReplicatedCampaign(3), spec) == (
-            "cff8d7ae9850c5ef68d1b38ad8c6101aa091441d602fc93958bed0ab0fe9d393"
+            "862a1eaf59cc06e952a6f62758e03ef3d81b3873b27a6984bdb2aa6f3e5c14f7"
         )
 
     def test_one_lane_is_the_parent_commits_scalar_result(self):
@@ -417,8 +418,9 @@ class TestReplicatedSweeps:
 
     def test_replicated_lane_key_is_the_parent_commits(self):
         # One lane of the 3-replica sweep above, keyed exactly as the
-        # commit before the merge keyed it; the one-lane sweep's point
-        # is now lane 0 of the same family (documented key move).
+        # commit before the merge keyed it (CACHE_VERSION now 3); the
+        # one-lane sweep's point is now lane 0 of the same family
+        # (documented key move).
         builder = TopologyNocBuilder(mesh, (2, 2), n_initiators=2, n_targets=2)
         runner = ExperimentRunner()
         pts = load_sweep(
@@ -427,10 +429,10 @@ class TestReplicatedSweeps:
         )
         lane0, lane1 = (m.key for m in runner.last_manifests)
         assert lane0 == (
-            "b182f88373f1b4c4fe967f5b8ba7c03ebee97cc77187df10ee31e4a9c6ebd068"
+            "aa1a40eae74321e3111838ade1e5a8b506f4efbfaa740e947eb27daf2736e534"
         )
         assert lane1 == (
-            "6d2ade6843467e211bf249479c826210b51eda620b2ba4fab59db82c94902987"
+            "37cb8f4df6ffca8eac7d0c1e124cd2032df3b255c211fc1d0af9b9d5dfa55d16"
         )
         assert pts[0].manifest.key == lane0
         (scalar,) = load_sweep(

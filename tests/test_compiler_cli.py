@@ -94,6 +94,17 @@ def demo_doc(**changes):
     return json.dumps(doc)
 
 
+def mapped_spec(soc, fabric, max_radix):
+    """The spec of one design-space candidate, mapped as the DSE maps it."""
+    from repro.compiler import NocSpecification
+    from repro.flow.selection import MappedFabric
+    from repro.serve.service import core_graph_from_name, topology_from_name
+
+    mapped = MappedFabric(core_graph_from_name(soc), topology_from_name(fabric),
+                          max_radix=max_radix, anneal_iterations=1500, seed=0)
+    return NocSpecification.from_topology(mapped.placement[0]).to_json()
+
+
 def demo_edit(key, edit):
     """The demo spec with ``edit(doc[key])`` in place of ``doc[key]``."""
     doc = json.loads(demo_doc())
@@ -102,8 +113,9 @@ def demo_edit(key, edit):
 
 
 class TestBadSpec:
-    """A spec that does not load or does not route is refused with one
-    error line and exit 2, before any view is produced."""
+    """A spec that does not load, does not route or that the simulator
+    would refuse is refused with one error line per violated kind and
+    exit 2, before any view is produced."""
 
     @pytest.mark.parametrize("text, reason", [
         ("{not json", "Expecting property name"),
@@ -128,12 +140,24 @@ class TestBadSpec:
         (demo_edit("edges", lambda edges: [edges[0] + ["sw_1_1"]] + edges[1:]),
          "edges[0]: expected a list of 2"),
         (demo_doc(switches="abc"), "switches: expected a list, got 'abc'"),
+        (mapped_spec("telecom", "mesh-5x5", 4), "route ctl_cpu->dram needs 9 hops"),
+        (mapped_spec("multimedia", "mesh-2x2", 16),
+         "uses port 8; raise NocParameters.port_bits (currently 3)"),
+        (demo_doc(flow_control="credit", crc_mode=True),
+         "credit flow control assumes reliable links"),
+        (demo_doc(flow_control="credit", pipeline_stages=7),
+         "credit mode models only the 2-stage switch"),
+        (demo_doc(link_overrides={"nope|sw_0_0": {"stages": 2}}),
+         "link_overrides name connections that do not exist: nope-sw_0_0"),
+        (demo_doc(params={"node_id_bits": 1}), "4 NIs exceed the 1-bit node id space (2)"),
     ], ids=["malformed-json", "deeply-nested-json", "empty-object", "not-an-object", "unknown-policy",
             "unknown-parameter", "holey-grid-explicit-dor", "buffer-depth-not-int",
             "buffer-depth-out-of-range", "pipeline-stages-out-of-range",
             "ni-max-outstanding-out-of-range", "unknown-flow-control", "seed-is-bool",
             "unknown-key", "initiator-flag-not-bool", "coord-not-int",
-            "edge-of-three", "switches-not-a-list"])
+            "edge-of-three", "switches-not-a-list", "nine-hop-route", "port-past-the-field",
+            "credit-with-crc", "credit-with-seven-stages", "override-of-no-link",
+            "node-ids-past-the-field"])
     @pytest.mark.parametrize("action", ["--tables", "--report", "-o"])
     def test_is_refused_with_one_error_line(self, tmp_path, capsys, text, reason, action):
         path = tmp_path / "bad.json"
@@ -147,6 +171,23 @@ class TestBadSpec:
         assert reason in captured.err
         assert captured.err.count("\n") == 1
         assert not out_dir.exists()
+
+    def test_each_violated_kind_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(demo_doc(params={"node_id_bits": 1, "max_hops": 1},
+                                 link_overrides={"nope|sw_0_0": {"stages": 2}}))
+        assert compile_(str(path), "--tables") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"repro compile: error: {path}: "
+        lines = captured.err.splitlines()
+        assert all(line.startswith(prefix) for line in lines)
+        assert [line[len(prefix):] for line in lines] == [
+            "4 NIs exceed the 1-bit node id space (2)",
+            "route cpu0->mem0 needs 2 hops; raise NocParameters.max_hops (currently 1) "
+            "(and 7 more)",
+            "link_overrides name connections that do not exist: nope-sw_0_0",
+        ]
 
     def test_a_missing_file_is_refused(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

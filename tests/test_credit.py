@@ -20,7 +20,7 @@ from repro.network.scoreboard import (
     private_stripe_patterns,
 )
 from repro.network.topology import attach_round_robin, mesh
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import Simulator
 from tests.harness import packet_flits
 
 
@@ -215,7 +215,7 @@ class TestCreditNoc:
     def test_error_injection_rejected(self):
         topo = mesh(2, 2)
         attach_round_robin(topo, 1, 1)
-        with pytest.raises(SimulationError, match="reliable links"):
+        with pytest.raises(ValueError, match="reliable links"):
             Noc(topo, NocBuildConfig(
                 flow_control="credit", link=LinkConfig(error_rate=0.01)
             ))
@@ -312,7 +312,7 @@ class TestFlowControlDifferential:
     def test_credit_mode_rejects_resync_timeout(self):
         topo = mesh(2, 2)
         attach_round_robin(topo, 2, 2)
-        with pytest.raises(SimulationError, match="resync"):
+        with pytest.raises(ValueError, match="resync"):
             Noc(topo, NocBuildConfig(
                 flow_control="credit", link_resync_timeout=40
             ))

@@ -11,6 +11,8 @@ over real NoCs -- and the unit tests pin the kernel-level contract
 ``run_until`` error paths).
 """
 
+import hashlib
+
 import pytest
 
 from repro.network.experiments import TopologyNocBuilder, verify_fast_path
@@ -19,11 +21,16 @@ from repro.network.scoreboard import (
     add_checked_masters,
     assert_all_clean,
     private_stripe_patterns,
-    scoreboard_digest,
 )
 from repro.network.topology import mesh, ring
 from repro.sim.component import Component
 from repro.sim.kernel import SimulationError, Simulator
+
+
+def scoreboard_digest(masters) -> str:
+    """One sha256 over every checked master's scoreboard, sorted by name."""
+    lines = [f"{name} {masters[name].digest()}" for name in sorted(masters)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,8 @@ class TestStageTwoReadsThePlacementOnce:
     @pytest.mark.parametrize("graph", ["multimedia", "telecom", "heavy"])
     def test_a_point_equals_the_per_point_functions(self, graph):
         from repro.core.config import NocParameters
-        from repro.flow.bandwidth import check_feasibility
+        from repro.core.routing import RouteSet, violations
+        from repro.flow.bandwidth import demand_routes, route_loads
         from repro.flow.selection import MappedFabric, estimate_candidate
         from repro.network.noc import NocBuildConfig
         from repro.serve.service import core_graph_from_name, topology_from_name
@@ -175,7 +176,9 @@ class TestStageTwoReadsThePlacementOnce:
                                          buffer_depth=depth)
                     got = estimate_candidate(mapped, cfg, target_freq_mhz=1200)
                     report = synthesize_noc(topo, cfg, target_freq_mhz=1200)
-                    feasible, hot = check_feasibility(topo, cg, cfg.params)
+                    routes = RouteSet(topo)
+                    found = violations(routes, cfg, route_loads(
+                        demand_routes(routes, cg), cfg.params))
                     assert got.report.components == report.components
                     assert report.components[:-1] == _per_instance_components(
                         topo, cfg, 1200)
@@ -186,8 +189,9 @@ class TestStageTwoReadsThePlacementOnce:
                         min(report.min_max_freq_mhz, 1200))
                     assert got.mean_cycles == estimate_mean_cycles(
                         cg, topo, mapping, params=cfg.params)
-                    assert (got.feasible, got.overloaded) == (feasible, hot)
-                    infeasible += not feasible
+                    assert got.violations == found
+                    assert got.feasible == (not found)
+                    infeasible += not got.feasible
         # The heavy case exercises the overloaded-link ordering too.
         assert (infeasible > 0) == (graph == "heavy")
 
@@ -197,7 +201,9 @@ class TestStageTwoReadsThePlacementOnce:
         from repro.serve.service import core_graph_from_name, topology_from_name
         from repro.synth import report
 
-        calls = {"route_set": 0, "census": 0, "switch_model": 0}
+        from repro.core.routing import RouteSet
+
+        calls = {"route_set": 0, "census": 0, "switch_model": 0, "lut_walk": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -205,9 +211,11 @@ class TestStageTwoReadsThePlacementOnce:
                 return real(*args, **kwargs)
             return wrapper
 
-        # Hop counts and link routes both read one route set per fabric.
+        # Hop counts, link routes and the verdict's header check read one
+        # route set per fabric, and its LUT pairs are walked once.
         monkeypatch.setattr(selection, "RouteSet",
                             counted("route_set", selection.RouteSet))
+        monkeypatch.setattr(RouteSet, "pairs", counted("lut_walk", RouteSet.pairs))
         census_of = counted("census", selection.NocCensus.of)
         monkeypatch.setattr(selection, "NocCensus", type(
             "CountedCensus", (), {"of": staticmethod(census_of)}))
@@ -219,7 +227,7 @@ class TestStageTwoReadsThePlacementOnce:
             buffer_depths=(2, 6), seed=5, anneal_iterations=100,
         )
         assert len(points) == 5 * 6
-        assert calls["route_set"] == calls["census"] == 5
+        assert calls["route_set"] == calls["census"] == calls["lut_walk"] == 5
         # One switch model per distinct radix per point, not per switch.
         mapped = [selection.MappedFabric(core_graph_from_name("telecom"), f,
                                          anneal_iterations=100, seed=5)
@@ -260,7 +268,7 @@ class TestSelectTopology:
         res = evaluate_candidate(core_graph, mesh(2, 2), seed=1)
         # The demo SoC's demands are far below link capacity.
         assert res.feasible
-        assert res.overloaded == []
+        assert res.violations == []
 
     def test_infeasible_candidates_rank_last(self, core_graph):
         """Scale demands up until links overload; the default objective

@@ -88,11 +88,11 @@ class TestCoreGraph:
         cg.add_demand("mem1", "cpu0", 6)
         assert cg.initiator_demands("cpu0") == {"mem0": 10, "mem1": 6}
 
-    def test_total_demand(self):
+    def test_demands_lists_each_demand(self):
         cg = CoreGraph("c", cores())
         cg.add_demand("cpu0", "mem0", 10)
         cg.add_demand("cpu1", "mem1", 5)
-        assert cg.total_demand() == 15
+        assert cg.demands() == [("cpu0", "mem0", 10), ("cpu1", "mem1", 5)]
 
 
 class TestDemoSoc:
@@ -101,7 +101,7 @@ class TestDemoSoc:
         assert set(assignment) == set(tg.tasks)
         assert len(cg.initiators) == 4
         assert len(cg.targets) == 4
-        assert cg.total_demand() > 0
+        assert sum(rate for _, _, rate in cg.demands()) > 0
 
     def test_demo_demands_touch_every_core(self):
         _, _, cg = demo_multimedia_soc()
@@ -118,7 +118,7 @@ class TestTelecomDemo:
         assert set(assignment) == set(tg.tasks)
         assert len(cg.initiators) == 5
         assert len(cg.targets) == 5
-        assert cg.total_demand() > 0
+        assert sum(rate for _, _, rate in cg.demands()) > 0
 
     def test_folding_keeps_demand_directions_legal(self):
         _, _, cg = demo_telecom_soc()

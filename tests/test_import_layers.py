@@ -251,3 +251,46 @@ class TestOneCodec:
                     for kw in node.keywords)
         ]
         assert offenders == []
+
+
+#: The module that holds the buildability verdict, and the comparisons
+#: against a header limit that are not a build refusal: the field's own
+#: range, the per-packet safety check and the query service's input
+#: bound.
+VERDICT = "repro/core/routing.py"
+HEADER_LIMITS = ("max_hops", "max_nodes", "max_radix")
+NOT_A_REFUSAL = {
+    "repro/core/config.py": "NocParameters.__post_init__",
+    "repro/core/packet.py": "PacketHeader.validate",
+    "repro/serve/service.py": "QuerySpec.__post_init__",
+}
+
+
+def _exempt_nodes(rel, tree) -> set:
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if f"{cls.name}.{getattr(fn, 'name', '')}" == NOT_A_REFUSAL.get(rel):
+                    exempt |= {id(node) for node in ast.walk(fn)}
+    return exempt
+
+
+class TestOneVerdict:
+    def test_only_the_verdict_compares_against_a_header_limit(self):
+        """``Noc``, ``compile`` and the estimate refuse the same NoCs
+        because only ``repro.core.routing.violations`` (with its route
+        set) holds a route, a port or an NI count against the header."""
+        offenders = []
+        for rel, tree in src_trees():
+            if rel == VERDICT:
+                continue
+            exempt = _exempt_nodes(rel, tree)
+            offenders += [
+                f"{rel}:{node.lineno} .{operand.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and id(node) not in exempt
+                for operand in (node.left, *node.comparators)
+                if isinstance(operand, ast.Attribute) and operand.attr in HEADER_LIMITS
+            ]
+        assert offenders == []

@@ -9,6 +9,7 @@ from repro.core.packet import (
     PacketHeader,
     PacketKind,
 )
+from repro.flow.bandwidth import flits_per_transaction
 
 
 def header(**kw):
@@ -117,7 +118,7 @@ class TestPacket:
         h = header(kind=PacketKind.READ_REQ)
         p = Packet(header=h)
         bits = PacketHeader.bit_width(params32)
-        assert p.flit_count(params32) == -(-bits // 32)
+        assert flits_per_transaction(params32, len(p.payload)) == -(-bits // 32)
 
     def test_packet_ids_unique(self, params32):
         a = Packet(header=header())

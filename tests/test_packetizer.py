@@ -12,6 +12,7 @@ from repro.core.packetizer import (
     decompose_bits,
     recompose_bits,
 )
+from repro.flow.bandwidth import flits_per_transaction
 
 
 def make_packet(kind=PacketKind.WRITE_REQ, beats=2, route=(1, 2)):
@@ -56,7 +57,7 @@ class TestPacketizer:
         pk = Packetizer(params32)
         packet = make_packet()
         flits = pk.decompose(packet)
-        assert len(flits) == packet.flit_count(params32)
+        assert len(flits) == flits_per_transaction(params32, len(packet.payload))
 
     def test_flit_types_frame_the_packet(self, params32):
         flits = Packetizer(params32).decompose(make_packet())
@@ -99,11 +100,18 @@ class TestPacketizer:
             Packetizer(params32).decompose(bad)
 
 
+def consumed(flit, hops):
+    """``flit`` after ``hops`` switches have each taken one route hop."""
+    for _ in range(hops):
+        flit = flit.advance_route()
+    return flit
+
+
 def roundtrip(params, packet):
     flits = Packetizer(params).decompose(packet)
     # Simulate full route consumption as the network would do.
     arrived = [
-        f.with_route_offset(len(packet.header.route)) if f.is_head else f for f in flits
+        consumed(f, len(packet.header.route)) if f.is_head else f for f in flits
     ]
     dp = Depacketizer(params)
     out = None
@@ -142,7 +150,7 @@ class TestDepacketizer:
     def test_partial_packet_returns_none(self, params32):
         flits = Packetizer(params32).decompose(make_packet())
         dp = Depacketizer(params32)
-        head = flits[0].with_route_offset(2)
+        head = consumed(flits[0], 2)
         assert dp.feed(head) is None
         assert dp.busy
 
@@ -162,22 +170,22 @@ class TestDepacketizer:
         a = Packetizer(params32).decompose(make_packet())
         b = Packetizer(params32).decompose(make_packet())
         dp = Depacketizer(params32)
-        dp.feed(a[0].with_route_offset(2))
+        dp.feed(consumed(a[0], 2))
         with pytest.raises(PacketizationError, match="head flit while"):
-            dp.feed(b[0].with_route_offset(2))
+            dp.feed(consumed(b[0], 2))
 
     def test_wrong_packet_body_rejected(self, params32):
         a = Packetizer(params32).decompose(make_packet())
         b = Packetizer(params32).decompose(make_packet())
         dp = Depacketizer(params32)
-        dp.feed(a[0].with_route_offset(2))
+        dp.feed(consumed(a[0], 2))
         with pytest.raises(PacketizationError, match="interleaved"):
             dp.feed(b[1])
 
     def test_reset_clears_state(self, params32):
         flits = Packetizer(params32).decompose(make_packet())
         dp = Depacketizer(params32)
-        dp.feed(flits[0].with_route_offset(2))
+        dp.feed(consumed(flits[0], 2))
         dp.reset()
         assert not dp.busy
 

@@ -2,22 +2,59 @@
 :class:`repro.core.routing.RouteSet`.
 
 The simulator's NI LUTs, the compiler's emitted tables, the DSE's hop
-counts and the analytic estimate must describe the same routes; the
-three-views check below is the only place they are compared.
+counts and the analytic estimate must describe the same routes, and the
+estimate, ``repro compile`` and the simulator must refuse the same NoCs;
+the three-views check below is the only place they are compared.
 """
 
 import pytest
 
+from repro.__main__ import main
 from repro.compiler import NocSpecification, generate_routing_tables, simulation_view
 from repro.core.routing import RouteSet
-from repro.flow.selection import MappedFabric, estimate_mean_cycles, mean_cycles
+from repro.flow.selection import (
+    MappedFabric,
+    estimate_candidate,
+    estimate_mean_cycles,
+    mean_cycles,
+)
 from repro.flow.taskgraph import demo_multimedia_soc, demo_telecom_soc
 from repro.network.topology import attach_round_robin, custom_topology, mesh, ring
 from repro.serve.service import topology_from_name
+from repro.sim.kernel import SimulationError
 
 SOCS = {"multimedia": demo_multimedia_soc, "telecom": demo_telecom_soc}
-FABRICS = ("mesh-2x2", "mesh-3x3", "ring-4", "ring-6", "star-4", "spidergon-4",
-           "torus-3x3", "hypercube-3")
+FABRICS = ("mesh-2x2", "mesh-3x3", "mesh-5x5", "ring-4", "ring-6", "star-4",
+           "spidergon-4", "torus-3x3", "hypercube-3")
+RADICES = (3, 4, 8, 16)
+CASES = [(soc, fabric, radix) for soc in SOCS for fabric in FABRICS for radix in RADICES]
+#: ``greedy_mapping`` cannot place these: at ``max_radix`` the fabric's
+#: own switch degree leaves fewer free ports than the SoC has NIs.
+UNMAPPABLE = {
+    *(("multimedia", fabric, 3) for fabric in (
+        "mesh-2x2", "mesh-3x3", "mesh-5x5", "ring-4", "ring-6", "spidergon-4",
+        "torus-3x3", "hypercube-3")),
+    ("multimedia", "spidergon-4", 4), ("multimedia", "torus-3x3", 4),
+    *(("telecom", fabric, 3) for fabric in FABRICS),
+    *(("telecom", fabric, 4) for fabric in (
+        "mesh-2x2", "ring-4", "spidergon-4", "torus-3x3", "hypercube-3")),
+}
+MAPPED = [case for case in CASES if case not in UNMAPPABLE]
+#: What the simulator refuses to build: at radix 16 a route uses a port
+#: past the 3-bit port field, and telecom on mesh5x5 at radix 4 maps two
+#: pairs to opposite corners, 9 hops against ``max_hops`` 8.
+REFUSED = {case for case in MAPPED if case[2] == 16} | {("telecom", "mesh-5x5", 4)}
+BUILT = [case for case in MAPPED if case not in REFUSED]
+
+
+def mapped_fabric(case):
+    soc, fabric, radix = case
+    return MappedFabric(SOCS[soc]()[2], topology_from_name(fabric), max_radix=radix,
+                        anneal_iterations=1500, seed=0)
+
+
+def case_id(case):
+    return "-".join(map(str, case))
 
 
 def holey_mesh():
@@ -110,13 +147,37 @@ class TestDefaultPolicy:
 
 
 class TestThreeViewsReadOneRouteSet:
-    @pytest.fixture(scope="class", params=[
-        (soc, fabric) for soc in SOCS for fabric in FABRICS],
-        ids=lambda case: f"{case[0]}-{case[1]}")
+    @pytest.fixture(scope="class", params=MAPPED, ids=case_id)
     def mapped(self, request):
-        soc, fabric = request.param
-        return MappedFabric(SOCS[soc]()[2], topology_from_name(fabric),
-                            anneal_iterations=300, seed=3)
+        return mapped_fabric(request.param)
+
+    @pytest.fixture(scope="class", params=BUILT, ids=case_id)
+    def built(self, request):
+        return mapped_fabric(request.param)
+
+    @pytest.mark.parametrize("case", sorted(UNMAPPABLE), ids=case_id)
+    def test_the_unmappable_cases_are_named(self, case):
+        with pytest.raises(ValueError, match="fabric has capacity for"):
+            mapped_fabric(case).placement
+
+    @pytest.mark.parametrize("case", MAPPED, ids=case_id)
+    def test_the_estimate_compile_and_the_simulator_agree(self, case, tmp_path, capsys):
+        """Feasible exactly when ``compile`` exits 0 and exactly when
+        the simulation view builds (the demo SoCs load no link past its
+        margin, so every refusal here is one the spec alone shows)."""
+        mapped = mapped_fabric(case)
+        spec = NocSpecification.from_topology(mapped.placement[0])
+        path = tmp_path / "spec.json"
+        path.write_text(spec.to_json())
+        compiled = main(["compile", str(path), "--tables", "--report"]) == 0
+        capsys.readouterr()
+        try:
+            simulation_view(spec)
+            built = True
+        except SimulationError:
+            built = False
+        assert estimate_candidate(mapped).feasible == compiled == built
+        assert built == (case not in REFUSED)
 
     def test_hops_are_the_emitted_route_lengths(self, mapped):
         topo = mapped.placement[0]
@@ -130,8 +191,8 @@ class TestThreeViewsReadOneRouteSet:
             else:
                 assert hops == len(tables.reverse[src][tables.node_ids[dst]])
 
-    def test_the_simulators_luts_are_the_emitted_tables(self, mapped):
-        spec = NocSpecification.from_topology(mapped.placement[0])
+    def test_the_simulators_luts_are_the_emitted_tables(self, built):
+        spec = NocSpecification.from_topology(built.placement[0])
         tables = generate_routing_tables(spec)
         noc = simulation_view(spec)
         assert noc.node_ids == tables.node_ids

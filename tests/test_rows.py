@@ -2,7 +2,9 @@
 
 Three things are pinned here.  *Identity*: splitting a design point
 into map -> estimate changed no key, no value and no record (goldens
-and ``tests/data/parent_store`` were written by the parent commit).
+were written by the parent commit; ``tests/data/parent_store`` was
+rewritten when ``CACHE_VERSION`` went to 3, under new keys and with
+the same record bytes, which ``parent_store_digests.json`` holds).
 *Once per row*: a fabric is annealed once for all its configurations.
 *Rows in the pool*: a row runs in order in one worker with what its
 points share still shared, and supervision stays per point.
@@ -78,7 +80,7 @@ class TestIdentity:
         assert (
             point_key(_evaluate_design_point, combo)
             == point_key(_evaluate_design_point, bare)
-            == "54ef217a7c761f518465f8ec017707776480cd842e6f12033873df8b37fcc1dc"
+            == "3e8861a8a9d3615c48db102eb866daffa71c93c6209644a332840e9a082798de"
         )
         assert _evaluate_design_point(combo) == _evaluate_design_point(bare)
 
@@ -106,8 +108,9 @@ class TestIdentity:
 
     def test_records_are_the_parent_commits(self, tmp_path):
         """Every record's payload digest and size, as the parent commit
-        stored them (``parent_store_digests.json`` was extracted from
-        the fixture before it was converted to the segment layout)."""
+        stored them (``parent_store_digests.json``'s values were
+        extracted from the fixture before it was converted to the
+        segment layout; its keys moved with ``CACHE_VERSION`` 3)."""
         with open(PARENT_DIGESTS) as f:
             theirs = json.load(f)
         fresh = ResultStore(str(tmp_path))
