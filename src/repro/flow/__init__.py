@@ -25,7 +25,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "dse": ("DesignPoint", "explore_design_space", "pareto_frontier", "render_space"),
     "floorplan": ("Floorplan", "floorplan_topology"),
     "keying": ("stable_repr",),
-    "mapping": ("anneal_mapping", "apply_mapping", "greedy_mapping", "mapping_cost"),
+    "mapping": ("anneal_mapping", "apply_mapping", "greedy_mapping", "mapping_cost",
+                "slot_capacity"),
     "runner": ("ExperimentRunner",),
     "selection": ("CandidateResult", "select_topology"),
     "session": ("PointReport",),

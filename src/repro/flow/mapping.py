@@ -43,9 +43,16 @@ def mapping_cost(
     return total
 
 
-def _slot_capacity(fabric: Topology, max_radix: int) -> Dict[str, int]:
-    """NIs each switch can still take without exceeding ``max_radix``."""
-    return {s: max(0, max_radix - fabric.radix_of(s)) for s in fabric.switches}
+def slot_capacity(fabric: Topology, max_radix: int, cores: int = 0) -> Dict[str, int]:
+    """NIs each switch can still take without exceeding ``max_radix``;
+    a ``ValueError`` when they add up to fewer than ``cores``."""
+    capacity = {s: max(0, max_radix - fabric.radix_of(s)) for s in fabric.switches}
+    if sum(capacity.values()) < cores:
+        raise ValueError(
+            f"fabric has capacity for {sum(capacity.values())} NIs at "
+            f"max_radix={max_radix}, need {cores}"
+        )
+    return capacity
 
 
 def greedy_mapping(
@@ -61,12 +68,7 @@ def greedy_mapping(
     placed partners.
     """
     hops = fabric.hop_matrix()
-    capacity = _slot_capacity(fabric, max_radix)
-    if sum(capacity.values()) < len(core_graph.cores):
-        raise ValueError(
-            f"fabric has capacity for {sum(capacity.values())} NIs at "
-            f"max_radix={max_radix}, need {len(core_graph.cores)}"
-        )
+    capacity = slot_capacity(fabric, max_radix, len(core_graph.cores))
     # Order cores by total attached demand, heaviest first.
     order = sorted(
         core_graph.cores,
@@ -151,7 +153,7 @@ def anneal_mapping(
     the fabric's links can carry (SunMap's bandwidth-constrained mode).
     """
     mapping = dict(initial) if initial else greedy_mapping(core_graph, fabric, max_radix)
-    capacity = _slot_capacity(fabric, max_radix)
+    capacity = slot_capacity(fabric, max_radix)
     for sw in mapping.values():
         capacity[sw] -= 1
     if any(v < 0 for v in capacity.values()):

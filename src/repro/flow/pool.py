@@ -37,8 +37,7 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   point -- so an object the row's points share in the caller (the
   mapped fabric of a design-space sweep) is one object in the worker
   too, and whatever it computes on first use is computed once per row.
-  Keys, store records, journal lines, events and failures stay per
-  point;
+  Keys, store records, events and failures stay per point;
 * rows are **sharded** round-robin into one deque per worker, so a
   healthy sweep keeps cache-friendly locality and a deterministic
   assignment;
@@ -48,7 +47,7 @@ tier of the DSE service (docs/SERVICE.md) -- is this class re-exported:
   gating the sweep.  Every steal is counted and emitted as a ``steal``
   event on the ``repro.telemetry.events`` plane;
 * everything else around the scheduling -- store probing and
-  accounting, streamed journal and manifest updates, bounded retries
+  accounting, streamed event and manifest updates, bounded retries
   with seeded-jitter exponential backoff, per-point wall-clock timeouts (the worker is SIGKILLed and
   respawned; only the point it held is re-attempted), crash isolation,
   the deferred first-failure re-raise -- is
@@ -101,7 +100,7 @@ top of the scheduling, the dispatcher is its workers' supervisor.
   ``close()``.
 * **Poison-point quarantine.**  A point whose attempts kill
   ``poison_threshold`` *consecutive* workers (crash / stall / timeout,
-  with no clean result in between) is quarantined: journaled as a
+  with no clean result in between) is quarantined: recorded as a
   :class:`~repro.flow.session.PointFailure` of kind ``"poisoned"`` (a
   repro bundle -- the exact fn/point to re-run in isolation), emitted
   as a ``poisoned`` event, and skipped instead of burning the rest of
@@ -343,12 +342,12 @@ class WorkStealingDispatcher:
     accepted (``explore_design_space(runner=...)``,
     ``load_sweep(runner=...)``): it exposes the same :meth:`map` /
     :meth:`map_rows` contract -- results in input order, caching,
-    retries, timeouts, journal, ``last_manifests`` -- because the
+    retries, timeouts, events, ``last_manifests`` -- because the
     bookkeeping *is* the runner's, via
     :class:`~repro.flow.session.MapSession`.
 
     Parameters: ``runner`` supplies configuration and owns the
-    cache/store/journal; ``workers`` is the pool width (defaults to
+    cache/store/events; ``workers`` is the pool width (defaults to
     ``max(2, runner.jobs)``).  Supervision knobs (see the module
     docstring): ``heartbeat`` (worker tick period), ``liveness``
     (heartbeat silence before a busy worker is killed as stalled;

@@ -26,11 +26,11 @@ of such points
   is a sha256-verified record under a key derived from the *identity*
   of the work (function qualname + arguments), so re-generating figures
   after an unrelated edit costs nothing.  The store's root also hosts
-  the ``runs.jsonl`` journal and the ``events.jsonl`` stream;
+  the ``events.jsonl`` stream;
 * **resiliently**: per-point wall-clock ``timeout``, bounded ``retries``
-  with exponential backoff, and a ``runs.jsonl`` journal recording
-  every completion and failure.  Results stream into the store and
-  journal *as points finish*, so killing a sweep mid-flight loses none
+  with exponential backoff, and one ``point_end`` event recording every
+  completion and failure.  Results stream into the store and events
+  *as points finish*, so killing a sweep mid-flight loses none
   of the completed points -- re-running on the same store picks up
   where it stopped (resume *is* run again: a stored point is a hit).
   See ``docs/CHECKPOINT.md`` and ``docs/RESILIENCE.md``.
@@ -51,13 +51,12 @@ every figure's ``main(runner)``.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.flow.keying import (  # noqa: F401 -- the keying names' old home
     CACHE_VERSION,
@@ -78,16 +77,6 @@ from repro.flow.session import (  # noqa: F401 -- the session names' old home
 from repro.store import cas
 
 
-def read_journal(path: str) -> List[Dict[str, Any]]:
-    """Every complete ``runs.jsonl`` record at ``path``, in file order
-    (``[]`` when there is no file).  The journal is append-only and
-    every line stands on its own, so a line torn by a kill is skipped,
-    not fatal."""
-    from repro.telemetry.events import read_events
-
-    return [rec for rec in read_events(path) if isinstance(rec.get("key"), str)]
-
-
 @dataclass
 class ExperimentRunner:
     """Fan independent experiment points out; memoize their results.
@@ -105,7 +94,7 @@ class ExperimentRunner:
         content-addressed result tier (docs/SERVICE.md), consulted
         before computing and published to as points finish, so many
         runners -- possibly on many hosts -- pool their work.  Its root
-        also hosts the ``runs.jsonl`` journal and ``events.jsonl``.
+        also hosts ``events.jsonl``.
         ``None`` (default) disables memoization.
     timeout:
         Per-point wall-clock limit in seconds.  Enforced only when
@@ -120,7 +109,7 @@ class ExperimentRunner:
         Base delay for the exponential retry backoff, in seconds.
     on_failure:
         ``"raise"`` (default): after *all* points have finished (so
-        completed siblings are cached and journaled), re-raise the
+        completed siblings are cached and logged), re-raise the
         first failure's exception.  ``"record"``: never raise; failed
         points yield ``None`` results and a :class:`PointFailure` in
         ``failures``.
@@ -227,14 +216,6 @@ class ExperimentRunner:
                 )
         return found
 
-    # -- journal ----------------------------------------------------------
-    @property
-    def journal_path(self) -> Optional[str]:
-        """``runs.jsonl`` inside the store root (None without a store)."""
-        if self.store is None:
-            return None
-        return os.path.join(self.store.root, "runs.jsonl")
-
     # -- execution --------------------------------------------------------
     def map(
         self,
@@ -250,7 +231,7 @@ class ExperimentRunner:
         ``jobs > 1`` so worker processes can run it; its arguments
         should be stable_repr-hashable when caching is on.
 
-        Completed points are cached and journaled the moment they
+        Completed points are cached and logged the moment they
         finish, *before* the batch ends -- a killed sweep loses nothing
         already done.  A failing point (exception, timeout, or worker
         death) is retried up to ``retries`` times with exponential
@@ -259,8 +240,8 @@ class ExperimentRunner:
         first failure is re-raised only after every sibling has
         finished.
 
-        The bookkeeping (cache probing, journaling, manifests, event
-        stream, retry accounting) lives in :class:`MapSession`; only
+        The bookkeeping (cache probing, manifests, event stream, retry
+        accounting) lives in :class:`MapSession`; only
         the scheduling differs between inline execution and the pool
         (:class:`repro.flow.pool.WorkStealingDispatcher`, at its
         supervision defaults, when ``jobs > 1``).

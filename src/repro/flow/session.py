@@ -2,10 +2,10 @@
 
 :class:`MapSession` is the bookkeeping of one
 :meth:`~repro.flow.runner.ExperimentRunner.map_rows` call -- keys and
-cache probing, results, manifests, journal lines, events, retry
-accounting -- shared by the inline scheduler and the pool
-(:mod:`repro.flow.pool`); :class:`RunManifest`, :class:`PointReport`
-and :class:`PointFailure` are what it records.  This module imports
+cache probing, results, manifests, events, retry accounting -- shared
+by the inline scheduler and the pool (:mod:`repro.flow.pool`);
+:class:`RunManifest`, :class:`PointReport` and :class:`PointFailure`
+are what it records.  This module imports
 neither the pool nor the store, so the simulator can carry a
 :class:`RunManifest` in its results (``LoadPoint.manifest``) without
 loading ``multiprocessing``, and the pool imports the session at
@@ -69,7 +69,9 @@ class PointFailure:
     ``kind`` is one of :data:`FAILURE_KINDS`.  ``point_repr`` /
     ``fn_repr`` are the :func:`stable_repr` of the inputs -- together
     with the cache key they identify the exact work to re-run in
-    isolation (``runner.map(fn, [the_point])``).
+    isolation (``runner.map(fn, [the_point])``).  The failed
+    ``point_end`` event carries them as ``point`` and ``fn``
+    (:meth:`as_record`).
     """
 
     label: str
@@ -83,7 +85,7 @@ class PointFailure:
     traceback: str = ""
 
     def as_record(self) -> Dict[str, Any]:
-        """JSON-serialisable journal form."""
+        """The JSON fields of this failure's ``point_end`` event."""
         return {
             "status": "failed",
             "label": self.label,
@@ -135,9 +137,10 @@ class MapSession:
     very differently -- a loop in this process vs. long-lived workers
     pulling from shards -- but everything *around* the scheduling is
     identical and lives here: cache keys and cache probing, the streamed
-    store accounting and journal/manifest updates as points finish,
-    retry accounting, the telemetry event stream, and the deferred
-    first-failure re-raise.
+    store accounting and manifest updates as points finish, retry
+    accounting, the telemetry event stream -- whose ``point_end``
+    records are the one on-disk log of every outcome -- and the
+    deferred first-failure re-raise.
     The store *record* of a point is written by whichever process ran
     the point; the session only accounts it (:meth:`finish_ok`).
 
@@ -206,7 +209,6 @@ class MapSession:
             todo for row in self.rows
             if (todo := [i for i in row if i in missed])
         ] if missed else []
-        self._journal: Optional[Any] = None  # runs.jsonl, opened on first use
 
     @classmethod
     def over_rows(
@@ -240,11 +242,13 @@ class MapSession:
 
     # -- event stream -----------------------------------------------------
     def events_path(self) -> Optional[str]:
+        from repro.telemetry.events import EVENTS_BASENAME
+
         runner = self.runner
         if runner.events_path is not None:
             return runner.events_path
         if runner.store is not None:
-            return os.path.join(runner.store.root, "events.jsonl")
+            return os.path.join(runner.store.root, EVENTS_BASENAME)
         return None
 
     # -- lifecycle -------------------------------------------------------
@@ -284,26 +288,11 @@ class MapSession:
             if writer is not None:
                 _events.remove_sink(writer)
                 writer.close()
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
         self.runner.last_manifests = [m for m in self.manifests if m is not None]
         if self.first_exc is not None:
             raise self.first_exc
         results = self.results
         return [[results[i] for i in row] for row in self.rows]
-
-    def _journal_append(self, record: Dict[str, Any]) -> None:
-        """One ``runs.jsonl`` line, written and flushed now (a killed
-        sweep loses nothing); the file is opened once per session."""
-        if self._journal is None:
-            path = self.runner.journal_path
-            if path is None:
-                return
-            from repro.telemetry.events import EventWriter
-
-            self._journal = EventWriter(path)
-        self._journal.write(record)
 
     # -- attempt outcomes -------------------------------------------------
     def finish_ok(
@@ -330,15 +319,6 @@ class MapSession:
         runner.reports.append(PointReport(label, self.keys[i], seconds))
         if published is not None:
             runner.store.account(*published, key=self.keys[i])
-        self._journal_append(
-            {
-                "status": "ok",
-                "label": label,
-                "key": self.keys[i],
-                "seconds": round(seconds, 6),
-                "attempts": attempts,
-            }
-        )
         self.tally["ok"] += 1
         _events.emit(
             "point_end", label=label, key=self.keys[i],
@@ -372,13 +352,8 @@ class MapSession:
         )
         runner.failures.append(failure)
         runner._count("failures", "failure_count")
-        self._journal_append(failure.as_record())
         self.tally["failed"] += 1
-        _events.emit(
-            "point_end", label=failure.label, key=self.keys[i],
-            status="failed", seconds=round(seconds, 6), attempts=attempts,
-            cached=False, kind=kind, message=message,
-        )
+        _events.emit("point_end", cached=False, **failure.as_record())
         if runner.on_failure == "raise" and self.first_exc is None:
             self.first_exc = exc if exc is not None else RuntimeError(
                 f"{failure.label} {kind} after {attempts} attempt(s): {message}"
@@ -397,7 +372,7 @@ class MapSession:
         """Account one failed attempt.  Returns True when the point has
         retries left -- the caller schedules the re-attempt after its
         backoff -- and False when the failure is final (recorded,
-        journaled and counted here)."""
+        logged and counted here)."""
         from repro.telemetry import events as _events
 
         runner = self.runner

@@ -186,7 +186,8 @@ def measure_load_point_lane(
 def _reduce_lanes(rate: float, lanes: Sequence[LoadPoint]) -> LoadPoint:
     """Reduce one rate's replica lanes to a mean point with 95% CIs,
     carrying lane 0's manifest (the other lanes' provenance lives in
-    the runner's journal).  A single lane is the point itself, raw.
+    the runner's ``point_end`` events).  A single lane is the point
+    itself, raw.
 
     Lanes that completed no transactions report infinite latency; they
     are excluded from the latency mean/CI (an all-empty rate stays

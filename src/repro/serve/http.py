@@ -54,6 +54,7 @@ from repro.serve.service import (
     QueryError,
     parse_query,
 )
+from repro.telemetry.events import EVENTS_BASENAME
 
 #: Methods each fixed route answers; anything else on these paths is a
 #: ``405`` with an ``Allow`` header (``/jobs/...`` is GET-only).
@@ -328,7 +329,7 @@ class QueryServer:
         self.jobs[job_id] = {
             "status": "running",
             "missing": len(missing),
-            "events_path": os.path.join(job_dir, "events.jsonl"),
+            "events_path": os.path.join(job_dir, EVENTS_BASENAME),
         }
         self._count("jobs_started")
         task = asyncio.get_running_loop().create_task(self._run_job(job_id, answer))

@@ -37,6 +37,7 @@ from repro.flow.dse import (
     render_space,
 )
 from repro.flow.keying import Rendered, point_keys, stable_repr
+from repro.flow.mapping import slot_capacity
 from repro.flow.pool import WorkStealingDispatcher
 from repro.flow.runner import ExperimentRunner
 from repro.flow.taskgraph import CoreGraph, demo_multimedia_soc, demo_telecom_soc
@@ -261,6 +262,19 @@ def _rendered(kind: str, name: str) -> Rendered:
     return Rendered(stable_repr(_built(kind, name)))
 
 
+@functools.lru_cache(maxsize=128)
+def _check_mappable(core_graph: str, topology: str, max_radix: int) -> None:
+    """A :class:`QueryError` naming ``topology`` when its switches
+    cannot take the graph's NIs at ``max_radix`` -- the rule and message
+    :func:`~repro.flow.mapping.greedy_mapping` would fail the point with
+    in the farm, where it would count against the circuit breaker."""
+    cores = len(_built("core_graph", core_graph).cores)
+    try:
+        slot_capacity(_built("topology", topology), max_radix, cores)
+    except ValueError as exc:
+        raise QueryError(f"topology {topology!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """One design-space question, normalized.
@@ -327,6 +341,7 @@ class QuerySpec:
         for name in self.topologies:
             # Validates eagerly, building only a name not met before.
             _rendered("topology", name)
+            _check_mappable(self.core_graph, name, self.max_radix)
 
     def meets_constraints(self, p: DesignPoint) -> bool:
         if not p.feasible:
@@ -415,7 +430,7 @@ class QueryEngine:
     through an :class:`~repro.flow.runner.ExperimentRunner` bound to
     the store with ``jobs=workers`` -- the supervised pool when
     ``workers > 1`` -- so the misses are computed once, published, and
-    journaled like any sweep.
+    logged like any sweep.
 
     The farm path is guarded by a :class:`CircuitBreaker` (one is
     constructed per engine unless injected): consecutive dispatch

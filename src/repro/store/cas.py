@@ -71,7 +71,7 @@ supervisor on what the worker reports.
 :meth:`ResultStore.record` reads one header, and
 :meth:`ResultStore.gc` evicts the oldest records to a count/byte
 budget by compacting segments.  Any other file in the root (an older
-store's publish log, the runner's ``runs.jsonl``) is ignored.
+store's publish log, the runner's ``events.jsonl``) is ignored.
 """
 
 from __future__ import annotations

@@ -41,7 +41,10 @@ Event vocabulary (the spans of a campaign):
 ``point_end``   a point finished: ``label``, ``key``, ``status``
                 (``ok``/``failed``), ``seconds``, ``attempts``,
                 ``cached`` (True for cache hits, which skip
-                ``point_start``)
+                ``point_start``); a failure adds ``kind``,
+                ``message`` and the repro bundle ``point`` / ``fn``
+                (``stable_repr`` of the inputs).  The one on-disk
+                record of a point's outcome.
 ``lane_batch``  one replica lane of a campaign finished (a one-lane
                 campaign emits lane 0): ``lane``, ``replicas``,
                 ``metrics`` (the lane's row), ``digest``
@@ -85,7 +88,7 @@ EVENT_TYPES = (
     "run_end",
 )
 
-#: default stream file name, next to the runner's ``runs.jsonl``
+#: default stream file name, in the store root or a job directory
 EVENTS_BASENAME = "events.jsonl"
 
 #: ``json.dumps(record, sort_keys=True)``, with one encoder for every line.

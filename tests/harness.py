@@ -88,3 +88,18 @@ def flip_final_payload_byte(store, key: str) -> str:
         fh.seek(-1, 1)
         fh.write(bytes([last[0] ^ 0xFF]))
     return path
+
+
+def point_outcomes(runner) -> list:
+    """The ``point_end`` events of the points ``runner`` executed (not
+    its cache hits), in file order: the one on-disk record of each
+    computed point's outcome."""
+    import os
+
+    from repro.telemetry.events import EVENTS_BASENAME, read_events
+
+    path = runner.events_path or os.path.join(runner.store.root, EVENTS_BASENAME)
+    return [
+        rec for rec in read_events(path)
+        if rec.get("event") == "point_end" and rec.get("cached") is False
+    ]

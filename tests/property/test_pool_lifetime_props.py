@@ -21,10 +21,11 @@ entering only through a point, a signal or a file the test owns:
 Every fault rule asserts that its fault landed: ``crash_count``,
 ``stalls``, ``poisoned`` or ``corrupt_records`` moves by exactly one,
 or the cut record is the one record lost.  After every step: results
-equal the model's, the journal holds every computation exactly once
-(each pill as ``"poisoned"``), the store holds exactly one record per
-point ever computed, every counter matches the faults delivered, and
-there are never more children than ``WORKERS`` -- none once closed.
+equal the model's, the executed points' ``point_end`` events hold
+every computation exactly once (each pill as ``"poisoned"``), the
+store holds exactly one record per point ever computed, every counter
+matches the faults delivered, and there are never more children than
+``WORKERS`` -- none once closed.
 Hypothesis shrinks a failure to the shortest schedule of rules.
 """
 
@@ -46,10 +47,10 @@ from hypothesis.stateful import (
 
 from repro.flow.keying import point_keys
 from repro.flow.pool import WorkStealingDispatcher
-from repro.flow.runner import ExperimentRunner, read_journal
+from repro.flow.runner import ExperimentRunner
 from repro.store import ResultStore
 from repro.telemetry.events import read_events, validate_events
-from tests.harness import flip_final_payload_byte
+from tests.harness import flip_final_payload_byte, point_outcomes
 
 WORKERS = 2
 RAISES = -1
@@ -105,7 +106,7 @@ class KeptPool(RuleBasedStateMachine):
         self.open = False
         self.computed = set()
         self.faults = 0  # names each fault point's marker file
-        #: What the counters and the journal must say.
+        #: What the counters and the point_end events must say.
         self.expected = dict.fromkeys(self.counters(), 0)
         self.journal = collections.Counter()
 
@@ -128,8 +129,8 @@ class KeptPool(RuleBasedStateMachine):
     def run(self, points):
         """Map ``points`` on the pool, then inline (where a fault
         point's marker now exists, so it cubes at once); a pill is not
-        run inline and must come back None.  Books the journal lines
-        and retries the map owes."""
+        run inline and must come back None.  Books the point_end
+        events and retries the map owes."""
         got = self.pool.map(_point, points)
         model = iter(self.model.map(
             _point, [p for p in points if not _is_pill(p)]))
@@ -211,7 +212,7 @@ class KeptPool(RuleBasedStateMachine):
         [key] = point_keys(_point, [point])
         flip_final_payload_byte(self.runner.store, key)
         self.run_with_fault([], 0, point, corrupt_records=1)
-        self.journal[key, "ok"] += 1  # recomputed, journaled again
+        self.journal[key, "ok"] += 1  # recomputed, logged again
 
     @precondition(lambda self: read_events(self.events_path()))
     @rule(points=st.lists(st.integers(0, 30), max_size=4, unique=True),
@@ -246,7 +247,7 @@ class KeptPool(RuleBasedStateMachine):
         assert self.model.store.puts == len(self.computed)
         assert sorted(store.keys()) == sorted(
             point_keys(_point, sorted(self.computed, key=repr)))
-        journal = read_journal(self.runner.journal_path)
+        journal = point_outcomes(self.runner)
         assert collections.Counter(
             (r["key"], r.get("kind", r["status"])) for r in journal
         ) == self.journal

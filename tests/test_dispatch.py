@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.flow.pool import WorkStealingDispatcher
-from repro.flow.runner import ExperimentRunner, PointFailure, read_journal
+from repro.flow.runner import ExperimentRunner, PointFailure
 from repro.store import ResultStore
 from repro.telemetry.events import (
     EventCollector,
@@ -17,6 +17,7 @@ from repro.telemetry.events import (
     read_events,
     remove_sink,
 )
+from tests.harness import point_outcomes
 
 
 def _square(x):
@@ -157,9 +158,7 @@ class TestFailureMachinery:
         runner = ExperimentRunner(jobs=2, store=ResultStore(str(tmp_path)))
         with pytest.raises(TypeError, match="pickle"):
             runner.map(_square, [1, threading.Lock(), 3])
-        statuses = sorted(
-            e["status"] for e in read_journal(runner.journal_path)
-        )
+        statuses = sorted(e["status"] for e in point_outcomes(runner))
         assert statuses == ["failed", "ok", "ok"]
 
     def test_unpicklable_fn_is_refused_before_any_spawn(self):

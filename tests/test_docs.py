@@ -267,8 +267,9 @@ class TestCheckpointDoc:
             "a point is the unit of resume", "**Resume = run again**",
             "cache_hits", "cache_misses", "no mid-run simulator checkpoint",
             # hardened runner
-            "runs.jsonl", "timeout", "retries", "PointFailure",
-            "on_failure", "corrupt", "sha256", "read_journal",
+            "events.jsonl", "timeout", "retries", "PointFailure",
+            "on_failure", "corrupt", "sha256", "read_events",
+            "there is no second journal", "`point` and `fn`",
             # ... on the one supervised pool: the behaviour deltas
             "repro.flow.pool", "long-lived", "restart budget",
             "poisoned", "SIGKILLed", "must pickle",

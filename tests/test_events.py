@@ -639,7 +639,7 @@ class TestDashboard:
         assert s["source"].endswith("events.jsonl")
 
     def test_load_summary_reads_the_stream_only(self, tmp_path):
-        """``runs.jsonl`` is the exactly-once ledger, not a dashboard
+        """An older store's ``runs.jsonl`` journal is no dashboard
         source: with no ``events.jsonl`` the summary is the empty one."""
         with open(tmp_path / "runs.jsonl", "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"status": "ok", "label": "old[0]",

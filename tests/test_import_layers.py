@@ -294,3 +294,36 @@ class TestOneVerdict:
                 if isinstance(operand, ast.Attribute) and operand.attr in HEADER_LIMITS
             ]
         assert offenders == []
+
+
+def _fails(point):
+    raise ValueError(f"scripted failure: {point}")
+
+
+class TestOneRunLog:
+    def test_no_module_names_a_second_run_log(self):
+        """A point's outcome is written once, as its ``point_end``
+        event: no module keeps (or names) a ``runs.jsonl`` beside it."""
+        offenders = []
+        for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as f:
+                        offenders += [
+                            f"{os.path.relpath(path, SRC)}:{n}"
+                            for n, line in enumerate(f, 1) if "runs.jsonl" in line
+                        ]
+        assert offenders == []
+
+    def test_a_failed_point_end_carries_the_repro_bundle(self, tmp_path):
+        from repro.flow.keying import stable_repr
+        from repro.flow.runner import ExperimentRunner
+        from repro.telemetry.events import read_events
+
+        path = str(tmp_path / "events.jsonl")
+        ExperimentRunner(on_failure="record", events_path=path).map(_fails, ["x"])
+        [end] = [r for r in read_events(path) if r["event"] == "point_end"]
+        assert (end["status"], end["cached"], end["kind"]) == ("failed", False, "error")
+        assert end["message"] == "ValueError: scripted failure: x"
+        assert (end["point"], end["fn"]) == (stable_repr("x"), stable_repr(_fails))

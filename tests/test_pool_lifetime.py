@@ -22,13 +22,14 @@ import pytest
 
 from repro.flow.dse import explore_design_space
 from repro.flow.pool import DEFAULT_HEARTBEAT, WorkStealingDispatcher
-from repro.flow.runner import ExperimentRunner, read_journal
+from repro.flow.runner import ExperimentRunner
 from repro.serve import QueryEngine, QuerySpec
 from repro.serve.http import QueryServer
 from repro.serve.service import core_graph_from_name, topology_from_name
 from repro.store import ResultStore
 from repro.telemetry.events import EventCollector, install_sink, remove_sink
 from repro.telemetry.registry import MetricsRegistry
+from tests.harness import point_outcomes
 
 pytestmark = pytest.mark.timeout_guard(120.0)
 
@@ -416,7 +417,7 @@ class TestSupervisionInsideAKeptPool:
             second = disp.map(_pid, [2, 3, 4, 5])
             assert first[0] not in second and first[1] in second
             assert len(set(second)) == 2
-            journal = read_journal(runner.journal_path)
+            journal = point_outcomes(runner)
             assert [(r["status"], r["attempts"]) for r in journal] == [("ok", 1)] * 6
             assert not runner.failures and runner.retry_count == 0
             assert runner.crash_count == 0

@@ -233,9 +233,9 @@ class TestRowsInThePool:
         assert got[0][2] is None and None not in got[0][:2] + got[0][3:] + got[1]
         assert got[0][3] == got[0][4]  # the rest went back as one row
         assert runner.crash_count == 1 and runner.retry_count == 0
-        from repro.flow.runner import read_journal
+        from tests.harness import point_outcomes
 
-        journal = read_journal(runner.journal_path)
+        journal = point_outcomes(runner)
         assert sorted(r["attempts"] for r in journal) == [1] * 7
         assert [r["status"] for r in journal].count("ok") == 6
 

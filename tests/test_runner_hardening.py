@@ -3,8 +3,8 @@
 Three worker failure modes must each be isolated to their own point --
 the function raising, exceeding the wall-clock timeout, and the worker
 process dying outright (SIGKILL stands in for segfault/OOM) -- while
-completed siblings stay cached and journaled.  On top of that: bounded
-retries with backoff, the ``runs.jsonl`` journal, corrupt-cache
+completed siblings stay cached and logged.  On top of that: bounded
+retries with backoff, the ``point_end`` run log, corrupt-cache
 quarantine, strict constructor validation, and fault campaigns that
 resume by being run again on the same cache.
 """
@@ -32,14 +32,13 @@ from repro.flow.runner import (
     ExperimentRunner,
     PointFailure,
     point_key,
-    read_journal,
     stable_repr,
 )
 from repro.network.experiments import TopologyNocBuilder
 from repro.network.topology import mesh
 from repro.store import ResultStore
 from repro.telemetry.registry import MetricsRegistry
-from tests.harness import flip_final_payload_byte
+from tests.harness import flip_final_payload_byte, point_outcomes
 
 
 def _behave(point):
@@ -76,9 +75,9 @@ class TestFailureIsolation:
         points = [("ok", 1), ("raise", "boom"), ("ok", 3)]
         with pytest.raises(ValueError, match="scripted failure: boom"):
             runner.map(_behave, points, label="pt")
-        # Both healthy siblings finished, were cached, and journaled --
+        # Both healthy siblings finished, were cached, and logged --
         # the raise happened only after the whole batch settled.
-        entries = read_journal(runner.journal_path)
+        entries = point_outcomes(runner)
         ok = [e for e in entries if e["status"] == "ok"]
         failed = [e for e in entries if e["status"] == "failed"]
         assert len(ok) == 2 and len(failed) == 1
@@ -128,7 +127,7 @@ class TestFailureIsolation:
         assert failure.attempts == 1
         assert "ValueError" in failure.traceback
         record = failure.as_record()
-        json.dumps(record)  # journal-serialisable
+        json.dumps(record)  # the failed point_end's fields
         assert record["status"] == "failed"
 
 
@@ -256,11 +255,11 @@ class TestJournalAndResume:
         )
         first.map(_behave, [("ok", 1), ("sigkill", None), ("ok", 3)], label="pt")
         done = [
-            rec["key"] for rec in read_journal(first.journal_path)
+            rec["key"] for rec in point_outcomes(first)
             if rec["status"] == "ok"
         ]
         assert len(done) == 2
-        # Resume is "run again on the same store": every journaled-ok
+        # Resume is "run again on the same store": every logged-ok
         # key is a hit, with no flag asking for it.
         rerun = ExperimentRunner(
             jobs=2, store=ResultStore(str(tmp_path)), on_failure="record"
@@ -277,27 +276,37 @@ class TestJournalAndResume:
         runner = ExperimentRunner(jobs=1, store=ResultStore(str(tmp_path)))
         runner.map(_behave, [("ok", 1)], label="pt")
         events_path = str(tmp_path / "events.jsonl")
-        for path in (runner.journal_path, events_path):
-            with open(path, "a") as f:
-                f.write('{"key": "half-written')  # no newline, invalid JSON
-        entries = read_journal(runner.journal_path)
+        with open(events_path, "a") as f:
+            f.write('{"key": "half-written')  # no newline, invalid JSON
+        entries = point_outcomes(runner)
         assert len(entries) == 1  # torn tail skipped, good line kept
         # The resumed run's first record must not land on the torn line.
         runner.map(_behave, [("ok", 1), ("ok", 2)], label="pt")
         assert [(r["label"], r["status"]) for r in
-                read_journal(runner.journal_path)] == [
+                point_outcomes(runner)] == [
             ("pt[0]", "ok"), ("pt[1]", "ok"),
         ]
         starts = [r for r in read_events(events_path) if r["event"] == "run_start"]
         assert [(r["points"], r["cached"]) for r in starts] == [(1, 0), (2, 1)]
 
-    def test_no_journal_without_a_cache_dir(self):
+    def test_no_journal_without_a_cache_dir(self, tmp_path, monkeypatch):
+        """Without a store or an ``events_path`` there is no stream
+        file: a map writes nothing anywhere."""
+        from repro.flow.runner import MapSession
+
+        monkeypatch.chdir(tmp_path)
         runner = ExperimentRunner(jobs=1)
-        assert runner.journal_path is None
+        assert MapSession(runner, _behave, []).events_path() is None
+        assert runner.map(_behave, [("ok", 1)], label="pt") == [2]
+        assert os.listdir(tmp_path) == []
 
     def test_read_journal_keeps_every_record_in_file_order(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        assert read_journal(str(path)) == []  # no file yet
+        """The run log is read by ``read_events``: every object line in
+        file order; blank, non-object and torn lines are skipped."""
+        from repro.telemetry.events import read_events
+
+        path = tmp_path / "events.jsonl"
+        assert read_events(str(path)) == []  # no file yet
         path.write_text(
             '{"key": "a", "status": "failed"}\n'
             '\n'
@@ -307,8 +316,9 @@ class TestJournalAndResume:
             '{"key": "b", "status": "ok"}\n'
             '{"key": "c", "sta'
         )
-        assert [(r["key"], r["status"]) for r in read_journal(str(path))] == [
-            ("a", "failed"), ("a", "ok"), ("b", "ok"),
+        assert read_events(str(path)) == [
+            {"key": "a", "status": "failed"}, {"status": "ok"},
+            {"key": "a", "status": "ok"}, {"key": "b", "status": "ok"},
         ]
 
 

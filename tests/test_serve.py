@@ -439,6 +439,9 @@ class TestHttp:
             ({"max_radix": 16}, "max_radix must be in [1, 8]"),
             ({"target_freq_mhz": 0}, "target_freq_mhz must be > 0"),
             ({"anneal_iterations": -5}, "anneal_iterations must be >= 0"),
+            ({"core_graph": "telecom", "max_radix": 4},
+             "topology 'mesh-2x2': fabric has capacity for 8 NIs at "
+             "max_radix=4, need 10"),
         ]:
             status, doc = _post(base + "/query", dict(FAST, wait=True, **body))
             assert status == 400 and doc["error"] == "bad_request", body
@@ -795,6 +798,28 @@ class TestDegradedQueries:
         assert breaker.state == "closed" and breaker.closes == 1
         # Fully healthy again: a fresh miss goes straight to the farm.
         assert breaker.allow()
+
+    def test_unmappable_radix_is_refused_and_never_trips_the_breaker(
+        self, tmp_path
+    ):
+        """A ``max_radix`` whose fabric cannot take the graph's NIs used
+        to parse, fail in the farm and count against the breaker: three
+        such queries left the next valid one degraded with no points."""
+        engine = QueryEngine(ResultStore(tmp_path / "store"), workers=1)
+        unmappable = {"core_graph": "telecom", "topologies": ["mesh-2x2"],
+                      "flit_widths": [16], "buffer_depths": [4],
+                      "anneal_iterations": 50, "max_radix": 4}
+        for _ in range(engine.breaker.failures):
+            with pytest.raises(ValueError, match="8 NIs at max_radix=4, need 10"):
+                engine.query(parse_query(unmappable))
+        assert engine.breaker.state == "closed"
+        result = engine.query(QuerySpec(**FAST))
+        assert result.served_from == "farm" and result.degraded is False
+        assert len(result.points) == 1
+        with pytest.raises(QueryError, match=(
+                r"^topology 'mesh-2x2': fabric has capacity for 8 NIs at "
+                r"max_radix=4, need 10$")):
+            parse_query(unmappable)
 
     def test_healthy_farm_path_untouched(self, tmp_path):
         engine = self._seeded_engine(tmp_path)

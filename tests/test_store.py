@@ -293,7 +293,7 @@ class TestManifestAndGc:
     def test_a_sweep_adds_no_file_per_point(self, tmp_path):
         """A 64-point ``jobs=2`` sweep into a fresh store leaves at most
         one segment per concurrent writer (``jobs`` workers plus the
-        supervisor) beside the journal and the event stream, and a
+        supervisor) beside the event stream, and a
         second sweep adds no file at all."""
         root = tmp_path / "store"
         store = ResultStore(root)
@@ -307,7 +307,7 @@ class TestManifestAndGc:
         before = files()
         runner = ExperimentRunner(store=store, jobs=2)
         assert runner.map(_square, range(64)) == [x * x for x in range(64)]
-        added = set(files()) - set(before) - {"runs.jsonl", "events.jsonl"}
+        added = set(files()) - set(before) - {"events.jsonl"}
         assert 1 <= len(added) <= runner.jobs + 1, added
         assert len(store) == 64
         after_first = files()
@@ -387,9 +387,8 @@ class TestRunnerIntegration:
         assert second.cache_hits == 2 and second.cache_misses == 0
 
     def test_run_directory_layout(self, tmp_path):
-        """The segments, one ledger, one stream, all in the store's
-        root."""
-        layout = {"STORE.json", "segments", "runs.jsonl", "events.jsonl"}
+        """The segments and one stream, all in the store's root."""
+        layout = {"STORE.json", "segments", "events.jsonl"}
         store = ResultStore(tmp_path / "store")
         ExperimentRunner(store=store).map(_square, [2, 3])
         assert set(os.listdir(store.root)) == layout
